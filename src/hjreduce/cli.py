@@ -822,6 +822,11 @@ def main(argv=None):
         # remaining ValueErrors are malformed inputs (ranges, counts, shapes)
         print(f"scenario error: {e}", file=sys.stderr)
         return EXIT_SCENARIO
+    except RecursionError:
+        # parse, print, evaluate and differentiate recurse on tree depth
+        print("scenario error: expression nests too deeply for the "
+              "recursion limit", file=sys.stderr)
+        return EXIT_SCENARIO
 
 
 if __name__ == "__main__":

@@ -36,6 +36,8 @@ __all__ = [
 # Bindings are plain dicts {variable name: float}.
 Bindings = dict
 
+_NO_VARS = frozenset()
+
 
 class ExprError(Exception):
     """Base class for expression errors."""
@@ -76,7 +78,10 @@ class DomainError(ExprError):
 class Expr:
     """Abstract expression node.  Instances are immutable and shareable."""
 
-    __slots__ = ()
+    # The frozenset of free variable names.  Leaves set it at
+    # construction, inner nodes start at None and _free_vars fills it on
+    # first demand; it is then kept for the node's lifetime.
+    __slots__ = ("_vars",)
 
     def evaluate(self, bindings, singular_tol=0.0):
         """Evaluate with the given variable bindings.
@@ -87,9 +92,7 @@ class Expr:
         return self._ev(bindings, singular_tol)
 
     def free_vars(self):
-        out = set()
-        self._fv(out)
-        return out
+        return set(_free_vars(self))
 
     def __str__(self):
         return self._fmt(0)
@@ -135,15 +138,13 @@ class Const(Expr):
 
     def __init__(self, value):
         object.__setattr__(self, "value", float(value))
+        object.__setattr__(self, "_vars", _NO_VARS)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr nodes are immutable")
 
     def _ev(self, b, tol):
         return self.value
-
-    def _fv(self, out):
-        pass
 
     def _diff(self, var):
         return Const(0.0)
@@ -162,6 +163,7 @@ class Var(Expr):
 
     def __init__(self, name):
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_vars", frozenset((name,)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr nodes are immutable")
@@ -171,9 +173,6 @@ class Var(Expr):
             return float(b[self.name])
         except KeyError:
             raise UnboundVariableError(self.name) from None
-
-    def _fv(self, out):
-        out.add(self.name)
 
     def _diff(self, var):
         return Const(1.0 if var == self.name else 0.0)
@@ -192,13 +191,13 @@ class _Binary(Expr):
     def __init__(self, left, right):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_vars", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr nodes are immutable")
 
-    def _fv(self, out):
-        self.left._fv(out)
-        self.right._fv(out)
+    def _children(self):
+        return (self.left, self.right)
 
 
 class Add(_Binary):
@@ -316,6 +315,7 @@ class Neg(Expr):
 
     def __init__(self, arg):
         object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "_vars", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr nodes are immutable")
@@ -323,8 +323,8 @@ class Neg(Expr):
     def _ev(self, b, tol):
         return -self.arg._ev(b, tol)
 
-    def _fv(self, out):
-        self.arg._fv(out)
+    def _children(self):
+        return (self.arg,)
 
     def _diff(self, var):
         return neg(differentiate(self.arg, var))
@@ -358,6 +358,7 @@ class Call(Expr):
             raise ValueError(f"unknown function '{func}'")
         object.__setattr__(self, "func", func)
         object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "_vars", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr nodes are immutable")
@@ -378,8 +379,8 @@ class Call(Expr):
             raise DomainError(f"{self.func} overflow", self)
         return out
 
-    def _fv(self, out):
-        self.arg._fv(out)
+    def _children(self):
+        return (self.arg,)
 
     def _diff(self, var):
         u = self.arg
@@ -423,6 +424,7 @@ class External(Expr):
     def __init__(self, fn, args):
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "args", tuple(args))
+        object.__setattr__(self, "_vars", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr nodes are immutable")
@@ -430,14 +432,13 @@ class External(Expr):
     def _ev(self, b, tol):
         return self.fn(*[a._ev(b, tol) for a in self.args])
 
-    def _fv(self, out):
-        for a in self.args:
-            a._fv(out)
+    def _children(self):
+        return self.args
 
     def _diff(self, var):
         total = Const(0.0)
         for i, a in enumerate(self.args):
-            if var in a.free_vars():
+            if var in _free_vars(a):
                 term = mul(External(self.fn.partial(i), self.args),
                            differentiate(a, var))
                 total = add(total, term)
@@ -559,7 +560,7 @@ def evaluate(e, bindings, singular_tol=0.0):
 
 def differentiate(e, var):
     """Exact partial derivative.  Absent variables give the zero Expr."""
-    if var not in e.free_vars():
+    if var not in _free_vars(e):
         return Const(0.0)
     return e._diff(var)
 
@@ -573,6 +574,43 @@ def substitute(e, mapping):
 
 def free_vars(e):
     return e.free_vars()
+
+
+def _free_vars(e):
+    """The cached frozenset of variable names in ``e``.
+
+    An uncached inner node gets its set from its children's, bottom-up
+    on an explicit stack: each node's set is computed once in its
+    lifetime, and the walk adds no recursion depth.
+    """
+    out = e._vars
+    if out is not None:
+        return out
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        todo = [c for c in node._children() if c._vars is None]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if node._vars is None:  # a shared node can be on the stack twice
+            object.__setattr__(node, "_vars", _node_vars(node))
+    return e._vars
+
+
+def _node_vars(node):
+    """An inner node's variable set, from its children's cached sets.
+
+    A child's set is reused when it holds the others, so a long sum
+    keeps one set object for all its partial sums.
+    """
+    out = _NO_VARS
+    for child in node._children():
+        s = child._vars
+        if not s <= out:
+            out = s if out <= s else out | s
+    return out
 
 
 # ---------------------------------------------------------------------------

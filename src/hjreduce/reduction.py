@@ -247,10 +247,6 @@ class TwoForm:
                 raise ValueError("entries must be upper-triangle index pairs")
             self._entries[(i, j)] = e
 
-    @classmethod
-    def zero(cls, coords):
-        return cls(coords, {})
-
     @property
     def m(self):
         return len(self.coords)

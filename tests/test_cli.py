@@ -118,6 +118,21 @@ class TestExitCodes:
         r = run_cli("frobnicate", "calogero")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "solve-hj"])
+    def test_too_deep_expression(self, tmp_path, command):
+        # a 600-term sum nests 600 levels, past the recursion limit of
+        # the expression walkers: a scenario error, not a residual failure
+        path = write_scenario(tmp_path, {
+            "name": "deep", "coords": ["q"], "momenta": ["p"],
+            "hamiltonian": "0.5*p^2+" + "+".join(["0.001*q^2"] * 599),
+            "energy": 1.0, "z0": {"q": [0.2], "p": [0.5]},
+            "t_end": 0.01, "dt": 0.001,
+            "solve": {"range": [0.1, 0.5], "n_nodes": 11}})
+        r = run_cli(command, path, "--out", str(tmp_path))
+        assert r.returncode == 2
+        assert "scenario error: expression nests too deeply" in r.stderr
+        assert "Traceback" not in r.stderr
+
 
 class TestReduceCommand:
     def test_emits_valid_scenario(self, tmp_path):

@@ -1,8 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from hjreduce import expr as expr_module
+from hjreduce.cli import load_scenario
 from hjreduce.expr import (Call, Const, DomainError, Mul, ParseError, Pow,
                            UnboundVariableError, UnknownFunctionError, Var,
                            call, differentiate, evaluate, free_vars, parse,
@@ -12,6 +15,31 @@ from oracles import fd_derivative, random_expr
 
 def ev(text, **bindings):
     return evaluate(parse(text), bindings)
+
+
+# Printed first partials of the bundled Hamiltonians, every coordinate
+# and momentum.  Caching variable sets must not change a derivative tree.
+BUNDLED_DERIVATIVES = {
+    "calogero": {
+        "q1": "-(2.0*(q1-q2))/((q1-q2)^2.0)^2.0",
+        "q2": "2.0*(q1-q2)/((q1-q2)^2.0)^2.0",
+        "p1": "0.5*(2.0*p1)",
+        "p2": "0.5*(2.0*p2)",
+    },
+    "heavytop": {
+        "theta": "0.5*((2.0*(pphi-ppsi*cos(theta))*-(ppsi*-sin(theta))"
+                 "*sin(theta)^2.0-(pphi-ppsi*cos(theta))^2.0"
+                 "*(2.0*sin(theta)*cos(theta)))/(sin(theta)^2.0)^2.0)"
+                 "+-sin(theta)",
+        "phi": "0.0",
+        "psi": "0.0",
+        "ptheta": "0.5*(2.0*ptheta)",
+        "pphi": "0.5*(2.0*(pphi-ppsi*cos(theta))*sin(theta)^2.0"
+                "/(sin(theta)^2.0)^2.0)",
+        "ppsi": "0.5*(2.0*(pphi-ppsi*cos(theta))*-cos(theta)*sin(theta)^2.0"
+                "/(sin(theta)^2.0)^2.0+2.0*ppsi)",
+    },
+}
 
 
 class TestParse:
@@ -120,6 +148,48 @@ class TestDifferentiate:
     def test_constant_and_foreign_var(self):
         assert evaluate(differentiate(parse("y*3"), "x"), {"y": 5}) == 0
 
+    def test_bundled_hamiltonians(self):
+        for name, expected in BUNDLED_DERIVATIVES.items():
+            doc = load_scenario(name)
+            h = parse(doc["hamiltonian"])
+            assert list(expected) == doc["coords"] + doc["momenta"]
+            for var, text in expected.items():
+                assert str(differentiate(h, var)) == text, (name, var)
+
+    def test_each_variable_set_computed_once(self, monkeypatch):
+        computed = []  # holds the nodes, so no id is reused
+        node_vars = expr_module._node_vars
+
+        def counting(node):
+            computed.append(node)
+            return node_vars(node)
+
+        monkeypatch.setattr(expr_module, "_node_vars", counting)
+        n = 400
+        e = parse("+".join(f"{i + 2}*x{i % 7}^2" for i in range(n)))
+        differentiate(e, "x0")
+        ids = [id(node) for node in computed]
+        assert len(ids) == len(set(ids))
+        assert len(ids) == 2 * n + (n - 1)  # every inner node of e, once
+        differentiate(e, "x1")
+        assert len(computed) == len(ids)
+
+    def test_deep_sum(self):
+        # differentiate takes two frames per tree level, so 490 terms fit
+        # the default recursion limit only if the variable-set cache adds
+        # no depth.  A new thread starts on an empty stack, as a script
+        # does; the test runner's own frames would count otherwise.
+        n = 490
+        e = parse("+".join(f"{i + 1}*x^2" for i in range(n)))
+        out = []
+        worker = threading.Thread(
+            target=lambda: out.append(differentiate(e, "x")))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert len(out) == 1, "differentiate raised"
+        assert evaluate(out[0], {"x": 1.0}) == n * (n + 1)
+
 
 class TestPrinter:
     def test_round_trip_fixpoint_random(self):
@@ -165,6 +235,14 @@ class TestSubstituteAndFreeVars:
     def test_free_vars(self):
         assert free_vars(parse("sin(x)*y+2")) == {"x", "y"}
         assert free_vars(Const(4)) == set()
+
+    def test_free_vars_returns_a_fresh_set(self):
+        e = parse("x*y")
+        for out in (free_vars(e), e.free_vars()):
+            out.discard("x")
+            out.add("z")
+        assert free_vars(e) == {"x", "y"}
+        assert str(differentiate(e, "x")) == "y"
 
 
 class TestSmartConstructors:

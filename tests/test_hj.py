@@ -173,6 +173,18 @@ class TestImplicitBranchRoot:
         assert root.solve((0.5, 1.0), guess=0.6) == pytest.approx(
             self.closed(0.5, 1.0), rel=1e-13)
 
+    def test_same_solve_order_same_bits(self):
+        # Warm starts make a root's last bits depend on earlier solves, so
+        # output bytes rest on each command solving in a fixed order: two
+        # fresh roots fed the same sequence must agree bit for bit.
+        g = parse("0.5*(p^2+1.3*q^2)+0.2*q^4-0.9")
+        ys = np.random.default_rng(3).permutation(np.linspace(-1, 1, 997))
+        first, second = (ImplicitBranchRoot(g, "q", "p", branch=1)
+                         for _ in range(2))
+        a = [first.solve((y,)) for y in ys]
+        b = [second.solve((y,)) for y in ys]
+        assert a == b
+
 
 class FnIntegrand:
     """Plain-function integrand adapter for RunningIntegral tests."""
