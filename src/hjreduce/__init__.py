@@ -19,12 +19,13 @@ from .hj import (BranchAmbiguityError, CompletenessReport, GeneratingFunction,
                  HJReport, ImplicitBranchRoot, NewtonDivergenceError, OneForm,
                  PreconditionError, QuadratureSolution, RunningIntegral,
                  SingularJacobianError, SolveError, SplitReport,
-                 TabulatedAntiderivative, TurningPointError,
+                 TabulatedAntiderivative, TurningPointError, TwoForm,
                  additive_split_check, check_complete, closedness_residual,
-                 cyclic_ansatz, cyclic_complete_solution, heavy_top_system,
-                 hj_residual, mesh_grid, quadrature_complete_solution,
-                 random_grid, solve_heavy_top, solve_reduced_1d,
-                 time_dependent_residual, time_extension)
+                 cyclic_ansatz, cyclic_complete_solution, exterior_derivative,
+                 heavy_top_system, hj_residual, magnetic_lagrangian_residual,
+                 mesh_grid, quadrature_complete_solution, random_grid,
+                 solve_heavy_top, solve_reduced_1d, time_dependent_residual,
+                 time_extension)
 from .integrators import (EquilibriumReport, ImplicitMap, SchemeReport,
                           apply_type1, apply_type2,
                           flow_lagrangian_momentum_check, map_jacobian,
@@ -36,11 +37,10 @@ from .phase_space import (HamiltonianSystem, PhasePoint, Trajectory,
 from .reconstruction import (ReconstructionReport, integrate_projected,
                              lift_report, lift_solution,
                              projected_vector_field, reconstruct_trajectory)
-from .reduction import (MagneticTerm, QuotientChart, ReducedSystem, TwoForm,
-                        build_chart, exterior_derivative,
-                        magnetic_lagrangian_residual, magnetic_term,
-                        momentum_shift, project_lagrangian,
-                        reduce_system, reduced_hamiltonian)
+from .reduction import (MagneticTerm, QuotientChart, ReducedSystem,
+                        build_chart, magnetic_term, momentum_shift,
+                        project_lagrangian, reduce_system,
+                        reduced_hamiltonian)
 from .symmetry import (TranslationAction, check_invariance_lemma,
                        cotangent_lift, invariance_report, is_invariant,
                        momentum_map)
@@ -62,11 +62,11 @@ __all__ = [
     "invariance_report", "is_invariant", "check_invariance_lemma",
     # reduction
     "QuotientChart", "build_chart", "reduced_hamiltonian", "reduce_system",
-    "ReducedSystem", "TwoForm", "exterior_derivative", "MagneticTerm",
-    "magnetic_term", "momentum_shift", "magnetic_lagrangian_residual",
+    "ReducedSystem", "MagneticTerm", "magnetic_term", "momentum_shift",
     "project_lagrangian",
     # hj
-    "OneForm", "QuadratureSolution", "closedness_residual", "HJReport",
+    "OneForm", "TwoForm", "exterior_derivative", "closedness_residual",
+    "magnetic_lagrangian_residual", "QuadratureSolution", "HJReport",
     "hj_residual", "mesh_grid", "random_grid", "ImplicitBranchRoot",
     "TabulatedAntiderivative", "RunningIntegral", "solve_reduced_1d",
     "GeneratingFunction", "time_extension", "time_dependent_residual",

@@ -6,9 +6,10 @@ with jsonschema) naming the system, its symmetry, and per-command
 settings; outputs are JSON reports and CSV series written atomically.
 
 Exit codes: 0 success; 1 a measured residual exceeded --tol; 2 invalid
-scenario or usage; 3 numeric failure (solver divergence, domain error,
-violated precondition).  Identical scenario + seed + flags give
-byte-identical outputs.
+scenario or usage, including an unreadable scenario or an unwritable
+output path; 3 numeric failure (solver divergence, domain error,
+violated precondition); 4 internal error (a bug: the traceback is
+printed).  Identical scenario + seed + flags give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 from importlib import resources
 
 import numpy as np
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_RESIDUAL = 1
 EXIT_SCENARIO = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 
 class ScenarioError(Exception):
@@ -279,6 +282,7 @@ def _atomic_write(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    print(f"wrote {path}")
 
 
 def _json_default(o):
@@ -292,20 +296,24 @@ def _json_default(o):
 def write_json(path, obj):
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True,
                                    default=_json_default) + "\n")
-    print(f"wrote {path}")
+
+
+def _write_csv(path, header, columns):
+    """CSV of float columns (1-d or 2-d arrays) at full double precision."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row)
+                 for row in np.column_stack(columns))
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _numbered(name, n):
+    return [f"{name}{i+1}" for i in range(n)]
 
 
 def emit_trajectory(traj, path):
     """CSV with header t,q1,...,qn,p1,...,pn at full double precision."""
-    n = traj.n
-    header = ("t," + ",".join(f"q{i+1}" for i in range(n))
-              + "," + ",".join(f"p{i+1}" for i in range(n)))
-    lines = [header]
-    for i in range(len(traj)):
-        row = [traj.times[i], *traj.qs[i], *traj.ps[i]]
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-    print(f"wrote {path}")
+    _write_csv(path, ["t", *_numbered("q", traj.n), *_numbered("p", traj.n)],
+               [traj.times, traj.qs, traj.ps])
 
 
 def read_trajectory(path):
@@ -354,17 +362,6 @@ def _reduced_problem(doc, sys_, action, mu, args):
     return chart, h_red
 
 
-def _solve_block(doc, default_energy=None):
-    sv = doc.get("solve")
-    if sv is None:
-        raise ScenarioError("this command needs a 'solve' section")
-    energy = sv.get("energy", doc.get("energy", default_energy))
-    if energy is None:
-        raise ScenarioError("$.solve: no energy given "
-                            "(solve.energy or top-level energy)")
-    return sv, float(energy)
-
-
 def _solve_1d(doc, sys_, action, mu, args):
     """Dispatch the scenario to a 1-D quadrature solution.
 
@@ -372,11 +369,14 @@ def _solve_1d(doc, sys_, action, mu, args):
     equation is in (y_var, momentum-slot) variables with everything
     else already substituted, so residuals can be re-measured off-node.
     """
-    sv, energy = _solve_block(doc)
-    branch = sv.get("branch", 1)
-    n_nodes = args.grid if args.grid is not None \
-        else sv.get("n_nodes", 2001)
-    rng_ = sv["range"]
+    sv = doc.get("solve")
+    if sv is None:
+        raise ScenarioError("this command needs a 'solve' section")
+    energy = sv.get("energy", doc.get("energy"))
+    if energy is None:
+        raise ScenarioError("$.solve: no energy given "
+                            "(solve.energy or top-level energy)")
+    energy = float(energy)
     if "cyclic" in sv:
         betas = sv.get("beta")
         if betas is None or len(betas) != len(sv["cyclic"]):
@@ -386,34 +386,60 @@ def _solve_1d(doc, sys_, action, mu, args):
         if len(ans.remaining_vars) != 1:
             raise ScenarioError("$.solve.cyclic: exactly one non-cyclic "
                                 "coordinate is needed for quadrature")
-        y_var, p_var = ans.remaining_vars[0], ans.slot_vars[0]
-        sol = solve_reduced_1d(ans.equation, y_var, p_var, energy, rng_,
-                               branch=branch, n_nodes=n_nodes)
-        return sol, y_var, p_var, ans.equation, energy, sv
-    if action is not None:
-        chart, h_red = _reduced_problem(doc, sys_, action, mu, args)
+        y_var, p_var, equation = (ans.remaining_vars[0], ans.slot_vars[0],
+                                  ans.equation)
+    elif action is not None:
+        chart, equation = _reduced_problem(doc, sys_, action, mu, args)
         if chart.m != 1:
             raise ScenarioError("the reduced problem is not one-dimensional")
         y_var, p_var = chart.y_names[0], chart.py_names[0]
-        sol = solve_reduced_1d(h_red, y_var, p_var, energy, rng_,
-                               branch=branch, n_nodes=n_nodes)
-        return sol, y_var, p_var, h_red, energy, sv
-    if sys_.n == 1:
-        y_var, p_var = sys_.coords[0], sys_.momenta[0]
-        sol = solve_reduced_1d(sys_.h, y_var, p_var, energy, rng_,
-                               branch=branch, n_nodes=n_nodes)
-        return sol, y_var, p_var, sys_.h, energy, sv
-    raise ScenarioError("solve-hj needs an action, a cyclic list, or a "
-                        "one-dimensional system")
+    elif sys_.n == 1:
+        y_var, p_var, equation = sys_.coords[0], sys_.momenta[0], sys_.h
+    else:
+        raise ScenarioError("solve-hj needs an action, a cyclic list, or a "
+                            "one-dimensional system")
+    n_nodes = args.grid if args.grid is not None \
+        else sv.get("n_nodes", 2001)
+    sol = solve_reduced_1d(equation, y_var, p_var, energy, sv["range"],
+                           branch=sv.get("branch", 1), n_nodes=n_nodes)
+    return sol, y_var, p_var, equation, energy, sv
 
 
-def _node_residual(sol, equation, y_var, p_var, energy):
-    worst = 0.0
-    for y, p in zip(sol.table.ys, sol.table.derivs):
-        r = abs(equation.evaluate({y_var: y, p_var: p}) - energy)
-        if r > worst:
-            worst = r
-    return worst
+def _equation_residual(equation, y_var, p_var, energy, ys, ps):
+    """max |equation(y, p) - energy| over paired y and p values."""
+    return max([0.0, *(abs(equation.evaluate({y_var: y, p_var: p}) - energy)
+                       for y, p in zip(ys, ps))])
+
+
+def _generating_function(sys_, block, where):
+    """The generating function of a scenario block with kind, s, params."""
+    s = _parse_field(block["s"], f"{where}.s")
+    try:
+        return GeneratingFunction(block["kind"], s, q_vars=sys_.coords,
+                                  params=block["params"])
+    except ValueError as e:
+        raise ScenarioError(f"{where}: {e}")
+
+
+def _quadrature_family(doc, sys_):
+    """The scenario's quadrature complete-solution family."""
+    cs = doc["complete_solution"]
+    if sys_.n != 1:
+        raise ScenarioError("$.complete_solution: quadrature families "
+                            "need a one-dimensional system")
+    return quadrature_complete_solution(sys_, cs["q_range"],
+                                        branch=cs.get("branch", 1),
+                                        n_quad=cs.get("n_quad", 200),
+                                        param=cs.get("param", "a1"))
+
+
+def _finish(doc, args, suffix, report, summary, failure):
+    """Write the report, print its verdict, raise if it failed."""
+    write_json(_out_path(doc, args, suffix), report)
+    print(f"{summary} {'PASS' if report['pass'] else 'FAIL'}")
+    if not report["pass"]:
+        raise ResidualFailure(failure)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +475,11 @@ def cmd_solve_hj(doc, args):
     sys_, action, mu = build_system(doc)
     sol, y_var, p_var, equation, energy, sv = _solve_1d(doc, sys_, action,
                                                         mu, args)
-    resid = _node_residual(sol, equation, y_var, p_var, energy)
     table = sol.table
-    lines = ["y,W,dW"]
-    for y, w, dw in zip(table.ys, table.values, table.derivs):
-        lines.append(f"{_fmt(y)},{_fmt(w)},{_fmt(dw)}")
-    csv_path = _out_path(doc, args, "table.csv")
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
-    print(f"wrote {csv_path}")
+    resid = _equation_residual(equation, y_var, p_var, energy, table.ys,
+                               table.derivs)
+    _write_csv(_out_path(doc, args, "table.csv"), ["y", "W", "dW"],
+               [table.ys, table.values, table.derivs])
     report = {
         "variable": y_var,
         "energy": energy,
@@ -467,12 +490,10 @@ def cmd_solve_hj(doc, args):
         "tol": args.tol,
         "pass": bool(resid <= args.tol),
     }
-    write_json(_out_path(doc, args, "solve.json"), report)
-    print(f"solve-hj: max node residual {resid:.3e} (tol {args.tol:.1e}) "
-          f"{'PASS' if report['pass'] else 'FAIL'}")
-    if not report["pass"]:
-        raise ResidualFailure(f"node residual {resid:.3e} > {args.tol:.1e}")
-    return EXIT_OK
+    return _finish(doc, args, "solve.json", report,
+                   f"solve-hj: max node residual {resid:.3e} "
+                   f"(tol {args.tol:.1e})",
+                   f"node residual {resid:.3e} > {args.tol:.1e}")
 
 
 def _verify_magnetic(doc, sys_, action, mu, args):
@@ -514,16 +535,15 @@ def _verify_magnetic(doc, sys_, action, mu, args):
     return report
 
 
-def _verify_family(doc, sys_, args, gf, param_names, param_values, q_var,
-                   q_lo, q_hi):
+def _verify_family(doc, sys_, args, gf, param_values, q_var, q_range):
     n_pts = args.grid if args.grid is not None else 200
     t_end = doc.get("t_end", 1.0)
-    points = {q_var: np.linspace(q_lo, q_hi, n_pts),
+    points = {q_var: np.linspace(q_range[0], q_range[1], n_pts),
               sys_.t_var: np.linspace(0.0, t_end, n_pts)}
     for c in sys_.coords:
         if c != q_var:
             points[c] = np.linspace(-2.0, 2.0, n_pts)
-    for nm, v in zip(param_names, param_values):
+    for nm, v in zip(gf.params, param_values):
         points[nm] = np.full(n_pts, float(v))
     rep = check_complete(gf, sys_, points, tol=args.tol, det_floor=1e-6)
     return {
@@ -540,44 +560,27 @@ def cmd_verify(doc, args):
         report = _verify_magnetic(doc, sys_, action, mu, args)
         kind = "magnetic"
     elif "complete_solution" in doc:
-        cs = doc["complete_solution"]
-        if sys_.n != 1:
-            raise ScenarioError("$.complete_solution: quadrature families "
-                                "need a one-dimensional system")
-        param = cs.get("param", "a1")
-        gf = quadrature_complete_solution(sys_, cs["q_range"],
-                                          branch=cs.get("branch", 1),
-                                          n_quad=cs.get("n_quad", 200),
-                                          param=param)
+        gf = _quadrature_family(doc, sys_)
         energy = doc.get("energy")
         if energy is None:
             energy = sys_.energy(_phase_point(doc))
-        report = _verify_family(doc, sys_, args, gf, (param,), (energy,),
-                                sys_.coords[0], cs["q_range"][0],
-                                cs["q_range"][1])
+        report = _verify_family(doc, sys_, args, gf, (energy,),
+                                sys_.coords[0],
+                                doc["complete_solution"]["q_range"])
         kind = "complete_solution"
     elif "solve" in doc and "cyclic" in doc["solve"]:
         sol, y_var, p_var, equation, energy, sv = _solve_1d(doc, sys_,
                                                             action, mu, args)
         n_pts = args.grid if args.grid is not None else 200
         ys = np.linspace(sol.y_range[0], sol.y_range[1], n_pts)
-        worst = 0.0
-        for y in ys:
-            r = abs(equation.evaluate({y_var: y, p_var: sol.root.solve((y,))})
-                    - energy)
-            worst = max(worst, r)
+        worst = _equation_residual(equation, y_var, p_var, energy, ys,
+                                   (sol.root.solve((y,)) for y in ys))
         gf = cyclic_complete_solution(sys_, sv["cyclic"], sv["range"])
         betas = sv["beta"]
-        fam = _verify_family(doc, sys_, args, gf, gf.params,
-                             [energy, *betas], y_var,
-                             sol.y_range[0], sol.y_range[1])
-        report = {
-            "max_offnode_residual": worst,
-            "hj_max_dev": fam["hj_max_dev"],
-            "min_abs_det": fam["min_abs_det"],
-            "tol": args.tol,
-            "pass": bool(worst <= args.tol and fam["pass"]),
-        }
+        fam = _verify_family(doc, sys_, args, gf, [energy, *betas], y_var,
+                             sol.y_range)
+        report = {**fam, "max_offnode_residual": worst,
+                  "pass": bool(worst <= args.tol and fam["pass"])}
         kind = "cyclic"
     elif action is not None:
         sol, y_var, p_var, equation, energy, sv = _solve_1d(doc, sys_,
@@ -606,11 +609,8 @@ def cmd_verify(doc, args):
                             "'complete_solution', a cyclic solve, or an "
                             "action pipeline")
     report["mode"] = kind
-    write_json(_out_path(doc, args, "verify.json"), report)
-    print(f"verify[{kind}]: {'PASS' if report['pass'] else 'FAIL'}")
-    if not report["pass"]:
-        raise ResidualFailure(f"verification exceeded tol {args.tol:.1e}")
-    return EXIT_OK
+    return _finish(doc, args, "verify.json", report, f"verify[{kind}]:",
+                   f"verification exceeded tol {args.tol:.1e}")
 
 
 def cmd_reconstruct(doc, args):
@@ -644,13 +644,10 @@ def cmd_reconstruct(doc, args):
         "tol": args.tol,
         "pass": bool(sup_dev <= args.tol and related <= args.tol),
     }
-    write_json(_out_path(doc, args, "reconstruct.json"), report)
-    print(f"reconstruct: sup dev {sup_dev:.3e}, relatedness {related:.3e} "
-          f"{'PASS' if report['pass'] else 'FAIL'}")
-    if not report["pass"]:
-        raise ResidualFailure(
-            f"reconstruction deviation exceeded tol {args.tol:.1e}")
-    return EXIT_OK
+    return _finish(doc, args, "reconstruct.json", report,
+                   f"reconstruct: sup dev {sup_dev:.3e}, "
+                   f"relatedness {related:.3e}",
+                   f"reconstruction deviation exceeded tol {args.tol:.1e}")
 
 
 def cmd_simulate(doc, args):
@@ -680,12 +677,7 @@ def cmd_integrate(doc, args):
     if ib is None:
         raise ScenarioError("this command needs an 'integrator' section")
     z0 = _phase_point(doc)
-    s = _parse_field(ib["s"], "$.integrator.s")
-    try:
-        gf = GeneratingFunction(ib["kind"], s, q_vars=sys_.coords,
-                                params=ib["params"])
-    except ValueError as e:
-        raise ScenarioError(f"$.integrator: {e}")
+    gf = _generating_function(sys_, ib, "$.integrator")
     rep = run_scheme(gf, sys_, z0, ib["n_steps"], ib["tau"], action=action)
     emit_trajectory(rep.trajectory, _out_path(doc, args, "scheme.csv"))
     report = {
@@ -698,14 +690,10 @@ def cmd_integrate(doc, args):
     }
     if rep.momentum_drift is not None:
         report["max_momentum_drift"] = float(np.max(rep.momentum_drift))
-    write_json(_out_path(doc, args, "scheme.json"), report)
-    print(f"integrate: defect {rep.symplecticity_defect:.3e} "
-          f"{'PASS' if report['pass'] else 'FAIL'}")
-    if not report["pass"]:
-        raise ResidualFailure(
-            f"symplecticity defect {rep.symplecticity_defect:.3e} > "
-            f"{args.tol:.1e}")
-    return EXIT_OK
+    return _finish(doc, args, "scheme.json", report,
+                   f"integrate: defect {rep.symplecticity_defect:.3e}",
+                   f"symplecticity defect {rep.symplecticity_defect:.3e} > "
+                   f"{args.tol:.1e}")
 
 
 def cmd_equilibrium(doc, args):
@@ -718,21 +706,9 @@ def cmd_equilibrium(doc, args):
         if gb["kind"] != "typeI":
             raise ScenarioError("$.generating_function: equilibrium "
                                 "transforms use a typeI family")
-        s = _parse_field(gb["s"], "$.generating_function.s")
-        try:
-            gf = GeneratingFunction("typeI", s, q_vars=sys_.coords,
-                                    params=gb["params"])
-        except ValueError as e:
-            raise ScenarioError(f"$.generating_function: {e}")
+        gf = _generating_function(sys_, gb, "$.generating_function")
     elif "complete_solution" in doc:
-        cs = doc["complete_solution"]
-        if sys_.n != 1:
-            raise ScenarioError("$.complete_solution: quadrature families "
-                                "need a one-dimensional system")
-        gf = quadrature_complete_solution(sys_, cs["q_range"],
-                                          branch=cs.get("branch", 1),
-                                          n_quad=cs.get("n_quad", 200),
-                                          param=cs.get("param", "a1"))
+        gf = _quadrature_family(doc, sys_)
         param_guess = [doc.get("energy", sys_.energy(z0))]
     else:
         raise ScenarioError("equilibrium needs a 'generating_function' or "
@@ -740,15 +716,9 @@ def cmd_equilibrium(doc, args):
     rep = transform_to_equilibrium(gf, sys_, z0, t_end, dt,
                                    param_guess=param_guess)
     n = sys_.n
-    header = ("t," + ",".join(f"alpha{i+1}" for i in range(n))
-              + "," + ",".join(f"beta{i+1}" for i in range(n)))
-    lines = [header]
-    for i in range(rep.times.size):
-        row = [rep.times[i], *rep.alphas[i], *rep.betas[i]]
-        lines.append(",".join(_fmt(v) for v in row))
-    csv_path = _out_path(doc, args, "equilibrium.csv")
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
-    print(f"wrote {csv_path}")
+    _write_csv(_out_path(doc, args, "equilibrium.csv"),
+               ["t", *_numbered("alpha", n), *_numbered("beta", n)],
+               [rep.times, rep.alphas, rep.betas])
     report = {
         "t_end": t_end,
         "dt": dt,
@@ -758,13 +728,10 @@ def cmd_equilibrium(doc, args):
         "tol": args.tol,
         "pass": bool(rep.max_var <= args.tol),
     }
-    write_json(_out_path(doc, args, "equilibrium.json"), report)
-    print(f"equilibrium: max variation {rep.max_var:.3e} "
-          f"{'PASS' if report['pass'] else 'FAIL'}")
-    if not report["pass"]:
-        raise ResidualFailure(
-            f"new variables varied by {rep.max_var:.3e} > {args.tol:.1e}")
-    return EXIT_OK
+    return _finish(doc, args, "equilibrium.json", report,
+                   f"equilibrium: max variation {rep.max_var:.3e}",
+                   f"new variables varied by {rep.max_var:.3e} > "
+                   f"{args.tol:.1e}")
 
 
 _COMMANDS = {
@@ -827,6 +794,13 @@ def main(argv=None):
         print("scenario error: expression nests too deeply for the "
               "recursion limit", file=sys.stderr)
         return EXIT_SCENARIO
+    except OSError as e:
+        # an unreadable scenario path or an unwritable --out
+        print(f"i/o error: {e}", file=sys.stderr)
+        return EXIT_SCENARIO
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

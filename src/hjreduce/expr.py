@@ -30,7 +30,7 @@ __all__ = [
     "UnboundVariableError", "DomainError",
     "parse", "evaluate", "differentiate", "substitute", "free_vars",
     "add", "sub", "mul", "div", "power", "neg", "call", "as_expr",
-    "FUNCTION_NAMES",
+    "linear_combo", "FUNCTION_NAMES",
 ]
 
 # Bindings are plain dicts {variable name: float}.
@@ -546,6 +546,18 @@ def call(func, arg):
     return Call(func, arg)
 
 
+def linear_combo(coeffs, terms, start=0.0):
+    """start + sum_j coeffs[j] * terms[j], folded left to right.
+
+    ``terms`` are expressions or variable names; zero coefficients drop
+    out through the smart constructors.
+    """
+    out = Const(start)
+    for c, t in zip(coeffs, terms):
+        out = add(out, mul(Const(c), Var(t) if isinstance(t, str) else t))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Module-level operations.
 
@@ -701,8 +713,12 @@ class _Parser:
             return e
         m = _NUMBER_RE.match(self.text, self.pos)
         if m:
+            value = float(m.group())
+            if not math.isfinite(value):
+                raise ParseError(f"number '{m.group()}' is out of range",
+                                 self.pos)
             self.pos = m.end()
-            return Const(float(m.group()))
+            return Const(value)
         m = _IDENT_RE.match(self.text, self.pos)
         if m:
             name = m.group()

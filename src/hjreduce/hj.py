@@ -1,7 +1,9 @@
 """Hamilton-Jacobi residuals and solvers.
 
 This module carries the solution-side vocabulary: differential 1-forms
-with closedness and Hamilton-Jacobi residual checks, one-degree-of-
+and 2-forms, pullbacks along linear maps, the exterior derivative with
+the closedness, magnetic and Hamilton-Jacobi residual checks, the
+sampling loop behind every sampled precondition, one-degree-of-
 freedom solutions by quadrature, the time extension that turns a fixed-
 energy solution into a time-dependent one, the cyclic-variable ansatz,
 complete-solution (generating-function) families with non-degeneracy
@@ -18,22 +20,26 @@ closed-form inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _linalg
-from .expr import (Const, DomainError, Expr, External, Var, differentiate,
-                   evaluate, mul, parse, sub, substitute)
+from .expr import (Const, DomainError, Expr, External, Var, add,
+                   differentiate, evaluate, linear_combo, mul, parse, sub,
+                   substitute)
 
 __all__ = [
     "PreconditionError", "SolveError", "TurningPointError",
     "BranchAmbiguityError", "NewtonDivergenceError", "SingularJacobianError",
-    "OneForm", "QuadratureSolution", "GeneratingFunction",
+    "domain_samples", "pullback",
+    "OneForm", "TwoForm", "QuadratureSolution", "GeneratingFunction",
     "HJReport", "CompletenessReport", "CyclicAnsatz", "HeavyTopSolution",
     "SplitReport",
-    "closedness_residual", "hj_residual", "time_dependent_residual",
+    "exterior_derivative", "closedness_residual",
+    "magnetic_lagrangian_residual", "hj_residual", "time_dependent_residual",
     "solve_reduced_1d", "time_extension", "quadrature_complete_solution",
     "check_complete", "cyclic_ansatz", "cyclic_complete_solution",
     "heavy_top_system", "solve_heavy_top", "additive_split_check",
@@ -74,6 +80,34 @@ class NewtonDivergenceError(SolveError):
 
 class SingularJacobianError(SolveError):
     """Newton hit a singular Jacobian."""
+
+
+def domain_samples(candidates, measure, samples=None, shortfall=None):
+    """Yield ``measure(c)`` for candidates until ``samples`` succeed.
+
+    A candidate whose measure raises DomainError or SolveError is
+    skipped.  With ``samples`` given, at most 50 * samples candidates are
+    tried; without it every candidate is measured.  A candidate is pulled
+    only when its measure is wanted next, so random sampling passes
+    ``itertools.repeat(rng)`` and draws inside ``measure``: the stream
+    stops where the sampling stopped.  With ``shortfall`` given, ending
+    with fewer than ``samples`` successes (or none, without ``samples``)
+    raises PreconditionError(shortfall).
+    """
+    if samples is not None:
+        candidates = itertools.islice(candidates, 50 * samples)
+    done = 0
+    for c in candidates:
+        try:
+            out = measure(c)
+        except (DomainError, SolveError):
+            continue
+        yield out
+        done += 1
+        if done == samples:
+            return
+    if shortfall is not None and done < (1 if samples is None else samples):
+        raise PreconditionError(shortfall)
 
 
 # ---------------------------------------------------------------------------
@@ -160,26 +194,101 @@ class QuadratureSolution(OneForm):
         self.y_range = (float(y_range[0]), float(y_range[1]))
 
 
-def closedness_residual(form, grid, singular_tol=0.0):
-    """max over the grid of |d_i c_j - d_j c_i| for all coordinate pairs."""
+def pullback(components, names, mat, new_names, shift=None):
+    """Pull 1-form components back along the linear map names = mat new_names.
+
+    Each variable names[i] becomes sum_j mat[i, j] new_names[j], and the
+    pulled-back components are c'_j = shift_j + sum_i mat[i, j] c_i, as
+    expressions in ``new_names``.
+    """
+    mapping = {v: linear_combo(row, new_names) for v, row in zip(names, mat)}
+    pulled = [substitute(c, mapping) for c in components]
+    return [linear_combo(mat[:, j], pulled,
+                         0.0 if shift is None else float(shift[j]))
+            for j in range(mat.shape[1])]
+
+
+# ---------------------------------------------------------------------------
+# Differential 2-forms and the exterior derivative.
+
+class TwoForm:
+    """Antisymmetric 2-form sum_{i<j} b_ij dy^i ^ dy^j, entries as Exprs."""
+
+    def __init__(self, coords, entries):
+        self.coords = tuple(coords)
+        self._entries = {}
+        for (i, j), e in entries.items():
+            if not 0 <= i < j < len(self.coords):
+                raise ValueError("entries must be upper-triangle index pairs")
+            self._entries[(i, j)] = e
+
+    @property
+    def m(self):
+        return len(self.coords)
+
+    def entry(self, i, j):
+        """b_ij as an Expr; antisymmetric in (i, j)."""
+        if i == j:
+            return Const(0.0)
+        if i < j:
+            return self._entries.get((i, j), Const(0.0))
+        return -self._entries.get((j, i), Const(0.0))
+
+    def matrix_at(self, point, singular_tol=0.0):
+        b = dict(zip(self.coords, np.atleast_1d(point)))
+        m = self.m
+        out = np.zeros((m, m))
+        for (i, j), e in self._entries.items():
+            v = e.evaluate(b, singular_tol)
+            out[i, j] = v
+            out[j, i] = -v
+        return out
+
+    def __repr__(self):
+        inner = ", ".join(f"({i},{j}): {e}" for (i, j), e in
+                          sorted(self._entries.items()))
+        return f"TwoForm[{', '.join(self.coords)}]{{{inner}}}"
+
+
+def exterior_derivative(form):
+    """d of a 1-form: entries d_i c_j - d_j c_i for i < j."""
+    entries = {}
+    for i in range(form.m):
+        for j in range(i + 1, form.m):
+            e = differentiate(form.components[j], form.coords[i]) \
+                - differentiate(form.components[i], form.coords[j])
+            if not (isinstance(e, Const) and e.value == 0.0):
+                entries[(i, j)] = e
+    return TwoForm(form.coords, entries)
+
+
+def magnetic_lagrangian_residual(form, beta, grid, singular_tol=0.0):
+    """max | d_i c_j - d_j c_i + beta_ij | over the grid.
+
+    Zero (within tolerance) certifies that the form's graph, shifted by
+    the momentum-level realization, is lagrangian for the magnetic
+    symplectic structure: the defining condition is d(form) = -beta.
+    """
+    if tuple(form.coords) != tuple(beta.coords):
+        raise ValueError("form and 2-form coordinates differ")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    m = form.m
-    if m == 1:
-        return 0.0
-    pairs = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            dij = differentiate(form.components[j], form.coords[i])
-            dji = differentiate(form.components[i], form.coords[j])
-            pairs.append((dij, dji))
+    d = exterior_derivative(form)
+    exprs = [add(d.entry(i, j), beta.entry(i, j))
+             for i in range(form.m) for j in range(i + 1, form.m)]
     worst = 0.0
     for point in grid:
         b = form.bindings(point)
-        for dij, dji in pairs:
-            r = abs(dij.evaluate(b, singular_tol) - dji.evaluate(b, singular_tol))
+        for e in exprs:
+            r = abs(e.evaluate(b, singular_tol))
             if r > worst:
                 worst = r
     return worst
+
+
+def closedness_residual(form, grid, singular_tol=0.0):
+    """max over the grid of |d_i c_j - d_j c_i| for all coordinate pairs."""
+    return magnetic_lagrangian_residual(form, TwoForm(form.coords, {}), grid,
+                                        singular_tol)
 
 
 @dataclass
@@ -862,25 +971,19 @@ def cyclic_ansatz(sys, cyclic_vars, betas, tol=1e-9, samples=20, seed=42):
         raise ValueError("need one beta per cyclic variable")
     rng = np.random.default_rng(seed)
     names = sorted(sys.h.free_vars())
+
+    def measure(rng):
+        b = {nm: rng.uniform(-2.0, 2.0) for nm in names}
+        b2 = {**b, v: rng.uniform(-2.0, 2.0)}
+        return b, sys.h.evaluate(b), sys.h.evaluate(b2)
+
     for v in cyclic_vars:
-        done = 0
-        attempts = 0
-        while done < samples and attempts < 50 * samples:
-            attempts += 1
-            b = {nm: rng.uniform(-2.0, 2.0) for nm in names}
-            b2 = dict(b)
-            b2[v] = rng.uniform(-2.0, 2.0)
-            try:
-                f1 = sys.h.evaluate(b)
-                f2 = sys.h.evaluate(b2)
-            except DomainError:
-                continue
+        for b, f1, f2 in domain_samples(
+                itertools.repeat(rng), measure, samples,
+                shortfall=f"could not sample cyclicity of '{v}'"):
             if abs(f1 - f2) > tol * (1.0 + abs(f1)):
                 raise PreconditionError(
                     f"'{v}' is not cyclic in the hamiltonian", witness=b)
-            done += 1
-        if done < samples:
-            raise PreconditionError(f"could not sample cyclicity of '{v}'")
     beta_exprs = tuple(Var(x) if isinstance(x, str) else Const(float(x))
                        for x in betas)
     remaining = tuple(v for v in sys.coords if v not in cyclic_vars)
@@ -1042,19 +1145,9 @@ def additive_split_check(s, coords, action, grid, mu=None, tol=1e-9):
     y_block = _linalg.left_null_basis(g_mat)
     t_mat = np.vstack([y_block, x_block])
     fiber_zero = np.linalg.inv(t_mat)[:, :y_block.shape[0]] @ y_block
-    s_group = Const(0.0)
-    for a in range(g_mat.shape[1]):
-        x_a = Const(0.0)
-        for i, v in enumerate(coords):
-            x_a = x_a + Const(x_block[a, i]) * Var(v)
-        s_group = s_group + Const(mu[a]) * x_a
-    mapping = {}
-    for i, v in enumerate(coords):
-        repl = Const(0.0)
-        for jj, w in enumerate(coords):
-            repl = repl + Const(fiber_zero[i, jj]) * Var(w)
-        mapping[v] = repl
-    s_reduced = substitute(s, mapping)
+    s_group = linear_combo(mu, [linear_combo(row, coords) for row in x_block])
+    s_reduced = substitute(s, {v: linear_combo(row, coords)
+                               for v, row in zip(coords, fiber_zero)})
     def total(point):
         b = dict(zip(coords, point))
         return (s.evaluate(b) - s_reduced.evaluate(b) - s_group.evaluate(b))

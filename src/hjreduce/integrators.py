@@ -11,13 +11,14 @@ uses share the same solver and exact implicit-function Jacobians.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expr import DomainError
 from .hj import (NewtonDivergenceError, PreconditionError, SingularJacobianError,
-                 SolveError)
+                 SolveError, domain_samples)
 from .phase_space import (PhasePoint, Trajectory, flow_reference,
                           symplectic_matrix)
 
@@ -216,31 +217,23 @@ def _check_diagonal_invariance(gf, action, tol=1e-9, samples=25, seed=42,
     """
     rng = np.random.default_rng(seed)
     n, k = action.n, action.k
-    done = 0
-    attempts = 0
-    while done < samples and attempts < 50 * samples:
-        attempts += 1
-        q = rng.uniform(-box, box, size=n)
-        c = rng.uniform(-box, box, size=n)
-        g = rng.uniform(-1.0, 1.0, size=k)
-        t = rng.uniform(-0.5, 0.5)
-        try:
-            b1 = gf.bindings(q, c, t)
-            b2 = gf.bindings(action.translate(q, g), c, t)
-            r = (gf.s.evaluate(b2) - gf.s.evaluate(b1)
-                 - float(g @ (action.matrix.T @ c)))
-        except (DomainError, SolveError):
-            continue
-        if abs(r) > tol * (1.0 + abs(gf.s.evaluate(b1))):
+
+    def defect(rng):
+        q, c = rng.uniform(-box, box, size=n), rng.uniform(-box, box, size=n)
+        g, t = rng.uniform(-1.0, 1.0, size=k), rng.uniform(-0.5, 0.5)
+        s2 = gf.s.evaluate(gf.bindings(action.translate(q, g), c, t))
+        s1 = gf.s.evaluate(gf.bindings(q, c, t))
+        return q, c, g, s1, s2 - s1 - float(g @ (action.matrix.T @ c))
+
+    for q, c, g, s1, r in domain_samples(
+            itertools.repeat(rng), defect, samples,
+            shortfall="could not sample the generating function's domain"):
+        if abs(r) > tol * (1.0 + abs(s1)):
             raise PreconditionError(
                 "generating function is not invariant under the diagonal "
                 "action, so momentum conservation is not guaranteed",
                 witness={"q": q.tolist(), "c": c.tolist(), "g": g.tolist(),
                          "defect": r})
-        done += 1
-    if done < samples:
-        raise PreconditionError(
-            "could not sample the generating function's domain")
 
 
 def momentum_preservation_check(gf, action, z0, n_steps, t=0.0, tol=1e-9,

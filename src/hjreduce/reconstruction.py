@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Const, Var, add, mul, substitute
-from .hj import OneForm, hj_residual
+from .hj import OneForm, hj_residual, pullback
 from .phase_space import HamiltonianSystem, PhasePoint, Trajectory, _rk4
 from .reduction import reduced_hamiltonian
 from .symmetry import TranslationAction
@@ -42,21 +41,8 @@ def lift_solution(reduced_form, chart, mu, coords):
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if mu.size != chart.k:
         raise ValueError(f"mu must have {chart.k} entries")
-    y_blk = chart.y_block
-    mapping = {}
-    for j, yname in enumerate(chart.y_names):
-        acc = Const(0.0)
-        for l, qname in enumerate(coords):
-            acc = add(acc, mul(Const(y_blk[j, l]), Var(qname)))
-        mapping[yname] = acc
-    pulled = [substitute(c, mapping) for c in reduced_form.components]
-    shift = chart.x_block.T @ mu
-    components = []
-    for i in range(chart.n):
-        acc = Const(float(shift[i]))
-        for j in range(chart.m):
-            acc = add(acc, mul(Const(y_blk[j, i]), pulled[j]))
-        components.append(acc)
+    components = pullback(reduced_form.components, chart.y_names,
+                          chart.y_block, coords, shift=chart.x_block.T @ mu)
     return OneForm(coords, components=components)
 
 

@@ -11,19 +11,22 @@ eliminated exactly.
 When the momentum level is realized by a non-flat connection-like
 1-form, its exterior derivative descends to a closed 2-form on the
 quotient (the magnetic term); reduced solutions then satisfy
-d(gamma) = -beta instead of closedness.  Projection and the membership
-checks live here too.
+d(gamma) = -beta instead of closedness.  Projection lives here too; the
+2-form vocabulary and the magnetic residual check live in ``hj`` and
+are re-exported from here.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _linalg
-from .expr import Const, DomainError, Expr, Var, add, differentiate, mul, substitute
-from .hj import OneForm, PreconditionError
+from .expr import Const, DomainError, Expr, add, linear_combo, substitute
+from .hj import (OneForm, PreconditionError, TwoForm, domain_samples,
+                 exterior_derivative, magnetic_lagrangian_residual, pullback)
 from .phase_space import HamiltonianSystem, PhasePoint
 from .symmetry import TranslationAction, invariance_report
 
@@ -139,33 +142,6 @@ def build_chart(action, y_names=None, py_names=None, x_names=None):
                          y_names=y_names, py_names=py_names, x_names=x_names)
 
 
-def _linear_combo(coeffs, names):
-    """sum_j coeffs[j] * Var(names[j]) with folding (0 terms dropped)."""
-    out = Const(0.0)
-    for c, nm in zip(coeffs, names):
-        out = add(out, mul(Const(c), Var(nm)))
-    return out
-
-
-def _pull_to_base(components, coords, chart):
-    """Pull full-space 1-form components back along the horizontal slice.
-
-    Returns the reduced components tilde_c_j(y) = sum_i L[i, j] c_i(L y)
-    as expressions in the chart's reduced coordinate names.
-    """
-    l_mat = chart.horizontal
-    mapping = {v: _linear_combo(l_mat[i], chart.y_names)
-               for i, v in enumerate(coords)}
-    pulled = [substitute(c, mapping) for c in components]
-    reduced = []
-    for j in range(chart.m):
-        acc = Const(0.0)
-        for i in range(chart.n):
-            acc = add(acc, mul(Const(l_mat[i, j]), pulled[i]))
-        reduced.append(acc)
-    return reduced
-
-
 def reduced_hamiltonian(sys, chart, mu, check=True, tol=1e-9, samples=50,
                         seed=42):
     """Descend an invariant hamiltonian to the quotient at level mu.
@@ -189,13 +165,11 @@ def reduced_hamiltonian(sys, chart, mu, check=True, tol=1e-9, samples=50,
             raise PreconditionError(
                 "hamiltonian is not invariant under the action",
                 witness=rep["witness"])
-    mapping = {}
-    for i, v in enumerate(sys.coords):
-        mapping[v] = _linear_combo(chart.horizontal[i], chart.y_names)
+    mapping = {v: linear_combo(row, chart.y_names)
+               for v, row in zip(sys.coords, chart.horizontal)}
     shift = chart.x_block.T @ mu
-    for i, v in enumerate(sys.momenta):
-        e = _linear_combo(chart.y_block[:, i], chart.py_names)
-        mapping[v] = add(e, Const(shift[i]))
+    mapping.update({v: add(linear_combo(col, chart.py_names), Const(s))
+                    for v, col, s in zip(sys.momenta, chart.y_block.T, shift)})
     h_red = substitute(sys.h, mapping)
     allowed = set(chart.y_names) | set(chart.py_names) | {sys.t_var}
     stray = h_red.free_vars() - allowed
@@ -236,57 +210,6 @@ def reduce_system(sys, action, mu, check=True, tol=1e-9, samples=50, seed=42):
 # ---------------------------------------------------------------------------
 # Magnetic (curvature) terms.
 
-class TwoForm:
-    """Antisymmetric 2-form sum_{i<j} b_ij dy^i ^ dy^j, entries as Exprs."""
-
-    def __init__(self, coords, entries):
-        self.coords = tuple(coords)
-        self._entries = {}
-        for (i, j), e in entries.items():
-            if not 0 <= i < j < len(self.coords):
-                raise ValueError("entries must be upper-triangle index pairs")
-            self._entries[(i, j)] = e
-
-    @property
-    def m(self):
-        return len(self.coords)
-
-    def entry(self, i, j):
-        """b_ij as an Expr; antisymmetric in (i, j)."""
-        if i == j:
-            return Const(0.0)
-        if i < j:
-            return self._entries.get((i, j), Const(0.0))
-        return -self._entries.get((j, i), Const(0.0))
-
-    def matrix_at(self, point, singular_tol=0.0):
-        b = dict(zip(self.coords, np.atleast_1d(point)))
-        m = self.m
-        out = np.zeros((m, m))
-        for (i, j), e in self._entries.items():
-            v = e.evaluate(b, singular_tol)
-            out[i, j] = v
-            out[j, i] = -v
-        return out
-
-    def __repr__(self):
-        inner = ", ".join(f"({i},{j}): {e}" for (i, j), e in
-                          sorted(self._entries.items()))
-        return f"TwoForm[{', '.join(self.coords)}]{{{inner}}}"
-
-
-def exterior_derivative(form):
-    """d of a 1-form: entries d_i c_j - d_j c_i for i < j."""
-    entries = {}
-    for i in range(form.m):
-        for j in range(i + 1, form.m):
-            e = differentiate(form.components[j], form.coords[i]) \
-                - differentiate(form.components[i], form.coords[j])
-            if not (isinstance(e, Const) and e.value == 0.0):
-                entries[(i, j)] = e
-    return TwoForm(form.coords, entries)
-
-
 @dataclass
 class MagneticTerm:
     """Closed 2-form on the quotient induced by a momentum-level 1-form."""
@@ -316,29 +239,25 @@ def magnetic_term(chart, alpha_mu, mu, tol=1e-9, samples=50, seed=42,
     rng = np.random.default_rng(seed)
     g_mat = chart.generators
     action = TranslationAction(g_mat.T) if chart.k else None
+
+    def translates(rng):
+        q = rng.uniform(-box, box, size=chart.n)
+        v = alpha_mu.values(q)
+        if action is None:
+            return q, v, v
+        g = rng.uniform(-1.0, 1.0, size=chart.k)
+        return q, v, alpha_mu.values(action.translate(q, g))
+
     inv_dev = 0.0
     mom_dev = 0.0
-    done = 0
-    attempts = 0
-    while done < samples and attempts < 50 * samples:
-        attempts += 1
-        q = rng.uniform(-box, box, size=chart.n)
-        try:
-            v = alpha_mu.values(q)
-            if action is not None:
-                g = rng.uniform(-1.0, 1.0, size=chart.k)
-                v2 = alpha_mu.values(action.translate(q, g))
-            else:
-                v2 = v
-        except DomainError:
-            continue
-        dev = float(np.max(np.abs(v2 - v))) if v.size else 0.0
-        if dev > inv_dev:
-            inv_dev = dev
+    for q, v, v2 in domain_samples(
+            itertools.repeat(rng), translates, samples,
+            shortfall="could not sample the form's domain"):
+        if v.size:
+            inv_dev = max(inv_dev, float(np.max(np.abs(v2 - v))))
         jv = g_mat.T @ v
-        mdev = float(np.max(np.abs(jv - mu))) if mu.size else 0.0
-        if mdev > mom_dev:
-            mom_dev = mdev
+        if mu.size:
+            mom_dev = max(mom_dev, float(np.max(np.abs(jv - mu))))
         if inv_dev > tol:
             raise PreconditionError(
                 "momentum-level form is not invariant", witness=q.tolist())
@@ -346,25 +265,21 @@ def magnetic_term(chart, alpha_mu, mu, tol=1e-9, samples=50, seed=42,
             raise PreconditionError(
                 "form does not realize the momentum level mu",
                 witness={"point": q.tolist(), "momentum": jv.tolist()})
-        done += 1
-    if done < samples:
-        raise PreconditionError("could not sample the form's domain")
-    reduced = _pull_to_base(alpha_mu.components, alpha_mu.coords, chart)
+    reduced = pullback(alpha_mu.components, alpha_mu.coords, chart.horizontal,
+                       chart.y_names)
     tilde = OneForm(chart.y_names, components=reduced)
     beta = exterior_derivative(tilde)
     d_full = exterior_derivative(alpha_mu)
     y_blk = chart.y_block
-    worst = 0.0
-    for _ in range(min(samples, 20)):
+
+    def pullback_dev(rng):
         q = rng.uniform(-box, box, size=chart.n)
-        try:
-            d_mat = d_full.matrix_at(q)
-            b_mat = beta.matrix_at(y_blk @ q)
-        except DomainError:
-            continue
-        r = float(np.max(np.abs(d_mat - y_blk.T @ b_mat @ y_blk)))
-        if r > worst:
-            worst = r
+        d_mat = d_full.matrix_at(q)
+        b_mat = beta.matrix_at(y_blk @ q)
+        return float(np.max(np.abs(d_mat - y_blk.T @ b_mat @ y_blk)))
+
+    draws = itertools.repeat(rng, min(samples, 20))
+    worst = max([0.0, *domain_samples(draws, pullback_dev)])
     return MagneticTerm(beta=beta, pullback_residual=worst,
                         momentum_dev=mom_dev, invariance_dev=inv_dev)
 
@@ -372,32 +287,6 @@ def magnetic_term(chart, alpha_mu, mu, tol=1e-9, samples=50, seed=42,
 def momentum_shift(z, alpha_mu, singular_tol=0.0):
     """Shift momenta down by the 1-form's value: (q, p - alpha(q))."""
     return PhasePoint(z.q, z.p - alpha_mu.values(z.q, singular_tol), t=z.t)
-
-
-def magnetic_lagrangian_residual(form, beta, grid, singular_tol=0.0):
-    """max | d_i c_j - d_j c_i + beta_ij | over the grid.
-
-    Zero (within tolerance) certifies that the form's graph, shifted by
-    the momentum-level realization, is lagrangian for the magnetic
-    symplectic structure: the defining condition is d(form) = -beta.
-    """
-    if tuple(form.coords) != tuple(beta.coords):
-        raise ValueError("form and 2-form coordinates differ")
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    exprs = []
-    for i in range(form.m):
-        for j in range(i + 1, form.m):
-            d = differentiate(form.components[j], form.coords[i]) \
-                - differentiate(form.components[i], form.coords[j])
-            exprs.append(add(d, beta.entry(i, j)))
-    worst = 0.0
-    for point in grid:
-        b = form.bindings(point)
-        for e in exprs:
-            r = abs(e.evaluate(b, singular_tol))
-            if r > worst:
-                worst = r
-    return worst
 
 
 def project_lagrangian(form, chart, mu, grid, tol=1e-9, beta=None, seed=42):
@@ -440,7 +329,8 @@ def project_lagrangian(form, chart, mu, grid, tol=1e-9, beta=None, seed=42):
                 raise PreconditionError(
                     "form is not invariant under the action",
                     witness=q.tolist())
-    reduced = _pull_to_base(form.components, form.coords, chart)
+    reduced = pullback(form.components, form.coords, chart.horizontal,
+                       chart.y_names)
     tilde = OneForm(chart.y_names, components=reduced)
     report = {"momentum_dev": mom_dev, "invariance_dev": inv_dev}
     if beta is not None:

@@ -14,9 +14,12 @@ momentum map along its graph.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .expr import DomainError, parse
+from .expr import parse
+from .hj import domain_samples
 from .phase_space import PhasePoint
 
 __all__ = [
@@ -95,7 +98,8 @@ def invariance_report(action, f, coords, samples=50, tol=1e-9, seed=42,
     the variables listed in ``coords`` (the configuration block the
     action moves) are then translated by a random group element and the
     values compared with a relative-scaled tolerance.  Samples where
-    either evaluation hits a domain error are redrawn.
+    either evaluation hits a domain error are redrawn; PreconditionError
+    if too few samples can be drawn.
     """
     f = parse(f) if isinstance(f, str) else f
     coords = tuple(coords)
@@ -103,34 +107,23 @@ def invariance_report(action, f, coords, samples=50, tol=1e-9, seed=42,
         raise ValueError("coords must list one name per action dimension")
     rng = np.random.default_rng(seed)
     names = sorted(f.free_vars())
-    max_dev = 0.0
-    witness = None
-    done = 0
-    attempts = 0
-    while done < samples and attempts < 50 * max(samples, 1):
-        attempts += 1
+
+    def measure(rng):
         b = {nm: rng.uniform(-box, box) for nm in names}
         g = rng.uniform(-1.0, 1.0, size=action.k)
-        q = np.array([b.get(c, 0.0) for c in coords])
-        q_shift = action.translate(q, g)
-        b2 = dict(b)
-        b2.update(zip(coords, q_shift))
-        try:
-            v1 = f.evaluate(b)
-            v2 = f.evaluate(b2)
-        except DomainError:
-            continue
-        dev = abs(v2 - v1) / (1.0 + abs(v1))
-        if dev > max_dev:
-            max_dev = dev
-            if dev > tol:
-                witness = {"point": b, "shift": g.tolist(),
-                           "values": (v1, v2)}
-        done += 1
-    if done < samples:
-        raise ValueError("could not draw enough domain-valid samples")
+        q_shift = action.translate([b.get(c, 0.0) for c in coords], g)
+        v1 = f.evaluate(b)
+        v2 = f.evaluate({**b, **dict(zip(coords, q_shift))})
+        return (abs(v2 - v1) / (1.0 + abs(v1)),
+                {"point": b, "shift": g.tolist(), "values": (v1, v2)})
+
+    results = list(domain_samples(
+        itertools.repeat(rng), measure, samples,
+        shortfall="could not draw enough domain-valid samples"))
+    # the first sample of largest deviation, as a strict > scan finds it
+    max_dev, witness = max([(0.0, None), *results], key=lambda r: r[0])
     return {"ok": max_dev <= tol, "max_rel_dev": float(max_dev),
-            "witness": witness}
+            "witness": witness if max_dev > tol else None}
 
 
 def is_invariant(action, f, coords, samples=50, tol=1e-9, seed=42):
@@ -145,9 +138,10 @@ def check_invariance_lemma(action, form, grid, tol=1e-9, seed=42):
     Along the graph q -> (q, form(q)) the momenta J = G^T form(q) are
     computed over the grid; their spread (max minus min, per component,
     worst case) is one side.  The other side is sampled invariance of
-    every component under random translations of the grid points.  The
-    report records both numbers, the two booleans, and whether they
-    agree.
+    every component under random translations of the grid points
+    (PreconditionError if no grid point and its translate can both be
+    evaluated).  The report records both numbers, the two booleans, and
+    whether they agree.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[1] != action.n:
@@ -160,17 +154,17 @@ def check_invariance_lemma(action, form, grid, tol=1e-9, seed=42):
     else:
         j_spread = 0.0
     rng = np.random.default_rng(seed)
-    inv_dev = 0.0
-    for q in grid:
+
+    def translate_dev(q):
         g = rng.uniform(-1.0, 1.0, size=action.k)
-        try:
-            v1 = form.values(q)
-            v2 = form.values(action.translate(q, g))
-        except DomainError:
-            continue
-        dev = float(np.max(np.abs(v2 - v1))) if v1.size else 0.0
-        if dev > inv_dev:
-            inv_dev = dev
+        v1 = form.values(q)
+        v2 = form.values(action.translate(q, g))
+        return float(np.max(np.abs(v2 - v1))) if v1.size else 0.0
+
+    devs = list(domain_samples(
+        grid, translate_dev,
+        shortfall="no grid point could be compared with its translate"))
+    inv_dev = max([0.0, *devs])
     j_constant = j_spread <= tol
     invariant = inv_dev <= tol
     return {

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from hjreduce import cli
 from hjreduce.cli import (SCENARIO_SCHEMA, ScenarioError, emit_trajectory,
                           load_scenario, read_trajectory)
 from hjreduce.phase_space import Trajectory
@@ -117,6 +118,55 @@ class TestExitCodes:
     def test_unknown_command(self):
         r = run_cli("frobnicate", "calogero")
         assert r.returncode == 2
+
+    def test_non_finite_literal(self, tmp_path):
+        # 1e400 would be inf; the trajectory would fill with nan
+        path = write_scenario(tmp_path, {
+            "name": "inf", "coords": ["q"], "momenta": ["p"],
+            "hamiltonian": "0.5*p^2+1e400*q^2",
+            "z0": {"q": [0.0], "p": [0.5]}, "t_end": 0.01, "dt": 0.005})
+        out = tmp_path / "out"
+        r = run_cli("simulate", path, "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr == ("scenario error: $.hamiltonian: number '1e400' "
+                            "is out of range (offset 8)\n")
+        assert not out.exists()
+
+    def test_unsamplable_domain_is_numeric(self, tmp_path):
+        # sqrt(q1-q2-100) is undefined on the whole sampling box
+        path = write_scenario(tmp_path, {
+            "name": "far", "coords": ["q1", "q2"], "action": [[1, 1]],
+            "hamiltonian": "0.5*(p1^2+p2^2)+sqrt(q1-q2-100)"})
+        r = run_cli("reduce", path, "--out", str(tmp_path))
+        assert r.returncode == 3
+        assert r.stderr == ("numeric failure: PreconditionError: could not "
+                            "draw enough domain-valid samples\n")
+
+    def test_out_is_an_existing_file(self, tmp_path):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        r = run_cli("reduce", "calogero", "--out", str(blocker))
+        assert r.returncode == 2
+        assert r.stderr.startswith("i/o error: [Errno 17] File exists")
+        assert r.stderr.count("\n") == 1
+
+    def test_unreadable_scenario_path(self, tmp_path):
+        r = run_cli("reduce", str(tmp_path))
+        assert r.returncode == 2
+        assert r.stderr.startswith("i/o error:")
+        assert "Traceback" not in r.stderr
+
+    def test_internal_error(self, tmp_path, monkeypatch, capsys):
+        def broken(doc):
+            raise TypeError("unexpected operand")
+
+        monkeypatch.setattr(cli, "build_system", broken)
+        code = cli.main(["simulate", "calogero", "--out", str(tmp_path)])
+        assert code == cli.EXIT_INTERNAL == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert err.endswith("TypeError: unexpected operand\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["simulate", "solve-hj"])
     def test_too_deep_expression(self, tmp_path, command):

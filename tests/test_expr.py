@@ -79,6 +79,17 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("1 2")
 
+    def test_non_finite_literal_rejected(self):
+        # 1e400 reads as inf, and inf*0 would evaluate to NaN
+        with pytest.raises(ParseError) as ei:
+            parse("1e400*q^2")
+        assert ei.value.offset == 0
+        assert "out of range" in str(ei.value)
+        with pytest.raises(ParseError) as ei:
+            parse("q + -1e999")
+        assert ei.value.offset == 5
+        assert ev("1e300*q", q=2.0) == 2e300
+
     def test_unknown_function(self):
         with pytest.raises(UnknownFunctionError):
             parse("sinh(1)")

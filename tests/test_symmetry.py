@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hjreduce.expr import Const, Var, call, parse
-from hjreduce.hj import OneForm, random_grid
+from hjreduce.hj import OneForm, PreconditionError, random_grid
 from hjreduce.phase_space import PhasePoint
 from hjreduce.symmetry import (TranslationAction, check_invariance_lemma,
                                cotangent_lift, invariance_report,
@@ -87,6 +87,12 @@ class TestInvarianceReport:
         rep = invariance_report(a, e, ["q1", "q2"])
         assert rep["ok"]
 
+    def test_unsamplable_domain_is_a_precondition_error(self):
+        a = TranslationAction([[1, 1]])
+        with pytest.raises(PreconditionError) as ei:
+            invariance_report(a, "sqrt(q1-q2-100)", ["q1", "q2"])
+        assert str(ei.value) == "could not draw enough domain-valid samples"
+
     def test_deterministic_given_seed(self):
         a = TranslationAction([[1, 0]])
         r1 = invariance_report(a, "q1*q2", ["q1", "q2"], seed=9)
@@ -112,6 +118,15 @@ class TestInvarianceLemma:
         assert rep["j_constant"]
         assert rep["j_spread"] < 1e-12
         assert rep["consistent"]
+
+    def test_no_valid_comparison_is_an_error(self):
+        # only translates with |g| <= 1e-3 stay in the domain at q1 = 1
+        form = OneForm(("q1", "q2"),
+                       components=(parse("sqrt(1e-6-(q1-1)^2)+q1"),
+                                   Const(0.0)))
+        grid = np.array([[1.0, x] for x in np.linspace(-1.0, 1.0, 5)])
+        with pytest.raises(PreconditionError):
+            check_invariance_lemma(TranslationAction([[1, 1]]), form, grid)
 
     def test_non_invariant_form(self):
         y = Var("q1") - Var("q2")
