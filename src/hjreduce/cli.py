@@ -575,7 +575,8 @@ def cmd_verify(doc, args):
         ys = np.linspace(sol.y_range[0], sol.y_range[1], n_pts)
         worst = _equation_residual(equation, y_var, p_var, energy, ys,
                                    (sol.root.solve((y,)) for y in ys))
-        gf = cyclic_complete_solution(sys_, sv["cyclic"], sv["range"])
+        gf = cyclic_complete_solution(sys_, sv["cyclic"], sv["range"],
+                                      branch=sv.get("branch", 1))
         betas = sv["beta"]
         fam = _verify_family(doc, sys_, args, gf, [energy, *betas], y_var,
                              sol.y_range)

@@ -7,9 +7,12 @@ Identifiers match ``[a-zA-Z][a-zA-Z0-9_]*``.
 
 Evaluation is plain IEEE double arithmetic.  Singular operations
 (division by zero, sqrt of a negative, log of a non-positive number)
-raise :class:`DomainError` carrying the offending subexpression; no
-operation ever returns NaN.  An unbound variable is always an error,
-never a default value.
+and powers or functions whose result is not finite raise
+:class:`DomainError` carrying the offending subexpression.  ``+ - * /``
+are not checked for overflow: a sum, product or quotient beyond the
+double range is inf, and arithmetic on inf can give NaN
+(``1e200*1e200*q`` folds to ``inf*q``, which is NaN at q = 0).  An
+unbound variable is always an error, never a default value.
 
 Construction through the smart constructors (and through the overloaded
 Python operators) performs constant folding and nothing more; no deeper

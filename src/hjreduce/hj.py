@@ -234,12 +234,12 @@ class TwoForm:
             return self._entries.get((i, j), Const(0.0))
         return -self._entries.get((j, i), Const(0.0))
 
-    def matrix_at(self, point, singular_tol=0.0):
+    def matrix_at(self, point):
         b = dict(zip(self.coords, np.atleast_1d(point)))
         m = self.m
         out = np.zeros((m, m))
         for (i, j), e in self._entries.items():
-            v = e.evaluate(b, singular_tol)
+            v = e.evaluate(b)
             out[i, j] = v
             out[j, i] = -v
         return out
@@ -262,7 +262,7 @@ def exterior_derivative(form):
     return TwoForm(form.coords, entries)
 
 
-def magnetic_lagrangian_residual(form, beta, grid, singular_tol=0.0):
+def magnetic_lagrangian_residual(form, beta, grid):
     """max | d_i c_j - d_j c_i + beta_ij | over the grid.
 
     Zero (within tolerance) certifies that the form's graph, shifted by
@@ -279,16 +279,15 @@ def magnetic_lagrangian_residual(form, beta, grid, singular_tol=0.0):
     for point in grid:
         b = form.bindings(point)
         for e in exprs:
-            r = abs(e.evaluate(b, singular_tol))
+            r = abs(e.evaluate(b))
             if r > worst:
                 worst = r
     return worst
 
 
-def closedness_residual(form, grid, singular_tol=0.0):
+def closedness_residual(form, grid):
     """max over the grid of |d_i c_j - d_j c_i| for all coordinate pairs."""
-    return magnetic_lagrangian_residual(form, TwoForm(form.coords, {}), grid,
-                                        singular_tol)
+    return magnetic_lagrangian_residual(form, TwoForm(form.coords, {}), grid)
 
 
 @dataclass
@@ -299,8 +298,7 @@ class HJReport:
     closedness: float
 
 
-def hj_residual(sys, form, grid, closed_tol=1e-9, singular_tol=0.0,
-                check_closed=True):
+def hj_residual(sys, form, grid, closed_tol=1e-9):
     """How far h is from constant along the graph of the form.
 
     The form must be (numerically) closed: a non-closed graph is not a
@@ -310,16 +308,16 @@ def hj_residual(sys, form, grid, closed_tol=1e-9, singular_tol=0.0,
     if tuple(form.coords) != tuple(sys.coords):
         raise ValueError("form coordinates must match the system's")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    closedness = closedness_residual(form, grid, singular_tol)
-    if check_closed and closedness > closed_tol:
+    closedness = closedness_residual(form, grid)
+    if closedness > closed_tol:
         raise PreconditionError(
             f"form is not closed (residual {closedness:.3e} > {closed_tol:.1e})")
     vals = np.empty(grid.shape[0])
     for idx, point in enumerate(grid):
         b = form.bindings(point)
-        pvals = [c.evaluate(b, singular_tol) for c in form.components]
+        pvals = [c.evaluate(b) for c in form.components]
         b.update(zip(sys.momenta, pvals))
-        vals[idx] = sys.h.evaluate(b, singular_tol)
+        vals[idx] = sys.h.evaluate(b)
     e_est = float(np.mean(vals))
     max_dev = float(np.max(np.abs(vals - e_est))) if vals.size else 0.0
     return HJReport(e_est=e_est, max_dev=max_dev, closedness=closedness)
@@ -337,6 +335,8 @@ def hj_residual(sys, form, grid, closed_tol=1e-9, singular_tol=0.0,
 # use one object per thread.
 
 _WARM_CAP = 20000
+_ROOT_TOL = 1e-12
+_ROOT_MAX_ITER = 60
 
 
 class ImplicitBranchRoot:
@@ -348,8 +348,7 @@ class ImplicitBranchRoot:
     precision whenever the equation allows it.
     """
 
-    def __init__(self, g, y_var, p_var, params=(), branch=1, tol=1e-12,
-                 max_iter=60, p_scale=1.0, name="pbranch"):
+    def __init__(self, g, y_var, p_var, params=(), branch=1, name="pbranch"):
         if branch not in (1, -1):
             raise ValueError("branch must be +1 or -1")
         self.g = g
@@ -359,9 +358,6 @@ class ImplicitBranchRoot:
         self.arg_vars = (y_var,) + self.params
         self.arity = len(self.arg_vars)
         self.branch = branch
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
-        self.p_scale = float(p_scale)
         self.name = name
         self.g_p = differentiate(g, p_var)
         self._warm = {}
@@ -412,7 +408,7 @@ class ImplicitBranchRoot:
             # a warm start may converge on the wrong side of the axis;
             # the branch contract (search from 0 toward branch * inf)
             # must not depend on cache state
-            if p is not None and self.branch * p < -1e-12 * self.p_scale:
+            if p is not None and self.branch * p < -1e-12:
                 p = None
                 continue
             if p is not None:
@@ -437,7 +433,7 @@ class ImplicitBranchRoot:
         """Newton to a floating-point fixed point; None if it fails."""
         best_p, best_g = None, math.inf
         prev = None
-        for _ in range(self.max_iter):
+        for _ in range(_ROOT_MAX_ITER):
             try:
                 gv = self._g_at(b, p)
             except DomainError:
@@ -458,7 +454,7 @@ class ImplicitBranchRoot:
                 break
             prev = p
             p = p_new
-        if best_p is not None and best_g <= self.tol:
+        if best_p is not None and best_g <= _ROOT_TOL:
             return best_p
         return None
 
@@ -472,7 +468,7 @@ class ImplicitBranchRoot:
             g_lo = self._g_at(b, lo)
         if g_lo == 0.0:
             return lo
-        hi = s * self.p_scale
+        hi = s
         g_hi = None
         for _ in range(70):
             try:
@@ -505,7 +501,7 @@ class ImplicitBranchRoot:
             x_new = x - gv / gpv if gpv != 0.0 else x
             if not (min(a, c) < x_new < max(a, c)):
                 x_new = 0.5 * (a + c)
-            if abs(gv) <= self.tol:
+            if abs(gv) <= _ROOT_TOL:
                 polished = self._newton(b, x_new)
                 return polished if polished is not None else x
             if x_new == x:
@@ -513,10 +509,10 @@ class ImplicitBranchRoot:
                 if x_new == x:
                     break
             x = x_new
-        if abs(self._g_at(b, x)) <= self.tol:
+        if abs(self._g_at(b, x)) <= _ROOT_TOL:
             return x
         raise NewtonDivergenceError(
-            f"{self.name}: no convergence to tol {self.tol:.1e}")
+            f"{self.name}: no convergence to tol {_ROOT_TOL:.1e}")
 
 
 class _RootPartial:
@@ -687,7 +683,7 @@ class RunningIntegral:
 # One-degree-of-freedom solution by quadrature.
 
 def solve_reduced_1d(h_reduced, y_var, p_var, energy, y_range, branch=1,
-                     n_nodes=2001, tol=1e-12):
+                     n_nodes=2001):
     """Solve h(y, W'(y)) = E for W on an interval, by quadrature.
 
     W'(y) is the momentum root on the chosen branch at each of the
@@ -707,7 +703,7 @@ def solve_reduced_1d(h_reduced, y_var, p_var, energy, y_range, branch=1,
     if not lo < hi:
         raise ValueError("empty range")
     g = sub(h_reduced, Const(float(energy)))
-    root = ImplicitBranchRoot(g, y_var, p_var, branch=branch, tol=tol,
+    root = ImplicitBranchRoot(g, y_var, p_var, branch=branch,
                               name="dW" if y_var != "dW" else "dW_")
     ys = np.linspace(lo, hi, int(n_nodes))
     ps = np.empty(ys.size)
@@ -843,8 +839,8 @@ def time_extension(form, energy, t_var="t"):
                               t_var=t_var)
 
 
-def _deviation_arrays(gf, sys, points, singular_tol=0.0):
-    """|dS/dt + h(q, dS/dq)| sample by sample over a dict of columns."""
+def _point_columns(gf, sys, points):
+    """Sample points as equal-length float columns; time defaults to 0."""
     if tuple(gf.q_vars) != tuple(sys.coords):
         raise ValueError("generating function and system coordinates differ")
     cols = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in points.items()}
@@ -854,21 +850,28 @@ def _deviation_arrays(gf, sys, points, singular_tol=0.0):
     n_pts = sizes.pop()
     if gf.t_var not in cols:
         cols[gf.t_var] = np.zeros(n_pts)
+    return cols
+
+
+def _deviation_arrays(gf, sys, cols):
+    """|dS/dt + h(q, dS/dq)| sample by sample over ``_point_columns``."""
     s_t = gf.s_t()
     s_q = [gf.s_q(i) for i in range(gf.n)]
+    n_pts = cols[gf.t_var].size
     devs = np.empty(n_pts)
     for idx in range(n_pts):
         b = {k: v[idx] for k, v in cols.items()}
-        pvals = [e.evaluate(b, singular_tol) for e in s_q]
+        pvals = [e.evaluate(b) for e in s_q]
         hb = dict(b)
         hb.update(zip(sys.momenta, pvals))
-        devs[idx] = s_t.evaluate(b, singular_tol) + sys.h.evaluate(hb, singular_tol)
+        devs[idx] = s_t.evaluate(b) + sys.h.evaluate(hb)
     return np.abs(devs)
 
 
-def time_dependent_residual(gf, sys, points, singular_tol=0.0):
+def time_dependent_residual(gf, sys, points):
     """max |dS/dt + h(q, dS/dq)| over sample points (a dict of columns)."""
-    return float(np.max(_deviation_arrays(gf, sys, points, singular_tol)))
+    cols = _point_columns(gf, sys, points)
+    return float(np.max(_deviation_arrays(gf, sys, cols)))
 
 
 @dataclass
@@ -878,7 +881,7 @@ class CompletenessReport:
     complete: bool
 
 
-def check_complete(gf, sys, points, tol=1e-8, det_floor=1e-6, singular_tol=0.0):
+def check_complete(gf, sys, points, tol=1e-8, det_floor=1e-6):
     """Is S(t, q, c) a complete solution over the sampled points?
 
     Complete means the extended residual dS/dt + h(q, dS/dq) vanishes
@@ -890,17 +893,15 @@ def check_complete(gf, sys, points, tol=1e-8, det_floor=1e-6, singular_tol=0.0):
         raise ValueError("a complete solution needs at least one parameter")
     if len(gf.params) != gf.n:
         raise ValueError("need as many parameters as coordinates")
-    devs = _deviation_arrays(gf, sys, points, singular_tol)
-    cols = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in points.items()}
+    cols = _point_columns(gf, sys, points)
+    devs = _deviation_arrays(gf, sys, cols)
     n_pts = len(devs)
-    if gf.t_var not in cols:
-        cols[gf.t_var] = np.zeros(n_pts)
     n = gf.n
     mixed = [[gf.s_qparam(i, j) for j in range(n)] for i in range(n)]
     min_det = math.inf
     for idx in range(n_pts):
         b = {k: v[idx] for k, v in cols.items()}
-        mat = np.array([[mixed[i][j].evaluate(b, singular_tol)
+        mat = np.array([[mixed[i][j].evaluate(b)
                          for j in range(n)] for i in range(n)])
         d = abs(float(np.linalg.det(mat)))
         if d < min_det:
@@ -911,7 +912,7 @@ def check_complete(gf, sys, points, tol=1e-8, det_floor=1e-6, singular_tol=0.0):
 
 
 def quadrature_complete_solution(sys, q_range, branch=1, n_quad=200,
-                                 param="a1", tol=1e-12):
+                                 param="a1"):
     """Complete solution family for a one-degree-of-freedom system.
 
     For each value of the parameter (the energy of the family member)
@@ -927,7 +928,7 @@ def quadrature_complete_solution(sys, q_range, branch=1, n_quad=200,
         raise ValueError("parameter name collides with a coordinate")
     g = sub(sys.h, Var(param))
     root = ImplicitBranchRoot(g, qv, pv, params=(param,), branch=branch,
-                              tol=tol, name="dW_family")
+                              name="dW_family")
     w = RunningIntegral(root, q_range[0], q_range[1], n_intervals=n_quad,
                         name="W_family")
     s = sub(External(w, (Var(qv), Var(param))), mul(Var(sys.t_var), Var(param)))
@@ -1002,7 +1003,7 @@ def cyclic_ansatz(sys, cyclic_vars, betas, tol=1e-9, samples=20, seed=42):
 
 
 def cyclic_complete_solution(sys, cyclic_vars, remaining_range, branch=1,
-                             n_quad=200, tol=1e-12):
+                             n_quad=200):
     """Complete-solution family from a cyclic separation.
 
     With all but one coordinate cyclic, W separates as
@@ -1032,7 +1033,7 @@ def cyclic_complete_solution(sys, cyclic_vars, remaining_range, branch=1,
     g_fam = sub(substitute(sym.equation, {sym.slot_vars[0]: Var(p_rest)}),
                 Var(params[0]))
     root = ImplicitBranchRoot(g_fam, rest, p_rest, params=params,
-                              branch=branch, tol=tol, name="dW_family")
+                              branch=branch, name="dW_family")
     w_fam = RunningIntegral(root, remaining_range[0], remaining_range[1],
                             n_intervals=n_quad, name="W_family")
     s = External(w_fam, tuple(Var(v) for v in (rest,) + params))

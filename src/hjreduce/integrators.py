@@ -19,8 +19,8 @@ import numpy as np
 from .expr import DomainError
 from .hj import (NewtonDivergenceError, PreconditionError, SingularJacobianError,
                  SolveError, domain_samples)
-from .phase_space import (PhasePoint, Trajectory, flow_reference,
-                          symplectic_matrix)
+from .phase_space import (FLOW_SINGULAR_TOL, PhasePoint, Trajectory,
+                          flow_reference, symplectic_matrix)
 
 __all__ = [
     "apply_type1", "apply_type2", "ImplicitMap", "map_jacobian",
@@ -30,20 +30,23 @@ __all__ = [
     "flow_lagrangian_momentum_check",
 ]
 
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 50
 
-def _solve_newton(residual, jacobian, x0, tol=1e-12, max_iter=50):
+
+def _solve_newton(residual, jacobian, x0):
     """Damped Newton iterated to a floating-point fixed point.
 
     Keeps the best iterate seen; a domain error on a trial step halves
     it.  Iteration stops when the point stops moving or the residual
     stops improving, which in the convergent case polishes well past
-    ``tol`` — callers that accumulate many steps rely on that.
+    ``_NEWTON_TOL`` — callers that accumulate many steps rely on that.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     fx = residual(x)
     best_x, best_norm = x.copy(), float(np.max(np.abs(fx)))
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if best_norm == 0.0:
             break
         try:
@@ -71,13 +74,13 @@ def _solve_newton(residual, jacobian, x0, tol=1e-12, max_iter=50):
             stall += 1
             if stall >= 3:
                 break
-    if best_norm <= tol:
+    if best_norm <= _NEWTON_TOL:
         return best_x
     raise NewtonDivergenceError(
-        f"newton stalled at residual {best_norm:.3e} (tol {tol:.1e})")
+        f"newton stalled at residual {best_norm:.3e} (tol {_NEWTON_TOL:.1e})")
 
 
-def _transform(gf, z, t, guess, tol, max_iter, singular_tol=0.0):
+def _transform(gf, z, t, guess, singular_tol=0.0):
     """Solve dS/dq = p for the new variables; return (q', p', solved)."""
     n = gf.n
     if z.n != n:
@@ -96,7 +99,7 @@ def _transform(gf, z, t, guess, tol, max_iter, singular_tol=0.0):
                          for row in jac_e])
 
     c0 = z.p if guess is None else np.atleast_1d(np.asarray(guess, dtype=float))
-    c = _solve_newton(residual, jacobian, c0, tol=tol, max_iter=max_iter)
+    c = _solve_newton(residual, jacobian, c0)
     b = gf.bindings(z.q, c, t)
     grad_c = np.array([e.evaluate(b, singular_tol) for e in s_c])
     if gf.kind == "typeII":
@@ -104,22 +107,20 @@ def _transform(gf, z, t, guess, tol, max_iter, singular_tol=0.0):
     return c.copy(), -grad_c, c
 
 
-def apply_type2(gf, z, t=0.0, guess=None, tol=1e-12, max_iter=50,
-                singular_tol=0.0):
+def apply_type2(gf, z, t=0.0):
     """Map of a new-momentum generating function S(t, q, P).
 
     Solves dS/dq(t, q, P) = p for P and returns (Q, P) with Q = dS/dP.
     The identity map corresponds to S = sum q^i P_i, so for
-    near-identity S the old momenta are a good default guess.
+    near-identity S the old momenta are a good starting guess.
     """
     if gf.kind != "typeII":
         raise ValueError("apply_type2 needs a typeII generating function")
-    q_new, p_new, _ = _transform(gf, z, t, guess, tol, max_iter, singular_tol)
+    q_new, p_new, _ = _transform(gf, z, t, None)
     return PhasePoint(q_new, p_new, t=z.t)
 
 
-def apply_type1(gf, z, t=0.0, guess=None, tol=1e-12, max_iter=50,
-                singular_tol=0.0):
+def apply_type1(gf, z, t=0.0):
     """Map of a new-position generating function S(t, q, Q).
 
     Solves dS/dq(t, q, Q) = p for Q and returns (Q, -dS/dQ).  For a
@@ -128,7 +129,7 @@ def apply_type1(gf, z, t=0.0, guess=None, tol=1e-12, max_iter=50,
     """
     if gf.kind != "typeI":
         raise ValueError("apply_type1 needs a typeI generating function")
-    q_new, p_new, _ = _transform(gf, z, t, guess, tol, max_iter, singular_tol)
+    q_new, p_new, _ = _transform(gf, z, t, None)
     return PhasePoint(q_new, p_new, t=z.t)
 
 
@@ -140,40 +141,30 @@ class ImplicitMap:
     trajectories cheap.  Use one instance per trajectory.
     """
 
-    def __init__(self, gf, t=0.0, tol=1e-12, max_iter=50, singular_tol=0.0):
+    def __init__(self, gf, t=0.0):
         self.gf = gf
         self.t = float(t)
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
-        self.singular_tol = float(singular_tol)
         self._warm = None
 
-    def __call__(self, z, guess=None):
-        if guess is None:
-            guess = self._warm
-        q_new, p_new, solved = _transform(self.gf, z, self.t, guess,
-                                          self.tol, self.max_iter,
-                                          self.singular_tol)
+    def __call__(self, z):
+        q_new, p_new, solved = _transform(self.gf, z, self.t, self._warm)
         self._warm = solved
         return PhasePoint(q_new, p_new, t=z.t)
 
 
-def map_jacobian(gf, z, t=0.0, params=None, tol=1e-12, max_iter=50,
-                 singular_tol=0.0):
+def map_jacobian(gf, z, t=0.0):
     """Exact 2n x 2n derivative of the induced map at a phase point.
 
     Implicit differentiation of dS/dq(t, q, c) = p around the solved c:
     with A = d2S/dq dc,  dc/dq = -A^{-1} S_qq  and  dc/dp = A^{-1};
     the remaining blocks follow from the output formulas of each kind.
-    ``params`` skips the solve when the new variables are already known.
     """
     n = gf.n
-    if params is None:
-        _, _, params = _transform(gf, z, t, None, tol, max_iter, singular_tol)
+    _, _, params = _transform(gf, z, t, None)
     b = gf.bindings(z.q, params, t)
 
     def mat(entry):
-        return np.array([[entry(i, j).evaluate(b, singular_tol)
+        return np.array([[entry(i, j).evaluate(b)
                           for j in range(n)] for i in range(n)])
 
     a = mat(gf.s_qparam)
@@ -200,9 +191,9 @@ def map_jacobian(gf, z, t=0.0, params=None, tol=1e-12, max_iter=50,
     return m
 
 
-def symplecticity_check(gf, z, t=0.0, **kw):
+def symplecticity_check(gf, z, t=0.0):
     """Worst entry of M^T Omega M - Omega for the map's Jacobian at z."""
-    m = map_jacobian(gf, z, t=t, **kw)
+    m = map_jacobian(gf, z, t=t)
     omega = symplectic_matrix(gf.n)
     return float(np.max(np.abs(m.T @ omega @ m - omega)))
 
@@ -237,7 +228,7 @@ def _check_diagonal_invariance(gf, action, tol=1e-9, samples=25, seed=42,
 
 
 def momentum_preservation_check(gf, action, z0, n_steps, t=0.0, tol=1e-9,
-                                samples=25, seed=42, newton_tol=1e-12):
+                                samples=25, seed=42):
     """Drift of G^T p along n_steps of the induced map.
 
     Precondition (sampled, witness on failure): S is invariant under
@@ -249,7 +240,7 @@ def momentum_preservation_check(gf, action, z0, n_steps, t=0.0, tol=1e-9,
     if gf.kind != "typeII":
         raise ValueError("momentum stepping uses a typeII generating function")
     _check_diagonal_invariance(gf, action, tol=tol, samples=samples, seed=seed)
-    step = ImplicitMap(gf, t=t, tol=newton_tol)
+    step = ImplicitMap(gf, t=t)
     z = z0
     j0 = action.matrix.T @ z0.p
     drift = np.empty(n_steps + 1)
@@ -269,17 +260,16 @@ class SchemeReport:
     momentum_drift: np.ndarray | None = None
 
 
-def run_scheme(gf, sys, z0, n_steps, t, action=None, newton_tol=1e-12,
-               jacobian_samples=8, singular_tol=0.0):
+def run_scheme(gf, sys, z0, n_steps, t, action=None):
     """Iterate a generating-function scheme and collect diagnostics.
 
     ``t`` is the step size (the time argument fed to the generating
     function each step).  Energy drift is |h(z_k) - h(z_0)|; the
-    symplecticity defect is the worst Jacobian defect over a few states
-    sampled along the way; with ``action`` given, the momentum drift
-    array is included.
+    symplecticity defect is the worst Jacobian defect over eight evenly
+    spaced states; with ``action`` given, the momentum drift array is
+    included.
     """
-    step = ImplicitMap(gf, t=t, tol=newton_tol, singular_tol=singular_tol)
+    step = ImplicitMap(gf, t=t)
     points = [z0]
     z = z0
     for _ in range(n_steps):
@@ -292,11 +282,11 @@ def run_scheme(gf, sys, z0, n_steps, t, action=None, newton_tol=1e-12,
     e0 = sys.energy(z0, t=0.0)
     energy_drift = np.array(
         [abs(sys.energy(p, t=times[i]) - e0) for i, p in enumerate(points)])
-    idx = np.unique(np.linspace(0, n_steps, min(jacobian_samples, n_steps + 1),
+    idx = np.unique(np.linspace(0, n_steps, min(8, n_steps + 1),
                                 dtype=int))
     defect = 0.0
     for i in idx:
-        d = symplecticity_check(gf, points[i], t=t, singular_tol=singular_tol)
+        d = symplecticity_check(gf, points[i], t=t)
         if d > defect:
             defect = d
     momentum_drift = None
@@ -319,8 +309,7 @@ class EquilibriumReport:
     max_var: float
 
 
-def transform_to_equilibrium(gf, sys, z0, t_end, dt, param_guess=None,
-                             newton_tol=1e-12, singular_tol=1e-12):
+def transform_to_equilibrium(gf, sys, z0, t_end, dt, param_guess=None):
     """Push a trajectory through the map of a complete solution.
 
     The system is integrated with the reference scheme; at every sample
@@ -328,13 +317,14 @@ def transform_to_equilibrium(gf, sys, z0, t_end, dt, param_guess=None,
     the family genuinely solves the evolutionary Hamilton-Jacobi
     equation, the images (alpha, beta) are constants of motion; the
     report's ``max_var`` is the worst total variation observed, the
-    operational test of that claim.
+    operational test of that claim.  Flow and map both raise
+    DomainError within ``FLOW_SINGULAR_TOL`` of a division singularity.
     """
     if gf.kind != "typeI":
         raise ValueError("equilibrium transforms use a typeI family")
     if len(gf.params) != gf.n:
         raise ValueError("the family must have one parameter per coordinate")
-    traj = flow_reference(sys, z0, t_end, dt, singular_tol=singular_tol)
+    traj = flow_reference(sys, z0, t_end, dt)
     n = traj.n
     alphas = np.empty((len(traj), n))
     betas = np.empty((len(traj), n))
@@ -342,7 +332,7 @@ def transform_to_equilibrium(gf, sys, z0, t_end, dt, param_guess=None,
     for i in range(len(traj)):
         z = traj.point(i)
         q_new, p_new, solved = _transform(gf, z, traj.times[i], guess,
-                                          newton_tol, 50, singular_tol)
+                                          FLOW_SINGULAR_TOL)
         alphas[i] = q_new
         betas[i] = p_new
         guess = solved

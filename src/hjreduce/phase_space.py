@@ -21,6 +21,10 @@ __all__ = [
     "flow_reference", "default_momentum_names",
 ]
 
+# Division guard of the RK4 flows and of the transforms along them; residual
+# checks and schemes guard exact zeros only.
+FLOW_SINGULAR_TOL = 1e-12
+
 
 def default_momentum_names(coords):
     """Momentum names paired to position names: q3 -> p3, q -> p, x -> p_x."""
@@ -90,8 +94,8 @@ class HamiltonianSystem:
             b[self.t_var] = tv
         return b
 
-    def energy(self, z, t=None, singular_tol=0.0):
-        return self.h.evaluate(self.bindings(z, t), singular_tol)
+    def energy(self, z, t=None):
+        return self.h.evaluate(self.bindings(z, t))
 
     def __repr__(self):
         return f"HamiltonianSystem({self.h}, coords={list(self.coords)})"
@@ -131,16 +135,18 @@ class Trajectory:
         for i in range(len(self)):
             yield self.point(i)
 
-    def energies(self, sys, singular_tol=0.0):
-        return np.array([sys.energy(self.point(i), singular_tol=singular_tol)
-                         for i in range(len(self))])
+    def energies(self, sys):
+        return np.array([sys.energy(self.point(i)) for i in range(len(self))])
 
 
-def hamiltonian_vector_field(sys, z, t=None, singular_tol=0.0):
-    """Canonical vector field (dh/dp, -dh/dq) at z, as a flat 2n array."""
+def hamiltonian_vector_field(sys, z, t=None):
+    """Canonical vector field (dh/dp, -dh/dq) at z, as a flat 2n array.
+
+    Raises DomainError within ``FLOW_SINGULAR_TOL`` of a singularity.
+    """
     b = sys.bindings(z, t)
-    qdot = [e.evaluate(b, singular_tol) for e in sys._dh_dp]
-    pdot = [-e.evaluate(b, singular_tol) for e in sys._dh_dq]
+    qdot = [e.evaluate(b, FLOW_SINGULAR_TOL) for e in sys._dh_dp]
+    pdot = [-e.evaluate(b, FLOW_SINGULAR_TOL) for e in sys._dh_dq]
     return np.array(qdot + pdot)
 
 
@@ -189,17 +195,17 @@ def _rk4(f, y0, t0, t_end, dt):
     return times, out
 
 
-def flow_reference(sys, z0, t_end, dt, singular_tol=1e-12):
+def flow_reference(sys, z0, t_end, dt):
     """Integrate the canonical equations with RK4 from t=0 to t_end.
 
-    Steps that land within ``singular_tol`` of a division singularity
-    raise a DomainError rather than continuing with garbage.
+    Steps that land within ``FLOW_SINGULAR_TOL`` of a division
+    singularity raise a DomainError rather than continuing with garbage.
     """
     n = sys.n
 
     def field(t, y):
         z = PhasePoint(y[:n], y[n:])
-        return hamiltonian_vector_field(sys, z, t=t, singular_tol=singular_tol)
+        return hamiltonian_vector_field(sys, z, t=t)
 
     t0 = 0.0 if z0.t is None else z0.t
     times, ys = _rk4(field, z0.flat(), t0, t0 + t_end, dt)

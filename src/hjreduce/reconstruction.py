@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hj import OneForm, hj_residual, pullback
-from .phase_space import HamiltonianSystem, PhasePoint, Trajectory, _rk4
+from .phase_space import (FLOW_SINGULAR_TOL, HamiltonianSystem, PhasePoint,
+                          Trajectory, _rk4)
 from .reduction import reduced_hamiltonian
 from .symmetry import TranslationAction
 
@@ -57,8 +58,7 @@ class ReconstructionReport:
     energy: float
 
 
-def lift_report(sys, reduced_form, chart, mu, grid, closed_tol=1e-9,
-                singular_tol=0.0, seed=42):
+def lift_report(sys, reduced_form, chart, mu, grid, closed_tol=1e-9, seed=42):
     """Lift and verify: invariance, momentum level, closedness, residual.
 
     The grid is a set of full-space configuration points.  Invariance is
@@ -75,36 +75,38 @@ def lift_report(sys, reduced_form, chart, mu, grid, closed_tol=1e-9,
     inv_dev = 0.0
     mom_dev = 0.0
     for q in grid:
-        v = form.values(q, singular_tol)
+        v = form.values(q)
         if mu.size:
             mdev = float(np.max(np.abs(chart.generators.T @ v - mu)))
             if mdev > mom_dev:
                 mom_dev = mdev
         if action is not None:
             g = rng.uniform(-1.0, 1.0, size=chart.k)
-            v2 = form.values(action.translate(q, g), singular_tol)
+            v2 = form.values(action.translate(q, g))
             dev = float(np.max(np.abs(v2 - v)))
             if dev > inv_dev:
                 inv_dev = dev
-    rep = hj_residual(sys, form, grid, closed_tol=closed_tol,
-                      singular_tol=singular_tol)
+    rep = hj_residual(sys, form, grid, closed_tol=closed_tol)
     return ReconstructionReport(form=form, invariance_dev=inv_dev,
                                 momentum_dev=mom_dev,
                                 closedness=rep.closedness,
                                 hj_max_dev=rep.max_dev, energy=rep.e_est)
 
 
-def projected_vector_field(sys, form, q, t=None, singular_tol=0.0):
-    """q' = dh/dp evaluated on the graph of the form (first-order flow)."""
+def projected_vector_field(sys, form, q, t=None):
+    """q' = dh/dp evaluated on the graph of the form (first-order flow).
+
+    Raises DomainError within ``FLOW_SINGULAR_TOL`` of a singularity.
+    """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     b = dict(zip(sys.coords, q))
-    b.update(zip(sys.momenta, form.values(q, singular_tol)))
+    b.update(zip(sys.momenta, form.values(q, FLOW_SINGULAR_TOL)))
     if sys.time_dependent:
         b[sys.t_var] = 0.0 if t is None else float(t)
-    return np.array([e.evaluate(b, singular_tol) for e in sys._dh_dp])
+    return np.array([e.evaluate(b, FLOW_SINGULAR_TOL) for e in sys._dh_dp])
 
 
-def integrate_projected(sys, form, q0, t_end, dt, singular_tol=1e-12):
+def integrate_projected(sys, form, q0, t_end, dt):
     """Integrate the projected flow; momenta are read off the form.
 
     Any solution of this first-order system is automatically a solution
@@ -113,17 +115,16 @@ def integrate_projected(sys, form, q0, t_end, dt, singular_tol=1e-12):
     reconstruction.
     """
     def field(t, q):
-        return projected_vector_field(sys, form, q, t=t,
-                                      singular_tol=singular_tol)
+        return projected_vector_field(sys, form, q, t=t)
 
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     times, qs = _rk4(field, q0, 0.0, float(t_end), dt)
-    ps = np.array([form.values(q, singular_tol) for q in qs])
+    ps = np.array([form.values(q, FLOW_SINGULAR_TOL) for q in qs])
     return Trajectory(times, qs, ps)
 
 
 def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
-                           g0=None, singular_tol=1e-12):
+                           g0=None):
     """Full trajectory from the reduced flow plus a group quadrature.
 
     The reduced first-order flow y' = dh_red/dp_y(y, form(y)) is
@@ -156,11 +157,10 @@ def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
     shift = x_blk.T @ mu
 
     def red_field(t, y):
-        return projected_vector_field(red_sys, reduced_form, y, t=t,
-                                      singular_tol=singular_tol)
+        return projected_vector_field(red_sys, reduced_form, y, t=t)
 
     def lifted_p(y):
-        return chart.y_block.T @ reduced_form.values(y, singular_tol) + shift
+        return chart.y_block.T @ reduced_form.values(y, FLOW_SINGULAR_TOL) + shift
 
     def g_rate(y, t):
         d = l_mat @ y
@@ -168,7 +168,7 @@ def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
         b.update(zip(sys.momenta, lifted_p(y)))
         if sys.time_dependent:
             b[sys.t_var] = t
-        qdot = np.array([e.evaluate(b, singular_tol) for e in sys._dh_dp])
+        qdot = np.array([e.evaluate(b, FLOW_SINGULAR_TOL) for e in sys._dh_dp])
         ydot = red_field(t, y)
         return x_blk @ (qdot - l_mat @ ydot)
 

@@ -284,9 +284,9 @@ def magnetic_term(chart, alpha_mu, mu, tol=1e-9, samples=50, seed=42,
                         momentum_dev=mom_dev, invariance_dev=inv_dev)
 
 
-def momentum_shift(z, alpha_mu, singular_tol=0.0):
+def momentum_shift(z, alpha_mu):
     """Shift momenta down by the 1-form's value: (q, p - alpha(q))."""
-    return PhasePoint(z.q, z.p - alpha_mu.values(z.q, singular_tol), t=z.t)
+    return PhasePoint(z.q, z.p - alpha_mu.values(z.q), t=z.t)
 
 
 def project_lagrangian(form, chart, mu, grid, tol=1e-9, beta=None, seed=42):

@@ -264,6 +264,21 @@ class TestVerifyCommand:
         assert rep["mode"] == "cyclic"
         assert rep["max_offnode_residual"] <= 1e-8
 
+    def test_cyclic_mode_uses_the_solved_branch(self, tmp_path, monkeypatch):
+        doc = cli.load_scenario("heavytop")
+        doc["solve"]["branch"] = -1
+        branches = []
+        real = cli.cyclic_complete_solution
+
+        def recording(*args, **kwargs):
+            branches.append(kwargs.get("branch", 1))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "cyclic_complete_solution", recording)
+        assert cli.main(["verify", write_scenario(tmp_path, doc), "--grid",
+                         "40", "--out", str(tmp_path)]) == 0
+        assert branches == [-1]
+
 
 class TestPipelineCommands:
     def test_reconstruct(self, tmp_path):

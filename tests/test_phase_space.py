@@ -41,6 +41,24 @@ class TestHamiltonianSystem:
             pair_system.energy(PhasePoint([1, 1], [0, 0]))
 
 
+class TestSingularGuards:
+    """Energy guards exact zeros; the vector field and flow guard 1e-12."""
+
+    SYSTEM = HamiltonianSystem("0.5*p^2+1/q", ["q"])
+    NEAR = PhasePoint([1e-13], [0.0])
+
+    def test_energy_guards_exact_zero_only(self):
+        assert self.SYSTEM.energy(self.NEAR) == 1e13
+
+    def test_vector_field_guards_near_singularity(self):
+        with pytest.raises(DomainError):
+            hamiltonian_vector_field(self.SYSTEM, self.NEAR)
+
+    def test_flow_step_guards_near_singularity(self):
+        with pytest.raises(DomainError):
+            flow_reference(self.SYSTEM, self.NEAR, 1e-3, 1e-3)
+
+
 class TestVectorField:
     def test_pair_system_frozen_value(self, pair_system):
         # dp/dt = -dh/dq = (2/(q1-q2)^3, -2/(q1-q2)^3) = (-2, 2) at q=(0,1)
