@@ -8,8 +8,9 @@ settings; outputs are JSON reports and CSV series written atomically.
 Exit codes: 0 success; 1 a measured residual exceeded --tol; 2 invalid
 scenario or usage, including an unreadable scenario or an unwritable
 output path; 3 numeric failure (solver divergence, domain error,
-violated precondition); 4 internal error (a bug: the traceback is
-printed).  Identical scenario + seed + flags give byte-identical outputs.
+violated precondition, a NaN or inf in a report, which is then not
+written); 4 internal error (a bug: the traceback is printed).
+Identical scenario + seed + flags give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from .expr import DomainError, ParseError, parse as parse_expr
+from .expr import DomainError, ParseError, evaluate_rows, parse as parse_expr
 from .hj import (GeneratingFunction, OneForm, PreconditionError, SolveError,
                  check_complete, cyclic_ansatz, cyclic_complete_solution,
                  mesh_grid, quadrature_complete_solution, solve_reduced_1d)
@@ -294,8 +295,19 @@ def _json_default(o):
 
 
 def write_json(path, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True,
-                                   default=_json_default) + "\n")
+    """Write a report as strict JSON; a NaN or inf in it is a DomainError."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                          default=_json_default)
+    except ValueError:
+        for field in sorted(obj):
+            try:
+                json.dumps(obj[field], allow_nan=False, default=_json_default)
+            except ValueError:
+                raise DomainError(f"report field '{field}' is not finite") \
+                    from None
+        raise
+    _atomic_write(path, text + "\n")
 
 
 def _write_csv(path, header, columns):
@@ -407,8 +419,10 @@ def _solve_1d(doc, sys_, action, mu, args):
 
 def _equation_residual(equation, y_var, p_var, energy, ys, ps):
     """max |equation(y, p) - energy| over paired y and p values."""
-    return max([0.0, *(abs(equation.evaluate({y_var: y, p_var: p}) - energy)
-                       for y, p in zip(ys, ps))])
+    vals = evaluate_rows([equation], (y_var, p_var),
+                         np.column_stack([ys, ps]))[:, 0]
+    # fmax skips NaN, as the built-in max after 0.0 does
+    return float(np.fmax.reduce(np.abs(vals - energy), initial=0.0))
 
 
 def _generating_function(sys_, block, where):
@@ -574,7 +588,7 @@ def cmd_verify(doc, args):
         n_pts = args.grid if args.grid is not None else 200
         ys = np.linspace(sol.y_range[0], sol.y_range[1], n_pts)
         worst = _equation_residual(equation, y_var, p_var, energy, ys,
-                                   (sol.root.solve((y,)) for y in ys))
+                                   [sol.root.solve((y,)) for y in ys])
         gf = cyclic_complete_solution(sys_, sv["cyclic"], sv["range"],
                                       branch=sv.get("branch", 1))
         betas = sv["beta"]
@@ -635,8 +649,8 @@ def cmd_reconstruct(doc, args):
                   float(np.max(np.abs(traj.ps - traj2.ps))))
     z0 = PhasePoint(traj.qs[0], form.values(traj.qs[0]))
     flow = flow_reference(sys_, z0, t_end, dt)
-    related = max(float(np.max(np.abs(form.values(flow.qs[i]) - flow.ps[i])))
-                  for i in range(len(flow)))
+    on_graph = evaluate_rows(form.components, form.coords, flow.qs)
+    related = float(max(np.max(np.abs(on_graph - flow.ps), axis=1)))
     report = {
         "t_end": t_end,
         "dt": dt,

@@ -14,6 +14,15 @@ double range is inf, and arithmetic on inf can give NaN
 (``1e200*1e200*q`` folds to ``inf*q``, which is NaN at q = 0).  An
 unbound variable is always an error, never a default value.
 
+Every sweep over points in the package evaluates through
+:func:`evaluate_rows`, point by point: each expression of a list at the
+first point, then at the next, exactly as a loop over the points would.
+The checks that evaluate h on the graph of a form (``hj.hj_residual``,
+and ``hj.time_dependent_residual``, which ``hj.check_complete`` shares)
+do so in two stages, the form's components over all points and then h,
+so when both stages would fail at different points the first stage's
+error is the one raised.
+
 Construction through the smart constructors (and through the overloaded
 Python operators) performs constant folding and nothing more; no deeper
 simplification is attempted, so structural equality of two expressions
@@ -26,13 +35,15 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
+
 __all__ = [
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Neg",
     "Call", "External",
     "ExprError", "ParseError", "UnknownFunctionError",
     "UnboundVariableError", "DomainError",
-    "parse", "evaluate", "differentiate", "substitute", "free_vars",
-    "add", "sub", "mul", "div", "power", "neg", "call", "as_expr",
+    "parse", "evaluate", "evaluate_rows", "differentiate", "substitute",
+    "free_vars", "add", "sub", "mul", "div", "power", "neg", "call", "as_expr",
     "linear_combo", "FUNCTION_NAMES",
 ]
 
@@ -571,6 +582,21 @@ def parse(text):
 
 def evaluate(e, bindings, singular_tol=0.0):
     return e._ev(bindings, singular_tol)
+
+
+def evaluate_rows(exprs, names, rows, singular_tol=0.0):
+    """Every expression at every row, as a (len(rows), len(exprs)) array.
+
+    Row i binds ``names`` to ``rows[i]``; a name listed twice takes its
+    later value.  Rows are evaluated in order, each expression in list
+    order within a row, so the first DomainError raised and the order of
+    the solves inside External nodes are those of a loop over the rows.
+    """
+    out = np.empty((len(rows), len(exprs)))
+    for i, row in enumerate(rows):
+        b = dict(zip(names, row))
+        out[i] = [e._ev(b, singular_tol) for e in exprs]
+    return out
 
 
 def differentiate(e, var):

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import _linalg
 from .expr import (Const, DomainError, Expr, External, Var, add,
-                   differentiate, evaluate, linear_combo, mul, parse, sub,
-                   substitute)
+                   differentiate, evaluate, evaluate_rows, linear_combo, mul,
+                   parse, sub, substitute)
 
 __all__ = [
     "PreconditionError", "SolveError", "TurningPointError",
@@ -80,6 +80,11 @@ class NewtonDivergenceError(SolveError):
 
 class SingularJacobianError(SolveError):
     """Newton hit a singular Jacobian."""
+
+
+# Half-width of the box [-SAMPLE_BOX, SAMPLE_BOX] from which the sampled
+# preconditions draw their random points.
+SAMPLE_BOX = 2.0
 
 
 def domain_samples(candidates, measure, samples=None, shortfall=None):
@@ -170,13 +175,10 @@ class OneForm:
     def m(self):
         return len(self.coords)
 
-    def bindings(self, point):
-        return dict(zip(self.coords, np.atleast_1d(point)))
-
     def values(self, point, singular_tol=0.0):
         """Component values at a base point (array in coordinate order)."""
-        b = self.bindings(point)
-        return np.array([c.evaluate(b, singular_tol) for c in self.components])
+        return evaluate_rows(self.components, self.coords,
+                             [np.atleast_1d(point)], singular_tol)[0]
 
     def __repr__(self):
         inner = ", ".join(f"{c}" for c in self.components)
@@ -275,14 +277,9 @@ def magnetic_lagrangian_residual(form, beta, grid):
     d = exterior_derivative(form)
     exprs = [add(d.entry(i, j), beta.entry(i, j))
              for i in range(form.m) for j in range(i + 1, form.m)]
-    worst = 0.0
-    for point in grid:
-        b = form.bindings(point)
-        for e in exprs:
-            r = abs(e.evaluate(b))
-            if r > worst:
-                worst = r
-    return worst
+    vals = np.abs(evaluate_rows(exprs, form.coords, grid))
+    # fmax skips NaN, as a running "if r > worst" maximum does
+    return float(np.fmax.reduce(vals, axis=None, initial=0.0))
 
 
 def closedness_residual(form, grid):
@@ -308,16 +305,15 @@ def hj_residual(sys, form, grid, closed_tol=1e-9):
     if tuple(form.coords) != tuple(sys.coords):
         raise ValueError("form coordinates must match the system's")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    if grid.shape[1] != form.m:
+        raise ValueError("grid points must have one entry per coordinate")
     closedness = closedness_residual(form, grid)
     if closedness > closed_tol:
         raise PreconditionError(
             f"form is not closed (residual {closedness:.3e} > {closed_tol:.1e})")
-    vals = np.empty(grid.shape[0])
-    for idx, point in enumerate(grid):
-        b = form.bindings(point)
-        pvals = [c.evaluate(b) for c in form.components]
-        b.update(zip(sys.momenta, pvals))
-        vals[idx] = sys.h.evaluate(b)
+    pvals = evaluate_rows(form.components, form.coords, grid)
+    vals = evaluate_rows([sys.h], form.coords + sys.momenta,
+                         np.hstack([grid, pvals]))[:, 0]
     e_est = float(np.mean(vals))
     max_dev = float(np.max(np.abs(vals - e_est))) if vals.size else 0.0
     return HJReport(e_est=e_est, max_dev=max_dev, closedness=closedness)
@@ -839,8 +835,8 @@ def time_extension(form, energy, t_var="t"):
                               t_var=t_var)
 
 
-def _point_columns(gf, sys, points):
-    """Sample points as equal-length float columns; time defaults to 0."""
+def _point_rows(gf, sys, points):
+    """Sample points as (column names, rows of floats); time defaults to 0."""
     if tuple(gf.q_vars) != tuple(sys.coords):
         raise ValueError("generating function and system coordinates differ")
     cols = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in points.items()}
@@ -850,28 +846,22 @@ def _point_columns(gf, sys, points):
     n_pts = sizes.pop()
     if gf.t_var not in cols:
         cols[gf.t_var] = np.zeros(n_pts)
-    return cols
+    return tuple(cols), np.column_stack(list(cols.values()))
 
 
-def _deviation_arrays(gf, sys, cols):
-    """|dS/dt + h(q, dS/dq)| sample by sample over ``_point_columns``."""
-    s_t = gf.s_t()
+def _deviation_arrays(gf, sys, names, rows):
+    """|dS/dt + h(q, dS/dq)| sample by sample over ``_point_rows``."""
     s_q = [gf.s_q(i) for i in range(gf.n)]
-    n_pts = cols[gf.t_var].size
-    devs = np.empty(n_pts)
-    for idx in range(n_pts):
-        b = {k: v[idx] for k, v in cols.items()}
-        pvals = [e.evaluate(b) for e in s_q]
-        hb = dict(b)
-        hb.update(zip(sys.momenta, pvals))
-        devs[idx] = s_t.evaluate(b) + sys.h.evaluate(hb)
-    return np.abs(devs)
+    grad_t = evaluate_rows([*s_q, gf.s_t()], names, rows)
+    h_vals = evaluate_rows([sys.h], names + sys.momenta,
+                           np.hstack([rows, grad_t[:, :-1]]))[:, 0]
+    return np.abs(grad_t[:, -1] + h_vals)
 
 
 def time_dependent_residual(gf, sys, points):
     """max |dS/dt + h(q, dS/dq)| over sample points (a dict of columns)."""
-    cols = _point_columns(gf, sys, points)
-    return float(np.max(_deviation_arrays(gf, sys, cols)))
+    names, rows = _point_rows(gf, sys, points)
+    return float(np.max(_deviation_arrays(gf, sys, names, rows)))
 
 
 @dataclass
@@ -893,19 +883,13 @@ def check_complete(gf, sys, points, tol=1e-8, det_floor=1e-6):
         raise ValueError("a complete solution needs at least one parameter")
     if len(gf.params) != gf.n:
         raise ValueError("need as many parameters as coordinates")
-    cols = _point_columns(gf, sys, points)
-    devs = _deviation_arrays(gf, sys, cols)
-    n_pts = len(devs)
+    names, rows = _point_rows(gf, sys, points)
+    devs = _deviation_arrays(gf, sys, names, rows)
     n = gf.n
-    mixed = [[gf.s_qparam(i, j) for j in range(n)] for i in range(n)]
-    min_det = math.inf
-    for idx in range(n_pts):
-        b = {k: v[idx] for k, v in cols.items()}
-        mat = np.array([[mixed[i][j].evaluate(b)
-                         for j in range(n)] for i in range(n)])
-        d = abs(float(np.linalg.det(mat)))
-        if d < min_det:
-            min_det = d
+    mixed = [gf.s_qparam(i, j) for i in range(n) for j in range(n)]
+    mats = evaluate_rows(mixed, names, rows).reshape(-1, n, n)
+    # min skips NaN determinants, as a running "if d < min_det" does
+    min_det = min([math.inf, *(abs(float(np.linalg.det(m))) for m in mats)])
     hj_max = float(np.max(devs))
     return CompletenessReport(hj_max_dev=hj_max, min_abs_det=float(min_det),
                               complete=(hj_max <= tol and min_det >= det_floor))
@@ -974,8 +958,8 @@ def cyclic_ansatz(sys, cyclic_vars, betas, tol=1e-9, samples=20, seed=42):
     names = sorted(sys.h.free_vars())
 
     def measure(rng):
-        b = {nm: rng.uniform(-2.0, 2.0) for nm in names}
-        b2 = {**b, v: rng.uniform(-2.0, 2.0)}
+        b = {nm: rng.uniform(-SAMPLE_BOX, SAMPLE_BOX) for nm in names}
+        b2 = {**b, v: rng.uniform(-SAMPLE_BOX, SAMPLE_BOX)}
         return b, sys.h.evaluate(b), sys.h.evaluate(b2)
 
     for v in cyclic_vars:
@@ -1127,9 +1111,7 @@ def additive_split_check(s, coords, action, grid, mu=None, tol=1e-9):
         raise ValueError("action dimension does not match the coordinates")
     grads = [differentiate(s, v) for v in coords]
     j_vals = np.empty((grid.shape[0], g_mat.shape[1]))
-    for idx, point in enumerate(grid):
-        b = dict(zip(coords, point))
-        gv = np.array([e.evaluate(b) for e in grads])
+    for idx, gv in enumerate(evaluate_rows(grads, coords, grid)):
         j_vals[idx] = g_mat.T @ gv
     ref = np.asarray(mu, dtype=float) if mu is not None else j_vals[0]
     scale = 1.0 + float(np.max(np.abs(j_vals))) if j_vals.size else 1.0
@@ -1149,10 +1131,10 @@ def additive_split_check(s, coords, action, grid, mu=None, tol=1e-9):
     s_group = linear_combo(mu, [linear_combo(row, coords) for row in x_block])
     s_reduced = substitute(s, {v: linear_combo(row, coords)
                                for v, row in zip(coords, fiber_zero)})
-    def total(point):
-        b = dict(zip(coords, point))
-        return (s.evaluate(b) - s_reduced.evaluate(b) - s_group.evaluate(b))
-    constant = total(grid[0])
-    residual = max(abs(total(pt) - constant) for pt in grid)
+    parts = evaluate_rows([s, s_reduced, s_group], coords, grid)
+    totals = parts[:, 0] - parts[:, 1] - parts[:, 2]
+    constant = totals[0]
+    # the built-in max skips NaN after the first row, as it did per point
+    residual = max(np.abs(totals - constant))
     return SplitReport(s_reduced=s_reduced, s_group=s_group, mu=np.array(mu),
                        constant=float(constant), residual=float(residual))

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import DomainError
-from .hj import (NewtonDivergenceError, PreconditionError, SingularJacobianError,
-                 SolveError, domain_samples)
+from .hj import (SAMPLE_BOX, NewtonDivergenceError, PreconditionError,
+                 SingularJacobianError, SolveError, domain_samples)
 from .phase_space import (FLOW_SINGULAR_TOL, PhasePoint, Trajectory,
                           flow_reference, symplectic_matrix)
 
@@ -198,8 +198,7 @@ def symplecticity_check(gf, z, t=0.0):
     return float(np.max(np.abs(m.T @ omega @ m - omega)))
 
 
-def _check_diagonal_invariance(gf, action, tol=1e-9, samples=25, seed=42,
-                               box=2.0):
+def _check_diagonal_invariance(gf, action, tol=1e-9, samples=25, seed=42):
     """Sampled S(q + G g, c) - S(q, c) = g . G^T c, witness on failure.
 
     This is invariance of S under the group acting simultaneously on
@@ -210,7 +209,8 @@ def _check_diagonal_invariance(gf, action, tol=1e-9, samples=25, seed=42,
     n, k = action.n, action.k
 
     def defect(rng):
-        q, c = rng.uniform(-box, box, size=n), rng.uniform(-box, box, size=n)
+        q = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=n)
+        c = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=n)
         g, t = rng.uniform(-1.0, 1.0, size=k), rng.uniform(-0.5, 0.5)
         s2 = gf.s.evaluate(gf.bindings(action.translate(q, g), c, t))
         s1 = gf.s.evaluate(gf.bindings(q, c, t))
@@ -279,9 +279,8 @@ def run_scheme(gf, sys, z0, n_steps, t, action=None):
     qs = np.array([p.q for p in points])
     ps = np.array([p.p for p in points])
     traj = Trajectory(times, qs, ps)
-    e0 = sys.energy(z0, t=0.0)
-    energy_drift = np.array(
-        [abs(sys.energy(p, t=times[i]) - e0) for i, p in enumerate(points)])
+    energies = traj.energies(sys)
+    energy_drift = np.abs(energies - energies[0])
     idx = np.unique(np.linspace(0, n_steps, min(8, n_steps + 1),
                                 dtype=int))
     defect = 0.0
@@ -348,7 +347,7 @@ def flow_lagrangian_momentum_check(sys, action, n_samples=20, t=1.0, dt=1e-3,
 
     Precondition (sampled): the hamiltonian is invariant under the
     action.  Random initial points are drawn from ``box`` (a list of
-    (lo, hi) pairs over the flat (q, p) layout, default [-2, 2] each),
+    (lo, hi) pairs over the flat (q, p) layout, default +-SAMPLE_BOX each),
     integrated to time ``t``, and the worst |J(z(t)) - J(z(0))| is
     returned.  The reference scheme preserves linear momenta to
     rounding, so the result should sit near machine precision.
@@ -360,7 +359,7 @@ def flow_lagrangian_momentum_check(sys, action, n_samples=20, t=1.0, dt=1e-3,
                                 witness=rep["witness"])
     n = sys.n
     if box is None:
-        box = [(-2.0, 2.0)] * (2 * n)
+        box = [(-SAMPLE_BOX, SAMPLE_BOX)] * (2 * n)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_samples):

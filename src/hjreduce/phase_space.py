@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-from .expr import Expr, parse, differentiate
+from .expr import Expr, differentiate, evaluate_rows, parse
 
 __all__ = [
     "HamiltonianSystem", "PhasePoint", "Trajectory",
@@ -136,7 +136,10 @@ class Trajectory:
             yield self.point(i)
 
     def energies(self, sys):
-        return np.array([sys.energy(self.point(i)) for i in range(len(self))])
+        """h at every sample, its time bound to the sample time."""
+        names = (*sys.coords, *sys.momenta, sys.t_var)
+        rows = np.column_stack([self.qs, self.ps, self.times])
+        return evaluate_rows([sys.h], names, rows)[:, 0]
 
 
 def hamiltonian_vector_field(sys, z, t=None):

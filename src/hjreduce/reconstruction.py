@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expr import evaluate_rows
 from .hj import OneForm, hj_residual, pullback
 from .phase_space import (FLOW_SINGULAR_TOL, HamiltonianSystem, PhasePoint,
                           Trajectory, _rk4)
@@ -93,17 +94,23 @@ def lift_report(sys, reduced_form, chart, mu, grid, closed_tol=1e-9, seed=42):
                                 hj_max_dev=rep.max_dev, energy=rep.e_est)
 
 
+def _velocity(sys, q, p, t):
+    """dh/dp at (q, p, t); t is bound only when h depends on it."""
+    b = dict(zip(sys.coords, q))
+    b.update(zip(sys.momenta, p))
+    if sys.time_dependent:
+        b[sys.t_var] = t
+    return np.array([e.evaluate(b, FLOW_SINGULAR_TOL) for e in sys._dh_dp])
+
+
 def projected_vector_field(sys, form, q, t=None):
     """q' = dh/dp evaluated on the graph of the form (first-order flow).
 
     Raises DomainError within ``FLOW_SINGULAR_TOL`` of a singularity.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    b = dict(zip(sys.coords, q))
-    b.update(zip(sys.momenta, form.values(q, FLOW_SINGULAR_TOL)))
-    if sys.time_dependent:
-        b[sys.t_var] = 0.0 if t is None else float(t)
-    return np.array([e.evaluate(b, FLOW_SINGULAR_TOL) for e in sys._dh_dp])
+    return _velocity(sys, q, form.values(q, FLOW_SINGULAR_TOL),
+                     0.0 if t is None else float(t))
 
 
 def integrate_projected(sys, form, q0, t_end, dt):
@@ -119,7 +126,7 @@ def integrate_projected(sys, form, q0, t_end, dt):
 
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     times, qs = _rk4(field, q0, 0.0, float(t_end), dt)
-    ps = np.array([form.values(q, FLOW_SINGULAR_TOL) for q in qs])
+    ps = evaluate_rows(form.components, form.coords, qs, FLOW_SINGULAR_TOL)
     return Trajectory(times, qs, ps)
 
 
@@ -159,16 +166,12 @@ def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
     def red_field(t, y):
         return projected_vector_field(red_sys, reduced_form, y, t=t)
 
-    def lifted_p(y):
-        return chart.y_block.T @ reduced_form.values(y, FLOW_SINGULAR_TOL) + shift
+    def lifted_p(reduced_p):
+        return chart.y_block.T @ reduced_p + shift
 
     def g_rate(y, t):
-        d = l_mat @ y
-        b = dict(zip(sys.coords, d))
-        b.update(zip(sys.momenta, lifted_p(y)))
-        if sys.time_dependent:
-            b[sys.t_var] = t
-        qdot = np.array([e.evaluate(b, FLOW_SINGULAR_TOL) for e in sys._dh_dp])
+        p = lifted_p(reduced_form.values(y, FLOW_SINGULAR_TOL))
+        qdot = _velocity(sys, l_mat @ y, p, t)
         ydot = red_field(t, y)
         return x_blk @ (qdot - l_mat @ ydot)
 
@@ -185,5 +188,7 @@ def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
         r_mid = g_rate(y_mid, times[i] + 0.5 * h)
         gs[i + 1] = gs[i] + (h / 6.0) * (rates[i] + 4.0 * r_mid + rates[i + 1])
     qs = ys @ l_mat.T + gs @ g_mat.T
-    ps = np.array([lifted_p(y) for y in ys])
+    reduced_ps = evaluate_rows(reduced_form.components, reduced_form.coords,
+                               ys, FLOW_SINGULAR_TOL)
+    ps = np.array([lifted_p(p) for p in reduced_ps])
     return Trajectory(times, qs, ps)

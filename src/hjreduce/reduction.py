@@ -25,8 +25,9 @@ import numpy as np
 
 from . import _linalg
 from .expr import Const, DomainError, Expr, add, linear_combo, substitute
-from .hj import (OneForm, PreconditionError, TwoForm, domain_samples,
-                 exterior_derivative, magnetic_lagrangian_residual, pullback)
+from .hj import (SAMPLE_BOX, OneForm, PreconditionError, TwoForm,
+                 domain_samples, exterior_derivative,
+                 magnetic_lagrangian_residual, pullback)
 from .phase_space import HamiltonianSystem, PhasePoint
 from .symmetry import TranslationAction, invariance_report
 
@@ -219,8 +220,7 @@ class MagneticTerm:
     invariance_dev: float
 
 
-def magnetic_term(chart, alpha_mu, mu, tol=1e-9, samples=50, seed=42,
-                  box=2.0):
+def magnetic_term(chart, alpha_mu, mu, tol=1e-9, samples=50, seed=42):
     """Quotient 2-form whose pullback is d(alpha_mu).
 
     ``alpha_mu`` is a 1-form on the full configuration space realizing
@@ -241,7 +241,7 @@ def magnetic_term(chart, alpha_mu, mu, tol=1e-9, samples=50, seed=42,
     action = TranslationAction(g_mat.T) if chart.k else None
 
     def translates(rng):
-        q = rng.uniform(-box, box, size=chart.n)
+        q = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=chart.n)
         v = alpha_mu.values(q)
         if action is None:
             return q, v, v
@@ -273,7 +273,7 @@ def magnetic_term(chart, alpha_mu, mu, tol=1e-9, samples=50, seed=42,
     y_blk = chart.y_block
 
     def pullback_dev(rng):
-        q = rng.uniform(-box, box, size=chart.n)
+        q = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=chart.n)
         d_mat = d_full.matrix_at(q)
         b_mat = beta.matrix_at(y_blk @ q)
         return float(np.max(np.abs(d_mat - y_blk.T @ b_mat @ y_blk)))

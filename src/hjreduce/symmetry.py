@@ -18,8 +18,8 @@ import itertools
 
 import numpy as np
 
-from .expr import parse
-from .hj import domain_samples
+from .expr import evaluate_rows, parse
+from .hj import SAMPLE_BOX, domain_samples
 from .phase_space import PhasePoint
 
 __all__ = [
@@ -90,11 +90,10 @@ def momentum_map(action, z):
     return action.matrix.T @ p
 
 
-def invariance_report(action, f, coords, samples=50, tol=1e-9, seed=42,
-                      box=2.0):
+def invariance_report(action, f, coords, samples=50, tol=1e-9, seed=42):
     """Sampled invariance of a scalar expression under the action.
 
-    Every free variable of ``f`` is drawn uniformly from [-box, box];
+    Every free variable of ``f`` is drawn uniformly from +-``SAMPLE_BOX``;
     the variables listed in ``coords`` (the configuration block the
     action moves) are then translated by a random group element and the
     values compared with a relative-scaled tolerance.  Samples where
@@ -109,7 +108,7 @@ def invariance_report(action, f, coords, samples=50, tol=1e-9, seed=42,
     names = sorted(f.free_vars())
 
     def measure(rng):
-        b = {nm: rng.uniform(-box, box) for nm in names}
+        b = {nm: rng.uniform(-SAMPLE_BOX, SAMPLE_BOX) for nm in names}
         g = rng.uniform(-1.0, 1.0, size=action.k)
         q_shift = action.translate([b.get(c, 0.0) for c in coords], g)
         v1 = f.evaluate(b)
@@ -147,8 +146,8 @@ def check_invariance_lemma(action, form, grid, tol=1e-9, seed=42):
     if grid.shape[1] != action.n:
         raise ValueError("grid points must match the action dimension")
     j_vals = np.empty((grid.shape[0], action.k))
-    for idx, q in enumerate(grid):
-        j_vals[idx] = action.matrix.T @ form.values(q)
+    for idx, v in enumerate(evaluate_rows(form.components, form.coords, grid)):
+        j_vals[idx] = action.matrix.T @ v
     if j_vals.size:
         j_spread = float(np.max(np.max(j_vals, axis=0) - np.min(j_vals, axis=0)))
     else:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from hjreduce import cli
 from hjreduce.cli import (SCENARIO_SCHEMA, ScenarioError, emit_trajectory,
                           load_scenario, read_trajectory)
+from hjreduce.expr import DomainError
 from hjreduce.phase_space import Trajectory
 
 
@@ -183,6 +185,26 @@ class TestExitCodes:
         assert "scenario error: expression nests too deeply" in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_non_finite_report_field(self, tmp_path):
+        # 1e200*1e200 folds to inf, and inf*q is NaN at q = 0, so the
+        # energy drift is NaN: bare NaN is not JSON, so no report is written
+        doc = load_scenario("oscillator")
+        doc["hamiltonian"] = "1e200*1e200*q+0.5*p^2"
+        path = write_scenario(tmp_path, doc)
+        r = run_cli("integrate", path, "--out", str(tmp_path))
+        assert r.returncode == 3
+        assert r.stderr == ("numeric failure: DomainError: report field "
+                            "'max_energy_drift' is not finite\n")
+        assert not (tmp_path / "oscillator_scheme.json").exists()
+
+    def test_non_finite_nested_value_names_its_field(self, tmp_path):
+        path = tmp_path / "r.json"
+        with pytest.raises(DomainError) as ei:
+            cli.write_json(str(path), {"a": 1.0, "b": {"c": np.array(
+                [0.5, -np.inf])}})
+        assert str(ei.value) == "report field 'b' is not finite"
+        assert not path.exists()
+
 
 class TestReduceCommand:
     def test_emits_valid_scenario(self, tmp_path):
@@ -356,3 +378,17 @@ class TestDeterminism:
             assert r.returncode == 0, r.stderr
         assert ((d1 / "calogero_reconstructed.csv").read_bytes()
                 == (d2 / "calogero_reconstructed.csv").read_bytes())
+
+
+class TestReadmeCommands:
+    def test_every_command_line_exits_zero(self, tmp_path):
+        # the sh block under "## Command line" in README.md
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+        lines = [ln.split("#", 1)[0].split()
+                 for ln in block.split("```", 1)[0].splitlines()
+                 if ln.startswith("hjreduce ")]
+        assert len(lines) == 7
+        for argv in lines:
+            argv[argv.index("--out") + 1] = str(tmp_path)
+            assert cli.main(argv[1:]) == 0, " ".join(argv)
