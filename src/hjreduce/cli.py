@@ -5,12 +5,15 @@ equilibrium.  A scenario is a JSON document (schema below, enforced
 with jsonschema) naming the system, its symmetry, and per-command
 settings; outputs are JSON reports and CSV series written atomically.
 
-Exit codes: 0 success; 1 a measured residual exceeded --tol; 2 invalid
-scenario or usage, including an unreadable scenario or an unwritable
-output path; 3 numeric failure (solver divergence, domain error,
-violated precondition, a NaN or inf in a report, which is then not
-written); 4 internal error (a bug: the traceback is printed).
-Identical scenario + seed + flags give byte-identical outputs.
+Exit codes: 0 success; 1 a measured residual exceeded --tol (the CSV
+and the failing report are still written); 2 invalid scenario or usage,
+including an unreadable scenario or an unwritable output path; 3
+numeric failure (solver divergence, domain error, violated
+precondition, a NaN or inf in a report field or a CSV column); 4
+internal error (a bug: the traceback is printed).  Every report field
+and CSV value is checked before a command's first write, so a run that
+exits 3 leaves no new file.  Identical scenario + seed + flags give
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -294,8 +297,8 @@ def _json_default(o):
     raise TypeError(f"not JSON-serializable: {type(o).__name__}")
 
 
-def write_json(path, obj):
-    """Write a report as strict JSON; a NaN or inf in it is a DomainError."""
+def _json_text(obj):
+    """A report as strict JSON text; a NaN or inf in it is a DomainError."""
     try:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
                           default=_json_default)
@@ -307,25 +310,42 @@ def write_json(path, obj):
                 raise DomainError(f"report field '{field}' is not finite") \
                     from None
         raise
-    _atomic_write(path, text + "\n")
+    return text + "\n"
 
 
-def _write_csv(path, header, columns):
-    """CSV of float columns (1-d or 2-d arrays) at full double precision."""
+def write_json(path, obj):
+    """Write a report as strict JSON; a NaN or inf in it is a DomainError."""
+    _atomic_write(path, _json_text(obj))
+
+
+def _csv_text(header, columns):
+    """CSV text of float columns (1-d or 2-d arrays) at full double precision.
+
+    A NaN or inf anywhere in a column is a DomainError naming the column.
+    """
+    table = np.column_stack(columns)
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        raise DomainError(
+            f"CSV column '{header[int(np.argmin(finite))]}' is not finite")
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row)
-                 for row in np.column_stack(columns))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    lines.extend(",".join(_fmt(v) for v in row) for row in table)
+    return "\n".join(lines) + "\n"
 
 
 def _numbered(name, n):
     return [f"{name}{i+1}" for i in range(n)]
 
 
+def _trajectory_csv(traj):
+    """Header and columns of a trajectory CSV."""
+    return (["t", *_numbered("q", traj.n), *_numbered("p", traj.n)],
+            [traj.times, traj.qs, traj.ps])
+
+
 def emit_trajectory(traj, path):
     """CSV with header t,q1,...,qn,p1,...,pn at full double precision."""
-    _write_csv(path, ["t", *_numbered("q", traj.n), *_numbered("p", traj.n)],
-               [traj.times, traj.qs, traj.ps])
+    _atomic_write(path, _csv_text(*_trajectory_csv(traj)))
 
 
 def read_trajectory(path):
@@ -447,9 +467,21 @@ def _quadrature_family(doc, sys_):
                                         param=cs.get("param", "a1"))
 
 
-def _finish(doc, args, suffix, report, summary, failure):
-    """Write the report, print its verdict, raise if it failed."""
-    write_json(_out_path(doc, args, suffix), report)
+def _write_outputs(doc, args, suffix, report, csv):
+    """Write a command's CSV, if any, then its report.
+
+    ``csv`` is (suffix, header, columns).  Both texts are made, and so
+    checked for non-finite values, before either file is written.
+    """
+    texts = [] if csv is None else [(csv[0], _csv_text(*csv[1:]))]
+    texts.append((suffix, _json_text(report)))
+    for sfx, text in texts:
+        _atomic_write(_out_path(doc, args, sfx), text)
+
+
+def _finish(doc, args, suffix, report, summary, failure, csv=None):
+    """Write the outputs, print the verdict, raise if it failed."""
+    _write_outputs(doc, args, suffix, report, csv)
     print(f"{summary} {'PASS' if report['pass'] else 'FAIL'}")
     if not report["pass"]:
         raise ResidualFailure(failure)
@@ -492,8 +524,6 @@ def cmd_solve_hj(doc, args):
     table = sol.table
     resid = _equation_residual(equation, y_var, p_var, energy, table.ys,
                                table.derivs)
-    _write_csv(_out_path(doc, args, "table.csv"), ["y", "W", "dW"],
-               [table.ys, table.values, table.derivs])
     report = {
         "variable": y_var,
         "energy": energy,
@@ -507,7 +537,9 @@ def cmd_solve_hj(doc, args):
     return _finish(doc, args, "solve.json", report,
                    f"solve-hj: max node residual {resid:.3e} "
                    f"(tol {args.tol:.1e})",
-                   f"node residual {resid:.3e} > {args.tol:.1e}")
+                   f"node residual {resid:.3e} > {args.tol:.1e}",
+                   csv=("table.csv", ["y", "W", "dW"],
+                        [table.ys, table.values, table.derivs]))
 
 
 def _verify_magnetic(doc, sys_, action, mu, args):
@@ -539,6 +571,10 @@ def _verify_magnetic(doc, sys_, action, mu, args):
                                 "reduced coordinate")
         gamma = OneForm(chart.y_names, components=g_comps)
         gspec = mg.get("grid", {"bounds": [[-2.0, 2.0]] * chart.m})
+        if len(gspec["bounds"]) != chart.m:
+            raise ScenarioError(
+                f"$.magnetic.grid.bounds: need {chart.m} ranges, one per "
+                f"reduced coordinate, got {len(gspec['bounds'])}")
         grid = mesh_grid(gspec["bounds"],
                          args.grid if args.grid is not None
                          else gspec.get("counts", 15))
@@ -642,7 +678,6 @@ def cmd_reconstruct(doc, args):
     y0 = np.asarray(rc["y0"], dtype=float)
     g0 = np.asarray(rc["g0"], dtype=float) if "g0" in rc else None
     traj = reconstruct_trajectory(sys_, sol, chart, mu, y0, t_end, dt, g0=g0)
-    emit_trajectory(traj, _out_path(doc, args, "reconstructed.csv"))
     form = lift_solution(sol, chart, mu, sys_.coords)
     traj2 = integrate_projected(sys_, form, traj.qs[0], t_end, dt)
     sup_dev = max(float(np.max(np.abs(traj.qs - traj2.qs))),
@@ -662,7 +697,8 @@ def cmd_reconstruct(doc, args):
     return _finish(doc, args, "reconstruct.json", report,
                    f"reconstruct: sup dev {sup_dev:.3e}, "
                    f"relatedness {related:.3e}",
-                   f"reconstruction deviation exceeded tol {args.tol:.1e}")
+                   f"reconstruction deviation exceeded tol {args.tol:.1e}",
+                   csv=("reconstructed.csv", *_trajectory_csv(traj)))
 
 
 def cmd_simulate(doc, args):
@@ -670,7 +706,6 @@ def cmd_simulate(doc, args):
     z0 = _phase_point(doc)
     t_end, dt = _time_grid(doc, args)
     traj = flow_reference(sys_, z0, t_end, dt)
-    emit_trajectory(traj, _out_path(doc, args, "trajectory.csv"))
     energies = traj.energies(sys_)
     report = {
         "t_end": t_end,
@@ -680,7 +715,8 @@ def cmd_simulate(doc, args):
         "energy_final": float(energies[-1]),
         "max_energy_drift": float(np.max(np.abs(energies - energies[0]))),
     }
-    write_json(_out_path(doc, args, "simulate.json"), report)
+    _write_outputs(doc, args, "simulate.json", report,
+                   csv=("trajectory.csv", *_trajectory_csv(traj)))
     print(f"simulate: {len(traj)} samples, energy drift "
           f"{report['max_energy_drift']:.3e}")
     return EXIT_OK
@@ -694,7 +730,6 @@ def cmd_integrate(doc, args):
     z0 = _phase_point(doc)
     gf = _generating_function(sys_, ib, "$.integrator")
     rep = run_scheme(gf, sys_, z0, ib["n_steps"], ib["tau"], action=action)
-    emit_trajectory(rep.trajectory, _out_path(doc, args, "scheme.csv"))
     report = {
         "tau": ib["tau"],
         "n_steps": ib["n_steps"],
@@ -708,7 +743,8 @@ def cmd_integrate(doc, args):
     return _finish(doc, args, "scheme.json", report,
                    f"integrate: defect {rep.symplecticity_defect:.3e}",
                    f"symplecticity defect {rep.symplecticity_defect:.3e} > "
-                   f"{args.tol:.1e}")
+                   f"{args.tol:.1e}",
+                   csv=("scheme.csv", *_trajectory_csv(rep.trajectory)))
 
 
 def cmd_equilibrium(doc, args):
@@ -731,9 +767,6 @@ def cmd_equilibrium(doc, args):
     rep = transform_to_equilibrium(gf, sys_, z0, t_end, dt,
                                    param_guess=param_guess)
     n = sys_.n
-    _write_csv(_out_path(doc, args, "equilibrium.csv"),
-               ["t", *_numbered("alpha", n), *_numbered("beta", n)],
-               [rep.times, rep.alphas, rep.betas])
     report = {
         "t_end": t_end,
         "dt": dt,
@@ -746,7 +779,10 @@ def cmd_equilibrium(doc, args):
     return _finish(doc, args, "equilibrium.json", report,
                    f"equilibrium: max variation {rep.max_var:.3e}",
                    f"new variables varied by {rep.max_var:.3e} > "
-                   f"{args.tol:.1e}")
+                   f"{args.tol:.1e}",
+                   csv=("equilibrium.csv",
+                        ["t", *_numbered("alpha", n), *_numbered("beta", n)],
+                        [rep.times, rep.alphas, rep.betas]))
 
 
 _COMMANDS = {

@@ -17,6 +17,14 @@ unbound variable is always an error, never a default value.
 Every sweep over points in the package evaluates through
 :func:`evaluate_rows`, point by point: each expression of a list at the
 first point, then at the next, exactly as a loop over the points would.
+Single points do too, as one-row calls: each object that owns a
+variable layout binds it in one place (a form's coordinates; a
+system's (q, p, t), whose t is bound whenever a time is given or the
+point carries one; a generating function's (q, c, t)).  Evaluation
+enters the tree walk in only three other places: an implicit root's
+Newton residual, the root-derivative class (both in ``hj``, hot enough
+to keep one reused dict) and the random-draw measures of
+``hj.cyclic_ansatz`` and ``symmetry.invariance_report``.
 The checks that evaluate h on the graph of a form (``hj.hj_residual``,
 and ``hj.time_dependent_residual``, which ``hj.check_complete`` shares)
 do so in two stages, the form's components over all points and then h,

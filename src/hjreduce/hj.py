@@ -237,11 +237,10 @@ class TwoForm:
         return -self._entries.get((j, i), Const(0.0))
 
     def matrix_at(self, point):
-        b = dict(zip(self.coords, np.atleast_1d(point)))
-        m = self.m
-        out = np.zeros((m, m))
-        for (i, j), e in self._entries.items():
-            v = e.evaluate(b)
+        vals = evaluate_rows(list(self._entries.values()), self.coords,
+                             [np.atleast_1d(point)])[0]
+        out = np.zeros((self.m, self.m))
+        for (i, j), v in zip(self._entries, vals):
             out[i, j] = v
             out[j, i] = -v
         return out
@@ -274,6 +273,8 @@ def magnetic_lagrangian_residual(form, beta, grid):
     if tuple(form.coords) != tuple(beta.coords):
         raise ValueError("form and 2-form coordinates differ")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    if grid.shape[1] != form.m:
+        raise ValueError("grid points must have one entry per coordinate")
     d = exterior_derivative(form)
     exprs = [add(d.entry(i, j), beta.entry(i, j))
              for i in range(form.m) for j in range(i + 1, form.m)]
@@ -305,8 +306,6 @@ def hj_residual(sys, form, grid, closed_tol=1e-9):
     if tuple(form.coords) != tuple(sys.coords):
         raise ValueError("form coordinates must match the system's")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if grid.shape[1] != form.m:
-        raise ValueError("grid points must have one entry per coordinate")
     closedness = closedness_residual(form, grid)
     if closedness > closed_tol:
         raise PreconditionError(
@@ -325,10 +324,16 @@ def hj_residual(sys, form, grid, closed_tol=1e-9):
 # These numeric function objects satisfy the `External` protocol: they
 # are callable on floats and expose partial(i).  Derivatives of a root
 # come from implicit differentiation of the defining equation and are
-# exact up to the root tolerance; derivatives of a running integral are
+# exact up to the root tolerance; one class, _RootPartial, gives the
+# first and second partials.  Derivatives of a running integral are
 # the integrand (in the path variable) or another running integral (in
 # a parameter).  Warm-start caches make repeated nearby solves cheap;
 # use one object per thread.
+#
+# The root's Newton residual (_g_at, _gp_at) and _RootPartial are the
+# two places outside expr that walk expression trees on a bindings
+# dict: they run hundreds of thousands of times per quadrature job, and
+# a reused dict costs less than a one-row evaluate_rows call there.
 
 _WARM_CAP = 20000
 _ROOT_TOL = 1e-12
@@ -366,7 +371,7 @@ class ImplicitBranchRoot:
 
     def partial(self, i):
         if i not in self._partials:
-            self._partials[i] = _RootPartial(self, self.arg_vars[i])
+            self._partials[i] = _RootPartial(self, (self.arg_vars[i],))
         return self._partials[i]
 
     def set_anchors(self, ys, ps):
@@ -374,11 +379,6 @@ class ImplicitBranchRoot:
         order = np.argsort(ys)
         self._anchors = (np.asarray(ys, dtype=float)[order],
                          np.asarray(ps, dtype=float)[order])
-
-    def bindings_at(self, args):
-        b = dict(zip(self.arg_vars, args))
-        b[self.p_var] = self.solve(args)
-        return b
 
     def solve(self, args, guess=None):
         if len(args) != self.arity:
@@ -512,64 +512,54 @@ class ImplicitBranchRoot:
 
 
 class _RootPartial:
-    """First partial of an implicit root, by implicit differentiation."""
+    """First or second partial of an implicit root, by implicit differentiation.
+
+    With g(y, p(u, w), ...) = 0 and g_p = dg/dp, the partials are
+      p_u = -g_u / g_p
+      p_uw = -(g_uw + g_up p_w + g_pw p_u + g_pp p_u p_w) / g_p
+    ``wrt`` names the one or two variables differentiated by, in order.
+    """
 
     def __init__(self, root, wrt):
         self.root = root
         self.wrt = wrt
         self.arity = root.arity
-        self.name = f"{root.name}_d{wrt}"
-        self.g_u = differentiate(root.g, wrt)
+        self.name = root.name + "".join(f"_d{v}" for v in wrt)
+        g, p = root.g, root.p_var
+        self._g_u = g_u = differentiate(g, wrt[0])
+        # g_w, g_uw, g_up, g_pw, g_pp: what a second partial reads after g_u
+        self._second = None
+        if len(wrt) == 2:
+            w = wrt[1]
+            self._second = [differentiate(g, w), differentiate(g_u, w),
+                            differentiate(g_u, p),
+                            differentiate(root.g_p, w),
+                            differentiate(root.g_p, p)]
         self._partials = {}
 
     def __call__(self, *args):
-        b = self.root.bindings_at(args)
-        g_p = evaluate(self.root.g_p, b)
+        root = self.root
+        b = dict(zip(root.arg_vars, args))
+        b[root.p_var] = root.solve(args)
+        g_p = evaluate(root.g_p, b)
         if g_p == 0.0:
             raise TurningPointError(args, "implicit derivative at a turning point")
-        return -evaluate(self.g_u, b) / g_p
-
-    def partial(self, i):
-        if i not in self._partials:
-            self._partials[i] = _RootSecondPartial(self.root, self.wrt,
-                                                   self.root.arg_vars[i])
-        return self._partials[i]
-
-
-class _RootSecondPartial:
-    """Second partial of an implicit root.
-
-    With g(y, p(u, w), ...) = 0 and first partials p_u, p_w:
-      p_uw = -(g_uw + g_up p_w + g_pw p_u + g_pp p_u p_w) / g_p
-    """
-
-    def __init__(self, root, u, w):
-        self.root = root
-        self.u, self.w = u, w
-        self.arity = root.arity
-        self.name = f"{root.name}_d{u}_d{w}"
-        g, p = root.g, root.p_var
-        self.g_u = differentiate(g, u)
-        self.g_w = differentiate(g, w)
-        self.g_uw = differentiate(self.g_u, w)
-        self.g_up = differentiate(self.g_u, p)
-        self.g_pw = differentiate(differentiate(g, p), w)
-        self.g_pp = differentiate(root.g_p, p)
-
-    def __call__(self, *args):
-        b = self.root.bindings_at(args)
-        g_p = evaluate(self.root.g_p, b)
-        if g_p == 0.0:
-            raise TurningPointError(args, "implicit derivative at a turning point")
-        p_u = -evaluate(self.g_u, b) / g_p
-        p_w = -evaluate(self.g_w, b) / g_p
-        num = (evaluate(self.g_uw, b) + evaluate(self.g_up, b) * p_w
-               + evaluate(self.g_pw, b) * p_u + evaluate(self.g_pp, b) * p_u * p_w)
+        p_u = -evaluate(self._g_u, b) / g_p
+        if self._second is None:
+            return p_u
+        g_w, g_uw, g_up, g_pw, g_pp = [evaluate(e, b) for e in self._second]
+        p_w = -g_w / g_p
+        num = g_uw + g_up * p_w + g_pw * p_u + g_pp * p_u * p_w
         return -num / g_p
 
     def partial(self, i):
-        raise NotImplementedError(
-            "third-order implicit derivatives are not supported")
+        if self._second is not None:
+            raise NotImplementedError(
+                "third-order implicit derivatives are not supported")
+        if i not in self._partials:
+            self._partials[i] = _RootPartial(
+                self.root, (self.wrt[0], self.root.arg_vars[i]))
+        return self._partials[i]
 
 
 class TabulatedAntiderivative:
@@ -780,6 +770,7 @@ class GeneratingFunction:
             raise ValueError(
                 f"declared variables absent from S: {sorted(missing)} "
                 "(list them in absent_ok if intended)")
+        self._names = (*self.q_vars, *self.params, t_var)
         self._cache = {}
 
     @property
@@ -811,11 +802,11 @@ class GeneratingFunction:
     def s_paramparam(self, i, j):
         return self._d(("c", i), self.s_param(i), self.params[j])
 
-    def bindings(self, q, c, t=0.0):
-        b = dict(zip(self.q_vars, np.atleast_1d(q)))
-        b.update(zip(self.params, np.atleast_1d(c)))
-        b[self.t_var] = float(t)
-        return b
+    def _at(self, exprs, points, singular_tol):
+        """The expressions at each (q, c, t) point (q, c arrays), one row each."""
+        return evaluate_rows(exprs, self._names,
+                             [[*q.tolist(), *c.tolist(), t]
+                              for q, c, t in points], singular_tol)
 
     def __repr__(self):
         return f"GeneratingFunction({self.kind}, {self.s})"
@@ -1106,6 +1097,8 @@ def additive_split_check(s, coords, action, grid, mu=None, tol=1e-9):
     """
     coords = tuple(coords)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    if grid.shape[1] != len(coords):
+        raise ValueError("grid points must have one entry per coordinate")
     g_mat = np.asarray(action.matrix, dtype=float)
     if g_mat.shape[0] != len(coords):
         raise ValueError("action dimension does not match the coordinates")

@@ -87,21 +87,20 @@ def _transform(gf, z, t, guess, singular_tol=0.0):
         raise ValueError("point dimension does not match the generating function")
     s_q = [gf.s_q(i) for i in range(n)]
     s_c = [gf.s_param(i) for i in range(n)]
-    jac_e = [[gf.s_qparam(i, j) for j in range(n)] for i in range(n)]
+    jac_e = [gf.s_qparam(i, j) for i in range(n) for j in range(n)]
+
+    def at(exprs, c):
+        return gf._at(exprs, [(z.q, c, t)], singular_tol)[0]
 
     def residual(c):
-        b = gf.bindings(z.q, c, t)
-        return np.array([e.evaluate(b, singular_tol) for e in s_q]) - z.p
+        return at(s_q, c) - z.p
 
     def jacobian(c):
-        b = gf.bindings(z.q, c, t)
-        return np.array([[e.evaluate(b, singular_tol) for e in row]
-                         for row in jac_e])
+        return at(jac_e, c).reshape(n, n)
 
     c0 = z.p if guess is None else np.atleast_1d(np.asarray(guess, dtype=float))
     c = _solve_newton(residual, jacobian, c0)
-    b = gf.bindings(z.q, c, t)
-    grad_c = np.array([e.evaluate(b, singular_tol) for e in s_c])
+    grad_c = at(s_c, c)
     if gf.kind == "typeII":
         return grad_c, c.copy(), c
     return c.copy(), -grad_c, c
@@ -161,15 +160,9 @@ def map_jacobian(gf, z, t=0.0):
     """
     n = gf.n
     _, _, params = _transform(gf, z, t, None)
-    b = gf.bindings(z.q, params, t)
-
-    def mat(entry):
-        return np.array([[entry(i, j).evaluate(b)
-                          for j in range(n)] for i in range(n)])
-
-    a = mat(gf.s_qparam)
-    s_qq = mat(gf.s_qq)
-    s_cc = mat(gf.s_paramparam)
+    entries = [entry(i, j) for entry in (gf.s_qparam, gf.s_qq, gf.s_paramparam)
+               for i in range(n) for j in range(n)]
+    a, s_qq, s_cc = gf._at(entries, [(z.q, params, t)], 0.0)[0].reshape(3, n, n)
     try:
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as e:
@@ -212,8 +205,8 @@ def _check_diagonal_invariance(gf, action, tol=1e-9, samples=25, seed=42):
         q = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=n)
         c = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=n)
         g, t = rng.uniform(-1.0, 1.0, size=k), rng.uniform(-0.5, 0.5)
-        s2 = gf.s.evaluate(gf.bindings(action.translate(q, g), c, t))
-        s1 = gf.s.evaluate(gf.bindings(q, c, t))
+        s2, s1 = gf._at([gf.s], [(action.translate(q, g), c, t), (q, c, t)],
+                        0.0)[:, 0].tolist()
         return q, c, g, s1, s2 - s1 - float(g @ (action.matrix.T @ c))
 
     for q, c, g, s1, r in domain_samples(

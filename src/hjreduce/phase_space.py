@@ -81,21 +81,24 @@ class HamiltonianSystem:
         self.time_dependent = t_var in self.h.free_vars()
         self._dh_dq = tuple(differentiate(self.h, v) for v in self.coords)
         self._dh_dp = tuple(differentiate(self.h, v) for v in self.momenta)
+        self._names = (*self.coords, *self.momenta, t_var)
 
     @property
     def n(self):
         return len(self.coords)
 
-    def bindings(self, z, t=None):
-        b = dict(zip(self.coords, z.q))
-        b.update(zip(self.momenta, z.p))
-        tv = t if t is not None else z.t
-        if tv is not None:
-            b[self.t_var] = tv
-        return b
+    def _values(self, exprs, q, p, t, singular_tol):
+        """The expressions at one point (q, p arrays), t bound unless None."""
+        row = [*q.tolist(), *p.tolist()]
+        if t is not None:
+            row.append(t)
+        return evaluate_rows(exprs, self._names[:len(row)], [row],
+                             singular_tol)[0]
 
     def energy(self, z, t=None):
-        return self.h.evaluate(self.bindings(z, t))
+        """h at z; t, or else the time stamp of z, is bound when set."""
+        return float(self._values([self.h], z.q, z.p,
+                                  z.t if t is None else t, 0.0)[0])
 
     def __repr__(self):
         return f"HamiltonianSystem({self.h}, coords={list(self.coords)})"
@@ -147,10 +150,11 @@ def hamiltonian_vector_field(sys, z, t=None):
 
     Raises DomainError within ``FLOW_SINGULAR_TOL`` of a singularity.
     """
-    b = sys.bindings(z, t)
-    qdot = [e.evaluate(b, FLOW_SINGULAR_TOL) for e in sys._dh_dp]
-    pdot = [-e.evaluate(b, FLOW_SINGULAR_TOL) for e in sys._dh_dq]
-    return np.array(qdot + pdot)
+    v = sys._values([*sys._dh_dp, *sys._dh_dq], z.q, z.p,
+                    z.t if t is None else t, FLOW_SINGULAR_TOL)
+    pdot = v[sys.n:]
+    np.negative(pdot, out=pdot)
+    return v
 
 
 def symplectic_pairing(u, v):

@@ -94,23 +94,14 @@ def lift_report(sys, reduced_form, chart, mu, grid, closed_tol=1e-9, seed=42):
                                 hj_max_dev=rep.max_dev, energy=rep.e_est)
 
 
-def _velocity(sys, q, p, t):
-    """dh/dp at (q, p, t); t is bound only when h depends on it."""
-    b = dict(zip(sys.coords, q))
-    b.update(zip(sys.momenta, p))
-    if sys.time_dependent:
-        b[sys.t_var] = t
-    return np.array([e.evaluate(b, FLOW_SINGULAR_TOL) for e in sys._dh_dp])
-
-
 def projected_vector_field(sys, form, q, t=None):
     """q' = dh/dp evaluated on the graph of the form (first-order flow).
 
     Raises DomainError within ``FLOW_SINGULAR_TOL`` of a singularity.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    return _velocity(sys, q, form.values(q, FLOW_SINGULAR_TOL),
-                     0.0 if t is None else float(t))
+    return sys._values(sys._dh_dp, q, form.values(q, FLOW_SINGULAR_TOL),
+                       0.0 if t is None else float(t), FLOW_SINGULAR_TOL)
 
 
 def integrate_projected(sys, form, q0, t_end, dt):
@@ -171,7 +162,7 @@ def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
 
     def g_rate(y, t):
         p = lifted_p(reduced_form.values(y, FLOW_SINGULAR_TOL))
-        qdot = _velocity(sys, l_mat @ y, p, t)
+        qdot = sys._values(sys._dh_dp, l_mat @ y, p, t, FLOW_SINGULAR_TOL)
         ydot = red_field(t, y)
         return x_blk @ (qdot - l_mat @ ydot)
 

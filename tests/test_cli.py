@@ -206,6 +206,52 @@ class TestExitCodes:
         assert not path.exists()
 
 
+class TestOutputsOnFailure:
+    """An exit 3 writes no file; an exit 1 writes its CSV and its report."""
+
+    def run(self, tmp_path, command, doc):
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        return cli.main([command, path, "--out", str(out)]), out
+
+    def test_non_finite_report_writes_no_csv(self, tmp_path, capsys):
+        doc = load_scenario("oscillator")
+        doc["hamiltonian"] = "1e200*1e200*q+0.5*p^2"
+        rc, out = self.run(tmp_path, "integrate", doc)
+        assert rc == 3
+        assert "report field 'max_energy_drift' is not finite" \
+            in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_diverging_flow_writes_no_trajectory(self, tmp_path, capsys):
+        doc = load_scenario("oscillator")
+        doc["hamiltonian"] = "1e300*q*q*q*q+0.5*p^2"
+        doc["z0"]["q"] = [1e10]
+        with np.errstate(all="ignore"):
+            rc, out = self.run(tmp_path, "simulate", doc)
+        assert rc == 3
+        assert "numeric failure" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_non_finite_csv_column_is_named(self, tmp_path):
+        tr = Trajectory([0.0, 0.1], [[1.0], [2.0]], [[0.5], [np.nan]])
+        path = tmp_path / "t.csv"
+        with pytest.raises(DomainError) as ei:
+            emit_trajectory(tr, str(path))
+        assert str(ei.value) == "CSV column 'p1' is not finite"
+        assert not path.exists()
+
+    def test_residual_failure_still_writes(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["integrate", "oscillator", "--tol", "1e-30",
+                       "--out", str(out)])
+        assert rc == 1
+        assert sorted(p.name for p in out.iterdir()) == [
+            "oscillator_scheme.csv", "oscillator_scheme.json"]
+        rep = json.loads((out / "oscillator_scheme.json").read_text())
+        assert rep["pass"] is False
+
+
 class TestReduceCommand:
     def test_emits_valid_scenario(self, tmp_path):
         r = run_cli("reduce", "calogero", "--out", str(tmp_path))
@@ -269,6 +315,17 @@ class TestVerifyCommand:
         assert rep["mode"] == "magnetic"
         assert rep["beta"] == {"dy1^dy2": "1.0"}
         assert rep["magnetic_residual"] == 0.0
+
+    @pytest.mark.parametrize("n_ranges", [1, 3])
+    def test_magnetic_grid_of_the_wrong_width(self, tmp_path, capsys,
+                                              n_ranges):
+        doc = load_scenario("magnetic_synthetic")
+        doc["magnetic"]["grid"]["bounds"] = [[-2, 2]] * n_ranges
+        path = write_scenario(tmp_path, doc)
+        assert cli.main(["verify", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: $.magnetic.grid.bounds: ")
+        assert not (tmp_path / "magnetic_synthetic_verify.json").exists()
 
     def test_family_mode(self, tmp_path):
         r = run_cli("verify", "oscillator", "--grid", "40",

@@ -79,6 +79,15 @@ class TestClosedness:
         grid = random_grid([(-1, 1), (-1, 1)], 25, seed=1)
         assert closedness_residual(f, grid) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("grid", [[1, 1, 3, 3], [[1, 1, 3], [3, 3, 1]],
+                                      [[1], [3]]])
+    def test_grid_of_the_wrong_width(self, grid):
+        # a flat list is one point, not the points (1, 1) and (3, 3)
+        f = OneForm(("x", "y"), ("x*y", "0"))
+        with pytest.raises(ValueError,
+                           match="grid points must have one entry per coordinate"):
+            closedness_residual(f, grid)
+
 
 class TestHJResidual:
     def test_exact_solution(self, reduced_pair):
@@ -517,6 +526,13 @@ class TestAdditiveSplit:
         with pytest.raises(PreconditionError) as ei:
             additive_split_check(s, ("q1", "q2"), action, grid)
         assert ei.value.witness is not None
+
+    def test_grid_of_the_wrong_width(self):
+        action = TranslationAction([[1, 1]])
+        s = call("cos", Var("q1") - Var("q2"))
+        with pytest.raises(ValueError,
+                           match="grid points must have one entry per coordinate"):
+            additive_split_check(s, ("q1", "q2"), action, [[0.5, 1.0, 2.0]])
 
     def test_explicit_mu(self):
         action = TranslationAction([[1, 1]])

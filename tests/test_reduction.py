@@ -242,6 +242,15 @@ class TestMagneticLagrangianResidual:
         assert magnetic_lagrangian_residual(ds, term.beta, grid) == \
             pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("bounds", [[(-2, 2)], [(-2, 2)] * 3])
+    def test_grid_of_the_wrong_width(self, bounds):
+        beta = TwoForm(("y1", "y2"), {(0, 1): Const(1.0)})
+        gamma = OneForm(("y1", "y2"), components=(Const(0.0), Var("y1")))
+        with pytest.raises(ValueError,
+                           match="grid points must have one entry per coordinate"):
+            magnetic_lagrangian_residual(gamma, beta,
+                                         mesh_grid(bounds, [3] * len(bounds)))
+
 
 class TestProjectLagrangian:
     def test_invariant_form_projects(self, pair_system, diag_action):

@@ -1,7 +1,8 @@
-"""Pinned numbers of the sweeps over points.
+"""Pinned numbers of the sweeps over points and of single-point evaluations.
 
-The values were recorded before the sweeps moved onto
-``expr.evaluate_rows``: the same inputs must give bit-identical results,
+The sweep values were recorded before the sweeps moved onto
+``expr.evaluate_rows``, the single-point values before the point
+evaluations did: the same inputs must give bit-identical results,
 including through root-backed forms, whose solves depend on their order.
 """
 
@@ -10,12 +11,19 @@ import pytest
 
 from hjreduce.cli import build_system, load_scenario
 from hjreduce.expr import Const, Var, linear_combo, parse, substitute
-from hjreduce.hj import (OneForm, TwoForm, additive_split_check, check_complete,
-                         closedness_residual, cyclic_complete_solution,
-                         hj_residual, magnetic_lagrangian_residual,
-                         mesh_grid, solve_reduced_1d, time_dependent_residual)
-from hjreduce.phase_space import PhasePoint, flow_reference
-from hjreduce.reconstruction import lift_solution
+from hjreduce.hj import (GeneratingFunction, ImplicitBranchRoot, OneForm,
+                         TurningPointError, TwoForm, additive_split_check,
+                         check_complete, closedness_residual,
+                         cyclic_complete_solution, hj_residual,
+                         magnetic_lagrangian_residual, mesh_grid,
+                         quadrature_complete_solution, solve_reduced_1d,
+                         time_dependent_residual)
+from hjreduce.integrators import (ImplicitMap, map_jacobian,
+                                  transform_to_equilibrium)
+from hjreduce.phase_space import (HamiltonianSystem, PhasePoint,
+                                  flow_reference, hamiltonian_vector_field)
+from hjreduce.reconstruction import (lift_solution, projected_vector_field,
+                                     reconstruct_trajectory)
 from hjreduce.reduction import build_chart, reduced_hamiltonian
 from hjreduce.symmetry import check_invariance_lemma
 
@@ -98,3 +106,117 @@ class TestPinnedSweepValues:
         assert [repr(float(v)) for v in e[::10]] == [
             "0.75", "0.7499999999955465", "0.7499999999924047",
             "0.7499999999902723", "0.7499999999888695", "0.7499999999879723"]
+
+
+def reprs(values):
+    return [repr(float(v)) for v in np.ravel(values)]
+
+
+@pytest.fixture(scope="module")
+def oscillator():
+    return build_system(load_scenario("oscillator"))[0]
+
+
+class TestPinnedPointValues:
+    def test_vector_field_with_and_without_time(self, calogero):
+        sys_t = HamiltonianSystem("0.5*p^2+q^4/4+t*q*sin(q)", ["q"])
+        expected = ["-0.3", "-0.8148428873347331"]
+        assert reprs(hamiltonian_vector_field(
+            sys_t, PhasePoint([0.7], [-0.3]), t=0.4)) == expected
+        assert reprs(hamiltonian_vector_field(
+            sys_t, PhasePoint([0.7], [-0.3], t=0.4))) == expected
+        assert reprs(hamiltonian_vector_field(
+            calogero[0], PhasePoint([1.3, -0.4], [0.2, 0.9]))) == [
+            "0.2", "0.9", "0.4070832485243231", "-0.4070832485243231"]
+
+    def test_energy(self, calogero):
+        e = calogero[0].energy(PhasePoint([1.3, -0.4], [0.2, 0.9]))
+        assert type(e) is float and repr(e) == "0.7710207612456748"
+        sys_t = HamiltonianSystem("0.5*p^2+q^4/4+t*q*sin(q)", ["q"])
+        assert (repr(sys_t.energy(PhasePoint([0.7], [-0.3], t=0.4))),
+                repr(sys_t.energy(PhasePoint([0.7], [-0.3]), t=1.5))) == (
+            "0.2854059524265534", "0.7814535715995754")
+
+    def test_short_flow(self):
+        sys_t = HamiltonianSystem("0.5*p^2+q^4/4+t*q*sin(q)", ["q"])
+        traj = flow_reference(sys_t, PhasePoint([0.7], [-0.3]), 0.05, 0.01)
+        assert reprs([traj.qs[-1], traj.ps[-1]]) == [
+            "0.684556068279613", "-0.31805669355613203"]
+
+    def test_scheme_steps_and_jacobian(self, oscillator):
+        ib = load_scenario("oscillator")["integrator"]
+        gf = GeneratingFunction(ib["kind"], ib["s"], q_vars=oscillator.coords,
+                                params=ib["params"])
+        step = ImplicitMap(gf, t=ib["tau"])
+        z = PhasePoint([0.0], [1.0])
+        seen = []
+        for _ in range(3):
+            z = step(z)
+            seen += reprs([z.q, z.p])
+        assert seen == ["0.1", "1.0", "0.199", "0.99", "0.29601", "0.9701"]
+        assert reprs(map_jacobian(gf, z, t=ib["tau"])) == [
+            "0.99", "0.1", "-0.1", "1.0"]
+
+    def test_equilibrium_through_quadrature_family(self, oscillator):
+        fam = quadrature_complete_solution(oscillator, [-0.95, 0.95])
+        rep = transform_to_equilibrium(fam, oscillator,
+                                       PhasePoint([0.0], [1.0]), 0.02, 0.005,
+                                       param_guess=[0.5])
+        assert reprs(rep.alphas) == [
+            "0.5", "0.4999999999999999", "0.4999999999999999",
+            "0.4999999999999999", "0.49999999999999956"]
+        assert reprs(rep.betas) == [
+            "-0.0", "1.6275175651614404e-14", "-1.8979783023009844e-13",
+            "-1.7950398112365207e-13", "-3.801473025255575e-13"]
+        assert repr(rep.max_var) == "3.8059139173540757e-13"
+        assert reprs(map_jacobian(fam, PhasePoint([0.2], [0.9], t=0.1),
+                                  t=0.1)) == [
+            "0.19999999999999998", "0.8999999999999999",
+            "-1.058823529399943", "0.23529411770025685"]
+
+    def test_two_form_matrix(self):
+        tf = TwoForm(("x", "y", "z"), {(0, 1): parse("x*y+z"),
+                                       (1, 2): parse("sin(x)")})
+        assert reprs(tf.matrix_at([0.3, -1.2, 2.0])) == [
+            "0.0", "1.6400000000000001", "0.0",
+            "-1.6400000000000001", "0.0", "0.29552020666133955",
+            "0.0", "-0.29552020666133955", "0.0"]
+
+    def test_projected_field_and_reconstruction(self, calogero):
+        sys_, _, chart, sol, form, _ = calogero
+        expected = ["1.3564659966250536", "-1.3564659966250536"]
+        assert reprs(projected_vector_field(sys_, form, [2.0, -0.5])) == expected
+        assert reprs(projected_vector_field(sys_, form, [2.0, -0.5],
+                                            t=0.3)) == expected
+        traj = reconstruct_trajectory(sys_, sol, chart, np.zeros(1),
+                                      np.array([2.0]), 0.1, 0.02)
+        assert reprs([traj.qs[-1], traj.ps[-1]]) == [
+            "1.1333909875714847", "-1.1333909875714847",
+            "1.3436454603665802", "-1.3436454603665802"]
+
+    def test_root_partials(self):
+        root = ImplicitBranchRoot(parse("0.5*(p^2+q^2)-a1"), "q", "p",
+                                  params=("a1",), name="dW_family")
+        d_q, d_a = root.partial(0), root.partial(1)
+        d_qa = d_q.partial(1)
+        assert (d_q.name, d_a.name, d_qa.name) == (
+            "dW_family_dq", "dW_family_da1", "dW_family_dq_da1")
+        assert [repr(f(0.3, 0.5)) for f in (d_q, d_a, d_qa, d_q.partial(0))] \
+            == ["-0.3144854510165755", "1.0482848367219182",
+                "0.3455884077105225", "-1.1519613590350752"]
+        bent_root = ImplicitBranchRoot(parse("p^2*(1+a1*q)-1+q^2-a1"), "q",
+                                       "p", params=("a1",), name="r")
+        d_a = bent_root.partial(1)
+        assert [repr(f(0.4, 0.7)) for f in (d_a, d_a.partial(0),
+                                            d_a.partial(1))] == [
+            "0.18474077824511612", "-0.24823706501171744",
+            "-0.1465780119599034"]
+
+    def test_turning_point_raises_before_other_derivatives(self):
+        # at q = 0 the root is p = 0, where g_p = 2p vanishes and
+        # g_q = -1/(2 sqrt(q)) is singular: the turning point is reported
+        root = ImplicitBranchRoot(parse("p^2-sqrt(q)"), "q", "p", name="sq")
+        for f in (root.partial(0), root.partial(0).partial(0)):
+            with pytest.raises(TurningPointError,
+                               match="implicit derivative at a turning point"):
+                f(0.0)
