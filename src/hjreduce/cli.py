@@ -365,6 +365,15 @@ def _out_path(doc, args, suffix):
     return os.path.join(args.out, f"{doc['name']}_{suffix}")
 
 
+def _grid_counts(grid_spec, default, n_axes, where):
+    """A grid section's counts, checked to give one count per axis."""
+    counts = grid_spec.get("counts", default)
+    if isinstance(counts, list) and len(counts) != n_axes:
+        raise ScenarioError(f"{where}.counts: need {n_axes} counts, one per "
+                            f"axis, got {len(counts)}")
+    return counts
+
+
 def _chart_points(chart, grid_spec, override):
     """Full-space grid from per-chart-coordinate bounds."""
     y_bounds = grid_spec.get("y", [])
@@ -373,7 +382,7 @@ def _chart_points(chart, grid_spec, override):
         raise ScenarioError(
             f"$.verify.grid: need {chart.m} y ranges and {chart.k} x ranges")
     counts = override if override is not None \
-        else grid_spec.get("counts", 20)
+        else _grid_counts(grid_spec, 20, chart.m + chart.k, "$.verify.grid")
     pts = mesh_grid(list(y_bounds) + list(x_bounds), counts)
     ys = pts[:, :chart.m]
     xs = pts[:, chart.m:]
@@ -577,7 +586,8 @@ def _verify_magnetic(doc, sys_, action, mu, args):
                 f"reduced coordinate, got {len(gspec['bounds'])}")
         grid = mesh_grid(gspec["bounds"],
                          args.grid if args.grid is not None
-                         else gspec.get("counts", 15))
+                         else _grid_counts(gspec, 15, chart.m,
+                                           "$.magnetic.grid"))
         resid = magnetic_lagrangian_residual(gamma, term.beta, grid)
         report["magnetic_residual"] = resid
         ok = ok and resid <= args.tol

@@ -21,10 +21,11 @@ Single points do too, as one-row calls: each object that owns a
 variable layout binds it in one place (a form's coordinates; a
 system's (q, p, t), whose t is bound whenever a time is given or the
 point carries one; a generating function's (q, c, t)).  Evaluation
-enters the tree walk in only three other places: an implicit root's
-Newton residual, the root-derivative class (both in ``hj``, hot enough
-to keep one reused dict) and the random-draw measures of
-``hj.cyclic_ansatz`` and ``symmetry.invariance_report``.
+enters the tree walk in only one other place: the random-draw measures
+of ``hj.cyclic_ansatz`` and ``symmetry.invariance_report``.  The
+implicit roots of ``hj`` (the Newton residual and the root-derivative
+class) never walk a tree: they call kernels generated once per root by
+:func:`compile`, which are bit-identical to the walker.
 The checks that evaluate h on the graph of a form (``hj.hj_residual``,
 and ``hj.time_dependent_residual``, which ``hj.check_complete`` shares)
 do so in two stages, the form's components over all points and then h,
@@ -50,7 +51,8 @@ __all__ = [
     "Call", "External",
     "ExprError", "ParseError", "UnknownFunctionError",
     "UnboundVariableError", "DomainError",
-    "parse", "evaluate", "evaluate_rows", "differentiate", "substitute",
+    "parse", "evaluate", "evaluate_rows", "compile", "differentiate",
+    "substitute",
     "free_vars", "add", "sub", "mul", "div", "power", "neg", "call", "as_expr",
     "linear_combo", "FUNCTION_NAMES",
 ]
@@ -605,6 +607,190 @@ def evaluate_rows(exprs, names, rows, singular_tol=0.0):
         b = dict(zip(names, row))
         out[i] = [e._ev(b, singular_tol) for e in exprs]
     return out
+
+
+# Names a kernel's source may use besides its own locals.  No builtins:
+# everything a kernel calls is bound here or in its own namespace.
+_KERNEL_NS = {
+    "__builtins__": {},
+    "_float": float, "_abs": abs, "_pow": math.pow,
+    "_DE": DomainError, "_UV": UnboundVariableError,
+    "_VE": ValueError, "_OE": OverflowError,
+    **{f"_f_{name}": fn for name, fn in _FUNCTIONS.items()},
+}
+
+
+def compile(exprs, argnames, singular_tol=0.0):
+    """One generated straight-line function evaluating ``exprs``.
+
+    ``f = compile(exprs, argnames)`` gives ``f(*args)``, which returns
+    ``tuple(evaluate(e, dict(zip(argnames, args)), singular_tol) for e
+    in exprs)`` bit for bit and type for type; a single Expr gives a
+    single value.  The kernel does the tree walker's IEEE operations in
+    the walker's order: each variable is float()-converted where the
+    walker first reads it, a division evaluates its denominator, then
+    the guard, then its numerator, and every check of Div, Pow and Call
+    raises the walker's DomainError on the same node.  An unbound
+    variable raises UnboundVariableError where the walker reaches it.
+    External calls stay in the walker's order and are never merged; a
+    subtree without one that is shared by object identity is computed
+    once.  A name listed twice in ``argnames`` takes its later argument.
+
+    The generator walks the trees on an explicit stack, so no tree is
+    too deep to compile.  The source holds only generated local names,
+    reprs of finite floats and variable names as repr'd string
+    constants; every other object is bound in the kernel's namespace.
+    """
+    single = isinstance(exprs, Expr)
+    exprs = (exprs,) if single else tuple(exprs)
+    ns = dict(_KERNEL_NS)
+    params = ", ".join(f"a{i}" for i in range(len(argnames)))
+    lines = [f"def _kernel({params}):"]
+    outs = _emit(exprs, {name: i for i, name in enumerate(argnames)},
+                 float(singular_tol), ns, lines)
+    if outs is not None:
+        ret = outs[0] if single else "(" + "".join(o + ", " for o in outs) + ")"
+        lines.append(f"    return {ret}")
+    exec("\n".join(lines), ns)
+    return ns["_kernel"]
+
+
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
+def _emit(exprs, slot, tol, ns, lines):
+    """Append the kernel body for ``exprs``; their operands, or None.
+
+    None means the body ends in an unconditional raise (an unbound
+    variable), after which nothing is emitted.  Each stack entry is a
+    node and a step: 0 to evaluate it, 1 to combine its evaluated
+    children, 2 for a division's guard between its two operands.
+    """
+    done = {}  # id of a pure node, or a variable's name -> its operand
+    bound = {}  # id of an object bound in ns, or a message -> its name
+
+    def bind(obj):
+        key = obj if isinstance(obj, str) else id(obj)
+        name = bound.get(key)
+        if name is None:
+            name = bound[key] = f"_k{len(ns)}"
+            ns[name] = obj
+        return name
+
+    def operand(value):
+        """A float's repr when finite, else a bound name."""
+        if math.isfinite(value):
+            text = repr(value)
+            return f"({text})" if text.startswith("-") else text
+        return bind(value)
+
+    if tol == 0.0:  # abs(x) < 0.0 never holds
+        singular = "{0} == 0.0".format
+    else:
+        singular = ("{0} == 0.0 or _abs({0}) < " + operand(tol)).format
+
+    def line(text):
+        lines.append("    " + text)
+
+    def temp(text):
+        name = f"t{len(lines)}"
+        line(f"{name} = {text}")
+        return name
+
+    def fail(cond, message, node):
+        head = f"if {cond}: " if cond else ""
+        line(f"{head}raise _DE({bind(message)}, {bind(node)})")
+
+    def checked(call, node, domain, overflow):
+        """A math call with the walker's error and finiteness checks."""
+        out = f"t{len(lines)}"
+        raise_ = f"raise _DE({{}}, {bind(node)}) from None".format
+        line(f"try: {out} = {call}")
+        line(f"except _VE: {raise_(bind(domain))}")
+        line(f"except _OE: {raise_(bind(overflow))}")
+        # a math result is a float, and x - x is 0.0 exactly when the
+        # float x is finite: the walker's isfinite test without a call
+        fail(f"{out} - {out} != 0.0", overflow, node)
+        return out
+
+    outs = []
+    for e in exprs:
+        vals = []  # (operand, pure) of the nodes evaluated so far
+        stack = [(e, 0)]
+        while stack:
+            node, step = stack.pop()
+            if step == 0:
+                hit = done.get(id(node))
+                if hit is not None:
+                    vals.append((hit, True))
+                elif isinstance(node, Const):
+                    vals.append((operand(node.value), True))
+                elif isinstance(node, Var):
+                    hit = done.get(node.name)
+                    if hit is None:
+                        i = slot.get(node.name)
+                        if i is None:
+                            line(f"raise _UV({node.name!r})")
+                            return None
+                        hit = done[node.name] = temp(f"_float(a{i})")
+                    vals.append((hit, True))
+                elif isinstance(node, Div):
+                    stack += [(node, 1), (node.left, 0), (node, 2),
+                              (node.right, 0)]
+                else:
+                    stack.append((node, 1))
+                    stack += [(c, 0) for c in reversed(node._children())]
+                continue
+            if step == 2:
+                den = node.right
+                if not isinstance(den, Const):
+                    fail(singular(vals[-1][0]), "division by zero", node)
+                elif den.value == 0.0 or abs(den.value) < tol:
+                    fail("", "division by zero", node)
+                continue
+            if isinstance(node, External):
+                args = vals[len(vals) - len(node.args):]
+                del vals[len(vals) - len(node.args):]
+                call = ", ".join(a for a, _ in args)
+                vals.append((temp(f"{bind(node.fn)}({call})"), False))
+                continue
+            if isinstance(node, Neg):
+                x, pure = vals.pop()
+                out = temp(f"-{x}")
+            elif isinstance(node, Call):
+                x, pure = vals.pop()
+                f = node.func
+                if f == "sqrt":
+                    fail(f"{x} < 0.0", "sqrt of a negative number", node)
+                elif f == "log":
+                    fail(f"{x} <= 0.0", "log of a non-positive number", node)
+                out = checked(f"_f_{f}({x})", node, f"{f} domain error",
+                              f"{f} overflow")
+            else:
+                (left, pl), (right, pr) = vals[-2:]
+                del vals[-2:]
+                if isinstance(node, Div):  # evaluated denominator first
+                    left, right = right, left
+                pure = pl and pr
+                if isinstance(node, Pow):
+                    expo = node.right
+                    if not isinstance(expo, Const):
+                        fail(f"{right} < 0.0 and ({singular(left)})",
+                             "zero raised to a negative power", node)
+                    elif expo.value < 0.0:
+                        fail(singular(left), "zero raised to a negative power",
+                             node)
+                    out = checked(
+                        f"_pow({left}, {right})", node,
+                        "invalid power (negative base, fractional exponent)",
+                        "power overflow")
+                else:
+                    out = temp(f"{left} {_BINARY_OPS[type(node)]} {right}")
+            if pure:
+                done[id(node)] = out
+            vals.append((out, pure))
+        outs.append(vals[0][0])
+    return outs
 
 
 def differentiate(e, var):

@@ -20,16 +20,18 @@ closed-form inputs.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _linalg
-from .expr import (Const, DomainError, Expr, External, Var, add,
-                   differentiate, evaluate, evaluate_rows, linear_combo, mul,
-                   parse, sub, substitute)
+from .expr import (Const, DomainError, Expr, External, Var, add, compile,
+                   differentiate, evaluate_rows, linear_combo, mul, parse,
+                   sub, substitute)
 
 __all__ = [
     "PreconditionError", "SolveError", "TurningPointError",
@@ -119,9 +121,15 @@ def domain_samples(candidates, measure, samples=None, shortfall=None):
 # Grids.
 
 def mesh_grid(bounds, counts):
-    """Cartesian product grid.  bounds: [(lo, hi), ...]; returns (N, m)."""
+    """Cartesian product grid.  bounds: [(lo, hi), ...]; returns (N, m).
+
+    ``counts`` is one count for every axis or a list of one per axis.
+    """
     if isinstance(counts, int):
         counts = [counts] * len(bounds)
+    if len(counts) != len(bounds):
+        raise ValueError(f"need one count per axis: {len(bounds)} bounds, "
+                         f"{len(counts)} counts")
     axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(bounds, counts)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
@@ -330,10 +338,14 @@ def hj_residual(sys, form, grid, closed_tol=1e-9):
 # a parameter).  Warm-start caches make repeated nearby solves cheap;
 # use one object per thread.
 #
-# The root's Newton residual (_g_at, _gp_at) and _RootPartial are the
-# two places outside expr that walk expression trees on a bindings
-# dict: they run hundreds of thousands of times per quadrature job, and
-# a reused dict costs less than a one-row evaluate_rows call there.
+# A root compiles g and g_p once, at construction, and each
+# _RootPartial compiles the derivatives it reads (expr.compile): a
+# quadrature job makes hundreds of thousands of solves on a few roots,
+# so the compile cost is paid once per object and the solves call
+# generated kernels with positional arguments (the root's arg_vars,
+# then the momentum) instead of walking trees on a bindings dict.  The
+# kernels are bit-identical to the tree walker, checks and errors
+# included, so the results are the walker's.
 
 _WARM_CAP = 20000
 _ROOT_TOL = 1e-12
@@ -361,6 +373,9 @@ class ImplicitBranchRoot:
         self.branch = branch
         self.name = name
         self.g_p = differentiate(g, p_var)
+        names = self.arg_vars + (p_var,)
+        self._g = compile(g, names)
+        self._gp = compile(self.g_p, names)
         self._warm = {}
         self._last = None
         self._anchors = None
@@ -377,14 +392,13 @@ class ImplicitBranchRoot:
     def set_anchors(self, ys, ps):
         """Install a solved table used for warm starts at arbitrary y."""
         order = np.argsort(ys)
-        self._anchors = (np.asarray(ys, dtype=float)[order],
-                         np.asarray(ps, dtype=float)[order])
+        self._anchors = (array("d", np.asarray(ys, dtype=float)[order]),
+                         array("d", np.asarray(ps, dtype=float)[order]))
 
     def solve(self, args, guess=None):
         if len(args) != self.arity:
             raise ValueError(f"{self.name} expects {self.arity} arguments")
-        args = tuple(float(a) for a in args)
-        b = dict(zip(self.arg_vars, args))
+        args = tuple(map(float, args))
         y = args[0]
         candidates = []
         if guess is not None:
@@ -394,13 +408,12 @@ class ImplicitBranchRoot:
             candidates.append(hit)
         if self._anchors is not None:
             ys, ps = self._anchors
-            i = int(np.clip(np.searchsorted(ys, y), 0, ps.size - 1))
-            candidates.append(float(ps[i]))
+            candidates.append(ps[min(bisect.bisect_left(ys, y), len(ps) - 1)])
         if self._last is not None:
             candidates.append(self._last)
         p = None
         for c in candidates:
-            p = self._newton(b, c)
+            p = self._newton(args, c)
             # a warm start may converge on the wrong side of the axis;
             # the branch contract (search from 0 toward branch * inf)
             # must not depend on cache state
@@ -410,28 +423,20 @@ class ImplicitBranchRoot:
             if p is not None:
                 break
         if p is None:
-            p = self._bracket_solve(b, args)
+            p = self._bracket_solve(args)
         if len(self._warm) > _WARM_CAP:
             self._warm.clear()
         self._warm[y] = p
         self._last = p
         return p
 
-    def _g_at(self, b, p):
-        b[self.p_var] = p
-        return evaluate(self.g, b)
-
-    def _gp_at(self, b, p):
-        b[self.p_var] = p
-        return evaluate(self.g_p, b)
-
-    def _newton(self, b, p):
+    def _newton(self, args, p):
         """Newton to a floating-point fixed point; None if it fails."""
         best_p, best_g = None, math.inf
         prev = None
         for _ in range(_ROOT_MAX_ITER):
             try:
-                gv = self._g_at(b, p)
+                gv = self._g(*args, p)
             except DomainError:
                 break
             ag = abs(gv)
@@ -440,7 +445,7 @@ class ImplicitBranchRoot:
             if gv == 0.0:
                 return p
             try:
-                gpv = self._gp_at(b, p)
+                gpv = self._gp(*args, p)
             except DomainError:
                 break
             if gpv == 0.0:
@@ -454,21 +459,21 @@ class ImplicitBranchRoot:
             return best_p
         return None
 
-    def _bracket_solve(self, b, args):
+    def _bracket_solve(self, args):
         s = float(self.branch)
         lo = 0.0
         try:
-            g_lo = self._g_at(b, lo)
+            g_lo = self._g(*args, lo)
         except DomainError:
             lo = s * 1e-12
-            g_lo = self._g_at(b, lo)
+            g_lo = self._g(*args, lo)
         if g_lo == 0.0:
             return lo
         hi = s
         g_hi = None
         for _ in range(70):
             try:
-                g_hi = self._g_at(b, hi)
+                g_hi = self._g(*args, hi)
             except DomainError:
                 g_hi = None
                 break
@@ -480,32 +485,32 @@ class ImplicitBranchRoot:
             g_hi = None
         if g_hi is None or g_lo * g_hi > 0.0:
             raise TurningPointError(args)
-        return self._rtsafe(b, lo, hi, g_lo, g_hi)
+        return self._rtsafe(args, lo, hi, g_lo, g_hi)
 
-    def _rtsafe(self, b, a, c, g_a, g_c):
+    def _rtsafe(self, args, a, c, g_a, g_c):
         """Bisection-safeguarded Newton inside the bracket [a, c]."""
         x = 0.5 * (a + c)
         for _ in range(200):
-            gv = self._g_at(b, x)
+            gv = self._g(*args, x)
             if gv == 0.0:
                 return x
             if g_a * gv < 0.0:
                 c, g_c = x, gv
             else:
                 a, g_a = x, gv
-            gpv = self._gp_at(b, x)
+            gpv = self._gp(*args, x)
             x_new = x - gv / gpv if gpv != 0.0 else x
             if not (min(a, c) < x_new < max(a, c)):
                 x_new = 0.5 * (a + c)
             if abs(gv) <= _ROOT_TOL:
-                polished = self._newton(b, x_new)
+                polished = self._newton(args, x_new)
                 return polished if polished is not None else x
             if x_new == x:
                 x_new = 0.5 * (a + c)
                 if x_new == x:
                     break
             x = x_new
-        if abs(self._g_at(b, x)) <= _ROOT_TOL:
+        if abs(self._g(*args, x)) <= _ROOT_TOL:
             return x
         raise NewtonDivergenceError(
             f"{self.name}: no convergence to tol {_ROOT_TOL:.1e}")
@@ -526,34 +531,35 @@ class _RootPartial:
         self.arity = root.arity
         self.name = root.name + "".join(f"_d{v}" for v in wrt)
         g, p = root.g, root.p_var
-        self._g_u = g_u = differentiate(g, wrt[0])
-        # g_w, g_uw, g_up, g_pw, g_pp: what a second partial reads after g_u
-        self._second = None
+        g_u = differentiate(g, wrt[0])
+        exprs = [g_u]
         if len(wrt) == 2:
+            # g_w, g_uw, g_up, g_pw, g_pp: what a second partial reads
             w = wrt[1]
-            self._second = [differentiate(g, w), differentiate(g_u, w),
-                            differentiate(g_u, p),
-                            differentiate(root.g_p, w),
-                            differentiate(root.g_p, p)]
+            exprs += [differentiate(g, w), differentiate(g_u, w),
+                      differentiate(g_u, p), differentiate(root.g_p, w),
+                      differentiate(root.g_p, p)]
+        self._second = len(wrt) == 2
+        self._kernel = compile(exprs, root.arg_vars + (p,))
         self._partials = {}
 
     def __call__(self, *args):
         root = self.root
-        b = dict(zip(root.arg_vars, args))
-        b[root.p_var] = root.solve(args)
-        g_p = evaluate(root.g_p, b)
+        p = root.solve(args)
+        g_p = root._gp(*args, p)
         if g_p == 0.0:
             raise TurningPointError(args, "implicit derivative at a turning point")
-        p_u = -evaluate(self._g_u, b) / g_p
-        if self._second is None:
+        g_u, *second = self._kernel(*args, p)
+        p_u = -g_u / g_p
+        if not self._second:
             return p_u
-        g_w, g_uw, g_up, g_pw, g_pp = [evaluate(e, b) for e in self._second]
+        g_w, g_uw, g_up, g_pw, g_pp = second
         p_w = -g_w / g_p
         num = g_uw + g_up * p_w + g_pw * p_u + g_pp * p_u * p_w
         return -num / g_p
 
     def partial(self, i):
-        if self._second is not None:
+        if self._second:
             raise NotImplementedError(
                 "third-order implicit derivatives are not supported")
         if i not in self._partials:
@@ -579,14 +585,15 @@ class TabulatedAntiderivative:
         self.derivs = np.asarray(derivs, dtype=float)
         self.root = root
         self.name = name
+        self._ys = array("d", self.ys)
 
     def __call__(self, y):
         ys = self.ys
         y = float(y)
-        if y < ys[0] - 1e-12 or y > ys[-1] + 1e-12:
+        if not (ys[0] - 1e-12 <= y <= ys[-1] + 1e-12):
             raise DomainError(
                 f"{self.name}: {y} outside tabulated range [{ys[0]}, {ys[-1]}]")
-        i = int(np.clip(np.searchsorted(ys, y) - 1, 0, ys.size - 2))
+        i = min(max(bisect.bisect_left(self._ys, y) - 1, 0), ys.size - 2)
         h = ys[i + 1] - ys[i]
         s = (y - ys[i]) / h
         h00 = (1 + 2 * s) * (1 - s) ** 2
@@ -618,6 +625,7 @@ class RunningIntegral:
         self.integrand = integrand
         self.arity = integrand.arity
         self.nodes = np.linspace(float(lo), float(hi), n_intervals + 1)
+        self._nodes = array("d", self.nodes)
         self.base_index = n_intervals // 2
         self.name = name
         self._partials = {}
@@ -634,20 +642,21 @@ class RunningIntegral:
     def __call__(self, y, *params):
         nodes = self.nodes
         y = float(y)
-        if y < nodes[0] - 1e-12 or y > nodes[-1] + 1e-12:
+        if not (nodes[0] - 1e-12 <= y <= nodes[-1] + 1e-12):
             raise DomainError(
                 f"{self.name}: {y} outside quadrature range [{nodes[0]}, {nodes[-1]}]")
         b = self.base_index
         total = 0.0
         if y >= nodes[b]:
-            j = int(np.clip(np.searchsorted(nodes, y) - 1, 0, nodes.size - 2))
+            j = min(max(bisect.bisect_left(self._nodes, y) - 1, 0),
+                    nodes.size - 2)
             for i in range(b, j):
                 total += self._simpson(nodes[i], nodes[i + 1], params)
             lo = nodes[max(j, b)]
             if y > lo:
                 total += self._simpson(lo, y, params)
         else:
-            j = int(np.clip(np.searchsorted(nodes, y), 0, nodes.size - 1))
+            j = min(bisect.bisect_left(self._nodes, y), nodes.size - 1)
             for i in range(b, j, -1):
                 total -= self._simpson(nodes[i - 1], nodes[i], params)
             hi = nodes[min(j, b)]
@@ -697,7 +706,7 @@ def solve_reduced_1d(h_reduced, y_var, p_var, energy, y_range, branch=1,
     guess = None
     for i, y in enumerate(ys):
         p = root.solve((y,), guess=guess)
-        gp = root._gp_at({y_var: y}, p)
+        gp = root._gp(y, p)
         if abs(gp) < 1e-6 * (1.0 + abs(p)):
             raise TurningPointError(
                 y, f"momentum derivative vanishes near y={y}: turning point margin hit")
@@ -715,7 +724,7 @@ def solve_reduced_1d(h_reduced, y_var, p_var, energy, y_range, branch=1,
         p_root = root.solve((y,))
         for frac in (0.25, 0.5, 0.75):
             try:
-                gp = root._gp_at({y_var: y}, frac * p_root)
+                gp = root._gp(y, frac * p_root)
             except DomainError:
                 continue
             if gp * sign_ref < 0.0:

@@ -327,6 +327,20 @@ class TestVerifyCommand:
         assert err.startswith("scenario error: $.magnetic.grid.bounds: ")
         assert not (tmp_path / "magnetic_synthetic_verify.json").exists()
 
+    @pytest.mark.parametrize("scenario, section, counts", [
+        ("calogero", "verify", [7]), ("calogero", "verify", [7, 7, 7]),
+        ("magnetic_synthetic", "magnetic", [15]),
+        ("magnetic_synthetic", "magnetic", [15, 15, 15])])
+    def test_grid_counts_of_the_wrong_length(self, tmp_path, capsys,
+                                             scenario, section, counts):
+        doc = load_scenario(scenario)
+        doc[section]["grid"]["counts"] = counts
+        path = write_scenario(tmp_path, doc)
+        assert cli.main(["verify", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: $.{section}.grid.counts: ")
+        assert not (tmp_path / f"{scenario}_verify.json").exists()
+
     def test_family_mode(self, tmp_path):
         r = run_cli("verify", "oscillator", "--grid", "40",
                     "--out", str(tmp_path))

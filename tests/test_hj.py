@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hjreduce.expr import (Const, DomainError, Var, call, parse)
+from hjreduce.expr import (Add, Call, Const, DomainError, Div, External, Mul,
+                           Neg, Pow, Sub, Var, call, parse)
 from hjreduce.hj import (BranchAmbiguityError, GeneratingFunction,
                          ImplicitBranchRoot, OneForm, PreconditionError,
                          RunningIntegral, SolveError, TurningPointError,
@@ -40,6 +41,11 @@ class TestGrids:
 
     def test_mesh_grid_scalar_count(self):
         assert mesh_grid([(0, 1)], 5).shape == (5, 1)
+
+    @pytest.mark.parametrize("counts", [[7], [7, 7, 7]])
+    def test_mesh_grid_needs_one_count_per_axis(self, counts):
+        with pytest.raises(ValueError, match="one count per axis"):
+            mesh_grid([(0, 1), (10, 12)], counts)
 
     def test_random_grid_seeded(self):
         a = random_grid([(-1, 1), (2, 3)], 20, seed=5)
@@ -195,6 +201,31 @@ class TestImplicitBranchRoot:
         assert a == b
 
 
+class TestRootKernels:
+    def test_root_paths_never_walk_a_tree(self, monkeypatch):
+        # solves, first and second partials and the quadrature table run
+        # on compiled kernels alone, with the same bits as before
+        g = parse("0.5*p^2+0.3*y^4/(1+a^2)-a")
+
+        def values():
+            root = ImplicitBranchRoot(g, "y", "p", params=("a",))
+            d_y = root.partial(0)
+            sol = solve_reduced_1d(parse("0.5*p^2+0.3*y^4"), "y", "p", 1.0,
+                                   (-1.0, 1.0), n_nodes=101)
+            return [root.solve((0.4, 1.3)), d_y(0.4, 1.3),
+                    d_y.partial(1)(-0.2, 0.9), sol.table(0.33),
+                    sol.root(0.71)]
+
+        want = values()
+
+        def walked(*args):
+            raise AssertionError("the tree walker was entered")
+
+        for cls in (Const, Var, Add, Sub, Mul, Div, Pow, Neg, Call, External):
+            monkeypatch.setattr(cls, "_ev", walked)
+        assert values() == want
+
+
 class FnIntegrand:
     """Plain-function integrand adapter for RunningIntegral tests."""
 
@@ -232,6 +263,11 @@ class TestRunningIntegral:
         w = RunningIntegral(f, 0.0, 1.0)
         with pytest.raises(DomainError):
             w(1.5)
+
+    def test_nan_is_outside_the_range(self):
+        w = RunningIntegral(FnIntegrand(lambda y: y), 0.0, 1.0)
+        with pytest.raises(DomainError, match="outside quadrature range"):
+            w(math.nan)
 
     def test_partial_zero_is_integrand(self):
         f = FnIntegrand(lambda y: y)
@@ -279,6 +315,10 @@ class TestSolveReduced1D:
         rep = hj_residual(reduced_pair, pair_solution, grid)
         assert rep.max_dev < 1e-12
         assert rep.e_est == pytest.approx(2.0, abs=1e-13)
+
+    def test_nan_is_outside_the_table(self, pair_solution):
+        with pytest.raises(DomainError, match="outside tabulated range"):
+            pair_solution.table(math.nan)
 
     def test_energy_and_range_recorded(self, pair_solution):
         assert pair_solution.energy == 2.0
