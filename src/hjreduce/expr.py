@@ -41,6 +41,8 @@ sampled bindings.
 
 from __future__ import annotations
 
+import builtins
+import itertools
 import math
 import re
 
@@ -613,24 +615,26 @@ def evaluate_rows(exprs, names, rows, singular_tol=0.0):
 # everything a kernel calls is bound here or in its own namespace.
 _KERNEL_NS = {
     "__builtins__": {},
-    "_float": float, "_abs": abs, "_pow": math.pow,
+    "_float": float, "_pow": math.pow,
     "_DE": DomainError, "_UV": UnboundVariableError,
     "_VE": ValueError, "_OE": OverflowError,
     **{f"_f_{name}": fn for name, fn in _FUNCTIONS.items()},
 }
+_KERNEL_IDS = itertools.count(1)
 
 
-def compile(exprs, argnames, singular_tol=0.0):
+def compile(exprs, argnames, name="kernel"):
     """One generated straight-line function evaluating ``exprs``.
 
     ``f = compile(exprs, argnames)`` gives ``f(*args)``, which returns
-    ``tuple(evaluate(e, dict(zip(argnames, args)), singular_tol) for e
-    in exprs)`` bit for bit and type for type; a single Expr gives a
-    single value.  The kernel does the tree walker's IEEE operations in
-    the walker's order: each variable is float()-converted where the
-    walker first reads it, a division evaluates its denominator, then
-    the guard, then its numerator, and every check of Div, Pow and Call
-    raises the walker's DomainError on the same node.  An unbound
+    ``tuple(evaluate(e, dict(zip(argnames, args))) for e in exprs)``
+    bit for bit and type for type; a single Expr gives a single value.
+    The kernel does the tree walker's IEEE operations in the walker's
+    order, with the walker's exact-zero singularity guard: each
+    variable is float()-converted where the walker first reads it, a
+    division evaluates its denominator, then the guard, then its
+    numerator, and every check of Div, Pow and Call raises the walker's
+    DomainError on the same node.  An unbound
     variable raises UnboundVariableError where the walker reaches it.
     External calls stay in the walker's order and are never merged; a
     subtree without one that is shared by object identity is computed
@@ -640,25 +644,29 @@ def compile(exprs, argnames, singular_tol=0.0):
     too deep to compile.  The source holds only generated local names,
     reprs of finite floats and variable names as repr'd string
     constants; every other object is bound in the kernel's namespace.
+    The code object's file name is ``<kernel NAME #N>``, N counting the
+    kernels made in this process, so profiles (which key functions by
+    file, line and name) and tracebacks keep every kernel apart.
     """
     single = isinstance(exprs, Expr)
     exprs = (exprs,) if single else tuple(exprs)
     ns = dict(_KERNEL_NS)
     params = ", ".join(f"a{i}" for i in range(len(argnames)))
     lines = [f"def _kernel({params}):"]
-    outs = _emit(exprs, {name: i for i, name in enumerate(argnames)},
-                 float(singular_tol), ns, lines)
+    outs = _emit(exprs, {v: i for i, v in enumerate(argnames)}, ns, lines)
     if outs is not None:
         ret = outs[0] if single else "(" + "".join(o + ", " for o in outs) + ")"
         lines.append(f"    return {ret}")
-    exec("\n".join(lines), ns)
+    source = "\n".join(lines)
+    filename = f"<kernel {name} #{next(_KERNEL_IDS)}>"
+    exec(builtins.compile(source, filename, "exec"), ns)
     return ns["_kernel"]
 
 
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
-def _emit(exprs, slot, tol, ns, lines):
+def _emit(exprs, slot, ns, lines):
     """Append the kernel body for ``exprs``; their operands, or None.
 
     None means the body ends in an unconditional raise (an unbound
@@ -683,11 +691,6 @@ def _emit(exprs, slot, tol, ns, lines):
             text = repr(value)
             return f"({text})" if text.startswith("-") else text
         return bind(value)
-
-    if tol == 0.0:  # abs(x) < 0.0 never holds
-        singular = "{0} == 0.0".format
-    else:
-        singular = ("{0} == 0.0 or _abs({0}) < " + operand(tol)).format
 
     def line(text):
         lines.append("    " + text)
@@ -744,8 +747,8 @@ def _emit(exprs, slot, tol, ns, lines):
             if step == 2:
                 den = node.right
                 if not isinstance(den, Const):
-                    fail(singular(vals[-1][0]), "division by zero", node)
-                elif den.value == 0.0 or abs(den.value) < tol:
+                    fail(f"{vals[-1][0]} == 0.0", "division by zero", node)
+                elif den.value == 0.0:
                     fail("", "division by zero", node)
                 continue
             if isinstance(node, External):
@@ -775,11 +778,11 @@ def _emit(exprs, slot, tol, ns, lines):
                 if isinstance(node, Pow):
                     expo = node.right
                     if not isinstance(expo, Const):
-                        fail(f"{right} < 0.0 and ({singular(left)})",
+                        fail(f"{right} < 0.0 and {left} == 0.0",
                              "zero raised to a negative power", node)
                     elif expo.value < 0.0:
-                        fail(singular(left), "zero raised to a negative power",
-                             node)
+                        fail(f"{left} == 0.0",
+                             "zero raised to a negative power", node)
                     out = checked(
                         f"_pow({left}, {right})", node,
                         "invalid power (negative base, fractional exponent)",

@@ -374,8 +374,8 @@ class ImplicitBranchRoot:
         self.name = name
         self.g_p = differentiate(g, p_var)
         names = self.arg_vars + (p_var,)
-        self._g = compile(g, names)
-        self._gp = compile(self.g_p, names)
+        self._g = compile(g, names, f"{name} g")
+        self._gp = compile(self.g_p, names, f"{name} g_p")
         self._warm = {}
         self._last = None
         self._anchors = None
@@ -540,7 +540,7 @@ class _RootPartial:
                       differentiate(g_u, p), differentiate(root.g_p, w),
                       differentiate(root.g_p, p)]
         self._second = len(wrt) == 2
-        self._kernel = compile(exprs, root.arg_vars + (p,))
+        self._kernel = compile(exprs, root.arg_vars + (p,), self.name)
         self._partials = {}
 
     def __call__(self, *args):
