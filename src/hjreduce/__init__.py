@@ -37,13 +37,11 @@ from .phase_space import (HamiltonianSystem, PhasePoint, Trajectory,
 from .reconstruction import (ReconstructionReport, integrate_projected,
                              lift_report, lift_solution,
                              projected_vector_field, reconstruct_trajectory)
-from .reduction import (MagneticTerm, QuotientChart, ReducedSystem,
-                        build_chart, magnetic_term, momentum_shift,
-                        project_lagrangian, reduce_system,
+from .reduction import (MagneticTerm, QuotientChart, build_chart,
+                        magnetic_term, momentum_shift, project_lagrangian,
                         reduced_hamiltonian)
 from .symmetry import (TranslationAction, check_invariance_lemma,
-                       cotangent_lift, invariance_report, is_invariant,
-                       momentum_map)
+                       cotangent_lift, invariance_report, momentum_map)
 
 __version__ = "0.1.0"
 
@@ -59,11 +57,10 @@ __all__ = [
     "flow_reference",
     # symmetry
     "TranslationAction", "cotangent_lift", "momentum_map",
-    "invariance_report", "is_invariant", "check_invariance_lemma",
+    "invariance_report", "check_invariance_lemma",
     # reduction
-    "QuotientChart", "build_chart", "reduced_hamiltonian", "reduce_system",
-    "ReducedSystem", "MagneticTerm", "magnetic_term", "momentum_shift",
-    "project_lagrangian",
+    "QuotientChart", "build_chart", "reduced_hamiltonian", "MagneticTerm",
+    "magnetic_term", "momentum_shift", "project_lagrangian",
     # hj
     "OneForm", "TwoForm", "exterior_derivative", "closedness_residual",
     "magnetic_lagrangian_residual", "QuadratureSolution", "HJReport",

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
+# A pivot candidate or basis entry at most this large counts as zero.
+_ZERO_TOL = 1e-12
 
-def rref(a, tol=1e-12):
+
+def rref(a):
     """Reduced row echelon form with partial pivoting.
 
-    Returns (R, pivot_columns).  ``tol`` decides when a pivot candidate
-    counts as zero.
+    Returns (R, pivot_columns).
     """
     r = np.array(a, dtype=float)
     rows, cols = r.shape
@@ -19,7 +21,7 @@ def rref(a, tol=1e-12):
         if lead >= rows:
             break
         piv = lead + int(np.argmax(np.abs(r[lead:, col])))
-        if abs(r[piv, col]) <= tol:
+        if abs(r[piv, col]) <= _ZERO_TOL:
             continue
         r[[lead, piv]] = r[[piv, lead]]
         r[lead] = r[lead] / r[lead, col]
@@ -31,7 +33,7 @@ def rref(a, tol=1e-12):
     return r, pivots
 
 
-def left_null_basis(g, tol=1e-12):
+def left_null_basis(g):
     """Rows spanning the left null space of g (n x k), via RREF of g^T.
 
     The basis is the textbook free-variable one, each row normalized so
@@ -39,7 +41,7 @@ def left_null_basis(g, tol=1e-12):
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
-    r, pivots = rref(g.T, tol)
+    r, pivots = rref(g.T)
     free = [c for c in range(n) if c not in pivots]
     rows = []
     for f in free:
@@ -47,7 +49,7 @@ def left_null_basis(g, tol=1e-12):
         v[f] = 1.0
         for i, c in enumerate(pivots):
             v[c] = -r[i, f]
-        nz = np.nonzero(np.abs(v) > tol)[0]
+        nz = np.nonzero(np.abs(v) > _ZERO_TOL)[0]
         if nz.size and v[nz[0]] < 0:
             v = -v
         rows.append(v)

@@ -10,7 +10,9 @@ and the failing report are still written); 2 invalid scenario or usage,
 including an unreadable scenario or an unwritable output path; 3
 numeric failure (solver divergence, domain error, violated
 precondition, a NaN or inf in a report field or a CSV column); 4
-internal error (a bug: the traceback is printed).  Every report field
+internal error (a bug: the traceback is printed).  An input too large
+to allocate (a step count, grid or quadrature size beyond memory) is a
+scenario error, exit 2.  Every report field
 and CSV value is checked before a command's first write, so a run that
 exits 3 leaves no new file.  Identical scenario + seed + flags give
 byte-identical outputs.
@@ -36,7 +38,7 @@ from .hj import (GeneratingFunction, OneForm, PreconditionError, SolveError,
                  mesh_grid, quadrature_complete_solution, solve_reduced_1d)
 from .integrators import run_scheme, transform_to_equilibrium
 from .phase_space import (HamiltonianSystem, PhasePoint, Trajectory,
-                          flow_reference)
+                          default_momentum_names, flow_reference)
 from .reconstruction import (integrate_projected, lift_report, lift_solution,
                              reconstruct_trajectory)
 from .reduction import (build_chart, magnetic_lagrangian_residual,
@@ -213,9 +215,20 @@ def _parse_field(text, where):
 def build_system(doc):
     """HamiltonianSystem + optional action + mu from a validated doc."""
     coords = doc["coords"]
+    if len(set(coords)) != len(coords):
+        raise ScenarioError("$.coords: coordinate names must be distinct")
+    if "momenta" in doc:
+        where, momenta = "$.momenta", doc["momenta"]
+    else:
+        where, momenta = "$.coords", default_momentum_names(coords)
+    if len(momenta) != len(coords) \
+            or len(set(coords) | set(momenta)) != 2 * len(coords):
+        raise ScenarioError(
+            f"{where}: need one momentum name per coordinate, distinct from "
+            f"each other and from the coordinates (momenta {list(momenta)})")
     h = _parse_field(doc["hamiltonian"], "$.hamiltonian")
     try:
-        sys_ = HamiltonianSystem(h, coords, doc.get("momenta"))
+        sys_ = HamiltonianSystem(h, coords, momenta)
     except ValueError as e:
         raise ScenarioError(f"$.hamiltonian: {e}")
     action = None
@@ -397,9 +410,7 @@ def _reduced_problem(doc, sys_, action, mu, args):
     if action is None:
         raise ScenarioError("this command needs an 'action' section")
     chart = build_chart(action)
-    # The invariance gate is structural, not a user-tunable residual.
-    h_red = reduced_hamiltonian(sys_, chart, mu, tol=1e-9,
-                                seed=_seed(doc, args))
+    h_red = reduced_hamiltonian(sys_, chart, mu, seed=_seed(doc, args))
     return chart, h_red
 
 
@@ -561,7 +572,7 @@ def _verify_magnetic(doc, sys_, action, mu, args):
         raise ScenarioError("$.magnetic.alpha_mu: one component per "
                             "coordinate")
     alpha = OneForm(sys_.coords, components=comps)
-    term = magnetic_term(chart, alpha, mu, tol=1e-9, seed=_seed(doc, args))
+    term = magnetic_term(chart, alpha, mu, seed=_seed(doc, args))
     report = {
         "beta": {f"d{chart.y_names[i]}^d{chart.y_names[j]}":
                  str(term.beta.entry(i, j))
@@ -605,7 +616,7 @@ def _verify_family(doc, sys_, args, gf, param_values, q_var, q_range):
             points[c] = np.linspace(-2.0, 2.0, n_pts)
     for nm, v in zip(gf.params, param_values):
         points[nm] = np.full(n_pts, float(v))
-    rep = check_complete(gf, sys_, points, tol=args.tol, det_floor=1e-6)
+    rep = check_complete(gf, sys_, points, tol=args.tol)
     return {
         "hj_max_dev": rep.hj_max_dev,
         "min_abs_det": rep.min_abs_det,
@@ -835,6 +846,8 @@ def main(argv=None):
         sp.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:
+        if args.grid is not None and args.grid < 1:
+            raise ScenarioError(f"--grid: must be at least 1, got {args.grid}")
         doc = load_scenario(args.scenario)
         return args.fn(doc, args)
     except ScenarioError as e:
@@ -858,6 +871,10 @@ def main(argv=None):
     except OSError as e:
         # an unreadable scenario path or an unwritable --out
         print(f"i/o error: {e}", file=sys.stderr)
+        return EXIT_SCENARIO
+    except MemoryError as e:
+        # a step count, grid or quadrature size too large to allocate
+        print(f"scenario error: input too large: {e}", file=sys.stderr)
         return EXIT_SCENARIO
     except Exception:
         traceback.print_exc()

@@ -109,6 +109,9 @@ class Expr:
     # first demand; it is then kept for the node's lifetime.
     __slots__ = ("_vars",)
 
+    def __setattr__(self, name, value):
+        raise AttributeError("Expr nodes are immutable")
+
     def evaluate(self, bindings, singular_tol=0.0):
         """Evaluate with the given variable bindings.
 
@@ -166,9 +169,6 @@ class Const(Expr):
         object.__setattr__(self, "value", float(value))
         object.__setattr__(self, "_vars", _NO_VARS)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
-
     def _ev(self, b, tol):
         return self.value
 
@@ -190,9 +190,6 @@ class Var(Expr):
     def __init__(self, name):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_vars", frozenset((name,)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
 
     def _ev(self, b, tol):
         try:
@@ -218,9 +215,6 @@ class _Binary(Expr):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "_vars", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
 
     def _children(self):
         return (self.left, self.right)
@@ -343,9 +337,6 @@ class Neg(Expr):
         object.__setattr__(self, "arg", arg)
         object.__setattr__(self, "_vars", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
-
     def _ev(self, b, tol):
         return -self.arg._ev(b, tol)
 
@@ -385,9 +376,6 @@ class Call(Expr):
         object.__setattr__(self, "func", func)
         object.__setattr__(self, "arg", arg)
         object.__setattr__(self, "_vars", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
 
     def _ev(self, b, tol):
         x = self.arg._ev(b, tol)
@@ -451,9 +439,6 @@ class External(Expr):
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "args", tuple(args))
         object.__setattr__(self, "_vars", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
 
     def _ev(self, b, tol):
         return self.fn(*[a._ev(b, tol) for a in self.args])

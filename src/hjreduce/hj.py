@@ -10,6 +10,15 @@ complete-solution (generating-function) families with non-degeneracy
 checks, and the additive splitting of generating functions over a
 product of a reduced factor and a translation-group factor.
 
+Every structural precondition (invariance under the group, a form on
+one momentum level, a cyclic variable, dS on one momentum level) is
+held to ``PRECONDITION_TOL`` = 1e-9, and every one sampled at random
+draws a fixed number of points from +-``SAMPLE_BOX``: 50 for invariance
+of a function and of a momentum-level form (a magnetic term then
+spot-checks its pullback at 20 more), 20 per cyclic variable, 25 for the
+diagonal invariance of a scheme's generating function.  Only the seed is a
+parameter.
+
 Quadrature-built solutions have no closed form.  They are represented
 by numeric function objects (root solves and running integrals) that
 know their own exact partial derivatives via implicit differentiation,
@@ -87,6 +96,10 @@ class SingularJacobianError(SolveError):
 # Half-width of the box [-SAMPLE_BOX, SAMPLE_BOX] from which the sampled
 # preconditions draw their random points.
 SAMPLE_BOX = 2.0
+
+# Tolerance of every structural precondition (invariance, momentum level,
+# cyclicity, one momentum level of dS): a fixed policy, not an option.
+PRECONDITION_TOL = 1e-9
 
 
 def domain_samples(candidates, measure, samples=None, shortfall=None):
@@ -283,6 +296,8 @@ def magnetic_lagrangian_residual(form, beta, grid):
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[1] != form.m:
         raise ValueError("grid points must have one entry per coordinate")
+    if not grid.shape[0]:
+        raise ValueError("the grid has no points")
     d = exterior_derivative(form)
     exprs = [add(d.entry(i, j), beta.entry(i, j))
              for i in range(form.m) for j in range(i + 1, form.m)]
@@ -304,7 +319,7 @@ class HJReport:
     closedness: float
 
 
-def hj_residual(sys, form, grid, closed_tol=1e-9):
+def hj_residual(sys, form, grid, closed_tol=PRECONDITION_TOL):
     """How far h is from constant along the graph of the form.
 
     The form must be (numerically) closed: a non-closed graph is not a
@@ -580,28 +595,31 @@ class TabulatedAntiderivative:
     arity = 1
 
     def __init__(self, ys, values, derivs, root, name="W"):
-        self.ys = np.asarray(ys, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        self.derivs = np.asarray(derivs, dtype=float)
+        # the Hermite step reads Python floats from array("d") stores; ys,
+        # values and derivs are ndarray views of the same memory
+        self._ys, self._values, self._derivs = (
+            array("d", np.asarray(a, dtype=float).tobytes())
+            for a in (ys, values, derivs))
+        self.ys, self.values, self.derivs = (
+            np.frombuffer(a) for a in (self._ys, self._values, self._derivs))
         self.root = root
         self.name = name
-        self._ys = array("d", self.ys)
 
     def __call__(self, y):
-        ys = self.ys
+        ys, vs, ds = self._ys, self._values, self._derivs
         y = float(y)
         if not (ys[0] - 1e-12 <= y <= ys[-1] + 1e-12):
             raise DomainError(
                 f"{self.name}: {y} outside tabulated range [{ys[0]}, {ys[-1]}]")
-        i = min(max(bisect.bisect_left(self._ys, y) - 1, 0), ys.size - 2)
+        i = min(max(bisect.bisect_left(ys, y) - 1, 0), len(ys) - 2)
         h = ys[i + 1] - ys[i]
-        s = (y - ys[i]) / h
+        s = (y - ys[i]) / h if h else 0.0
         h00 = (1 + 2 * s) * (1 - s) ** 2
         h10 = s * (1 - s) ** 2
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
-        return (h00 * self.values[i] + h * h10 * self.derivs[i]
-                + h01 * self.values[i + 1] + h * h11 * self.derivs[i + 1])
+        return (h00 * vs[i] + h * h10 * ds[i]
+                + h01 * vs[i + 1] + h * h11 * ds[i + 1])
 
     def partial(self, i):
         if i != 0:
@@ -624,8 +642,8 @@ class RunningIntegral:
             n_intervals += 1
         self.integrand = integrand
         self.arity = integrand.arity
-        self.nodes = np.linspace(float(lo), float(hi), n_intervals + 1)
-        self._nodes = array("d", self.nodes)
+        self.nodes = array("d", np.linspace(float(lo), float(hi),
+                                            n_intervals + 1).tobytes())
         self.base_index = n_intervals // 2
         self.name = name
         self._partials = {}
@@ -648,15 +666,14 @@ class RunningIntegral:
         b = self.base_index
         total = 0.0
         if y >= nodes[b]:
-            j = min(max(bisect.bisect_left(self._nodes, y) - 1, 0),
-                    nodes.size - 2)
+            j = min(max(bisect.bisect_left(nodes, y) - 1, 0), len(nodes) - 2)
             for i in range(b, j):
                 total += self._simpson(nodes[i], nodes[i + 1], params)
             lo = nodes[max(j, b)]
             if y > lo:
                 total += self._simpson(lo, y, params)
         else:
-            j = min(bisect.bisect_left(self._nodes, y), nodes.size - 1)
+            j = min(bisect.bisect_left(nodes, y), len(nodes) - 1)
             for i in range(b, j, -1):
                 total -= self._simpson(nodes[i - 1], nodes[i], params)
             hi = nodes[min(j, b)]
@@ -670,7 +687,7 @@ class RunningIntegral:
         if i not in self._partials:
             self._partials[i] = RunningIntegral(
                 self.integrand.partial(i), self.nodes[0], self.nodes[-1],
-                self.nodes.size - 1, name=f"{self.name}_d{i}")
+                len(self.nodes) - 1, name=f"{self.name}_d{i}")
         return self._partials[i]
 
 
@@ -821,7 +838,7 @@ class GeneratingFunction:
         return f"GeneratingFunction({self.kind}, {self.s})"
 
 
-def time_extension(form, energy, t_var="t"):
+def time_extension(form, energy):
     """Promote a fixed-energy solution W to a time-dependent one.
 
     Returns the generating function S = W - E t, which satisfies
@@ -830,9 +847,8 @@ def time_extension(form, energy, t_var="t"):
     """
     if form.potential is None:
         raise ValueError("the form must carry a potential to extend")
-    s = sub(form.potential, mul(Const(float(energy)), Var(t_var)))
-    return GeneratingFunction("typeI", s, q_vars=form.coords, params=(),
-                              t_var=t_var)
+    s = sub(form.potential, mul(Const(float(energy)), Var("t")))
+    return GeneratingFunction("typeI", s, q_vars=form.coords, params=())
 
 
 def _point_rows(gf, sys, points):
@@ -844,6 +860,8 @@ def _point_rows(gf, sys, points):
     if len(sizes) != 1:
         raise ValueError("all point columns must have equal length")
     n_pts = sizes.pop()
+    if not n_pts:
+        raise ValueError("need at least one sample point")
     if gf.t_var not in cols:
         cols[gf.t_var] = np.zeros(n_pts)
     return tuple(cols), np.column_stack(list(cols.values()))
@@ -871,12 +889,12 @@ class CompletenessReport:
     complete: bool
 
 
-def check_complete(gf, sys, points, tol=1e-8, det_floor=1e-6):
+def check_complete(gf, sys, points, tol=1e-8):
     """Is S(t, q, c) a complete solution over the sampled points?
 
     Complete means the extended residual dS/dt + h(q, dS/dq) vanishes
     (within tol) and the family is non-degenerate: the mixed-partial
-    determinant det(d2 S / dq dc) stays away from zero (above det_floor)
+    determinant det(d2 S / dq dc) stays away from zero (at least 1e-6)
     at every sample, parameters included.
     """
     if not gf.params:
@@ -892,7 +910,7 @@ def check_complete(gf, sys, points, tol=1e-8, det_floor=1e-6):
     min_det = min([math.inf, *(abs(float(np.linalg.det(m))) for m in mats)])
     hj_max = float(np.max(devs))
     return CompletenessReport(hj_max_dev=hj_max, min_abs_det=float(min_det),
-                              complete=(hj_max <= tol and min_det >= det_floor))
+                              complete=(hj_max <= tol and min_det >= 1e-6))
 
 
 def quadrature_complete_solution(sys, q_range, branch=1, n_quad=200,
@@ -940,12 +958,12 @@ class CyclicAnsatz:
     w_prefix: Expr
 
 
-def cyclic_ansatz(sys, cyclic_vars, betas, tol=1e-9, samples=20, seed=42):
+def cyclic_ansatz(sys, cyclic_vars, betas, seed=42):
     """Separate cyclic variables with linear terms in W.
 
-    Preconditions (sampled): every listed variable is genuinely cyclic,
-    i.e. h does not change when it is varied.  ``betas`` may be numbers
-    or variable names to keep symbolic.
+    Preconditions (20 samples per variable): every listed variable is
+    genuinely cyclic, i.e. h does not change when it is varied.
+    ``betas`` may be numbers or variable names to keep symbolic.
     """
     cyclic_vars = tuple(sys.coords[v] if isinstance(v, int) else v
                         for v in cyclic_vars)
@@ -964,9 +982,9 @@ def cyclic_ansatz(sys, cyclic_vars, betas, tol=1e-9, samples=20, seed=42):
 
     for v in cyclic_vars:
         for b, f1, f2 in domain_samples(
-                itertools.repeat(rng), measure, samples,
+                itertools.repeat(rng), measure, 20,
                 shortfall=f"could not sample cyclicity of '{v}'"):
-            if abs(f1 - f2) > tol * (1.0 + abs(f1)):
+            if abs(f1 - f2) > PRECONDITION_TOL * (1.0 + abs(f1)):
                 raise PreconditionError(
                     f"'{v}' is not cyclic in the hamiltonian", witness=b)
     beta_exprs = tuple(Var(x) if isinstance(x, str) else Const(float(x))
@@ -1095,14 +1113,15 @@ class SplitReport:
     residual: float
 
 
-def additive_split_check(s, coords, action, grid, mu=None, tol=1e-9):
+def additive_split_check(s, coords, action, grid, mu=None):
     """Split a generating function over base x group coordinates.
 
     Precondition: the graph of dS sits inside one momentum level, i.e.
-    G^T grad S is constant over the grid (within tol, witness reported
-    otherwise).  Then S_group = sum_a mu_a x^a in the group coordinates
-    x = (G^T G)^{-1} G^T q, S_reduced is S restricted to the zero fiber,
-    and the residual of S = S_reduced + S_group + c is returned.
+    G^T grad S is constant over the grid (within PRECONDITION_TOL,
+    witness reported otherwise).  Then S_group = sum_a mu_a x^a in the
+    group coordinates x = (G^T G)^{-1} G^T q, S_reduced is S restricted
+    to the zero fiber, and the residual of S = S_reduced + S_group + c
+    is returned.
     """
     coords = tuple(coords)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -1118,7 +1137,7 @@ def additive_split_check(s, coords, action, grid, mu=None, tol=1e-9):
     ref = np.asarray(mu, dtype=float) if mu is not None else j_vals[0]
     scale = 1.0 + float(np.max(np.abs(j_vals))) if j_vals.size else 1.0
     dev = np.abs(j_vals - ref)
-    if j_vals.size and float(np.max(dev)) > tol * scale:
+    if j_vals.size and float(np.max(dev)) > PRECONDITION_TOL * scale:
         worst = int(np.argmax(np.max(dev, axis=1)))
         raise PreconditionError(
             "dS does not stay on one momentum level",

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import DomainError
-from .hj import (SAMPLE_BOX, NewtonDivergenceError, PreconditionError,
-                 SingularJacobianError, SolveError, domain_samples)
+from .hj import (PRECONDITION_TOL, SAMPLE_BOX, NewtonDivergenceError,
+                 PreconditionError, SingularJacobianError, SolveError,
+                 domain_samples)
 from .phase_space import (FLOW_SINGULAR_TOL, PhasePoint, Trajectory,
                           flow_reference, symplectic_matrix)
 
@@ -191,8 +192,8 @@ def symplecticity_check(gf, z, t=0.0):
     return float(np.max(np.abs(m.T @ omega @ m - omega)))
 
 
-def _check_diagonal_invariance(gf, action, tol=1e-9, samples=25, seed=42):
-    """Sampled S(q + G g, c) - S(q, c) = g . G^T c, witness on failure.
+def _check_diagonal_invariance(gf, action, seed=42):
+    """S(q + G g, c) - S(q, c) = g . G^T c at 25 samples, witness on failure.
 
     This is invariance of S under the group acting simultaneously on
     the old and the new variables; it is the condition under which the
@@ -210,9 +211,9 @@ def _check_diagonal_invariance(gf, action, tol=1e-9, samples=25, seed=42):
         return q, c, g, s1, s2 - s1 - float(g @ (action.matrix.T @ c))
 
     for q, c, g, s1, r in domain_samples(
-            itertools.repeat(rng), defect, samples,
+            itertools.repeat(rng), defect, 25,
             shortfall="could not sample the generating function's domain"):
-        if abs(r) > tol * (1.0 + abs(s1)):
+        if abs(r) > PRECONDITION_TOL * (1.0 + abs(s1)):
             raise PreconditionError(
                 "generating function is not invariant under the diagonal "
                 "action, so momentum conservation is not guaranteed",
@@ -220,8 +221,7 @@ def _check_diagonal_invariance(gf, action, tol=1e-9, samples=25, seed=42):
                          "defect": r})
 
 
-def momentum_preservation_check(gf, action, z0, n_steps, t=0.0, tol=1e-9,
-                                samples=25, seed=42):
+def momentum_preservation_check(gf, action, z0, n_steps, t=0.0, seed=42):
     """Drift of G^T p along n_steps of the induced map.
 
     Precondition (sampled, witness on failure): S is invariant under
@@ -232,7 +232,7 @@ def momentum_preservation_check(gf, action, z0, n_steps, t=0.0, tol=1e-9,
     """
     if gf.kind != "typeII":
         raise ValueError("momentum stepping uses a typeII generating function")
-    _check_diagonal_invariance(gf, action, tol=tol, samples=samples, seed=seed)
+    _check_diagonal_invariance(gf, action, seed=seed)
     step = ImplicitMap(gf, t=t)
     z = z0
     j0 = action.matrix.T @ z0.p
@@ -335,18 +335,19 @@ def transform_to_equilibrium(gf, sys, z0, t_end, dt, param_guess=None):
 
 
 def flow_lagrangian_momentum_check(sys, action, n_samples=20, t=1.0, dt=1e-3,
-                                   box=None, seed=42, tol=1e-9):
+                                   box=None, seed=42):
     """Momentum conservation along the reference flow, sampled.
 
-    Precondition (sampled): the hamiltonian is invariant under the
-    action.  Random initial points are drawn from ``box`` (a list of
-    (lo, hi) pairs over the flat (q, p) layout, default +-SAMPLE_BOX each),
-    integrated to time ``t``, and the worst |J(z(t)) - J(z(0))| is
-    returned.  The reference scheme preserves linear momenta to
-    rounding, so the result should sit near machine precision.
+    Precondition (sampled by ``invariance_report``): the hamiltonian is
+    invariant under the action.  Random initial points are drawn from
+    ``box`` (a list of (lo, hi) pairs over the flat (q, p) layout,
+    default +-SAMPLE_BOX each), integrated to time ``t``, and the worst
+    |J(z(t)) - J(z(0))| is returned.  The reference scheme preserves
+    linear momenta to rounding, so the result should sit near machine
+    precision.
     """
     from .symmetry import invariance_report
-    rep = invariance_report(action, sys.h, sys.coords, tol=tol, seed=seed)
+    rep = invariance_report(action, sys.h, sys.coords, seed=seed)
     if not rep["ok"]:
         raise PreconditionError("hamiltonian is not invariant under the action",
                                 witness=rep["witness"])

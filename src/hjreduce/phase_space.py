@@ -9,6 +9,7 @@ serve as an independent check against the structure-preserving maps.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -184,7 +185,11 @@ def _rk4(f, y0, t0, t_end, dt):
         return np.array([t0]), np.asarray(y0, dtype=float)[None, :]
     if span < 0:
         raise ValueError("t_end must not precede t0")
-    n_steps = max(1, int(round(span / dt)))
+    steps = span / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"t_end and dt give {steps} steps, not a finite "
+                         "count")
+    n_steps = max(1, int(round(steps)))
     h = span / n_steps
     times = t0 + h * np.arange(n_steps + 1)
     times[-1] = t_end

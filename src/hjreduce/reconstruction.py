@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import evaluate_rows
-from .hj import OneForm, hj_residual, pullback
+from .hj import PRECONDITION_TOL, OneForm, hj_residual, pullback
 from .phase_space import (FLOW_SINGULAR_TOL, HamiltonianSystem, PhasePoint,
                           Trajectory, _rk4)
 from .reduction import reduced_hamiltonian
@@ -59,7 +59,8 @@ class ReconstructionReport:
     energy: float
 
 
-def lift_report(sys, reduced_form, chart, mu, grid, closed_tol=1e-9, seed=42):
+def lift_report(sys, reduced_form, chart, mu, grid,
+                closed_tol=PRECONDITION_TOL, seed=42):
     """Lift and verify: invariance, momentum level, closedness, residual.
 
     The grid is a set of full-space configuration points.  Invariance is

@@ -19,34 +19,30 @@ are re-exported from here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _linalg
-from .expr import Const, DomainError, Expr, add, linear_combo, substitute
-from .hj import (SAMPLE_BOX, OneForm, PreconditionError, TwoForm,
-                 domain_samples, exterior_derivative,
+from .expr import Const, DomainError, add, linear_combo, substitute
+from .hj import (PRECONDITION_TOL, SAMPLE_BOX, OneForm, PreconditionError,
+                 TwoForm, domain_samples, exterior_derivative,
                  magnetic_lagrangian_residual, pullback)
-from .phase_space import HamiltonianSystem, PhasePoint
+from .phase_space import PhasePoint
 from .symmetry import TranslationAction, invariance_report
 
 __all__ = [
     "QuotientChart", "build_chart", "reduced_hamiltonian",
-    "ReducedSystem", "reduce_system",
     "TwoForm", "exterior_derivative", "magnetic_term", "MagneticTerm",
     "momentum_shift", "magnetic_lagrangian_residual", "project_lagrangian",
 ]
 
 
-def _default_names(m, k):
+def _default_names(m):
     if m == 1:
-        y_names, py_names = ("q",), ("p",)
-    else:
-        y_names = tuple(f"y{i+1}" for i in range(m))
-        py_names = tuple(f"py{i+1}" for i in range(m))
-    x_names = tuple(f"x{a+1}" for a in range(k))
-    return y_names, py_names, x_names
+        return ("q",), ("p",)
+    return (tuple(f"y{i+1}" for i in range(m)),
+            tuple(f"py{i+1}" for i in range(m)))
 
 
 class QuotientChart:
@@ -59,7 +55,7 @@ class QuotientChart:
     """
 
     def __init__(self, y_block, x_block, horizontal, generators,
-                 y_names=None, py_names=None, x_names=None):
+                 y_names=None, py_names=None):
         self.y_block = np.asarray(y_block, dtype=float)
         self.x_block = np.asarray(x_block, dtype=float)
         self.horizontal = np.asarray(horizontal, dtype=float)
@@ -71,14 +67,11 @@ class QuotientChart:
             raise ValueError("block shapes are inconsistent")
         if self.horizontal.shape != (n, m):
             raise ValueError("horizontal lift must be n x (n-k)")
-        defaults = _default_names(m, k)
+        defaults = _default_names(m)
         self.y_names = tuple(y_names) if y_names is not None else defaults[0]
         self.py_names = tuple(py_names) if py_names is not None else defaults[1]
-        self.x_names = tuple(x_names) if x_names is not None else defaults[2]
         if len(self.y_names) != m or len(self.py_names) != m:
             raise ValueError(f"need {m} reduced coordinate/momentum names")
-        if len(self.x_names) != k:
-            raise ValueError(f"need {k} group coordinate names")
 
     @property
     def n(self):
@@ -100,7 +93,7 @@ class QuotientChart:
         p_x = self.generators.T @ z.p
         return y, p_y, x, p_x
 
-    def assemble(self, y, p_y, x=None, p_x=None, t=None):
+    def assemble(self, y, p_y, x=None, p_x=None):
         """Inverse of split: q = L y + G x, p = Y^T p_y + X^T p_x."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         p_y = np.atleast_1d(np.asarray(p_y, dtype=float))
@@ -108,13 +101,13 @@ class QuotientChart:
         p_x = np.zeros(self.k) if p_x is None else np.atleast_1d(p_x)
         q = self.horizontal @ y + self.generators @ x
         p = self.y_block.T @ p_y + self.x_block.T @ p_x
-        return PhasePoint(q, p, t=t)
+        return PhasePoint(q, p)
 
     def __repr__(self):
         return f"QuotientChart(n={self.n}, k={self.k})"
 
 
-def build_chart(action, y_names=None, py_names=None, x_names=None):
+def build_chart(action, y_names=None, py_names=None):
     """Chart for the quotient by a translation action.
 
     The invariant block Y is the reduced-echelon left-null basis of the
@@ -140,18 +133,17 @@ def build_chart(action, y_names=None, py_names=None, x_names=None):
         horizontal = np.linalg.solve(
             t_mat, np.vstack([np.eye(m), np.zeros((k, m))]))
     return QuotientChart(y_block, x_block, horizontal, g,
-                         y_names=y_names, py_names=py_names, x_names=x_names)
+                         y_names=y_names, py_names=py_names)
 
 
-def reduced_hamiltonian(sys, chart, mu, check=True, tol=1e-9, samples=50,
-                        seed=42):
+def reduced_hamiltonian(sys, chart, mu, check=True, seed=42):
     """Descend an invariant hamiltonian to the quotient at level mu.
 
     Substitutes q = L y (the horizontal slice) and p = Y^T p_y + X^T mu
     symbolically; the result is an expression in the reduced names only.
     With ``check`` on, invariance of h under the chart's translations is
-    sampled first and a violation raises PreconditionError with the
-    witness point.
+    sampled first (``invariance_report``) and a violation raises
+    PreconditionError with the witness point.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if mu.size != chart.k:
@@ -160,8 +152,7 @@ def reduced_hamiltonian(sys, chart, mu, check=True, tol=1e-9, samples=50,
         raise ValueError("system and chart dimensions differ")
     if check and chart.k:
         action = TranslationAction(chart.generators.T)
-        rep = invariance_report(action, sys.h, sys.coords, samples=samples,
-                                tol=tol, seed=seed)
+        rep = invariance_report(action, sys.h, sys.coords, seed=seed)
         if not rep["ok"]:
             raise PreconditionError(
                 "hamiltonian is not invariant under the action",
@@ -180,34 +171,6 @@ def reduced_hamiltonian(sys, chart, mu, check=True, tol=1e-9, samples=50,
     return h_red
 
 
-@dataclass
-class ReducedSystem:
-    """Quotient-side package: chart, momentum level, reduced hamiltonian."""
-    chart: QuotientChart
-    mu: np.ndarray
-    h_reduced: Expr
-    t_var: str = "t"
-    _system: object = field(default=None, repr=False, compare=False)
-
-    @property
-    def system(self):
-        if self._system is None:
-            object.__setattr__(
-                self, "_system",
-                HamiltonianSystem(self.h_reduced, self.chart.y_names,
-                                  self.chart.py_names, t_var=self.t_var))
-        return self._system
-
-
-def reduce_system(sys, action, mu, check=True, tol=1e-9, samples=50, seed=42):
-    """Build the chart and the reduced hamiltonian in one step."""
-    chart = build_chart(action)
-    h_red = reduced_hamiltonian(sys, chart, mu, check=check, tol=tol,
-                                samples=samples, seed=seed)
-    return ReducedSystem(chart=chart, mu=np.atleast_1d(np.asarray(mu, float)),
-                         h_reduced=h_red, t_var=sys.t_var)
-
-
 # ---------------------------------------------------------------------------
 # Magnetic (curvature) terms.
 
@@ -220,16 +183,17 @@ class MagneticTerm:
     invariance_dev: float
 
 
-def magnetic_term(chart, alpha_mu, mu, tol=1e-9, samples=50, seed=42):
+def magnetic_term(chart, alpha_mu, mu, seed=42):
     """Quotient 2-form whose pullback is d(alpha_mu).
 
     ``alpha_mu`` is a 1-form on the full configuration space realizing
     the momentum level: it must be invariant under the chart's
     translations and satisfy G^T alpha_mu = mu pointwise.  Both are
-    sampled preconditions.  The returned entries are the exterior
-    derivative of the pullback of alpha_mu to the horizontal slice; the
-    pullback identity (full-space d alpha against the quotient form) is
-    spot-checked and its worst deviation reported.
+    preconditions, sampled at 50 points.  The returned entries are the
+    exterior derivative of the pullback of alpha_mu to the horizontal
+    slice; the pullback identity (full-space d alpha against the quotient
+    form) is spot-checked at 20 more points and its worst deviation
+    reported.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if len(alpha_mu.coords) != chart.n:
@@ -251,17 +215,17 @@ def magnetic_term(chart, alpha_mu, mu, tol=1e-9, samples=50, seed=42):
     inv_dev = 0.0
     mom_dev = 0.0
     for q, v, v2 in domain_samples(
-            itertools.repeat(rng), translates, samples,
+            itertools.repeat(rng), translates, 50,
             shortfall="could not sample the form's domain"):
         if v.size:
             inv_dev = max(inv_dev, float(np.max(np.abs(v2 - v))))
         jv = g_mat.T @ v
         if mu.size:
             mom_dev = max(mom_dev, float(np.max(np.abs(jv - mu))))
-        if inv_dev > tol:
+        if inv_dev > PRECONDITION_TOL:
             raise PreconditionError(
                 "momentum-level form is not invariant", witness=q.tolist())
-        if mom_dev > tol:
+        if mom_dev > PRECONDITION_TOL:
             raise PreconditionError(
                 "form does not realize the momentum level mu",
                 witness={"point": q.tolist(), "momentum": jv.tolist()})
@@ -278,8 +242,8 @@ def magnetic_term(chart, alpha_mu, mu, tol=1e-9, samples=50, seed=42):
         b_mat = beta.matrix_at(y_blk @ q)
         return float(np.max(np.abs(d_mat - y_blk.T @ b_mat @ y_blk)))
 
-    draws = itertools.repeat(rng, min(samples, 20))
-    worst = max([0.0, *domain_samples(draws, pullback_dev)])
+    worst = max([0.0, *domain_samples(itertools.repeat(rng, 20),
+                                      pullback_dev)])
     return MagneticTerm(beta=beta, pullback_residual=worst,
                         momentum_dev=mom_dev, invariance_dev=inv_dev)
 
@@ -289,14 +253,13 @@ def momentum_shift(z, alpha_mu):
     return PhasePoint(z.q, z.p - alpha_mu.values(z.q), t=z.t)
 
 
-def project_lagrangian(form, chart, mu, grid, tol=1e-9, beta=None, seed=42):
+def project_lagrangian(form, chart, mu, grid, seed=42):
     """Project an invariant momentum-level 1-form to the quotient.
 
-    Preconditions on the grid: the form is invariant under the chart's
-    translations (sampled with random group shifts) and its momenta
-    G^T form(q) equal mu everywhere.  Returns the reduced form and a
-    report with the measured deviations; if ``beta`` is given the
-    reduced form's magnetic closedness residual is included.
+    Preconditions on the grid, within ``PRECONDITION_TOL``: the form is
+    invariant under the chart's translations (sampled with random group
+    shifts) and its momenta G^T form(q) equal mu everywhere.  Returns the
+    reduced form and a report with the measured deviations.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -312,7 +275,7 @@ def project_lagrangian(form, chart, mu, grid, tol=1e-9, beta=None, seed=42):
         mdev = float(np.max(np.abs(jv - mu))) if mu.size else 0.0
         if mdev > mom_dev:
             mom_dev = mdev
-        if mdev > tol:
+        if mdev > PRECONDITION_TOL:
             raise PreconditionError(
                 "form does not sit on the momentum level mu",
                 witness={"point": q.tolist(), "momentum": jv.tolist()})
@@ -325,16 +288,11 @@ def project_lagrangian(form, chart, mu, grid, tol=1e-9, beta=None, seed=42):
             dev = float(np.max(np.abs(v2 - v)))
             if dev > inv_dev:
                 inv_dev = dev
-            if dev > tol:
+            if dev > PRECONDITION_TOL:
                 raise PreconditionError(
                     "form is not invariant under the action",
                     witness=q.tolist())
     reduced = pullback(form.components, form.coords, chart.horizontal,
                        chart.y_names)
     tilde = OneForm(chart.y_names, components=reduced)
-    report = {"momentum_dev": mom_dev, "invariance_dev": inv_dev}
-    if beta is not None:
-        y_grid = grid @ chart.y_block.T
-        report["magnetic_residual"] = magnetic_lagrangian_residual(
-            tilde, beta, y_grid)
-    return tilde, report
+    return tilde, {"momentum_dev": mom_dev, "invariance_dev": inv_dev}

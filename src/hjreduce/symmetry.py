@@ -19,12 +19,12 @@ import itertools
 import numpy as np
 
 from .expr import evaluate_rows, parse
-from .hj import SAMPLE_BOX, domain_samples
+from .hj import PRECONDITION_TOL, SAMPLE_BOX, domain_samples
 from .phase_space import PhasePoint
 
 __all__ = [
     "TranslationAction", "cotangent_lift", "momentum_map",
-    "is_invariant", "invariance_report", "check_invariance_lemma",
+    "invariance_report", "check_invariance_lemma",
 ]
 
 
@@ -90,15 +90,15 @@ def momentum_map(action, z):
     return action.matrix.T @ p
 
 
-def invariance_report(action, f, coords, samples=50, tol=1e-9, seed=42):
+def invariance_report(action, f, coords, seed=42):
     """Sampled invariance of a scalar expression under the action.
 
-    Every free variable of ``f`` is drawn uniformly from +-``SAMPLE_BOX``;
-    the variables listed in ``coords`` (the configuration block the
-    action moves) are then translated by a random group element and the
-    values compared with a relative-scaled tolerance.  Samples where
-    either evaluation hits a domain error are redrawn; PreconditionError
-    if too few samples can be drawn.
+    At each of 50 samples every free variable of ``f`` is drawn
+    uniformly from +-``SAMPLE_BOX``; the variables listed in ``coords``
+    (the configuration block the action moves) are then translated by a
+    random group element and the values compared with the relative-scaled
+    ``PRECONDITION_TOL``.  Samples where either evaluation hits a domain
+    error are redrawn; PreconditionError if too few samples can be drawn.
     """
     f = parse(f) if isinstance(f, str) else f
     coords = tuple(coords)
@@ -117,21 +117,15 @@ def invariance_report(action, f, coords, samples=50, tol=1e-9, seed=42):
                 {"point": b, "shift": g.tolist(), "values": (v1, v2)})
 
     results = list(domain_samples(
-        itertools.repeat(rng), measure, samples,
+        itertools.repeat(rng), measure, 50,
         shortfall="could not draw enough domain-valid samples"))
     # the first sample of largest deviation, as a strict > scan finds it
     max_dev, witness = max([(0.0, None), *results], key=lambda r: r[0])
-    return {"ok": max_dev <= tol, "max_rel_dev": float(max_dev),
-            "witness": witness if max_dev > tol else None}
+    return {"ok": max_dev <= PRECONDITION_TOL, "max_rel_dev": float(max_dev),
+            "witness": witness if max_dev > PRECONDITION_TOL else None}
 
 
-def is_invariant(action, f, coords, samples=50, tol=1e-9, seed=42):
-    """True if sampled translates of f agree within a relative tol."""
-    return invariance_report(action, f, coords, samples=samples, tol=tol,
-                             seed=seed)["ok"]
-
-
-def check_invariance_lemma(action, form, grid, tol=1e-9, seed=42):
+def check_invariance_lemma(action, form, grid, seed=42):
     """Both sides of the momentum-level lemma for one closed form.
 
     Along the graph q -> (q, form(q)) the momenta J = G^T form(q) are
@@ -139,8 +133,9 @@ def check_invariance_lemma(action, form, grid, tol=1e-9, seed=42):
     worst case) is one side.  The other side is sampled invariance of
     every component under random translations of the grid points
     (PreconditionError if no grid point and its translate can both be
-    evaluated).  The report records both numbers, the two booleans, and
-    whether they agree.
+    evaluated).  Each side holds when its number is at most
+    ``PRECONDITION_TOL``; the report records both numbers, the two
+    booleans, and whether they agree.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[1] != action.n:
@@ -164,8 +159,8 @@ def check_invariance_lemma(action, form, grid, tol=1e-9, seed=42):
         grid, translate_dev,
         shortfall="no grid point could be compared with its translate"))
     inv_dev = max([0.0, *devs])
-    j_constant = j_spread <= tol
-    invariant = inv_dev <= tol
+    j_constant = j_spread <= PRECONDITION_TOL
+    invariant = inv_dev <= PRECONDITION_TOL
     return {
         "j_spread": j_spread,
         "invariance_dev": inv_dev,

@@ -243,7 +243,7 @@ def test_criterion_09_heavy_top():
            "t": np.linspace(0, 1, n), "b1": np.full(n, 3.0),
            "b2": np.full(n, 0.3), "b3": np.full(n, 0.2)}
     comp = check_complete(out.generating_function, out.system, pts,
-                          tol=1e-8, det_floor=1e-6)
+                          tol=1e-8)
     report(9, worst <= 1e-8 and comp.min_abs_det >= 1e-6,
            f"heavy-top HJ residual {worst:.2e} (<= 1e-8); "
            f"non-degeneracy min |det| {comp.min_abs_det:.2e} (>= 1e-6)")

@@ -206,6 +206,70 @@ class TestExitCodes:
         assert not path.exists()
 
 
+class TestOversizedInputs:
+    """Sizes that no machine can allocate are scenario errors, not bugs.
+
+    Every size here is at least 10^18 elements, so the allocation is
+    refused at once instead of being tried.
+    """
+
+    def run(self, tmp_path, capsys, argv, doc=None):
+        out = tmp_path / "out"
+        scenario = argv[1] if doc is None else write_scenario(tmp_path, doc)
+        rc = cli.main([argv[0], scenario, *argv[2:], "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("scenario error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+        return err
+
+    def test_step_count_beyond_memory(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, ["simulate", "calogero",
+                                          "--t-end", "1e9", "--dt", "1e-9"])
+        assert err.startswith("scenario error: input too large: ")
+
+    def test_step_count_beyond_floats(self, tmp_path, capsys):
+        doc = load_scenario("oscillator")
+        doc.update(t_end=1e300, dt=1e-300)
+        err = self.run(tmp_path, capsys, ["simulate"], doc)
+        assert err == ("scenario error: t_end and dt give inf steps, not a "
+                       "finite count\n")
+
+    def test_quadrature_size_beyond_memory(self, tmp_path, capsys):
+        doc = load_scenario("oscillator")
+        doc["complete_solution"]["n_quad"] = 10 ** 18
+        err = self.run(tmp_path, capsys, ["equilibrium"], doc)
+        assert err.startswith("scenario error: input too large: ")
+
+
+class TestNamedFields:
+    """Inputs that cannot work exit 2 naming the field at fault."""
+
+    @pytest.mark.parametrize("scenario", ["magnetic_synthetic", "oscillator",
+                                          "calogero"])
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_grid_below_one(self, tmp_path, capsys, scenario, grid):
+        rc = cli.main(["verify", scenario, "--grid", grid,
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"scenario error: --grid: must be at least 1, got {grid}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("names, where", [
+        ({"coords": ["q", "q"]}, "$.coords"),
+        ({"coords": ["q", "p"]}, "$.coords"),
+        ({"coords": ["q1", "q2"], "momenta": ["p", "p"]}, "$.momenta"),
+        ({"coords": ["q1", "q2"], "momenta": ["p1", "q1"]}, "$.momenta"),
+        ({"coords": ["q1", "q2"], "momenta": ["p1"]}, "$.momenta")])
+    def test_colliding_names(self, tmp_path, capsys, names, where):
+        doc = {"name": "names", "hamiltonian": "0.5*q1^2", **names}
+        path = write_scenario(tmp_path, doc)
+        assert cli.main(["reduce", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"scenario error: {where}: ")
+
+
 class TestOutputsOnFailure:
     """An exit 3 writes no file; an exit 1 writes its CSV and its report."""
 

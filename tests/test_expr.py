@@ -6,7 +6,8 @@ import pytest
 
 from hjreduce import expr as expr_module
 from hjreduce.cli import load_scenario
-from hjreduce.expr import (Call, Const, DomainError, Mul, ParseError, Pow,
+from hjreduce.expr import (Add, Call, Const, Div, DomainError, Expr, External,
+                           Mul, Neg, ParseError, Pow, Sub,
                            UnboundVariableError, UnknownFunctionError, Var,
                            call, differentiate, evaluate, free_vars, parse,
                            substitute)
@@ -268,10 +269,17 @@ class TestSmartConstructors:
         with pytest.raises(ValueError):
             call("nope", Var("x"))
 
-    def test_nodes_immutable(self):
-        e = Mul(Const(2.0), Var("x"))
-        with pytest.raises(AttributeError):
-            e.left = Const(3.0)
+    @pytest.mark.parametrize("node, field", [
+        (Const(2.0), "value"), (Var("x"), "name"),
+        *[(cls(Const(2.0), Var("x")), "left")
+          for cls in (Add, Sub, Mul, Div, Pow)],
+        (Neg(Var("x")), "arg"), (Call("sin", Var("x")), "arg"),
+        (External(math.hypot, (Var("x"), Var("y"))), "args")],
+        ids=lambda v: type(v).__name__ if isinstance(v, Expr) else v)
+    def test_nodes_immutable(self, node, field):
+        for name in (field, "_vars", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, Const(3.0))
 
     def test_pow_fold(self):
         e = Pow(Const(2.0), Const(10.0))

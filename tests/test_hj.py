@@ -8,12 +8,13 @@ from hjreduce.expr import (Add, Call, Const, DomainError, Div, External, Mul,
                            Neg, Pow, Sub, Var, call, parse)
 from hjreduce.hj import (BranchAmbiguityError, GeneratingFunction,
                          ImplicitBranchRoot, OneForm, PreconditionError,
-                         RunningIntegral, SolveError, TurningPointError,
-                         additive_split_check, check_complete,
-                         closedness_residual, cyclic_ansatz,
+                         RunningIntegral, SolveError, TabulatedAntiderivative,
+                         TurningPointError, TwoForm, additive_split_check,
+                         check_complete, closedness_residual, cyclic_ansatz,
                          cyclic_complete_solution, heavy_top_system,
-                         hj_residual, mesh_grid, quadrature_complete_solution,
-                         random_grid, solve_heavy_top, solve_reduced_1d,
+                         hj_residual, magnetic_lagrangian_residual, mesh_grid,
+                         quadrature_complete_solution, random_grid,
+                         solve_heavy_top, solve_reduced_1d,
                          time_dependent_residual, time_extension)
 from hjreduce.phase_space import HamiltonianSystem, PhasePoint
 from hjreduce.symmetry import TranslationAction
@@ -93,6 +94,20 @@ class TestClosedness:
         with pytest.raises(ValueError,
                            match="grid points must have one entry per coordinate"):
             closedness_residual(f, grid)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_empty_grid_is_rejected(self, m):
+        # a maximum over no points is not a residual of zero
+        coords = ("x", "y")[:m]
+        f = OneForm.exact(parse("x^2"), coords)
+        s = HamiltonianSystem(parse("0.5*p_x^2"), coords)
+        grid = np.zeros((0, m))
+        with pytest.raises(ValueError, match="the grid has no points"):
+            closedness_residual(f, grid)
+        with pytest.raises(ValueError, match="the grid has no points"):
+            magnetic_lagrangian_residual(f, TwoForm(coords, {}), grid)
+        with pytest.raises(ValueError, match="the grid has no points"):
+            hj_residual(s, f, grid)
 
 
 class TestHJResidual:
@@ -274,6 +289,16 @@ class TestRunningIntegral:
         w = RunningIntegral(f, 0.0, 1.0)
         assert w.partial(0) is f
 
+    def test_values_are_python_floats(self):
+        # the sums run in float arithmetic, at the base node and off it
+        root = ImplicitBranchRoot(parse("p^2-a"), "y", "p", params=("a",),
+                                  branch=1)
+        w = RunningIntegral(root, 0.0, 2.0, n_intervals=100)
+        for y in (w.base, 1.5, 0.25):
+            assert type(w(y, 2.2)) is float
+            assert type(w.partial(1)(y, 2.2)) is float
+        assert type(w.base) is float
+
     def test_parameter_partial(self):
         # root of p^2 = a gives W(y, a) = (y - base) sqrt(a);
         # dW/da = (y - base) / (2 sqrt(a)), again a running integral
@@ -286,6 +311,20 @@ class TestRunningIntegral:
         assert wa(y, a) == pytest.approx(expect, rel=1e-10)
         assert w(y, a) == pytest.approx((y - w.base) * math.sqrt(a),
                                         rel=1e-12)
+
+
+class TestTabulatedAntiderivative:
+    def test_values_are_python_floats(self, pair_solution):
+        table = pair_solution.table
+        for y in (table.ys[0], 1.234, table.ys[-1]):
+            assert type(table(y)) is float
+        assert isinstance(table.ys, np.ndarray)
+
+    def test_zero_width_interval(self):
+        # repeated nodes: the Hermite step has no width to divide by
+        w = TabulatedAntiderivative([0.0, 0.0, 1.0], [5.0, 5.0, 6.0],
+                                    [1.0, 1.0, 1.0], root=None)
+        assert w(0.0) == 5.0
 
 
 class TestSolveReduced1D:
@@ -406,6 +445,15 @@ class TestCheckComplete:
         rep = check_complete(gf, s, pts)
         assert not rep.complete
         assert rep.min_abs_det == 0.0
+
+    def test_no_points_is_rejected(self):
+        s = HamiltonianSystem(parse("0.5*p^2"), ["q"])
+        gf = GeneratingFunction("typeI", parse("q*a1-t*a1^2/2"), ("q",),
+                                ("a1",))
+        for check in (check_complete, time_dependent_residual):
+            with pytest.raises(ValueError,
+                               match="need at least one sample point"):
+                check(gf, s, {"q": [], "a1": []})
 
     def test_needs_full_parameter_count(self):
         s = HamiltonianSystem(parse("0.5*(p1^2+p2^2)"), ["q1", "q2"])

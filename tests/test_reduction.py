@@ -8,7 +8,7 @@ from hjreduce.reduction import (QuotientChart, TwoForm, build_chart,
                                 exterior_derivative,
                                 magnetic_lagrangian_residual, magnetic_term,
                                 momentum_shift, project_lagrangian,
-                                reduce_system, reduced_hamiltonian)
+                                reduced_hamiltonian)
 from hjreduce.symmetry import TranslationAction
 from oracles import fd_gradient
 
@@ -118,13 +118,6 @@ class TestReducedHamiltonian:
         with pytest.raises(PreconditionError) as ei:
             reduced_hamiltonian(s, c, np.zeros(1))
         assert ei.value.witness is not None
-
-    def test_reduce_system_wrapper(self, pair_system, diag_action):
-        red = reduce_system(pair_system, diag_action, np.zeros(1))
-        sub = red.system
-        assert sub.coords == ("q",)
-        assert sub.energy(PhasePoint([2.0], [1.0])) == 1.0 + 0.25
-
 
 class TestTwoForm:
     def test_entry_antisymmetry(self):
