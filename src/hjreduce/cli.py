@@ -417,9 +417,12 @@ def _reduced_problem(doc, sys_, action, mu, args):
 def _solve_1d(doc, sys_, action, mu, args):
     """Dispatch the scenario to a 1-D quadrature solution.
 
-    Returns (solution, y_var, equation, energy, solve_block); the
-    equation is in (y_var, momentum-slot) variables with everything
-    else already substituted, so residuals can be re-measured off-node.
+    Returns (solution, basis): the solution carries its variable, its
+    energy and its root, whose residual g = equation - energy measures
+    the solved equation anywhere on the range (``solution.residual``).
+    ``basis`` is what the solve built: the checked CyclicAnsatz of a
+    cyclic solve, the reduction chart of an action, or None for a
+    one-dimensional system.
     """
     sv = doc.get("solve")
     if sv is None:
@@ -438,15 +441,16 @@ def _solve_1d(doc, sys_, action, mu, args):
         if len(ans.remaining_vars) != 1:
             raise ScenarioError("$.solve.cyclic: exactly one non-cyclic "
                                 "coordinate is needed for quadrature")
-        y_var, p_var, equation = (ans.remaining_vars[0], ans.slot_vars[0],
-                                  ans.equation)
+        basis, y_var, p_var, equation = (ans, ans.remaining_vars[0],
+                                         ans.slot_vars[0], ans.equation)
     elif action is not None:
-        chart, equation = _reduced_problem(doc, sys_, action, mu, args)
-        if chart.m != 1:
+        basis, equation = _reduced_problem(doc, sys_, action, mu, args)
+        if basis.m != 1:
             raise ScenarioError("the reduced problem is not one-dimensional")
-        y_var, p_var = chart.y_names[0], chart.py_names[0]
+        y_var, p_var = basis.y_names[0], basis.py_names[0]
     elif sys_.n == 1:
-        y_var, p_var, equation = sys_.coords[0], sys_.momenta[0], sys_.h
+        basis, y_var, p_var, equation = (None, sys_.coords[0],
+                                         sys_.momenta[0], sys_.h)
     else:
         raise ScenarioError("solve-hj needs an action, a cyclic list, or a "
                             "one-dimensional system")
@@ -454,15 +458,7 @@ def _solve_1d(doc, sys_, action, mu, args):
         else sv.get("n_nodes", 2001)
     sol = solve_reduced_1d(equation, y_var, p_var, energy, sv["range"],
                            branch=sv.get("branch", 1), n_nodes=n_nodes)
-    return sol, y_var, p_var, equation, energy, sv
-
-
-def _equation_residual(equation, y_var, p_var, energy, ys, ps):
-    """max |equation(y, p) - energy| over paired y and p values."""
-    vals = evaluate_rows([equation], (y_var, p_var),
-                         np.column_stack([ys, ps]))[:, 0]
-    # fmax skips NaN, as the built-in max after 0.0 does
-    return float(np.fmax.reduce(np.abs(vals - energy), initial=0.0))
+    return sol, basis
 
 
 def _generating_function(sys_, block, where):
@@ -539,17 +535,15 @@ def cmd_reduce(doc, args):
 
 def cmd_solve_hj(doc, args):
     sys_, action, mu = build_system(doc)
-    sol, y_var, p_var, equation, energy, sv = _solve_1d(doc, sys_, action,
-                                                        mu, args)
+    sol, _ = _solve_1d(doc, sys_, action, mu, args)
     table = sol.table
-    resid = _equation_residual(equation, y_var, p_var, energy, table.ys,
-                               table.derivs)
+    resid = sol.residual(table.ys, table.derivs)
     report = {
-        "variable": y_var,
-        "energy": energy,
+        "variable": sol.coords[0],
+        "energy": sol.energy,
         "range": [sol.y_range[0], sol.y_range[1]],
         "n_nodes": int(table.ys.size),
-        "branch": sv.get("branch", 1),
+        "branch": doc["solve"].get("branch", 1),
         "max_node_residual": resid,
         "tol": args.tol,
         "pass": bool(resid <= args.tol),
@@ -640,24 +634,20 @@ def cmd_verify(doc, args):
                                 doc["complete_solution"]["q_range"])
         kind = "complete_solution"
     elif "solve" in doc and "cyclic" in doc["solve"]:
-        sol, y_var, p_var, equation, energy, sv = _solve_1d(doc, sys_,
-                                                            action, mu, args)
+        sol, ans = _solve_1d(doc, sys_, action, mu, args)
         n_pts = args.grid if args.grid is not None else 200
         ys = np.linspace(sol.y_range[0], sol.y_range[1], n_pts)
-        worst = _equation_residual(equation, y_var, p_var, energy, ys,
-                                   [sol.root.solve((y,)) for y in ys])
-        gf = cyclic_complete_solution(sys_, sv["cyclic"], sv["range"],
+        worst = sol.residual(ys, [sol.root.solve((y,)) for y in ys])
+        sv = doc["solve"]
+        gf = cyclic_complete_solution(sys_, ans, sv["range"],
                                       branch=sv.get("branch", 1))
-        betas = sv["beta"]
-        fam = _verify_family(doc, sys_, args, gf, [energy, *betas], y_var,
-                             sol.y_range)
+        fam = _verify_family(doc, sys_, args, gf, [sol.energy, *sv["beta"]],
+                             sol.coords[0], sol.y_range)
         report = {**fam, "max_offnode_residual": worst,
                   "pass": bool(worst <= args.tol and fam["pass"])}
         kind = "cyclic"
     elif action is not None:
-        sol, y_var, p_var, equation, energy, sv = _solve_1d(doc, sys_,
-                                                            action, mu, args)
-        chart = build_chart(action)
+        sol, chart = _solve_1d(doc, sys_, action, mu, args)
         vspec = doc.get("verify", {}).get("grid")
         if vspec is None:
             raise ScenarioError("this scenario has no verify.grid section")
@@ -690,11 +680,11 @@ def cmd_reconstruct(doc, args):
     rc = doc.get("reconstruct")
     if rc is None:
         raise ScenarioError("this command needs a 'reconstruct' section")
-    sol, y_var, p_var, equation, energy, sv = _solve_1d(doc, sys_, action,
-                                                        mu, args)
+    sol, chart = _solve_1d(doc, sys_, action, mu, args)
     if action is None:
         raise ScenarioError("reconstruction needs an 'action' section")
-    chart = build_chart(action)
+    if "cyclic" in doc["solve"]:
+        chart = build_chart(action)  # the cyclic solve built an ansatz
     t_end, dt = _time_grid(doc, args, "reconstruct")
     y0 = np.asarray(rc["y0"], dtype=float)
     g0 = np.asarray(rc["g0"], dtype=float) if "g0" in rc else None

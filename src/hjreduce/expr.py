@@ -25,7 +25,11 @@ enters the tree walk in only one other place: the random-draw measures
 of ``hj.cyclic_ansatz`` and ``symmetry.invariance_report``.  The
 implicit roots of ``hj`` (the Newton residual and the root-derivative
 class) never walk a tree: they call kernels generated once per root by
-:func:`compile`, which are bit-identical to the walker.
+:func:`compile`, which are bit-identical to the walker.  Nor does the
+residual of a quadrature solution's own equation
+(``hj.QuadratureSolution.residual``, which ``solve-hj`` and a cyclic
+``verify`` report): it is the root's kernel g = h - E at each point,
+not an :func:`evaluate_rows` sweep.
 The checks that evaluate h on the graph of a form (``hj.hj_residual``,
 and ``hj.time_dependent_residual``, which ``hj.check_complete`` shares)
 do so in two stages, the form's components over all points and then h,

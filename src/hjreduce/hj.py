@@ -216,6 +216,18 @@ class QuadratureSolution(OneForm):
         self.energy = float(energy)
         self.y_range = (float(y_range[0]), float(y_range[1]))
 
+    def residual(self, ys, ps):
+        """max |h(y, p) - E| over paired y and p values.
+
+        Each |g| comes from the root's compiled residual g = h - E, so it
+        equals the tree walker's |h(y, p) - E| bit for bit.  A NaN row is
+        skipped, and the first failing row raises its DomainError.
+        """
+        g = self.root._g
+        # fmax skips NaN, as the built-in max after 0.0 does
+        return float(np.fmax.reduce([abs(g(y, p)) for y, p in zip(ys, ps)],
+                                    initial=0.0))
+
 
 def pullback(components, names, mat, new_names, shift=None):
     """Pull 1-form components back along the linear map names = mat new_names.
@@ -987,6 +999,11 @@ def cyclic_ansatz(sys, cyclic_vars, betas, seed=42):
             if abs(f1 - f2) > PRECONDITION_TOL * (1.0 + abs(f1)):
                 raise PreconditionError(
                     f"'{v}' is not cyclic in the hamiltonian", witness=b)
+    return _separate(sys, cyclic_vars, betas)
+
+
+def _separate(sys, cyclic_vars, betas):
+    """The ansatz of checked cyclic variables: h with momenta substituted."""
     beta_exprs = tuple(Var(x) if isinstance(x, str) else Const(float(x))
                        for x in betas)
     remaining = tuple(v for v in sys.coords if v not in cyclic_vars)
@@ -1004,24 +1021,25 @@ def cyclic_ansatz(sys, cyclic_vars, betas, seed=42):
                         equation, w_prefix)
 
 
-def cyclic_complete_solution(sys, cyclic_vars, remaining_range, branch=1,
+def cyclic_complete_solution(sys, ansatz, remaining_range, branch=1,
                              n_quad=200):
-    """Complete-solution family from a cyclic separation.
+    """Complete-solution family from a checked cyclic separation.
 
-    With all but one coordinate cyclic, W separates as
-    sum_l q^l b_{l+1} + V(q_rest) and V's derivative solves the induced
-    1-D equation with separation constant b1.  The returned family
+    ``ansatz`` is the :func:`cyclic_ansatz` of ``sys``; its cyclic
+    variables are taken as checked and not sampled again.  With all but
+    one coordinate cyclic, W separates as sum_l q^l b_{l+1} + V(q_rest)
+    and V's derivative solves the induced 1-D equation with separation
+    constant b1.  The returned family
 
         S = -t b1 + sum_l q^l b_{l+1} + V(q_rest, b1, b2, ...)
 
     is a new-momenta (typeII) generating function; its mixed-partial
     determinant reduces to dV'/db1, so non-degeneracy is exactly the
     implicit-root condition.  V is a running integral of the root over
-    ``remaining_range`` with parameters kept symbolic.
+    ``remaining_range`` with every b kept symbolic, so the ansatz's own
+    betas do not enter the family.
     """
-    cyclic_vars = tuple(sys.coords[v] if isinstance(v, int) else v
-                        for v in cyclic_vars)
-    remaining = tuple(v for v in sys.coords if v not in cyclic_vars)
+    cyclic_vars, remaining = ansatz.cyclic_vars, ansatz.remaining_vars
     if len(remaining) != 1:
         raise ValueError("the family needs exactly one non-cyclic coordinate")
     params = tuple(f"b{i+1}" for i in range(len(cyclic_vars) + 1))
@@ -1029,7 +1047,7 @@ def cyclic_complete_solution(sys, cyclic_vars, remaining_range, branch=1,
     clash = taken & set(params)
     if clash:
         raise ValueError(f"parameter names collide with the system: {sorted(clash)}")
-    sym = cyclic_ansatz(sys, cyclic_vars, params[1:])
+    sym = _separate(sys, cyclic_vars, params[1:])
     rest = remaining[0]
     p_rest = sys.momenta[sys.coords.index(rest)]
     g_fam = sub(substitute(sym.equation, {sym.slot_vars[0]: Var(p_rest)}),
@@ -1094,8 +1112,7 @@ def solve_heavy_top(i_moment, j_moment, mass, gravity, arm, beta2, beta3,
     slot = ans.slot_vars[0]
     sol = solve_reduced_1d(ans.equation, "theta", slot, float(energy),
                            theta_range, branch=1, n_nodes=n_nodes)
-    gf = cyclic_complete_solution(sys, ("phi", "psi"), theta_range,
-                                  n_quad=n_quad)
+    gf = cyclic_complete_solution(sys, ans, theta_range, n_quad=n_quad)
     return HeavyTopSolution(system=sys, ansatz=ans, solution=sol,
                             generating_function=gf, energy=float(energy))
 

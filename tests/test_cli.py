@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hjreduce import cli
+from hjreduce import cli, hj
 from hjreduce.cli import (SCENARIO_SCHEMA, ScenarioError, emit_trajectory,
                           load_scenario, read_trajectory)
 from hjreduce.expr import DomainError
@@ -435,6 +435,20 @@ class TestVerifyCommand:
         assert cli.main(["verify", write_scenario(tmp_path, doc), "--grid",
                          "40", "--out", str(tmp_path)]) == 0
         assert branches == [-1]
+
+    def test_cyclic_mode_samples_cyclicity_once(self, tmp_path, monkeypatch):
+        seeds = []
+        real = hj.cyclic_ansatz
+
+        def recording(sys_, cyclic_vars, betas, seed=42):
+            seeds.append(seed)
+            return real(sys_, cyclic_vars, betas, seed=seed)
+
+        monkeypatch.setattr(cli, "cyclic_ansatz", recording)
+        monkeypatch.setattr(hj, "cyclic_ansatz", recording)
+        assert cli.main(["verify", "heavytop", "--grid", "40", "--seed", "7",
+                         "--out", str(tmp_path)]) == 0
+        assert seeds == [7]
 
 
 class TestPipelineCommands:

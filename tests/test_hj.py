@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from hjreduce.expr import (Add, Call, Const, DomainError, Div, External, Mul,
-                           Neg, Pow, Sub, Var, call, parse)
+                           Neg, Pow, Sub, Var, call, evaluate_rows, parse)
 from hjreduce.hj import (BranchAmbiguityError, GeneratingFunction,
                          ImplicitBranchRoot, OneForm, PreconditionError,
                          RunningIntegral, SolveError, TabulatedAntiderivative,
@@ -16,7 +16,9 @@ from hjreduce.hj import (BranchAmbiguityError, GeneratingFunction,
                          quadrature_complete_solution, random_grid,
                          solve_heavy_top, solve_reduced_1d,
                          time_dependent_residual, time_extension)
+from hjreduce.cli import build_system, load_scenario
 from hjreduce.phase_space import HamiltonianSystem, PhasePoint
+from hjreduce.reduction import build_chart, reduced_hamiltonian
 from hjreduce.symmetry import TranslationAction
 from oracles import fd_derivative
 
@@ -385,6 +387,70 @@ class TestSolveReduced1D:
             solve_reduced_1d(reduced_pair.h, "q", "p", 2.0, (5.0, 0.8))
 
 
+def _walker_residual(equation, sol, ys, ps):
+    """max |equation - E| through the tree walker, as a sweep would take it."""
+    vals = evaluate_rows([equation], (sol.coords[0], sol.root.p_var),
+                         np.column_stack([ys, ps]))[:, 0]
+    return float(np.fmax.reduce(np.abs(vals - sol.energy), initial=0.0))
+
+
+def _bundled_equation(name):
+    """A bundled scenario's solved 1-D equation and its solution."""
+    doc = load_scenario(name)
+    sys_, action, mu = build_system(doc)
+    sv = doc["solve"]
+    if "cyclic" in sv:
+        ans = cyclic_ansatz(sys_, sv["cyclic"], sv["beta"])
+        eq, y, p = ans.equation, ans.remaining_vars[0], ans.slot_vars[0]
+    else:
+        chart = build_chart(action)
+        eq = reduced_hamiltonian(sys_, chart, mu)
+        y, p = chart.y_names[0], chart.py_names[0]
+    energy = sv.get("energy", doc.get("energy"))
+    return eq, solve_reduced_1d(eq, y, p, energy, sv["range"], n_nodes=401)
+
+
+class TestSolutionResidual:
+    """The residual a solution measures is the walker's, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["calogero", "heavytop"])
+    def test_matches_the_walker(self, name):
+        eq, sol = _bundled_equation(name)
+        ys = np.linspace(sol.y_range[0], sol.y_range[1], 200)
+        off = (ys, [sol.root.solve((y,)) for y in ys])
+        for ys, ps in ((sol.table.ys, sol.table.derivs), off):
+            got = sol.residual(ys, ps)
+            assert type(got) is float
+            assert got == _walker_residual(eq, sol, ys, ps)
+            assert [sol.residual([y], [p]) for y, p in zip(ys, ps)] == [
+                _walker_residual(eq, sol, [y], [p]) for y, p in zip(ys, ps)]
+
+    @pytest.fixture(scope="class")
+    def log_solution(self):
+        eq = parse("p*p+1/q^2+log(q+3)")
+        return eq, solve_reduced_1d(eq, "q", "p", 4.0, (0.8, 5.0),
+                                    n_nodes=51)
+
+    def test_skips_a_nan_row(self, log_solution):
+        eq, sol = log_solution
+        ys, ps = [1.0, 2.0], [math.nan, sol.root.solve((2.0,))]
+        got = sol.residual(ys, ps)
+        assert got == _walker_residual(eq, sol, ys, ps)
+        assert got == sol.residual(ys[1:], ps[1:])
+        assert sol.residual([1.0], [math.nan]) == 0.0
+
+    def test_first_failing_row_raises(self, log_solution):
+        eq, sol = log_solution
+        ys, ps = [1.0, -5.0, 0.0], [1.0, 1.0, 1.0]
+        with pytest.raises(DomainError) as got:
+            sol.residual(ys, ps)
+        with pytest.raises(DomainError) as want:
+            _walker_residual(eq, sol, ys, ps)
+        assert str(got.value) == str(want.value)
+        assert got.value.subexpr is want.value.subexpr
+        assert "log" in str(got.value)
+
+
 class TestGeneratingFunction:
     def test_free_vars_must_be_declared(self):
         with pytest.raises(ValueError):
@@ -580,14 +646,16 @@ class TestCyclicCompleteSolution:
     def test_name_clash_rejected(self):
         h = parse("0.5*(pb1^2+pq^2)+cos(b1)")
         s = HamiltonianSystem(h, ["b1", "q"], ["pb1", "pq"])
+        ans = cyclic_ansatz(s, ["q"], [0.5])
         with pytest.raises(ValueError):
-            cyclic_complete_solution(s, ["q"], (0.5, 1.0))
+            cyclic_complete_solution(s, ans, (0.5, 1.0))
 
     def test_needs_single_remaining(self):
         s = HamiltonianSystem(parse("0.5*(p1^2+p2^2+p3^2)+q1^2+q2^2"),
                               ["q1", "q2", "q3"])
+        ans = cyclic_ansatz(s, ["q3"], [0.5])
         with pytest.raises(ValueError):
-            cyclic_complete_solution(s, ["q3"], (0.5, 1.0))
+            cyclic_complete_solution(s, ans, (0.5, 1.0))
 
 
 class TestAdditiveSplit:

@@ -13,7 +13,7 @@ from hjreduce.cli import build_system, load_scenario
 from hjreduce.expr import Const, Var, linear_combo, parse, substitute
 from hjreduce.hj import (GeneratingFunction, ImplicitBranchRoot, OneForm,
                          TurningPointError, TwoForm, additive_split_check,
-                         check_complete, closedness_residual,
+                         check_complete, closedness_residual, cyclic_ansatz,
                          cyclic_complete_solution, hj_residual,
                          magnetic_lagrangian_residual, mesh_grid,
                          quadrature_complete_solution, solve_reduced_1d,
@@ -83,8 +83,8 @@ class TestPinnedSweepValues:
 
     def test_time_dependent_residual_and_completeness(self):
         sys_, _, _ = build_system(load_scenario("heavytop"))
-        gf = cyclic_complete_solution(sys_, ("phi", "psi"), (0.6, 2.5),
-                                      n_quad=40)
+        ans = cyclic_ansatz(sys_, ("phi", "psi"), (0.3, 0.2))
+        gf = cyclic_complete_solution(sys_, ans, (0.6, 2.5), n_quad=40)
         n = 9
         points = {"theta": np.linspace(0.7, 2.4, n),
                   "phi": np.linspace(-2.0, 2.0, n),
