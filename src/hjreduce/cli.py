@@ -37,7 +37,7 @@ from .hj import (GeneratingFunction, OneForm, PreconditionError, SolveError,
                  check_complete, cyclic_ansatz, cyclic_complete_solution,
                  mesh_grid, quadrature_complete_solution, solve_reduced_1d)
 from .integrators import run_scheme, transform_to_equilibrium
-from .phase_space import (HamiltonianSystem, PhasePoint, Trajectory,
+from .phase_space import (TIME, HamiltonianSystem, PhasePoint, Trajectory,
                           default_momentum_names, flow_reference)
 from .reconstruction import (integrate_projected, lift_report, lift_solution,
                              reconstruct_trajectory)
@@ -226,6 +226,10 @@ def build_system(doc):
         raise ScenarioError(
             f"{where}: need one momentum name per coordinate, distinct from "
             f"each other and from the coordinates (momenta {list(momenta)})")
+    for field, names in (("$.coords", coords), (where, momenta)):
+        if TIME in names:
+            raise ScenarioError(f"{field}: '{TIME}' is the time variable, "
+                                "not a coordinate or momentum name")
     h = _parse_field(doc["hamiltonian"], "$.hamiltonian")
     try:
         sys_ = HamiltonianSystem(h, coords, momenta)
@@ -604,7 +608,7 @@ def _verify_family(doc, sys_, args, gf, param_values, q_var, q_range):
     n_pts = args.grid if args.grid is not None else 200
     t_end = doc.get("t_end", 1.0)
     points = {q_var: np.linspace(q_range[0], q_range[1], n_pts),
-              sys_.t_var: np.linspace(0.0, t_end, n_pts)}
+              TIME: np.linspace(0.0, t_end, n_pts)}
     for c in sys_.coords:
         if c != q_var:
             points[c] = np.linspace(-2.0, 2.0, n_pts)

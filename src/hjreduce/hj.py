@@ -41,6 +41,7 @@ from . import _linalg
 from .expr import (Const, DomainError, Expr, External, Var, add, compile,
                    differentiate, evaluate_rows, linear_combo, mul, parse,
                    sub, substitute)
+from .phase_space import TIME, HamiltonianSystem
 
 __all__ = [
     "PreconditionError", "SolveError", "TurningPointError",
@@ -399,8 +400,13 @@ class ImplicitBranchRoot:
         self.arity = len(self.arg_vars)
         self.branch = branch
         self.name = name
-        self.g_p = differentiate(g, p_var)
         names = self.arg_vars + (p_var,)
+        stray = ", ".join(map(repr, sorted(g.free_vars() - set(names))))
+        if stray:
+            raise PreconditionError(
+                f"{name}: the equation reads {stray}, which is neither an "
+                f"argument {list(self.arg_vars)} nor the momentum '{p_var}'")
+        self.g_p = differentiate(g, p_var)
         self._g = compile(g, names, f"{name} g")
         self._gp = compile(self.g_p, names, f"{name} g_p")
         self._warm = {}
@@ -788,15 +794,14 @@ class GeneratingFunction:
 
     KINDS = ("typeI", "typeII")
 
-    def __init__(self, kind, s, q_vars, params, t_var="t", absent_ok=()):
+    def __init__(self, kind, s, q_vars, params, absent_ok=()):
         if kind not in self.KINDS:
             raise ValueError(f"kind must be one of {self.KINDS}")
         self.kind = kind
         self.s = parse(s) if isinstance(s, str) else s
         self.q_vars = tuple(q_vars)
         self.params = tuple(params)
-        self.t_var = t_var
-        declared = set(self.q_vars) | set(self.params) | {t_var}
+        declared = set(self.q_vars) | set(self.params) | {TIME}
         if len(self.q_vars) + len(self.params) + 1 != len(declared):
             raise ValueError("variable names must be distinct")
         free = self.s.free_vars()
@@ -808,7 +813,7 @@ class GeneratingFunction:
             raise ValueError(
                 f"declared variables absent from S: {sorted(missing)} "
                 "(list them in absent_ok if intended)")
-        self._names = (*self.q_vars, *self.params, t_var)
+        self._names = (*self.q_vars, *self.params, TIME)
         self._cache = {}
 
     @property
@@ -822,7 +827,7 @@ class GeneratingFunction:
         return self._cache[full]
 
     def s_t(self):
-        return self._d("s", self.s, self.t_var)
+        return self._d("s", self.s, TIME)
 
     def s_q(self, i):
         return self._d("s", self.s, self.q_vars[i])
@@ -859,7 +864,7 @@ def time_extension(form, energy):
     """
     if form.potential is None:
         raise ValueError("the form must carry a potential to extend")
-    s = sub(form.potential, mul(Const(float(energy)), Var("t")))
+    s = sub(form.potential, mul(Const(float(energy)), Var(TIME)))
     return GeneratingFunction("typeI", s, q_vars=form.coords, params=())
 
 
@@ -874,8 +879,8 @@ def _point_rows(gf, sys, points):
     n_pts = sizes.pop()
     if not n_pts:
         raise ValueError("need at least one sample point")
-    if gf.t_var not in cols:
-        cols[gf.t_var] = np.zeros(n_pts)
+    if TIME not in cols:
+        cols[TIME] = np.zeros(n_pts)
     return tuple(cols), np.column_stack(list(cols.values()))
 
 
@@ -938,16 +943,15 @@ def quadrature_complete_solution(sys, q_range, branch=1, n_quad=200,
     if sys.n != 1:
         raise ValueError("quadrature families are built for 1-d systems")
     qv, pv = sys.coords[0], sys.momenta[0]
-    if param in (qv, pv, sys.t_var):
+    if param in (qv, pv, TIME):
         raise ValueError("parameter name collides with a coordinate")
     g = sub(sys.h, Var(param))
     root = ImplicitBranchRoot(g, qv, pv, params=(param,), branch=branch,
                               name="dW_family")
     w = RunningIntegral(root, q_range[0], q_range[1], n_intervals=n_quad,
                         name="W_family")
-    s = sub(External(w, (Var(qv), Var(param))), mul(Var(sys.t_var), Var(param)))
-    return GeneratingFunction("typeI", s, q_vars=(qv,), params=(param,),
-                              t_var=sys.t_var)
+    s = sub(External(w, (Var(qv), Var(param))), mul(Var(TIME), Var(param)))
+    return GeneratingFunction("typeI", s, q_vars=(qv,), params=(param,))
 
 
 # ---------------------------------------------------------------------------
@@ -1043,7 +1047,7 @@ def cyclic_complete_solution(sys, ansatz, remaining_range, branch=1,
     if len(remaining) != 1:
         raise ValueError("the family needs exactly one non-cyclic coordinate")
     params = tuple(f"b{i+1}" for i in range(len(cyclic_vars) + 1))
-    taken = set(sys.coords) | set(sys.momenta) | {sys.t_var}
+    taken = set(sys.coords) | set(sys.momenta) | {TIME}
     clash = taken & set(params)
     if clash:
         raise ValueError(f"parameter names collide with the system: {sorted(clash)}")
@@ -1059,9 +1063,8 @@ def cyclic_complete_solution(sys, ansatz, remaining_range, branch=1,
     s = External(w_fam, tuple(Var(v) for v in (rest,) + params))
     for v, b in zip(cyclic_vars, params[1:]):
         s = s + Var(v) * Var(b)
-    s = s - Var(sys.t_var) * Var(params[0])
-    return GeneratingFunction("typeII", s, q_vars=sys.coords, params=params,
-                              t_var=sys.t_var)
+    s = s - Var(TIME) * Var(params[0])
+    return GeneratingFunction("typeII", s, q_vars=sys.coords, params=params)
 
 
 @dataclass
@@ -1086,7 +1089,6 @@ def heavy_top_system(i_moment, j_moment, mass, gravity, arm):
          f" + (pphi-ppsi*cos(theta))^2/({i_m!r}*sin(theta)^2)"
          f" + ppsi^2/{j_m!r})"
          f" + {mgl!r}*cos(theta)")
-    from .phase_space import HamiltonianSystem
     return HamiltonianSystem(h, ("theta", "phi", "psi"),
                              ("ptheta", "pphi", "ppsi"))
 

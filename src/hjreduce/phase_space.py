@@ -1,7 +1,8 @@
 """Canonical phase spaces over R^n: systems, points, trajectories, flows.
 
 A Hamiltonian system is a scalar expression h over declared position and
-momentum coordinates (plus optionally the time variable).  The canonical
+momentum coordinates (plus optionally the time variable ``TIME`` = "t",
+a reserved name that no coordinate or momentum may take).  The canonical
 vector field is (dh/dp, -dh/dq); the reference flow is fixed-step
 classical Runge-Kutta 4, which is deliberately not symplectic so it can
 serve as an independent check against the structure-preserving maps.
@@ -19,8 +20,12 @@ from .expr import Expr, differentiate, evaluate_rows, parse
 __all__ = [
     "HamiltonianSystem", "PhasePoint", "Trajectory",
     "hamiltonian_vector_field", "symplectic_pairing", "symplectic_matrix",
-    "flow_reference", "default_momentum_names",
+    "flow_reference", "default_momentum_names", "TIME",
 ]
+
+# The time variable of every layout that binds one: systems (q, p, t),
+# generating functions (q, c, t) and the reduced systems of reconstruction.
+TIME = "t"
 
 # Division guard of the RK4 flows and of the transforms along them; residual
 # checks and schemes guard exact zeros only.
@@ -66,7 +71,7 @@ class PhasePoint:
 class HamiltonianSystem:
     """Hamiltonian h over coordinates q^1..q^n and momenta p_1..p_n."""
 
-    def __init__(self, h, coords, momenta=None, t_var="t"):
+    def __init__(self, h, coords, momenta=None):
         self.h = parse(h) if isinstance(h, str) else h
         self.coords = tuple(coords)
         self.momenta = tuple(momenta) if momenta is not None else default_momentum_names(self.coords)
@@ -75,14 +80,16 @@ class HamiltonianSystem:
         names = set(self.coords) | set(self.momenta)
         if len(names) != 2 * len(self.coords):
             raise ValueError("coordinate and momentum names must be distinct")
-        self.t_var = t_var
-        extra = self.h.free_vars() - names - {t_var}
+        if TIME in names:
+            raise ValueError(f"'{TIME}' is the time variable, not a "
+                             "coordinate or momentum name")
+        extra = self.h.free_vars() - names - {TIME}
         if extra:
             raise ValueError(f"hamiltonian uses undeclared variables: {sorted(extra)}")
-        self.time_dependent = t_var in self.h.free_vars()
+        self.time_dependent = TIME in self.h.free_vars()
         self._dh_dq = tuple(differentiate(self.h, v) for v in self.coords)
         self._dh_dp = tuple(differentiate(self.h, v) for v in self.momenta)
-        self._names = (*self.coords, *self.momenta, t_var)
+        self._names = (*self.coords, *self.momenta, TIME)
 
     @property
     def n(self):
@@ -141,9 +148,8 @@ class Trajectory:
 
     def energies(self, sys):
         """h at every sample, its time bound to the sample time."""
-        names = (*sys.coords, *sys.momenta, sys.t_var)
         rows = np.column_stack([self.qs, self.ps, self.times])
-        return evaluate_rows([sys.h], names, rows)[:, 0]
+        return evaluate_rows([sys.h], sys._names, rows)[:, 0]
 
 
 def hamiltonian_vector_field(sys, z, t=None):

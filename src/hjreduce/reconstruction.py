@@ -148,8 +148,7 @@ def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
         raise ValueError(f"y0 must have {chart.m} entries")
     g0 = np.zeros(chart.k) if g0 is None else np.atleast_1d(np.asarray(g0, float))
     h_red = reduced_hamiltonian(sys, chart, mu, check=False)
-    red_sys = HamiltonianSystem(h_red, chart.y_names, chart.py_names,
-                                t_var=sys.t_var)
+    red_sys = HamiltonianSystem(h_red, chart.y_names, chart.py_names)
     l_mat = chart.horizontal
     x_blk = chart.x_block
     g_mat = chart.generators

@@ -28,7 +28,7 @@ from .expr import Const, DomainError, add, linear_combo, substitute
 from .hj import (PRECONDITION_TOL, SAMPLE_BOX, OneForm, PreconditionError,
                  TwoForm, domain_samples, exterior_derivative,
                  magnetic_lagrangian_residual, pullback)
-from .phase_space import PhasePoint
+from .phase_space import TIME, PhasePoint
 from .symmetry import TranslationAction, invariance_report
 
 __all__ = [
@@ -163,7 +163,7 @@ def reduced_hamiltonian(sys, chart, mu, check=True, seed=42):
     mapping.update({v: add(linear_combo(col, chart.py_names), Const(s))
                     for v, col, s in zip(sys.momenta, chart.y_block.T, shift)})
     h_red = substitute(sys.h, mapping)
-    allowed = set(chart.y_names) | set(chart.py_names) | {sys.t_var}
+    allowed = set(chart.y_names) | set(chart.py_names) | {TIME}
     stray = h_red.free_vars() - allowed
     if stray:
         raise PreconditionError(

@@ -270,6 +270,48 @@ class TestNamedFields:
         assert capsys.readouterr().err.startswith(f"scenario error: {where}: ")
 
 
+class TestTimeVariable:
+    """'t' is the time: no coordinate or momentum, no quadrature equation."""
+
+    @pytest.mark.parametrize("names, where", [
+        ({"coords": ["t"]}, "$.coords"),
+        ({"coords": ["t"], "momenta": ["p"]}, "$.coords"),
+        ({"coords": ["q"], "momenta": ["t"]}, "$.momenta")])
+    def test_named_like_the_time(self, tmp_path, capsys, names, where):
+        doc = {"name": "tvar", "hamiltonian": "0.5*q^2", "t_end": 1.0,
+               "dt": 0.01, "z0": {"q": [1.0], "p": [0.0]}, **names}
+        if names["coords"] == ["t"]:
+            doc["hamiltonian"] = "0.5*p_t^2+0.5*t^2"
+        out = tmp_path / "out"
+        assert cli.main(["simulate", write_scenario(tmp_path, doc),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"scenario error: {where}: 't' is the time variable, not a "
+            "coordinate or momentum name\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, code", [
+        ("solve-hj", 3), ("verify", 3), ("reconstruct", 3), ("reduce", 0),
+        ("simulate", 0)])
+    def test_quadrature_equation_reading_the_time(self, tmp_path, capsys,
+                                                  command, code):
+        doc = load_scenario("calogero")
+        doc["hamiltonian"] += "+1e-9*sin(t)"
+        doc.update(t_end=0.1, dt=0.01)
+        out = tmp_path / "out"
+        assert cli.main([command, write_scenario(tmp_path, doc),
+                         "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == (
+                "numeric failure: PreconditionError: dW: the equation reads "
+                "'t', which is neither an argument ['q'] nor the momentum "
+                "'p'\n")
+            assert not out.exists()
+        else:
+            assert err == ""
+
+
 class TestOutputsOnFailure:
     """An exit 3 writes no file; an exit 1 writes its CSV and its report."""
 

@@ -189,6 +189,10 @@ class TestImplicitBranchRoot:
         with pytest.raises(NotImplementedError):
             root.partial(0).partial(0).partial(0)
 
+    def test_stray_variable_is_a_precondition(self):
+        with pytest.raises(PreconditionError, match="reads 'a', 't'"):
+            ImplicitBranchRoot(parse("p^2+sin(t)-a"), "y", "p")
+
     def test_no_root_raises_turning_point(self):
         g = parse("p^2+1")
         r = ImplicitBranchRoot(g, "y", "p", branch=1)

@@ -31,6 +31,12 @@ class TestHamiltonianSystem:
         with pytest.raises(ValueError):
             HamiltonianSystem(parse("0.5*p^2+z"), ["q"])
 
+    @pytest.mark.parametrize("coords, momenta", [(["t"], None),
+                                                 (["q"], ["t"])])
+    def test_time_is_no_coordinate_or_momentum(self, coords, momenta):
+        with pytest.raises(ValueError, match="'t' is the time variable"):
+            HamiltonianSystem(parse("0.5*q^2"), coords, momenta)
+
     def test_time_dependence_flag(self):
         s = HamiltonianSystem(parse("0.5*p^2+t*q"), ["q"])
         assert s.time_dependent
