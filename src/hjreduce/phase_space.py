@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 
-from .expr import Expr, differentiate, evaluate_rows, parse
+from .expr import DomainError, Expr, differentiate, evaluate_rows, parse
 
 __all__ = [
     "HamiltonianSystem", "PhasePoint", "Trajectory",
@@ -183,7 +183,11 @@ def symplectic_matrix(n):
 
 
 def _rk4(f, y0, t0, t_end, dt):
-    """Fixed-step RK4.  The step is adjusted so that t_end is hit exactly."""
+    """Fixed-step RK4.  The step is adjusted so that t_end is hit exactly.
+
+    A step whose array arithmetic overflows or gives NaN raises a
+    DomainError naming the time it started from.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     span = t_end - t0
@@ -202,14 +206,18 @@ def _rk4(f, y0, t0, t_end, dt):
     y = np.asarray(y0, dtype=float).copy()
     out = np.empty((n_steps + 1, y.size))
     out[0] = y
-    for i in range(n_steps):
-        t = times[i]
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = y
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i in range(n_steps):
+                t = times[i]
+                k1 = f(t, y)
+                k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+                k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+                k4 = f(t + h, y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                out[i + 1] = y
+    except FloatingPointError as e:
+        raise DomainError(f"RK4 step from t={float(t)}: {e}") from None
     return times, out
 
 

@@ -339,6 +339,20 @@ class TestOutputsOnFailure:
         assert "numeric failure" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_overflowing_flow_prints_one_line(self, tmp_path):
+        # a subprocess, so that a numpy warning would reach its stderr
+        doc = load_scenario("oscillator")
+        doc["hamiltonian"] = "1e300*q*q*q*q+0.5*p^2"
+        doc["z0"]["q"] = [1e10]
+        out = tmp_path / "out"
+        r = run_cli("simulate", write_scenario(tmp_path, doc),
+                    "--out", str(out))
+        assert r.returncode == 3
+        assert r.stderr.startswith("numeric failure: DomainError: RK4 step "
+                                   "from t=0.0: ")
+        assert r.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_non_finite_csv_column_is_named(self, tmp_path):
         tr = Trajectory([0.0, 0.1], [[1.0], [2.0]], [[0.5], [np.nan]])
         path = tmp_path / "t.csv"
