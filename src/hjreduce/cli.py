@@ -7,14 +7,16 @@ settings; outputs are JSON reports and CSV series written atomically.
 
 Exit codes: 0 success; 1 a measured residual exceeded --tol (the CSV
 and the failing report are still written); 2 invalid scenario or usage,
-including an unreadable scenario or an unwritable output path; 3
-numeric failure (solver divergence, domain error, violated
-precondition, a NaN or inf in a report field or a CSV column); 4
-internal error (a bug: the traceback is printed).  An input too large
-to allocate (a step count, grid or quadrature size beyond memory) is a
-scenario error, exit 2.  Every report field
-and CSV value is checked before a command's first write, so a run that
-exits 3 leaves no new file.  Identical scenario + seed + flags give
+including an unreadable scenario or an unwritable output path and a
+coordinate or momentum named 't', the reserved time variable; 3
+numeric failure (solver divergence, domain error, an RK4 step that
+overflows or gives NaN, violated precondition, among them a quadrature
+equation that reads 't', a NaN or inf in a report field or a CSV
+column); 4 internal error (a bug: the traceback is printed).  An input
+too large to allocate (a step count, grid or quadrature size beyond
+memory) is a scenario error, exit 2.  Every report field and CSV value
+is checked before a command's first write, so a run that exits 3
+leaves no new file.  Identical scenario + seed + flags give
 byte-identical outputs.
 """
 

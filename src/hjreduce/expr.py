@@ -20,7 +20,10 @@ first point, then at the next, exactly as a loop over the points would.
 Single points do too, as one-row calls: each object that owns a
 variable layout binds it in one place (a form's coordinates; a
 system's (q, p, t), whose t is bound whenever a time is given or the
-point carries one; a generating function's (q, c, t)).  Evaluation
+point carries one; a generating function's (q, c, t)).  The time is
+the one reserved name ``t`` (``phase_space.TIME``); no coordinate or
+momentum takes it, and an implicit root of ``hj`` refuses an equation
+that reads it, or any name beyond the root's own layout.  Evaluation
 enters the tree walk in only one other place: the random-draw measures
 of ``hj.cyclic_ansatz`` and ``symmetry.invariance_report``.  The
 implicit roots of ``hj`` (the Newton residual and the root-derivative

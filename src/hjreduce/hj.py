@@ -386,7 +386,9 @@ class ImplicitBranchRoot:
     ``branch`` (+1/-1) selects the sign of p searched when no better
     starting guess is available.  Solves run safeguarded Newton inside a
     bracket and iterate to a fixed point, so the result is at machine
-    precision whenever the equation allows it.
+    precision whenever the equation allows it.  g may read only the
+    arguments and the momentum; any other variable, the time ``t``
+    included, is a PreconditionError naming it, raised at construction.
     """
 
     def __init__(self, g, y_var, p_var, params=(), branch=1, name="pbranch"):
