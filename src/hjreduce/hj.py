@@ -1049,8 +1049,7 @@ def cyclic_complete_solution(sys, ansatz, remaining_range, branch=1,
     if len(remaining) != 1:
         raise ValueError("the family needs exactly one non-cyclic coordinate")
     params = tuple(f"b{i+1}" for i in range(len(cyclic_vars) + 1))
-    taken = set(sys.coords) | set(sys.momenta) | {TIME}
-    clash = taken & set(params)
+    clash = (set(sys.coords) | set(sys.momenta)) & set(params)
     if clash:
         raise ValueError(f"parameter names collide with the system: {sorted(clash)}")
     sym = _separate(sys, cyclic_vars, params[1:])

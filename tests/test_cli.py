@@ -262,7 +262,10 @@ class TestNamedFields:
         ({"coords": ["q", "p"]}, "$.coords"),
         ({"coords": ["q1", "q2"], "momenta": ["p", "p"]}, "$.momenta"),
         ({"coords": ["q1", "q2"], "momenta": ["p1", "q1"]}, "$.momenta"),
-        ({"coords": ["q1", "q2"], "momenta": ["p1"]}, "$.momenta")])
+        ({"coords": ["q1", "q2"], "momenta": ["p1"]}, "$.momenta"),
+        ({"coords": ["t"], "hamiltonian": "0.5*p_t^2+0.5*t^2"}, "$.coords"),
+        ({"coords": ["t"], "momenta": ["p"]}, "$.coords"),
+        ({"coords": ["q1", "q2"], "momenta": ["p1", "t"]}, "$.momenta")])
     def test_colliding_names(self, tmp_path, capsys, names, where):
         doc = {"name": "names", "hamiltonian": "0.5*q1^2", **names}
         path = write_scenario(tmp_path, doc)
@@ -271,24 +274,7 @@ class TestNamedFields:
 
 
 class TestTimeVariable:
-    """'t' is the time: no coordinate or momentum, no quadrature equation."""
-
-    @pytest.mark.parametrize("names, where", [
-        ({"coords": ["t"]}, "$.coords"),
-        ({"coords": ["t"], "momenta": ["p"]}, "$.coords"),
-        ({"coords": ["q"], "momenta": ["t"]}, "$.momenta")])
-    def test_named_like_the_time(self, tmp_path, capsys, names, where):
-        doc = {"name": "tvar", "hamiltonian": "0.5*q^2", "t_end": 1.0,
-               "dt": 0.01, "z0": {"q": [1.0], "p": [0.0]}, **names}
-        if names["coords"] == ["t"]:
-            doc["hamiltonian"] = "0.5*p_t^2+0.5*t^2"
-        out = tmp_path / "out"
-        assert cli.main(["simulate", write_scenario(tmp_path, doc),
-                         "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"scenario error: {where}: 't' is the time variable, not a "
-            "coordinate or momentum name\n")
-        assert not out.exists()
+    """A quadrature equation must not read the time 't'."""
 
     @pytest.mark.parametrize("command, code", [
         ("solve-hj", 3), ("verify", 3), ("reconstruct", 3), ("reduce", 0),
