@@ -23,6 +23,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -293,19 +294,53 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
-def _atomic_write(path, text):
+def _temp_file(path, text):
+    """A new file beside ``path`` holding ``text``, with open()'s mode."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".hjreduce_")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
+            # mkstemp makes the file 0600; a report is as readable as any
+            # file open() makes under the process umask
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(f.fileno(), 0o666 & ~umask)
             f.write(text)
-        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
-    print(f"wrote {path}")
+    return tmp
+
+
+def _write_files(items):
+    """Write each (path, text) pair, all or none, then print what was written.
+
+    Every text goes to a temporary file beside its path before any path
+    is replaced.  If a step fails, the temporary files and every output
+    file this call created are deleted before the error propagates; a
+    file from an earlier run that was already replaced is not restored.
+    """
+    temps, created = [], []
+    try:
+        for path, text in items:
+            temps.append((_temp_file(path, text), path))
+        for tmp, path in temps:
+            existed = os.path.lexists(path)
+            os.replace(tmp, path)
+            if not existed:
+                created.append(path)
+    except BaseException:
+        for leftover in [tmp for tmp, _ in temps] + created:
+            with contextlib.suppress(OSError):
+                os.unlink(leftover)
+        raise
+    for _, path in temps:
+        print(f"wrote {path}")
+
+
+def _atomic_write(path, text):
+    _write_files([(path, text)])
 
 
 def _json_default(o):
@@ -462,9 +497,18 @@ def _solve_1d(doc, sys_, action, mu, args):
                             "one-dimensional system")
     n_nodes = args.grid if args.grid is not None \
         else sv.get("n_nodes", 2001)
-    sol = solve_reduced_1d(equation, y_var, p_var, energy, sv["range"],
+    sol = solve_reduced_1d(equation, y_var, p_var, energy,
+                           _interval(sv, "range", "$.solve"),
                            branch=sv.get("branch", 1), n_nodes=n_nodes)
     return sol, basis
+
+
+def _interval(block, key, where):
+    """``block[key]`` as (lo, hi); a ScenarioError unless lo < hi."""
+    lo, hi = block[key]
+    if not lo < hi:
+        raise ScenarioError(f"{where}.{key}: empty range [{lo}, {hi}]")
+    return lo, hi
 
 
 def _generating_function(sys_, block, where):
@@ -483,22 +527,22 @@ def _quadrature_family(doc, sys_):
     if sys_.n != 1:
         raise ScenarioError("$.complete_solution: quadrature families "
                             "need a one-dimensional system")
-    return quadrature_complete_solution(sys_, cs["q_range"],
+    return quadrature_complete_solution(sys_, _interval(cs, "q_range",
+                                                        "$.complete_solution"),
                                         branch=cs.get("branch", 1),
                                         n_quad=cs.get("n_quad", 200),
                                         param=cs.get("param", "a1"))
 
 
 def _write_outputs(doc, args, suffix, report, csv):
-    """Write a command's CSV, if any, then its report.
+    """Write a command's CSV, if any, then its report, both or neither.
 
     ``csv`` is (suffix, header, columns).  Both texts are made, and so
     checked for non-finite values, before either file is written.
     """
     texts = [] if csv is None else [(csv[0], _csv_text(*csv[1:]))]
     texts.append((suffix, _json_text(report)))
-    for sfx, text in texts:
-        _atomic_write(_out_path(doc, args, sfx), text)
+    _write_files([(_out_path(doc, args, sfx), text) for sfx, text in texts])
 
 
 def _finish(doc, args, suffix, report, summary, failure, csv=None):

@@ -26,9 +26,10 @@ momentum takes it, and an implicit root of ``hj`` refuses an equation
 that reads it, or any name beyond the root's own layout.  Evaluation
 enters the tree walk in only one other place: the random-draw measures
 of ``hj.cyclic_ansatz`` and ``symmetry.invariance_report``.  The
-implicit roots of ``hj`` (the Newton residual and the root-derivative
-class) never walk a tree: they call kernels generated once per root by
-:func:`compile`, which are bit-identical to the walker.  Nor does the
+implicit roots of ``hj`` (the Newton iteration and the root-derivative
+class) never walk a tree: they call kernels and a Newton loop generated
+once per root by :func:`compile_newton` and :func:`compile`, which are
+bit-identical to the walker.  Nor does the
 residual of a quadrature solution's own equation
 (``hj.QuadratureSolution.residual``, which ``solve-hj`` and a cyclic
 ``verify`` report): it is the root's kernel g = h - E at each point,
@@ -60,7 +61,8 @@ __all__ = [
     "Call", "External",
     "ExprError", "ParseError", "UnknownFunctionError",
     "UnboundVariableError", "DomainError",
-    "parse", "evaluate", "evaluate_rows", "compile", "differentiate",
+    "parse", "evaluate", "evaluate_rows", "compile", "compile_newton",
+    "differentiate",
     "substitute",
     "free_vars", "add", "sub", "mul", "div", "power", "neg", "call", "as_expr",
     "linear_combo", "FUNCTION_NAMES",
@@ -607,12 +609,24 @@ def evaluate_rows(exprs, names, rows, singular_tol=0.0):
 # everything a kernel calls is bound here or in its own namespace.
 _KERNEL_NS = {
     "__builtins__": {},
-    "_float": float, "_pow": math.pow,
+    "_float": float, "_pow": math.pow, "_abs": abs, "_range": range,
+    "_inf": math.inf,
     "_DE": DomainError, "_UV": UnboundVariableError,
     "_VE": ValueError, "_OE": OverflowError,
     **{f"_f_{name}": fn for name, fn in _FUNCTIONS.items()},
 }
 _KERNEL_IDS = itertools.count(1)
+
+
+def _build(lines, kind, name, ns):
+    """Compile the source ``lines`` into ``ns`` as file ``<KIND NAME #N>``."""
+    filename = f"<{kind} {name} #{next(_KERNEL_IDS)}>"
+    exec(builtins.compile("\n".join(lines), filename, "exec"), ns)
+    return ns
+
+
+def _indent(lines, depth):
+    return ["    " * depth + text for text in lines or ["pass"]]
 
 
 def compile(exprs, argnames, name="kernel"):
@@ -643,92 +657,191 @@ def compile(exprs, argnames, name="kernel"):
     single = isinstance(exprs, Expr)
     exprs = (exprs,) if single else tuple(exprs)
     ns = dict(_KERNEL_NS)
-    params = ", ".join(f"a{i}" for i in range(len(argnames)))
-    lines = [f"def _kernel({params}):"]
-    outs = _emit(exprs, {v: i for i, v in enumerate(argnames)}, ns, lines)
-    if outs is not None:
+    lines = _kernel_lines("_kernel", exprs, argnames, ns, single)
+    return _build(lines, "kernel", name, ns)["_kernel"]
+
+
+def _kernel_lines(fname, exprs, argnames, ns, single):
+    """Source of ``fname(a0, ..)``, the kernel :func:`compile` describes."""
+    body = []
+    emitter = _Emitter({v: i for i, v in enumerate(argnames)}, ns, body,
+                       body, {})
+    outs = []
+    for e in exprs:
+        out = emitter.emit(e)
+        if out is None:
+            break
+        outs.append(out)
+    else:
         ret = outs[0] if single else "(" + "".join(o + ", " for o in outs) + ")"
-        lines.append(f"    return {ret}")
-    source = "\n".join(lines)
-    filename = f"<kernel {name} #{next(_KERNEL_IDS)}>"
-    exec(builtins.compile(source, filename, "exec"), ns)
-    return ns["_kernel"]
+        body.append(f"return {ret}")
+    params = ", ".join(f"a{i}" for i in range(len(argnames)))
+    return [f"def {fname}({params}):", *_indent(body, 1)]
+
+
+def compile_newton(g, g_p, argnames, name, tol, max_iter, slack):
+    """The kernels of g and g_p and a Newton loop on g, from one source.
+
+    ``argnames`` lists the arguments, then the momentum p; every
+    variable of g must be one of them.  Returns ``(g_fn, gp_fn,
+    newton)``: g_fn and gp_fn are the kernels :func:`compile` makes of
+    g and g_p, and ``newton(*args, p0, s)`` runs Newton on p from p0:
+    at most ``max_iter`` iterations, stopping when g is exactly 0, when
+    g or g_p raises DomainError, when g_p is 0, or when the step returns
+    to p or to the previous iterate (a 2-cycle).  It returns the first
+    iterate with the least |g| if that |g| is at most ``tol``, else
+    None; a result with ``s * p < -slack`` is None too (``s = 0.0``
+    accepts either sign).
+
+    The loop runs the kernels' IEEE operations, so each g and g_p it
+    reads is the kernel's bit for bit, but once per call it computes
+    what does not read p (nor call an External): the arguments'
+    conversions and every operation on them alone.  If that part
+    raises, g or g_p would raise at every p, so the loop is not
+    entered: the result is None when g itself raises at p0, and p0
+    when |g(p0)| is within ``tol``, as the loop's first iteration
+    would give.  Each iteration runs only the operations that read p.
+    The file name is ``<newton NAME #N>``.
+    """
+    stray = (free_vars(g) | free_vars(g_p)) - set(argnames)
+    if stray:
+        raise UnboundVariableError(min(stray))
+    ns = dict(_KERNEL_NS)
+    source = [*_kernel_lines("_g", (g,), argnames, ns, True),
+              *_kernel_lines("_gp", (g_p,), argnames, ns, True)]
+    args = "".join(f"a{i}, " for i in range(len(argnames) - 1))
+    head, body = [], []
+    emitter = _Emitter({v: i for i, v in enumerate(argnames)}, ns, head,
+                       body, {argnames[-1]: "p"})
+    gv = emitter.emit(g)
+    split = len(body)
+    gpv = emitter.emit(g_p)
+    accept = f"<= {tol!r} and not s * {{}} < {-slack!r}".format
+    source += [
+        f"def _newton({args}p, s):",
+        "    p = _float(p)",
+        "    try:",
+        *_indent(head, 2),
+        "    except _DE:",
+        f"        try: gv = _g({args}p)",
+        "        except _DE: return None",
+        f"        return p if _abs(gv) {accept('p')} else None",
+        "    best_p = None",
+        "    best_g = _inf",
+        "    prev = None",
+        f"    for _ in _range({int(max_iter)}):",
+        "        try:",
+        *_indent(body[:split], 3),
+        "        except _DE:",
+        "            break",
+        f"        ag = _abs({gv})",
+        "        if ag < best_g:",
+        "            best_p = p",
+        "            best_g = ag",
+        f"        if {gv} == 0.0:",
+        "            break",
+        "        try:",
+        *_indent(body[split:], 3),
+        "        except _DE:",
+        "            break",
+        f"        if {gpv} == 0.0:",
+        "            break",
+        f"        p_new = p - {gv} / {gpv}",
+        "        if p_new == p or p_new == prev:",
+        "            break",
+        "        prev = p",
+        "        p = p_new",
+        f"    if best_g {accept('best_p')}:",
+        "        return best_p",
+        "    return None",
+    ]
+    ns = _build(source, "newton", name, ns)
+    return ns["_g"], ns["_gp"], ns["_newton"]
 
 
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
-def _emit(exprs, slot, ns, lines):
-    """Append the kernel body for ``exprs``; their operands, or None.
+class _Emitter:
+    """Kernel lines for expressions, which share the emitted subtrees.
 
-    None means the body ends in an unconditional raise (an unbound
-    variable), after which nothing is emitted.  Each stack entry is a
+    ``emit`` appends the statements evaluating one expression and
+    returns its operand, or None when they end in an unconditional
+    raise (an unbound variable), after which nothing more may be
+    emitted.  A statement goes to ``body`` when its value varies: it
+    reads a variable of ``moving`` (a dict from a name to the operand
+    standing for it, which the caller has float()-converted) or calls an
+    External, whose calls stay in the walker's order and count; every
+    other statement goes to ``head``.  When ``head`` is ``body``, the
+    statements are in the walker's order.  Each stack entry of ``emit`` is a
     node and a step: 0 to evaluate it, 1 to combine its evaluated
     children, 2 for a division's guard between its two operands.
     """
-    done = {}  # id of a pure node, or a variable's name -> its operand
-    bound = {}  # id of an object bound in ns, or a message -> its name
 
-    def bind(obj):
+    def __init__(self, slot, ns, head, body, moving):
+        self.slot, self.ns = slot, ns
+        self.head, self.body, self.moving = head, body, moving
+        # id of a pure node, or a variable's name -> (operand, varies)
+        self.done = {}
+        self.bound = {}  # id of an object bound in ns, or a message -> its name
+        self.temps = itertools.count()
+
+    def bind(self, obj):
         key = obj if isinstance(obj, str) else id(obj)
-        name = bound.get(key)
+        name = self.bound.get(key)
         if name is None:
-            name = bound[key] = f"_k{len(ns)}"
-            ns[name] = obj
+            name = self.bound[key] = f"_k{len(self.ns)}"
+            self.ns[name] = obj
         return name
 
-    def operand(value):
+    def operand(self, value):
         """A float's repr when finite, else a bound name."""
         if math.isfinite(value):
             text = repr(value)
             return f"({text})" if text.startswith("-") else text
-        return bind(value)
+        return self.bind(value)
 
-    def line(text):
-        lines.append("    " + text)
-
-    def temp(text):
-        name = f"t{len(lines)}"
-        line(f"{name} = {text}")
+    def temp(self, lines, text):
+        name = f"t{next(self.temps)}"
+        lines.append(f"{name} = {text}")
         return name
 
-    def fail(cond, message, node):
+    def fail(self, lines, cond, message, node):
         head = f"if {cond}: " if cond else ""
-        line(f"{head}raise _DE({bind(message)}, {bind(node)})")
+        lines.append(f"{head}raise _DE({self.bind(message)}, {self.bind(node)})")
 
-    def checked(call, node, domain, overflow):
+    def checked(self, lines, call, node, domain, overflow):
         """A math call with the walker's error and finiteness checks."""
-        out = f"t{len(lines)}"
-        raise_ = f"raise _DE({{}}, {bind(node)}) from None".format
-        line(f"try: {out} = {call}")
-        line(f"except _VE: {raise_(bind(domain))}")
-        line(f"except _OE: {raise_(bind(overflow))}")
+        out = f"t{next(self.temps)}"
+        raise_ = f"raise _DE({{}}, {self.bind(node)}) from None".format
+        lines.append(f"try: {out} = {call}")
+        lines.append(f"except _VE: {raise_(self.bind(domain))}")
+        lines.append(f"except _OE: {raise_(self.bind(overflow))}")
         # a math result is a float, and x - x is 0.0 exactly when the
         # float x is finite: the walker's isfinite test without a call
-        fail(f"{out} - {out} != 0.0", overflow, node)
+        self.fail(lines, f"{out} - {out} != 0.0", overflow, node)
         return out
 
-    outs = []
-    for e in exprs:
-        vals = []  # (operand, pure) of the nodes evaluated so far
+    def emit(self, e):
+        done = self.done
+        vals = []  # (operand, pure, varies) of the nodes evaluated so far
         stack = [(e, 0)]
         while stack:
             node, step = stack.pop()
             if step == 0:
                 hit = done.get(id(node))
                 if hit is not None:
-                    vals.append((hit, True))
+                    vals.append((hit[0], True, hit[1]))
                 elif isinstance(node, Const):
-                    vals.append((operand(node.value), True))
+                    vals.append((self.operand(node.value), True, False))
                 elif isinstance(node, Var):
                     hit = done.get(node.name)
                     if hit is None:
-                        i = slot.get(node.name)
-                        if i is None:
-                            line(f"raise _UV({node.name!r})")
+                        hit = self._var(node.name)
+                        if hit is None:
                             return None
-                        hit = done[node.name] = temp(f"_float(a{i})")
-                    vals.append((hit, True))
+                        done[node.name] = hit
+                    vals.append((hit[0], True, hit[1]))
                 elif isinstance(node, Div):
                     stack += [(node, 1), (node.left, 0), (node, 2),
                               (node.right, 0)]
@@ -737,55 +850,71 @@ def _emit(exprs, slot, ns, lines):
                     stack += [(c, 0) for c in reversed(node._children())]
                 continue
             if step == 2:
-                den = node.right
-                if not isinstance(den, Const):
-                    fail(f"{vals[-1][0]} == 0.0", "division by zero", node)
-                elif den.value == 0.0:
-                    fail("", "division by zero", node)
+                den, _, varies = vals[-1]
+                lines = self.body if varies else self.head
+                if not isinstance(node.right, Const):
+                    self.fail(lines, f"{den} == 0.0", "division by zero", node)
+                elif node.right.value == 0.0:
+                    self.fail(lines, "", "division by zero", node)
                 continue
             if isinstance(node, External):
                 args = vals[len(vals) - len(node.args):]
                 del vals[len(vals) - len(node.args):]
-                call = ", ".join(a for a, _ in args)
-                vals.append((temp(f"{bind(node.fn)}({call})"), False))
+                call = ", ".join(a for a, _, _ in args)
+                out = self.temp(self.body, f"{self.bind(node.fn)}({call})")
+                vals.append((out, False, True))
                 continue
-            if isinstance(node, Neg):
-                x, pure = vals.pop()
-                out = temp(f"-{x}")
-            elif isinstance(node, Call):
-                x, pure = vals.pop()
-                f = node.func
-                if f == "sqrt":
-                    fail(f"{x} < 0.0", "sqrt of a negative number", node)
-                elif f == "log":
-                    fail(f"{x} <= 0.0", "log of a non-positive number", node)
-                out = checked(f"_f_{f}({x})", node, f"{f} domain error",
-                              f"{f} overflow")
+            if isinstance(node, (Neg, Call)):
+                x, pure, varies = vals.pop()
+                lines = self.body if varies else self.head
+                if isinstance(node, Neg):
+                    out = self.temp(lines, f"-{x}")
+                else:
+                    f = node.func
+                    if f == "sqrt":
+                        self.fail(lines, f"{x} < 0.0",
+                                  "sqrt of a negative number", node)
+                    elif f == "log":
+                        self.fail(lines, f"{x} <= 0.0",
+                                  "log of a non-positive number", node)
+                    out = self.checked(lines, f"_f_{f}({x})", node,
+                                       f"{f} domain error", f"{f} overflow")
             else:
-                (left, pl), (right, pr) = vals[-2:]
+                (left, pl, vl), (right, pr, vr) = vals[-2:]
                 del vals[-2:]
                 if isinstance(node, Div):  # evaluated denominator first
                     left, right = right, left
-                pure = pl and pr
+                pure, varies = pl and pr, vl or vr
+                lines = self.body if varies else self.head
                 if isinstance(node, Pow):
                     expo = node.right
                     if not isinstance(expo, Const):
-                        fail(f"{right} < 0.0 and {left} == 0.0",
-                             "zero raised to a negative power", node)
+                        self.fail(lines, f"{right} < 0.0 and {left} == 0.0",
+                                  "zero raised to a negative power", node)
                     elif expo.value < 0.0:
-                        fail(f"{left} == 0.0",
-                             "zero raised to a negative power", node)
-                    out = checked(
-                        f"_pow({left}, {right})", node,
+                        self.fail(lines, f"{left} == 0.0",
+                                  "zero raised to a negative power", node)
+                    out = self.checked(
+                        lines, f"_pow({left}, {right})", node,
                         "invalid power (negative base, fractional exponent)",
                         "power overflow")
                 else:
-                    out = temp(f"{left} {_BINARY_OPS[type(node)]} {right}")
+                    out = self.temp(
+                        lines, f"{left} {_BINARY_OPS[type(node)]} {right}")
             if pure:
-                done[id(node)] = out
-            vals.append((out, pure))
-        outs.append(vals[0][0])
-    return outs
+                done[id(node)] = (out, varies)
+            vals.append((out, pure, varies))
+        return vals[0][0]
+
+    def _var(self, name):
+        """A variable's (operand, varies), or None after its unbound raise."""
+        if name in self.moving:
+            return self.moving[name], True
+        i = self.slot.get(name)
+        if i is None:
+            self.head.append(f"raise _UV({name!r})")
+            return None
+        return self.temp(self.head, f"_float(a{i})"), False
 
 
 def differentiate(e, var):

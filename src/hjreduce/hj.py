@@ -39,8 +39,8 @@ import numpy as np
 
 from . import _linalg
 from .expr import (Const, DomainError, Expr, External, Var, add, compile,
-                   differentiate, evaluate_rows, linear_combo, mul, parse,
-                   sub, substitute)
+                   compile_newton, differentiate, evaluate_rows, linear_combo,
+                   mul, parse, sub, substitute)
 from .phase_space import TIME, HamiltonianSystem
 
 __all__ = [
@@ -366,18 +366,27 @@ def hj_residual(sys, form, grid, closed_tol=PRECONDITION_TOL):
 # a parameter).  Warm-start caches make repeated nearby solves cheap;
 # use one object per thread.
 #
-# A root compiles g and g_p once, at construction, and each
-# _RootPartial compiles the derivatives it reads (expr.compile): a
-# quadrature job makes hundreds of thousands of solves on a few roots,
-# so the compile cost is paid once per object and the solves call
-# generated kernels with positional arguments (the root's arg_vars,
-# then the momentum) instead of walking trees on a bindings dict.  The
-# kernels are bit-identical to the tree walker, checks and errors
-# included, so the results are the walker's.
+# Nothing here walks a tree.  A quadrature job makes hundreds of
+# thousands of solves on a few roots, so each root generates, at
+# construction and in one source (expr.compile_newton), the kernels of
+# g and g_p and its Newton iteration as one function.  That function
+# computes what does not read the momentum (the arguments' conversions
+# and every operation on them alone: for the heavy top sin, cos, the
+# powers and the division) once per solve, before its loop; each
+# iteration runs only the operations that read p.  Each _RootPartial
+# compiles the derivatives it reads, g_p first, into one kernel
+# (expr.compile).  Kernels and loop do the tree walker's IEEE operations,
+# checks and errors included, so the results are the walker's.
+#
+# A running integral sums Simpson panels in path order, and adjacent
+# full panels share an endpoint: each call solves it once (two solves
+# per full panel, where separate panel sums made three), and the solves
+# it keeps run in the order the separate sums ran them.
 
 _WARM_CAP = 20000
 _ROOT_TOL = 1e-12
 _ROOT_MAX_ITER = 60
+_BRANCH_SLACK = 1e-12
 
 
 class ImplicitBranchRoot:
@@ -409,8 +418,9 @@ class ImplicitBranchRoot:
                 f"{name}: the equation reads {stray}, which is neither an "
                 f"argument {list(self.arg_vars)} nor the momentum '{p_var}'")
         self.g_p = differentiate(g, p_var)
-        self._g = compile(g, names, f"{name} g")
-        self._gp = compile(self.g_p, names, f"{name} g_p")
+        self._g, self._gp, self._newton = compile_newton(
+            g, self.g_p, names, name, _ROOT_TOL, _ROOT_MAX_ITER, _BRANCH_SLACK)
+        self._sign = float(branch)
         self._warm = {}
         self._last = None
         self._anchors = None
@@ -433,30 +443,23 @@ class ImplicitBranchRoot:
     def solve(self, args, guess=None):
         if len(args) != self.arity:
             raise ValueError(f"{self.name} expects {self.arity} arguments")
-        args = tuple(map(float, args))
-        y = args[0]
-        candidates = []
-        if guess is not None:
-            candidates.append(float(guess))
-        hit = self._warm.get(y)
-        if hit is not None:
-            candidates.append(hit)
-        if self._anchors is not None:
+        y = float(args[0])  # the kernels convert the arguments
+        # Newton from each start in turn until one converges on the
+        # branch's side of the axis (the branch contract, search from 0
+        # toward branch * inf, must not depend on cache state): the
+        # caller's guess, this y's last root, the nearest anchor, the
+        # last root; then the bracket
+        newton, s = self._newton, self._sign
+        p = None if guess is None else newton(*args, float(guess), s)
+        if p is None:
+            hit = self._warm.get(y)
+            if hit is not None:
+                p = newton(*args, hit, s)
+        if p is None and self._anchors is not None:
             ys, ps = self._anchors
-            candidates.append(ps[min(bisect.bisect_left(ys, y), len(ps) - 1)])
-        if self._last is not None:
-            candidates.append(self._last)
-        p = None
-        for c in candidates:
-            p = self._newton(args, c)
-            # a warm start may converge on the wrong side of the axis;
-            # the branch contract (search from 0 toward branch * inf)
-            # must not depend on cache state
-            if p is not None and self.branch * p < -1e-12:
-                p = None
-                continue
-            if p is not None:
-                break
+            p = newton(*args, ps[min(bisect.bisect_left(ys, y), len(ps) - 1)], s)
+        if p is None and self._last is not None:
+            p = newton(*args, self._last, s)
         if p is None:
             p = self._bracket_solve(args)
         if len(self._warm) > _WARM_CAP:
@@ -465,36 +468,8 @@ class ImplicitBranchRoot:
         self._last = p
         return p
 
-    def _newton(self, args, p):
-        """Newton to a floating-point fixed point; None if it fails."""
-        best_p, best_g = None, math.inf
-        prev = None
-        for _ in range(_ROOT_MAX_ITER):
-            try:
-                gv = self._g(*args, p)
-            except DomainError:
-                break
-            ag = abs(gv)
-            if ag < best_g:
-                best_p, best_g = p, ag
-            if gv == 0.0:
-                return p
-            try:
-                gpv = self._gp(*args, p)
-            except DomainError:
-                break
-            if gpv == 0.0:
-                break
-            p_new = p - gv / gpv
-            if p_new == p or p_new == prev:
-                break
-            prev = p
-            p = p_new
-        if best_p is not None and best_g <= _ROOT_TOL:
-            return best_p
-        return None
-
     def _bracket_solve(self, args):
+        args = tuple(map(float, args))
         s = float(self.branch)
         lo = 0.0
         try:
@@ -538,7 +513,7 @@ class ImplicitBranchRoot:
             if not (min(a, c) < x_new < max(a, c)):
                 x_new = 0.5 * (a + c)
             if abs(gv) <= _ROOT_TOL:
-                polished = self._newton(args, x_new)
+                polished = self._newton(*args, x_new, 0.0)
                 return polished if polished is not None else x
             if x_new == x:
                 x_new = 0.5 * (a + c)
@@ -549,6 +524,9 @@ class ImplicitBranchRoot:
             return x
         raise NewtonDivergenceError(
             f"{self.name}: no convergence to tol {_ROOT_TOL:.1e}")
+
+
+_TURNING = "implicit derivative at a turning point"
 
 
 class _RootPartial:
@@ -575,20 +553,29 @@ class _RootPartial:
                       differentiate(g_u, p), differentiate(root.g_p, w),
                       differentiate(root.g_p, p)]
         self._second = len(wrt) == 2
-        self._kernel = compile(exprs, root.arg_vars + (p,), self.name)
+        # g_p first: its checks come before the other derivatives'
+        self._kernel = compile([root.g_p, *exprs], root.arg_vars + (p,),
+                               self.name)
         self._partials = {}
 
     def __call__(self, *args):
         root = self.root
         p = root.solve(args)
-        g_p = root._gp(*args, p)
+        try:
+            vals = self._kernel(*args, p)
+        except DomainError:
+            # a turning point outranks a failure past g_p; a failure in
+            # g_p itself raises again here
+            if root._gp(*args, p) == 0.0:
+                raise TurningPointError(args, _TURNING) from None
+            raise
+        g_p = vals[0]
         if g_p == 0.0:
-            raise TurningPointError(args, "implicit derivative at a turning point")
-        g_u, *second = self._kernel(*args, p)
-        p_u = -g_u / g_p
+            raise TurningPointError(args, _TURNING)
+        p_u = -vals[1] / g_p
         if not self._second:
             return p_u
-        g_w, g_uw, g_up, g_pw, g_pp = second
+        g_w, g_uw, g_up, g_pw, g_pp = vals[2:]
         p_w = -g_w / g_p
         num = g_uw + g_up * p_w + g_pw * p_u + g_pp * p_u * p_w
         return -num / g_p
@@ -653,11 +640,15 @@ class RunningIntegral:
     The integration path runs along the first argument on a fixed grid
     (the remaining arguments are parameters passed through), composite
     Simpson on full sub-intervals plus a Simpson closure on the partial
-    one.  partial(0) recovers the integrand; a parameter partial is the
+    one.  Adjacent full panels share the integrand value at their common
+    node, so each full panel costs two integrand calls and the closure
+    three.  partial(0) recovers the integrand; a parameter partial is the
     running integral of the integrand's parameter partial.
     """
 
     def __init__(self, integrand, lo, hi, n_intervals=200, name="Wint"):
+        if not float(lo) < float(hi):
+            raise ValueError(f"{name}: empty range [{lo}, {hi}]")
         if n_intervals % 2:
             n_intervals += 1
         self.integrand = integrand
@@ -683,19 +674,34 @@ class RunningIntegral:
         if not (nodes[0] - 1e-12 <= y <= nodes[-1] + 1e-12):
             raise DomainError(
                 f"{self.name}: {y} outside quadrature range [{nodes[0]}, {nodes[-1]}]")
+        f = self.integrand
         b = self.base_index
         total = 0.0
         if y >= nodes[b]:
             j = min(max(bisect.bisect_left(nodes, y) - 1, 0), len(nodes) - 2)
+            a, fa = nodes[b], None
             for i in range(b, j):
-                total += self._simpson(nodes[i], nodes[i + 1], params)
+                c = nodes[i + 1]
+                if fa is None:
+                    fa = f(a, *params)
+                fm = f(0.5 * (a + c), *params)
+                fc = f(c, *params)
+                total += (c - a) / 6.0 * (fa + 4.0 * fm + fc)
+                a, fa = c, fc
             lo = nodes[max(j, b)]
             if y > lo:
                 total += self._simpson(lo, y, params)
         else:
             j = min(bisect.bisect_left(nodes, y), len(nodes) - 1)
+            c, fc = nodes[b], None
             for i in range(b, j, -1):
-                total -= self._simpson(nodes[i - 1], nodes[i], params)
+                a = nodes[i - 1]
+                fa = f(a, *params)
+                fm = f(0.5 * (a + c), *params)
+                if fc is None:
+                    fc = f(c, *params)
+                total -= (c - a) / 6.0 * (fa + 4.0 * fm + fc)
+                c, fc = a, fa
             hi = nodes[min(j, b)]
             if y < hi:
                 total -= self._simpson(y, hi, params)
@@ -737,11 +743,13 @@ def solve_reduced_1d(h_reduced, y_var, p_var, energy, y_range, branch=1,
     g = sub(h_reduced, Const(float(energy)))
     root = ImplicitBranchRoot(g, y_var, p_var, branch=branch,
                               name="dW" if y_var != "dW" else "dW_")
-    ys = np.linspace(lo, hi, int(n_nodes))
-    ps = np.empty(ys.size)
+    # Python floats in array("d") stores: the same IEEE operations as
+    # numpy scalars, without their per-operation cost
+    ys = array("d", np.linspace(lo, hi, int(n_nodes)).tobytes())
+    ps = array("d")
     sign_ref = 0.0
     guess = None
-    for i, y in enumerate(ys):
+    for y in ys:
         p = root.solve((y,), guess=guess)
         gp = root._gp(y, p)
         if abs(gp) < 1e-6 * (1.0 + abs(p)):
@@ -753,11 +761,10 @@ def solve_reduced_1d(h_reduced, y_var, p_var, energy, y_range, branch=1,
         elif s != sign_ref:
             raise BranchAmbiguityError(
                 f"equation is not monotone in {p_var} on the branch (y={y})")
-        ps[i] = p
+        ps.append(p)
         guess = p
     # sampled monotonicity between the current root and the axis
-    chk = np.linspace(lo, hi, 17)
-    for y in chk:
+    for y in np.linspace(lo, hi, 17).tolist():
         p_root = root.solve((y,))
         for frac in (0.25, 0.5, 0.75):
             try:
@@ -767,12 +774,11 @@ def solve_reduced_1d(h_reduced, y_var, p_var, energy, y_range, branch=1,
             if gp * sign_ref < 0.0:
                 raise BranchAmbiguityError(
                     f"equation is not monotone in {p_var} between 0 and the root (y={y})")
-    values = np.empty(ys.size)
-    values[0] = 0.0
-    for i in range(ys.size - 1):
+    values = array("d", [0.0])
+    for i in range(len(ys) - 1):
         a, c = ys[i], ys[i + 1]
         pm = root.solve((0.5 * (a + c),), guess=ps[i])
-        values[i + 1] = values[i] + (c - a) / 6.0 * (ps[i] + 4.0 * pm + ps[i + 1])
+        values.append(values[i] + (c - a) / 6.0 * (ps[i] + 4.0 * pm + ps[i + 1]))
     root.set_anchors(ys, ps)
     table = TabulatedAntiderivative(ys, values, ps, root)
     potential = External(table, (Var(y_var),))

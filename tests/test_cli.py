@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -273,6 +275,32 @@ class TestNamedFields:
         assert capsys.readouterr().err.startswith(f"scenario error: {where}: ")
 
 
+    @pytest.mark.parametrize("command", ["verify", "equilibrium"])
+    @pytest.mark.parametrize("q_range", [[0.95, -0.95], [0.5, 0.5]])
+    def test_empty_quadrature_range(self, tmp_path, capsys, command, q_range):
+        doc = load_scenario("oscillator")
+        doc["complete_solution"]["q_range"] = q_range
+        out = tmp_path / "out"
+        assert cli.main([command, write_scenario(tmp_path, doc),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "scenario error: $.complete_solution.q_range: empty range "
+                f"[{q_range[0]}, {q_range[1]}]\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("range_", [[5, 0.8], [2, 2]])
+    def test_empty_solve_range(self, tmp_path, capsys, range_):
+        doc = load_scenario("calogero")
+        doc["solve"]["range"] = range_
+        out = tmp_path / "out"
+        assert cli.main(["solve-hj", write_scenario(tmp_path, doc),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"scenario error: $.solve.range: empty range "
+                f"[{range_[0]}, {range_[1]}]\n")
+        assert not out.exists()
+
+
 class TestTimeVariable:
     """A quadrature equation must not read the time 't'."""
 
@@ -347,6 +375,29 @@ class TestOutputsOnFailure:
         assert str(ei.value) == "CSV column 'p1' is not finite"
         assert not path.exists()
 
+    def test_failed_report_write_removes_the_new_csv(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "oscillator_simulate.json").mkdir(parents=True)
+        assert cli.main(["simulate", "oscillator", "--out", str(out)]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith("i/o error: [Errno 21] Is a directory")
+        assert cap.err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["oscillator_simulate.json"]
+        assert not any((out / "oscillator_simulate.json").iterdir())
+
+    def test_failed_report_write_keeps_an_earlier_csv(self, tmp_path,
+                                                      capsys):
+        # a file replaced from an earlier run is not restored, but a file
+        # this run did not create is not deleted either
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "oscillator", "--out", str(out)]) == 0
+        (out / "oscillator_simulate.json").unlink()
+        (out / "oscillator_simulate.json").mkdir()
+        assert cli.main(["simulate", "oscillator", "--out", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == [
+            "oscillator_simulate.json", "oscillator_trajectory.csv"]
+
     def test_residual_failure_still_writes(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = cli.main(["integrate", "oscillator", "--tol", "1e-30",
@@ -356,6 +407,22 @@ class TestOutputsOnFailure:
             "oscillator_scheme.csv", "oscillator_scheme.json"]
         rep = json.loads((out / "oscillator_scheme.json").read_text())
         assert rep["pass"] is False
+
+
+class TestFileModes:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664)],
+                             ids=["umask022", "umask002"])
+    def test_outputs_get_the_mode_open_gives(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            rc = cli.main(["solve-hj", "calogero", "--out", str(tmp_path)])
+        finally:
+            os.umask(old)
+        assert rc == 0
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode)
+                 for p in tmp_path.iterdir()}
+        assert modes == {"calogero_table.csv": mode,
+                         "calogero_solve.json": mode}
 
 
 class TestReduceCommand:

@@ -1,5 +1,7 @@
-"""``expr.compile`` kernels against the tree walker, and against sympy."""
+"""``expr.compile`` kernels against the tree walker, and against sympy;
+the generated Newton loops against the Python loop they replaced."""
 
+import builtins
 import math
 import re
 import struct
@@ -8,7 +10,9 @@ import numpy as np
 import pytest
 
 from hjreduce.expr import (Const, DomainError, External, UnboundVariableError,
-                           Var, call, compile, differentiate, evaluate, parse)
+                           Var, call, compile, compile_newton, differentiate,
+                           evaluate, parse)
+from hjreduce.hj import ImplicitBranchRoot
 
 from oracles import random_expr
 
@@ -191,3 +195,194 @@ class TestAgainstSympy:
             want = reference(float(x), float(y))
             assert kernel(x, y) == pytest.approx(want, rel=1e-12, abs=1e-300)
             assert not math.isnan(want)
+
+
+# The Python Newton loop the generated one replaced, kept as the oracle:
+# g and g_p are tree walks here, and the branch test is the one the
+# solve applied to each start.
+def reference_newton(g, g_p, names, args, p, s, tol=1e-12, max_iter=60):
+    def kernel(e):
+        return lambda *a: evaluate(e, dict(zip(names, a)))
+
+    g, g_p = kernel(g), kernel(g_p)
+
+    def newton(p):
+        best_p, best_g = None, math.inf
+        prev = None
+        for _ in range(max_iter):
+            try:
+                gv = g(*args, p)
+            except DomainError:
+                break
+            ag = abs(gv)
+            if ag < best_g:
+                best_p, best_g = p, ag
+            if gv == 0.0:
+                return p
+            try:
+                gpv = g_p(*args, p)
+            except DomainError:
+                break
+            if gpv == 0.0:
+                break
+            p_new = p - gv / gpv
+            if p_new == p or p_new == prev:
+                break
+            prev = p
+            p = p_new
+        if best_p is not None and best_g <= tol:
+            return best_p
+        return None
+
+    p = newton(float(p))
+    if p is not None and s * p < -1e-12:
+        return None
+    return p
+
+
+def loop(g, names):
+    """The generated Newton loop of g in its last name."""
+    return compile_newton(g, differentiate(g, names[-1]), names, "test",
+                          1e-12, 60, 1e-12)[2]
+
+
+def assert_loop_matches(g, names, args, starts, signs=(1.0, -1.0, 0.0)):
+    newton = loop(g, names)
+    g_p = differentiate(g, names[-1])
+    for p0 in starts:
+        for s in signs:
+            want = reference_newton(g, g_p, names, args, p0, s)
+            got = newton(*args, p0, s)
+            assert (got is None) == (want is None), (args, p0, s)
+            if got is not None:
+                assert bits(got) == bits(want), (args, p0, s)
+
+
+class TestNewtonLoop:
+    names = ("y", "a", "p")
+
+    def test_random_expressions_from_random_starts(self):
+        # half the equations are shifted to have a root at a known p, so
+        # that many runs converge and not only fail
+        rng = np.random.default_rng(11)
+        converged = 0
+        for k in range(80):
+            e = random_expr(rng, self.names, 4)
+            y, a, p_star = (float(v) for v in rng.uniform(-2.0, 2.0, 3))
+            if k % 2:
+                try:
+                    e = e - Const(evaluate(e, {"y": y, "a": a, "p": p_star}))
+                except DomainError:
+                    continue
+            starts = [p_star + d for d in rng.normal(0.0, 0.3, 3)]
+            assert_loop_matches(e, self.names, (y, a), starts)
+            converged += loop(e, self.names)(y, a, starts[0], 0.0) is not None
+        assert converged > 20
+
+    def test_argument_part_raising_in_g(self):
+        # sqrt(a) fails for every p: no iteration can evaluate g
+        g = parse("p^2-sqrt(a)+y")
+        with pytest.raises(DomainError):
+            compile(g, self.names)(0.0, -1.0, 0.5)
+        assert loop(g, self.names)(0.0, -1.0, 0.5, 0.0) is None
+        assert_loop_matches(g, self.names, (0.0, -1.0), [0.5, 1.0])
+
+    def test_argument_part_raising_in_g_p_only(self):
+        # g = y^p - a; g_p = y^p * log(y) fails at y = 0 for every p, g
+        # does not: the first iteration evaluates g and stops there
+        g = parse("y^p-a")
+        g_p = differentiate(g, "p")
+        with pytest.raises(DomainError, match="log of a non-positive"):
+            compile(g_p, self.names)(0.0, 0.0, 0.7)
+        assert compile(g, self.names)(0.0, 0.0, 0.7) == 0.0
+        newton = loop(g, self.names)
+        assert newton(0.0, 0.0, 0.7, 1.0) == 0.7       # g is exactly 0
+        assert newton(0.0, -1e-13, 0.7, 1.0) == 0.7    # |g| within tol
+        assert newton(0.0, 0.5, 0.7, 1.0) is None      # |g| beyond tol
+        assert newton(0.0, 0.0, -0.7, 0.0) is None     # g raises at p0 < 0
+        assert newton(0.0, 0.0, 0.7, -1.0) is None     # wrong branch
+        for a in (0.0, -1e-13, 0.5):
+            assert_loop_matches(g, self.names, (0.0, a), [0.7, -0.7, 0.0])
+
+    def test_momentum_part_raising(self):
+        # Newton on log(p) = a overshoots below 0 from far starts, where
+        # the next g raises; near starts converge
+        g = parse("log(p)-a+0*y")
+        newton = loop(g, self.names)
+        assert newton(0.0, 0.0, 100.0, 1.0) is None
+        assert newton(0.0, 0.0, 1.5, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert_loop_matches(g, self.names, (0.0, 0.0),
+                            [100.0, 5.0, 1.5, 0.9, 1e-3])
+
+    def test_two_cycle_stops_after_two_iterations(self):
+        # x^3 - 2x + 2 cycles 0 -> 1 -> 0 under Newton; a counting
+        # External shows the loop stops on the cycle, not at its cap
+        for run in ("generated", "reference"):
+            calls = []
+            ext = External(Counter(calls, "g"), (Var("p"),))
+            g = parse("p^3-2*p+2+0*y+0*a") + ext
+            g_p = differentiate(g, "p")
+            if run == "generated":
+                got = loop(g, self.names)(0.0, 0.0, 0.0, 0.0)
+            else:
+                got = reference_newton(g, g_p, self.names, (0.0, 0.0), 0.0,
+                                       0.0)
+            assert got is None
+            assert [tag for tag in calls] == ["g", "g'", "g", "g'"]
+
+    def test_wrong_branch_rejection(self):
+        g = parse("p^2-a+0*y")
+        newton = loop(g, self.names)
+        assert newton(0.0, 4.0, -1.5, 1.0) is None
+        assert newton(0.0, 4.0, -1.5, -1.0) == -2.0
+        assert newton(0.0, 4.0, -1.5, 0.0) == -2.0
+        assert newton(0.0, 4.0, 1.5, 1.0) == 2.0
+        assert_loop_matches(g, self.names, (0.0, 4.0), [-1.5, 1.5, 1e-13])
+
+    def test_the_argument_part_runs_once_per_call(self):
+        # sin(a) reads no momentum: one call however many iterations run
+        g = parse("p^3-sin(a)-2+0*y")
+        newton = loop(g, self.names)
+        ns = newton.__globals__
+        calls = []
+        sin = ns["_f_sin"]
+        ns["_f_sin"] = lambda x: calls.append(x) or sin(x)
+        assert newton(0.0, 0.3, 5.0, 1.0) == pytest.approx(
+            (2.0 + math.sin(0.3)) ** (1 / 3), rel=1e-15)
+        assert calls == [0.3]
+
+    def test_an_unbound_variable_is_refused_when_generating(self):
+        with pytest.raises(UnboundVariableError) as ei:
+            loop(parse("p^2-w"), ("y", "p"))
+        assert ei.value.name == "w"
+
+    def test_one_compile_per_root_in_one_named_file(self, monkeypatch):
+        made = []
+        real = builtins.compile
+
+        def counting(source, filename, mode):
+            made.append(filename)
+            return real(source, filename, mode)
+
+        monkeypatch.setattr(builtins, "compile", counting)
+        root = ImplicitBranchRoot(parse("p^2+y*p-a"), "y", "p",
+                                  params=("a",), name="pb")
+        assert len(made) == 1
+        assert re.fullmatch(r"<newton pb #\d+>", made[0])
+        for fn in (root._g, root._gp, root._newton):
+            assert fn.__code__.co_filename == made[0]
+        assert not hasattr(ImplicitBranchRoot, "_newton")
+
+
+class Counter:
+    """An External of one argument returning 0.0, logging each call."""
+
+    def __init__(self, log, tag):
+        self.log, self.tag = log, tag
+
+    def __call__(self, *args):
+        self.log.append(self.tag)
+        return 0.0
+
+    def partial(self, i):
+        return Counter(self.log, self.tag + "'")

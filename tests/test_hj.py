@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -290,6 +291,12 @@ class TestRunningIntegral:
         with pytest.raises(DomainError, match="outside quadrature range"):
             w(math.nan)
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.5, 0.5),
+                                        (0.0, math.nan)])
+    def test_empty_range_is_refused(self, lo, hi):
+        with pytest.raises(ValueError, match="empty range"):
+            RunningIntegral(FnIntegrand(lambda y: y), lo, hi)
+
     def test_partial_zero_is_integrand(self):
         f = FnIntegrand(lambda y: y)
         w = RunningIntegral(f, 0.0, 1.0)
@@ -317,6 +324,86 @@ class TestRunningIntegral:
         assert wa(y, a) == pytest.approx(expect, rel=1e-10)
         assert w(y, a) == pytest.approx((y - w.base) * math.sqrt(a),
                                         rel=1e-12)
+
+
+def per_panel_sum(w, y, *params):
+    """The running integral as separate Simpson sums, panel by panel.
+
+    Each full panel solves both its endpoints, as the running integral
+    did before adjacent panels shared them.
+    """
+    nodes, b = w.nodes, w.base_index
+    total = 0.0
+    if y >= nodes[b]:
+        j = min(max(bisect.bisect_left(nodes, y) - 1, 0), len(nodes) - 2)
+        for i in range(b, j):
+            total += w._simpson(nodes[i], nodes[i + 1], params)
+        lo = nodes[max(j, b)]
+        if y > lo:
+            total += w._simpson(lo, y, params)
+    else:
+        j = min(bisect.bisect_left(nodes, y), len(nodes) - 1)
+        for i in range(b, j, -1):
+            total -= w._simpson(nodes[i - 1], nodes[i], params)
+        hi = nodes[min(j, b)]
+        if y < hi:
+            total -= w._simpson(y, hi, params)
+    return total
+
+
+class TestSharedEndpoints:
+    """Adjacent full panels share an endpoint, solved once per call."""
+
+    G = "0.5*p^2+0.5*q^2+0.1*q^4-a"
+
+    def family(self):
+        root = ImplicitBranchRoot(parse(self.G), "q", "p", params=("a",))
+        return RunningIntegral(root, -0.95, 0.95, n_intervals=40)
+
+    def test_same_bits_as_per_panel_sums(self):
+        # twin families, fresh roots, one call sequence: values and
+        # parameter partials on both sides of the base, at nodes, at the
+        # base, at the ends and inside the first panel (closure only)
+        shared, separate = self.family(), self.family()
+        nodes = shared.nodes
+        rng = np.random.default_rng(4)
+        ys = [nodes[-1], nodes[0], shared.base, nodes[7], nodes[31],
+              shared.base + 0.01, shared.base - 0.01,
+              *rng.uniform(-0.95, 0.95, 40)]
+        for y in ys:
+            a = float(rng.uniform(0.9, 1.5))
+            for w, ref in ((shared, separate),
+                           (shared.partial(1), separate.partial(1))):
+                assert w(y, a) == per_panel_sum(ref, y, a)
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_two_solves_per_full_panel_in_panel_order(self, monkeypatch,
+                                                      side):
+        # k full panels and a closure make 2k + 1 + 3 solves: those of
+        # the per-panel sums, in their order, less each full panel's
+        # repeat of an endpoint already solved
+        calls = []
+        solve = ImplicitBranchRoot.solve
+
+        def counting(self, args, guess=None):
+            calls.append(args[0])
+            return solve(self, args, guess)
+
+        monkeypatch.setattr(ImplicitBranchRoot, "solve", counting)
+        shared, separate = self.family(), self.family()
+        step = shared.nodes[1] - shared.nodes[0]
+        for k in (1, 3, 8):
+            y = shared.nodes[shared.base_index + side * k] + side * 0.5 * step
+            del calls[:]
+            shared(y, 1.2)
+            got = calls[:]
+            del calls[:]
+            per_panel_sum(separate, y, 1.2)
+            closure = len(calls) - 3
+            want = [x for i, x in enumerate(calls)
+                    if i >= closure or x not in calls[:i]]
+            assert len(got) == 2 * k + 1 + 3
+            assert got == want
 
 
 class TestTabulatedAntiderivative:
