@@ -1,9 +1,9 @@
 """Command-line front end: JSON scenarios in, reports and tables out.
 
 Commands: reduce, solve-hj, verify, reconstruct, simulate, integrate,
-equilibrium.  A scenario is a JSON document (schema below, enforced
-with jsonschema) naming the system, its symmetry, and per-command
-settings; outputs are JSON reports and CSV series written atomically.
+equilibrium.  A scenario is a JSON document (``SCENARIO_SCHEMA`` below)
+naming the system, its symmetry, and per-command settings; outputs are
+JSON reports and CSV series written atomically.
 
 Exit codes: 0 success; 1 a measured residual exceeded --tol (the CSV
 and the failing report are still written); 2 invalid scenario or usage,
@@ -24,16 +24,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
+import re
 import sys
 import tempfile
 import traceback
 from importlib import resources
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from .expr import DomainError, ParseError, evaluate_rows, parse as parse_expr
 from .hj import (GeneratingFunction, OneForm, PreconditionError, SolveError,
@@ -183,7 +183,107 @@ SCENARIO_SCHEMA = {
     "additionalProperties": False,
 }
 
-_VALIDATOR = Draft202012Validator(SCENARIO_SCHEMA)
+# The JSON Schema (draft 2020-12) keywords SCENARIO_SCHEMA uses, with the
+# draft's semantics and jsonschema's messages.  Each value check maps a
+# keyword to the JSON type it constrains (None: every type) and to a
+# function (value, keyword argument, schema node) -> message or None.
+# properties, items and anyOf descend; $schema is ignored; any other
+# keyword is a KeyError, never skipped.
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    # true is no number, and an integral float such as 2.0 is an integer
+    "number": lambda v: (isinstance(v, (int, float))
+                         and not isinstance(v, bool)),
+    "integer": lambda v: ((isinstance(v, int) and not isinstance(v, bool))
+                          or (isinstance(v, float) and v.is_integer())),
+}
+
+
+def _json_equal(a, b):
+    """JSON equality of scalars: 1.0 equals 1, but true does not."""
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _additional(value, allowed, node):
+    extras = sorted(k for k in value if k not in node.get("properties", {}))
+    if not extras or allowed is not False:
+        return None
+    verb = "was" if len(extras) == 1 else "were"
+    return (f"Additional properties are not allowed "
+            f"({', '.join(repr(k) for k in extras)} {verb} unexpected)")
+
+
+def _too_short(value, n):
+    return f"{value!r} {'should be non-empty' if n == 1 else 'is too short'}"
+
+
+_CHECKS = {
+    "type": (None, lambda v, t, _: (
+        None if _JSON_TYPES[t](v) else f"{v!r} is not of type {t!r}")),
+    "enum": (None, lambda v, e, _: (
+        None if any(_json_equal(v, x) for x in e)
+        else f"{v!r} is not one of {e!r}")),
+    "required": ("object", lambda v, r, _: next(
+        (f"{k!r} is a required property" for k in r if k not in v), None)),
+    "additionalProperties": ("object", _additional),
+    "minItems": ("array", lambda v, n, _: (
+        _too_short(v, n) if len(v) < n else None)),
+    "maxItems": ("array", lambda v, n, _: (
+        f"{v!r} is too long" if len(v) > n else None)),
+    "minLength": ("string", lambda v, n, _: (
+        _too_short(v, n) if len(v) < n else None)),
+    "pattern": ("string", lambda v, p, _: (
+        None if re.search(p, v) else f"{v!r} does not match {p!r}")),
+    "minimum": ("number", lambda v, m, _: (
+        f"{v!r} is less than the minimum of {m!r}" if v < m else None)),
+    "exclusiveMinimum": ("number", lambda v, m, _: (
+        f"{v!r} is less than or equal to the minimum of {m!r}"
+        if v <= m else None)),
+}
+
+
+def _schema_error(value, schema, path):
+    """The shallowest violation of ``schema`` by ``value``, or None.
+
+    The violation is ``"<JSON path>: <message>"``, the path in
+    jsonschema's ``json_path`` form (``$.verify.grid.y[0]``); a document
+    is checked at path ``"$"``.  The walk goes level by level and checks
+    a node's own keywords, in schema order, before any node below it.
+    An ``anyOf`` that no branch accepts reports the violation of the one
+    branch whose type the value has, or, with no such single branch,
+    itself.
+    """
+    level = [(path, value, schema)]
+    while level:
+        below = []
+        for path, value, node in level:
+            for key, arg in node.items():
+                if key == "properties":
+                    if isinstance(value, dict):
+                        below.extend((f"{path}.{k}", value[k], sub)
+                                     for k, sub in arg.items() if k in value)
+                elif key == "items":
+                    if isinstance(value, list):
+                        below.extend((f"{path}[{i}]", v, arg)
+                                     for i, v in enumerate(value))
+                elif key == "anyOf":
+                    errors = [_schema_error(value, sub, path) for sub in arg]
+                    if all(errors):
+                        typed = [e for e, sub in zip(errors, arg)
+                                 if _JSON_TYPES[sub["type"]](value)]
+                        return typed[0] if len(typed) == 1 else \
+                            f"{path}: {value!r} is not valid under any of " \
+                            "the given schemas"
+                elif key != "$schema":
+                    applies, check = _CHECKS[key]
+                    if applies is None or _JSON_TYPES[applies](value):
+                        message = check(value, arg, node)
+                        if message is not None:
+                            return f"{path}: {message}"
+        level = below
+    return None
 
 
 def load_scenario(path_or_name):
@@ -202,9 +302,9 @@ def load_scenario(path_or_name):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"not valid JSON: {e}")
-    err = best_match(_VALIDATOR.iter_errors(doc))
+    err = _schema_error(doc, SCENARIO_SCHEMA, "$")
     if err is not None:
-        raise ScenarioError(f"{err.json_path}: {err.message}")
+        raise ScenarioError(err)
     return doc
 
 
@@ -290,10 +390,6 @@ def _time_grid(doc, args, section=None):
 # ---------------------------------------------------------------------------
 # Output helpers.
 
-def _fmt(v):
-    return f"{float(v):.17g}"
-
-
 def _temp_file(path, text):
     """A new file beside ``path`` holding ``text``, with open()'s mode."""
     d = os.path.dirname(os.path.abspath(path)) or "."
@@ -372,6 +468,9 @@ def write_json(path, obj):
     _atomic_write(path, _json_text(obj))
 
 
+_CSV_BLOCK = 1024
+
+
 def _csv_text(header, columns):
     """CSV text of float columns (1-d or 2-d arrays) at full double precision.
 
@@ -382,8 +481,13 @@ def _csv_text(header, columns):
     if not finite.all():
         raise DomainError(
             f"CSV column '{header[int(np.argmin(finite))]}' is not finite")
+    row = ",".join(["%.17g"] * table.shape[1])
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in table)
+    # blocks of rows as Python floats: one list of the whole table would
+    # hold a float object per value at once
+    for start in range(0, len(table), _CSV_BLOCK):
+        lines.extend(row % tuple(r)
+                     for r in table[start:start + _CSV_BLOCK].tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -435,9 +539,12 @@ def _chart_points(chart, grid_spec, override):
     if len(y_bounds) != chart.m or len(x_bounds) != chart.k:
         raise ScenarioError(
             f"$.verify.grid: need {chart.m} y ranges and {chart.k} x ranges")
+    bounds = [_interval(r, f"$.verify.grid.{axis}[{i}]")
+              for axis, ranges in (("y", y_bounds), ("x", x_bounds))
+              for i, r in enumerate(ranges)]
     counts = override if override is not None \
         else _grid_counts(grid_spec, 20, chart.m + chart.k, "$.verify.grid")
-    pts = mesh_grid(list(y_bounds) + list(x_bounds), counts)
+    pts = mesh_grid(bounds, counts)
     ys = pts[:, :chart.m]
     xs = pts[:, chart.m:]
     return ys @ chart.horizontal.T + xs @ chart.generators.T
@@ -498,16 +605,16 @@ def _solve_1d(doc, sys_, action, mu, args):
     n_nodes = args.grid if args.grid is not None \
         else sv.get("n_nodes", 2001)
     sol = solve_reduced_1d(equation, y_var, p_var, energy,
-                           _interval(sv, "range", "$.solve"),
+                           _interval(sv["range"], "$.solve.range"),
                            branch=sv.get("branch", 1), n_nodes=n_nodes)
     return sol, basis
 
 
-def _interval(block, key, where):
-    """``block[key]`` as (lo, hi); a ScenarioError unless lo < hi."""
-    lo, hi = block[key]
+def _interval(pair, where):
+    """``pair`` as (lo, hi); unless lo < hi, a ScenarioError at ``where``."""
+    lo, hi = pair
     if not lo < hi:
-        raise ScenarioError(f"{where}.{key}: empty range [{lo}, {hi}]")
+        raise ScenarioError(f"{where}: empty range [{lo}, {hi}]")
     return lo, hi
 
 
@@ -527,8 +634,8 @@ def _quadrature_family(doc, sys_):
     if sys_.n != 1:
         raise ScenarioError("$.complete_solution: quadrature families "
                             "need a one-dimensional system")
-    return quadrature_complete_solution(sys_, _interval(cs, "q_range",
-                                                        "$.complete_solution"),
+    q_range = _interval(cs["q_range"], "$.complete_solution.q_range")
+    return quadrature_complete_solution(sys_, q_range,
                                         branch=cs.get("branch", 1),
                                         n_quad=cs.get("n_quad", 200),
                                         param=cs.get("param", "a1"))
@@ -639,7 +746,9 @@ def _verify_magnetic(doc, sys_, action, mu, args):
             raise ScenarioError(
                 f"$.magnetic.grid.bounds: need {chart.m} ranges, one per "
                 f"reduced coordinate, got {len(gspec['bounds'])}")
-        grid = mesh_grid(gspec["bounds"],
+        bounds = [_interval(r, f"$.magnetic.grid.bounds[{i}]")
+                  for i, r in enumerate(gspec["bounds"])]
+        grid = mesh_grid(bounds,
                          args.grid if args.grid is not None
                          else _grid_counts(gspec, 15, chart.m,
                                            "$.magnetic.grid"))
@@ -860,7 +969,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="hjreduce",
         description="Symmetry reduction, Hamilton-Jacobi solving by "
@@ -884,7 +995,11 @@ def main(argv=None):
         sp.add_argument("--t-end", dest="t_end", type=float, default=None,
                         help="override the integration span")
         sp.set_defaults(fn=fn)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         if args.grid is not None and args.grid < 1:
             raise ScenarioError(f"--grid: must be at least 1, got {args.grid}")

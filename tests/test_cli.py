@@ -80,6 +80,28 @@ class TestTrajectoryCSV:
         emit_trajectory(tr, str(path))
         assert path.read_text().splitlines()[0] == "t,q1,p1"
 
+    def test_text_matches_the_per_value_format(self):
+        # the per-value formatter the block writer replaced is the oracle
+        tiny = np.nextafter(0.0, 1.0)
+        values = np.array([-0.0, 0.0, tiny, -5e-324, 2.2250738585072014e-308,
+                           1e300, -1e300, 1.0, -3.0, 2.0 ** 53, 1e16, 0.1,
+                           1 / 3, np.pi, 123456789.0, 1e-5])
+        rng = np.random.default_rng(3)
+        columns = [np.resize(values, 2500), rng.normal(size=(2500, 2)) * 1e3]
+        table = np.column_stack(columns)
+        expected = "a,b,c\n" + "".join(
+            ",".join(f"{float(v):.17g}" for v in row) + "\n" for row in table)
+        assert cli._csv_text(["a", "b", "c"], columns) == expected
+        assert cli._csv_text(["y"], [np.array([-0.0, tiny, 4.0])]) == \
+            "y\n-0\n4.9406564584124654e-324\n4\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_rejected(self, bad):
+        columns = [np.arange(3.0), np.array([1.0, bad, 2.0])]
+        with pytest.raises(DomainError) as ei:
+            cli._csv_text(["a", "b"], columns)
+        assert str(ei.value) == "CSV column 'b' is not finite"
+
     def test_reject_malformed(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
@@ -118,6 +140,17 @@ class TestExitCodes:
         r = run_cli("solve-hj", path, "--out", str(tmp_path))
         assert r.returncode == 3
         assert "numeric failure" in r.stderr
+
+    def test_parser_is_built_once(self, tmp_path, capsys):
+        cli._parser.cache_clear()
+        for _ in range(2):
+            assert cli.main(["reduce", "calogero", "--out",
+                             str(tmp_path)]) == 0
+        assert cli._parser.cache_info().misses == 1
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["reduce", "calogero", "--grid", "many"])
+        assert ei.value.code == 2
+        assert "invalid int value: 'many'" in capsys.readouterr().err
 
     def test_unknown_command(self):
         r = run_cli("frobnicate", "calogero")
@@ -513,6 +546,24 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"scenario error: $.{section}.grid.counts: ")
         assert not (tmp_path / f"{scenario}_verify.json").exists()
+
+    @pytest.mark.parametrize("scenario, section, axis, index, pair", [
+        ("calogero", "verify", "y", 0, [3, 3]),
+        ("calogero", "verify", "y", 0, [5, 1]),
+        ("calogero", "verify", "x", 0, [2, -2]),
+        ("magnetic_synthetic", "magnetic", "bounds", 1, [2, -2]),
+        ("magnetic_synthetic", "magnetic", "bounds", 0, [0.5, 0.5])])
+    def test_empty_grid_range(self, tmp_path, capsys, scenario, section,
+                              axis, index, pair):
+        doc = load_scenario(scenario)
+        doc[section]["grid"][axis][index] = pair
+        out = tmp_path / "out"
+        assert cli.main(["verify", write_scenario(tmp_path, doc),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"scenario error: $.{section}.grid.{axis}[{index}]: empty "
+                f"range [{pair[0]}, {pair[1]}]\n")
+        assert not out.exists()
 
     def test_family_mode(self, tmp_path):
         r = run_cli("verify", "oscillator", "--grid", "40",
