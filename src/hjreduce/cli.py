@@ -305,7 +305,24 @@ def load_scenario(path_or_name):
     err = _schema_error(doc, SCENARIO_SCHEMA, "$")
     if err is not None:
         raise ScenarioError(err)
-    return doc
+    return _integers(doc, SCENARIO_SCHEMA)
+
+
+def _integers(value, schema):
+    """A valid ``value`` with each number that ``schema`` types as an
+    integer (2.0 is one in JSON Schema) as a Python int."""
+    if "anyOf" in schema:
+        schema = next(sub for sub in schema["anyOf"]
+                      if _schema_error(value, sub, "$") is None)
+    if schema.get("type") == "integer":
+        return int(value)
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        return {k: _integers(v, props[k]) if k in props else v
+                for k, v in value.items()}
+    if isinstance(value, list) and "items" in schema:
+        return [_integers(v, schema["items"]) for v in value]
+    return value
 
 
 def _parse_field(text, where):

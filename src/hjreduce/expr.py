@@ -29,7 +29,11 @@ of ``hj.cyclic_ansatz`` and ``symmetry.invariance_report``.  The
 implicit roots of ``hj`` (the Newton iteration and the root-derivative
 class) never walk a tree: they call kernels and a Newton loop generated
 once per root by :func:`compile_newton` and :func:`compile`, which are
-bit-identical to the walker.  Nor does the
+bit-identical to the walker, and a table build calls the same Newton
+on arrays of rows (:func:`compile_newton_rows`, compiled by the first
+table build of a root), which is bit-identical for ``+ - * /``,
+negation and sqrt and may differ in the last bits through numpy's
+power and transcendental functions.  Nor does the
 residual of a quadrature solution's own equation
 (``hj.QuadratureSolution.residual``, which ``solve-hj`` and a cyclic
 ``verify`` report): it is the root's kernel g = h - E at each point,
@@ -62,7 +66,7 @@ __all__ = [
     "ExprError", "ParseError", "UnknownFunctionError",
     "UnboundVariableError", "DomainError",
     "parse", "evaluate", "evaluate_rows", "compile", "compile_newton",
-    "differentiate",
+    "compile_newton_rows", "differentiate",
     "substitute",
     "free_vars", "add", "sub", "mul", "div", "power", "neg", "call", "as_expr",
     "linear_combo", "FUNCTION_NAMES",
@@ -703,9 +707,7 @@ def compile_newton(g, g_p, argnames, name, tol, max_iter, slack):
     would give.  Each iteration runs only the operations that read p.
     The file name is ``<newton NAME #N>``.
     """
-    stray = (free_vars(g) | free_vars(g_p)) - set(argnames)
-    if stray:
-        raise UnboundVariableError(min(stray))
+    _refuse_stray(g, g_p, argnames)
     ns = dict(_KERNEL_NS)
     source = [*_kernel_lines("_g", (g,), argnames, ns, True),
               *_kernel_lines("_gp", (g_p,), argnames, ns, True)]
@@ -759,6 +761,135 @@ def compile_newton(g, g_p, argnames, name, tol, max_iter, slack):
     return ns["_g"], ns["_gp"], ns["_newton"]
 
 
+def _refuse_stray(g, g_p, argnames):
+    stray = (free_vars(g) | free_vars(g_p)) - set(argnames)
+    if stray:
+        raise UnboundVariableError(min(stray))
+
+
+# The array mode's names: numpy's function for each math call, and the
+# helpers of the row loop.
+_ROWS_NS = {
+    "__builtins__": {},
+    "_float": lambda a: np.asarray(a, dtype=float), "_pow": np.power,
+    "_abs": np.abs, "_range": range, "_inf": math.inf, "_nan": math.nan,
+    "_no_rows": lambda a: np.zeros(np.shape(a), dtype=bool),
+    "_each_row": lambda v, a: np.broadcast_to(v, np.shape(a)),
+    "_full": np.full, "_arange": np.arange, "_count": np.count_nonzero,
+    "_flat": np.flatnonzero,
+    **{f"_f_{name}": getattr(np, name) for name in _FUNCTIONS},
+}
+_TEMP_RE = re.compile(r"\bt\d+\b")
+
+
+def _has_external(e):
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, External):
+            return True
+        if not isinstance(node, (Const, Var)):
+            stack.extend(node._children())
+    return False
+
+
+def compile_newton_rows(g, g_p, argnames, name, tol, max_iter, slack):
+    """:func:`compile_newton`'s loop and g_p kernel on arrays of rows.
+
+    Returns ``(newton_rows, gp_rows)``, or None when g calls an External
+    (whose calls must stay in the walker's order) or does not read the
+    momentum.  ``newton_rows(*args, p0, s)`` takes equal-length float
+    arrays, one row per element, and returns ``(p, ok)``: where ``ok``,
+    ``p`` is the result of ``compile_newton``'s loop from that row's p0;
+    elsewhere the loop returns None.  ``gp_rows(*args, p)`` returns the
+    g_p kernel's values and a mask of the rows where it raises.  Every
+    variable of g must be one of ``argnames``, as for compile_newton.
+
+    The source comes from the scalar kernels' emitter in an array mode
+    (:class:`_RowEmitter`): operands, temporaries and operation order are
+    the scalar kernels', a domain check ORs its condition into a row mask
+    ``bad``, and a math call is numpy's function plus a non-finite mask.
+    The argument-only part runs once over all rows.  Each row follows
+    the scalar loop's rules: at most ``max_iter`` iterations; a stop on
+    an exact-zero g, on a failure in the g part (before the best-so-far
+    update) or the g_p part (after it), on g_p == 0, and on a step back
+    to p or to the previous iterate; the first iterate with the least
+    |g|; the same ``tol`` and branch ``slack``.  Finished rows leave the
+    arrays once fewer than half of them still iterate.  numpy rounds
+    ``+ - * /``, negation and sqrt correctly, as Python does, so with
+    only those a row's result is the scalar loop's bit for bit; numpy's
+    power and transcendental functions may differ from libm in the last
+    bits.  Failed rows compute NaN and inf until they leave, so call
+    both functions under ``np.errstate(all="ignore")``.  The file name
+    is ``<newton-rows NAME #N>``.
+    """
+    _refuse_stray(g, g_p, argnames)
+    if argnames[-1] not in free_vars(g) or _has_external(g):
+        return None
+    ns = dict(_ROWS_NS)
+    slot = {v: i for i, v in enumerate(argnames)}
+    last = f"a{len(argnames) - 1}"
+    body = []
+    gpv = _RowEmitter(slot, ns, body, body, {}).emit(g_p)
+    source = [f"def _gp_rows({', '.join(f'a{i}' for i in slot.values())}):",
+              f"    bad = _no_rows({last})",
+              *_indent(body, 1),
+              f"    return _each_row({gpv}, {last}), bad"]
+    args = "".join(f"a{i}, " for i in range(len(argnames) - 1))
+    head, body = [], []
+    emitter = _RowEmitter(slot, ns, head, body, {argnames[-1]: "p"})
+    gv = emitter.emit(g)
+    split, head_split = len(body), len(head)
+    gpv = emitter.emit(g_p)
+    # the argument-only values the loop reads, made one per row so that
+    # they can leave with the rows
+    made = {line.split(" = ")[0] for line in head}
+    carried = sorted(made & set(_TEMP_RE.findall(" ".join([*body, gpv]))),
+                     key=lambda t: int(t[1:]))
+    source += [
+        f"def _newton_rows({args}p, s):",
+        "    p = _float(p)",
+        "    n = p.shape[0]",
+        "    bad = _no_rows(p)",
+        *_indent(head[:head_split], 1),
+        "    bad_g = bad",
+        "    bad = bad_g.copy()",
+        *_indent(head[head_split:], 1),
+        "    bad_gp = bad",
+        *(f"    {v} = _each_row({v}, p)" for v in carried),
+        "    best_p = _full(n, _nan)",
+        "    best_g = _full(n, _inf)",
+        "    rows = _arange(n)",
+        "    live = ~_no_rows(p)",
+        "    prev = best_p.copy()",
+        f"    for _ in _range({int(max_iter)}):",
+        "        bad = bad_g[rows]",
+        *_indent(body[:split], 2),
+        "        live &= ~bad",
+        f"        ag = _abs({gv})",
+        "        better = live & (ag < best_g[rows])",
+        "        best_p[rows[better]] = p[better]",
+        "        best_g[rows[better]] = ag[better]",
+        f"        live &= {gv} != 0.0",
+        "        bad = bad_gp[rows]",
+        *_indent(body[split:], 2),
+        f"        p_new = p - {gv} / {gpv}",
+        f"        live &= ~bad & ({gpv} != 0.0) & (p_new != p) & (p_new != prev)",
+        "        m = _count(live)",
+        "        if not m:",
+        "            break",
+        "        if 2 * m < live.size:",
+        "            k = _flat(live)",
+        *(f"            {v} = {v}[k]"
+          for v in ("rows", "live", "p", "p_new", *carried)),
+        "        prev = p",
+        "        p = p_new",
+        f"    return best_p, (best_g <= {tol!r}) & ~(s * best_p < {-slack!r})",
+    ]
+    ns = _build(source, "newton-rows", name, ns)
+    return ns["_newton_rows"], ns["_gp_rows"]
+
+
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
@@ -806,8 +937,9 @@ class _Emitter:
         lines.append(f"{name} = {text}")
         return name
 
-    def fail(self, lines, cond, message, node):
-        head = f"if {cond}: " if cond else ""
+    def fail(self, lines, conds, message, node):
+        """Raise DomainError(message, node) when all ``conds`` hold."""
+        head = f"if {' and '.join(conds)}: " if conds else ""
         lines.append(f"{head}raise _DE({self.bind(message)}, {self.bind(node)})")
 
     def checked(self, lines, call, node, domain, overflow):
@@ -819,7 +951,7 @@ class _Emitter:
         lines.append(f"except _OE: {raise_(self.bind(overflow))}")
         # a math result is a float, and x - x is 0.0 exactly when the
         # float x is finite: the walker's isfinite test without a call
-        self.fail(lines, f"{out} - {out} != 0.0", overflow, node)
+        self.fail(lines, (f"{out} - {out} != 0.0",), overflow, node)
         return out
 
     def emit(self, e):
@@ -853,9 +985,10 @@ class _Emitter:
                 den, _, varies = vals[-1]
                 lines = self.body if varies else self.head
                 if not isinstance(node.right, Const):
-                    self.fail(lines, f"{den} == 0.0", "division by zero", node)
+                    self.fail(lines, (f"{den} == 0.0",), "division by zero",
+                              node)
                 elif node.right.value == 0.0:
-                    self.fail(lines, "", "division by zero", node)
+                    self.fail(lines, (), "division by zero", node)
                 continue
             if isinstance(node, External):
                 args = vals[len(vals) - len(node.args):]
@@ -872,10 +1005,10 @@ class _Emitter:
                 else:
                     f = node.func
                     if f == "sqrt":
-                        self.fail(lines, f"{x} < 0.0",
+                        self.fail(lines, (f"{x} < 0.0",),
                                   "sqrt of a negative number", node)
                     elif f == "log":
-                        self.fail(lines, f"{x} <= 0.0",
+                        self.fail(lines, (f"{x} <= 0.0",),
                                   "log of a non-positive number", node)
                     out = self.checked(lines, f"_f_{f}({x})", node,
                                        f"{f} domain error", f"{f} overflow")
@@ -889,10 +1022,10 @@ class _Emitter:
                 if isinstance(node, Pow):
                     expo = node.right
                     if not isinstance(expo, Const):
-                        self.fail(lines, f"{right} < 0.0 and {left} == 0.0",
+                        self.fail(lines, (f"{right} < 0.0", f"{left} == 0.0"),
                                   "zero raised to a negative power", node)
                     elif expo.value < 0.0:
-                        self.fail(lines, f"{left} == 0.0",
+                        self.fail(lines, (f"{left} == 0.0",),
                                   "zero raised to a negative power", node)
                     out = self.checked(
                         lines, f"_pow({left}, {right})", node,
@@ -915,6 +1048,29 @@ class _Emitter:
             self.head.append(f"raise _UV({name!r})")
             return None
         return self.temp(self.head, f"_float(a{i})"), False
+
+
+class _RowEmitter(_Emitter):
+    """The emitter's array mode: each operand holds one value per row.
+
+    A domain check ORs its condition into the row mask ``bad`` instead
+    of raising, and a math call is the numpy function of ``_ROWS_NS``
+    with its non-finite results ORed into ``bad``.  A constant is a bound
+    numpy float, so that an operation on constants alone gives inf or
+    NaN as on arrays, never a Python exception.  Everything else is the
+    scalar emitter's.
+    """
+
+    def operand(self, value):
+        return self.bind(np.float64(value))
+
+    def fail(self, lines, conds, message, node):
+        lines.append(f"bad |= {' & '.join(f'({c})' for c in conds) or True}")
+
+    def checked(self, lines, call, node, domain, overflow):
+        out = self.temp(lines, call)
+        self.fail(lines, (f"{out} - {out} != 0.0",), overflow, node)
+        return out
 
 
 def differentiate(e, var):

@@ -30,6 +30,7 @@ closed-form inputs.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from array import array
@@ -39,8 +40,8 @@ import numpy as np
 
 from . import _linalg
 from .expr import (Const, DomainError, Expr, External, Var, add, compile,
-                   compile_newton, differentiate, evaluate_rows, linear_combo,
-                   mul, parse, sub, substitute)
+                   compile_newton, compile_newton_rows, differentiate,
+                   evaluate_rows, linear_combo, mul, parse, sub, substitute)
 from .phase_space import TIME, HamiltonianSystem
 
 __all__ = [
@@ -364,7 +365,9 @@ def hj_residual(sys, form, grid, closed_tol=PRECONDITION_TOL):
 # first and second partials.  Derivatives of a running integral are
 # the integrand (in the path variable) or another running integral (in
 # a parameter).  Warm-start caches make repeated nearby solves cheap;
-# use one object per thread.
+# use one object per thread.  After a table build, a root's solves start
+# from its anchor table (the node roots), and only solves through
+# ``solve`` fill the caches.
 #
 # Nothing here walks a tree.  A quadrature job makes hundreds of
 # thousands of solves on a few roots, so each root generates, at
@@ -377,6 +380,19 @@ def hj_residual(sys, form, grid, closed_tol=PRECONDITION_TOL):
 # compiles the derivatives it reads, g_p first, into one kernel
 # (expr.compile).  Kernels and loop do the tree walker's IEEE operations,
 # checks and errors included, so the results are the walker's.
+#
+# A quadrature table solves all its node and midpoint roots at once: the
+# same Newton generated on arrays of rows (expr.compile_newton_rows),
+# compiled by a root's first table build (family roots never build one).
+# The per-node cost of the scalar chain is Newton arithmetic in the
+# interpreter, which numpy does for every row in a few dozen array
+# operations.  Node starts interpolate a scalar chain over every 32nd
+# node; a row the batch does not accept falls back, in node order, to
+# the chain (_chain: Newton from the previous root, then the bracket).
+# With only + - * /, negation and sqrt a row's root is the scalar loop's
+# bit for bit; through numpy's power, sin and cos the node roots of the
+# bundled and benchmark tables are within 2 ulp of the scalar chain's,
+# and 4 ulp is the documented bound.
 #
 # A running integral sums Simpson panels in path order, and adjacent
 # full panels share an endpoint: each call solves it once (two solves
@@ -467,6 +483,30 @@ class ImplicitBranchRoot:
         self._warm[y] = p
         self._last = p
         return p
+
+    def _chain(self, args, guess):
+        """Newton from ``guess`` (None: none), else the bracket solve.
+
+        A table row's scalar solve: it reads and writes no cache.
+        """
+        p = None if guess is None else self._newton(*args, guess, self._sign)
+        return self._bracket_solve(args) if p is None else p
+
+    @functools.cached_property
+    def _rows(self):
+        """``(newton_rows, gp_rows)`` of expr.compile_newton_rows.
+
+        Compiled on first use, by a table build.  An equation with no
+        array Newton gets stand-ins that leave every row to the scalar
+        fallback.
+        """
+        made = compile_newton_rows(self.g, self.g_p,
+                                   self.arg_vars + (self.p_var,), self.name,
+                                   _ROOT_TOL, _ROOT_MAX_ITER, _BRANCH_SLACK)
+        if made is None:
+            made = (lambda y, p, s: (p, np.zeros(p.shape, dtype=bool)),
+                    lambda y, p: (p, np.ones(p.shape, dtype=bool)))
+        return made
 
     def _bracket_solve(self, args):
         args = tuple(map(float, args))
@@ -720,20 +760,98 @@ class RunningIntegral:
 # ---------------------------------------------------------------------------
 # One-degree-of-freedom solution by quadrature.
 
+# Table builds: the scalar chain solves every _TABLE_STRIDE-th node (and
+# the last) for the array Newton's starts, which runs _TABLE_BLOCK rows
+# per call so that its memory does not grow with the node count.
+_TABLE_STRIDE = 32
+_TABLE_BLOCK = 4096
+
+
+def _in_blocks(fn, *arrays):
+    """``fn`` over blocks of rows of ``arrays``, its outputs joined."""
+    with np.errstate(all="ignore"):
+        parts = [fn(*(a[i:i + _TABLE_BLOCK] for a in arrays))
+                 for i in range(0, arrays[0].size, _TABLE_BLOCK)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _node_starts(root, ys):
+    """The array Newton's node starts: the scalar chain, interpolated.
+
+    The chain (each solve from the previous chain root) runs on every
+    ``_TABLE_STRIDE``-th node and the last, and stops at its first
+    failure, which the node pass meets again in node order.
+    """
+    coarse = ys[::_TABLE_STRIDE].tolist()
+    if len(ys) % _TABLE_STRIDE != 1:
+        coarse.append(float(ys[-1]))
+    roots, guess = [], None
+    for y in coarse:
+        try:
+            guess = root._chain((y,), guess)
+        except (SolveError, DomainError):
+            break
+        roots.append(guess)
+    if not roots:
+        return np.full(ys.size, math.nan)
+    return np.interp(ys, coarse[:len(roots)], roots)
+
+
+def _check_nodes(root, ys, ps, ok, p_var):
+    """The node chain's checks in node order, solving fallback rows.
+
+    At each node in turn: a row the array Newton did not accept is
+    solved by the scalar chain from the previous node's root, then the
+    g_p margin and the g_p sign are checked.  The first failure raises
+    the chain's error; ``ps`` is updated in place.
+    """
+    gp, gp_bad = _in_blocks(root._rows[1], ys, ps)
+
+    def resolve(i):
+        """g_p at node i, through the scalar kernels where the rows left it."""
+        y = float(ys[i])
+        if ok[i] and not gp_bad[i]:
+            gpv = gp[i]
+        else:
+            if not ok[i]:
+                ps[i] = root._chain((y,), float(ps[i - 1]) if i else None)
+            gpv = root._gp(y, ps[i])
+        if abs(gpv) < 1e-6 * (1.0 + abs(ps[i])):
+            raise TurningPointError(
+                y, f"momentum derivative vanishes near y={y}: turning point margin hit")
+        return math.copysign(1.0, gpv)
+
+    sign_ref = resolve(0)
+    suspect = (~ok | gp_bad | (np.abs(gp) < 1e-6 * (1.0 + np.abs(ps)))
+               | (np.copysign(1.0, gp) != sign_ref))
+    for i in np.flatnonzero(suspect[1:]).tolist():
+        if resolve(i + 1) != sign_ref:
+            raise BranchAmbiguityError(
+                f"equation is not monotone in {p_var} on the branch "
+                f"(y={float(ys[i + 1])})")
+    return sign_ref
+
+
 def solve_reduced_1d(h_reduced, y_var, p_var, energy, y_range, branch=1,
                      n_nodes=2001):
     """Solve h(y, W'(y)) = E for W on an interval, by quadrature.
 
     W'(y) is the momentum root on the chosen branch at each of the
-    ``n_nodes`` uniformly spaced nodes (Newton warm-started from the
-    neighboring node, bisection fallback); W accumulates by composite
-    Simpson with midpoint roots.  Returns a :class:`QuadratureSolution`
-    whose component evaluates the root exactly at any y (not just at
-    the nodes) and whose potential interpolates the table.
+    ``n_nodes`` uniformly spaced nodes, and W accumulates by composite
+    Simpson with midpoint roots.  Both sets of roots come from one array
+    Newton over all rows (expr.compile_newton_rows), which starts each
+    node from the scalar chain's roots on every 32nd node, interpolated,
+    and each midpoint from its left node's root.  A row it does not
+    accept falls back, in node order, to the scalar chain: Newton from
+    the previous root, then the bracket.  Returns a
+    :class:`QuadratureSolution` whose component evaluates the root at
+    any y (not just at the nodes), from the nearest node root, and whose
+    potential interpolates the table.
 
     Raises TurningPointError if the branch root disappears or its
     momentum derivative falls below a safety margin anywhere on the
-    range, and BranchAmbiguityError if h is not monotone in p there.
+    range, and BranchAmbiguityError if h is not monotone in p there,
+    each at the first node where the scalar chain would.
     """
     if n_nodes < 3:
         raise ValueError("need at least 3 nodes")
@@ -743,26 +861,11 @@ def solve_reduced_1d(h_reduced, y_var, p_var, energy, y_range, branch=1,
     g = sub(h_reduced, Const(float(energy)))
     root = ImplicitBranchRoot(g, y_var, p_var, branch=branch,
                               name="dW" if y_var != "dW" else "dW_")
-    # Python floats in array("d") stores: the same IEEE operations as
-    # numpy scalars, without their per-operation cost
-    ys = array("d", np.linspace(lo, hi, int(n_nodes)).tobytes())
-    ps = array("d")
-    sign_ref = 0.0
-    guess = None
-    for y in ys:
-        p = root.solve((y,), guess=guess)
-        gp = root._gp(y, p)
-        if abs(gp) < 1e-6 * (1.0 + abs(p)):
-            raise TurningPointError(
-                y, f"momentum derivative vanishes near y={y}: turning point margin hit")
-        s = math.copysign(1.0, gp)
-        if sign_ref == 0.0:
-            sign_ref = s
-        elif s != sign_ref:
-            raise BranchAmbiguityError(
-                f"equation is not monotone in {p_var} on the branch (y={y})")
-        ps.append(p)
-        guess = p
+    newton = functools.partial(root._rows[0], s=root._sign)
+    ys = np.linspace(lo, hi, int(n_nodes))
+    ps, ok = _in_blocks(newton, ys, _node_starts(root, ys))
+    sign_ref = _check_nodes(root, ys, ps, ok, p_var)
+    root.set_anchors(ys, ps)
     # sampled monotonicity between the current root and the axis
     for y in np.linspace(lo, hi, 17).tolist():
         p_root = root.solve((y,))
@@ -774,12 +877,13 @@ def solve_reduced_1d(h_reduced, y_var, p_var, energy, y_range, branch=1,
             if gp * sign_ref < 0.0:
                 raise BranchAmbiguityError(
                     f"equation is not monotone in {p_var} between 0 and the root (y={y})")
-    values = array("d", [0.0])
-    for i in range(len(ys) - 1):
-        a, c = ys[i], ys[i + 1]
-        pm = root.solve((0.5 * (a + c),), guess=ps[i])
-        values.append(values[i] + (c - a) / 6.0 * (ps[i] + 4.0 * pm + ps[i + 1]))
-    root.set_anchors(ys, ps)
+    mids = 0.5 * (ys[:-1] + ys[1:])
+    pm, ok = _in_blocks(newton, mids, ps[:-1])
+    for i in np.flatnonzero(~ok).tolist():
+        pm[i] = root._chain((float(mids[i]),), float(ps[i]))
+    panels = (ys[1:] - ys[:-1]) / 6.0 * (ps[:-1] + 4.0 * pm + ps[1:])
+    # a sequential sum from 0.0, as the panels' running total
+    values = np.cumsum(np.concatenate(([0.0], panels)))
     table = TabulatedAntiderivative(ys, values, ps, root)
     potential = External(table, (Var(y_var),))
     component = External(root, (Var(y_var),))

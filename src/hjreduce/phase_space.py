@@ -10,6 +10,7 @@ serve as an independent check against the structure-preserving maps.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -87,9 +88,17 @@ class HamiltonianSystem:
         if extra:
             raise ValueError(f"hamiltonian uses undeclared variables: {sorted(extra)}")
         self.time_dependent = TIME in self.h.free_vars()
-        self._dh_dq = tuple(differentiate(self.h, v) for v in self.coords)
-        self._dh_dp = tuple(differentiate(self.h, v) for v in self.momenta)
         self._names = (*self.coords, *self.momenta, TIME)
+
+    # The 2n derivative trees, built on first use: reduce and integrate
+    # never read them.
+    @functools.cached_property
+    def _dh_dq(self):
+        return tuple(differentiate(self.h, v) for v in self.coords)
+
+    @functools.cached_property
+    def _dh_dp(self):
+        return tuple(differentiate(self.h, v) for v in self.momenta)
 
     @property
     def n(self):

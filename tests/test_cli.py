@@ -334,6 +334,54 @@ class TestNamedFields:
         assert not out.exists()
 
 
+class TestIntegralFloats:
+    """JSON Schema counts 7.0 as an integer, so an integer field may hold
+    it: the run is that of the int, outputs and exit code included."""
+
+    CASES = [("reduce", "calogero", ("seed",), 7),
+             ("integrate", "oscillator", ("integrator", "n_steps"), 5),
+             ("verify", "calogero", ("verify", "grid", "counts"), 7),
+             ("verify", "oscillator", ("complete_solution", "n_quad"), 16)]
+
+    @staticmethod
+    def scenario(where, name, path, value):
+        doc = load_scenario(name)
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        where.mkdir()
+        return write_scenario(where, doc)
+
+    @pytest.mark.parametrize("command, name, path, value", CASES)
+    def test_runs_as_the_integer(self, tmp_path, capsys, command, name, path,
+                                 value):
+        runs = []
+        for v in (value, float(value)):
+            where = tmp_path / type(v).__name__
+            rc = cli.main([command, self.scenario(where, name, path, v),
+                           "--out", str(where / "out")])
+            files = {p.name: p.read_bytes() for p in (where / "out").iterdir()}
+            runs.append((rc, capsys.readouterr().err, files))
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("command, name, path, value", CASES)
+    def test_loaded_as_an_int(self, tmp_path, command, name, path, value):
+        node = load_scenario(self.scenario(tmp_path / "s", name, path,
+                                           float(value)))
+        for key in path:
+            node = node[key]
+        assert type(node) is int and node == value
+
+    def test_counts_list_inside_any_of(self, tmp_path):
+        doc = load_scenario(self.scenario(tmp_path / "s", "calogero",
+                                          ("verify", "grid", "counts"),
+                                          [6.0, 5.0]))
+        assert [type(c) for c in doc["verify"]["grid"]["counts"]] == [int, int]
+        assert type(doc["solve"]["range"][0]) is float
+
+
 class TestTimeVariable:
     """A quadrature equation must not read the time 't'."""
 

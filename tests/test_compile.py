@@ -1,5 +1,6 @@
 """``expr.compile`` kernels against the tree walker, and against sympy;
-the generated Newton loops against the Python loop they replaced."""
+the generated Newton loops against the Python loop they replaced; the
+array Newton against the scalar loop."""
 
 import builtins
 import math
@@ -8,11 +9,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hjreduce.expr import (Const, DomainError, External, UnboundVariableError,
-                           Var, call, compile, compile_newton, differentiate,
-                           evaluate, parse)
-from hjreduce.hj import ImplicitBranchRoot
+                           Var, call, compile, compile_newton,
+                           compile_newton_rows, differentiate, evaluate,
+                           free_vars, parse)
+from hjreduce.hj import (ImplicitBranchRoot, quadrature_complete_solution,
+                         solve_reduced_1d)
+from hjreduce.phase_space import HamiltonianSystem
 
 from oracles import random_expr
 
@@ -386,3 +392,151 @@ class Counter:
 
     def partial(self, i):
         return Counter(self.log, self.tag + "'")
+
+
+# Equations in + - * /, negation and sqrt, which numpy rounds as Python
+# does: the array Newton must then be the scalar loop, row for row.
+_LEAVES = st.one_of(st.sampled_from([Var("y"), Var("a"), Var("p")]),
+                    st.floats(-3.0, 3.0).map(Const))
+_EXACT = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.tuples(kids, kids).map(lambda t: t[0] + t[1]),
+    st.tuples(kids, kids).map(lambda t: t[0] - t[1]),
+    st.tuples(kids, kids).map(lambda t: t[0] * t[1]),
+    st.tuples(kids, kids).map(lambda t: t[0] / t[1]),
+    kids.map(lambda e: -e),
+    kids.map(lambda e: call("sqrt", e))), max_leaves=10)
+
+ROW_NAMES = ("y", "a", "c", "p")
+
+
+def newton_pair(g):
+    """The scalar loop and the array Newton of g = 0 in p."""
+    g_p = differentiate(g, "p")
+    scalar = compile_newton(g, g_p, ROW_NAMES, "t", 1e-12, 60, 1e-12)[2]
+    return scalar, compile_newton_rows(g, g_p, ROW_NAMES, "t", 1e-12, 60,
+                                       1e-12)
+
+
+def shifted_rows(e, seed, n=40):
+    """Rows (y, a, c, p0) where e - c has a root at p* near p0."""
+    rng = np.random.default_rng(seed)
+    y, a, p_star = rng.uniform(-2.0, 2.0, (3, n))
+    c = np.zeros(n)
+    for i in range(n):
+        try:
+            c[i] = evaluate(e, {"y": y[i], "a": a[i], "p": p_star[i]})
+        except DomainError:
+            pass
+    p0 = p_star + rng.normal(0.0, 0.3, n) * (rng.random(n) < 0.8)
+    return y, a, c, p0
+
+
+class TestNewtonRows:
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(_EXACT, st.integers(0, 2 ** 32 - 1))
+    def test_exact_operations_give_the_scalar_loop(self, e, seed):
+        assume("p" in free_vars(e))
+        g = e - Var("c")
+        scalar, (rows, _) = newton_pair(g)
+        y, a, c, p0 = shifted_rows(e, seed)
+        for s in (1.0, -1.0, 0.0):
+            with np.errstate(all="ignore"):
+                got, ok = rows(y, a, c, p0, s)
+            for i in range(y.size):
+                want = scalar(y[i], a[i], c[i], p0[i], s)
+                assert ok[i] == (want is not None), (i, s)
+                if want is not None:
+                    assert bits(float(got[i])) == bits(want), (i, s)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(_EXACT, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    def test_g_p_rows_are_the_kernel(self, e, y, p):
+        # e + p reads p, so it has an array Newton
+        g_p = differentiate(e, "p") + Const(1.0)
+        kernel = compile(g_p, ("y", "a", "p"))
+        _, gp_rows = compile_newton_rows(e + Var("p"), g_p, ("y", "a", "p"),
+                                         "t", 1e-12, 60, 1e-12)
+        args = [np.array([y, -y, 0.0]), np.array([p, 0.5, 0.0]),
+                np.array([p, -p, 1.0])]
+        with np.errstate(all="ignore"):
+            vals, bad = gp_rows(*args)
+        for i in range(3):
+            try:
+                want = kernel(*(float(v[i]) for v in args))
+            except DomainError:
+                assert bad[i]
+                continue
+            assert not bad[i]
+            assert bits(float(vals[i])) == bits(want)
+
+    def test_rejects_and_stops_as_the_scalar_loop(self):
+        # the TestNewtonLoop cases, one row each: an argument part raising
+        # in g or in g_p only, a momentum part raising, the wrong branch
+        cases = [("p^2-sqrt(a)+y+0*c", [(0.0, -1.0, 0.0, 0.5)]),
+                 ("y^p-a+0*c", [(0.0, 0.0, 0.0, 0.7), (0.0, -1e-13, 0.0, 0.7),
+                                (0.0, 0.5, 0.0, 0.7), (0.0, 0.0, 0.0, -0.7)]),
+                 ("log(p)-a+0*y+0*c", [(0.0, 0.0, 0.0, p0) for p0 in
+                                       (100.0, 5.0, 1.5, 0.9, 1e-3)]),
+                 ("p^2-a+0*y+0*c", [(0.0, 4.0, 0.0, p0)
+                                    for p0 in (-1.5, 1.5, 1e-13)])]
+        for text, rows in cases:
+            scalar, (batch, _) = newton_pair(parse(text))
+            cols = [np.array(col) for col in zip(*rows)]
+            for s in (1.0, -1.0, 0.0):
+                with np.errstate(all="ignore"):
+                    got, ok = batch(*cols, s)
+                want = [scalar(*row, s) for row in rows]
+                assert ok.tolist() == [w is not None for w in want]
+                assert [float(v) for v, k in zip(got, ok) if k] == [
+                    w for w in want if w is not None]
+
+    def test_rows_leave_and_the_rest_go_on(self):
+        # one slow row (a double root, linear convergence) among fast
+        # ones: the finished rows leave, the slow row keeps its lane
+        g = parse("(p-a)^2*y+(1-y)*(p*p-a*a)+0*c")
+        y = np.array([1.0] + [0.0] * 9)
+        a = np.linspace(1.0, 2.0, 10)
+        p0 = a + 0.25
+        scalar, (batch, _) = newton_pair(g)
+        with np.errstate(all="ignore"):
+            got, ok = batch(y, a, np.zeros(10), p0, 1.0)
+        want = [scalar(*row, 1.0) for row in zip(y, a, np.zeros(10), p0)]
+        assert ok.tolist() == [w is not None for w in want]
+        assert [float(v) for v in got[ok]] == [w for w in want if w is not None]
+
+    def test_no_array_newton_with_an_external_or_without_p(self):
+        ext = External(Counter([], "g"), (Var("y"),))
+        g = parse("p^2-a") + ext
+        assert compile_newton_rows(g, differentiate(g, "p"), ("y", "a", "p"),
+                                   "t", 1e-12, 60, 1e-12) is None
+        g = parse("y^2-a")
+        assert compile_newton_rows(g, Const(0.0), ("y", "a", "p"), "t",
+                                   1e-12, 60, 1e-12) is None
+
+    def test_compiled_once_by_the_first_table_build(self, monkeypatch):
+        made = []
+        real = builtins.compile
+
+        def counting(source, filename, mode):
+            made.append(filename)
+            return real(source, filename, mode)
+
+        monkeypatch.setattr(builtins, "compile", counting)
+        h = parse("p^2+1.234/y^2")
+        sol = solve_reduced_1d(h, "y", "p", 2.0, (0.8, 5.0), n_nodes=101)
+        assert [re.sub(r"#\d+", "#N", f) for f in made] == [
+            "<newton dW #N>", "<newton-rows dW #N>"]
+        rows = sol.root._rows
+        assert rows[0].__code__.co_filename == made[1]
+        sol.root.solve((1.7,))
+        assert sol.root._rows is rows and len(made) == 2
+
+    def test_family_roots_never_compile_rows(self, monkeypatch):
+        made = []
+        real = builtins.compile
+        monkeypatch.setattr(builtins, "compile", lambda s, f, m: (
+            made.append(f), real(s, f, m))[1])
+        sys_ = HamiltonianSystem(parse("0.5*p^2+0.5*q^2"), ["q"])
+        gf = quadrature_complete_solution(sys_, (-0.9, 0.9), n_quad=20)
+        gf.s_q(0)
+        assert not any(f.startswith("<newton-rows") for f in made)

@@ -1,5 +1,7 @@
 import bisect
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hjreduce.hj import (BranchAmbiguityError, GeneratingFunction,
                          quadrature_complete_solution, random_grid,
                          solve_heavy_top, solve_reduced_1d,
                          time_dependent_residual, time_extension)
+from hjreduce import hj
 from hjreduce.cli import build_system, load_scenario
 from hjreduce.phase_space import HamiltonianSystem, PhasePoint
 from hjreduce.reduction import build_chart, reduced_hamiltonian
@@ -225,8 +228,9 @@ class TestImplicitBranchRoot:
 
 class TestRootKernels:
     def test_root_paths_never_walk_a_tree(self, monkeypatch):
-        # solves, first and second partials and the quadrature table run
-        # on compiled kernels alone, with the same bits as before
+        # solves, first and second partials and the quadrature table (its
+        # array Newton included) run on compiled kernels alone, with the
+        # same bits as before
         g = parse("0.5*p^2+0.3*y^4/(1+a^2)-a")
 
         def values():
@@ -236,7 +240,8 @@ class TestRootKernels:
                                    (-1.0, 1.0), n_nodes=101)
             return [root.solve((0.4, 1.3)), d_y(0.4, 1.3),
                     d_y.partial(1)(-0.2, 0.9), sol.table(0.33),
-                    sol.root(0.71)]
+                    sol.root(0.71), sol.table.derivs.tolist(),
+                    sol.table.values.tolist()]
 
         want = values()
 
@@ -485,7 +490,7 @@ def _walker_residual(equation, sol, ys, ps):
     return float(np.fmax.reduce(np.abs(vals - sol.energy), initial=0.0))
 
 
-def _bundled_equation(name):
+def _bundled_equation(name, n_nodes=401):
     """A bundled scenario's solved 1-D equation and its solution."""
     doc = load_scenario(name)
     sys_, action, mu = build_system(doc)
@@ -498,7 +503,140 @@ def _bundled_equation(name):
         eq = reduced_hamiltonian(sys_, chart, mu)
         y, p = chart.y_names[0], chart.py_names[0]
     energy = sv.get("energy", doc.get("energy"))
-    return eq, solve_reduced_1d(eq, y, p, energy, sv["range"], n_nodes=401)
+    return eq, solve_reduced_1d(eq, y, p, energy, sv["range"],
+                                n_nodes=n_nodes)
+
+
+def ulp(a, b):
+    """Distance of two doubles in units in the last place."""
+    ia, ib = (struct.unpack("<q", struct.pack("<d", v))[0] for v in (a, b))
+    ia, ib = (i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF) for i in (ia, ib))
+    return abs(ia - ib)
+
+
+def chain_table(h, y_var, p_var, energy, y_range, branch=1, n_nodes=2001):
+    """The scalar node chain the array Newton replaced, kept as the oracle.
+
+    Each node solves from the previous node's root, each midpoint from
+    its left node's; the node checks are the old loop's.  Returns the
+    node roots and W at the nodes, or raises the chain's error.
+    """
+    root = ImplicitBranchRoot(h - Const(float(energy)), y_var, p_var,
+                              branch=branch)
+    ys = np.linspace(y_range[0], y_range[1], n_nodes).tolist()
+    ps, sign_ref, guess = [], 0.0, None
+    for y in ys:
+        p = root.solve((y,), guess=guess)
+        gp = root._gp(y, p)
+        if abs(gp) < 1e-6 * (1.0 + abs(p)):
+            raise TurningPointError(
+                y, f"momentum derivative vanishes near y={y}: turning point margin hit")
+        s = math.copysign(1.0, gp)
+        if sign_ref == 0.0:
+            sign_ref = s
+        elif s != sign_ref:
+            raise BranchAmbiguityError(
+                f"equation is not monotone in {p_var} on the branch (y={y})")
+        ps.append(p)
+        guess = p
+    values = [0.0]
+    for i in range(len(ys) - 1):
+        a, c = ys[i], ys[i + 1]
+        pm = root.solve((0.5 * (a + c),), guess=ps[i])
+        values.append(values[i] + (c - a) / 6.0 * (ps[i] + 4.0 * pm + ps[i + 1]))
+    return ps, values
+
+
+class InverseSquare:
+    """1/y^2 as an External, so the equation has no array Newton."""
+
+    name = "V"
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, y):
+        self.calls += 1
+        return 1.0 / (y * y)
+
+
+class TestTableBuild:
+    """The array Newton's tables against the scalar chain they replaced."""
+
+    @pytest.mark.parametrize("name, n_nodes", [
+        ("calogero", 2001), ("calogero", 8001), ("heavytop", 2001),
+        ("heavytop", 401)])
+    def test_within_the_ulp_bound(self, name, n_nodes):
+        # ^ and sin/cos go through numpy's power, sin and cos, which may
+        # differ from libm: the bound is 4 ulp, 2 the most measured
+        eq, sol = _bundled_equation(name, n_nodes)
+        ps, values = chain_table(eq, sol.coords[0], sol.root.p_var,
+                                 sol.energy, sol.y_range, n_nodes=n_nodes)
+        assert max(map(ulp, ps, sol.table.derivs.tolist())) <= 4
+        assert max(map(ulp, values, sol.table.values.tolist())) <= 4
+
+    @pytest.mark.parametrize("text, energy, y_range, n_nodes, error", [
+        # a pole on a node: the division raises there
+        ("p^2-1/y^2", 1.0, (-1.0, 1.0), 101, DomainError),
+        # the root leaves the branch: the margin check, then the bracket
+        ("0.5*(p^2+q^2)", 0.5, (0.0, 2.0), 101, TurningPointError),
+        ("0.5*(p^2+q^2)", 0.5, (0.0, 2.0), 100, TurningPointError),
+        ("0.5*(p^2+q^2)", 0.5, (1.5, 2.0), 100, TurningPointError),
+        # g_p changes sign along the root p = 1 at y = 1.5
+        ("(y-1.5)*(p-1)", 0.0, (1.0, 2.0), 100, BranchAmbiguityError),
+        ("(1.5-y)*(p-1)", 0.0, (1.0, 2.0), 300, BranchAmbiguityError)])
+    def test_the_chains_error_at_the_same_node(self, text, energy, y_range,
+                                               n_nodes, error):
+        h = parse(text)
+        var = sorted(h.free_vars() - {"p"})[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as want:
+                chain_table(h, var, "p", energy, y_range, n_nodes=n_nodes)
+            with pytest.raises(error) as got:
+                solve_reduced_1d(h, var, "p", energy, y_range,
+                                 n_nodes=n_nodes)
+        assert str(got.value) == str(want.value)
+        assert getattr(got.value, "location", None) == getattr(
+            want.value, "location", None)
+
+    def test_no_warning_escapes(self):
+        # starts that overflow or leave the domain: the rows fail quietly
+        sol = solve_reduced_1d(parse("p*p+1/q^2+log(q+3)"), "q", "p", 4.0,
+                               (0.8, 5.0), n_nodes=51)
+        batch = sol.root._rows[0]
+        ys = np.linspace(-5.0, 5.0, 64)
+        starts = np.concatenate([np.full(32, 1e300), np.full(32, -1e-300)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, ok = hj._in_blocks(lambda y, p: batch(y, p, 1.0), ys, starts)
+        assert not ok.all()
+
+    def test_an_external_takes_the_scalar_fallback(self):
+        ext = InverseSquare()
+        h = parse("p^2") + External(ext, (Var("q"),))
+        sol = solve_reduced_1d(h, "q", "p", 2.0, (0.8, 5.0), n_nodes=201)
+        assert ext.calls > 2 * 201
+        ps, values = chain_table(h, "q", "p", 2.0, (0.8, 5.0), n_nodes=201)
+        assert sol.table.derivs.tolist() == ps
+        assert sol.table.values.tolist() == values
+
+    def test_scalar_solves_only_on_the_coarse_chain(self, monkeypatch):
+        chained, solved = [], []
+        chain, solve = ImplicitBranchRoot._chain, ImplicitBranchRoot.solve
+        monkeypatch.setattr(ImplicitBranchRoot, "_chain", lambda self, a, g: (
+            chained.append(a[0]), chain(self, a, g))[1])
+        monkeypatch.setattr(ImplicitBranchRoot, "solve", lambda self, a, g=None: (
+            solved.append(a[0]), solve(self, a, g))[1])
+        sol = solve_reduced_1d(parse("p^2+1/q^2"), "q", "p", 2.0, (0.8, 5.0),
+                               n_nodes=2001)
+        ys = sol.table.ys
+        assert chained == ys[::32].tolist() + [ys[-1]]
+        # the monotonicity check's 17 solves, from the anchor table, are
+        # the only ones that fill the warm-start caches
+        assert solved == np.linspace(0.8, 5.0, 17).tolist()
+        assert sorted(sol.root._warm) == solved
+        assert sol.root._last == sol.root._warm[5.0]
 
 
 class TestSolutionResidual:

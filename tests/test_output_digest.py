@@ -1,0 +1,88 @@
+"""``tools/output_digest.py --compare`` on two small kept directories."""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import output_digest  # noqa: E402
+
+
+def kept(root, index, label, rc, stdout, stderr, files):
+    """One run as ``--keep`` writes it."""
+    run = root / str(index)
+    (run / "out").mkdir(parents=True)
+    for name, text in (("label", label), ("exit", str(rc)),
+                       ("stdout", stdout), ("stderr", stderr)):
+        (run / name).write_text(text, encoding="utf-8")
+    for name, text in files.items():
+        (run / "out" / name).write_text(text, encoding="utf-8")
+
+
+def report(residual, values, note="ok"):
+    return json.dumps({"residual": residual, "rows": [{"v": v} for v in values],
+                       "note": note, "n": 3})
+
+
+def test_compare_prints_each_difference(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    one = 1.0
+    up = math.nextafter(math.nextafter(one, 2.0), 2.0)  # 2 ulp above 1
+    csv_a = "t,q1\n0,1\n0.5,0.25\n"
+    csv_b = "t,q1\n0,1\n0.5,0.25000000000000006\n"  # 1 ulp
+    kept(a, 0, "solve-hj s tol=default", 0, "PASS\n", "",
+         {"s_solve.json": report(1e-16, [one, 2.0]), "s_table.csv": csv_a})
+    kept(b, 0, "solve-hj s tol=default", 0, "PASS\n", "",
+         {"s_solve.json": report(1e-16, [up, 2.0]), "s_table.csv": csv_b})
+    kept(a, 1, "verify s tol=1e-30", 1, "FAIL\n", "residual failure\n",
+         {"s_verify.json": report(0.5, [], note="x")})
+    kept(b, 1, "verify s tol=1e-30", 3, "", "numeric failure\n",
+         {"s_verify.json": report(0.25, [], note="y")})
+    kept(a, 2, "reduce s tol=default", 0, "", "", {"s.json": "{}"})
+    kept(b, 2, "reduce s tol=default", 0, "", "", {"s.json": "{}"})
+    output_digest.compare(a, b)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "0 solve-hj s tol=default s_solve.json $.rows[*].v: "
+        "max |change| 4.44e-16, max ulp 2",
+        "0 solve-hj s tol=default s_table.csv q1: "
+        "max |change| 5.55e-17, max ulp 1",
+        "1 verify s tol=1e-30: exit 1 -> 3",
+        "1 verify s tol=1e-30: stdout differs",
+        "1 verify s tol=1e-30: stderr differs",
+        "1 verify s tol=1e-30 s_verify.json $.residual: "
+        "max |change| 0.25, max ulp 4503599627370496",
+        "1 verify s tol=1e-30 s_verify.json $.note: not comparable",
+        "largest change per command and field:",
+        "  solve-hj .csv q1: max |change| 5.55e-17, max ulp 1",
+        "  solve-hj .json $.rows[*].v: max |change| 4.44e-16, max ulp 2",
+        "  verify .json $.note: not comparable",
+        "  verify .json $.residual: max |change| 0.25, max ulp 4503599627370496",
+    ]
+
+
+def test_identical_runs_print_nothing(tmp_path, capsys):
+    for side in ("a", "b"):
+        kept(tmp_path / side, 0, "reduce s tol=default", 0, "x\n", "",
+             {"s.json": report(0.0, [-0.0, 1.5])})
+    output_digest.compare(tmp_path / "a", tmp_path / "b")
+    assert capsys.readouterr().out == ""
+
+
+def test_ulp_distance_crosses_zero():
+    tiny = math.ulp(0.0)
+    assert output_digest._ordered(-0.0) == output_digest._ordered(0.0) == 0
+    assert output_digest._ordered(tiny) - output_digest._ordered(-tiny) == 2
+
+
+def test_keep_holds_what_the_digest_hashes(tmp_path):
+    keep = tmp_path / "0"
+    keep.mkdir()
+    line = output_digest.digest_run(["reduce", "calogero", "--out", "out"],
+                                    keep=keep)
+    assert (keep / "exit").read_text() == "0"
+    files = sorted(p.name for p in (keep / "out").iterdir())
+    assert files and all(f"{name}=" in line for name in files)
+    stdout = (keep / "stdout").read_text(encoding="utf-8").encode()
+    assert f"stdout={output_digest._sha(stdout)}" in line

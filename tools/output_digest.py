@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Digest every output of a fixed set of CLI runs, one line per run.
 
-    PYTHONPATH=src python tools/output_digest.py [--bench-seed N]
+    PYTHONPATH=src python tools/output_digest.py [--bench-seed N] [--keep DIR]
+    PYTHONPATH=src python tools/output_digest.py --compare A B
 
 Runs each command on each bundled scenario through ``hjreduce.cli.main``,
 once at the default ``--tol`` and once at ``--tol 1e-30``.  With
@@ -17,6 +18,15 @@ program under test is the ``hjreduce`` found on the import path, so two
 checkouts are compared by running this file with each one's ``src`` on
 ``PYTHONPATH`` and diffing the outputs.  Within one checkout, two runs
 diffed against each other check that outputs are byte-deterministic.
+
+``--keep DIR`` also keeps each run's output files, stdout, stderr, exit
+code and label under ``DIR/<run index>/``.  ``--compare A B`` reads two
+such directories (one per checkout) and prints, for each run that
+differs, its exit codes and whether stdout and stderr differ, and for
+each JSON number path (list indices as ``[*]``) and CSV column that
+differs, the largest absolute change and the largest distance in units
+in the last place (ulp).  A last section gives the same maxima over all
+runs of one command, per field.
 """
 
 from __future__ import annotations
@@ -26,6 +36,8 @@ import hashlib
 import io
 import json
 import os
+import shutil
+import struct
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -43,10 +55,12 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_run(argv, scenario_doc=None):
+def digest_run(argv, scenario_doc=None, keep=None):
     """Exit code and digests of one ``cli.main(argv)`` in a fresh directory.
 
-    ``scenario_doc``, when given, is written to ``argv[1]`` first.
+    ``scenario_doc``, when given, is written to ``argv[1]`` first.  With
+    ``keep`` (a directory), the outputs, stdout, stderr and exit code are
+    copied there.
     """
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -63,6 +77,13 @@ def digest_run(argv, scenario_doc=None):
                      f"stdout={_sha(out.getvalue().encode())}",
                      f"stderr={_sha(err.getvalue().encode())}"]
             parts += [f"{p.name}={_sha(p.read_bytes())}" for p in files]
+            if keep is not None:
+                (keep / "out").mkdir(parents=True)
+                for p in files:
+                    shutil.copyfile(p, keep / "out" / p.name)
+                (keep / "stdout").write_text(out.getvalue(), encoding="utf-8")
+                (keep / "stderr").write_text(err.getvalue(), encoding="utf-8")
+                (keep / "exit").write_text(str(rc), encoding="utf-8")
         finally:
             os.chdir(home)
     return " ".join(parts)
@@ -88,16 +109,124 @@ def bench_runs(seed):
                    argv, job.doc)
 
 
+def _ordered(x):
+    """The float's position on the integer line of doubles (ulp steps)."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+
+def _json_numbers(value, path, out):
+    """Append (path, number) for every number in a JSON value."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _json_numbers(v, f"{path}.{k}", out)
+    elif isinstance(value, list):
+        for v in value:
+            _json_numbers(v, f"{path}[*]", out)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        out.append((path, float(value)))
+    else:
+        out.append((path, value))
+    return out
+
+
+def _fields(path):
+    """A kept output file as a list of (field, value)."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        return _json_numbers(json.loads(text), "$", [])
+    rows = [line.split(",") for line in text.splitlines() if line]
+    return [(name, float(v)) for row in rows[1:]
+            for name, v in zip(rows[0], row)]
+
+
+def compare_files(a, b):
+    """{field: (max |change|, max ulp)} over the fields that differ.
+
+    A field whose values are not numbers on both sides, or whose count
+    of values differs, maps to None.
+    """
+    fa, fb = _fields(a), _fields(b)
+    if [k for k, _ in fa] != [k for k, _ in fb]:
+        return {"<layout>": None}
+    out = {}
+    for (field, x), (_, y) in zip(fa, fb):
+        if x == y or (x != x and y != y):
+            continue
+        if not (isinstance(x, float) and isinstance(y, float)):
+            out[field] = None
+            continue
+        seen = out.get(field, (0.0, 0))
+        if seen is not None:
+            out[field] = (max(seen[0], abs(x - y)),
+                          max(seen[1], abs(_ordered(x) - _ordered(y))))
+    return out
+
+
+def _run_dirs(root):
+    return {int(p.name): p for p in root.iterdir() if p.name.isdigit()}
+
+
+def _change(v):
+    return "not comparable" if v is None else \
+        f"max |change| {v[0]:.3g}, max ulp {v[1]}"
+
+
+def compare(a, b):
+    """Print what differs between two ``--keep`` directories."""
+    runs_a, runs_b = _run_dirs(a), _run_dirs(b)
+    worst = {}
+    for i in sorted(runs_a.keys() | runs_b.keys()):
+        if i not in runs_a or i not in runs_b:
+            print(f"{i}: only in {a if i in runs_a else b}")
+            continue
+        ra, rb = runs_a[i], runs_b[i]
+        label = (ra / "label").read_text(encoding="utf-8")
+        for what in ("exit", "stdout", "stderr"):
+            ta, tb = ((r / what).read_text(encoding="utf-8") for r in (ra, rb))
+            if ta != tb:
+                print(f"{i} {label}: {what} " + (f"{ta} -> {tb}" if what == "exit"
+                                                 else "differs"))
+        names_a = {p.name for p in (ra / "out").iterdir()}
+        names_b = {p.name for p in (rb / "out").iterdir()}
+        for name in sorted(names_a ^ names_b):
+            print(f"{i} {label}: {name} only in one run")
+        for name in sorted(names_a & names_b):
+            for field, v in compare_files(ra / "out" / name,
+                                          rb / "out" / name).items():
+                print(f"{i} {label} {name} {field}: {_change(v)}")
+                key = (label.split()[0], Path(name).suffix, field)
+                seen = worst.get(key, (0.0, 0))
+                worst[key] = None if v is None or seen is None else (
+                    max(seen[0], v[0]), max(seen[1], v[1]))
+    if worst:
+        print("largest change per command and field:")
+    for (command, suffix, field), v in sorted(worst.items()):
+        print(f"  {command} {suffix} {field}: {_change(v)}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--bench-seed", type=int, default=None,
                         help="also run every benchmark job of this seed")
+    parser.add_argument("--keep", type=Path, default=None, metavar="DIR",
+                        help="keep each run's outputs under DIR/<run index>/")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
+                        help="compare two --keep directories and exit")
     args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
     runs = list(bundled_runs())
     if args.bench_seed is not None:
         runs += bench_runs(args.bench_seed)
-    for label, run_argv, doc in runs:
-        print(label, digest_run(run_argv, doc), flush=True)
+    for index, (label, run_argv, doc) in enumerate(runs):
+        keep = None
+        if args.keep is not None:
+            keep = args.keep.resolve() / str(index)
+            keep.mkdir(parents=True)
+            (keep / "label").write_text(label, encoding="utf-8")
+        print(label, digest_run(run_argv, doc, keep), flush=True)
     return 0
 
 
