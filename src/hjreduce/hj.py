@@ -395,9 +395,9 @@ def hj_residual(sys, form, grid, closed_tol=PRECONDITION_TOL):
 # and 4 ulp is the documented bound.
 #
 # A running integral sums Simpson panels in path order, and adjacent
-# full panels share an endpoint: each call solves it once (two solves
-# per full panel, where separate panel sums made three), and the solves
-# it keeps run in the order the separate sums ran them.
+# panels, the closure included, share an endpoint: each call solves it
+# once (two solves per panel, where separate panel sums made three), and
+# the solves it keeps run in the order the separate sums ran them.
 
 _WARM_CAP = 20000
 _ROOT_TOL = 1e-12
@@ -456,21 +456,17 @@ class ImplicitBranchRoot:
         self._anchors = (array("d", np.asarray(ys, dtype=float)[order]),
                          array("d", np.asarray(ps, dtype=float)[order]))
 
-    def solve(self, args, guess=None):
+    def solve(self, args):
         if len(args) != self.arity:
             raise ValueError(f"{self.name} expects {self.arity} arguments")
         y = float(args[0])  # the kernels convert the arguments
         # Newton from each start in turn until one converges on the
         # branch's side of the axis (the branch contract, search from 0
-        # toward branch * inf, must not depend on cache state): the
-        # caller's guess, this y's last root, the nearest anchor, the
-        # last root; then the bracket
+        # toward branch * inf, must not depend on cache state): this y's
+        # last root, the nearest anchor, the last root; then the bracket
         newton, s = self._newton, self._sign
-        p = None if guess is None else newton(*args, float(guess), s)
-        if p is None:
-            hit = self._warm.get(y)
-            if hit is not None:
-                p = newton(*args, hit, s)
+        hit = self._warm.get(y)
+        p = None if hit is None else newton(*args, hit, s)
         if p is None and self._anchors is not None:
             ys, ps = self._anchors
             p = newton(*args, ps[min(bisect.bisect_left(ys, y), len(ps) - 1)], s)
@@ -680,10 +676,10 @@ class RunningIntegral:
     The integration path runs along the first argument on a fixed grid
     (the remaining arguments are parameters passed through), composite
     Simpson on full sub-intervals plus a Simpson closure on the partial
-    one.  Adjacent full panels share the integrand value at their common
-    node, so each full panel costs two integrand calls and the closure
-    three.  partial(0) recovers the integrand; a parameter partial is the
-    running integral of the integrand's parameter partial.
+    one.  Adjacent panels share the integrand value at their common
+    node, so a call over n panels, the closure included, makes 2n + 1
+    integrand calls.  partial(0) recovers the integrand; a parameter
+    partial is the running integral of the integrand's parameter partial.
     """
 
     def __init__(self, integrand, lo, hi, n_intervals=200, name="Wint"):
@@ -703,11 +699,6 @@ class RunningIntegral:
     def base(self):
         return self.nodes[self.base_index]
 
-    def _simpson(self, a, c, params):
-        f = self.integrand
-        m = 0.5 * (a + c)
-        return (c - a) / 6.0 * (f(a, *params) + 4.0 * f(m, *params) + f(c, *params))
-
     def __call__(self, y, *params):
         nodes = self.nodes
         y = float(y)
@@ -717,34 +708,29 @@ class RunningIntegral:
         f = self.integrand
         b = self.base_index
         total = 0.0
-        if y >= nodes[b]:
-            j = min(max(bisect.bisect_left(nodes, y) - 1, 0), len(nodes) - 2)
-            a, fa = nodes[b], None
-            for i in range(b, j):
-                c = nodes[i + 1]
-                if fa is None:
-                    fa = f(a, *params)
+        # one Simpson panel per far endpoint: the full-panel nodes, then
+        # y (the closure); each pass reuses the previous one's far value
+        if y > nodes[b]:
+            k = min(bisect.bisect_left(nodes, y), len(nodes) - 1)
+            a = nodes[b]
+            fa = f(a, *params)
+            for i in range(b + 1, k + 1):
+                c = nodes[i] if i < k else y
                 fm = f(0.5 * (a + c), *params)
                 fc = f(c, *params)
                 total += (c - a) / 6.0 * (fa + 4.0 * fm + fc)
                 a, fa = c, fc
-            lo = nodes[max(j, b)]
-            if y > lo:
-                total += self._simpson(lo, y, params)
-        else:
-            j = min(bisect.bisect_left(nodes, y), len(nodes) - 1)
+        elif y < nodes[b]:
+            k = bisect.bisect_right(nodes, y)
             c, fc = nodes[b], None
-            for i in range(b, j, -1):
-                a = nodes[i - 1]
+            for i in range(b - 1, k - 2, -1):
+                a = nodes[i] if i >= k else y
                 fa = f(a, *params)
                 fm = f(0.5 * (a + c), *params)
                 if fc is None:
                     fc = f(c, *params)
                 total -= (c - a) / 6.0 * (fa + 4.0 * fm + fc)
                 c, fc = a, fa
-            hi = nodes[min(j, b)]
-            if y < hi:
-                total -= self._simpson(y, hi, params)
         return total
 
     def partial(self, i):

@@ -160,26 +160,27 @@ def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
     def lifted_p(reduced_p):
         return chart.y_block.T @ reduced_p + shift
 
-    def g_rate(y, t):
-        p = lifted_p(reduced_form.values(y, FLOW_SINGULAR_TOL))
-        qdot = sys._values(sys._dh_dp, l_mat @ y, p, t, FLOW_SINGULAR_TOL)
-        ydot = red_field(t, y)
-        return x_blk @ (qdot - l_mat @ ydot)
+    def state(y, t):
+        """Reduced momenta, reduced velocity and group rate at (y, t)."""
+        reduced_p = reduced_form.values(y, FLOW_SINGULAR_TOL)
+        qdot = sys._values(sys._dh_dp, l_mat @ y, lifted_p(reduced_p), t,
+                           FLOW_SINGULAR_TOL)
+        ydot = red_sys._values(red_sys._dh_dp, y, reduced_p, float(t),
+                               FLOW_SINGULAR_TOL)
+        return reduced_p, ydot, x_blk @ (qdot - l_mat @ ydot)
 
     times, ys = _rk4(red_field, y0, 0.0, float(t_end), dt)
     n_samples = times.size
-    rates = np.array([g_rate(ys[i], times[i]) for i in range(n_samples)])
-    fields = np.array([red_field(times[i], ys[i]) for i in range(n_samples)])
+    samples = [state(ys[i], times[i]) for i in range(n_samples)]
+    reduced_ps, fields, rates = (np.array(col) for col in zip(*samples))
     gs = np.empty((n_samples, chart.k))
     gs[0] = g0
     for i in range(n_samples - 1):
         h = times[i + 1] - times[i]
         y_mid = (0.5 * (ys[i] + ys[i + 1])
                  + (h / 8.0) * (fields[i] - fields[i + 1]))
-        r_mid = g_rate(y_mid, times[i] + 0.5 * h)
+        r_mid = state(y_mid, times[i] + 0.5 * h)[2]
         gs[i + 1] = gs[i] + (h / 6.0) * (rates[i] + 4.0 * r_mid + rates[i + 1])
     qs = ys @ l_mat.T + gs @ g_mat.T
-    reduced_ps = evaluate_rows(reduced_form.components, reduced_form.coords,
-                               ys, FLOW_SINGULAR_TOL)
     ps = np.array([lifted_p(p) for p in reduced_ps])
     return Trajectory(times, qs, ps)

@@ -210,7 +210,7 @@ class TestImplicitBranchRoot:
             self.closed(0.37, 1.0), rel=1e-13)
 
     def test_explicit_guess(self, root):
-        assert root.solve((0.5, 1.0), guess=0.6) == pytest.approx(
+        assert root._chain((0.5, 1.0), 0.6) == pytest.approx(
             self.closed(0.5, 1.0), rel=1e-13)
 
     def test_same_solve_order_same_bits(self):
@@ -334,25 +334,31 @@ class TestRunningIntegral:
 def per_panel_sum(w, y, *params):
     """The running integral as separate Simpson sums, panel by panel.
 
-    Each full panel solves both its endpoints, as the running integral
-    did before adjacent panels shared them.
+    Each panel solves both its endpoints, as the running integral did
+    before adjacent panels shared them.
     """
+    def simpson(a, c):
+        f = w.integrand
+        m = 0.5 * (a + c)
+        return (c - a) / 6.0 * (f(a, *params) + 4.0 * f(m, *params)
+                                + f(c, *params))
+
     nodes, b = w.nodes, w.base_index
     total = 0.0
     if y >= nodes[b]:
         j = min(max(bisect.bisect_left(nodes, y) - 1, 0), len(nodes) - 2)
         for i in range(b, j):
-            total += w._simpson(nodes[i], nodes[i + 1], params)
+            total += simpson(nodes[i], nodes[i + 1])
         lo = nodes[max(j, b)]
         if y > lo:
-            total += w._simpson(lo, y, params)
+            total += simpson(lo, y)
     else:
         j = min(bisect.bisect_left(nodes, y), len(nodes) - 1)
         for i in range(b, j, -1):
-            total -= w._simpson(nodes[i - 1], nodes[i], params)
+            total -= simpson(nodes[i - 1], nodes[i])
         hi = nodes[min(j, b)]
         if y < hi:
-            total -= w._simpson(y, hi, params)
+            total -= simpson(y, hi)
     return total
 
 
@@ -368,11 +374,13 @@ class TestSharedEndpoints:
     def test_same_bits_as_per_panel_sums(self):
         # twin families, fresh roots, one call sequence: values and
         # parameter partials on both sides of the base, at nodes, at the
-        # base, at the ends and inside the first panel (closure only)
+        # base, at and just past the ends and inside the first panel
+        # (closure only)
         shared, separate = self.family(), self.family()
         nodes = shared.nodes
         rng = np.random.default_rng(4)
-        ys = [nodes[-1], nodes[0], shared.base, nodes[7], nodes[31],
+        ys = [nodes[-1], nodes[0], nodes[-1] + 5e-13, nodes[0] - 5e-13,
+              shared.base, nodes[7], nodes[31],
               shared.base + 0.01, shared.base - 0.01,
               *rng.uniform(-0.95, 0.95, 40)]
         for y in ys:
@@ -384,15 +392,15 @@ class TestSharedEndpoints:
     @pytest.mark.parametrize("side", [1, -1])
     def test_two_solves_per_full_panel_in_panel_order(self, monkeypatch,
                                                       side):
-        # k full panels and a closure make 2k + 1 + 3 solves: those of
-        # the per-panel sums, in their order, less each full panel's
-        # repeat of an endpoint already solved
+        # k full panels and a closure make 2k + 3 solves: those of the
+        # per-panel sums, in their order, less each panel's repeat of an
+        # endpoint already solved, the closure's included
         calls = []
         solve = ImplicitBranchRoot.solve
 
-        def counting(self, args, guess=None):
+        def counting(self, args):
             calls.append(args[0])
-            return solve(self, args, guess)
+            return solve(self, args)
 
         monkeypatch.setattr(ImplicitBranchRoot, "solve", counting)
         shared, separate = self.family(), self.family()
@@ -404,10 +412,8 @@ class TestSharedEndpoints:
             got = calls[:]
             del calls[:]
             per_panel_sum(separate, y, 1.2)
-            closure = len(calls) - 3
-            want = [x for i, x in enumerate(calls)
-                    if i >= closure or x not in calls[:i]]
-            assert len(got) == 2 * k + 1 + 3
+            want = [x for i, x in enumerate(calls) if x not in calls[:i]]
+            assert len(got) == 2 * k + 3
             assert got == want
 
 
@@ -518,7 +524,8 @@ def chain_table(h, y_var, p_var, energy, y_range, branch=1, n_nodes=2001):
     """The scalar node chain the array Newton replaced, kept as the oracle.
 
     Each node solves from the previous node's root, each midpoint from
-    its left node's; the node checks are the old loop's.  Returns the
+    its left node's, by Newton and else the bracket (``_chain``); the
+    node checks are the old loop's.  Returns the
     node roots and W at the nodes, or raises the chain's error.
     """
     root = ImplicitBranchRoot(h - Const(float(energy)), y_var, p_var,
@@ -526,7 +533,7 @@ def chain_table(h, y_var, p_var, energy, y_range, branch=1, n_nodes=2001):
     ys = np.linspace(y_range[0], y_range[1], n_nodes).tolist()
     ps, sign_ref, guess = [], 0.0, None
     for y in ys:
-        p = root.solve((y,), guess=guess)
+        p = root._chain((y,), guess)
         gp = root._gp(y, p)
         if abs(gp) < 1e-6 * (1.0 + abs(p)):
             raise TurningPointError(
@@ -542,7 +549,7 @@ def chain_table(h, y_var, p_var, energy, y_range, branch=1, n_nodes=2001):
     values = [0.0]
     for i in range(len(ys) - 1):
         a, c = ys[i], ys[i + 1]
-        pm = root.solve((0.5 * (a + c),), guess=ps[i])
+        pm = root._chain((0.5 * (a + c),), ps[i])
         values.append(values[i] + (c - a) / 6.0 * (ps[i] + 4.0 * pm + ps[i + 1]))
     return ps, values
 
@@ -626,8 +633,8 @@ class TestTableBuild:
         chain, solve = ImplicitBranchRoot._chain, ImplicitBranchRoot.solve
         monkeypatch.setattr(ImplicitBranchRoot, "_chain", lambda self, a, g: (
             chained.append(a[0]), chain(self, a, g))[1])
-        monkeypatch.setattr(ImplicitBranchRoot, "solve", lambda self, a, g=None: (
-            solved.append(a[0]), solve(self, a, g))[1])
+        monkeypatch.setattr(ImplicitBranchRoot, "solve", lambda self, a: (
+            solved.append(a[0]), solve(self, a))[1])
         sol = solve_reduced_1d(parse("p^2+1/q^2"), "q", "p", 2.0, (0.8, 5.0),
                                n_nodes=2001)
         ys = sol.table.ys

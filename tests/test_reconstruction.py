@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hjreduce.expr import parse
-from hjreduce.hj import mesh_grid, solve_reduced_1d
+from hjreduce.hj import ImplicitBranchRoot, mesh_grid, solve_reduced_1d
 from hjreduce.phase_space import HamiltonianSystem, PhasePoint, flow_reference
 from hjreduce.reconstruction import (integrate_projected, lift_report,
                                      lift_solution, reconstruct_trajectory)
@@ -109,6 +109,23 @@ class TestReconstructTrajectory:
         ref = integrate_projected(sys_, form, traj.qs[0], 1.0, 1e-3)
         assert np.max(np.abs(traj.qs - ref.qs)) < 1e-8
         assert np.max(np.abs(traj.ps - ref.ps)) < 1e-8
+
+    def test_six_root_solves_per_step(self, pair_setup, monkeypatch):
+        # four RK4 stages, then one state per sample and per midpoint
+        sys_, action, chart, mu, sol = pair_setup
+        calls = []
+        solve = ImplicitBranchRoot.solve
+
+        def counting(self, args):
+            calls.append(self)
+            return solve(self, args)
+
+        monkeypatch.setattr(ImplicitBranchRoot, "solve", counting)
+        traj = reconstruct_trajectory(sys_, sol, chart, mu, np.array([2.0]),
+                                      0.2, 1e-2)
+        n_steps = len(traj.times) - 1
+        assert n_steps == 20
+        assert calls == [sol.root] * (6 * n_steps + 1)
 
     def test_g0_offset_translates(self, pair_setup):
         sys_, action, chart, mu, sol = pair_setup

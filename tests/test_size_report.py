@@ -64,3 +64,12 @@ def test_private_module_has_no_public_values():
 def test_one_line_docstring_after_code_on_its_line():
     # a docstring sharing its line with the def leaves the def counted
     assert size_report.measure('def f():  """doc"""\n')[0] == 1
+
+
+def test_a_path_without_modules_exits_2(tmp_path, capsys):
+    # an empty directory, a typo'd path and an option all name no module
+    for arg in (str(tmp_path), str(tmp_path / "missing"), "--help"):
+        assert size_report.main([arg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"size_report.py: no .py files in {arg}\n"

@@ -85,6 +85,9 @@ def main(argv=None):
     root = Path(argv[0] if argv else "src/hjreduce")
     rows = [(path.name, *measure(path.read_text(encoding="utf-8"), path.name))
             for path in sorted(root.glob("*.py"))]
+    if not rows:
+        print(f"size_report.py: no .py files in {root}", file=sys.stderr)
+        return 2
     rows.append(("total", *(sum(col) for col in zip(*[r[1:] for r in rows]))))
     print(f"{'module':<20} {'code lines':>10} {'settable':>9} {'public':>7}")
     for name, code, settable, public in rows:
