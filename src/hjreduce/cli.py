@@ -366,8 +366,14 @@ def build_system(doc):
                     f"expected {len(coords)}")
         try:
             action = TranslationAction(rows)
+            # the chart solves with the Gram matrix G^T G, which must be finite
+            with np.errstate(over="raise"):
+                action.matrix.T @ action.matrix
         except ValueError as e:
             raise ScenarioError(f"$.action: {e}")
+        except FloatingPointError:
+            raise ScenarioError("$.action: generators too large: their "
+                                "Gram matrix G^T G overflows") from None
         mu = np.zeros(action.k)
     if "mu" in doc:
         if action is None and "chart" not in doc:
@@ -621,6 +627,9 @@ def _solve_1d(doc, sys_, action, mu, args):
                             "one-dimensional system")
     n_nodes = args.grid if args.grid is not None \
         else sv.get("n_nodes", 2001)
+    if n_nodes < 3:  # the schema holds $.solve.n_nodes to at least 3
+        raise ScenarioError(f"--grid: must be at least 3 for a quadrature "
+                            f"solve, got {n_nodes}")
     sol = solve_reduced_1d(equation, y_var, p_var, energy,
                            _interval(sv["range"], "$.solve.range"),
                            branch=sv.get("branch", 1), n_nodes=n_nodes)

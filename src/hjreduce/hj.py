@@ -1247,9 +1247,8 @@ def additive_split_check(s, coords, action, grid, mu=None):
     if g_mat.shape[0] != len(coords):
         raise ValueError("action dimension does not match the coordinates")
     grads = [differentiate(s, v) for v in coords]
-    j_vals = np.empty((grid.shape[0], g_mat.shape[1]))
-    for idx, gv in enumerate(evaluate_rows(grads, coords, grid)):
-        j_vals[idx] = g_mat.T @ gv
+    # one product G^T grad S per grid point, each rounded as that point's own
+    j_vals = (g_mat.T @ evaluate_rows(grads, coords, grid)[:, :, None])[..., 0]
     ref = np.asarray(mu, dtype=float) if mu is not None else j_vals[0]
     scale = 1.0 + float(np.max(np.abs(j_vals))) if j_vals.size else 1.0
     dev = np.abs(j_vals - ref)

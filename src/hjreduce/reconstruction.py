@@ -19,7 +19,6 @@ from .hj import PRECONDITION_TOL, OneForm, hj_residual, pullback
 from .phase_space import (FLOW_SINGULAR_TOL, HamiltonianSystem, PhasePoint,
                           Trajectory, _rk4)
 from .reduction import reduced_hamiltonian
-from .symmetry import TranslationAction
 
 __all__ = [
     "lift_solution", "lift_report", "ReconstructionReport",
@@ -63,31 +62,36 @@ def lift_report(sys, reduced_form, chart, mu, grid,
                 closed_tol=PRECONDITION_TOL, seed=42):
     """Lift and verify: invariance, momentum level, closedness, residual.
 
-    The grid is a set of full-space configuration points.  Invariance is
-    sampled with random group shifts of the grid points; the momentum
-    deviation is max |G^T form(q) - mu|; the Hamilton-Jacobi residual is
-    the spread of h along the form's graph (with the closedness
-    precondition enforced inside).
+    The grid is a set of full-space configuration points.  The momentum
+    deviation is max |G^T form(q) - mu| over the grid.  Invariance is
+    sampled by translating each grid point by its own random group
+    element (drawn in grid order from ``seed``) and comparing the form's
+    values.  A point whose values are NaN adds nothing to either
+    maximum.  The Hamilton-Jacobi residual is the spread of h along the
+    form's graph (with the closedness precondition enforced inside).
+
+    The form is swept over the grid, then over the translated grid, so
+    a DomainError propagates, and when several points fail the first
+    failure of the untranslated sweep is the one raised.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     form = lift_solution(reduced_form, chart, mu, sys.coords)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    rng = np.random.default_rng(seed)
-    action = TranslationAction(chart.generators.T) if chart.k else None
-    inv_dev = 0.0
-    mom_dev = 0.0
-    for q in grid:
-        v = form.values(q)
-        if mu.size:
-            mdev = float(np.max(np.abs(chart.generators.T @ v - mu)))
-            if mdev > mom_dev:
-                mom_dev = mdev
-        if action is not None:
-            g = rng.uniform(-1.0, 1.0, size=chart.k)
-            v2 = form.values(action.translate(q, g))
-            dev = float(np.max(np.abs(v2 - v)))
-            if dev > inv_dev:
-                inv_dev = dev
+    g_mat = chart.generators
+    vals = evaluate_rows(form.components, form.coords, grid)
+    # M @ a[:, :, None] stacks one product M @ a[i] per row, each
+    # rounded as that point's own product is; fmax skips a NaN row, as
+    # a running > maximum does
+    mom_dev = inv_dev = 0.0
+    if chart.k:  # lift_solution holds mu to k entries
+        mom_dev = float(np.fmax.reduce(np.max(np.abs(
+            (g_mat.T @ vals[:, :, None])[..., 0] - mu), axis=1), initial=0.0))
+        gs = np.random.default_rng(seed).uniform(
+            -1.0, 1.0, size=(grid.shape[0], chart.k))
+        moved = evaluate_rows(form.components, form.coords,
+                              grid + (g_mat @ gs[:, :, None])[..., 0])
+        inv_dev = float(np.fmax.reduce(np.max(np.abs(moved - vals), axis=1),
+                                       initial=0.0))
     rep = hj_residual(sys, form, grid, closed_tol=closed_tol)
     return ReconstructionReport(form=form, invariance_dev=inv_dev,
                                 momentum_dev=mom_dev,
@@ -139,6 +143,13 @@ def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
     Momenta along the result come from the lifted form, so the output
     sits exactly on the momentum level.
 
+    The samples and then the Hermite midpoints are each evaluated in
+    three sweeps over the points (the reduced form, the full dh/dp at
+    the lifted points, the reduced dh/dp), so N steps make 6N + 1 root
+    solves: the RK4 stages', then the samples', then the midpoints', in
+    path order.  When several points fail, the first failure of the
+    first failing sweep is the one raised.
+
     ``g0`` sets the initial group coordinates (default zero: the path
     starts on the horizontal slice).
     """
@@ -151,36 +162,37 @@ def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
     red_sys = HamiltonianSystem(h_red, chart.y_names, chart.py_names)
     l_mat = chart.horizontal
     x_blk = chart.x_block
-    g_mat = chart.generators
     shift = x_blk.T @ mu
 
     def red_field(t, y):
         return projected_vector_field(red_sys, reduced_form, y, t=t)
 
-    def lifted_p(reduced_p):
-        return chart.y_block.T @ reduced_p + shift
+    def states(ys, ts):
+        """Lifted momenta, reduced velocities and group rates at (ys, ts).
 
-    def state(y, t):
-        """Reduced momenta, reduced velocity and group rate at (y, t)."""
-        reduced_p = reduced_form.values(y, FLOW_SINGULAR_TOL)
-        qdot = sys._values(sys._dh_dp, l_mat @ y, lifted_p(reduced_p), t,
-                           FLOW_SINGULAR_TOL)
-        ydot = red_sys._values(red_sys._dh_dp, y, reduced_p, float(t),
-                               FLOW_SINGULAR_TOL)
-        return reduced_p, ydot, x_blk @ (qdot - l_mat @ ydot)
+        Three sweeps: the reduced form, the full dh/dp at the lifted
+        points, the reduced dh/dp.  Each (M @ a[:, :, None])[..., 0] is
+        one product M @ a[i] per point, rounded as that point's own.
+        """
+        reduced_ps = evaluate_rows(reduced_form.components,
+                                   reduced_form.coords, ys, FLOW_SINGULAR_TOL)
+        ps = (chart.y_block.T @ reduced_ps[:, :, None])[..., 0] + shift
+        qdots = evaluate_rows(sys._dh_dp, sys._names, np.hstack(
+            [(l_mat @ ys[:, :, None])[..., 0], ps, ts[:, None]]),
+            FLOW_SINGULAR_TOL)
+        ydots = evaluate_rows(red_sys._dh_dp, red_sys._names,
+                              np.hstack([ys, reduced_ps, ts[:, None]]),
+                              FLOW_SINGULAR_TOL)
+        drift = qdots - (l_mat @ ydots[:, :, None])[..., 0]
+        return ps, ydots, (x_blk @ drift[:, :, None])[..., 0]
 
     times, ys = _rk4(red_field, y0, 0.0, float(t_end), dt)
-    n_samples = times.size
-    samples = [state(ys[i], times[i]) for i in range(n_samples)]
-    reduced_ps, fields, rates = (np.array(col) for col in zip(*samples))
-    gs = np.empty((n_samples, chart.k))
-    gs[0] = g0
-    for i in range(n_samples - 1):
-        h = times[i + 1] - times[i]
-        y_mid = (0.5 * (ys[i] + ys[i + 1])
-                 + (h / 8.0) * (fields[i] - fields[i + 1]))
-        r_mid = state(y_mid, times[i] + 0.5 * h)[2]
-        gs[i + 1] = gs[i] + (h / 6.0) * (rates[i] + 4.0 * r_mid + rates[i + 1])
-    qs = ys @ l_mat.T + gs @ g_mat.T
-    ps = np.array([lifted_p(p) for p in reduced_ps])
+    ps, fields, rates = states(ys, times)
+    h = np.diff(times)[:, None]
+    y_mids = 0.5 * (ys[:-1] + ys[1:]) + (h / 8.0) * (fields[:-1] - fields[1:])
+    r_mids = states(y_mids, times[:-1] + 0.5 * h[:, 0])[2]
+    # the Simpson increments, summed from g0 in step order
+    gs = np.cumsum(np.vstack(
+        [g0, (h / 6.0) * (rates[:-1] + 4.0 * r_mids + rates[1:])]), axis=0)
+    qs = ys @ l_mat.T + gs @ chart.generators.T
     return Trajectory(times, qs, ps)

@@ -140,9 +140,9 @@ def check_invariance_lemma(action, form, grid, seed=42):
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[1] != action.n:
         raise ValueError("grid points must match the action dimension")
-    j_vals = np.empty((grid.shape[0], action.k))
-    for idx, v in enumerate(evaluate_rows(form.components, form.coords, grid)):
-        j_vals[idx] = action.matrix.T @ v
+    # one product G^T v per grid point, each rounded as that point's own
+    vals = evaluate_rows(form.components, form.coords, grid)
+    j_vals = (action.matrix.T @ vals[:, :, None])[..., 0]
     if j_vals.size:
         j_spread = float(np.max(np.max(j_vals, axis=0) - np.min(j_vals, axis=0)))
     else:

@@ -292,6 +292,37 @@ class TestNamedFields:
             "", f"scenario error: --grid: must be at least 1, got {grid}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, scenario, grid", [
+        ("solve-hj", "calogero", "2"), ("verify", "calogero", "1"),
+        ("reconstruct", "calogero", "2"), ("verify", "heavytop", "2")])
+    def test_grid_below_three_on_a_quadrature_solve(self, tmp_path, capsys,
+                                                    command, scenario, grid):
+        out = tmp_path / "out"
+        rc = cli.main([command, scenario, "--grid", grid, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "scenario error: --grid: must be at least 3 for a quadrature "
+                f"solve, got {grid}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("warnings", [None, "error::RuntimeWarning"])
+    def test_generators_whose_gram_matrix_overflows(self, tmp_path, warnings):
+        # a subprocess, so that a numpy warning would reach its stderr and
+        # the warning filter applies from the start
+        doc = load_scenario("magnetic_synthetic")
+        doc["action"] = [[0, 1e200, 1]]
+        out = tmp_path / "out"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        if warnings:
+            env["PYTHONWARNINGS"] = warnings
+        r = subprocess.run([sys.executable, "-m", "hjreduce", "reduce",
+                            write_scenario(tmp_path, doc), "--out", str(out)],
+                           capture_output=True, text=True, env=env)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "scenario error: $.action: generators too large: their "
+                   "Gram matrix G^T G overflows\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("names, where", [
         ({"coords": ["q", "q"]}, "$.coords"),
         ({"coords": ["q", "p"]}, "$.coords"),

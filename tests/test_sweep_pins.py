@@ -22,10 +22,11 @@ from hjreduce.integrators import (ImplicitMap, map_jacobian,
                                   transform_to_equilibrium)
 from hjreduce.phase_space import (HamiltonianSystem, PhasePoint,
                                   flow_reference, hamiltonian_vector_field)
-from hjreduce.reconstruction import (lift_solution, projected_vector_field,
+from hjreduce.reconstruction import (lift_report, lift_solution,
+                                     projected_vector_field,
                                      reconstruct_trajectory)
 from hjreduce.reduction import build_chart, reduced_hamiltonian
-from hjreduce.symmetry import check_invariance_lemma
+from hjreduce.symmetry import TranslationAction, check_invariance_lemma
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +41,29 @@ def calogero():
     pts = mesh_grid([(1.0, 4.5), (-2.0, 2.0)], [7, 5])
     grid = pts[:, :1] @ chart.horizontal.T + pts[:, 1:] @ chart.generators.T
     return sys_, action, chart, sol, form, grid
+
+
+@pytest.fixture(scope="module")
+def skew_pair():
+    """A pair system reduced along (0.6, 0.45): its chart is not dyadic.
+
+    Products with its matrices round, so a product over many rows at
+    once can differ in the last bit from the one-row products.
+    """
+    sys_ = HamiltonianSystem("0.5*(p1^2+p2^2)+1/(0.45*q1-0.6*q2)^2",
+                             ["q1", "q2"])
+    chart = build_chart(TranslationAction([[0.6, 0.45]]))
+    mu = np.array([0.4])
+    sol = solve_reduced_1d(reduced_hamiltonian(sys_, chart, mu), "q", "p",
+                           3.0, (2.5, 8.0), n_nodes=201)
+    pts = mesh_grid([(3.0, 7.0), (-2.0, 2.0)], [7, 5])
+    grid = pts[:, :1] @ chart.horizontal.T + pts[:, 1:] @ chart.generators.T
+    return sys_, chart, mu, sol, grid
+
+
+def lift_fields(rep):
+    return [repr(v) for v in (rep.invariance_dev, rep.momentum_dev,
+                              rep.closedness, rep.hj_max_dev, rep.energy)]
 
 
 def bent(form):
@@ -98,6 +122,22 @@ class TestPinnedSweepValues:
         assert (repr(rep.hj_max_dev), repr(rep.min_abs_det)) == (
             "4.440892098500626e-16", "0.37807489215335816")
 
+    def test_lift_report(self, calogero):
+        sys_, _, chart, sol, _, grid = calogero
+        assert lift_fields(lift_report(sys_, sol, chart, np.zeros(1),
+                                       grid)) == [
+            "0.0", "0.0", "0.0", "2.220446049250313e-16", "2.0"]
+        assert lift_fields(lift_report(sys_, sol, chart, np.array([0.3]),
+                                       grid)) == [
+            "0.0", "1.6653345369377348e-16", "0.0", "4.440892098500626e-16",
+            "2.0224999999999995"]
+
+    def test_lift_report_on_a_skew_chart(self, skew_pair):
+        sys_, chart, mu, sol, grid = skew_pair
+        assert lift_fields(lift_report(sys_, sol, chart, mu, grid)) == [
+            "2.220446049250313e-16", "1.6653345369377348e-16", "0.0",
+            "4.440892098500626e-16", "3.0"]
+
     def test_trajectory_energies(self, calogero):
         sys_ = calogero[0]
         traj = flow_reference(sys_, PhasePoint([1.0, -1.0], [1.0, 0.0]),
@@ -106,6 +146,16 @@ class TestPinnedSweepValues:
         assert [repr(float(v)) for v in e[::10]] == [
             "0.75", "0.7499999999955465", "0.7499999999924047",
             "0.7499999999902723", "0.7499999999888695", "0.7499999999879723"]
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (3, 2), (6, 3), (12, 4)])
+def test_stacked_products_round_as_one_row_products(n, k):
+    # the sweeps' matrix products (M @ a[:, :, None])[..., 0] rely on this
+    rng = np.random.default_rng(n * 10 + k)
+    rows = rng.normal(size=(40, n))
+    for mat in (rng.normal(size=(k, n)), rng.normal(size=(n, k)).T):
+        assert np.array_equal((mat @ rows[:, :, None])[..., 0],
+                              np.array([mat @ row for row in rows]))
 
 
 def reprs(values):
@@ -193,6 +243,14 @@ class TestPinnedPointValues:
         assert reprs([traj.qs[-1], traj.ps[-1]]) == [
             "1.1333909875714847", "-1.1333909875714847",
             "1.3436454603665802", "-1.3436454603665802"]
+
+    def test_reconstruction_on_a_skew_chart(self, skew_pair):
+        sys_, chart, mu, sol, _ = skew_pair
+        traj = reconstruct_trajectory(sys_, sol, chart, mu, np.array([4.0]),
+                                      0.1, 0.02, g0=np.array([0.3]))
+        assert reprs([traj.qs[-1], traj.ps[-1]]) == [
+            "2.2819881714952497", "-2.5787620064381103",
+            "1.8227115749777973", "-1.5413932110815074"]
 
     def test_root_partials(self):
         root = ImplicitBranchRoot(parse("0.5*(p^2+q^2)-a1"), "q", "p",
