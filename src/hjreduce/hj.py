@@ -15,9 +15,12 @@ one momentum level, a cyclic variable, dS on one momentum level) is
 held to ``PRECONDITION_TOL`` = 1e-9, and every one sampled at random
 draws a fixed number of points from +-``SAMPLE_BOX``: 50 for invariance
 of a function and of a momentum-level form (a magnetic term then
-spot-checks its pullback at 20 more), 20 per cyclic variable, 25 for the
-diagonal invariance of a scheme's generating function.  Only the seed is a
-parameter.
+spot-checks its pullback at 20 more).  Invariance of a function is one
+``symmetry.invariance_report`` call wherever it is checked: a reduced
+hamiltonian's, the cyclic ansatz's (the reduction by translations of the
+cyclic coordinates), and the diagonal invariance of a scheme's
+generating function.  A function that reads no coordinate the action
+moves is invariant without a draw.  Only the seed is a parameter.
 
 Quadrature-built solutions have no closed form.  They are represented
 by numeric function objects (root solves and running integrals) that
@@ -38,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _linalg
 from .expr import (Const, DomainError, Expr, External, Var, add, compile,
                    compile_newton, compile_newton_rows, differentiate,
                    evaluate_rows, linear_combo, mul, parse, sub, substitute)
@@ -1059,10 +1061,11 @@ def quadrature_complete_solution(sys, q_range, branch=1, n_quad=200,
 class CyclicAnsatz:
     """W = sum_l q^l beta_l + V(rest) and the induced equation for V.
 
-    ``equation`` is h with each cyclic momentum replaced by its beta
-    and each remaining momentum replaced by the named slot standing for
-    the corresponding partial dV/dq; a solution V must make it equal to
-    the separation constant.
+    ``equation`` is h with each cyclic momentum replaced by its beta,
+    each remaining momentum replaced by the named slot standing for the
+    corresponding partial dV/dq, and each cyclic coordinate by 0 (h does
+    not depend on it); a solution V must make it equal to the separation
+    constant.
     """
     cyclic_vars: tuple
     remaining_vars: tuple
@@ -1075,52 +1078,45 @@ class CyclicAnsatz:
 def cyclic_ansatz(sys, cyclic_vars, betas, seed=42):
     """Separate cyclic variables with linear terms in W.
 
-    Preconditions (20 samples per variable): every listed variable is
-    genuinely cyclic, i.e. h does not change when it is varied.
-    ``betas`` may be numbers or variable names to keep symbolic.
+    This is the reduction by the translations of the cyclic coordinates:
+    their action has the unit vectors along them as generators, its
+    chart (``reduction.build_chart``) keeps the remaining coordinates as
+    the quotient coordinates with the ``dV_d<name>`` slots as their
+    momenta, and ``equation`` is ``reduction.reduced_hamiltonian`` at the
+    level mu = ``betas``.  Its precondition, that h is invariant under
+    these translations, is sampled by ``symmetry.invariance_report``, as
+    the reduced hamiltonian's own check would (PreconditionError naming
+    the cyclic variables, with the report's witness).  ``cyclic_vars``
+    are names or coordinate indices, each listed once; ``betas`` are
+    numbers, one per cyclic variable.
     """
+    from .reduction import build_chart, reduced_hamiltonian
+    from .symmetry import TranslationAction, invariance_report
     cyclic_vars = tuple(sys.coords[v] if isinstance(v, int) else v
                         for v in cyclic_vars)
     for v in cyclic_vars:
         if v not in sys.coords:
             raise ValueError(f"'{v}' is not a coordinate of the system")
+    repeated = sorted({v for v in cyclic_vars if cyclic_vars.count(v) > 1})
+    if repeated:
+        raise ValueError(f"cyclic variables listed more than once: {repeated}")
     if len(betas) != len(cyclic_vars):
         raise ValueError("need one beta per cyclic variable")
-    rng = np.random.default_rng(seed)
-    names = sorted(sys.h.free_vars())
-
-    def measure(rng):
-        b = {nm: rng.uniform(-SAMPLE_BOX, SAMPLE_BOX) for nm in names}
-        b2 = {**b, v: rng.uniform(-SAMPLE_BOX, SAMPLE_BOX)}
-        return b, sys.h.evaluate(b), sys.h.evaluate(b2)
-
-    for v in cyclic_vars:
-        for b, f1, f2 in domain_samples(
-                itertools.repeat(rng), measure, 20,
-                shortfall=f"could not sample cyclicity of '{v}'"):
-            if abs(f1 - f2) > PRECONDITION_TOL * (1.0 + abs(f1)):
-                raise PreconditionError(
-                    f"'{v}' is not cyclic in the hamiltonian", witness=b)
-    return _separate(sys, cyclic_vars, betas)
-
-
-def _separate(sys, cyclic_vars, betas):
-    """The ansatz of checked cyclic variables: h with momenta substituted."""
-    beta_exprs = tuple(Var(x) if isinstance(x, str) else Const(float(x))
-                       for x in betas)
+    betas = tuple(float(b) for b in betas)
     remaining = tuple(v for v in sys.coords if v not in cyclic_vars)
     slots = tuple(f"dV_d{v}" for v in remaining)
-    mapping = {}
-    for v, be in zip(cyclic_vars, beta_exprs):
-        mapping[sys.momenta[sys.coords.index(v)]] = be
-    for v, slot in zip(remaining, slots):
-        mapping[sys.momenta[sys.coords.index(v)]] = Var(slot)
-    equation = substitute(sys.h, mapping)
-    w_prefix = Const(0.0)
-    for v, be in zip(cyclic_vars, beta_exprs):
-        w_prefix = w_prefix + Var(v) * be
-    return CyclicAnsatz(cyclic_vars, remaining, slots, beta_exprs,
-                        equation, w_prefix)
+    action = TranslationAction([[float(c == v) for c in sys.coords]
+                                for v in cyclic_vars], n=sys.n)
+    rep = invariance_report(action, sys.h, sys.coords, seed=seed)
+    if not rep["ok"]:
+        raise PreconditionError(
+            f"the hamiltonian is not cyclic in {list(cyclic_vars)}",
+            witness=rep["witness"])
+    chart = build_chart(action, y_names=remaining, py_names=slots)
+    return CyclicAnsatz(cyclic_vars, remaining, slots,
+                        tuple(Const(b) for b in betas),
+                        reduced_hamiltonian(sys, chart, betas, check=False),
+                        linear_combo(betas, cyclic_vars))
 
 
 def cyclic_complete_solution(sys, ansatz, remaining_range, branch=1,
@@ -1148,10 +1144,10 @@ def cyclic_complete_solution(sys, ansatz, remaining_range, branch=1,
     clash = (set(sys.coords) | set(sys.momenta)) & set(params)
     if clash:
         raise ValueError(f"parameter names collide with the system: {sorted(clash)}")
-    sym = _separate(sys, cyclic_vars, params[1:])
     rest = remaining[0]
     p_rest = sys.momenta[sys.coords.index(rest)]
-    g_fam = sub(substitute(sym.equation, {sym.slot_vars[0]: Var(p_rest)}),
+    g_fam = sub(substitute(sys.h, {sys.momenta[sys.coords.index(v)]: Var(b)
+                                   for v, b in zip(cyclic_vars, params[1:])}),
                 Var(params[0]))
     root = ImplicitBranchRoot(g_fam, rest, p_rest, params=params,
                               branch=branch, name="dW_family")
@@ -1234,11 +1230,13 @@ def additive_split_check(s, coords, action, grid, mu=None):
 
     Precondition: the graph of dS sits inside one momentum level, i.e.
     G^T grad S is constant over the grid (within PRECONDITION_TOL,
-    witness reported otherwise).  Then S_group = sum_a mu_a x^a in the
-    group coordinates x = (G^T G)^{-1} G^T q, S_reduced is S restricted
-    to the zero fiber, and the residual of S = S_reduced + S_group + c
-    is returned.
+    witness reported otherwise).  With the action's chart
+    (``reduction.build_chart``), S_group = sum_a mu_a x^a in the group
+    coordinates x = X q, S_reduced is S restricted to the zero fiber
+    q -> L Y q, and the residual of S = S_reduced + S_group + c is
+    returned.
     """
+    from .reduction import build_chart
     coords = tuple(coords)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[1] != len(coords):
@@ -1260,11 +1258,10 @@ def additive_split_check(s, coords, action, grid, mu=None):
                      "momentum": j_vals[worst].tolist(),
                      "expected": ref.tolist()})
     mu = ref
-    x_block = _linalg.group_projection(g_mat)
-    y_block = _linalg.left_null_basis(g_mat)
-    t_mat = np.vstack([y_block, x_block])
-    fiber_zero = np.linalg.inv(t_mat)[:, :y_block.shape[0]] @ y_block
-    s_group = linear_combo(mu, [linear_combo(row, coords) for row in x_block])
+    chart = build_chart(action)
+    fiber_zero = chart.horizontal @ chart.y_block
+    s_group = linear_combo(mu, [linear_combo(row, coords)
+                                for row in chart.x_block])
     s_reduced = substitute(s, {v: linear_combo(row, coords)
                                for v, row in zip(coords, fiber_zero)})
     parts = evaluate_rows([s, s_reduced, s_group], coords, grid)

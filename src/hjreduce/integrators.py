@@ -11,17 +11,17 @@ uses share the same solver and exact implicit-function Jacobians.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import DomainError
-from .hj import (PRECONDITION_TOL, SAMPLE_BOX, NewtonDivergenceError,
-                 PreconditionError, SingularJacobianError, SolveError,
-                 domain_samples)
+from .expr import DomainError, linear_combo, mul, sub
+from .hj import (SAMPLE_BOX, NewtonDivergenceError, PreconditionError,
+                 SingularJacobianError, SolveError)
 from .phase_space import (FLOW_SINGULAR_TOL, PhasePoint, Trajectory,
                           flow_reference, symplectic_matrix)
+from .reduction import build_chart
+from .symmetry import invariance_report
 
 __all__ = [
     "apply_type1", "apply_type2", "ImplicitMap", "map_jacobian",
@@ -193,32 +193,25 @@ def symplecticity_check(gf, z, t=0.0):
 
 
 def _check_diagonal_invariance(gf, action, seed=42):
-    """S(q + G g, c) - S(q, c) = g . G^T c at 25 samples, witness on failure.
+    """S(q + G g, c) - S(q, c) = g . G^T c, sampled, witness on failure.
 
     This is invariance of S under the group acting simultaneously on
     the old and the new variables; it is the condition under which the
-    induced map conserves the momentum G^T p.
+    induced map conserves the momentum G^T p.  With x = X q the group
+    coordinates of the action's chart (X G = I), it is invariance of
+    S - x . G^T c under q -> q + G g alone: one ``invariance_report``
+    call, whose witness a failure carries.
     """
-    rng = np.random.default_rng(seed)
-    n, k = action.n, action.k
-
-    def defect(rng):
-        q = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=n)
-        c = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=n)
-        g, t = rng.uniform(-1.0, 1.0, size=k), rng.uniform(-0.5, 0.5)
-        s2, s1 = gf._at([gf.s], [(action.translate(q, g), c, t), (q, c, t)],
-                        0.0)[:, 0].tolist()
-        return q, c, g, s1, s2 - s1 - float(g @ (action.matrix.T @ c))
-
-    for q, c, g, s1, r in domain_samples(
-            itertools.repeat(rng), defect, 25,
-            shortfall="could not sample the generating function's domain"):
-        if abs(r) > PRECONDITION_TOL * (1.0 + abs(s1)):
-            raise PreconditionError(
-                "generating function is not invariant under the diagonal "
-                "action, so momentum conservation is not guaranteed",
-                witness={"q": q.tolist(), "c": c.tolist(), "g": g.tolist(),
-                         "defect": r})
+    x_block = build_chart(action).x_block
+    pairing = linear_combo(np.ones(action.k), [
+        mul(linear_combo(x_row, gf.q_vars), linear_combo(g_col, gf.params))
+        for x_row, g_col in zip(x_block, action.matrix.T)])
+    rep = invariance_report(action, sub(gf.s, pairing), gf.q_vars, seed=seed)
+    if not rep["ok"]:
+        raise PreconditionError(
+            "generating function is not invariant under the diagonal "
+            "action, so momentum conservation is not guaranteed",
+            witness=rep["witness"])
 
 
 def momentum_preservation_check(gf, action, z0, n_steps, t=0.0, seed=42):
@@ -346,7 +339,6 @@ def flow_lagrangian_momentum_check(sys, action, n_samples=20, t=1.0, dt=1e-3,
     linear momenta to rounding, so the result should sit near machine
     precision.
     """
-    from .symmetry import invariance_report
     rep = invariance_report(action, sys.h, sys.coords, seed=seed)
     if not rep["ok"]:
         raise PreconditionError("hamiltonian is not invariant under the action",

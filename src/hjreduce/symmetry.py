@@ -18,6 +18,7 @@ import itertools
 
 import numpy as np
 
+from . import _linalg
 from .expr import evaluate_rows, parse
 from .hj import PRECONDITION_TOL, SAMPLE_BOX, domain_samples
 from .phase_space import PhasePoint
@@ -32,8 +33,12 @@ class TranslationAction:
     """q -> q + G g for g in R^k.
 
     ``generators`` lists the k direction vectors (length n each); they
-    become the columns of G and must be linearly independent.  k = 0 is
-    allowed (trivial action) but then ``n`` must be given.
+    become the columns of G.  They must be linearly independent as
+    ``reduction.build_chart`` sees them, so that every action has a
+    chart: the reduced echelon form of G^T (``_linalg.rref``) has k
+    pivots, and the Gram matrix G^T G of the group projection is finite
+    and solves.  k = 0 is allowed (trivial action) but then ``n`` must
+    be given.
     """
 
     def __init__(self, generators, n=None):
@@ -51,8 +56,7 @@ class TranslationAction:
                 raise ValueError(
                     f"generators have length {arr.shape[1]}, expected {n}")
             self.matrix = arr.T.copy()
-            if np.linalg.matrix_rank(self.matrix) < self.matrix.shape[1]:
-                raise ValueError("generators are linearly dependent")
+            _check_independent(self.matrix)
         self.matrix.setflags(write=False)
 
     @property
@@ -73,6 +77,25 @@ class TranslationAction:
 
     def __repr__(self):
         return f"TranslationAction(n={self.n}, k={self.k})"
+
+
+def _check_independent(g):
+    """ValueError unless the columns of g have a quotient chart."""
+    try:
+        # the Gram product first: an entry that squares past the double
+        # range would also overflow inside the echelon form
+        with np.errstate(over="raise"):
+            g.T @ g
+    except FloatingPointError:
+        raise ValueError("generators too large: their Gram matrix G^T G "
+                         "overflows") from None
+    if len(_linalg.rref(g.T)[1]) == g.shape[1]:
+        try:
+            _linalg.group_projection(g)
+            return
+        except np.linalg.LinAlgError:
+            pass
+    raise ValueError("generators are linearly dependent")
 
 
 def cotangent_lift(action, g, z):
@@ -99,13 +122,24 @@ def invariance_report(action, f, coords, seed=42):
     random group element and the values compared with the relative-scaled
     ``PRECONDITION_TOL``.  Samples where either evaluation hits a domain
     error are redrawn; PreconditionError if too few samples can be drawn.
+
+    When ``f`` reads no coordinate the action moves (a coordinate whose
+    row of G is not all zero), both evaluations of every sample would be
+    the same, so the report is ``ok`` with deviation 0.0 and no witness,
+    drawn without a sample; the shortfall error cannot occur on this
+    path.  Every sampled invariance precondition on a scalar function
+    is a call of this function, and its two ``evaluate`` calls are the
+    only entry into the tree walk outside ``expr.evaluate_rows``.
     """
     f = parse(f) if isinstance(f, str) else f
     coords = tuple(coords)
     if len(coords) != action.n:
         raise ValueError("coords must list one name per action dimension")
-    rng = np.random.default_rng(seed)
+    moved = {c for c, row in zip(coords, action.matrix) if row.any()}
+    if not moved & f.free_vars():
+        return {"ok": True, "max_rel_dev": 0.0, "witness": None}
     names = sorted(f.free_vars())
+    rng = np.random.default_rng(seed)
 
     def measure(rng):
         b = {nm: rng.uniform(-SAMPLE_BOX, SAMPLE_BOX) for nm in names}

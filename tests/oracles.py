@@ -6,7 +6,7 @@ used to produce an expected value.
 
 import numpy as np
 
-from hjreduce.expr import Const, Var, call
+from hjreduce.expr import Call, Const, Neg, Var, call, substitute
 
 
 def fd_derivative(f, x, h=1e-5):
@@ -69,3 +69,31 @@ def random_expr(rng, names, depth):
     b = random_expr(rng, names, depth - 1)
     fn = "log" if rng.random() < 0.5 else "sqrt"
     return call(fn, Const(1.2) + b * b)
+
+
+def separate_cyclic(sys, cyclic_vars, betas):
+    """The cyclic separation of h by direct substitution.
+
+    Each cyclic momentum becomes its beta and each remaining momentum
+    the slot ``dV_d<name>``; the coordinates are left alone.
+    """
+    mapping = {}
+    for q, p in zip(sys.coords, sys.momenta):
+        if q in cyclic_vars:
+            mapping[p] = Const(float(betas[list(cyclic_vars).index(q)]))
+        else:
+            mapping[p] = Var(f"dV_d{q}")
+    return substitute(sys.h, mapping)
+
+
+def tree_shape(e):
+    """An expression's nodes as nested tuples, constants by their repr."""
+    if isinstance(e, Const):
+        return ("Const", repr(e.value))
+    if isinstance(e, Var):
+        return ("Var", e.name)
+    if isinstance(e, Neg):
+        return ("Neg", tree_shape(e.arg))
+    if isinstance(e, Call):
+        return ("Call", e.func, tree_shape(e.arg))
+    return (type(e).__name__, tree_shape(e.left), tree_shape(e.right))

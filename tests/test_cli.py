@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +322,27 @@ class TestNamedFields:
         assert (r.returncode, r.stdout, r.stderr) == (
             2, "", "scenario error: $.action: generators too large: their "
                    "Gram matrix G^T G overflows\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("warnings_as_errors", [False, True])
+    @pytest.mark.parametrize("command", ["reduce", "verify"])
+    @pytest.mark.parametrize("gens", [
+        [[0, 0, 1e-200]], [[0, 0, 1e-160]],
+        [[1, 0, 0], [1.0000000000001, 1e-13, 0]],
+        [[1, 0, 0], [1, 2e-12, 0]]])
+    def test_generators_without_a_chart(self, tmp_path, capsys, command,
+                                        gens, warnings_as_errors):
+        doc = load_scenario("magnetic_synthetic")
+        doc["action"] = gens
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            if warnings_as_errors:
+                warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main([command, write_scenario(tmp_path, doc),
+                           "--out", str(out)])
+        assert (rc, *capsys.readouterr()) == (
+            2, "", "scenario error: $.action: generators are linearly "
+                   "dependent\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("names, where", [
@@ -688,6 +710,45 @@ class TestVerifyCommand:
         assert cli.main(["verify", "heavytop", "--grid", "40", "--seed", "7",
                          "--out", str(tmp_path)]) == 0
         assert seeds == [7]
+
+
+class TestCyclicSolveInputs:
+    """The cyclic solve path's input errors on heavytop, solve and verify."""
+
+    @staticmethod
+    def run(tmp_path, command, cyclic, beta):
+        doc = load_scenario("heavytop")
+        doc["solve"].update(cyclic=cyclic, beta=beta)
+        out = tmp_path / "out"
+        rc = cli.main([command, write_scenario(tmp_path, doc),
+                       "--out", str(out)])
+        assert not out.exists()
+        return rc
+
+    @pytest.mark.parametrize("command", ["solve-hj", "verify"])
+    @pytest.mark.parametrize("cyclic, beta, message", [
+        (["phi", "chi"], [0.3, 0.2],
+         "'chi' is not a coordinate of the system"),
+        (["phi", "psi"], [0.3],
+         "$.solve.beta: need one beta per cyclic variable"),
+        (["phi"], [0.3], "$.solve.cyclic: exactly one non-cyclic "
+                         "coordinate is needed for quadrature"),
+        (["phi", "phi"], [0.3, 0.2],
+         "cyclic variables listed more than once: ['phi']"),
+    ], ids=["unknown-name", "beta-count", "two-left", "repeated-name"])
+    def test_scenario_errors(self, tmp_path, capsys, command, cyclic, beta,
+                             message):
+        assert self.run(tmp_path, command, cyclic, beta) == 2
+        assert capsys.readouterr() == ("", f"scenario error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["solve-hj", "verify"])
+    def test_non_cyclic_variable(self, tmp_path, capsys, command):
+        assert self.run(tmp_path, command, ["theta", "phi"], [0.3, 0.2]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric failure: PreconditionError: the "
+                              "hamiltonian is not cyclic in ['theta', 'phi'] "
+                              "(witness: {'point': ")
 
 
 class TestPipelineCommands:

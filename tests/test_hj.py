@@ -24,7 +24,7 @@ from hjreduce.cli import build_system, load_scenario
 from hjreduce.phase_space import HamiltonianSystem, PhasePoint
 from hjreduce.reduction import build_chart, reduced_hamiltonian
 from hjreduce.symmetry import TranslationAction
-from oracles import fd_derivative
+from oracles import fd_derivative, separate_cyclic, tree_shape
 
 REDUCED_PAIR_H = "p^2+1/q^2"
 
@@ -837,6 +837,87 @@ class TestCyclicAnsatz:
         assert dphi.evaluate({}) == 0.3
 
 
+TOP_BETAS = [(1.0, -0.5), (0.0, 0.7), (-1.3, 0.25)]
+FOUR_DOF_H = ("0.5*(p1^2+p3^2+(p2-q1*p4)^2/(1+q3^2)+p4^2)+q1^2*q3"
+              "+cos(q1-q3)")
+
+
+def _cyclic_cases():
+    """(system, cyclic names, betas) of the reduction oracle cases."""
+    doc = load_scenario("heavytop")
+    cases = [(build_system(doc)[0], doc["solve"]["cyclic"],
+              doc["solve"]["beta"])]
+    for beta in TOP_BETAS:
+        cases.append((heavy_top_system(1.0, 1.5, 1.0, 9.81, 0.3),
+                      ["phi", "psi"], beta))
+    four = HamiltonianSystem(parse(FOUR_DOF_H), ["q1", "q2", "q3", "q4"],
+                             ["p1", "p2", "p3", "p4"])
+    cases.append((four, ["q4", "q2"], (0.4, -1.1)))
+    return cases
+
+
+class TestCyclicAnsatzIsAReduction:
+    """The ansatz against the direct substitution it replaced."""
+
+    @pytest.mark.parametrize("case", range(5),
+                             ids=["heavytop", "beta0", "beta1", "beta2",
+                                  "four-dof"])
+    def test_equation_is_the_substitution(self, case):
+        sys_, cyclic, betas = _cyclic_cases()[case]
+        ans = cyclic_ansatz(sys_, cyclic, betas)
+        want = separate_cyclic(sys_, cyclic, betas)
+        assert str(ans.equation) == str(want)
+        assert tree_shape(ans.equation) == tree_shape(want)
+
+    @pytest.mark.parametrize("case", range(4),
+                             ids=["heavytop", "beta0", "beta1", "beta2"])
+    def test_tables_are_bit_identical(self, case):
+        sys_, cyclic, betas = _cyclic_cases()[case]
+        ans = cyclic_ansatz(sys_, cyclic, betas)
+        want = separate_cyclic(sys_, cyclic, betas)
+        y, p = ans.remaining_vars[0], ans.slot_vars[0]
+        args = (y, p, 12.0, (0.7, 2.4))
+        got = solve_reduced_1d(ans.equation, *args, n_nodes=201).table
+        ref = solve_reduced_1d(want, *args, n_nodes=201).table
+        for a, b in ((got.ys, ref.ys), (got.values, ref.values),
+                     (got.derivs, ref.derivs)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_family_equation_is_one_substitution(self, top, monkeypatch):
+        built = []
+
+        class Recording(ImplicitBranchRoot):
+            def __init__(self, g, *a, **kw):
+                built.append(g)
+                super().__init__(g, *a, **kw)
+
+        monkeypatch.setattr(hj, "ImplicitBranchRoot", Recording)
+        ans = cyclic_ansatz(top, ["phi", "psi"], [0.3, 0.2])
+        cyclic_complete_solution(top, ans, (0.6, 2.5), n_quad=20)
+        # the tree the two substitutions through the slot name built
+        slot = hj.substitute(top.h, {"pphi": Var("b2"), "ppsi": Var("b3"),
+                                     "ptheta": Var("dV_dtheta")})
+        want = hj.substitute(slot, {"dV_dtheta": Var("ptheta")}) - Var("b1")
+        assert tree_shape(built[0]) == tree_shape(want)
+
+    def test_non_cyclic_variable_names_the_cyclic_list(self, top):
+        with pytest.raises(PreconditionError,
+                           match=r"not cyclic in \['psi', 'theta'\]") as ei:
+            cyclic_ansatz(top, ["psi", "theta"], [0.2, 0.5])
+        assert ei.value.witness["values"][0] != ei.value.witness["values"][1]
+
+    def test_unsamplable_domain(self):
+        s = HamiltonianSystem(parse("0.5*p1^2+sqrt(q2-100)+p2"),
+                              ["q1", "q2"], ["p1", "p2"])
+        with pytest.raises(PreconditionError,
+                           match="could not draw enough domain-valid"):
+            cyclic_ansatz(s, ["q2"], [0.1])
+
+    def test_repeated_cyclic_name(self, top):
+        with pytest.raises(ValueError, match=r"more than once: \['phi'\]"):
+            cyclic_ansatz(top, ["phi", 1], [0.3, 0.3])
+
+
 class TestHeavyTop:
     def test_system_energy(self):
         s = heavy_top_system(1.0, 1.0, 1.0, 1.0, 1.0)
@@ -933,3 +1014,25 @@ class TestAdditiveSplit:
         rep = additive_split_check(s, ("q1", "q2"), action, grid,
                                    mu=np.zeros(1))
         assert rep.residual <= 1e-12
+
+    def test_skew_action_matches_the_inverse_projection(self):
+        # the zero-fiber map L Y against inv([Y; X]) restricted to Y, the
+        # projection the split used before it took its chart's lift
+        action = TranslationAction([[0.6, 0.45]])
+        chart = build_chart(action)
+        t_inv = np.linalg.inv(np.vstack([chart.y_block, chart.x_block]))
+        old = t_inv[:, :chart.m] @ chart.y_block
+        new = chart.horizontal @ chart.y_block
+        assert np.max(np.abs(new - old)) <= 1e-15
+        # S = sin(invariant) + 1.5 x, x the group coordinate of (0.6, 0.45)
+        s = (call("sin", Const(0.45) * Var("q1") - Const(0.6) * Var("q2"))
+             + Const(1.5 / 0.5625) * (Const(0.6) * Var("q1")
+                                      + Const(0.45) * Var("q2")))
+        grid = random_grid([(-2.0, 2.0), (-2.0, 2.0)], 30, seed=5)
+        rep = additive_split_check(s, ("q1", "q2"), action, grid)
+        np.testing.assert_allclose(rep.mu, [1.5], rtol=1e-14)
+        assert rep.residual <= 1e-14
+        ref = hj.substitute(s, {v: hj.linear_combo(row, ("q1", "q2"))
+                                for v, row in zip(("q1", "q2"), old)})
+        got = evaluate_rows([rep.s_reduced, ref], ("q1", "q2"), grid)
+        np.testing.assert_allclose(got[:, 0], got[:, 1], rtol=0, atol=1e-15)

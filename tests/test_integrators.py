@@ -133,6 +133,22 @@ class TestMomentumPreservation:
         assert drift[0] == 0.0
         assert np.max(drift) <= 1e-10
 
+    def test_skew_action_accepts_an_invariant_scheme(self):
+        # S(q + G g, b) - S(q, b) = g G^T b for G = (0.6, 0.45): the
+        # potential reads only the invariant 0.45 q1 - 0.6 q2
+        gf = GeneratingFunction(
+            "typeII", parse("q1*b1+q2*b2+t*(0.5*(b1^2+b2^2)"
+                            "+cos(0.45*q1-0.6*q2))"), ("q1", "q2"),
+            ("b1", "b2"))
+        action = TranslationAction([[0.6, 0.45]])
+        z0 = PhasePoint([1.0, -1.0], [1.0, 0.0])
+        drift = momentum_preservation_check(gf, action, z0, 50, t=0.01)
+        assert np.max(drift) <= 1e-12
+        bent = GeneratingFunction("typeII", gf.s + parse("0.01*q1^2"),
+                                  ("q1", "q2"), ("b1", "b2"))
+        with pytest.raises(PreconditionError, match="diagonal action"):
+            momentum_preservation_check(bent, action, z0, 5, t=0.01)
+
     def test_non_invariant_precondition(self):
         gf = GeneratingFunction(
             "typeII", parse(PAIR_S + "+0.01*q1^2"), ("q1", "q2"),

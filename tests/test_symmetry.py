@@ -9,6 +9,10 @@ from hjreduce.symmetry import (TranslationAction, check_invariance_lemma,
                                cotangent_lift, invariance_report, momentum_map)
 
 
+HEAVY_TOP_H = ("0.5*(ptheta^2+(pphi-ppsi*cos(theta))^2/sin(theta)^2"
+               "+ppsi^2)+cos(theta)")
+
+
 class TestTranslationAction:
     def test_matrix_layout(self):
         a = TranslationAction([[1, 1]])
@@ -24,6 +28,20 @@ class TestTranslationAction:
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError):
             TranslationAction([[1, 1], [2, 2]])
+
+    @pytest.mark.parametrize("gens", [
+        [[0, 0, 1e-200]], [[0, 0, 1e-160]],
+        [[1, 0, 0], [1.0000000000001, 1e-13, 0]],
+        [[1, 0, 0], [1, 2e-12, 0]]])
+    def test_dependent_as_the_chart_sees_them(self, gens):
+        # each passes numpy's matrix_rank; none has a quotient chart
+        assert np.linalg.matrix_rank(np.array(gens, dtype=float)) == len(gens)
+        with pytest.raises(ValueError, match="linearly dependent"):
+            TranslationAction(gens)
+
+    def test_gram_overflow(self):
+        with pytest.raises(ValueError, match="Gram matrix G\\^T G overflows"):
+            TranslationAction([[0, 1e200, 1]])
 
     def test_empty_action_needs_dimension(self):
         a = TranslationAction([], n=2)
@@ -92,6 +110,26 @@ class TestInvarianceReport:
         with pytest.raises(PreconditionError) as ei:
             invariance_report(a, "sqrt(q1-q2-100)", ["q1", "q2"])
         assert str(ei.value) == "could not draw enough domain-valid samples"
+
+    @pytest.mark.parametrize("gens", [[[0, 1, 0]], [[0, 0, 1]],
+                                      [[0, 1, 0], [0, 0, 1]]],
+                             ids=["phi", "psi", "both"])
+    def test_unmoved_function_reports_what_sampling_reports(self, gens):
+        # heavy-top h reads neither phi nor psi; h + (phi - phi) + (psi -
+        # psi) reads both, equals h at every point, and is sampled
+        h = parse(HEAVY_TOP_H)
+        a = TranslationAction(gens)
+        coords = ["theta", "phi", "psi"]
+        sampled = invariance_report(a, h + parse("(phi-phi)+(psi-psi)"),
+                                    coords)
+        assert invariance_report(a, h, coords) == sampled == {
+            "ok": True, "max_rel_dev": 0.0, "witness": None}
+
+    def test_unmoved_function_draws_nothing(self):
+        # no domain-valid point exists, yet there is no shortfall error
+        a = TranslationAction([[0, 1]])
+        rep = invariance_report(a, "sqrt(-1-q1^2)", ["q1", "q2"])
+        assert rep == {"ok": True, "max_rel_dev": 0.0, "witness": None}
 
     def test_deterministic_given_seed(self):
         a = TranslationAction([[1, 0]])
