@@ -23,9 +23,7 @@ system's (q, p, t), whose t is bound whenever a time is given or the
 point carries one; a generating function's (q, c, t)).  The time is
 the one reserved name ``t`` (``phase_space.TIME``); no coordinate or
 momentum takes it, and an implicit root of ``hj`` refuses an equation
-that reads it, or any name beyond the root's own layout.  Evaluation
-enters the tree walk in only one other place: the random-draw measure
-of ``symmetry.invariance_report``.  The
+that reads it, or any name beyond the root's own layout.  The
 implicit roots of ``hj`` (the Newton iteration and the root-derivative
 class) never walk a tree: they call kernels and a Newton loop generated
 once per root by :func:`compile_newton` and :func:`compile`, which are

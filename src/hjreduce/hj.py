@@ -3,12 +3,13 @@
 This module carries the solution-side vocabulary: differential 1-forms
 and 2-forms, pullbacks along linear maps, the exterior derivative with
 the closedness, magnetic and Hamilton-Jacobi residual checks, the
-sampling loop behind every sampled precondition, one-degree-of-
-freedom solutions by quadrature, the time extension that turns a fixed-
-energy solution into a time-dependent one, the cyclic-variable ansatz,
-complete-solution (generating-function) families with non-degeneracy
-checks, and the additive splitting of generating functions over a
-product of a reduced factor and a translation-group factor.
+sampling loop behind every precondition sampled at random points,
+one-degree-of-freedom solutions by quadrature, the time extension that
+turns a fixed-energy solution into a time-dependent one, the
+cyclic-variable ansatz, complete-solution (generating-function)
+families with non-degeneracy checks, and the additive splitting of
+generating functions over a product of a reduced factor and a
+translation-group factor.
 
 Every structural precondition (invariance under the group, a form on
 one momentum level, a cyclic variable, dS on one momentum level) is
@@ -20,7 +21,10 @@ spot-checks its pullback at 20 more).  Invariance of a function is one
 hamiltonian's, the cyclic ansatz's (the reduction by translations of the
 cyclic coordinates), and the diagonal invariance of a scheme's
 generating function.  A function that reads no coordinate the action
-moves is invariant without a draw.  Only the seed is a parameter.
+moves is invariant without a draw.  Invariance and the momentum level
+of a 1-form, on a grid or at a magnetic term's random points, are one
+``symmetry.form_translates`` call wherever they are checked.  Only the
+seed is a parameter.
 
 Quadrature-built solutions have no closed form.  They are represented
 by numeric function objects (root solves and running integrals) that

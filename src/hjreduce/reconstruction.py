@@ -19,6 +19,7 @@ from .hj import PRECONDITION_TOL, OneForm, hj_residual, pullback
 from .phase_space import (FLOW_SINGULAR_TOL, HamiltonianSystem, PhasePoint,
                           Trajectory, _rk4)
 from .reduction import reduced_hamiltonian
+from .symmetry import TranslationAction, form_translates
 
 __all__ = [
     "lift_solution", "lift_report", "ReconstructionReport",
@@ -66,32 +67,24 @@ def lift_report(sys, reduced_form, chart, mu, grid,
     deviation is max |G^T form(q) - mu| over the grid.  Invariance is
     sampled by translating each grid point by its own random group
     element (drawn in grid order from ``seed``) and comparing the form's
-    values.  A point whose values are NaN adds nothing to either
-    maximum.  The Hamilton-Jacobi residual is the spread of h along the
-    form's graph (with the closedness precondition enforced inside).
-
-    The form is swept over the grid, then over the translated grid, so
-    a DomainError propagates, and when several points fail the first
-    failure of the untranslated sweep is the one raised.
+    values (``symmetry.form_translates``).  A point whose values are NaN
+    adds nothing to either maximum, and neither does a translate that
+    leaves the form's domain.  The Hamilton-Jacobi residual is the
+    spread of h along the form's graph (with the closedness
+    precondition enforced inside).  A DomainError of the form on the
+    grid itself propagates, the first failing point's.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     form = lift_solution(reduced_form, chart, mu, sys.coords)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    g_mat = chart.generators
-    vals = evaluate_rows(form.components, form.coords, grid)
-    # M @ a[:, :, None] stacks one product M @ a[i] per row, each
-    # rounded as that point's own product is; fmax skips a NaN row, as
-    # a running > maximum does
-    mom_dev = inv_dev = 0.0
-    if chart.k:  # lift_solution holds mu to k entries
-        mom_dev = float(np.fmax.reduce(np.max(np.abs(
-            (g_mat.T @ vals[:, :, None])[..., 0] - mu), axis=1), initial=0.0))
-        gs = np.random.default_rng(seed).uniform(
-            -1.0, 1.0, size=(grid.shape[0], chart.k))
-        moved = evaluate_rows(form.components, form.coords,
-                              grid + (g_mat @ gs[:, :, None])[..., 0])
-        inv_dev = float(np.fmax.reduce(np.max(np.abs(moved - vals), axis=1),
-                                       initial=0.0))
+    momenta, devs = form_translates(
+        TranslationAction(chart.generators.T, chart.n), form, grid,
+        np.random.default_rng(seed))
+    # fmax skips a NaN row, as a running > maximum does; lift_solution
+    # holds mu to k entries
+    mom_dev = float(np.fmax.reduce(
+        np.max(np.abs(momenta - mu), axis=1, initial=0.0), initial=0.0))
+    inv_dev = float(np.fmax.reduce(devs, initial=0.0))
     rep = hj_residual(sys, form, grid, closed_tol=closed_tol)
     return ReconstructionReport(form=form, invariance_dev=inv_dev,
                                 momentum_dev=mom_dev,

@@ -29,7 +29,7 @@ from .hj import (PRECONDITION_TOL, SAMPLE_BOX, OneForm, PreconditionError,
                  TwoForm, domain_samples, exterior_derivative,
                  magnetic_lagrangian_residual, pullback)
 from .phase_space import TIME, PhasePoint
-from .symmetry import TranslationAction, invariance_report
+from .symmetry import TranslationAction, form_translates, invariance_report
 
 __all__ = [
     "QuotientChart", "build_chart", "reduced_hamiltonian",
@@ -189,7 +189,10 @@ def magnetic_term(chart, alpha_mu, mu, seed=42):
     ``alpha_mu`` is a 1-form on the full configuration space realizing
     the momentum level: it must be invariant under the chart's
     translations and satisfy G^T alpha_mu = mu pointwise.  Both are
-    preconditions, sampled at 50 points.  The returned entries are the
+    preconditions, sampled at 50 points, each a one-row
+    ``symmetry.form_translates`` call; a point where the form or its
+    translate cannot be evaluated, or whose deviation is NaN, is
+    redrawn.  The returned entries are the
     exterior derivative of the pullback of alpha_mu to the horizontal
     slice; the pullback identity (full-space d alpha against the quotient
     form) is spot-checked at 20 more points and its worst deviation
@@ -201,25 +204,21 @@ def magnetic_term(chart, alpha_mu, mu, seed=42):
     if mu.size != chart.k:
         raise ValueError(f"mu must have {chart.k} entries")
     rng = np.random.default_rng(seed)
-    g_mat = chart.generators
-    action = TranslationAction(g_mat.T) if chart.k else None
+    action = TranslationAction(chart.generators.T, chart.n)
 
     def translates(rng):
-        q = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=chart.n)
-        v = alpha_mu.values(q)
-        if action is None:
-            return q, v, v
-        g = rng.uniform(-1.0, 1.0, size=chart.k)
-        return q, v, alpha_mu.values(action.translate(q, g))
+        q = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(1, chart.n))
+        momenta, devs = form_translates(action, alpha_mu, q, rng)
+        if np.isnan(devs[0]):
+            raise DomainError("the form's translate could not be compared")
+        return q[0], momenta[0], float(devs[0])
 
     inv_dev = 0.0
     mom_dev = 0.0
-    for q, v, v2 in domain_samples(
+    for q, jv, dev in domain_samples(
             itertools.repeat(rng), translates, 50,
             shortfall="could not sample the form's domain"):
-        if v.size:
-            inv_dev = max(inv_dev, float(np.max(np.abs(v2 - v))))
-        jv = g_mat.T @ v
+        inv_dev = max(inv_dev, dev)
         if mu.size:
             mom_dev = max(mom_dev, float(np.max(np.abs(jv - mu))))
         if inv_dev > PRECONDITION_TOL:
@@ -256,42 +255,38 @@ def momentum_shift(z, alpha_mu):
 def project_lagrangian(form, chart, mu, grid, seed=42):
     """Project an invariant momentum-level 1-form to the quotient.
 
-    Preconditions on the grid, within ``PRECONDITION_TOL``: the form is
-    invariant under the chart's translations (sampled with random group
-    shifts) and its momenta G^T form(q) equal mu everywhere.  Returns the
-    reduced form and a report with the measured deviations.
+    Preconditions on the grid, within ``PRECONDITION_TOL``: the form's
+    momenta G^T form(q) equal mu everywhere, and it is invariant under
+    the chart's translations (``symmetry.form_translates``, one random
+    group shift per point; a translate that leaves the domain is not
+    compared).  The first grid point that breaks either raises
+    PreconditionError with that point as witness, the momentum level
+    checked first.  The form is swept over the whole grid before any
+    check, so a DomainError anywhere in it wins over a precondition
+    failure at an earlier point.  Returns the reduced form and a report
+    with the measured deviations.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[1] != chart.n:
         raise ValueError("grid points must have the chart's dimension")
-    rng = np.random.default_rng(seed)
-    action = TranslationAction(chart.generators.T) if chart.k else None
-    mom_dev = 0.0
-    inv_dev = 0.0
-    for q in grid:
-        v = form.values(q)
-        jv = chart.generators.T @ v
-        mdev = float(np.max(np.abs(jv - mu))) if mu.size else 0.0
-        if mdev > mom_dev:
-            mom_dev = mdev
-        if mdev > PRECONDITION_TOL:
-            raise PreconditionError(
-                "form does not sit on the momentum level mu",
-                witness={"point": q.tolist(), "momentum": jv.tolist()})
-        if action is not None:
-            g = rng.uniform(-1.0, 1.0, size=chart.k)
-            try:
-                v2 = form.values(action.translate(q, g))
-            except DomainError:
-                continue
-            dev = float(np.max(np.abs(v2 - v)))
-            if dev > inv_dev:
-                inv_dev = dev
-            if dev > PRECONDITION_TOL:
-                raise PreconditionError(
-                    "form is not invariant under the action",
-                    witness=q.tolist())
+    momenta, devs = form_translates(
+        TranslationAction(chart.generators.T, chart.n), form, grid,
+        np.random.default_rng(seed))
+    mom_devs = np.max(np.abs(momenta - mu), axis=1, initial=0.0)
+    off_level = mom_devs > PRECONDITION_TOL
+    bad = np.flatnonzero(off_level | (devs > PRECONDITION_TOL))
+    if bad.size and off_level[bad[0]]:
+        raise PreconditionError(
+            "form does not sit on the momentum level mu",
+            witness={"point": grid[bad[0]].tolist(),
+                     "momentum": momenta[bad[0]].tolist()})
+    if bad.size:
+        raise PreconditionError("form is not invariant under the action",
+                                witness=grid[bad[0]].tolist())
+    # fmax skips a NaN deviation, as a running > maximum does
+    mom_dev = float(np.fmax.reduce(mom_devs, initial=0.0))
+    inv_dev = float(np.fmax.reduce(devs, initial=0.0))
     reduced = pullback(form.components, form.coords, chart.horizontal,
                        chart.y_names)
     tilde = OneForm(chart.y_names, components=reduced)

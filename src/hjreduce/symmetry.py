@@ -7,8 +7,11 @@ linear momentum map J(q, p) = G^T p for any invariant hamiltonian.
 
 Invariance of functions and 1-forms is checked by seeded sampling:
 translate the configuration variables by random group elements and
-compare.  ``check_invariance_lemma`` tests, on a concrete closed form,
-the equivalence between invariance of the form and constancy of the
+compare.  Every sampled check of a scalar function is a call of
+``invariance_report``; every check of a 1-form (its momenta on a level
+and its values under translation) is a call of ``form_translates``.
+``check_invariance_lemma`` tests, on a concrete closed form, the
+equivalence between invariance of the form and constancy of the
 momentum map along its graph.
 """
 
@@ -19,13 +22,14 @@ import itertools
 import numpy as np
 
 from . import _linalg
-from .expr import evaluate_rows, parse
-from .hj import PRECONDITION_TOL, SAMPLE_BOX, domain_samples
+from .expr import DomainError, evaluate_rows, parse
+from .hj import (PRECONDITION_TOL, SAMPLE_BOX, PreconditionError, SolveError,
+                 domain_samples)
 from .phase_space import PhasePoint
 
 __all__ = [
     "TranslationAction", "cotangent_lift", "momentum_map",
-    "invariance_report", "check_invariance_lemma",
+    "invariance_report", "form_translates", "check_invariance_lemma",
 ]
 
 
@@ -128,8 +132,8 @@ def invariance_report(action, f, coords, seed=42):
     the same, so the report is ``ok`` with deviation 0.0 and no witness,
     drawn without a sample; the shortfall error cannot occur on this
     path.  Every sampled invariance precondition on a scalar function
-    is a call of this function, and its two ``evaluate`` calls are the
-    only entry into the tree walk outside ``expr.evaluate_rows``.
+    is a call of this function; a sample's two points are one two-row
+    ``evaluate_rows`` call.
     """
     f = parse(f) if isinstance(f, str) else f
     coords = tuple(coords)
@@ -144,9 +148,11 @@ def invariance_report(action, f, coords, seed=42):
     def measure(rng):
         b = {nm: rng.uniform(-SAMPLE_BOX, SAMPLE_BOX) for nm in names}
         g = rng.uniform(-1.0, 1.0, size=action.k)
-        q_shift = action.translate([b.get(c, 0.0) for c in coords], g)
-        v1 = f.evaluate(b)
-        v2 = f.evaluate({**b, **dict(zip(coords, q_shift))})
+        moved = dict(zip(coords, action.translate(
+            [b.get(c, 0.0) for c in coords], g)))
+        v1, v2 = map(float, evaluate_rows(
+            [f], names, [list(b.values()),
+                         [moved.get(nm, b[nm]) for nm in names]])[:, 0])
         return (abs(v2 - v1) / (1.0 + abs(v1)),
                 {"point": b, "shift": g.tolist(), "values": (v1, v2)})
 
@@ -159,6 +165,36 @@ def invariance_report(action, f, coords, seed=42):
             "witness": witness if max_dev > PRECONDITION_TOL else None}
 
 
+def form_translates(action, form, grid, rng):
+    """A 1-form's momenta over a grid, and how far each point's values move.
+
+    The form is swept over ``grid`` (a DomainError or SolveError there
+    propagates), and ``momenta[i]`` is G^T form(grid[i]), one stacked
+    product per row.  Each point is then translated by its own group
+    element, drawn in grid order from ``rng`` as ``uniform(-1, 1)``
+    entries, and the form is evaluated at the translates one by one:
+    ``devs[i]`` is the largest |translated - untranslated| value, NaN
+    ("not compared") where that evaluation raises DomainError or
+    SolveError or the deviation is itself NaN.  With k = 0 nothing is
+    drawn and every dev is 0.0.  Every sampled check of a 1-form's
+    momentum level or invariance is a call of this function.
+    """
+    vals = evaluate_rows(form.components, form.coords, grid)
+    # M @ a[:, :, None] stacks one product M @ a[i] per row, each
+    # rounded as that point's own product is
+    momenta = (action.matrix.T @ vals[:, :, None])[..., 0]
+    if not action.k:
+        return momenta, np.zeros(len(grid))
+    gs = rng.uniform(-1.0, 1.0, (len(grid), action.k))
+    moved = np.full_like(vals, np.nan)
+    for i, q in enumerate(grid + (action.matrix @ gs[:, :, None])[..., 0]):
+        try:
+            moved[i] = form.values(q)
+        except (DomainError, SolveError):
+            pass
+    return momenta, np.max(np.abs(moved - vals), axis=1)
+
+
 def check_invariance_lemma(action, form, grid, seed=42):
     """Both sides of the momentum-level lemma for one closed form.
 
@@ -166,33 +202,25 @@ def check_invariance_lemma(action, form, grid, seed=42):
     computed over the grid; their spread (max minus min, per component,
     worst case) is one side.  The other side is sampled invariance of
     every component under random translations of the grid points
-    (PreconditionError if no grid point and its translate can both be
-    evaluated).  Each side holds when its number is at most
-    ``PRECONDITION_TOL``; the report records both numbers, the two
+    (``form_translates``; PreconditionError if no grid point could be
+    compared with its translate).  Each side holds when its number is at
+    most ``PRECONDITION_TOL``; the report records both numbers, the two
     booleans, and whether they agree.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[1] != action.n:
         raise ValueError("grid points must match the action dimension")
-    # one product G^T v per grid point, each rounded as that point's own
-    vals = evaluate_rows(form.components, form.coords, grid)
-    j_vals = (action.matrix.T @ vals[:, :, None])[..., 0]
+    j_vals, devs = form_translates(action, form, grid,
+                                   np.random.default_rng(seed))
     if j_vals.size:
         j_spread = float(np.max(np.max(j_vals, axis=0) - np.min(j_vals, axis=0)))
     else:
         j_spread = 0.0
-    rng = np.random.default_rng(seed)
-
-    def translate_dev(q):
-        g = rng.uniform(-1.0, 1.0, size=action.k)
-        v1 = form.values(q)
-        v2 = form.values(action.translate(q, g))
-        return float(np.max(np.abs(v2 - v1))) if v1.size else 0.0
-
-    devs = list(domain_samples(
-        grid, translate_dev,
-        shortfall="no grid point could be compared with its translate"))
-    inv_dev = max([0.0, *devs])
+    if np.isnan(devs).all():
+        raise PreconditionError(
+            "no grid point could be compared with its translate")
+    # fmax skips a point that was not compared
+    inv_dev = float(np.fmax.reduce(devs, initial=0.0))
     j_constant = j_spread <= PRECONDITION_TOL
     invariant = inv_dev <= PRECONDITION_TOL
     return {

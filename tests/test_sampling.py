@@ -21,7 +21,7 @@ from hjreduce.integrators import momentum_preservation_check
 from hjreduce.phase_space import HamiltonianSystem, PhasePoint
 from hjreduce.reduction import build_chart, magnetic_term, project_lagrangian
 from hjreduce.symmetry import (TranslationAction, check_invariance_lemma,
-                               invariance_report)
+                               form_translates, invariance_report)
 
 DIAG = TranslationAction([[1, 1]])
 
@@ -132,7 +132,8 @@ class TestPinnedSampledNumbers:
         form = OneForm(("q1", "q2"), components=(f + pert, Const(2.0) - f))
         rep = check_invariance_lemma(DIAG, form, grid)
         assert repr(rep["invariance_dev"]) == "0.15053618405832647"
-        # translates past q1 = -2.5 leave sqrt's domain and are skipped
+        # sqrt's domain ends at q1 = -2.5, which no translate of this
+        # grid reaches at the default seed (TestFormTranslates has some)
         form = OneForm(("q1", "q2"),
                        components=(call("sqrt", Var("q1") + Const(2.5)) + pert,
                                    Const(2.0) - f))
@@ -166,6 +167,35 @@ class TestPinnedSampledNumbers:
         got = (repr(term.invariance_dev), repr(term.momentum_dev),
                repr(term.pullback_residual))
         assert got == expected
+
+
+class TestFormTranslates:
+    def test_a_translate_out_of_the_domain_is_not_compared(self):
+        grid = random_grid([(-2, 2), (-2, 2)], 40, seed=12)
+        f = call("sin", Var("q1") - Var("q2"))
+        pert = Const(0.1) * call("sin", Var("q1") + Var("q2"))
+        form = OneForm(("q1", "q2"),
+                       components=(call("sqrt", Var("q1") + Const(2.5)) + pert,
+                                   Const(2.0) - f))
+        # seed 10 takes two of the 40 translates past q1 = -2.5
+        momenta, devs = form_translates(DIAG, form, grid,
+                                        np.random.default_rng(10))
+        gs = np.random.default_rng(10).uniform(-1.0, 1.0, (40, 1))
+        left = (grid[:, 0] + gs[:, 0]) + 2.5 < 0.0
+        assert left.sum() == 2
+        assert np.array_equal(np.isnan(devs), left)
+        assert np.isfinite(devs[~left]).all()
+        vals = np.array([form.values(q) for q in grid])
+        assert np.array_equal(momenta, vals.sum(axis=1, keepdims=True))
+
+    def test_a_trivial_action_draws_nothing(self):
+        form = OneForm(("q1", "q2"), components=(Var("q2"), Const(1.0)))
+        rng = np.random.default_rng(7)
+        momenta, devs = form_translates(TranslationAction([], n=2), form,
+                                        np.eye(2), rng)
+        assert momenta.shape == (2, 0)
+        assert devs.tolist() == [0.0, 0.0]
+        assert rng.uniform() == np.random.default_rng(7).uniform()
 
 
 HEAVY_TOP_H = ("0.5*(ptheta^2+(pphi-ppsi*cos(theta))^2/sin(theta)^2+ppsi^2)"
@@ -211,3 +241,19 @@ class TestPinnedFailureMessages:
             "form does not sit on the momentum level mu (witness: "
             "{'point': [0.6284737507154365, -1.6447842401058503], "
             "'momentum': [1.0]})")
+
+    def test_project_lagrangian_off_level_where_the_translate_fails(self):
+        # seed 3 draws g = -0.83, which takes q1 = -2 out of sqrt's domain;
+        # the point's momentum is still checked
+        form = OneForm(("q1", "q2"),
+                       components=(call("sqrt", Var("q1") + Const(2.5)),
+                                   Const(0.0)))
+        grid = np.array([[-2.0, 0.5]])
+        _, devs = form_translates(DIAG, form, grid, np.random.default_rng(3))
+        assert np.isnan(devs[0])
+        with pytest.raises(PreconditionError) as ei:
+            project_lagrangian(form, build_chart(DIAG), np.zeros(1), grid,
+                               seed=3)
+        assert str(ei.value) == (
+            "form does not sit on the momentum level mu (witness: "
+            "{'point': [-2.0, 0.5], 'momentum': [0.7071067811865476]})")
