@@ -831,8 +831,7 @@ def cmd_verify(doc, args):
         if vspec is None:
             raise ScenarioError("this scenario has no verify.grid section")
         grid = _chart_points(chart, vspec, args.grid)
-        rep = lift_report(sys_, sol, chart, mu, grid, closed_tol=1e-8,
-                          seed=_seed(doc, args))
+        rep = lift_report(sys_, sol, chart, mu, grid, seed=_seed(doc, args))
         report = {
             "hj_max_dev": rep.hj_max_dev,
             "closedness": rep.closedness,

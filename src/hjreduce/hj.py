@@ -9,10 +9,13 @@ turns a fixed-energy solution into a time-dependent one, the
 cyclic-variable ansatz, complete-solution (generating-function)
 families with non-degeneracy checks, and the additive splitting of
 generating functions over a product of a reduced factor and a
-translation-group factor.
+translation-group factor.  The quadrature family of a one-dimensional
+system is the cyclic family with no cyclic coordinate: both come from
+one builder.
 
 Every structural precondition (invariance under the group, a form on
-one momentum level, a cyclic variable, dS on one momentum level) is
+one momentum level, a cyclic variable, dS on one momentum level, a
+closed form under ``hj_residual``) is
 held to ``PRECONDITION_TOL`` = 1e-9, and every one sampled at random
 draws a fixed number of points from +-``SAMPLE_BOX``: 50 for invariance
 of a function and of a momentum-level form (a magnetic term then
@@ -339,20 +342,20 @@ class HJReport:
     closedness: float
 
 
-def hj_residual(sys, form, grid, closed_tol=PRECONDITION_TOL):
+def hj_residual(sys, form, grid):
     """How far h is from constant along the graph of the form.
 
-    The form must be (numerically) closed: a non-closed graph is not a
-    lagrangian submanifold and the statistic would be meaningless, so
-    that precondition is enforced first.
+    The form must be closed, within ``PRECONDITION_TOL``: a non-closed
+    graph is not a lagrangian submanifold and the statistic would be
+    meaningless, so that precondition is enforced first.
     """
     if tuple(form.coords) != tuple(sys.coords):
         raise ValueError("form coordinates must match the system's")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     closedness = closedness_residual(form, grid)
-    if closedness > closed_tol:
-        raise PreconditionError(
-            f"form is not closed (residual {closedness:.3e} > {closed_tol:.1e})")
+    if closedness > PRECONDITION_TOL:
+        raise PreconditionError(f"form is not closed (residual "
+                                f"{closedness:.3e} > {PRECONDITION_TOL:.1e})")
     pvals = evaluate_rows(form.components, form.coords, grid)
     vals = evaluate_rows([sys.h], form.coords + sys.momenta,
                          np.hstack([grid, pvals]))[:, 0]
@@ -1042,20 +1045,39 @@ def quadrature_complete_solution(sys, q_range, branch=1, n_quad=200,
     the momentum solves h(q, p) = param on the chosen branch, and
     S(t, q, param) = W(q, param) - t param with W the running integral
     of that root from the middle of ``q_range``.  All partials needed
-    by the transforms are exact implicit derivatives.
+    by the transforms are exact implicit derivatives.  This is the
+    cyclic family of :func:`cyclic_complete_solution` with no cyclic
+    coordinate, as a new-position (typeI) generating function.
     """
     if sys.n != 1:
         raise ValueError("quadrature families are built for 1-d systems")
-    qv, pv = sys.coords[0], sys.momenta[0]
-    if param in (qv, pv, TIME):
+    if param in (sys.coords[0], sys.momenta[0], TIME):
         raise ValueError("parameter name collides with a coordinate")
-    g = sub(sys.h, Var(param))
-    root = ImplicitBranchRoot(g, qv, pv, params=(param,), branch=branch,
-                              name="dW_family")
+    return _family(sys, (), (param,), q_range, branch, n_quad, "typeI")
+
+
+def _family(sys, cyclic_vars, params, q_range, branch, n_quad, kind):
+    """S = W(rest, params) + sum_l q^l params[l+1] - t params[0].
+
+    ``cyclic_vars`` are all coordinates but one, ``rest``.  h with each
+    cyclic momentum replaced by its parameter, minus params[0], is the
+    equation of the momentum root of ``rest``, and W is the running
+    integral of that root over ``q_range`` with ``n_quad`` intervals.
+    """
+    rest = next(v for v in sys.coords if v not in cyclic_vars)
+    momentum = dict(zip(sys.coords, sys.momenta))
+    g = sub(substitute(sys.h, {momentum[v]: Var(b)
+                               for v, b in zip(cyclic_vars, params[1:])}),
+            Var(params[0]))
+    root = ImplicitBranchRoot(g, rest, momentum[rest], params=params,
+                              branch=branch, name="dW_family")
     w = RunningIntegral(root, q_range[0], q_range[1], n_intervals=n_quad,
                         name="W_family")
-    s = sub(External(w, (Var(qv), Var(param))), mul(Var(TIME), Var(param)))
-    return GeneratingFunction("typeI", s, q_vars=(qv,), params=(param,))
+    s = External(w, tuple(Var(v) for v in (rest,) + params))
+    for v, b in zip(cyclic_vars, params[1:]):
+        s = s + Var(v) * Var(b)
+    return GeneratingFunction(kind, s - Var(TIME) * Var(params[0]),
+                              q_vars=sys.coords, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -1139,29 +1161,17 @@ def cyclic_complete_solution(sys, ansatz, remaining_range, branch=1,
     determinant reduces to dV'/db1, so non-degeneracy is exactly the
     implicit-root condition.  V is a running integral of the root over
     ``remaining_range`` with every b kept symbolic, so the ansatz's own
-    betas do not enter the family.
+    betas do not enter the family.  With no cyclic coordinate the same
+    builder gives :func:`quadrature_complete_solution`.
     """
-    cyclic_vars, remaining = ansatz.cyclic_vars, ansatz.remaining_vars
-    if len(remaining) != 1:
+    if len(ansatz.remaining_vars) != 1:
         raise ValueError("the family needs exactly one non-cyclic coordinate")
-    params = tuple(f"b{i+1}" for i in range(len(cyclic_vars) + 1))
+    params = tuple(f"b{i+1}" for i in range(len(ansatz.cyclic_vars) + 1))
     clash = (set(sys.coords) | set(sys.momenta)) & set(params)
     if clash:
         raise ValueError(f"parameter names collide with the system: {sorted(clash)}")
-    rest = remaining[0]
-    p_rest = sys.momenta[sys.coords.index(rest)]
-    g_fam = sub(substitute(sys.h, {sys.momenta[sys.coords.index(v)]: Var(b)
-                                   for v, b in zip(cyclic_vars, params[1:])}),
-                Var(params[0]))
-    root = ImplicitBranchRoot(g_fam, rest, p_rest, params=params,
-                              branch=branch, name="dW_family")
-    w_fam = RunningIntegral(root, remaining_range[0], remaining_range[1],
-                            n_intervals=n_quad, name="W_family")
-    s = External(w_fam, tuple(Var(v) for v in (rest,) + params))
-    for v, b in zip(cyclic_vars, params[1:]):
-        s = s + Var(v) * Var(b)
-    s = s - Var(TIME) * Var(params[0])
-    return GeneratingFunction("typeII", s, q_vars=sys.coords, params=params)
+    return _family(sys, ansatz.cyclic_vars, params, remaining_range, branch,
+                   n_quad, "typeII")
 
 
 @dataclass

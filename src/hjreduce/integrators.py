@@ -6,7 +6,9 @@ remaining partials read off the rest.  Iterating the map of a
 near-identity generating function gives a symplectic one-step scheme;
 applying the map of a complete Hamilton-Jacobi solution sends the flow
 to rest (the transformed variables are constants of motion).  Both
-uses share the same solver and exact implicit-function Jacobians.
+uses share the same solver and exact implicit-function Jacobians.  The
+scheme checks step one shared ``ImplicitMap`` loop, and every momentum
+drift |J(z) - J(z0)| is measured with ``symmetry.momentum_map``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .hj import (SAMPLE_BOX, NewtonDivergenceError, PreconditionError,
 from .phase_space import (FLOW_SINGULAR_TOL, PhasePoint, Trajectory,
                           flow_reference, symplectic_matrix)
 from .reduction import build_chart
-from .symmetry import invariance_report
+from .symmetry import invariance_report, momentum_map
 
 __all__ = [
     "apply_type1", "apply_type2", "ImplicitMap", "map_jacobian",
@@ -107,6 +109,14 @@ def _transform(gf, z, t, guess, singular_tol=0.0):
     return c.copy(), -grad_c, c
 
 
+def _apply(gf, z, t, name, kind):
+    """``gf``'s map at z; a ValueError naming ``name`` unless of ``kind``."""
+    if gf.kind != kind:
+        raise ValueError(f"{name} needs a {kind} generating function")
+    q_new, p_new, _ = _transform(gf, z, t, None)
+    return PhasePoint(q_new, p_new, t=z.t)
+
+
 def apply_type2(gf, z, t=0.0):
     """Map of a new-momentum generating function S(t, q, P).
 
@@ -114,10 +124,7 @@ def apply_type2(gf, z, t=0.0):
     The identity map corresponds to S = sum q^i P_i, so for
     near-identity S the old momenta are a good starting guess.
     """
-    if gf.kind != "typeII":
-        raise ValueError("apply_type2 needs a typeII generating function")
-    q_new, p_new, _ = _transform(gf, z, t, None)
-    return PhasePoint(q_new, p_new, t=z.t)
+    return _apply(gf, z, t, "apply_type2", "typeII")
 
 
 def apply_type1(gf, z, t=0.0):
@@ -127,10 +134,7 @@ def apply_type1(gf, z, t=0.0):
     complete Hamilton-Jacobi solution this is the transformation that
     freezes the dynamics.
     """
-    if gf.kind != "typeI":
-        raise ValueError("apply_type1 needs a typeI generating function")
-    q_new, p_new, _ = _transform(gf, z, t, None)
-    return PhasePoint(q_new, p_new, t=z.t)
+    return _apply(gf, z, t, "apply_type1", "typeI")
 
 
 class ImplicitMap:
@@ -219,22 +223,35 @@ def momentum_preservation_check(gf, action, z0, n_steps, t=0.0, seed=42):
 
     Precondition (sampled, witness on failure): S is invariant under
     the diagonal action, the structural property that forces exact
-    conservation.  Returns the array of |G^T p_k - G^T p_0| maxima,
-    one entry per visited point; residual floats come only from the
-    Newton fixed point, so the entries stay near machine precision.
+    conservation.  Returns the array of |J(z_k) - J(z_0)| maxima
+    (``symmetry.momentum_map``), one entry per visited point, z_0
+    included; residual floats come only from the Newton fixed point, so
+    the entries stay near machine precision.  The points are those of
+    ``run_scheme`` with the same map.
     """
     if gf.kind != "typeII":
         raise ValueError("momentum stepping uses a typeII generating function")
     _check_diagonal_invariance(gf, action, seed=seed)
+    return _momentum_drift(action, _steps(gf, z0, n_steps, t))
+
+
+def _steps(gf, z0, n_steps, t):
+    """z0 and the n_steps points after it under one ``ImplicitMap``."""
     step = ImplicitMap(gf, t=t)
-    z = z0
-    j0 = action.matrix.T @ z0.p
-    drift = np.empty(n_steps + 1)
-    drift[0] = 0.0
-    for i in range(n_steps):
-        z = step(z)
-        drift[i + 1] = float(np.max(np.abs(action.matrix.T @ z.p - j0)))
-    return drift
+    points = [z0]
+    for _ in range(n_steps):
+        points.append(step(points[-1]))
+    return points
+
+
+def _momentum_drift(action, points):
+    """max |J(z) - J(points[0])| at each point, J = ``momentum_map``.
+
+    0.0 everywhere for a trivial action (k = 0).
+    """
+    j0 = momentum_map(action, points[0])
+    return np.array([np.max(np.abs(momentum_map(action, z) - j0), initial=0.0)
+                     for z in points])
 
 
 @dataclass
@@ -252,15 +269,10 @@ def run_scheme(gf, sys, z0, n_steps, t, action=None):
     ``t`` is the step size (the time argument fed to the generating
     function each step).  Energy drift is |h(z_k) - h(z_0)|; the
     symplecticity defect is the worst Jacobian defect over eight evenly
-    spaced states; with ``action`` given, the momentum drift array is
-    included.
+    spaced states, a NaN defect skipped; with ``action`` given, the
+    momentum drift array of ``momentum_preservation_check`` is included.
     """
-    step = ImplicitMap(gf, t=t)
-    points = [z0]
-    z = z0
-    for _ in range(n_steps):
-        z = step(z)
-        points.append(z)
+    points = _steps(gf, z0, n_steps, t)
     times = t * np.arange(n_steps + 1)
     qs = np.array([p.q for p in points])
     ps = np.array([p.p for p in points])
@@ -269,20 +281,13 @@ def run_scheme(gf, sys, z0, n_steps, t, action=None):
     energy_drift = np.abs(energies - energies[0])
     idx = np.unique(np.linspace(0, n_steps, min(8, n_steps + 1),
                                 dtype=int))
-    defect = 0.0
-    for i in idx:
-        d = symplecticity_check(gf, points[i], t=t)
-        if d > defect:
-            defect = d
-    momentum_drift = None
-    if action is not None:
-        j0 = action.matrix.T @ z0.p
-        momentum_drift = np.array(
-            [float(np.max(np.abs(action.matrix.T @ p.p - j0)))
-             for p in points])
+    # the built-in max from 0.0 skips a NaN defect, as a running > maximum does
+    defect = max([0.0, *(symplecticity_check(gf, points[i], t=t)
+                         for i in idx)])
     return SchemeReport(trajectory=traj, energy_drift=energy_drift,
                         symplecticity_defect=defect,
-                        momentum_drift=momentum_drift)
+                        momentum_drift=None if action is None
+                        else _momentum_drift(action, points))
 
 
 @dataclass
@@ -335,9 +340,9 @@ def flow_lagrangian_momentum_check(sys, action, n_samples=20, t=1.0, dt=1e-3,
     invariant under the action.  Random initial points are drawn from
     ``box`` (a list of (lo, hi) pairs over the flat (q, p) layout,
     default +-SAMPLE_BOX each), integrated to time ``t``, and the worst
-    |J(z(t)) - J(z(0))| is returned.  The reference scheme preserves
-    linear momenta to rounding, so the result should sit near machine
-    precision.
+    |J(z(t)) - J(z(0))| (``symmetry.momentum_map``) is returned.  The
+    reference scheme preserves linear momenta to rounding, so the result
+    should sit near machine precision.
     """
     rep = invariance_report(action, sys.h, sys.coords, seed=seed)
     if not rep["ok"]:
@@ -352,9 +357,7 @@ def flow_lagrangian_momentum_check(sys, action, n_samples=20, t=1.0, dt=1e-3,
         flat = np.array([rng.uniform(lo, hi) for lo, hi in box])
         z0 = PhasePoint(flat[:n], flat[n:])
         traj = flow_reference(sys, z0, t, dt)
-        j0 = action.matrix.T @ z0.p
-        j1 = action.matrix.T @ traj.ps[-1]
-        d = float(np.max(np.abs(j1 - j0))) if j0.size else 0.0
+        d = float(_momentum_drift(action, [z0, traj.point(-1)])[1])
         if d > worst:
             worst = d
     return worst

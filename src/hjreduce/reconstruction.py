@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import evaluate_rows
-from .hj import PRECONDITION_TOL, OneForm, hj_residual, pullback
+from .hj import OneForm, hj_residual, pullback
 from .phase_space import (FLOW_SINGULAR_TOL, HamiltonianSystem, PhasePoint,
                           Trajectory, _rk4)
 from .reduction import reduced_hamiltonian
@@ -59,8 +59,7 @@ class ReconstructionReport:
     energy: float
 
 
-def lift_report(sys, reduced_form, chart, mu, grid,
-                closed_tol=PRECONDITION_TOL, seed=42):
+def lift_report(sys, reduced_form, chart, mu, grid, seed=42):
     """Lift and verify: invariance, momentum level, closedness, residual.
 
     The grid is a set of full-space configuration points.  The momentum
@@ -71,8 +70,9 @@ def lift_report(sys, reduced_form, chart, mu, grid,
     adds nothing to either maximum, and neither does a translate that
     leaves the form's domain.  The Hamilton-Jacobi residual is the
     spread of h along the form's graph (with the closedness
-    precondition enforced inside).  A DomainError of the form on the
-    grid itself propagates, the first failing point's.
+    precondition, to ``PRECONDITION_TOL``, enforced inside).  A
+    DomainError of the form on the grid itself propagates, the first
+    failing point's.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     form = lift_solution(reduced_form, chart, mu, sys.coords)
@@ -85,7 +85,7 @@ def lift_report(sys, reduced_form, chart, mu, grid,
     mom_dev = float(np.fmax.reduce(
         np.max(np.abs(momenta - mu), axis=1, initial=0.0), initial=0.0))
     inv_dev = float(np.fmax.reduce(devs, initial=0.0))
-    rep = hj_residual(sys, form, grid, closed_tol=closed_tol)
+    rep = hj_residual(sys, form, grid)
     return ReconstructionReport(form=form, invariance_dev=inv_dev,
                                 momentum_dev=mom_dev,
                                 closedness=rep.closedness,

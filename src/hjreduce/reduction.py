@@ -113,25 +113,17 @@ def build_chart(action, y_names=None, py_names=None):
     The invariant block Y is the reduced-echelon left-null basis of the
     generator matrix (first nonzero entry of each row positive), the
     group block is X = (G^T G)^{-1} G^T, and the horizontal lift is the
-    corresponding block of the inverse of the stacked map.
+    corresponding block of the inverse of the stacked map.  The trivial
+    action (k = 0) gives Y = L = I and the full-rank one (k = n) empty
+    Y and L, with no case of their own.
     """
     g = np.asarray(action.matrix, dtype=float)
     n, k = g.shape
-    m = n - k
-    if k == 0:
-        y_block = np.eye(n)
-        x_block = np.zeros((0, n))
-        horizontal = np.eye(n)
-    elif m == 0:
-        y_block = np.zeros((0, n))
-        x_block = _linalg.group_projection(g)
-        horizontal = np.zeros((n, 0))
-    else:
-        y_block = _linalg.left_null_basis(g)
-        x_block = _linalg.group_projection(g)
-        t_mat = np.vstack([y_block, x_block])
-        horizontal = np.linalg.solve(
-            t_mat, np.vstack([np.eye(m), np.zeros((k, m))]))
+    y_block = _linalg.left_null_basis(g)
+    x_block = _linalg.group_projection(g)
+    horizontal = np.linalg.solve(
+        np.vstack([y_block, x_block]),
+        np.vstack([np.eye(n - k), np.zeros((k, n - k))]))
     return QuotientChart(y_block, x_block, horizontal, g,
                          y_names=y_names, py_names=py_names)
 
@@ -263,10 +255,13 @@ def project_lagrangian(form, chart, mu, grid, seed=42):
     PreconditionError with that point as witness, the momentum level
     checked first.  The form is swept over the whole grid before any
     check, so a DomainError anywhere in it wins over a precondition
-    failure at an earlier point.  Returns the reduced form and a report
-    with the measured deviations.
+    failure at an earlier point.  ``mu`` must have one entry per
+    generator (ValueError otherwise).  Returns the reduced form and a
+    report with the measured deviations.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    if mu.size != chart.k:
+        raise ValueError(f"mu must have {chart.k} entries")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[1] != chart.n:
         raise ValueError("grid points must have the chart's dimension")

@@ -387,6 +387,99 @@ class TestNamedFields:
         assert not out.exists()
 
 
+def edited(name, drop=(), **fields):
+    """A bundled scenario without the ``drop`` sections, ``fields`` set.
+
+    A field named ``a__b`` sets ``doc[a][b]``.
+    """
+    doc = load_scenario(name)
+    for key in drop:
+        parent, _, key = key.rpartition("__")
+        del (doc[parent] if parent else doc)[key]
+    for key, value in fields.items():
+        parent, _, key = key.rpartition("__")
+        (doc[parent] if parent else doc)[key] = value
+    return doc
+
+
+class TestScenarioErrors:
+    """Each scenario error exits 2 with its one-line message, writing no file.
+
+    A case is the command, the scenario (a bundled name, a document, or
+    the text of the scenario file) and the message.
+    """
+
+    @pytest.mark.parametrize("command, scenario, message", [
+        ("reduce", "no_such_scenario", "scenario not found: no_such_scenario"),
+        ("reduce", "", "not valid JSON: Expecting value: line 1 column 1 "
+                       "(char 0)"),
+        ("reduce", {"name": "twice", "coords": ["q", "q"],
+                    "hamiltonian": "0.5*q^2"},
+         "$.coords: coordinate names must be distinct"),
+        ("reduce", edited("calogero", action=[[1, 1], [1, 0, 1]]),
+         "$.action[1]: generator has 3 entries, expected 2"),
+        ("reduce", edited("calogero", drop=["action"]),
+         "$.mu: mu given without an action"),
+        ("reduce", edited("calogero", mu=[0, 0]),
+         "$.mu: expected 1 entries, got 2"),
+        ("simulate", edited("oscillator", drop=["z0"]),
+         "this command needs a 'z0' section"),
+        ("simulate", edited("oscillator", z0={"q": [0, 1], "p": [1, 0]}),
+         "$.z0: q and p must each have 1 entries"),
+        ("simulate", "calogero", "this command needs t_end and dt "
+                                 "(scenario fields or --t-end/--dt)"),
+        ("reduce", "oscillator", "this command needs an 'action' section"),
+        ("solve-hj", "oscillator", "this command needs a 'solve' section"),
+        ("reconstruct", "oscillator",
+         "this command needs a 'reconstruct' section"),
+        ("integrate", "freeparticle",
+         "this command needs an 'integrator' section"),
+        ("solve-hj", edited("calogero", drop=["energy"]),
+         "$.solve: no energy given (solve.energy or top-level energy)"),
+        ("solve-hj", edited("magnetic_synthetic", solve={"range": [0.5, 1],
+                                                         "energy": 1}),
+         "the reduced problem is not one-dimensional"),
+        ("solve-hj", edited("calogero", drop=["action", "mu"]),
+         "solve-hj needs an action, a cyclic list, or a one-dimensional "
+         "system"),
+        ("verify", edited("calogero", complete_solution={"q_range": [-1, 1]}),
+         "$.complete_solution: quadrature families need a one-dimensional "
+         "system"),
+        ("verify", edited("magnetic_synthetic", drop=["action", "mu"]),
+         "magnetic verification needs an 'action'"),
+        ("verify", edited("magnetic_synthetic",
+                          magnetic__alpha_mu=["0", "y1"]),
+         "$.magnetic.alpha_mu: one component per coordinate"),
+        ("verify", edited("magnetic_synthetic",
+                          magnetic__gamma_tilde=["2*y1"]),
+         "$.magnetic.gamma_tilde: one component per reduced coordinate"),
+        ("verify", edited("calogero", drop=["verify"]),
+         "this scenario has no verify.grid section"),
+        ("verify", "freeparticle",
+         "nothing to verify: need 'magnetic', 'complete_solution', a cyclic "
+         "solve, or an action pipeline"),
+        ("reconstruct", edited("oscillator", solve={"range": [-0.5, 0.5]},
+                               reconstruct={"y0": [0]}),
+         "reconstruction needs an 'action' section"),
+        ("equilibrium", edited("freeparticle",
+                               generating_function__kind="typeII"),
+         "$.generating_function: equilibrium transforms use a typeI family"),
+        ("equilibrium", edited("oscillator", drop=["complete_solution"]),
+         "equilibrium needs a 'generating_function' or 'complete_solution' "
+         "section"),
+    ])
+    def test_message(self, tmp_path, capsys, command, scenario, message):
+        if isinstance(scenario, dict):
+            scenario = write_scenario(tmp_path, scenario)
+        elif scenario == "":
+            (tmp_path / "empty.json").write_text("")
+            scenario = str(tmp_path / "empty.json")
+        out = tmp_path / "out"
+        assert cli.main([command, scenario, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"scenario error: {message}\n")
+        assert not out.exists()
+
+
 class TestIntegralFloats:
     """JSON Schema counts 7.0 as an integer, so an integer field may hold
     it: the run is that of the int, outputs and exit code included."""

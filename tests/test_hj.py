@@ -791,6 +791,31 @@ class TestQuadratureCompleteSolution:
             got = w.evaluate({"q": q, "a1": 0.5, "t": 0.0})
             assert got == pytest.approx(ref, abs=1e-9)
 
+    def test_family_tree(self, oscillator):
+        # recorded when the 1-D family had a builder of its own
+        gf = quadrature_complete_solution(oscillator, (-0.95, 0.95))
+        assert (str(gf.s), gf.kind, gf.q_vars, gf.params) == (
+            "W_family(q, a1)-t*a1", "typeI", ("q",), ("a1",))
+
+        def node_types(e):
+            if isinstance(e, External):
+                return [f"External[{type(e.fn).__name__}]",
+                        *(t for a in e.args for t in node_types(a))]
+            if isinstance(e, Var):
+                return [f"Var:{e.name}"]
+            return [type(e).__name__, *node_types(e.left),
+                    *node_types(e.right)]
+
+        assert node_types(gf.s) == [
+            "Sub", "External[RunningIntegral]", "Var:q", "Var:a1", "Mul",
+            "Var:t", "Var:a1"]
+        w = gf.s.left.fn
+        root = w.integrand
+        assert (w.name, len(w.nodes), w.base) == ("W_family", 201, 0.0)
+        assert (type(root).__name__, root.name, root.params, root.branch,
+                str(root.g)) == ("ImplicitBranchRoot", "dW_family", ("a1",),
+                                 1, "0.5*(p^2.0+q^2.0)-a1")
+
     def test_param_collision(self, oscillator):
         with pytest.raises(ValueError):
             quadrature_complete_solution(oscillator, (-1, 1), param="q")

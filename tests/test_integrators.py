@@ -133,6 +133,25 @@ class TestMomentumPreservation:
         assert drift[0] == 0.0
         assert np.max(drift) <= 1e-10
 
+    def test_trivial_action_has_no_drift(self, ho_gf):
+        action = TranslationAction([], n=1)
+        z0 = PhasePoint([0.0], [1.0])
+        assert momentum_preservation_check(
+            ho_gf, action, z0, 3, t=0.1).tolist() == [0.0] * 4
+        rep = run_scheme(ho_gf, HamiltonianSystem("0.5*(p^2+q^2)", ["q"]),
+                         z0, 3, 0.1, action=action)
+        assert rep.momentum_drift.tolist() == [0.0] * 4
+
+    def test_pinned_drift(self, pair_gf):
+        # recorded when the check stepped and measured in a loop of its own
+        drift = momentum_preservation_check(
+            pair_gf, TranslationAction([[1, 1]]),
+            PhasePoint([1.0, -1.0], [1.0, 0.0]), 12, t=0.01)
+        eps = 1.1102230246251565e-16
+        assert drift.dtype == np.float64
+        assert drift.tolist() == [0.0, 0.0, eps, 0.0, eps, eps, eps, eps,
+                                  2 * eps, 3 * eps, 3 * eps, 3 * eps, 3 * eps]
+
     def test_skew_action_accepts_an_invariant_scheme(self):
         # S(q + G g, b) - S(q, b) = g G^T b for G = (0.6, 0.45): the
         # potential reads only the invariant 0.45 q1 - 0.6 q2

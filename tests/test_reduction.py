@@ -61,6 +61,18 @@ class TestBuildChart:
         assert c.k == 0 and c.m == 2
         np.testing.assert_array_equal(c.y_block, np.eye(2))
 
+    @pytest.mark.parametrize("generators, n, blocks", [
+        # k = 0: Y = L = I, no X
+        ([], 3, (np.eye(3), np.zeros((0, 3)), np.eye(3))),
+        # k = n: X = G^{-1}, no Y or L
+        ([[1, 1], [0, 2]], None,
+         (np.zeros((0, 2)), [[1.0, 0.0], [-0.5, 0.5]], np.zeros((2, 0))))])
+    def test_extreme_ranks(self, generators, n, blocks):
+        # recorded when k = 0 and k = n were cases of their own
+        c = build_chart(TranslationAction(generators, n=n))
+        for got, want in zip((c.y_block, c.x_block, c.horizontal), blocks):
+            assert np.array_equal(got, want)  # shapes included
+
     def test_custom_names(self, diag_action):
         c = build_chart(diag_action, y_names=("s",), py_names=("ps",))
         assert c.y_names == ("s",)
@@ -258,6 +270,15 @@ class TestProjectLagrangian:
         # the projected component evaluates to f at y
         assert reduced.values([1.3])[0] == pytest.approx(np.sin(1.3),
                                                          rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [[], [0.5], [0.0, 0.0, 0.0]])
+    def test_mu_of_the_wrong_length(self, mu):
+        chart = build_chart(TranslationAction([[1, 0, 0], [0, 1, 0]]))
+        form = OneForm(("q1", "q2", "q3"),
+                       components=(Const(0.5), Const(0.5), Var("q3")))
+        grid = random_grid([(-1.0, 1.0)] * 3, 5, seed=3)
+        with pytest.raises(ValueError, match=r"^mu must have 2 entries$"):
+            project_lagrangian(form, chart, mu, grid)
 
     def test_off_level_rejected(self, diag_action):
         chart = build_chart(diag_action)
