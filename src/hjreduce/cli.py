@@ -13,8 +13,8 @@ numeric failure (solver divergence, domain error, an RK4 step that
 overflows or gives NaN, violated precondition, among them a quadrature
 equation that reads 't', a NaN or inf in a report field or a CSV
 column); 4 internal error (a bug: the traceback is printed).  An input
-too large to allocate (a step count, grid or quadrature size beyond
-memory) is a scenario error, exit 2.  Every report field and CSV value
+too large to allocate (a step count or grid beyond memory) is a
+scenario error, exit 2.  Every report field and CSV value
 is checked before a command's first write, so a run that exits 3
 leaves no new file.  Identical scenario + seed + flags give
 byte-identical outputs.
@@ -657,7 +657,6 @@ def _quadrature_family(doc, sys_):
     q_range = _interval(cs["q_range"], "$.complete_solution.q_range")
     return quadrature_complete_solution(sys_, q_range,
                                         branch=cs.get("branch", 1),
-                                        n_quad=cs.get("n_quad", 200),
                                         param=cs.get("param", "a1"))
 
 
@@ -1047,7 +1046,7 @@ def main(argv=None):
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_SCENARIO
     except MemoryError as e:
-        # a step count, grid or quadrature size too large to allocate
+        # a step count or grid too large to allocate
         print(f"scenario error: input too large: {e}", file=sys.stderr)
         return EXIT_SCENARIO
     except Exception:

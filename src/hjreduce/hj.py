@@ -403,10 +403,12 @@ def hj_residual(sys, form, grid):
 # bundled and benchmark tables are within 2 ulp of the scalar chain's,
 # and 4 ulp is the documented bound.
 #
-# A running integral sums Simpson panels in path order, and adjacent
-# panels, the closure included, share an endpoint: each call solves it
-# once (two solves per panel, where separate panel sums made three), and
-# the solves it keeps run in the order the separate sums ran them.
+# A running integral is one Gauss-Legendre rule on [base, y]: each call
+# solves its root at the rule's nodes in path order from the base, so a
+# family root (which has no anchor table) starts each new node's solve
+# from the previous node's root.  Its nodes move with y, so a per-y cache
+# there would only fill: only a root with an anchor table, which verify
+# and reconstruct solve again and again at the same points, keeps one.
 
 _WARM_CAP = 20000
 _ROOT_TOL = 1e-12
@@ -483,9 +485,10 @@ class ImplicitBranchRoot:
             p = newton(*args, self._last, s)
         if p is None:
             p = self._bracket_solve(args)
-        if len(self._warm) > _WARM_CAP:
-            self._warm.clear()
-        self._warm[y] = p
+        if self._anchors is not None:  # table roots see the same y again
+            if len(self._warm) > _WARM_CAP:
+                self._warm.clear()
+            self._warm[y] = p
         self._last = p
         return p
 
@@ -679,76 +682,79 @@ class TabulatedAntiderivative:
         return self.root
 
 
-class RunningIntegral:
-    """Signed integral of a root-backed integrand from a fixed base node.
+def _gauss_legendre(m):
+    """Nodes (ascending) and weights of the m-point Gauss-Legendre rule.
 
-    The integration path runs along the first argument on a fixed grid
-    (the remaining arguments are parameters passed through), composite
-    Simpson on full sub-intervals plus a Simpson closure on the partial
-    one.  Adjacent panels share the integrand value at their common
-    node, so a call over n panels, the closure included, makes 2n + 1
-    integrand calls.  partial(0) recovers the integrand; a parameter
-    partial is the running integral of the integrand's parameter partial.
+    Each positive node is Newton's method on the three-term recurrence
+    of the Legendre polynomial P_m from the Chebyshev-like guess
+    cos(pi (i + 3/4) / (m + 1/2)), and its weight 2 / ((1 - x^2) P_m'(x)^2)
+    is taken at the converged node; the negative half mirrors it.
+    """
+    def legendre(x):
+        p0, p1 = 1.0, x
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, m * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+    half = []
+    for i in range(m // 2):
+        x = math.cos(math.pi * (i + 0.75) / (m + 0.5))
+        for _ in range(8):
+            p, dp = legendre(x)
+            x -= p / dp
+        dp = legendre(x)[1]
+        half.append((x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)))
+    pairs = [(-x, w) for x, w in half] + half[::-1]
+    return tuple(x for x, _ in pairs), tuple(w for _, w in pairs)
+
+
+# The running integral's rule: exact for polynomials of degree 47, and
+# geometrically convergent for integrands analytic around the path.
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(24)
+
+
+class RunningIntegral:
+    """Signed integral of a root-backed integrand from a fixed base point.
+
+    The integration path runs along the first argument from the middle
+    of [lo, hi] (the remaining arguments are parameters passed through),
+    and each call is one 24-point Gauss-Legendre rule on [base, y]: 24
+    integrand calls, made in path order from the base.  partial(0)
+    recovers the integrand; a parameter partial is the running integral
+    of the integrand's parameter partial.
     """
 
-    def __init__(self, integrand, lo, hi, n_intervals=200, name="Wint"):
-        if not float(lo) < float(hi):
+    def __init__(self, integrand, lo, hi, name="Wint"):
+        lo, hi = float(lo), float(hi)
+        if not lo < hi:
             raise ValueError(f"{name}: empty range [{lo}, {hi}]")
-        if n_intervals % 2:
-            n_intervals += 1
         self.integrand = integrand
         self.arity = integrand.arity
-        self.nodes = array("d", np.linspace(float(lo), float(hi),
-                                            n_intervals + 1).tobytes())
-        self.base_index = n_intervals // 2
+        self.lo, self.hi = lo, hi
+        self.base = 0.5 * (lo + hi)
         self.name = name
         self._partials = {}
 
-    @property
-    def base(self):
-        return self.nodes[self.base_index]
-
     def __call__(self, y, *params):
-        nodes = self.nodes
         y = float(y)
-        if not (nodes[0] - 1e-12 <= y <= nodes[-1] + 1e-12):
+        if not (self.lo - 1e-12 <= y <= self.hi + 1e-12):
             raise DomainError(
-                f"{self.name}: {y} outside quadrature range [{nodes[0]}, {nodes[-1]}]")
+                f"{self.name}: {y} outside quadrature range [{self.lo}, {self.hi}]")
         f = self.integrand
-        b = self.base_index
+        h = 0.5 * (y - self.base)
+        mid = self.base + h
         total = 0.0
-        # one Simpson panel per far endpoint: the full-panel nodes, then
-        # y (the closure); each pass reuses the previous one's far value
-        if y > nodes[b]:
-            k = min(bisect.bisect_left(nodes, y), len(nodes) - 1)
-            a = nodes[b]
-            fa = f(a, *params)
-            for i in range(b + 1, k + 1):
-                c = nodes[i] if i < k else y
-                fm = f(0.5 * (a + c), *params)
-                fc = f(c, *params)
-                total += (c - a) / 6.0 * (fa + 4.0 * fm + fc)
-                a, fa = c, fc
-        elif y < nodes[b]:
-            k = bisect.bisect_right(nodes, y)
-            c, fc = nodes[b], None
-            for i in range(b - 1, k - 2, -1):
-                a = nodes[i] if i >= k else y
-                fa = f(a, *params)
-                fm = f(0.5 * (a + c), *params)
-                if fc is None:
-                    fc = f(c, *params)
-                total -= (c - a) / 6.0 * (fa + 4.0 * fm + fc)
-                c, fc = a, fa
-        return total
+        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+            total += w * f(mid + h * x, *params)
+        return h * total
 
     def partial(self, i):
         if i == 0:
             return self.integrand
         if i not in self._partials:
             self._partials[i] = RunningIntegral(
-                self.integrand.partial(i), self.nodes[0], self.nodes[-1],
-                len(self.nodes) - 1, name=f"{self.name}_d{i}")
+                self.integrand.partial(i), self.lo, self.hi,
+                name=f"{self.name}_d{i}")
         return self._partials[i]
 
 
@@ -1037,8 +1043,7 @@ def check_complete(gf, sys, points, tol=1e-8):
                               complete=(hj_max <= tol and min_det >= 1e-6))
 
 
-def quadrature_complete_solution(sys, q_range, branch=1, n_quad=200,
-                                 param="a1"):
+def quadrature_complete_solution(sys, q_range, branch=1, param="a1"):
     """Complete solution family for a one-degree-of-freedom system.
 
     For each value of the parameter (the energy of the family member)
@@ -1053,16 +1058,16 @@ def quadrature_complete_solution(sys, q_range, branch=1, n_quad=200,
         raise ValueError("quadrature families are built for 1-d systems")
     if param in (sys.coords[0], sys.momenta[0], TIME):
         raise ValueError("parameter name collides with a coordinate")
-    return _family(sys, (), (param,), q_range, branch, n_quad, "typeI")
+    return _family(sys, (), (param,), q_range, branch, "typeI")
 
 
-def _family(sys, cyclic_vars, params, q_range, branch, n_quad, kind):
+def _family(sys, cyclic_vars, params, q_range, branch, kind):
     """S = W(rest, params) + sum_l q^l params[l+1] - t params[0].
 
     ``cyclic_vars`` are all coordinates but one, ``rest``.  h with each
     cyclic momentum replaced by its parameter, minus params[0], is the
     equation of the momentum root of ``rest``, and W is the running
-    integral of that root over ``q_range`` with ``n_quad`` intervals.
+    integral of that root from the middle of ``q_range``.
     """
     rest = next(v for v in sys.coords if v not in cyclic_vars)
     momentum = dict(zip(sys.coords, sys.momenta))
@@ -1071,8 +1076,7 @@ def _family(sys, cyclic_vars, params, q_range, branch, n_quad, kind):
             Var(params[0]))
     root = ImplicitBranchRoot(g, rest, momentum[rest], params=params,
                               branch=branch, name="dW_family")
-    w = RunningIntegral(root, q_range[0], q_range[1], n_intervals=n_quad,
-                        name="W_family")
+    w = RunningIntegral(root, q_range[0], q_range[1], name="W_family")
     s = External(w, tuple(Var(v) for v in (rest,) + params))
     for v, b in zip(cyclic_vars, params[1:]):
         s = s + Var(v) * Var(b)
@@ -1145,8 +1149,7 @@ def cyclic_ansatz(sys, cyclic_vars, betas, seed=42):
                         linear_combo(betas, cyclic_vars))
 
 
-def cyclic_complete_solution(sys, ansatz, remaining_range, branch=1,
-                             n_quad=200):
+def cyclic_complete_solution(sys, ansatz, remaining_range, branch=1):
     """Complete-solution family from a checked cyclic separation.
 
     ``ansatz`` is the :func:`cyclic_ansatz` of ``sys``; its cyclic
@@ -1171,7 +1174,7 @@ def cyclic_complete_solution(sys, ansatz, remaining_range, branch=1,
     if clash:
         raise ValueError(f"parameter names collide with the system: {sorted(clash)}")
     return _family(sys, ansatz.cyclic_vars, params, remaining_range, branch,
-                   n_quad, "typeII")
+                   "typeII")
 
 
 @dataclass
@@ -1201,7 +1204,7 @@ def heavy_top_system(i_moment, j_moment, mass, gravity, arm):
 
 
 def solve_heavy_top(i_moment, j_moment, mass, gravity, arm, beta2, beta3,
-                    energy, theta_range, n_nodes=2001, n_quad=200):
+                    energy, theta_range, n_nodes=2001):
     """Separated solution of the symmetric top by quadrature.
 
     phi and psi are cyclic; W = phi beta2 + psi beta3 + V(theta) where
@@ -1221,7 +1224,7 @@ def solve_heavy_top(i_moment, j_moment, mass, gravity, arm, beta2, beta3,
     slot = ans.slot_vars[0]
     sol = solve_reduced_1d(ans.equation, "theta", slot, float(energy),
                            theta_range, branch=1, n_nodes=n_nodes)
-    gf = cyclic_complete_solution(sys, ans, theta_range, n_quad=n_quad)
+    gf = cyclic_complete_solution(sys, ans, theta_range)
     return HeavyTopSolution(system=sys, ansatz=ans, solution=sol,
                             generating_function=gf, energy=float(energy))
 

@@ -272,11 +272,35 @@ class TestOversizedInputs:
         assert err == ("scenario error: t_end and dt give inf steps, not a "
                        "finite count\n")
 
-    def test_quadrature_size_beyond_memory(self, tmp_path, capsys):
-        doc = load_scenario("oscillator")
-        doc["complete_solution"]["n_quad"] = 10 ** 18
-        err = self.run(tmp_path, capsys, ["equilibrium"], doc)
-        assert err.startswith("scenario error: input too large: ")
+
+class TestQuadratureSize:
+    """``complete_solution.n_quad`` is still checked, and changes nothing:
+    the running integral is one fixed rule."""
+
+    def test_every_valid_size_gives_the_same_run(self, tmp_path, capsys):
+        def run(value):
+            doc = load_scenario("oscillator")
+            doc["complete_solution"]["n_quad"] = value
+            where = tmp_path / str(len(runs))
+            where.mkdir()
+            out = where / "out"
+            rc = cli.main(["equilibrium", write_scenario(where, doc),
+                           "--out", str(out)])
+            files = ({p.name: p.read_bytes() for p in out.iterdir()}
+                     if out.exists() else {})
+            runs.append((rc, capsys.readouterr().err, files))
+            return runs[-1]
+
+        runs = []
+        first = run(8)
+        assert first[0] == 0 and len(first[2]) == 2
+        assert run(200) == first
+        assert run(10 ** 18) == first
+        field = "scenario error: $.complete_solution.n_quad: "
+        assert run(7) == (2, field + "7 is less than the minimum of 8\n", {})
+        assert run(1.5) == (2, field + "1.5 is not of type 'integer'\n", {})
+        assert run("200") == (2, field + "'200' is not of type 'integer'\n",
+                              {})
 
 
 class TestNamedFields:

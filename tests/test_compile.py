@@ -537,6 +537,6 @@ class TestNewtonRows:
         monkeypatch.setattr(builtins, "compile", lambda s, f, m: (
             made.append(f), real(s, f, m))[1])
         sys_ = HamiltonianSystem(parse("0.5*p^2+0.5*q^2"), ["q"])
-        gf = quadrature_complete_solution(sys_, (-0.9, 0.9), n_quad=20)
+        gf = quadrature_complete_solution(sys_, (-0.9, 0.9))
         gf.s_q(0)
         assert not any(f.startswith("<newton-rows") for f in made)

@@ -1,4 +1,3 @@
-import bisect
 import math
 import struct
 import warnings
@@ -214,9 +213,10 @@ class TestImplicitBranchRoot:
             self.closed(0.5, 1.0), rel=1e-13)
 
     def test_same_solve_order_same_bits(self):
-        # Warm starts make a root's last bits depend on earlier solves, so
-        # output bytes rest on each command solving in a fixed order: two
-        # fresh roots fed the same sequence must agree bit for bit.
+        # Each solve starts Newton from the root before it, so a root's
+        # last bits depend on earlier solves and output bytes rest on each
+        # command solving in a fixed order: two fresh roots fed the same
+        # sequence must agree bit for bit.
         g = parse("0.5*(p^2+1.3*q^2)+0.2*q^4-0.9")
         ys = np.random.default_rng(3).permutation(np.linspace(-1, 1, 997))
         first, second = (ImplicitBranchRoot(g, "q", "p", branch=1)
@@ -271,7 +271,7 @@ class FnIntegrand:
 class TestRunningIntegral:
     def test_vs_scipy_quad(self):
         f = FnIntegrand(lambda y: math.exp(-y * y))
-        w = RunningIntegral(f, 0.0, 2.0, n_intervals=200)
+        w = RunningIntegral(f, 0.0, 2.0)
         base = w.base
         for y in (0.0, 0.31, 1.0, 1.73, 2.0):
             ref = quad(lambda s: math.exp(-s * s), base, y,
@@ -280,7 +280,7 @@ class TestRunningIntegral:
 
     def test_signed_below_base(self):
         f = FnIntegrand(lambda y: 1.0 + 0.0 * y)
-        w = RunningIntegral(f, -1.0, 1.0, n_intervals=100)
+        w = RunningIntegral(f, -1.0, 1.0)
         assert w.base == 0.0
         assert w(-0.5) == pytest.approx(-0.5, abs=1e-13)
         assert w(0.5) == pytest.approx(0.5, abs=1e-13)
@@ -311,7 +311,7 @@ class TestRunningIntegral:
         # the sums run in float arithmetic, at the base node and off it
         root = ImplicitBranchRoot(parse("p^2-a"), "y", "p", params=("a",),
                                   branch=1)
-        w = RunningIntegral(root, 0.0, 2.0, n_intervals=100)
+        w = RunningIntegral(root, 0.0, 2.0)
         for y in (w.base, 1.5, 0.25):
             assert type(w(y, 2.2)) is float
             assert type(w.partial(1)(y, 2.2)) is float
@@ -322,7 +322,7 @@ class TestRunningIntegral:
         # dW/da = (y - base) / (2 sqrt(a)), again a running integral
         root = ImplicitBranchRoot(parse("p^2-a"), "y", "p", params=("a",),
                                   branch=1)
-        w = RunningIntegral(root, 0.0, 2.0, n_intervals=100)
+        w = RunningIntegral(root, 0.0, 2.0)
         wa = w.partial(1)
         y, a = 1.5, 2.2
         expect = (y - w.base) / (2 * math.sqrt(a))
@@ -331,90 +331,81 @@ class TestRunningIntegral:
                                         rel=1e-12)
 
 
-def per_panel_sum(w, y, *params):
-    """The running integral as separate Simpson sums, panel by panel.
+class TestGaussLegendreRule:
+    """Each call is one 24-point Gauss-Legendre rule on [base, y]."""
 
-    Each panel solves both its endpoints, as the running integral did
-    before adjacent panels shared them.
-    """
-    def simpson(a, c):
-        f = w.integrand
-        m = 0.5 * (a + c)
-        return (c - a) / 6.0 * (f(a, *params) + 4.0 * f(m, *params)
-                                + f(c, *params))
+    # the family 0.5*(p^2 + 1.3 q^2) + 0.4 q^4 = a at a = 0.7, whose
+    # turning points are +-TURN
+    G = "0.5*(p^2+1.3*q^2)+0.4*q^4-a"
+    A = 0.7
+    TURN = math.sqrt((math.sqrt(0.65 ** 2 + 1.6 * A) - 0.65) / 0.8)
 
-    nodes, b = w.nodes, w.base_index
-    total = 0.0
-    if y >= nodes[b]:
-        j = min(max(bisect.bisect_left(nodes, y) - 1, 0), len(nodes) - 2)
-        for i in range(b, j):
-            total += simpson(nodes[i], nodes[i + 1])
-        lo = nodes[max(j, b)]
-        if y > lo:
-            total += simpson(lo, y)
-    else:
-        j = min(bisect.bisect_left(nodes, y), len(nodes) - 1)
-        for i in range(b, j, -1):
-            total -= simpson(nodes[i - 1], nodes[i])
-        hi = nodes[min(j, b)]
-        if y < hi:
-            total -= simpson(y, hi)
-    return total
-
-
-class TestSharedEndpoints:
-    """Adjacent full panels share an endpoint, solved once per call."""
-
-    G = "0.5*p^2+0.5*q^2+0.1*q^4-a"
-
-    def family(self):
+    def family(self, f):
         root = ImplicitBranchRoot(parse(self.G), "q", "p", params=("a",))
-        return RunningIntegral(root, -0.95, 0.95, n_intervals=40)
+        return RunningIntegral(root, -f * self.TURN, f * self.TURN)
 
-    def test_same_bits_as_per_panel_sums(self):
-        # twin families, fresh roots, one call sequence: values and
-        # parameter partials on both sides of the base, at nodes, at the
-        # base, at and just past the ends and inside the first panel
-        # (closure only)
-        shared, separate = self.family(), self.family()
-        nodes = shared.nodes
-        rng = np.random.default_rng(4)
-        ys = [nodes[-1], nodes[0], nodes[-1] + 5e-13, nodes[0] - 5e-13,
-              shared.base, nodes[7], nodes[31],
-              shared.base + 0.01, shared.base - 0.01,
-              *rng.uniform(-0.95, 0.95, 40)]
-        for y in ys:
-            a = float(rng.uniform(0.9, 1.5))
-            for w, ref in ((shared, separate),
-                           (shared.partial(1), separate.partial(1))):
-                assert w(y, a) == per_panel_sum(ref, y, a)
+    def momentum(self, q):
+        return math.sqrt(2.0 * (self.A - 0.65 * q * q - 0.4 * q ** 4))
+
+    @pytest.mark.parametrize("f", [0.5, 0.9, 0.95])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_matches_scipy_quad_out_to_the_range_ends(self, f, side):
+        # W integrates p and dW/da integrates dp/da = 1/p, from the base
+        # (0) to either end of the range, f of the way to a turning point
+        w = self.family(f)
+        y = side * f * self.TURN
+        want = [quad(g, 0.0, y, epsabs=1e-14, epsrel=1e-14, limit=200)[0]
+                for g in (self.momentum, lambda q: 1.0 / self.momentum(q))]
+        assert w.base == 0.0
+        assert abs(w(y, self.A) - want[0]) <= 1e-12
+        assert abs(w.partial(1)(y, self.A) - want[1]) <= 1e-10
 
     @pytest.mark.parametrize("side", [1, -1])
-    def test_two_solves_per_full_panel_in_panel_order(self, monkeypatch,
-                                                      side):
-        # k full panels and a closure make 2k + 3 solves: those of the
-        # per-panel sums, in their order, less each panel's repeat of an
-        # endpoint already solved, the closure's included
+    def test_24_solves_per_call_in_path_order(self, monkeypatch, side):
+        # value and parameter-partial calls alike: 24 solves, each farther
+        # from the base than the one before
         calls = []
         solve = ImplicitBranchRoot.solve
+        monkeypatch.setattr(ImplicitBranchRoot, "solve", lambda self, a: (
+            calls.append(a[0]), solve(self, a))[1])
+        w = self.family(0.9)
+        for fn in (w, w.partial(1)):
+            for y in (0.05, 0.4, 0.9 * self.TURN):
+                del calls[:]
+                fn(side * y, self.A)
+                distance = [abs(q - w.base) for q in calls]
+                assert len(calls) == 24
+                assert distance == sorted(set(distance))
+                assert all(0.0 < d < y for d in distance)
 
-        def counting(self, args):
-            calls.append(args[0])
-            return solve(self, args)
+    def test_a_family_root_keeps_no_per_y_cache(self):
+        # the nodes move with y, so only the previous root is kept
+        w = self.family(0.9)
+        w(0.5, self.A)
+        w.partial(1)(0.5, self.A)
+        assert w.integrand._warm == {}
+        assert w.integrand._last is not None
 
-        monkeypatch.setattr(ImplicitBranchRoot, "solve", counting)
-        shared, separate = self.family(), self.family()
-        step = shared.nodes[1] - shared.nodes[0]
-        for k in (1, 3, 8):
-            y = shared.nodes[shared.base_index + side * k] + side * 0.5 * step
-            del calls[:]
-            shared(y, 1.2)
-            got = calls[:]
-            del calls[:]
-            per_panel_sum(separate, y, 1.2)
-            want = [x for i, x in enumerate(calls) if x not in calls[:i]]
-            assert len(got) == 2 * k + 3
-            assert got == want
+    def test_zero_at_the_base(self):
+        w = self.family(0.9)
+        assert w(w.base, self.A) == 0.0
+        assert w.partial(1)(w.base, self.A) == 0.0
+
+    def test_nodes_and_weights(self):
+        import mpmath
+
+        xs, ws = np.polynomial.legendre.leggauss(24)
+        assert np.max(np.abs(np.array(hj._GL_NODES) - xs)) <= 1e-15
+        # numpy's end weights are themselves off by 1.5e-15; a 50-digit
+        # rule sets the 1e-15 bound
+        assert np.max(np.abs(np.array(hj._GL_WEIGHTS) - ws)) <= 2e-15
+        with mpmath.workdps(50):
+            exact = sorted(mpmath.calculus.quadrature.GaussLegendre(
+                mpmath.mp).calc_nodes(4, mpmath.mp.prec))
+        assert len(exact) == 24
+        for x, w, (ex, ew) in zip(hj._GL_NODES, hj._GL_WEIGHTS, exact):
+            assert abs(x - float(ex)) <= 1e-15
+            assert abs(w - float(ew)) <= 1e-15
 
 
 class TestTabulatedAntiderivative:
@@ -781,8 +772,7 @@ class TestQuadratureCompleteSolution:
         assert rep.min_abs_det >= 1.0  # 1/p >= 1 on this energy shell
 
     def test_w_values_vs_scipy(self, oscillator):
-        gf = quadrature_complete_solution(oscillator, (-0.95, 0.95),
-                                          n_quad=400)
+        gf = quadrature_complete_solution(oscillator, (-0.95, 0.95))
         # S(t=0, q, a) = W(q, a) = int sqrt(2a - s^2) from the base point
         w = gf.s  # External(W) - t*a1; at t=0 only W contributes
         for q in (-0.7, 0.0, 0.42, 0.9):
@@ -811,7 +801,7 @@ class TestQuadratureCompleteSolution:
             "Var:t", "Var:a1"]
         w = gf.s.left.fn
         root = w.integrand
-        assert (w.name, len(w.nodes), w.base) == ("W_family", 201, 0.0)
+        assert (w.name, w.base) == ("W_family", 0.0)
         assert (type(root).__name__, root.name, root.params, root.branch,
                 str(root.g)) == ("ImplicitBranchRoot", "dW_family", ("a1",),
                                  1, "0.5*(p^2.0+q^2.0)-a1")
@@ -918,7 +908,7 @@ class TestCyclicAnsatzIsAReduction:
 
         monkeypatch.setattr(hj, "ImplicitBranchRoot", Recording)
         ans = cyclic_ansatz(top, ["phi", "psi"], [0.3, 0.2])
-        cyclic_complete_solution(top, ans, (0.6, 2.5), n_quad=20)
+        cyclic_complete_solution(top, ans, (0.6, 2.5))
         # the tree the two substitutions through the slot name built
         slot = hj.substitute(top.h, {"pphi": Var("b2"), "ppsi": Var("b3"),
                                      "ptheta": Var("dV_dtheta")})
@@ -967,8 +957,7 @@ class TestHeavyTop:
 
     def test_family_complete(self):
         out = solve_heavy_top(1.0, 1.0, 1.0, 1.0, 1.0, 0.3, 0.2, 3.0,
-                              (math.pi / 6, 5 * math.pi / 6), n_nodes=101,
-                              n_quad=100)
+                              (math.pi / 6, 5 * math.pi / 6), n_nodes=101)
         gf = out.generating_function
         n = 40
         pts = {"theta": np.linspace(math.pi / 6 + 0.05,

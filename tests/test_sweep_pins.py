@@ -108,7 +108,7 @@ class TestPinnedSweepValues:
     def test_time_dependent_residual_and_completeness(self):
         sys_, _, _ = build_system(load_scenario("heavytop"))
         ans = cyclic_ansatz(sys_, ("phi", "psi"), (0.3, 0.2))
-        gf = cyclic_complete_solution(sys_, ans, (0.6, 2.5), n_quad=40)
+        gf = cyclic_complete_solution(sys_, ans, (0.6, 2.5))
         n = 9
         points = {"theta": np.linspace(0.7, 2.4, n),
                   "phi": np.linspace(-2.0, 2.0, n),
@@ -214,15 +214,15 @@ class TestPinnedPointValues:
                                        param_guess=[0.5])
         assert reprs(rep.alphas) == [
             "0.5", "0.4999999999999999", "0.4999999999999999",
-            "0.4999999999999999", "0.49999999999999956"]
+            "0.49999999999999967", "0.49999999999999956"]
         assert reprs(rep.betas) == [
-            "-0.0", "1.6275175651614404e-14", "-1.8979783023009844e-13",
-            "-1.7950398112365207e-13", "-3.801473025255575e-13"]
-        assert repr(rep.max_var) == "3.8059139173540757e-13"
+            "-0.0", "2.6041668821363828e-14", "5.208507236620363e-14",
+            "7.812674118756746e-14", "1.0416667528545531e-13"]
+        assert repr(rep.max_var) == "1.0461076449530538e-13"
         assert reprs(map_jacobian(fam, PhasePoint([0.2], [0.9], t=0.1),
                                   t=0.1)) == [
             "0.19999999999999998", "0.8999999999999999",
-            "-1.058823529399943", "0.23529411770025685"]
+            "-1.0588235294117647", "0.2352941176470587"]
 
     def test_two_form_matrix(self):
         tf = TwoForm(("x", "y", "z"), {(0, 1): parse("x*y+z"),
