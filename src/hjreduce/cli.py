@@ -857,12 +857,12 @@ def cmd_reconstruct(doc, args):
     rc = doc.get("reconstruct")
     if rc is None:
         raise ScenarioError("this command needs a 'reconstruct' section")
-    sol, chart = _solve_1d(doc, sys_, action, mu, args)
     if action is None:
         raise ScenarioError("reconstruction needs an 'action' section")
+    t_end, dt = _time_grid(doc, args, "reconstruct")
+    sol, chart = _solve_1d(doc, sys_, action, mu, args)
     if "cyclic" in doc["solve"]:
         chart = build_chart(action)  # the cyclic solve built an ansatz
-    t_end, dt = _time_grid(doc, args, "reconstruct")
     y0 = np.asarray(rc["y0"], dtype=float)
     g0 = np.asarray(rc["g0"], dtype=float) if "g0" in rc else None
     traj = reconstruct_trajectory(sys_, sol, chart, mu, y0, t_end, dt, g0=g0)

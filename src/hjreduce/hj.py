@@ -373,10 +373,11 @@ def hj_residual(sys, form, grid):
 # exact up to the root tolerance; one class, _RootPartial, gives the
 # first and second partials.  Derivatives of a running integral are
 # the integrand (in the path variable) or another running integral (in
-# a parameter).  Warm-start caches make repeated nearby solves cheap;
-# use one object per thread.  After a table build, a root's solves start
-# from its anchor table (the node roots), and only solves through
-# ``solve`` fill the caches.
+# a parameter).  Every solve is one _chain call (Newton from one start,
+# then the bracket).  After a table build a root is a pure function of
+# its arguments: each argument tuple is solved once, from the nearest
+# node root of its anchor table, and kept in a memo.  A root without a
+# table starts from its previous root.  Use one object per thread.
 #
 # Nothing here walks a tree.  A quadrature job makes hundreds of
 # thousands of solves on a few roots, so each root generates, at
@@ -406,11 +407,11 @@ def hj_residual(sys, form, grid):
 # A running integral is one Gauss-Legendre rule on [base, y]: each call
 # solves its root at the rule's nodes in path order from the base, so a
 # family root (which has no anchor table) starts each new node's solve
-# from the previous node's root.  Its nodes move with y, so a per-y cache
-# there would only fill: only a root with an anchor table, which verify
-# and reconstruct solve again and again at the same points, keeps one.
+# from the previous node's root.  Its nodes move with y, so a memo there
+# would only fill; verify and reconstruct read a table root at the same
+# quotient points again and again, and there it saves every repeat.
 
-_WARM_CAP = 20000
+_MEMO_CAP = 20000
 _ROOT_TOL = 1e-12
 _ROOT_MAX_ITER = 60
 _BRANCH_SLACK = 1e-12
@@ -448,7 +449,7 @@ class ImplicitBranchRoot:
         self._g, self._gp, self._newton = compile_newton(
             g, self.g_p, names, name, _ROOT_TOL, _ROOT_MAX_ITER, _BRANCH_SLACK)
         self._sign = float(branch)
-        self._warm = {}
+        self._memo = {}
         self._last = None
         self._anchors = None
         self._partials = {}
@@ -462,40 +463,43 @@ class ImplicitBranchRoot:
         return self._partials[i]
 
     def set_anchors(self, ys, ps):
-        """Install a solved table used for warm starts at arbitrary y."""
+        """Install a solved table: a later solve at arguments not seen
+        since starts Newton from the nearest node root, once."""
         order = np.argsort(ys)
         self._anchors = (array("d", np.asarray(ys, dtype=float)[order]),
                          array("d", np.asarray(ps, dtype=float)[order]))
+        self._memo.clear()
 
     def solve(self, args):
+        """The root at ``args``, by one ``_chain`` call from one start.
+
+        A root with an anchor table is a pure function of its arguments:
+        each argument tuple is solved once, from its nearest node root,
+        and kept.  A root without one starts from its previous root.
+        """
         if len(args) != self.arity:
             raise ValueError(f"{self.name} expects {self.arity} arguments")
-        y = float(args[0])  # the kernels convert the arguments
-        # Newton from each start in turn until one converges on the
-        # branch's side of the axis (the branch contract, search from 0
-        # toward branch * inf, must not depend on cache state): this y's
-        # last root, the nearest anchor, the last root; then the bracket
-        newton, s = self._newton, self._sign
-        hit = self._warm.get(y)
-        p = None if hit is None else newton(*args, hit, s)
-        if p is None and self._anchors is not None:
-            ys, ps = self._anchors
-            p = newton(*args, ps[min(bisect.bisect_left(ys, y), len(ps) - 1)], s)
-        if p is None and self._last is not None:
-            p = newton(*args, self._last, s)
+        if self._anchors is None:
+            p = self._last = self._chain(args, self._last)
+            return p
+        key = tuple(map(float, args))
+        p = self._memo.get(key)
         if p is None:
-            p = self._bracket_solve(args)
-        if self._anchors is not None:  # table roots see the same y again
-            if len(self._warm) > _WARM_CAP:
-                self._warm.clear()
-            self._warm[y] = p
-        self._last = p
+            ys, ps = self._anchors
+            p = self._chain(
+                args, ps[min(bisect.bisect_left(ys, key[0]), len(ps) - 1)])
+            if len(self._memo) >= _MEMO_CAP:
+                self._memo.clear()
+            self._memo[key] = p
         return p
 
     def _chain(self, args, guess):
         """Newton from ``guess`` (None: none), else the bracket solve.
 
-        A table row's scalar solve: it reads and writes no cache.
+        The one solve primitive: Newton must converge on the branch's
+        side of the axis (the branch contract, search from 0 toward
+        branch * inf, does not depend on the start).  It reads and
+        writes no cache.
         """
         p = None if guess is None else self._newton(*args, guess, self._sign)
         return self._bracket_solve(args) if p is None else p

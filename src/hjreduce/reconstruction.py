@@ -139,8 +139,9 @@ def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
     The samples and then the Hermite midpoints are each evaluated in
     three sweeps over the points (the reduced form, the full dh/dp at
     the lifted points, the reduced dh/dp), so N steps make 6N + 1 root
-    solves: the RK4 stages', then the samples', then the midpoints', in
-    path order.  When several points fail, the first failure of the
+    solve calls: the RK4 stages', then the samples', then the
+    midpoints', in path order.  Each sample is also its step's first RK4
+    stage, so they cover 5N + 1 distinct points.  When several points fail, the first failure of the
     first failing sweep is the one raised.
 
     ``g0`` sets the initial group coordinates (default zero: the path

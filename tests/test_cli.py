@@ -491,6 +491,10 @@ class TestScenarioErrors:
         ("equilibrium", edited("oscillator", drop=["complete_solution"]),
          "equilibrium needs a 'generating_function' or 'complete_solution' "
          "section"),
+        # checked before the solve, which fails on this range
+        ("reconstruct", edited("oscillator", solve={"range": [-3, 3]},
+                               reconstruct={"y0": [0]}),
+         "reconstruction needs an 'action' section"),
     ])
     def test_message(self, tmp_path, capsys, command, scenario, message):
         if isinstance(scenario, dict):
@@ -920,6 +924,39 @@ class TestPipelineCommands:
         np.testing.assert_allclose(rep["beta0"], [-2.0], atol=1e-12)
         lines = (tmp_path / "freeparticle_equilibrium.csv").read_text()
         assert lines.splitlines()[0] == "t,alpha1,beta1"
+
+
+class TestTableRootSolves:
+    """A root with an anchor table runs Newton once per distinct argument."""
+
+    @pytest.mark.parametrize("command, scenario, solves, runs", [
+        ("verify", "calogero", 20017, 152),
+        ("reconstruct", "calogero", 18024, 6015),
+        ("verify", "heavytop", 217, 215)])
+    def test_bundled_counts(self, tmp_path, capsys, monkeypatch, command,
+                            scenario, solves, runs):
+        # calls: the _chain calls each solve on a table root makes
+        calls, chained = [], []
+        solve, chain = hj.ImplicitBranchRoot.solve, hj.ImplicitBranchRoot._chain
+
+        def counting_solve(self, args):
+            before = len(chained)
+            p = solve(self, args)
+            if self._anchors is not None:
+                calls.append(len(chained) - before)
+            return p
+
+        def counting_chain(self, args, guess):
+            if self._anchors is not None:
+                chained.append(tuple(map(float, args)))
+            return chain(self, args, guess)
+
+        monkeypatch.setattr(hj.ImplicitBranchRoot, "solve", counting_solve)
+        monkeypatch.setattr(hj.ImplicitBranchRoot, "_chain", counting_chain)
+        assert cli.main([command, scenario, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert (len(calls), sum(calls), max(calls)) == (solves, runs, 1)
+        assert len(chained) == len(set(chained)) == runs
 
 
 class TestDeterminism:

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hjreduce.expr import (Add, Call, Const, DomainError, Div, External, Mul,
@@ -226,6 +228,76 @@ class TestImplicitBranchRoot:
         assert a == b
 
 
+class TestTableRootMemo:
+    """A root with an anchor table is a pure function of its arguments."""
+
+    G = "p^2+y*p-a"
+    ANCHORS = np.linspace(-1.0, 1.0, 11)
+    POINTS = np.linspace(-0.95, 0.95, 40).tolist()
+
+    @classmethod
+    def table_root(cls):
+        root = ImplicitBranchRoot(parse(cls.G), "y", "p", params=("a",))
+        root.set_anchors(cls.ANCHORS, [TestImplicitBranchRoot.closed(y, 1.0)
+                                       for y in cls.ANCHORS])
+        return root
+
+    @pytest.fixture(scope="class")
+    def alone(self):
+        """Each point's root from a root that solves nothing else."""
+        return [self.table_root().solve((y, 1.0)).hex() for y in self.POINTS]
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 39), min_size=1, max_size=120))
+    def test_any_order_gives_the_same_bits(self, alone, picks):
+        # repeats hit the memo, and a cap of 8 clears it on the way
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hj, "_MEMO_CAP", 8)
+            root = self.table_root()
+            got = [root.solve((self.POINTS[i], 1.0)).hex() for i in picks]
+            assert len(root._memo) <= 8
+        assert got == [alone[i] for i in picks]
+
+    def test_each_parameter_has_its_own_root(self):
+        root = self.table_root()
+        for a in (1.0, 2.5, 1.0, 2.5):
+            assert root.solve((0.37, a)) == pytest.approx(
+                TestImplicitBranchRoot.closed(0.37, a), rel=1e-13)
+        assert list(root._memo) == [(0.37, 1.0), (0.37, 2.5)]
+
+    def test_list_and_array_arguments(self):
+        root = self.table_root()
+        want = root.solve((0.37, 1.0))
+        assert root.solve([0.37, 1.0]) == want
+        assert root.solve(np.array([0.37, 1.0])) == want
+        assert root(np.float64(0.37), 1) == want
+        assert list(root._memo) == [(0.37, 1.0)]
+
+    def test_set_anchors_clears_the_memo(self):
+        root = self.table_root()
+        root.solve((0.37, 1.0))
+        assert root._memo
+        root.set_anchors(self.ANCHORS, [TestImplicitBranchRoot.closed(y, 1.0)
+                                        for y in self.ANCHORS])
+        assert root._memo == {}
+
+    def test_one_newton_run_per_distinct_argument(self, monkeypatch):
+        # one _chain call per solve, with one start: the nearest anchor
+        root = self.table_root()
+        runs, starts = [], []
+        newton, chain = root._newton, ImplicitBranchRoot._chain
+        root._newton = lambda *a: (runs.append(a[:-2]), newton(*a))[1]
+        monkeypatch.setattr(ImplicitBranchRoot, "_chain", lambda self, a, g: (
+            starts.append(g), chain(self, a, g))[1])
+        for args in ((0.37, 1.0), (0.5, 1.0), (0.37, 1.0), (0.37, 2.0),
+                     (0.5, 1.0)):
+            root.solve(args)
+        assert runs == [(0.37, 1.0), (0.5, 1.0), (0.37, 2.0)]
+        ys, ps = root._anchors
+        assert starts == [ps[7], ps[8], ps[7]]
+        assert root._last is None
+
+
 class TestRootKernels:
     def test_root_paths_never_walk_a_tree(self, monkeypatch):
         # solves, first and second partials and the quadrature table (its
@@ -383,7 +455,7 @@ class TestGaussLegendreRule:
         w = self.family(0.9)
         w(0.5, self.A)
         w.partial(1)(0.5, self.A)
-        assert w.integrand._warm == {}
+        assert w.integrand._memo == {}
         assert w.integrand._last is not None
 
     def test_zero_at_the_base(self):
@@ -629,12 +701,13 @@ class TestTableBuild:
         sol = solve_reduced_1d(parse("p^2+1/q^2"), "q", "p", 2.0, (0.8, 5.0),
                                n_nodes=2001)
         ys = sol.table.ys
-        assert chained == ys[::32].tolist() + [ys[-1]]
-        # the monotonicity check's 17 solves, from the anchor table, are
-        # the only ones that fill the warm-start caches
-        assert solved == np.linspace(0.8, 5.0, 17).tolist()
-        assert sorted(sol.root._warm) == solved
-        assert sol.root._last == sol.root._warm[5.0]
+        # the coarse chain, then the monotonicity check's 17 solves, each
+        # one chain call from the anchor table and the only memo entries
+        checked = np.linspace(0.8, 5.0, 17).tolist()
+        assert chained == ys[::32].tolist() + [ys[-1]] + checked
+        assert solved == checked
+        assert list(sol.root._memo) == [(y,) for y in checked]
+        assert sol.root._last is None
 
 
 class TestSolutionResidual:

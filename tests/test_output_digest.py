@@ -5,6 +5,8 @@ import math
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import output_digest  # noqa: E402
 
@@ -59,15 +61,43 @@ def test_compare_prints_each_difference(tmp_path, capsys):
         "  solve-hj .json $.rows[*].v: max |change| 4.44e-16, max ulp 2",
         "  verify .json $.note: not comparable",
         "  verify .json $.residual: max |change| 0.25, max ulp 4503599627370496",
+        "runs that differ: 2 of 3",
     ]
 
 
-def test_identical_runs_print_nothing(tmp_path, capsys):
+def test_identical_runs_print_only_the_count(tmp_path, capsys):
     for side in ("a", "b"):
         kept(tmp_path / side, 0, "reduce s tol=default", 0, "x\n", "",
              {"s.json": report(0.0, [-0.0, 1.5])})
     output_digest.compare(tmp_path / "a", tmp_path / "b")
-    assert capsys.readouterr().out == ""
+    assert capsys.readouterr().out == "runs that differ: 0 of 1\n"
+
+
+def test_runs_that_differ_in_bytes_alone_are_counted(tmp_path, capsys):
+    # equal as numbers, so no field is listed; and a run only in one tree
+    for side, zero in (("a", 0.0), ("b", -0.0)):
+        kept(tmp_path / side, 0, "reduce s tol=default", 0, "", "",
+             {"s.json": report(zero, [1.5])})
+    kept(tmp_path / "b", 1, "verify s tol=default", 0, "", "", {})
+    output_digest.compare(tmp_path / "a", tmp_path / "b")
+    assert capsys.readouterr().out.splitlines() == [
+        "0 reduce s tol=default: s.json differs in bytes only",
+        f"1: only in {tmp_path / 'b'}",
+        "runs that differ: 2 of 2",
+    ]
+
+
+@pytest.mark.parametrize("content", ["file", "dir"])
+def test_keep_refuses_a_non_empty_directory(tmp_path, capsys, content):
+    keep = tmp_path / "keep"
+    if content == "file":
+        keep.write_text("x")
+    else:
+        (keep / "0").mkdir(parents=True)
+    assert output_digest.main(["--keep", str(keep)]) == 2
+    assert capsys.readouterr() == (
+        "", f"--keep: {keep} exists and is not an empty directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["keep"]
 
 
 def test_ulp_distance_crosses_zero():

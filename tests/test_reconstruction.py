@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hjreduce.cli import build_system, load_scenario
 from hjreduce.expr import parse
 from hjreduce.hj import ImplicitBranchRoot, mesh_grid, solve_reduced_1d
 from hjreduce.phase_space import HamiltonianSystem, PhasePoint, flow_reference
@@ -10,6 +11,20 @@ from hjreduce.reduction import build_chart, reduced_hamiltonian
 from hjreduce.symmetry import TranslationAction, momentum_map
 
 PAIR_H = "0.5*(p1^2+p2^2)+1/(q1-q2)^2"
+
+
+def fresh_solution(sys_, chart, mu):
+    """A new table root on the reduced problem: its memo is empty."""
+    return solve_reduced_1d(reduced_hamiltonian(sys_, chart, mu),
+                            chart.y_names[0], chart.py_names[0], 2.0,
+                            (0.8, 5.0), n_nodes=201)
+
+
+def count_newton_runs(root):
+    """The arguments of each Newton run on ``root`` from now on."""
+    runs, newton = [], root._newton
+    root._newton = lambda *a: (runs.append(a[:-2]), newton(*a))[1]
+    return runs
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +78,19 @@ class TestLiftReport:
         assert rep.momentum_dev <= 1e-12
         assert rep.invariance_dev <= 1e-12
         assert rep.energy == pytest.approx(2.0, abs=1e-12)
+
+
+    def test_one_newton_run_per_distinct_argument(self):
+        # the sweeps and the residuals read each quotient point many times
+        sys_, action, mu = build_system(load_scenario("calogero"))
+        chart = build_chart(action)
+        sol = fresh_solution(sys_, chart, mu)
+        runs = count_newton_runs(sol.root)
+        pts = mesh_grid([(1.0, 4.5), (-2.0, 2.0)], [50, 50])
+        grid = (pts[:, :1] @ chart.horizontal.T
+                + pts[:, 1:] @ chart.generators.T)
+        lift_report(sys_, sol, chart, mu, grid)
+        assert len(runs) == len(set(runs)) == 135
 
 
 class TestIntegrateProjected:
@@ -126,6 +154,16 @@ class TestReconstructTrajectory:
         n_steps = len(traj.times) - 1
         assert n_steps == 20
         assert calls == [sol.root] * (6 * n_steps + 1)
+
+    def test_one_newton_run_per_distinct_sample(self, pair_setup):
+        # each sample y_i is solved as an RK4 stage and again as a state:
+        # 6N + 1 solve calls over 5N + 1 distinct points
+        sys_, action, chart, mu, _ = pair_setup
+        sol = fresh_solution(sys_, chart, mu)
+        runs = count_newton_runs(sol.root)
+        reconstruct_trajectory(sys_, sol, chart, mu, np.array([2.0]), 0.2,
+                               1e-2)
+        assert len(runs) == len(set(runs)) == 5 * 20 + 1
 
     def test_g0_offset_translates(self, pair_setup):
         sys_, action, chart, mu, sol = pair_setup

@@ -26,7 +26,9 @@ differs, its exit codes and whether stdout and stderr differ, and for
 each JSON number path (list indices as ``[*]``) and CSV column that
 differs, the largest absolute change and the largest distance in units
 in the last place (ulp).  A last section gives the same maxima over all
-runs of one command, per field.
+runs of one command, per field, and the last line reads
+``runs that differ: K of N``.  ``--keep`` refuses a DIR that exists and
+is not an empty directory (exit 2), before any run.
 """
 
 from __future__ import annotations
@@ -173,36 +175,52 @@ def _change(v):
 
 
 def compare(a, b):
-    """Print what differs between two ``--keep`` directories."""
+    """Print what differs between two ``--keep`` directories.
+
+    The last line counts the runs whose kept bytes differ in any way.
+    """
     runs_a, runs_b = _run_dirs(a), _run_dirs(b)
-    worst = {}
-    for i in sorted(runs_a.keys() | runs_b.keys()):
+    runs = sorted(runs_a.keys() | runs_b.keys())
+    worst, differ = {}, 0
+    for i in runs:
         if i not in runs_a or i not in runs_b:
             print(f"{i}: only in {a if i in runs_a else b}")
+            differ += 1
             continue
         ra, rb = runs_a[i], runs_b[i]
         label = (ra / "label").read_text(encoding="utf-8")
+        same = True
         for what in ("exit", "stdout", "stderr"):
             ta, tb = ((r / what).read_text(encoding="utf-8") for r in (ra, rb))
             if ta != tb:
+                same = False
                 print(f"{i} {label}: {what} " + (f"{ta} -> {tb}" if what == "exit"
                                                  else "differs"))
         names_a = {p.name for p in (ra / "out").iterdir()}
         names_b = {p.name for p in (rb / "out").iterdir()}
         for name in sorted(names_a ^ names_b):
+            same = False
             print(f"{i} {label}: {name} only in one run")
         for name in sorted(names_a & names_b):
-            for field, v in compare_files(ra / "out" / name,
-                                          rb / "out" / name).items():
+            fa, fb = ra / "out" / name, rb / "out" / name
+            if fa.read_bytes() == fb.read_bytes():
+                continue
+            same = False
+            changes = compare_files(fa, fb)
+            if not changes:  # e.g. 0.0 against -0.0
+                print(f"{i} {label}: {name} differs in bytes only")
+            for field, v in changes.items():
                 print(f"{i} {label} {name} {field}: {_change(v)}")
                 key = (label.split()[0], Path(name).suffix, field)
                 seen = worst.get(key, (0.0, 0))
                 worst[key] = None if v is None or seen is None else (
                     max(seen[0], v[0]), max(seen[1], v[1]))
+        differ += not same
     if worst:
         print("largest change per command and field:")
     for (command, suffix, field), v in sorted(worst.items()):
         print(f"  {command} {suffix} {field}: {_change(v)}")
+    print(f"runs that differ: {differ} of {len(runs)}")
 
 
 def main(argv=None):
@@ -217,6 +235,11 @@ def main(argv=None):
     if args.compare:
         compare(*args.compare)
         return 0
+    if args.keep is not None and args.keep.exists() and (
+            not args.keep.is_dir() or any(args.keep.iterdir())):
+        print(f"--keep: {args.keep} exists and is not an empty directory",
+              file=sys.stderr)
+        return 2
     runs = list(bundled_runs())
     if args.bench_seed is not None:
         runs += bench_runs(args.bench_seed)
