@@ -14,10 +14,12 @@ overflows or gives NaN, violated precondition, among them a quadrature
 equation that reads 't', a NaN or inf in a report field or a CSV
 column); 4 internal error (a bug: the traceback is printed).  An input
 too large to allocate (a step count or grid beyond memory) is a
-scenario error, exit 2.  Every report field and CSV value
-is checked before a command's first write, so a run that exits 3
-leaves no new file.  Identical scenario + seed + flags give
-byte-identical outputs.
+scenario error, exit 2.  A command only computes: it returns its
+report, summary and CSV, and ``main`` alone writes them, prints the
+verdict and picks the exit code.  ``main`` makes every output text,
+which checks each report field and CSV value, before its first write,
+so a run that exits 3 leaves no new file.  Identical scenario + seed +
+flags give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .reduction import (build_chart, magnetic_lagrangian_residual,
 from .symmetry import TranslationAction
 
 __all__ = ["main", "load_scenario", "emit_trajectory", "read_trajectory",
-           "SCENARIO_SCHEMA", "ScenarioError", "ResidualFailure"]
+           "SCENARIO_SCHEMA", "ScenarioError"]
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -60,10 +62,6 @@ EXIT_INTERNAL = 4
 
 class ScenarioError(Exception):
     """Scenario file invalid or inapplicable to the requested command."""
-
-
-class ResidualFailure(Exception):
-    """A measured residual exceeded the requested tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +450,6 @@ def _write_files(items):
         print(f"wrote {path}")
 
 
-def _atomic_write(path, text):
-    _write_files([(path, text)])
-
-
 def _json_default(o):
     if isinstance(o, np.ndarray):
         return o.tolist()
@@ -478,11 +472,6 @@ def _json_text(obj):
                     from None
         raise
     return text + "\n"
-
-
-def write_json(path, obj):
-    """Write a report as strict JSON; a NaN or inf in it is a DomainError."""
-    _atomic_write(path, _json_text(obj))
 
 
 _CSV_BLOCK = 1024
@@ -520,7 +509,7 @@ def _trajectory_csv(traj):
 
 def emit_trajectory(traj, path):
     """CSV with header t,q1,...,qn,p1,...,pn at full double precision."""
-    _atomic_write(path, _csv_text(*_trajectory_csv(traj)))
+    _write_files([(path, _csv_text(*_trajectory_csv(traj)))])
 
 
 def read_trajectory(path):
@@ -660,31 +649,14 @@ def _quadrature_family(doc, sys_):
                                         param=cs.get("param", "a1"))
 
 
-def _write_outputs(doc, args, suffix, report, csv):
-    """Write a command's CSV, if any, then its report, both or neither.
-
-    ``csv`` is (suffix, header, columns).  Both texts are made, and so
-    checked for non-finite values, before either file is written.
-    """
-    texts = [] if csv is None else [(csv[0], _csv_text(*csv[1:]))]
-    texts.append((suffix, _json_text(report)))
-    _write_files([(_out_path(doc, args, sfx), text) for sfx, text in texts])
-
-
-def _finish(doc, args, suffix, report, summary, failure, csv=None):
-    """Write the outputs, print the verdict, raise if it failed."""
-    _write_outputs(doc, args, suffix, report, csv)
-    print(f"{summary} {'PASS' if report['pass'] else 'FAIL'}")
-    if not report["pass"]:
-        raise ResidualFailure(failure)
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
-# Commands.
+# Commands.  Each takes the scenario, the arguments and the built system
+# (system, action, mu), writes and prints nothing, and returns
+# (report suffix, report, summary, failure text, csv): the failure text
+# is the stderr line of a report whose "pass" is false, and csv is None
+# or (suffix, header, columns).
 
-def cmd_reduce(doc, args):
-    sys_, action, mu = build_system(doc)
+def cmd_reduce(doc, args, sys_, action, mu):
     chart, h_red = _reduced_problem(doc, sys_, action, mu, args)
     out = {
         "name": doc["name"] + "_reduced",
@@ -704,13 +676,11 @@ def cmd_reduce(doc, args):
         out["energy"] = doc["energy"]
     if "solve" in doc and "cyclic" not in doc["solve"]:
         out["solve"] = doc["solve"]
-    write_json(_out_path(doc, args, "reduced.json"), out)
-    print(f"reduce: {', '.join(chart.y_names)} | h = {h_red}")
-    return EXIT_OK
+    return ("reduced.json", out,
+            f"reduce: {', '.join(chart.y_names)} | h = {h_red}", None, None)
 
 
-def cmd_solve_hj(doc, args):
-    sys_, action, mu = build_system(doc)
+def cmd_solve_hj(doc, args, sys_, action, mu):
     sol, _ = _solve_1d(doc, sys_, action, mu, args)
     table = sol.table
     resid = sol.residual(table.ys, table.derivs)
@@ -724,12 +694,11 @@ def cmd_solve_hj(doc, args):
         "tol": args.tol,
         "pass": bool(resid <= args.tol),
     }
-    return _finish(doc, args, "solve.json", report,
-                   f"solve-hj: max node residual {resid:.3e} "
-                   f"(tol {args.tol:.1e})",
-                   f"node residual {resid:.3e} > {args.tol:.1e}",
-                   csv=("table.csv", ["y", "W", "dW"],
-                        [table.ys, table.values, table.derivs]))
+    return ("solve.json", report,
+            f"solve-hj: max node residual {resid:.3e} (tol {args.tol:.1e})",
+            f"node residual {resid:.3e} > {args.tol:.1e}",
+            ("table.csv", ["y", "W", "dW"],
+             [table.ys, table.values, table.derivs]))
 
 
 def _verify_magnetic(doc, sys_, action, mu, args):
@@ -797,8 +766,7 @@ def _verify_family(doc, sys_, args, gf, param_values, q_var, q_range):
     }
 
 
-def cmd_verify(doc, args):
-    sys_, action, mu = build_system(doc)
+def cmd_verify(doc, args, sys_, action, mu):
     if "magnetic" in doc:
         report = _verify_magnetic(doc, sys_, action, mu, args)
         kind = "magnetic"
@@ -848,12 +816,11 @@ def cmd_verify(doc, args):
                             "'complete_solution', a cyclic solve, or an "
                             "action pipeline")
     report["mode"] = kind
-    return _finish(doc, args, "verify.json", report, f"verify[{kind}]:",
-                   f"verification exceeded tol {args.tol:.1e}")
+    return ("verify.json", report, f"verify[{kind}]:",
+            f"verification exceeded tol {args.tol:.1e}", None)
 
 
-def cmd_reconstruct(doc, args):
-    sys_, action, mu = build_system(doc)
+def cmd_reconstruct(doc, args, sys_, action, mu):
     rc = doc.get("reconstruct")
     if rc is None:
         raise ScenarioError("this command needs a 'reconstruct' section")
@@ -882,15 +849,13 @@ def cmd_reconstruct(doc, args):
         "tol": args.tol,
         "pass": bool(sup_dev <= args.tol and related <= args.tol),
     }
-    return _finish(doc, args, "reconstruct.json", report,
-                   f"reconstruct: sup dev {sup_dev:.3e}, "
-                   f"relatedness {related:.3e}",
-                   f"reconstruction deviation exceeded tol {args.tol:.1e}",
-                   csv=("reconstructed.csv", *_trajectory_csv(traj)))
+    return ("reconstruct.json", report,
+            f"reconstruct: sup dev {sup_dev:.3e}, relatedness {related:.3e}",
+            f"reconstruction deviation exceeded tol {args.tol:.1e}",
+            ("reconstructed.csv", *_trajectory_csv(traj)))
 
 
-def cmd_simulate(doc, args):
-    sys_, _, _ = build_system(doc)
+def cmd_simulate(doc, args, sys_, action, mu):
     z0 = _phase_point(doc)
     t_end, dt = _time_grid(doc, args)
     traj = flow_reference(sys_, z0, t_end, dt)
@@ -903,15 +868,13 @@ def cmd_simulate(doc, args):
         "energy_final": float(energies[-1]),
         "max_energy_drift": float(np.max(np.abs(energies - energies[0]))),
     }
-    _write_outputs(doc, args, "simulate.json", report,
-                   csv=("trajectory.csv", *_trajectory_csv(traj)))
-    print(f"simulate: {len(traj)} samples, energy drift "
-          f"{report['max_energy_drift']:.3e}")
-    return EXIT_OK
+    return ("simulate.json", report,
+            f"simulate: {len(traj)} samples, energy drift "
+            f"{report['max_energy_drift']:.3e}", None,
+            ("trajectory.csv", *_trajectory_csv(traj)))
 
 
-def cmd_integrate(doc, args):
-    sys_, action, _ = build_system(doc)
+def cmd_integrate(doc, args, sys_, action, mu):
     ib = doc.get("integrator")
     if ib is None:
         raise ScenarioError("this command needs an 'integrator' section")
@@ -928,15 +891,14 @@ def cmd_integrate(doc, args):
     }
     if rep.momentum_drift is not None:
         report["max_momentum_drift"] = float(np.max(rep.momentum_drift))
-    return _finish(doc, args, "scheme.json", report,
-                   f"integrate: defect {rep.symplecticity_defect:.3e}",
-                   f"symplecticity defect {rep.symplecticity_defect:.3e} > "
-                   f"{args.tol:.1e}",
-                   csv=("scheme.csv", *_trajectory_csv(rep.trajectory)))
+    return ("scheme.json", report,
+            f"integrate: defect {rep.symplecticity_defect:.3e}",
+            f"symplecticity defect {rep.symplecticity_defect:.3e} > "
+            f"{args.tol:.1e}",
+            ("scheme.csv", *_trajectory_csv(rep.trajectory)))
 
 
-def cmd_equilibrium(doc, args):
-    sys_, _, _ = build_system(doc)
+def cmd_equilibrium(doc, args, sys_, action, mu):
     z0 = _phase_point(doc)
     t_end, dt = _time_grid(doc, args)
     param_guess = None
@@ -964,13 +926,12 @@ def cmd_equilibrium(doc, args):
         "tol": args.tol,
         "pass": bool(rep.max_var <= args.tol),
     }
-    return _finish(doc, args, "equilibrium.json", report,
-                   f"equilibrium: max variation {rep.max_var:.3e}",
-                   f"new variables varied by {rep.max_var:.3e} > "
-                   f"{args.tol:.1e}",
-                   csv=("equilibrium.csv",
-                        ["t", *_numbered("alpha", n), *_numbered("beta", n)],
-                        [rep.times, rep.alphas, rep.betas]))
+    return ("equilibrium.json", report,
+            f"equilibrium: max variation {rep.max_var:.3e}",
+            f"new variables varied by {rep.max_var:.3e} > {args.tol:.1e}",
+            ("equilibrium.csv",
+             ["t", *_numbered("alpha", n), *_numbered("beta", n)],
+             [rep.times, rep.alphas, rep.betas]))
 
 
 _COMMANDS = {
@@ -1022,13 +983,19 @@ def main(argv=None):
         if args.grid is not None and args.grid < 1:
             raise ScenarioError(f"--grid: must be at least 1, got {args.grid}")
         doc = load_scenario(args.scenario)
-        return args.fn(doc, args)
+        suffix, report, summary, failure, csv = args.fn(
+            doc, args, *build_system(doc))
+        # every text is made, and so checked, before the first write
+        texts = [] if csv is None else [(csv[0], _csv_text(*csv[1:]))]
+        texts.append((suffix, _json_text(report)))
+        _write_files([(_out_path(doc, args, sfx), text)
+                      for sfx, text in texts])
+        if "pass" in report:
+            summary += " PASS" if report["pass"] else " FAIL"
+        print(summary)
     except ScenarioError as e:
         print(f"scenario error: {e}", file=sys.stderr)
         return EXIT_SCENARIO
-    except ResidualFailure as e:
-        print(f"residual failure: {e}", file=sys.stderr)
-        return EXIT_RESIDUAL
     except (DomainError, SolveError, PreconditionError) as e:
         print(f"numeric failure: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -1052,6 +1019,10 @@ def main(argv=None):
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL
+    if report.get("pass", True):
+        return EXIT_OK
+    print(f"residual failure: {failure}", file=sys.stderr)
+    return EXIT_RESIDUAL
 
 
 if __name__ == "__main__":

@@ -127,11 +127,43 @@ class TestExitCodes:
         r = run_cli("simulate", path)
         assert r.returncode == 2
 
-    def test_residual_failure(self, tmp_path):
-        r = run_cli("solve-hj", "calogero", "--tol", "1e-20",
-                    "--out", str(tmp_path))
-        assert r.returncode == 1
-        assert "residual failure" in r.stderr
+    RUNS = [
+        ("solve-hj", "calogero", "solve-hj: max node residual ",
+         ["calogero_table.csv", "calogero_solve.json"]),
+        ("verify", "calogero", "verify[reduction]:", ["calogero_verify.json"]),
+        ("reconstruct", "calogero", "reconstruct: sup dev ",
+         ["calogero_reconstructed.csv", "calogero_reconstruct.json"]),
+        ("integrate", "oscillator", "integrate: defect ",
+         ["oscillator_scheme.csv", "oscillator_scheme.json"]),
+        ("equilibrium", "oscillator", "equilibrium: max variation ",
+         ["oscillator_equilibrium.csv", "oscillator_equilibrium.json"]),
+        ("reduce", "calogero", "reduce: ", ["calogero_reduced.json"]),
+        ("simulate", "oscillator", "simulate: ",
+         ["oscillator_trajectory.csv", "oscillator_simulate.json"]),
+    ]
+
+    @pytest.mark.parametrize("command, scenario, summary, files", RUNS,
+                             ids=[f"{c}-{s}" for c, s, _, _ in RUNS])
+    def test_residual_failure(self, tmp_path, capsys, command, scenario,
+                              summary, files):
+        # a command with a verdict fails at --tol 1e-30, still writes all
+        # its files and says why in one line; one without a verdict passes
+        out = tmp_path / "out"
+        rc = cli.main([command, scenario, "--tol", "1e-30",
+                       "--out", str(out)])
+        cap = capsys.readouterr()
+        *wrote, last = cap.out.splitlines()
+        assert wrote == [f"wrote {out / f}" for f in files]
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
+        assert last.startswith(summary)
+        if command in ("reduce", "simulate"):
+            assert (rc, cap.err) == (0, "")
+            assert not last.endswith((" PASS", " FAIL"))
+        else:
+            assert rc == cli.EXIT_RESIDUAL == 1
+            assert last.endswith(" FAIL")
+            assert cap.err.startswith("residual failure: ")
+            assert cap.err.count("\n") == 1 and cap.err.endswith("\n")
 
     def test_numeric_failure(self, tmp_path):
         path = write_scenario(tmp_path, {
@@ -233,13 +265,10 @@ class TestExitCodes:
                             "'max_energy_drift' is not finite\n")
         assert not (tmp_path / "oscillator_scheme.json").exists()
 
-    def test_non_finite_nested_value_names_its_field(self, tmp_path):
-        path = tmp_path / "r.json"
+    def test_non_finite_nested_value_names_its_field(self):
         with pytest.raises(DomainError) as ei:
-            cli.write_json(str(path), {"a": 1.0, "b": {"c": np.array(
-                [0.5, -np.inf])}})
+            cli._json_text({"a": 1.0, "b": {"c": np.array([0.5, -np.inf])}})
         assert str(ei.value) == "report field 'b' is not finite"
-        assert not path.exists()
 
 
 class TestOversizedInputs:
@@ -426,6 +455,18 @@ def edited(name, drop=(), **fields):
     return doc
 
 
+def document(command, label, doc, message):
+    """A case whose scenario is a document, with its id fixed by ``label``.
+
+    pytest would name a document by its position in the table, so that
+    inserting a case renamed every later one.  The labels here are those
+    positional names, kept as they were printed; a new case takes any
+    label not yet used.
+    """
+    return pytest.param(command, doc, message,
+                        id=f"{command}-{label}-{message}")
+
+
 class TestScenarioErrors:
     """Each scenario error exits 2 with its one-line message, writing no file.
 
@@ -437,19 +478,21 @@ class TestScenarioErrors:
         ("reduce", "no_such_scenario", "scenario not found: no_such_scenario"),
         ("reduce", "", "not valid JSON: Expecting value: line 1 column 1 "
                        "(char 0)"),
-        ("reduce", {"name": "twice", "coords": ["q", "q"],
-                    "hamiltonian": "0.5*q^2"},
-         "$.coords: coordinate names must be distinct"),
-        ("reduce", edited("calogero", action=[[1, 1], [1, 0, 1]]),
-         "$.action[1]: generator has 3 entries, expected 2"),
-        ("reduce", edited("calogero", drop=["action"]),
-         "$.mu: mu given without an action"),
-        ("reduce", edited("calogero", mu=[0, 0]),
-         "$.mu: expected 1 entries, got 2"),
-        ("simulate", edited("oscillator", drop=["z0"]),
-         "this command needs a 'z0' section"),
-        ("simulate", edited("oscillator", z0={"q": [0, 1], "p": [1, 0]}),
-         "$.z0: q and p must each have 1 entries"),
+        document("reduce", "scenario2", {"name": "twice", "coords": ["q", "q"],
+                                         "hamiltonian": "0.5*q^2"},
+                 "$.coords: coordinate names must be distinct"),
+        document("reduce", "scenario3",
+                 edited("calogero", action=[[1, 1], [1, 0, 1]]),
+                 "$.action[1]: generator has 3 entries, expected 2"),
+        document("reduce", "scenario4", edited("calogero", drop=["action"]),
+                 "$.mu: mu given without an action"),
+        document("reduce", "scenario5", edited("calogero", mu=[0, 0]),
+                 "$.mu: expected 1 entries, got 2"),
+        document("simulate", "scenario6", edited("oscillator", drop=["z0"]),
+                 "this command needs a 'z0' section"),
+        document("simulate", "scenario7",
+                 edited("oscillator", z0={"q": [0, 1], "p": [1, 0]}),
+                 "$.z0: q and p must each have 1 entries"),
         ("simulate", "calogero", "this command needs t_end and dt "
                                  "(scenario fields or --t-end/--dt)"),
         ("reduce", "oscillator", "this command needs an 'action' section"),
@@ -458,43 +501,53 @@ class TestScenarioErrors:
          "this command needs a 'reconstruct' section"),
         ("integrate", "freeparticle",
          "this command needs an 'integrator' section"),
-        ("solve-hj", edited("calogero", drop=["energy"]),
-         "$.solve: no energy given (solve.energy or top-level energy)"),
-        ("solve-hj", edited("magnetic_synthetic", solve={"range": [0.5, 1],
-                                                         "energy": 1}),
-         "the reduced problem is not one-dimensional"),
-        ("solve-hj", edited("calogero", drop=["action", "mu"]),
-         "solve-hj needs an action, a cyclic list, or a one-dimensional "
-         "system"),
-        ("verify", edited("calogero", complete_solution={"q_range": [-1, 1]}),
-         "$.complete_solution: quadrature families need a one-dimensional "
-         "system"),
-        ("verify", edited("magnetic_synthetic", drop=["action", "mu"]),
-         "magnetic verification needs an 'action'"),
-        ("verify", edited("magnetic_synthetic",
-                          magnetic__alpha_mu=["0", "y1"]),
-         "$.magnetic.alpha_mu: one component per coordinate"),
-        ("verify", edited("magnetic_synthetic",
-                          magnetic__gamma_tilde=["2*y1"]),
-         "$.magnetic.gamma_tilde: one component per reduced coordinate"),
-        ("verify", edited("calogero", drop=["verify"]),
-         "this scenario has no verify.grid section"),
+        document("solve-hj", "scenario13", edited("calogero", drop=["energy"]),
+                 "$.solve: no energy given (solve.energy or top-level "
+                 "energy)"),
+        document("solve-hj", "scenario14",
+                 edited("magnetic_synthetic", solve={"range": [0.5, 1],
+                                                     "energy": 1}),
+                 "the reduced problem is not one-dimensional"),
+        document("solve-hj", "scenario15",
+                 edited("calogero", drop=["action", "mu"]),
+                 "solve-hj needs an action, a cyclic list, or a "
+                 "one-dimensional system"),
+        document("verify", "scenario16",
+                 edited("calogero", complete_solution={"q_range": [-1, 1]}),
+                 "$.complete_solution: quadrature families need a "
+                 "one-dimensional system"),
+        document("verify", "scenario17",
+                 edited("magnetic_synthetic", drop=["action", "mu"]),
+                 "magnetic verification needs an 'action'"),
+        document("verify", "scenario18",
+                 edited("magnetic_synthetic", magnetic__alpha_mu=["0", "y1"]),
+                 "$.magnetic.alpha_mu: one component per coordinate"),
+        document("verify", "scenario19",
+                 edited("magnetic_synthetic", magnetic__gamma_tilde=["2*y1"]),
+                 "$.magnetic.gamma_tilde: one component per reduced "
+                 "coordinate"),
+        document("verify", "scenario20", edited("calogero", drop=["verify"]),
+                 "this scenario has no verify.grid section"),
         ("verify", "freeparticle",
          "nothing to verify: need 'magnetic', 'complete_solution', a cyclic "
          "solve, or an action pipeline"),
-        ("reconstruct", edited("oscillator", solve={"range": [-0.5, 0.5]},
-                               reconstruct={"y0": [0]}),
-         "reconstruction needs an 'action' section"),
-        ("equilibrium", edited("freeparticle",
-                               generating_function__kind="typeII"),
-         "$.generating_function: equilibrium transforms use a typeI family"),
-        ("equilibrium", edited("oscillator", drop=["complete_solution"]),
-         "equilibrium needs a 'generating_function' or 'complete_solution' "
-         "section"),
+        document("reconstruct", "scenario22",
+                 edited("oscillator", solve={"range": [-0.5, 0.5]},
+                        reconstruct={"y0": [0]}),
+                 "reconstruction needs an 'action' section"),
+        document("equilibrium", "scenario23",
+                 edited("freeparticle", generating_function__kind="typeII"),
+                 "$.generating_function: equilibrium transforms use a typeI "
+                 "family"),
+        document("equilibrium", "scenario24",
+                 edited("oscillator", drop=["complete_solution"]),
+                 "equilibrium needs a 'generating_function' or "
+                 "'complete_solution' section"),
         # checked before the solve, which fails on this range
-        ("reconstruct", edited("oscillator", solve={"range": [-3, 3]},
-                               reconstruct={"y0": [0]}),
-         "reconstruction needs an 'action' section"),
+        document("reconstruct", "scenario25",
+                 edited("oscillator", solve={"range": [-3, 3]},
+                        reconstruct={"y0": [0]}),
+                 "reconstruction needs an 'action' section"),
     ])
     def test_message(self, tmp_path, capsys, command, scenario, message):
         if isinstance(scenario, dict):

@@ -366,9 +366,9 @@ class TestNewtonLoop:
         made = []
         real = builtins.compile
 
-        def counting(source, filename, mode):
+        def counting(source, filename, *args, **kwargs):
             made.append(filename)
-            return real(source, filename, mode)
+            return real(source, filename, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "compile", counting)
         root = ImplicitBranchRoot(parse("p^2+y*p-a"), "y", "p",
@@ -517,9 +517,9 @@ class TestNewtonRows:
         made = []
         real = builtins.compile
 
-        def counting(source, filename, mode):
+        def counting(source, filename, *args, **kwargs):
             made.append(filename)
-            return real(source, filename, mode)
+            return real(source, filename, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "compile", counting)
         h = parse("p^2+1.234/y^2")
@@ -534,8 +534,8 @@ class TestNewtonRows:
     def test_family_roots_never_compile_rows(self, monkeypatch):
         made = []
         real = builtins.compile
-        monkeypatch.setattr(builtins, "compile", lambda s, f, m: (
-            made.append(f), real(s, f, m))[1])
+        monkeypatch.setattr(builtins, "compile", lambda s, f, *a, **k: (
+            made.append(f), real(s, f, *a, **k))[1])
         sys_ = HamiltonianSystem(parse("0.5*p^2+0.5*q^2"), ["q"])
         gf = quadrature_complete_solution(sys_, (-0.9, 0.9))
         gf.s_q(0)
