@@ -824,12 +824,13 @@ def cmd_reconstruct(doc, args, sys_, action, mu):
     rc = doc.get("reconstruct")
     if rc is None:
         raise ScenarioError("this command needs a 'reconstruct' section")
-    if action is None:
+    cyclic = "cyclic" in doc.get("solve", {})
+    if action is None and not cyclic:
         raise ScenarioError("reconstruction needs an 'action' section")
     t_end, dt = _time_grid(doc, args, "reconstruct")
     sol, chart = _solve_1d(doc, sys_, action, mu, args)
-    if "cyclic" in doc["solve"]:
-        chart = build_chart(action)  # the cyclic solve built an ansatz
+    if cyclic:  # reduced by the cyclic translations at the level beta
+        chart, mu = chart.chart, doc["solve"]["beta"]
     y0 = np.asarray(rc["y0"], dtype=float)
     g0 = np.asarray(rc["g0"], dtype=float) if "g0" in rc else None
     traj = reconstruct_trajectory(sys_, sol, chart, mu, y0, t_end, dt, g0=g0)
@@ -982,6 +983,11 @@ def main(argv=None):
     try:
         if args.grid is not None and args.grid < 1:
             raise ScenarioError(f"--grid: must be at least 1, got {args.grid}")
+        if not 0.0 <= args.tol < np.inf:
+            raise ScenarioError(f"--tol: must be finite and non-negative, "
+                                f"got {args.tol}")
+        if args.seed is not None and args.seed < 0:
+            raise ScenarioError(f"--seed: must be non-negative, got {args.seed}")
         doc = load_scenario(args.scenario)
         suffix, report, summary, failure, csv = args.fn(
             doc, args, *build_system(doc))

@@ -29,7 +29,8 @@ class) never walk a tree: they call kernels and a Newton loop generated
 once per root by :func:`compile_newton` and :func:`compile`, which are
 bit-identical to the walker, and a table build calls the same Newton
 on arrays of rows (:func:`compile_newton_rows`, compiled by the first
-table build of a root), which is bit-identical for ``+ - * /``,
+table build of a root), one function that also returns g_p at each
+row's root, which is bit-identical when g and g_p use only ``+ - * /``,
 negation and sqrt and may differ in the last bits through numpy's
 power and transcendental functions.  Nor does the
 residual of a quadrature solution's own equation
@@ -772,35 +773,23 @@ _ROWS_NS = {
     "_float": lambda a: np.asarray(a, dtype=float), "_pow": np.power,
     "_abs": np.abs, "_range": range, "_inf": math.inf, "_nan": math.nan,
     "_no_rows": lambda a: np.zeros(np.shape(a), dtype=bool),
-    "_each_row": lambda v, a: np.broadcast_to(v, np.shape(a)),
-    "_full": np.full, "_arange": np.arange, "_count": np.count_nonzero,
-    "_flat": np.flatnonzero,
+    "_full": np.full, "_where": np.where, "_count": np.count_nonzero,
     **{f"_f_{name}": getattr(np, name) for name in _FUNCTIONS},
 }
-_TEMP_RE = re.compile(r"\bt\d+\b")
-
-
-def _has_external(e):
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, External):
-            return True
-        if not isinstance(node, (Const, Var)):
-            stack.extend(node._children())
-    return False
 
 
 def compile_newton_rows(g, g_p, argnames, name, tol, max_iter, slack):
-    """:func:`compile_newton`'s loop and g_p kernel on arrays of rows.
+    """:func:`compile_newton`'s loop on arrays of rows, with its g_p.
 
-    Returns ``(newton_rows, gp_rows)``, or None when g calls an External
-    (whose calls must stay in the walker's order) or does not read the
-    momentum.  ``newton_rows(*args, p0, s)`` takes equal-length float
-    arrays, one row per element, and returns ``(p, ok)``: where ``ok``,
-    ``p`` is the result of ``compile_newton``'s loop from that row's p0;
-    elsewhere the loop returns None.  ``gp_rows(*args, p)`` returns the
-    g_p kernel's values and a mask of the rows where it raises.  Every
+    Returns ``newton_rows``, or None when g or g_p calls an External
+    (whose calls must stay in the walker's order) or g does not read
+    the momentum.  ``newton_rows(*args, p0, s)`` takes equal-length
+    float arrays, one row per element, and returns ``(p, ok, g_p,
+    g_p_bad)``: where ``ok``, ``p`` is the result of ``compile_newton``'s
+    loop from that row's p0; elsewhere the loop returns None.  ``g_p``
+    is g_p at the row's ``p``, computed in the iteration that recorded
+    that iterate, and ``g_p_bad`` marks the rows where the g_p kernel
+    raises there (and the rows that recorded no iterate).  Every
     variable of g must be one of ``argnames``, as for compile_newton.
 
     The source comes from the scalar kernels' emitter in an array mode
@@ -812,80 +801,68 @@ def compile_newton_rows(g, g_p, argnames, name, tol, max_iter, slack):
     an exact-zero g, on a failure in the g part (before the best-so-far
     update) or the g_p part (after it), on g_p == 0, and on a step back
     to p or to the previous iterate; the first iterate with the least
-    |g|; the same ``tol`` and branch ``slack``.  Finished rows leave the
-    arrays once fewer than half of them still iterate.  numpy rounds
-    ``+ - * /``, negation and sqrt correctly, as Python does, so with
-    only those a row's result is the scalar loop's bit for bit; numpy's
+    |g|; the same ``tol`` and branch ``slack``.  Every row stays in the
+    arrays until the last one stops.  numpy rounds ``+ - * /``, negation
+    and sqrt correctly, as Python does, so when g and g_p use only those
+    a row's result and g_p are the scalar kernels' bit for bit; numpy's
     power and transcendental functions may differ from libm in the last
-    bits.  Failed rows compute NaN and inf until they leave, so call
-    both functions under ``np.errstate(all="ignore")``.  The file name
-    is ``<newton-rows NAME #N>``.
+    bits, and g_p of a quotient that reads p holds a power, the
+    denominator ^2.
+    Stopped rows compute NaN and inf, so call it under
+    ``np.errstate(all="ignore")``.  The file name is
+    ``<newton-rows NAME #N>``.
     """
     _refuse_stray(g, g_p, argnames)
-    if argnames[-1] not in free_vars(g) or _has_external(g):
+    if argnames[-1] not in free_vars(g):
         return None
     ns = dict(_ROWS_NS)
-    slot = {v: i for i, v in enumerate(argnames)}
-    last = f"a{len(argnames) - 1}"
-    body = []
-    gpv = _RowEmitter(slot, ns, body, body, {}).emit(g_p)
-    source = [f"def _gp_rows({', '.join(f'a{i}' for i in slot.values())}):",
-              f"    bad = _no_rows({last})",
-              *_indent(body, 1),
-              f"    return _each_row({gpv}, {last}), bad"]
     args = "".join(f"a{i}, " for i in range(len(argnames) - 1))
     head, body = [], []
-    emitter = _RowEmitter(slot, ns, head, body, {argnames[-1]: "p"})
+    emitter = _RowEmitter({v: i for i, v in enumerate(argnames)}, ns, head,
+                          body, {argnames[-1]: "p"})
     gv = emitter.emit(g)
     split, head_split = len(body), len(head)
     gpv = emitter.emit(g_p)
-    # the argument-only values the loop reads, made one per row so that
-    # they can leave with the rows
-    made = {line.split(" = ")[0] for line in head}
-    carried = sorted(made & set(_TEMP_RE.findall(" ".join([*body, gpv]))),
-                     key=lambda t: int(t[1:]))
-    source += [
+    if emitter.external:
+        return None
+    source = [
         f"def _newton_rows({args}p, s):",
         "    p = _float(p)",
-        "    n = p.shape[0]",
         "    bad = _no_rows(p)",
         *_indent(head[:head_split], 1),
         "    bad_g = bad",
         "    bad = bad_g.copy()",
         *_indent(head[head_split:], 1),
         "    bad_gp = bad",
-        *(f"    {v} = _each_row({v}, p)" for v in carried),
-        "    best_p = _full(n, _nan)",
-        "    best_g = _full(n, _inf)",
-        "    rows = _arange(n)",
+        "    best_p = _full(p.shape, _nan)",
+        "    best_g = _full(p.shape, _inf)",
+        "    best_gp = best_p",
+        "    gp_bad = ~_no_rows(p)",
         "    live = ~_no_rows(p)",
-        "    prev = best_p.copy()",
+        "    prev = best_p",
         f"    for _ in _range({int(max_iter)}):",
-        "        bad = bad_g[rows]",
+        "        bad = bad_g.copy()",
         *_indent(body[:split], 2),
         "        live &= ~bad",
         f"        ag = _abs({gv})",
-        "        better = live & (ag < best_g[rows])",
-        "        best_p[rows[better]] = p[better]",
-        "        best_g[rows[better]] = ag[better]",
+        "        better = live & (ag < best_g)",
+        "        best_p = _where(better, p, best_p)",
+        "        best_g = _where(better, ag, best_g)",
         f"        live &= {gv} != 0.0",
-        "        bad = bad_gp[rows]",
+        "        bad = bad_gp.copy()",
         *_indent(body[split:], 2),
+        f"        best_gp = _where(better, {gpv}, best_gp)",
+        "        gp_bad = _where(better, bad, gp_bad)",
         f"        p_new = p - {gv} / {gpv}",
         f"        live &= ~bad & ({gpv} != 0.0) & (p_new != p) & (p_new != prev)",
-        "        m = _count(live)",
-        "        if not m:",
+        "        if not _count(live):",
         "            break",
-        "        if 2 * m < live.size:",
-        "            k = _flat(live)",
-        *(f"            {v} = {v}[k]"
-          for v in ("rows", "live", "p", "p_new", *carried)),
         "        prev = p",
         "        p = p_new",
-        f"    return best_p, (best_g <= {tol!r}) & ~(s * best_p < {-slack!r})",
+        f"    ok = (best_g <= {tol!r}) & ~(s * best_p < {-slack!r})",
+        "    return best_p, ok, best_gp, gp_bad",
     ]
-    ns = _build(source, "newton-rows", name, ns)
-    return ns["_newton_rows"], ns["_gp_rows"]
+    return _build(source, "newton-rows", name, ns)["_newton_rows"]
 
 
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
@@ -905,7 +882,10 @@ class _Emitter:
     statements are in the walker's order.  Each stack entry of ``emit`` is a
     node and a step: 0 to evaluate it, 1 to combine its evaluated
     children, 2 for a division's guard between its two operands.
+    ``external`` is set once an External call is emitted.
     """
+
+    external = False
 
     def __init__(self, slot, ns, head, body, moving):
         self.slot, self.ns = slot, ns
@@ -989,6 +969,7 @@ class _Emitter:
                     self.fail(lines, (), "division by zero", node)
                 continue
             if isinstance(node, External):
+                self.external = True
                 args = vals[len(vals) - len(node.args):]
                 del vals[len(vals) - len(node.args):]
                 call = ", ".join(a for a, _, _ in args)

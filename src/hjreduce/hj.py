@@ -396,11 +396,14 @@ def hj_residual(sys, form, grid):
 # compiled by a root's first table build (family roots never build one).
 # The per-node cost of the scalar chain is Newton arithmetic in the
 # interpreter, which numpy does for every row in a few dozen array
-# operations.  Node starts interpolate a scalar chain over every 32nd
+# operations.  The one generated function also returns g_p at each row's
+# root, from the iteration that recorded it, and the node checks read
+# that.  Node starts interpolate a scalar chain over every 32nd
 # node; a row the batch does not accept falls back, in node order, to
 # the chain (_chain: Newton from the previous root, then the bracket).
-# With only + - * /, negation and sqrt a row's root is the scalar loop's
-# bit for bit; through numpy's power, sin and cos the node roots of the
+# When g and g_p use only + - * /, negation and sqrt a row's root is the
+# scalar loop's bit for bit (g_p of a quotient that reads p holds a
+# power); through numpy's power, sin and cos the node roots of the
 # bundled and benchmark tables are within 2 ulp of the scalar chain's,
 # and 4 ulp is the documented bound.
 #
@@ -506,18 +509,19 @@ class ImplicitBranchRoot:
 
     @functools.cached_property
     def _rows(self):
-        """``(newton_rows, gp_rows)`` of expr.compile_newton_rows.
+        """The array Newton of expr.compile_newton_rows.
 
         Compiled on first use, by a table build.  An equation with no
-        array Newton gets stand-ins that leave every row to the scalar
-        fallback.
+        array Newton gets a stand-in that accepts no row and marks every
+        g_p bad, which leaves every row to the scalar fallback.
         """
         made = compile_newton_rows(self.g, self.g_p,
                                    self.arg_vars + (self.p_var,), self.name,
                                    _ROOT_TOL, _ROOT_MAX_ITER, _BRANCH_SLACK)
         if made is None:
-            made = (lambda y, p, s: (p, np.zeros(p.shape, dtype=bool)),
-                    lambda y, p: (p, np.ones(p.shape, dtype=bool)))
+            def made(y, p, s):
+                none = np.zeros(p.shape, dtype=bool)
+                return p, none, p, ~none
         return made
 
     def _bracket_solve(self, args):
@@ -802,15 +806,17 @@ def _node_starts(root, ys):
     return np.interp(ys, coarse[:len(roots)], roots)
 
 
-def _check_nodes(root, ys, ps, ok, p_var):
+def _check_nodes(root, ys, ps, ok, gp, gp_bad, p_var):
     """The node chain's checks in node order, solving fallback rows.
 
+    ``ps, ok, gp, gp_bad`` are the array Newton's outputs at the nodes.
     At each node in turn: a row the array Newton did not accept is
     solved by the scalar chain from the previous node's root, then the
-    g_p margin and the g_p sign are checked.  The first failure raises
-    the chain's error; ``ps`` is updated in place.
+    g_p margin and the g_p sign are checked, on the g_p the array Newton
+    recorded with its root where it has one, else on the scalar kernel.
+    The first failure raises the chain's error; ``ps`` is updated in
+    place.
     """
-    gp, gp_bad = _in_blocks(root._rows[1], ys, ps)
 
     def resolve(i):
         """g_p at node i, through the scalar kernels where the rows left it."""
@@ -866,10 +872,10 @@ def solve_reduced_1d(h_reduced, y_var, p_var, energy, y_range, branch=1,
     g = sub(h_reduced, Const(float(energy)))
     root = ImplicitBranchRoot(g, y_var, p_var, branch=branch,
                               name="dW" if y_var != "dW" else "dW_")
-    newton = functools.partial(root._rows[0], s=root._sign)
+    newton = functools.partial(root._rows, s=root._sign)
     ys = np.linspace(lo, hi, int(n_nodes))
-    ps, ok = _in_blocks(newton, ys, _node_starts(root, ys))
-    sign_ref = _check_nodes(root, ys, ps, ok, p_var)
+    ps, ok, gp, gp_bad = _in_blocks(newton, ys, _node_starts(root, ys))
+    sign_ref = _check_nodes(root, ys, ps, ok, gp, gp_bad, p_var)
     root.set_anchors(ys, ps)
     # sampled monotonicity between the current root and the axis
     for y in np.linspace(lo, hi, 17).tolist():
@@ -883,7 +889,7 @@ def solve_reduced_1d(h_reduced, y_var, p_var, energy, y_range, branch=1,
                 raise BranchAmbiguityError(
                     f"equation is not monotone in {p_var} between 0 and the root (y={y})")
     mids = 0.5 * (ys[:-1] + ys[1:])
-    pm, ok = _in_blocks(newton, mids, ps[:-1])
+    pm, ok, _, _ = _in_blocks(newton, mids, ps[:-1])
     for i in np.flatnonzero(~ok).tolist():
         pm[i] = root._chain((float(mids[i]),), float(ps[i]))
     panels = (ys[1:] - ys[:-1]) / 6.0 * (ps[:-1] + 4.0 * pm + ps[1:])
@@ -1099,7 +1105,9 @@ class CyclicAnsatz:
     each remaining momentum replaced by the named slot standing for the
     corresponding partial dV/dq, and each cyclic coordinate by 0 (h does
     not depend on it); a solution V must make it equal to the separation
-    constant.
+    constant.  ``chart`` is the reduction chart of the cyclic
+    translations that gives ``equation``, so a solution V lifts through
+    it at the level mu = betas.
     """
     cyclic_vars: tuple
     remaining_vars: tuple
@@ -1107,6 +1115,7 @@ class CyclicAnsatz:
     betas: tuple
     equation: Expr
     w_prefix: Expr
+    chart: object
 
 
 def cyclic_ansatz(sys, cyclic_vars, betas, seed=42):
@@ -1150,7 +1159,7 @@ def cyclic_ansatz(sys, cyclic_vars, betas, seed=42):
     return CyclicAnsatz(cyclic_vars, remaining, slots,
                         tuple(Const(b) for b in betas),
                         reduced_hamiltonian(sys, chart, betas, check=False),
-                        linear_combo(betas, cyclic_vars))
+                        linear_combo(betas, cyclic_vars), chart)
 
 
 def cyclic_complete_solution(sys, ansatz, remaining_range, branch=1):

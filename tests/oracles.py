@@ -1,12 +1,21 @@
-"""Shared numeric oracles: finite differences and random expressions.
+"""Shared numeric oracles: finite differences, random expressions, ulps.
 
 Everything here is an independent check — no code path under test is
 used to produce an expected value.
 """
 
+import struct
+
 import numpy as np
 
 from hjreduce.expr import Call, Const, Neg, Var, call, substitute
+
+
+def ulp(a, b):
+    """Distance of two doubles in units in the last place."""
+    ia, ib = (struct.unpack("<q", struct.pack("<d", v))[0] for v in (a, b))
+    ia, ib = (i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF) for i in (ia, ib))
+    return abs(ia - ib)
 
 
 def fd_derivative(f, x, h=1e-5):

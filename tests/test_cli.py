@@ -346,6 +346,25 @@ class TestNamedFields:
             "", f"scenario error: --grid: must be at least 1, got {grid}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value, code, err", [
+        pytest.param("--tol", "inf", 2, "scenario error: --tol: must be "
+                     "finite and non-negative, got inf\n", id="tol-inf"),
+        pytest.param("--tol", "nan", 2, "scenario error: --tol: must be "
+                     "finite and non-negative, got nan\n", id="tol-nan"),
+        pytest.param("--tol", "-1", 2, "scenario error: --tol: must be "
+                     "finite and non-negative, got -1.0\n", id="tol-negative"),
+        pytest.param("--seed", "-1", 2, "scenario error: --seed: must be "
+                     "non-negative, got -1\n", id="seed-negative"),
+        pytest.param("--tol", "0", 1, "residual failure: verification "
+                     "exceeded tol 0.0e+00\n", id="tol-zero"),
+        pytest.param("--seed", "0", 0, "", id="seed-zero")])
+    def test_tol_and_seed(self, tmp_path, capsys, flag, value, code, err):
+        out = tmp_path / "out"
+        assert cli.main(["verify", "calogero", flag, value,
+                         "--out", str(out)]) == code
+        assert capsys.readouterr().err == err
+        assert out.exists() == (code != 2)
+
     @pytest.mark.parametrize("command, scenario, grid", [
         ("solve-hj", "calogero", "2"), ("verify", "calogero", "1"),
         ("reconstruct", "calogero", "2"), ("verify", "heavytop", "2")])
@@ -632,6 +651,28 @@ class TestTimeVariable:
             assert not out.exists()
         else:
             assert err == ""
+
+
+class TestCyclicReconstruct:
+    """A reconstruction after a cyclic solve lifts at the level beta."""
+
+    @pytest.mark.parametrize("action", [
+        pytest.param({"action": [[1, 1]], "mu": [0.3]}, id="with-action"),
+        pytest.param({}, id="without-action")])
+    def test_lifts_through_the_cyclic_chart(self, tmp_path, capsys, action):
+        doc = {"name": "cyc", "coords": ["q1", "q2"],
+               "momenta": ["p1", "p2"],
+               "hamiltonian": "0.5*(p1^2+p2^2)+0.5*q1^2",
+               "solve": {"range": [-0.5, 0.5], "cyclic": ["q2"],
+                         "beta": [0.3], "energy": 1.0},
+               "reconstruct": {"y0": [0.0], "t_end": 0.3, "dt": 0.01},
+               **action}
+        out = tmp_path / "out"
+        assert cli.main(["reconstruct", write_scenario(tmp_path, doc),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "cyc_reconstruct.json").read_text())
+        assert report["sup_dev_vs_projected"] <= 1e-12
 
 
 class TestOutputsOnFailure:

@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hjreduce.expr import (Const, DomainError, External, UnboundVariableError,
@@ -20,7 +20,7 @@ from hjreduce.hj import (ImplicitBranchRoot, quadrature_complete_solution,
                          solve_reduced_1d)
 from hjreduce.phase_space import HamiltonianSystem
 
-from oracles import random_expr
+from oracles import random_expr, ulp
 
 
 def bits(v):
@@ -417,6 +417,12 @@ def newton_pair(g):
                                        1e-12)
 
 
+def through_power(g):
+    """Whether Newton on g computes a power: g_p of a quotient reading p
+    holds its denominator ^2, which numpy and libm may round apart."""
+    return "^" in str(g) + str(differentiate(g, "p"))
+
+
 def shifted_rows(e, seed, n=40):
     """Rows (y, a, c, p0) where e - c has a root at p* near p0."""
     rng = np.random.default_rng(seed)
@@ -434,40 +440,50 @@ def shifted_rows(e, seed, n=40):
 class TestNewtonRows:
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(_EXACT, st.integers(0, 2 ** 32 - 1))
+    # numpy's power and libm's pow can round (y/p)'s p^2 in g_p apart here
+    @example(call("sqrt", -(Var("y") / Var("p"))), 6016)
     def test_exact_operations_give_the_scalar_loop(self, e, seed):
         assume("p" in free_vars(e))
         g = e - Var("c")
-        scalar, (rows, _) = newton_pair(g)
+        scalar, rows = newton_pair(g)
+        exact = not through_power(g)
         y, a, c, p0 = shifted_rows(e, seed)
         for s in (1.0, -1.0, 0.0):
             with np.errstate(all="ignore"):
-                got, ok = rows(y, a, c, p0, s)
+                got, ok, _, _ = rows(y, a, c, p0, s)
             for i in range(y.size):
                 want = scalar(y[i], a[i], c[i], p0[i], s)
                 assert ok[i] == (want is not None), (i, s)
-                if want is not None:
+                if want is not None and exact:
                     assert bits(float(got[i])) == bits(want), (i, s)
+                elif want is not None:
+                    assert ulp(float(got[i]), want) <= 4, (i, s)
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(_EXACT, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
-    def test_g_p_rows_are_the_kernel(self, e, y, p):
-        # e + p reads p, so it has an array Newton
-        g_p = differentiate(e, "p") + Const(1.0)
-        kernel = compile(g_p, ("y", "a", "p"))
-        _, gp_rows = compile_newton_rows(e + Var("p"), g_p, ("y", "a", "p"),
-                                         "t", 1e-12, 60, 1e-12)
-        args = [np.array([y, -y, 0.0]), np.array([p, 0.5, 0.0]),
-                np.array([p, -p, 1.0])]
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(_EXACT, st.integers(0, 2 ** 32 - 1))
+    @example(Var("p") / (Var("y") - Var("a")), 0)  # (y-a)^2 rounded apart
+    def test_g_p_at_each_accepted_row_is_the_kernel(self, e, seed):
+        # the g_p returned beside each accepted root is the scalar g_p
+        # kernel's at that root, and g_p_bad holds where the kernel raises
+        assume("p" in free_vars(e))
+        g = e - Var("c")
+        g_p = differentiate(g, "p")
+        kernel = compile(g_p, ROW_NAMES)
+        _, rows = newton_pair(g)
+        y, a, c, p0 = shifted_rows(e, seed)
         with np.errstate(all="ignore"):
-            vals, bad = gp_rows(*args)
-        for i in range(3):
+            got, ok, gp, gp_bad = rows(y, a, c, p0, 0.0)
+        for i in np.flatnonzero(ok).tolist():
             try:
-                want = kernel(*(float(v[i]) for v in args))
+                want = kernel(y[i], a[i], c[i], got[i])
             except DomainError:
-                assert bad[i]
+                assert gp_bad[i], i
                 continue
-            assert not bad[i]
-            assert bits(float(vals[i])) == bits(want)
+            assert not gp_bad[i], i
+            if through_power(g):
+                assert ulp(float(gp[i]), want) <= 4, i
+            else:
+                assert bits(float(gp[i])) == bits(want), i
 
     def test_rejects_and_stops_as_the_scalar_loop(self):
         # the TestNewtonLoop cases, one row each: an argument part raising
@@ -480,26 +496,26 @@ class TestNewtonRows:
                  ("p^2-a+0*y+0*c", [(0.0, 4.0, 0.0, p0)
                                     for p0 in (-1.5, 1.5, 1e-13)])]
         for text, rows in cases:
-            scalar, (batch, _) = newton_pair(parse(text))
+            scalar, batch = newton_pair(parse(text))
             cols = [np.array(col) for col in zip(*rows)]
             for s in (1.0, -1.0, 0.0):
                 with np.errstate(all="ignore"):
-                    got, ok = batch(*cols, s)
+                    got, ok, _, _ = batch(*cols, s)
                 want = [scalar(*row, s) for row in rows]
                 assert ok.tolist() == [w is not None for w in want]
                 assert [float(v) for v, k in zip(got, ok) if k] == [
                     w for w in want if w is not None]
 
-    def test_rows_leave_and_the_rest_go_on(self):
+    def test_finished_rows_keep_their_results(self):
         # one slow row (a double root, linear convergence) among fast
-        # ones: the finished rows leave, the slow row keeps its lane
+        # ones: the finished rows keep their results while it goes on
         g = parse("(p-a)^2*y+(1-y)*(p*p-a*a)+0*c")
         y = np.array([1.0] + [0.0] * 9)
         a = np.linspace(1.0, 2.0, 10)
         p0 = a + 0.25
-        scalar, (batch, _) = newton_pair(g)
+        scalar, batch = newton_pair(g)
         with np.errstate(all="ignore"):
-            got, ok = batch(y, a, np.zeros(10), p0, 1.0)
+            got, ok, _, _ = batch(y, a, np.zeros(10), p0, 1.0)
         want = [scalar(*row, 1.0) for row in zip(y, a, np.zeros(10), p0)]
         assert ok.tolist() == [w is not None for w in want]
         assert [float(v) for v in got[ok]] == [w for w in want if w is not None]
@@ -527,7 +543,7 @@ class TestNewtonRows:
         assert [re.sub(r"#\d+", "#N", f) for f in made] == [
             "<newton dW #N>", "<newton-rows dW #N>"]
         rows = sol.root._rows
-        assert rows[0].__code__.co_filename == made[1]
+        assert rows.__code__.co_filename == made[1]
         sol.root.solve((1.7,))
         assert sol.root._rows is rows and len(made) == 2
 

@@ -1,6 +1,9 @@
 import math
-import struct
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from hjreduce.cli import build_system, load_scenario
 from hjreduce.phase_space import HamiltonianSystem, PhasePoint
 from hjreduce.reduction import build_chart, reduced_hamiltonian
 from hjreduce.symmetry import TranslationAction
-from oracles import fd_derivative, separate_cyclic, tree_shape
+from oracles import fd_derivative, separate_cyclic, tree_shape, ulp
 
 REDUCED_PAIR_H = "p^2+1/q^2"
 
@@ -576,13 +579,6 @@ def _bundled_equation(name, n_nodes=401):
                                 n_nodes=n_nodes)
 
 
-def ulp(a, b):
-    """Distance of two doubles in units in the last place."""
-    ia, ib = (struct.unpack("<q", struct.pack("<d", v))[0] for v in (a, b))
-    ia, ib = (i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF) for i in (ia, ib))
-    return abs(ia - ib)
-
-
 def chain_table(h, y_var, p_var, energy, y_range, branch=1, n_nodes=2001):
     """The scalar node chain the array Newton replaced, kept as the oracle.
 
@@ -674,13 +670,32 @@ class TestTableBuild:
         # starts that overflow or leave the domain: the rows fail quietly
         sol = solve_reduced_1d(parse("p*p+1/q^2+log(q+3)"), "q", "p", 4.0,
                                (0.8, 5.0), n_nodes=51)
-        batch = sol.root._rows[0]
+        batch = sol.root._rows
         ys = np.linspace(-5.0, 5.0, 64)
         starts = np.concatenate([np.full(32, 1e300), np.full(32, -1e-300)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, ok = hj._in_blocks(lambda y, p: batch(y, p, 1.0), ys, starts)
+            _, ok, _, _ = hj._in_blocks(lambda y, p: batch(y, p, 1.0), ys,
+                                        starts)
         assert not ok.all()
+
+    def test_tables_build_in_a_fresh_interpreter(self):
+        # generated sources run without builtins: a numpy method that
+        # imports on its first call would fail only in a new process
+        code = (
+            "from hjreduce.expr import parse\n"
+            "from hjreduce.hj import solve_reduced_1d\n"
+            "for h, lo, hi in (('p^2+sqrt(q)^3', 0.5, 1.5),\n"
+            "                  ('p^2+0.1*sin(q)*cos(q)', -1.0, 1.0)):\n"
+            "    sol = solve_reduced_1d(parse(h), 'q', 'p', 2.0, (lo, hi),\n"
+            "                           n_nodes=101)\n"
+            "    name = sol.root._rows.__code__.co_filename\n"
+            "    assert name.startswith('<newton-rows'), name\n")
+        env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
+               "PYTHONPATH": str(Path(hj.__file__).resolve().parents[1])}
+        r = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True)
+        assert (r.returncode, r.stderr) == (0, "")
 
     def test_an_external_takes_the_scalar_fallback(self):
         ext = InverseSquare()

@@ -112,7 +112,34 @@ def test_keep_holds_what_the_digest_hashes(tmp_path):
     line = output_digest.digest_run(["reduce", "calogero", "--out", "out"],
                                     keep=keep)
     assert (keep / "exit").read_text() == "0"
+    assert "check=" not in line  # a bundled run has no job check
     files = sorted(p.name for p in (keep / "out").iterdir())
     assert files and all(f"{name}=" in line for name in files)
     stdout = (keep / "stdout").read_text(encoding="utf-8").encode()
     assert f"stdout={output_digest._sha(stdout)}" in line
+
+
+@pytest.mark.parametrize("argv, verdict, reason", [
+    pytest.param(["reduce", "calogero"], None, None, id="passes"),
+    pytest.param(["reduce", "calogero"], "pass is False", "pass is False",
+                 id="check-fails"),
+    pytest.param(["reduce", "no_such_scenario"], None, "exit code 2",
+                 id="exit-nonzero"),
+])
+def test_a_job_check_ends_the_line(capsys, argv, verdict, reason):
+    seen = []
+
+    def check(out_dir):
+        seen.append(sorted(p.name for p in out_dir.iterdir()))
+        return verdict
+
+    line = output_digest.digest_run([*argv, "--out", "out"], check=check)
+    assert line.endswith(" check=ok" if reason is None else " check=FAIL")
+    err = capsys.readouterr().err
+    if reason is None:
+        assert err == ""
+    else:
+        assert err == f"check failed: {' '.join(argv)} --out out: {reason}\n"
+    # the check reads the run's own outputs, and only after exit 0
+    assert seen == ([] if "exit" in (reason or "") else
+                    [["calogero_reduced.json"]])

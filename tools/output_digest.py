@@ -8,7 +8,9 @@ Runs each command on each bundled scenario through ``hjreduce.cli.main``,
 once at the default ``--tol`` and once at ``--tol 1e-30``.  With
 ``--bench-seed N`` it also runs every job of
 ``bench/workloads.make_jobs(workload, N, 10)`` for each workload, with
-the job's own arguments.  ``bench/`` is only read.
+the job's own arguments, and ends each such line with ``check=ok`` when
+the run exits 0 and passes the job's own output check, else with
+``check=FAIL`` and the reason on stderr.  ``bench/`` is only read.
 
 Every run starts in a new empty temporary directory with ``--out out``,
 so the paths it prints do not depend on where the run happened.  A line
@@ -57,12 +59,15 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_run(argv, scenario_doc=None, keep=None):
+def digest_run(argv, scenario_doc=None, keep=None, check=None):
     """Exit code and digests of one ``cli.main(argv)`` in a fresh directory.
 
     ``scenario_doc``, when given, is written to ``argv[1]`` first.  With
     ``keep`` (a directory), the outputs, stdout, stderr and exit code are
-    copied there.
+    copied there.  With ``check`` (a benchmark job's output check, which
+    takes the output directory and returns an error text or None), the
+    line ends in ``check=ok`` or ``check=FAIL``, and a failure's reason
+    goes to stderr.
     """
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -79,6 +84,12 @@ def digest_run(argv, scenario_doc=None, keep=None):
                      f"stdout={_sha(out.getvalue().encode())}",
                      f"stderr={_sha(err.getvalue().encode())}"]
             parts += [f"{p.name}={_sha(p.read_bytes())}" for p in files]
+            if check is not None:
+                error = _check_error(rc, check)
+                parts.append(f"check={'FAIL' if error else 'ok'}")
+                if error:
+                    print(f"check failed: {' '.join(argv)}: {error}",
+                          file=sys.stderr)
             if keep is not None:
                 (keep / "out").mkdir(parents=True)
                 for p in files:
@@ -91,6 +102,16 @@ def digest_run(argv, scenario_doc=None, keep=None):
     return " ".join(parts)
 
 
+def _check_error(rc, check):
+    """The benchmark's verdict on one run: None, or why it failed."""
+    if rc != 0:
+        return f"exit code {rc}"
+    try:
+        return check(Path("out"))
+    except (OSError, ValueError, KeyError, IndexError, TypeError) as e:
+        return f"output check could not read the outputs: {e!r}"
+
+
 def bundled_runs():
     for command in cli._COMMANDS:
         for scenario in SCENARIOS:
@@ -98,7 +119,8 @@ def bundled_runs():
                 argv = [command, scenario, "--out", "out"]
                 if tol is not None:
                     argv += ["--tol", tol]
-                yield f"{command} {scenario} tol={tol or 'default'}", argv, None
+                yield (f"{command} {scenario} tol={tol or 'default'}", argv,
+                       None, None)
 
 
 def bench_runs(seed):
@@ -108,7 +130,7 @@ def bench_runs(seed):
         for job in make_jobs(workload, seed, 10):
             argv = job.argv(f"{job.name}.json", "out")
             yield (f"{job.cmd} {workload}/{job.name} tol={job.tol!r}",
-                   argv, job.doc)
+                   argv, job.doc, job.check)
 
 
 def _ordered(x):
@@ -243,13 +265,13 @@ def main(argv=None):
     runs = list(bundled_runs())
     if args.bench_seed is not None:
         runs += bench_runs(args.bench_seed)
-    for index, (label, run_argv, doc) in enumerate(runs):
+    for index, (label, run_argv, doc, check) in enumerate(runs):
         keep = None
         if args.keep is not None:
             keep = args.keep.resolve() / str(index)
             keep.mkdir(parents=True)
             (keep / "label").write_text(label, encoding="utf-8")
-        print(label, digest_run(run_argv, doc, keep), flush=True)
+        print(label, digest_run(run_argv, doc, keep, check), flush=True)
     return 0
 
 
