@@ -20,7 +20,13 @@ first point, then at the next, exactly as a loop over the points would.
 Single points do too, as one-row calls: each object that owns a
 variable layout binds it in one place (a form's coordinates; a
 system's (q, p, t), whose t is bound whenever a time is given or the
-point carries one; a generating function's (q, c, t)).  The time is
+point carries one; a generating function's (q, c, t)).  The exception
+is a Hamiltonian system's vector field, dh/dp and h along the RK4
+flows, the energies of a trajectory and the reconstruction sweeps:
+they call the system's compiled plans (:class:`_Plan`), the same
+operations merged by structure into straight-line code whose checks
+send any point that might fail back to the walker, so they give the
+walker's bits and raise its errors.  The time is
 the one reserved name ``t`` (``phase_space.TIME``); no coordinate or
 momentum takes it, and an implicit root of ``hj`` refuses an equation
 that reads it, or any name beyond the root's own layout.  The
@@ -53,9 +59,12 @@ sampled bindings.
 from __future__ import annotations
 
 import builtins
+import collections
 import itertools
 import math
 import re
+import struct
+import types
 
 import numpy as np
 
@@ -619,13 +628,37 @@ _KERNEL_NS = {
     **{f"_f_{name}": fn for name, fn in _FUNCTIONS.items()},
 }
 _KERNEL_IDS = itertools.count(1)
+# Code objects by source text, for every generated source; emptied when
+# it holds this many.
+_CODE_CACHE_CAP = 256
+_CODE_CACHE = {}
 
 
 def _build(lines, kind, name, ns):
-    """Compile the source ``lines`` into ``ns`` as file ``<KIND NAME #N>``."""
+    """Run the source ``lines`` in ``ns`` as file ``<KIND NAME #N>``.
+
+    A source compiled before in this process is not compiled again: its
+    cached code object is relabelled with the new file name.
+    """
     filename = f"<{kind} {name} #{next(_KERNEL_IDS)}>"
-    exec(builtins.compile("\n".join(lines), filename, "exec"), ns)
+    source = "\n".join(lines)
+    code = _CODE_CACHE.get(source)
+    if code is None:
+        if len(_CODE_CACHE) >= _CODE_CACHE_CAP:
+            _CODE_CACHE.clear()
+        code = _CODE_CACHE[source] = builtins.compile(source, filename,
+                                                      "exec")
+    else:
+        code = _relabel(code, filename)
+    exec(code, ns)
     return ns
+
+
+def _relabel(code, filename):
+    """``code`` and the code objects nested in it, in file ``filename``."""
+    consts = tuple(_relabel(c, filename) if isinstance(c, types.CodeType)
+                   else c for c in code.co_consts)
+    return code.replace(co_filename=filename, co_consts=consts)
 
 
 def _indent(lines, depth):
@@ -654,8 +687,10 @@ def compile(exprs, argnames, name="kernel"):
     reprs of finite floats and variable names as repr'd string
     constants; every other object is bound in the kernel's namespace.
     The code object's file name is ``<kernel NAME #N>``, N counting the
-    kernels made in this process, so profiles (which key functions by
-    file, line and name) and tracebacks keep every kernel apart.
+    generated sources built in this process, so profiles (which key
+    functions by file, line and name) and tracebacks keep every kernel
+    apart; a source compiled before is not compiled again, and its
+    cached code object is relabelled with the new name (:func:`_build`).
     """
     single = isinstance(exprs, Expr)
     exprs = (exprs,) if single else tuple(exprs)
@@ -1050,6 +1085,264 @@ class _RowEmitter(_Emitter):
         out = self.temp(lines, call)
         self.fail(lines, (f"{out} - {out} != 0.0",), overflow, node)
         return out
+
+
+# Operations per compiled chunk of a plan: compiling one long function
+# takes memory that grows with its length.
+_PLAN_CHUNK = 200
+
+
+class _Recheck(Exception):
+    """A plan's check failed: the row goes through the tree walker."""
+
+
+# What sends a row from a plan's kernel to the walker: a failed check, or
+# a float or math error where the walker raises its DomainError.
+_RECHECK = (_Recheck, ZeroDivisionError, ValueError, OverflowError)
+
+_PLAN_NS = {
+    "__builtins__": {}, "_pow": math.pow, "_abs": abs, "_Recheck": _Recheck,
+    **{f"_f_{name}": fn for name, fn in _FUNCTIONS.items()},
+}
+_PLAN_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/", Pow: "^"}
+
+
+class _Plan:
+    """One compiled evaluation of an expression tuple, for many rows.
+
+    ``plan(args)``, ``args`` a list of floats (one per name of
+    ``argnames``; a name listed twice takes its later one), returns
+    ``[e.evaluate(dict(zip(argnames, args)), singular_tol) for e in
+    exprs]`` bit for bit, or raises the walker's error.
+
+    The trees become operations merged by structure: a node's key is its
+    type, its function name and its operands' slots, and a constant's is
+    its bit pattern, so 0.0 and -0.0 stay apart.  They run as
+    straight-line code, in chunks of at most ``_PLAN_CHUNK`` operations
+    that reuse their registers and pass values on to later chunks
+    through one list.  Constants are data (a tuple argument), so the
+    source holds only slots and names, and plans of one shape share
+    their code objects through :func:`_build`'s cache.  After its
+    operations a chunk checks that every power and call gave a finite
+    value and, when ``singular_tol`` is positive, that no denominator
+    and no base of a power with a possibly negative exponent lies within
+    it.  A failed check, or a float or math error, evaluates the row
+    again with the tree walker, which raises its exact DomainError (or
+    returns the same values).  A tuple holding an External or an unbound
+    name is always walked, so External calls keep their order.
+    """
+
+    def __init__(self, exprs, argnames, singular_tol, name):
+        self.exprs = tuple(exprs)
+        self.argnames = tuple(argnames)
+        self.singular_tol = singular_tol
+        self._kernel = None
+        merged = _merge(self.exprs,
+                        {v: i for i, v in enumerate(self.argnames)})
+        if merged is not None:
+            ops, consts, outs = merged
+            data = (singular_tol, *consts)
+            self._kernel = _chain([
+                (_build(lines, "plan", name, dict(_PLAN_NS))["_chunk"],
+                 tuple(data[j] for j in slots))
+                for lines, slots in _plan_sources(
+                    ops, consts, outs, len(self.argnames),
+                    singular_tol > 0.0)])
+
+    def _walk(self, args):
+        b = dict(zip(self.argnames, args))
+        return [e._ev(b, self.singular_tol) for e in self.exprs]
+
+    def __call__(self, args):
+        if self._kernel is None:
+            return self._walk(args)
+        try:
+            return self._kernel(args)
+        except _RECHECK:
+            return self._walk(args)
+
+    def rows(self, rows):
+        """The expressions at every row, as :func:`evaluate_rows` gives."""
+        rows = np.asarray(rows, dtype=float)
+        return np.array([self(row) for row in rows.tolist()],
+                        dtype=float).reshape(len(rows), len(self.exprs))
+
+
+def _merge(exprs, slot):
+    """The expressions as operations merged by structure, or None.
+
+    Returns ``(ops, consts, outs)``.  ``ops`` lists each operation after
+    its operands: ``("a", i)`` reads argument i, ``("c", j)`` the
+    constant ``consts[j - 1]``, and ``(kind, *operand indices)``
+    computes, kind being an operator of ``_PLAN_BINARY``, "neg" or a
+    function name.  ``outs`` is each expression's index in ``ops``.
+    None when an expression holds an External or a name outside
+    ``slot``.
+    """
+    ops, consts, outs = [], [], []
+    index = {}  # key -> index in ops; a constant's key is its bytes
+    seen = {}  # id(node) -> index in ops
+    for e in exprs:
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            cls = type(node)
+            if cls is Const:
+                key = struct.pack("<d", node.value)
+            elif cls is Var:
+                i = slot.get(node.name)
+                if i is None:
+                    return None
+                key = ("a", i)
+            elif cls is Neg or cls is Call:
+                i = seen.get(id(node.arg))
+                if i is None:
+                    stack += (node, node.arg)
+                    continue
+                key = ("neg" if cls is Neg else node.func, i)
+            elif cls in _PLAN_BINARY:
+                i, j = seen.get(id(node.left)), seen.get(id(node.right))
+                if i is None or j is None:
+                    stack.append(node)
+                    if j is None:
+                        stack.append(node.right)
+                    if i is None:
+                        stack.append(node.left)
+                    continue
+                key = (_PLAN_BINARY[cls], i, j)
+            else:  # an External
+                return None
+            k = index.get(key)
+            if k is None:
+                k = index[key] = len(ops)
+                if cls is Const:
+                    consts.append(node.value)
+                    key = ("c", len(consts))
+                ops.append(key)
+            seen[id(node)] = k
+        outs.append(seen[id(e)])
+    return ops, consts, outs
+
+
+def _plan_sources(ops, consts, outs, n_args, guarded):
+    """Each chunk of a plan (see :class:`_Plan`) as (lines, slots).
+
+    A chunk is ``_chunk(a, c, r)``: ``a`` holds the ``n_args``
+    arguments, ``c`` the chunk's own data, which are the entries
+    ``slots`` of (singular tolerance, *consts), and ``r`` the values
+    that cross a chunk boundary, which each chunk appends to.  The last
+    chunk returns the list of outputs.
+    """
+    home = [-1] * len(ops)  # the chunk computing each operation
+    steps = []
+    for i, op in enumerate(ops):
+        if op[0] != "a" and op[0] != "c":
+            home[i] = len(steps) // _PLAN_CHUNK
+            steps.append(i)
+    chunks = [steps[j:j + _PLAN_CHUNK]
+              for j in range(0, len(steps), _PLAN_CHUNK)] or [[]]
+    last = len(chunks) - 1
+    crossing = {j for i in steps for j in ops[i][1:]
+                if -1 < home[j] < home[i]}
+    crossing.update(j for j in outs if -1 < home[j] < last)
+    shared = {}  # a crossing value's index in r
+    sources = []
+    for ci, chunk in enumerate(chunks):
+        reads = collections.Counter(j for i in chunk for j in ops[i][1:])
+        keep = crossing if ci < last else crossing.union(outs)
+        body, slots, used = [], [], set()
+        name, free, temps = {}, [], itertools.count()
+        finite, small = [], {}  # the operands of the two checks
+        held = set()  # their indices in ops, kept in their registers
+
+        def operand(j):
+            kind, arg = ops[j][:2]
+            if kind == "a":
+                text = f"x{arg}"
+                used.add(arg)
+            elif kind == "c":
+                text = f"k{len(slots)}"
+                slots.append(arg)
+            else:
+                text = free.pop() if free else f"t{next(temps)}"
+                body.append(f"{text} = r[{shared[j]}]")
+            name[j] = text
+            return text
+
+        for i in chunk:
+            op = ops[i]
+            kind, j = op[0], op[1]
+            x = name.get(j) or operand(j)
+            if len(op) == 3:
+                k = op[2]
+                y = name.get(k) or operand(k)
+                if kind == "^":
+                    text = f"_pow({x}, {y})"
+                    expo = ops[k]
+                    if guarded and not (expo[0] == "c"
+                                        and consts[expo[1] - 1] >= 0.0):
+                        small[j] = x
+                        held.add(j)
+                else:
+                    text = f"{x} {kind} {y}"
+                    if kind == "/" and guarded:
+                        small[k] = y
+                        held.add(k)
+            elif kind == "neg":
+                text = "-" + x
+            else:
+                text = f"_f_{kind}({x})"
+            for j in op[1:]:
+                reads[j] -= 1
+                if not reads[j] and name[j][0] == "t" and j not in keep \
+                        and j not in held:
+                    free.append(name.pop(j))
+            out = name[i] = free.pop() if free else f"t{next(temps)}"
+            body.append(f"{out} = {text}")
+            if text[0] == "_":  # a power or a call
+                finite.append(out)
+                held.add(i)
+        conds = [f"_abs({x}) < tol" for x in small.values()]
+        if finite:
+            conds.insert(0, " + ".join(f"({x} - {x})" for x in finite)
+                         + " != 0.0")
+        if conds:
+            body.append(f"if {' or '.join(conds)}: raise _Recheck")
+        if ci < last:
+            out = [i for i in chunk if i in crossing]
+            shared.update((i, len(shared)) for i in out)
+            body.append("r += (" + "".join(f"{name[i]}, " for i in out) + ")")
+        else:
+            body.append("return [" + ", ".join([name.get(j) or operand(j)
+                                                for j in outs]) + "]")
+        head = []
+        if used:
+            head.append("".join(f"x{s}, " if s in used else "_, "
+                                for s in range(n_args)) + "= a")
+        data = [f"k{s}, " for s in range(len(slots))]
+        if small:
+            data.insert(0, "tol, ")
+            slots.insert(0, 0)
+        if data:
+            head.append("".join(data) + "= c")
+        sources.append((["def _chunk(a, c, r):", *_indent(head + body, 1)],
+                        slots))
+    return sources
+
+
+def _chain(chunks):
+    """A plan's kernel: one function of the arguments running the chunks,
+    each (function, its data)."""
+    *head, (last, data) = chunks
+
+    def kernel(a):
+        r = []
+        for chunk, c in head:
+            chunk(a, c, r)
+        return last(a, data, r)
+    return kernel
 
 
 def differentiate(e, var):

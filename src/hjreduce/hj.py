@@ -1046,8 +1046,9 @@ def check_complete(gf, sys, points, tol=1e-8):
     n = gf.n
     mixed = [gf.s_qparam(i, j) for i in range(n) for j in range(n)]
     mats = evaluate_rows(mixed, names, rows).reshape(-1, n, n)
-    # min skips NaN determinants, as a running "if d < min_det" does
-    min_det = min([math.inf, *(abs(float(np.linalg.det(m))) for m in mats)])
+    # one batched det, each matrix's bits as its own det call; fmin skips
+    # NaN determinants, as a running "if d < min_det" does
+    min_det = np.fmin.reduce(np.abs(np.linalg.det(mats)), initial=math.inf)
     hj_max = float(np.max(devs))
     return CompletenessReport(hj_max_dev=hj_max, min_abs_det=float(min_det),
                               complete=(hj_max <= tol and min_det >= 1e-6))

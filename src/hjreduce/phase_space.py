@@ -16,7 +16,8 @@ import re
 
 import numpy as np
 
-from .expr import DomainError, Expr, differentiate, evaluate_rows, parse
+from .expr import (DomainError, Expr, _Plan, differentiate, evaluate_rows,
+                   parse)
 
 __all__ = [
     "HamiltonianSystem", "PhasePoint", "Trajectory",
@@ -100,6 +101,22 @@ class HamiltonianSystem:
     def _dh_dp(self):
         return tuple(differentiate(self.h, v) for v in self.momenta)
 
+    # The compiled plans of the sweeps at rows (q, p, t), built on first
+    # use: the vector field's (dh/dp, dh/dq) and dh/dp alone, guarded as
+    # the RK4 flows are, and h.
+    @functools.cached_property
+    def _field_plan(self):
+        return _Plan((*self._dh_dp, *self._dh_dq), self._names,
+                     FLOW_SINGULAR_TOL, "field")
+
+    @functools.cached_property
+    def _dh_dp_plan(self):
+        return _Plan(self._dh_dp, self._names, FLOW_SINGULAR_TOL, "dh_dp")
+
+    @functools.cached_property
+    def _h_plan(self):
+        return _Plan((self.h,), self._names, 0.0, "h")
+
     @property
     def n(self):
         return len(self.coords)
@@ -158,7 +175,7 @@ class Trajectory:
     def energies(self, sys):
         """h at every sample, its time bound to the sample time."""
         rows = np.column_stack([self.qs, self.ps, self.times])
-        return evaluate_rows([sys.h], sys._names, rows)[:, 0]
+        return sys._h_plan.rows(rows)[:, 0]
 
 
 def hamiltonian_vector_field(sys, z, t=None):
@@ -237,10 +254,12 @@ def flow_reference(sys, z0, t_end, dt):
     singularity raise a DomainError rather than continuing with garbage.
     """
     n = sys.n
+    plan = sys._field_plan
 
     def field(t, y):
-        z = PhasePoint(y[:n], y[n:])
-        return hamiltonian_vector_field(sys, z, t=t)
+        v = np.array(plan(y.tolist() + [float(t)]))
+        np.negative(v[n:], out=v[n:])
+        return v
 
     t0 = 0.0 if z0.t is None else z0.t
     times, ys = _rk4(field, z0.flat(), t0, t0 + t_end, dt)

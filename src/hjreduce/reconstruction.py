@@ -98,8 +98,9 @@ def projected_vector_field(sys, form, q, t=None):
     Raises DomainError within ``FLOW_SINGULAR_TOL`` of a singularity.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    return sys._values(sys._dh_dp, q, form.values(q, FLOW_SINGULAR_TOL),
-                       0.0 if t is None else float(t), FLOW_SINGULAR_TOL)
+    p = form.values(q, FLOW_SINGULAR_TOL)
+    return np.array(sys._dh_dp_plan(
+        [*q.tolist(), *p.tolist(), 0.0 if t is None else float(t)]))
 
 
 def integrate_projected(sys, form, q0, t_end, dt):
@@ -171,12 +172,10 @@ def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
         reduced_ps = evaluate_rows(reduced_form.components,
                                    reduced_form.coords, ys, FLOW_SINGULAR_TOL)
         ps = (chart.y_block.T @ reduced_ps[:, :, None])[..., 0] + shift
-        qdots = evaluate_rows(sys._dh_dp, sys._names, np.hstack(
-            [(l_mat @ ys[:, :, None])[..., 0], ps, ts[:, None]]),
-            FLOW_SINGULAR_TOL)
-        ydots = evaluate_rows(red_sys._dh_dp, red_sys._names,
-                              np.hstack([ys, reduced_ps, ts[:, None]]),
-                              FLOW_SINGULAR_TOL)
+        qdots = sys._dh_dp_plan.rows(np.hstack(
+            [(l_mat @ ys[:, :, None])[..., 0], ps, ts[:, None]]))
+        ydots = red_sys._dh_dp_plan.rows(
+            np.hstack([ys, reduced_ps, ts[:, None]]))
         drift = qdots - (l_mat @ ydots[:, :, None])[..., 0]
         return ps, ydots, (x_blk @ drift[:, :, None])[..., 0]
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hjreduce import expr as expr_module
 from hjreduce.expr import (Const, DomainError, External, UnboundVariableError,
                            Var, call, compile, compile_newton,
                            compile_newton_rows, differentiate, evaluate,
@@ -21,6 +22,26 @@ from hjreduce.hj import (ImplicitBranchRoot, quadrature_complete_solution,
 from hjreduce.phase_space import HamiltonianSystem
 
 from oracles import random_expr, ulp
+
+
+@pytest.fixture
+def empty_code_cache(monkeypatch):
+    """A code cache of its own, so a test counts its compiles whatever
+    earlier tests compiled."""
+    monkeypatch.setattr(expr_module, "_CODE_CACHE", {})
+
+
+def counted_compiles(monkeypatch):
+    """The file name of every ``builtins.compile`` call from now on."""
+    made = []
+    real = builtins.compile
+
+    def counting(source, filename, *args, **kwargs):
+        made.append(filename)
+        return real(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    return made
 
 
 def bits(v):
@@ -362,15 +383,9 @@ class TestNewtonLoop:
             loop(parse("p^2-w"), ("y", "p"))
         assert ei.value.name == "w"
 
+    @pytest.mark.usefixtures("empty_code_cache")
     def test_one_compile_per_root_in_one_named_file(self, monkeypatch):
-        made = []
-        real = builtins.compile
-
-        def counting(source, filename, *args, **kwargs):
-            made.append(filename)
-            return real(source, filename, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "compile", counting)
+        made = counted_compiles(monkeypatch)
         root = ImplicitBranchRoot(parse("p^2+y*p-a"), "y", "p",
                                   params=("a",), name="pb")
         assert len(made) == 1
@@ -378,6 +393,44 @@ class TestNewtonLoop:
         for fn in (root._g, root._gp, root._newton):
             assert fn.__code__.co_filename == made[0]
         assert not hasattr(ImplicitBranchRoot, "_newton")
+
+
+@pytest.mark.usefixtures("empty_code_cache")
+class TestCodeCache:
+    def test_equal_sources_compile_once(self, monkeypatch):
+        made = counted_compiles(monkeypatch)
+        e = parse("x*y+sin(x)")
+        one, two = compile(e, ["x", "y"], "one"), compile(e, ["x", "y"], "two")
+        assert len(made) == 1
+        assert one(0.5, 2.0) == two(0.5, 2.0) == evaluate(e, {"x": 0.5,
+                                                             "y": 2.0})
+
+    def test_each_keeps_its_own_file_name(self, monkeypatch):
+        # a cache hit relabels the code object and those nested in it
+        made = counted_compiles(monkeypatch)
+        roots = [ImplicitBranchRoot(parse("p^2+y*p-a"), "y", "p",
+                                    params=("a",), name=name)
+                 for name in ("pa", "pb")]
+        assert len(made) == 1
+        for root, name in zip(roots, ("pa", "pb")):
+            filename = root._newton.__code__.co_filename
+            assert re.fullmatch(rf"<newton {name} #\d+>", filename)
+            for fn in (root._g, root._gp):
+                assert fn.__code__.co_filename == filename
+        assert roots[0]._newton.__code__.co_filename == made[0]
+        assert roots[0].solve((1.0, 3.0)) == roots[1].solve((1.0, 3.0))
+
+    def test_the_cap_empties_the_cache(self, monkeypatch):
+        monkeypatch.setattr(expr_module, "_CODE_CACHE_CAP", 2)
+        made = counted_compiles(monkeypatch)
+        exprs = [parse(text) for text in ("x+1", "x+2", "x+3")]
+        for e in exprs:
+            compile(e, ["x"])
+        assert len(made) == 3 and len(expr_module._CODE_CACHE) == 1
+        compile(exprs[2], ["x"])
+        assert len(made) == 3
+        compile(exprs[0], ["x"])
+        assert len(made) == 4
 
 
 class Counter:
@@ -529,15 +582,9 @@ class TestNewtonRows:
         assert compile_newton_rows(g, Const(0.0), ("y", "a", "p"), "t",
                                    1e-12, 60, 1e-12) is None
 
+    @pytest.mark.usefixtures("empty_code_cache")
     def test_compiled_once_by_the_first_table_build(self, monkeypatch):
-        made = []
-        real = builtins.compile
-
-        def counting(source, filename, *args, **kwargs):
-            made.append(filename)
-            return real(source, filename, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "compile", counting)
+        made = counted_compiles(monkeypatch)
         h = parse("p^2+1.234/y^2")
         sol = solve_reduced_1d(h, "y", "p", 2.0, (0.8, 5.0), n_nodes=101)
         assert [re.sub(r"#\d+", "#N", f) for f in made] == [
@@ -547,11 +594,9 @@ class TestNewtonRows:
         sol.root.solve((1.7,))
         assert sol.root._rows is rows and len(made) == 2
 
+    @pytest.mark.usefixtures("empty_code_cache")
     def test_family_roots_never_compile_rows(self, monkeypatch):
-        made = []
-        real = builtins.compile
-        monkeypatch.setattr(builtins, "compile", lambda s, f, *a, **k: (
-            made.append(f), real(s, f, *a, **k))[1])
+        made = counted_compiles(monkeypatch)
         sys_ = HamiltonianSystem(parse("0.5*p^2+0.5*q^2"), ["q"])
         gf = quadrature_complete_solution(sys_, (-0.9, 0.9))
         gf.s_q(0)

@@ -827,6 +827,39 @@ class TestCheckComplete:
         assert not rep.complete
         assert rep.min_abs_det == 0.0
 
+    def test_one_batched_det_is_each_matrix_det(self):
+        # the bits of every determinant, and the least |det| with NaN
+        # skipped, as the per-matrix calls and a running minimum give
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 3):
+            mats = rng.normal(size=(40, n, n))
+            mats[7] = math.nan
+            mats[11] = 0.0
+            mats[19, 0] = mats[19, -1]
+            with np.errstate(invalid="ignore"):
+                dets = np.linalg.det(mats)
+                each = np.array([np.linalg.det(m) for m in mats])
+            assert dets.tobytes() == each.tobytes()
+            running = min([math.inf, *(abs(float(d)) for d in each)])
+            assert np.fmin.reduce(np.abs(dets), initial=math.inf) == running
+            assert np.fmin.reduce(np.abs(dets[7:8]),
+                                  initial=math.inf) == math.inf
+
+    def test_min_det_over_two_parameters(self):
+        s = HamiltonianSystem(parse("0.5*(p1^2+p2^2)"), ["q1", "q2"])
+        gf = GeneratingFunction(
+            "typeI", parse("q1*a1+q2*a2+0.3*q1*q2*a1*a2-t*(a1^2+a2^2)/2"),
+            ("q1", "q2"), ("a1", "a2"))
+        rng = np.random.default_rng(6)
+        pts = {k: rng.uniform(-1.0, 1.0, 25) for k in ("q1", "q2", "a1", "a2")}
+        rep = check_complete(gf, s, pts)
+        names = ("q1", "q2", "a1", "a2")
+        mixed = [gf.s_qparam(i, j) for i in range(2) for j in range(2)]
+        rows = np.column_stack([pts[k] for k in names])
+        mats = evaluate_rows(mixed, names, rows).reshape(-1, 2, 2)
+        assert rep.min_abs_det == min(abs(float(np.linalg.det(m)))
+                                      for m in mats)
+
     def test_no_points_is_rejected(self):
         s = HamiltonianSystem(parse("0.5*p^2"), ["q"])
         gf = GeneratingFunction("typeI", parse("q*a1-t*a1^2/2"), ("q",),
