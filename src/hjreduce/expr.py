@@ -20,34 +20,35 @@ first point, then at the next, exactly as a loop over the points would.
 Single points do too, as one-row calls: each object that owns a
 variable layout binds it in one place (a form's coordinates; a
 system's (q, p, t), whose t is bound whenever a time is given or the
-point carries one; a generating function's (q, c, t)).  The exception
-is a Hamiltonian system's vector field, dh/dp and h along the RK4
-flows, the energies of a trajectory and the reconstruction sweeps:
-they call the system's compiled plans (:class:`_Plan`), the same
-operations merged by structure into straight-line code whose checks
-send any point that might fail back to the walker, so they give the
-walker's bits and raise its errors.  The time is
+point carries one; a generating function's (q, c, t)).  The time is
 the one reserved name ``t`` (``phase_space.TIME``); no coordinate or
 momentum takes it, and an implicit root of ``hj`` refuses an equation
-that reads it, or any name beyond the root's own layout.  The
-implicit roots of ``hj`` (the Newton iteration and the root-derivative
-class) never walk a tree: they call kernels and a Newton loop generated
-once per root by :func:`compile_newton` and :func:`compile`, which are
-bit-identical to the walker, and a table build calls the same Newton
-on arrays of rows (:func:`compile_newton_rows`, compiled by the first
-table build of a root), one function that also returns g_p at each
-row's root, which is bit-identical when g and g_p use only ``+ - * /``,
-negation and sqrt and may differ in the last bits through numpy's
-power and transcendental functions.  Nor does the
-residual of a quadrature solution's own equation
-(``hj.QuadratureSolution.residual``, which ``solve-hj`` and a cyclic
-``verify`` report): it is the root's kernel g = h - E at each point,
-not an :func:`evaluate_rows` sweep.
+that reads it, or any name beyond the root's own layout.
 The checks that evaluate h on the graph of a form (``hj.hj_residual``,
 and ``hj.time_dependent_residual``, which ``hj.check_complete`` shares)
 do so in two stages, the form's components over all points and then h,
 so when both stages would fail at different points the first stage's
 error is the one raised.
+
+The exceptions run generated code, all of it from one generator:
+:func:`_merge` turns a tuple of trees into operations merged by
+structure, with constants as data, and :class:`_Lowering` writes them
+out as straight-line Python whose batched checks send any point that
+might fail back to the walker, so the code gives the walker's bits and
+raises its errors.  Sources that differ only in their constants are
+compiled once per process.  Its callers are a Hamiltonian system's
+vector field and dh/dp along the RK4 flows and in the reconstruction
+sweeps (the system's plans, :class:`_Plan`), and the implicit roots of
+``hj``: each root generates its kernels and its Newton loop once
+(:func:`compile_newton`, :func:`compile`), and a table build runs the
+same Newton on arrays of rows (:func:`compile_newton_rows`, compiled by
+the first table build of a root), one function that also returns g_p
+at each row's root, which is bit-identical when g and g_p use only
+``+ - * /``, negation and sqrt and may differ in the last bits through
+numpy's power and transcendental functions.  The residual of a
+quadrature solution's own equation (``hj.QuadratureSolution.residual``,
+which ``solve-hj`` and a cyclic ``verify`` report) is the root's kernel
+g = h - E at each point, not an :func:`evaluate_rows` sweep.
 
 Construction through the smart constructors (and through the overloaded
 Python operators) performs constant folding and nothing more; no deeper
@@ -617,15 +618,31 @@ def evaluate_rows(exprs, names, rows, singular_tol=0.0):
     return out
 
 
-# Names a kernel's source may use besides its own locals.  No builtins:
-# everything a kernel calls is bound here or in its own namespace.
-_KERNEL_NS = {
-    "__builtins__": {},
-    "_float": float, "_pow": math.pow, "_abs": abs, "_range": range,
-    "_inf": math.inf,
-    "_DE": DomainError, "_UV": UnboundVariableError,
-    "_VE": ValueError, "_OE": OverflowError,
+class _Recheck(Exception):
+    """A generated function's check failed: the tree walker decides."""
+
+
+# What a failed operation raises in generated code: a failed check, a
+# float or math error where the walker raises its DomainError, or an
+# External's own DomainError.
+_FAILS = (_Recheck, DomainError, ArithmeticError, ValueError)
+
+# Names the generated sources use besides their locals, on scalars and
+# on arrays of rows.  No builtins: everything a function calls is bound
+# here or in its own namespace.
+_NS = {
+    "__builtins__": {}, "_float": float, "_pow": math.pow, "_abs": abs,
+    "_range": range, "_inf": math.inf, "_DE": DomainError,
+    "_Recheck": _Recheck, "_FAILS": _FAILS,
     **{f"_f_{name}": fn for name, fn in _FUNCTIONS.items()},
+}
+_ROWS_NS = {
+    "__builtins__": {},
+    "_float": lambda a: np.asarray(a, dtype=float), "_pow": np.power,
+    "_abs": np.abs, "_range": range, "_inf": math.inf, "_nan": math.nan,
+    "_no_rows": lambda a: np.zeros(np.shape(a), dtype=bool),
+    "_full": np.full, "_where": np.where, "_count": np.count_nonzero,
+    **{f"_f_{name}": getattr(np, name) for name in _FUNCTIONS},
 }
 _KERNEL_IDS = itertools.count(1)
 # Code objects by source text, for every generated source; emptied when
@@ -671,50 +688,58 @@ def compile(exprs, argnames, name="kernel"):
     ``f = compile(exprs, argnames)`` gives ``f(*args)``, which returns
     ``tuple(evaluate(e, dict(zip(argnames, args))) for e in exprs)``
     bit for bit and type for type; a single Expr gives a single value.
-    The kernel does the tree walker's IEEE operations in the walker's
-    order, with the walker's exact-zero singularity guard: each
-    variable is float()-converted where the walker first reads it, a
-    division evaluates its denominator, then the guard, then its
-    numerator, and every check of Div, Pow and Call raises the walker's
-    DomainError on the same node.  An unbound
-    variable raises UnboundVariableError where the walker reaches it.
-    External calls stay in the walker's order and are never merged; a
-    subtree without one that is shared by object identity is computed
-    once.  A name listed twice in ``argnames`` takes its later argument.
+    A name listed twice in ``argnames`` takes its later argument.
 
-    The generator walks the trees on an explicit stack, so no tree is
-    too deep to compile.  The source holds only generated local names,
-    reprs of finite floats and variable names as repr'd string
-    constants; every other object is bound in the kernel's namespace.
-    The code object's file name is ``<kernel NAME #N>``, N counting the
-    generated sources built in this process, so profiles (which key
-    functions by file, line and name) and tracebacks keep every kernel
-    apart; a source compiled before is not compiled again, and its
-    cached code object is relabelled with the new name (:func:`_build`).
+    The kernel runs the operations of :func:`_merge`, the trees merged
+    by structure, on the float()-converted arguments, then checks that
+    every power and call gave a finite value.  A failed check, or a
+    float or math error, evaluates the arguments again with the tree
+    walker, which raises its DomainError on the same node.  A tuple
+    holding an External or a name outside ``argnames`` is always walked,
+    so External calls keep the walker's order and are never merged, and
+    an unbound variable raises UnboundVariableError where the walker
+    reaches it.
+
+    Nothing recurses, so no tree is too deep to compile.  The source
+    holds only generated names: constants, like every other object, are
+    bound in the kernel's namespace, so kernels of one shape share their
+    code.  The code object's file name is
+    ``<kernel NAME #N>``, N counting the generated sources built in this
+    process, so profiles (which key functions by file, line and name)
+    and tracebacks keep every kernel apart; a source compiled before is
+    not compiled again, and its cached code object is relabelled with
+    the new name (:func:`_build`).
     """
     single = isinstance(exprs, Expr)
     exprs = (exprs,) if single else tuple(exprs)
-    ns = dict(_KERNEL_NS)
-    lines = _kernel_lines("_kernel", exprs, argnames, ns, single)
+    ns = dict(_NS)
+    lines = _kernel_source("_kernel", exprs, argnames, ns, single)
     return _build(lines, "kernel", name, ns)["_kernel"]
 
 
-def _kernel_lines(fname, exprs, argnames, ns, single):
-    """Source of ``fname(a0, ..)``, the kernel :func:`compile` describes."""
-    body = []
-    emitter = _Emitter({v: i for i, v in enumerate(argnames)}, ns, body,
-                       body, {})
-    outs = []
-    for e in exprs:
-        out = emitter.emit(e)
-        if out is None:
-            break
-        outs.append(out)
-    else:
-        ret = outs[0] if single else "(" + "".join(o + ", " for o in outs) + ")"
-        body.append(f"return {ret}")
-    params = ", ".join(f"a{i}" for i in range(len(argnames)))
-    return [f"def {fname}({params}):", *_indent(body, 1)]
+def _kernel_source(fname, exprs, argnames, ns, single):
+    """Source of ``fname(a0, ..)``, the kernel :func:`compile` describes;
+    its walker and its data go into ``ns``."""
+    args = "".join(f"a{i}, " for i in range(len(argnames)))
+    walk = f"return {fname}_walk(({args}))"
+
+    def walker(args):
+        b = dict(zip(argnames, args))
+        out = tuple([e._ev(b, 0.0) for e in exprs])
+        return out[0] if single else out
+
+    ns[f"{fname}_walk"] = walker
+    merged = _pure(exprs, argnames)
+    if merged is None:
+        return [f"def {fname}({args}):", "    " + walk]
+    ops, data, outs = merged
+    low = _Lowering(ops, data, _steps(ops), outs, "scalar", ns)
+    body = low.segment(_steps(ops))
+    outs = [low.operand(j) for j in outs]
+    ret = outs[0] if single else "(" + "".join(o + ", " for o in outs) + ")"
+    return [f"def {fname}({args}):", "    try:",
+            *_indent([*low.prologue(), *body, f"return {ret}"], 2),
+            "    except _FAILS:", "        " + walk]
 
 
 def compile_newton(g, g_p, argnames, name, tol, max_iter, slack):
@@ -725,40 +750,41 @@ def compile_newton(g, g_p, argnames, name, tol, max_iter, slack):
     newton)``: g_fn and gp_fn are the kernels :func:`compile` makes of
     g and g_p, and ``newton(*args, p0, s)`` runs Newton on p from p0:
     at most ``max_iter`` iterations, stopping when g is exactly 0, when
-    g or g_p raises DomainError, when g_p is 0, or when the step returns
-    to p or to the previous iterate (a 2-cycle).  It returns the first
-    iterate with the least |g| if that |g| is at most ``tol``, else
-    None; a result with ``s * p < -slack`` is None too (``s = 0.0``
-    accepts either sign).
+    g or g_p fails (as the walker would raise DomainError), when g_p is
+    0, or when the step returns to p or to the previous iterate (a
+    2-cycle).  It returns the first iterate with the least |g| if that
+    |g| is at most ``tol``, else None; a result with ``s * p < -slack``
+    is None too (``s = 0.0`` accepts either sign).
 
-    The loop runs the kernels' IEEE operations, so each g and g_p it
-    reads is the kernel's bit for bit, but once per call it computes
-    what does not read p (nor call an External): the arguments'
-    conversions and every operation on them alone.  If that part
-    raises, g or g_p would raise at every p, so the loop is not
-    entered: the result is None when g itself raises at p0, and p0
-    when |g(p0)| is within ``tol``, as the loop's first iteration
-    would give.  Each iteration runs only the operations that read p.
-    The file name is ``<newton NAME #N>``.
+    The loop runs the operations :func:`_merge` makes of (g, g_p), so
+    each g and g_p it reads is the kernel's bit for bit, split in three
+    segments, each ending in its checks (:class:`_Lowering`).  The head,
+    every operation that reads neither p nor an External, runs once per
+    call.  If it fails, g or g_p would fail at every p, so the loop is
+    not entered: the result is None when g itself raises at p0, and p0
+    when |g(p0)| is within ``tol``, as the loop's first iteration would
+    give.  Each iteration runs the g part (the rest of what g reads),
+    then the g_p part; External calls are never merged and run in the
+    walker's order, and none runs after a failed operation.  Constants
+    are data, so roots whose equations differ only in constants share
+    the code.  The file name is ``<newton NAME #N>``.
     """
     _refuse_stray(g, g_p, argnames)
-    ns = dict(_KERNEL_NS)
-    source = [*_kernel_lines("_g", (g,), argnames, ns, True),
-              *_kernel_lines("_gp", (g_p,), argnames, ns, True)]
+    ns = dict(_NS)
+    source = [*_kernel_source("_g", (g,), argnames, ns, True),
+              *_kernel_source("_gp", (g_p,), argnames, ns, True)]
+    low, (head_g, head_gp, in_g, in_gp), gv, gpv = _newton_lowering(
+        _merge((g, g_p), {v: i for i, v in enumerate(argnames)}),
+        len(argnames) - 1, "scalar", ns)
     args = "".join(f"a{i}, " for i in range(len(argnames) - 1))
-    head, body = [], []
-    emitter = _Emitter({v: i for i, v in enumerate(argnames)}, ns, head,
-                       body, {argnames[-1]: "p"})
-    gv = emitter.emit(g)
-    split = len(body)
-    gpv = emitter.emit(g_p)
     accept = f"<= {tol!r} and not s * {{}} < {-slack!r}".format
     source += [
         f"def _newton({args}p, s):",
+        *_indent(low.prologue(), 1),
         "    p = _float(p)",
         "    try:",
-        *_indent(head, 2),
-        "    except _DE:",
+        *_indent(head_g + head_gp, 2),
+        "    except _FAILS:",
         f"        try: gv = _g({args}p)",
         "        except _DE: return None",
         f"        return p if _abs(gv) {accept('p')} else None",
@@ -767,8 +793,8 @@ def compile_newton(g, g_p, argnames, name, tol, max_iter, slack):
         "    prev = None",
         f"    for _ in _range({int(max_iter)}):",
         "        try:",
-        *_indent(body[:split], 3),
-        "        except _DE:",
+        *_indent(in_g, 3),
+        "        except _FAILS:",
         "            break",
         f"        ag = _abs({gv})",
         "        if ag < best_g:",
@@ -777,8 +803,8 @@ def compile_newton(g, g_p, argnames, name, tol, max_iter, slack):
         f"        if {gv} == 0.0:",
         "            break",
         "        try:",
-        *_indent(body[split:], 3),
-        "        except _DE:",
+        *_indent(in_gp, 3),
+        "        except _FAILS:",
         "            break",
         f"        if {gpv} == 0.0:",
         "            break",
@@ -801,18 +827,6 @@ def _refuse_stray(g, g_p, argnames):
         raise UnboundVariableError(min(stray))
 
 
-# The array mode's names: numpy's function for each math call, and the
-# helpers of the row loop.
-_ROWS_NS = {
-    "__builtins__": {},
-    "_float": lambda a: np.asarray(a, dtype=float), "_pow": np.power,
-    "_abs": np.abs, "_range": range, "_inf": math.inf, "_nan": math.nan,
-    "_no_rows": lambda a: np.zeros(np.shape(a), dtype=bool),
-    "_full": np.full, "_where": np.where, "_count": np.count_nonzero,
-    **{f"_f_{name}": getattr(np, name) for name in _FUNCTIONS},
-}
-
-
 def compile_newton_rows(g, g_p, argnames, name, tol, max_iter, slack):
     """:func:`compile_newton`'s loop on arrays of rows, with its g_p.
 
@@ -827,47 +841,44 @@ def compile_newton_rows(g, g_p, argnames, name, tol, max_iter, slack):
     raises there (and the rows that recorded no iterate).  Every
     variable of g must be one of ``argnames``, as for compile_newton.
 
-    The source comes from the scalar kernels' emitter in an array mode
-    (:class:`_RowEmitter`): operands, temporaries and operation order are
-    the scalar kernels', a domain check ORs its condition into a row mask
-    ``bad``, and a math call is numpy's function plus a non-finite mask.
-    The argument-only part runs once over all rows.  Each row follows
-    the scalar loop's rules: at most ``max_iter`` iterations; a stop on
-    an exact-zero g, on a failure in the g part (before the best-so-far
-    update) or the g_p part (after it), on g_p == 0, and on a step back
-    to p or to the previous iterate; the first iterate with the least
-    |g|; the same ``tol`` and branch ``slack``.  Every row stays in the
-    arrays until the last one stops.  numpy rounds ``+ - * /``, negation
-    and sqrt correctly, as Python does, so when g and g_p use only those
-    a row's result and g_p are the scalar kernels' bit for bit; numpy's
-    power and transcendental functions may differ from libm in the last
-    bits, and g_p of a quotient that reads p holds a power, the
-    denominator ^2.
-    Stopped rows compute NaN and inf, so call it under
+    The source is the scalar loop's segments in rows mode
+    (:class:`_Lowering`): the same operations and names on arrays, a
+    failed check ORed into a row mask ``bad`` and a math call numpy's
+    function.  The head runs once over all rows, its part for g and its
+    part for g_p masked apart.  Each row follows the scalar loop's
+    rules: at most ``max_iter`` iterations; a stop on an exact-zero g,
+    on a failure in the g part (before the best-so-far update) or the
+    g_p part (after it), on g_p == 0, and on a step back to p or to the
+    previous iterate; the first iterate with the least |g|; the same
+    ``tol`` and branch ``slack``.  Every row stays in the arrays until
+    the last one stops.  numpy rounds ``+ - * /``, negation and sqrt
+    correctly, as Python does, so when g and g_p use only those a row's
+    result and g_p are the scalar kernels' bit for bit; numpy's power
+    and transcendental functions may differ from libm in the last bits,
+    and g_p of a quotient that reads p holds a power, the denominator
+    ^2.  Stopped rows compute NaN and inf, so call it under
     ``np.errstate(all="ignore")``.  The file name is
     ``<newton-rows NAME #N>``.
     """
     _refuse_stray(g, g_p, argnames)
     if argnames[-1] not in free_vars(g):
         return None
-    ns = dict(_ROWS_NS)
-    args = "".join(f"a{i}, " for i in range(len(argnames) - 1))
-    head, body = [], []
-    emitter = _RowEmitter({v: i for i, v in enumerate(argnames)}, ns, head,
-                          body, {argnames[-1]: "p"})
-    gv = emitter.emit(g)
-    split, head_split = len(body), len(head)
-    gpv = emitter.emit(g_p)
-    if emitter.external:
+    merged = _pure((g, g_p), argnames)
+    if merged is None:
         return None
+    ns = dict(_ROWS_NS)
+    low, (head_g, head_gp, in_g, in_gp), gv, gpv = _newton_lowering(
+        merged, len(argnames) - 1, "rows", ns)
+    args = "".join(f"a{i}, " for i in range(len(argnames) - 1))
     source = [
         f"def _newton_rows({args}p, s):",
+        *_indent(low.prologue(), 1),
         "    p = _float(p)",
         "    bad = _no_rows(p)",
-        *_indent(head[:head_split], 1),
+        *_indent(head_g, 1),
         "    bad_g = bad",
         "    bad = bad_g.copy()",
-        *_indent(head[head_split:], 1),
+        *_indent(head_gp, 1),
         "    bad_gp = bad",
         "    best_p = _full(p.shape, _nan)",
         "    best_g = _full(p.shape, _inf)",
@@ -877,7 +888,7 @@ def compile_newton_rows(g, g_p, argnames, name, tol, max_iter, slack):
         "    prev = best_p",
         f"    for _ in _range({int(max_iter)}):",
         "        bad = bad_g.copy()",
-        *_indent(body[:split], 2),
+        *_indent(in_g, 2),
         "        live &= ~bad",
         f"        ag = _abs({gv})",
         "        better = live & (ag < best_g)",
@@ -885,7 +896,7 @@ def compile_newton_rows(g, g_p, argnames, name, tol, max_iter, slack):
         "        best_g = _where(better, ag, best_g)",
         f"        live &= {gv} != 0.0",
         "        bad = bad_gp.copy()",
-        *_indent(body[split:], 2),
+        *_indent(in_gp, 2),
         f"        best_gp = _where(better, {gpv}, best_gp)",
         "        gp_bad = _where(better, bad, gp_bad)",
         f"        p_new = p - {gv} / {gpv}",
@@ -900,211 +911,36 @@ def compile_newton_rows(g, g_p, argnames, name, tol, max_iter, slack):
     return _build(source, "newton-rows", name, ns)["_newton_rows"]
 
 
-_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+def _newton_lowering(merged, moving, mode, ns):
+    """The ``mode`` lowering of a Newton loop on g in argument ``moving``,
+    from :func:`_merge` of (g, g_p).
 
-
-class _Emitter:
-    """Kernel lines for expressions, which share the emitted subtrees.
-
-    ``emit`` appends the statements evaluating one expression and
-    returns its operand, or None when they end in an unconditional
-    raise (an unbound variable), after which nothing more may be
-    emitted.  A statement goes to ``body`` when its value varies: it
-    reads a variable of ``moving`` (a dict from a name to the operand
-    standing for it, which the caller has float()-converted) or calls an
-    External, whose calls stay in the walker's order and count; every
-    other statement goes to ``head``.  When ``head`` is ``body``, the
-    statements are in the walker's order.  Each stack entry of ``emit`` is a
-    node and a step: 0 to evaluate it, 1 to combine its evaluated
-    children, 2 for a division's guard between its two operands.
-    ``external`` is set once an External call is emitted.
+    Returns it, its four segments' lines (the head's part g reads, the
+    head's rest, the g part and the g_p part) and the operands of g and
+    g_p.  The head holds the operations that read neither the momentum
+    nor an External.  :func:`_merge` lists g's operations first, so g
+    reads those up to its own.
     """
-
-    external = False
-
-    def __init__(self, slot, ns, head, body, moving):
-        self.slot, self.ns = slot, ns
-        self.head, self.body, self.moving = head, body, moving
-        # id of a pure node, or a variable's name -> (operand, varies)
-        self.done = {}
-        self.bound = {}  # id of an object bound in ns, or a message -> its name
-        self.temps = itertools.count()
-
-    def bind(self, obj):
-        key = obj if isinstance(obj, str) else id(obj)
-        name = self.bound.get(key)
-        if name is None:
-            name = self.bound[key] = f"_k{len(self.ns)}"
-            self.ns[name] = obj
-        return name
-
-    def operand(self, value):
-        """A float's repr when finite, else a bound name."""
-        if math.isfinite(value):
-            text = repr(value)
-            return f"({text})" if text.startswith("-") else text
-        return self.bind(value)
-
-    def temp(self, lines, text):
-        name = f"t{next(self.temps)}"
-        lines.append(f"{name} = {text}")
-        return name
-
-    def fail(self, lines, conds, message, node):
-        """Raise DomainError(message, node) when all ``conds`` hold."""
-        head = f"if {' and '.join(conds)}: " if conds else ""
-        lines.append(f"{head}raise _DE({self.bind(message)}, {self.bind(node)})")
-
-    def checked(self, lines, call, node, domain, overflow):
-        """A math call with the walker's error and finiteness checks."""
-        out = f"t{next(self.temps)}"
-        raise_ = f"raise _DE({{}}, {self.bind(node)}) from None".format
-        lines.append(f"try: {out} = {call}")
-        lines.append(f"except _VE: {raise_(self.bind(domain))}")
-        lines.append(f"except _OE: {raise_(self.bind(overflow))}")
-        # a math result is a float, and x - x is 0.0 exactly when the
-        # float x is finite: the walker's isfinite test without a call
-        self.fail(lines, (f"{out} - {out} != 0.0",), overflow, node)
-        return out
-
-    def emit(self, e):
-        done = self.done
-        vals = []  # (operand, pure, varies) of the nodes evaluated so far
-        stack = [(e, 0)]
-        while stack:
-            node, step = stack.pop()
-            if step == 0:
-                hit = done.get(id(node))
-                if hit is not None:
-                    vals.append((hit[0], True, hit[1]))
-                elif isinstance(node, Const):
-                    vals.append((self.operand(node.value), True, False))
-                elif isinstance(node, Var):
-                    hit = done.get(node.name)
-                    if hit is None:
-                        hit = self._var(node.name)
-                        if hit is None:
-                            return None
-                        done[node.name] = hit
-                    vals.append((hit[0], True, hit[1]))
-                elif isinstance(node, Div):
-                    stack += [(node, 1), (node.left, 0), (node, 2),
-                              (node.right, 0)]
-                else:
-                    stack.append((node, 1))
-                    stack += [(c, 0) for c in reversed(node._children())]
-                continue
-            if step == 2:
-                den, _, varies = vals[-1]
-                lines = self.body if varies else self.head
-                if not isinstance(node.right, Const):
-                    self.fail(lines, (f"{den} == 0.0",), "division by zero",
-                              node)
-                elif node.right.value == 0.0:
-                    self.fail(lines, (), "division by zero", node)
-                continue
-            if isinstance(node, External):
-                self.external = True
-                args = vals[len(vals) - len(node.args):]
-                del vals[len(vals) - len(node.args):]
-                call = ", ".join(a for a, _, _ in args)
-                out = self.temp(self.body, f"{self.bind(node.fn)}({call})")
-                vals.append((out, False, True))
-                continue
-            if isinstance(node, (Neg, Call)):
-                x, pure, varies = vals.pop()
-                lines = self.body if varies else self.head
-                if isinstance(node, Neg):
-                    out = self.temp(lines, f"-{x}")
-                else:
-                    f = node.func
-                    if f == "sqrt":
-                        self.fail(lines, (f"{x} < 0.0",),
-                                  "sqrt of a negative number", node)
-                    elif f == "log":
-                        self.fail(lines, (f"{x} <= 0.0",),
-                                  "log of a non-positive number", node)
-                    out = self.checked(lines, f"_f_{f}({x})", node,
-                                       f"{f} domain error", f"{f} overflow")
-            else:
-                (left, pl, vl), (right, pr, vr) = vals[-2:]
-                del vals[-2:]
-                if isinstance(node, Div):  # evaluated denominator first
-                    left, right = right, left
-                pure, varies = pl and pr, vl or vr
-                lines = self.body if varies else self.head
-                if isinstance(node, Pow):
-                    expo = node.right
-                    if not isinstance(expo, Const):
-                        self.fail(lines, (f"{right} < 0.0", f"{left} == 0.0"),
-                                  "zero raised to a negative power", node)
-                    elif expo.value < 0.0:
-                        self.fail(lines, (f"{left} == 0.0",),
-                                  "zero raised to a negative power", node)
-                    out = self.checked(
-                        lines, f"_pow({left}, {right})", node,
-                        "invalid power (negative base, fractional exponent)",
-                        "power overflow")
-                else:
-                    out = self.temp(
-                        lines, f"{left} {_BINARY_OPS[type(node)]} {right}")
-            if pure:
-                done[id(node)] = (out, varies)
-            vals.append((out, pure, varies))
-        return vals[0][0]
-
-    def _var(self, name):
-        """A variable's (operand, varies), or None after its unbound raise."""
-        if name in self.moving:
-            return self.moving[name], True
-        i = self.slot.get(name)
-        if i is None:
-            self.head.append(f"raise _UV({name!r})")
-            return None
-        return self.temp(self.head, f"_float(a{i})"), False
-
-
-class _RowEmitter(_Emitter):
-    """The emitter's array mode: each operand holds one value per row.
-
-    A domain check ORs its condition into the row mask ``bad`` instead
-    of raising, and a math call is the numpy function of ``_ROWS_NS``
-    with its non-finite results ORed into ``bad``.  A constant is a bound
-    numpy float, so that an operation on constants alone gives inf or
-    NaN as on arrays, never a Python exception.  Everything else is the
-    scalar emitter's.
-    """
-
-    def operand(self, value):
-        return self.bind(np.float64(value))
-
-    def fail(self, lines, conds, message, node):
-        lines.append(f"bad |= {' & '.join(f'({c})' for c in conds) or True}")
-
-    def checked(self, lines, call, node, domain, overflow):
-        out = self.temp(lines, call)
-        self.fail(lines, (f"{out} - {out} != 0.0",), overflow, node)
-        return out
+    ops, data, (g_out, gp_out) = merged
+    moving = ("a", moving)
+    varies = []
+    for op in ops:
+        varies.append(op == moving or op[0] == "x" or (
+            op[0] not in _LEAVES and any(varies[j] for j in op[1:])))
+    steps = _steps(ops)
+    head = [i for i in steps if not varies[i]]
+    low = _Lowering(ops, data, steps, [*head, g_out, gp_out], mode, ns)
+    if moving in ops:
+        low.name[ops.index(moving)] = "p"
+    loop = [i for i in steps if varies[i]]
+    parts = [low.segment([i for i in part if (i <= g_out) is for_g])
+             for part in (head, loop) for for_g in (True, False)]
+    return low, parts, low.operand(g_out), low.operand(gp_out)
 
 
 # Operations per compiled chunk of a plan: compiling one long function
 # takes memory that grows with its length.
 _PLAN_CHUNK = 200
-
-
-class _Recheck(Exception):
-    """A plan's check failed: the row goes through the tree walker."""
-
-
-# What sends a row from a plan's kernel to the walker: a failed check, or
-# a float or math error where the walker raises its DomainError.
-_RECHECK = (_Recheck, ZeroDivisionError, ValueError, OverflowError)
-
-_PLAN_NS = {
-    "__builtins__": {}, "_pow": math.pow, "_abs": abs, "_Recheck": _Recheck,
-    **{f"_f_{name}": fn for name, fn in _FUNCTIONS.items()},
-}
-_PLAN_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/", Pow: "^"}
 
 
 class _Plan:
@@ -1115,14 +951,11 @@ class _Plan:
     ``[e.evaluate(dict(zip(argnames, args)), singular_tol) for e in
     exprs]`` bit for bit, or raises the walker's error.
 
-    The trees become operations merged by structure: a node's key is its
-    type, its function name and its operands' slots, and a constant's is
-    its bit pattern, so 0.0 and -0.0 stay apart.  They run as
-    straight-line code, in chunks of at most ``_PLAN_CHUNK`` operations
-    that reuse their registers and pass values on to later chunks
-    through one list.  Constants are data (a tuple argument), so the
-    source holds only slots and names, and plans of one shape share
-    their code objects through :func:`_build`'s cache.  After its
+    The operations of :func:`_merge` run as straight-line code, in
+    chunks of at most ``_PLAN_CHUNK`` operations that reuse their
+    registers and pass values on to later chunks through one list.
+    Constants are data (bound in each chunk's namespace), so plans of
+    one shape share their code objects through :func:`_build`'s cache.  After its
     operations a chunk checks that every power and call gave a finite
     value and, when ``singular_tol`` is positive, that no denominator
     and no base of a power with a possibly negative exponent lies within
@@ -1137,17 +970,12 @@ class _Plan:
         self.argnames = tuple(argnames)
         self.singular_tol = singular_tol
         self._kernel = None
-        merged = _merge(self.exprs,
-                        {v: i for i, v in enumerate(self.argnames)})
+        merged = _pure(self.exprs, self.argnames)
         if merged is not None:
-            ops, consts, outs = merged
-            data = (singular_tol, *consts)
             self._kernel = _chain([
-                (_build(lines, "plan", name, dict(_PLAN_NS))["_chunk"],
-                 tuple(data[j] for j in slots))
-                for lines, slots in _plan_sources(
-                    ops, consts, outs, len(self.argnames),
-                    singular_tol > 0.0)])
+                _build(lines, "plan", name, {**ns, "tol": singular_tol})[
+                    "_chunk"] for lines, ns in _plan_sources(
+                        *merged, len(self.argnames), singular_tol > 0.0)])
 
     def _walk(self, args):
         b = dict(zip(self.argnames, args))
@@ -1158,7 +986,7 @@ class _Plan:
             return self._walk(args)
         try:
             return self._kernel(args)
-        except _RECHECK:
+        except _FAILS:
             return self._walk(args)
 
     def rows(self, rows):
@@ -1168,79 +996,238 @@ class _Plan:
                         dtype=float).reshape(len(rows), len(self.exprs))
 
 
+_KINDS = {Add: "+", Sub: "-", Mul: "*", Div: "/", Pow: "^", Neg: "neg",
+          External: "x"}
+_LEAVES = ("a", "c")
+
+
 def _merge(exprs, slot):
     """The expressions as operations merged by structure, or None.
 
-    Returns ``(ops, consts, outs)``.  ``ops`` lists each operation after
-    its operands: ``("a", i)`` reads argument i, ``("c", j)`` the
-    constant ``consts[j - 1]``, and ``(kind, *operand indices)``
-    computes, kind being an operator of ``_PLAN_BINARY``, "neg" or a
-    function name.  ``outs`` is each expression's index in ``ops``.
-    None when an expression holds an External or a name outside
-    ``slot``.
+    Returns ``(ops, data, outs)``.  ``ops`` lists each operation after
+    its operands, in the order the walker first evaluates it:
+    ``("a", i)`` reads argument i, ``("c", j)`` the datum ``data[j]`` (a
+    constant, or an External's function), and ``(kind, *operand
+    indices)`` computes, kind being ``+ - * / ^``, "neg", a function
+    name or "x", an External call whose first operand is its function.
+    Two nodes share an operation when their types, function names and
+    operands are equal; a constant's key is its bit pattern, so 0.0 and
+    -0.0 stay apart.  An External call, and every operation over one, is
+    never shared: each runs where the walker runs it.  ``outs`` is each
+    expression's index in ``ops``.  None when an expression reads a name
+    outside ``slot``.
     """
-    ops, consts, outs = [], [], []
-    index = {}  # key -> index in ops; a constant's key is its bytes
-    seen = {}  # id(node) -> index in ops
+    ops, data, outs = [], [], []
+    index = {}  # key of a shared operation -> its index in ops
+    seen = {}  # id(node) -> index in ops, for the nodes over no External
+    calls = set()  # the indices of the operations over an External
     for e in exprs:
-        stack = [e]
+        done, stack = [], [e]
         while stack:
             node = stack.pop()
-            if id(node) in seen:
-                continue
             cls = type(node)
-            if cls is Const:
-                key = struct.pack("<d", node.value)
+            if cls is tuple:  # a node whose operands' indices end done
+                node, n = node
+                cls = type(node)
+                got = done[len(done) - n:]
+                del done[len(done) - n:]
+                if cls is Div:
+                    got.reverse()
+            elif id(node) in seen:
+                done.append(seen[id(node)])
+                continue
+            elif cls is Const:
+                key, op = struct.pack("<d", node.value), ("c", len(data))
             elif cls is Var:
-                i = slot.get(node.name)
-                if i is None:
+                if node.name not in slot:
                     return None
-                key = ("a", i)
-            elif cls is Neg or cls is Call:
-                i = seen.get(id(node.arg))
-                if i is None:
-                    stack += (node, node.arg)
+                key = op = ("a", slot[node.name])
+            else:
+                kids = node._children()
+                got = list(map(seen.get, map(id, kids)))
+                if None in got:
+                    stack.append((node, len(kids)))
+                    # the walker evaluates a denominator first
+                    stack += kids if cls is Div else kids[::-1]
                     continue
-                key = ("neg" if cls is Neg else node.func, i)
-            elif cls in _PLAN_BINARY:
-                i, j = seen.get(id(node.left)), seen.get(id(node.right))
-                if i is None or j is None:
-                    stack.append(node)
-                    if j is None:
-                        stack.append(node.right)
-                    if i is None:
-                        stack.append(node.left)
-                    continue
-                key = (_PLAN_BINARY[cls], i, j)
-            else:  # an External
-                return None
+            if cls is not Const and cls is not Var:
+                if cls is External:
+                    got.insert(0, len(ops))
+                    ops.append(("c", len(data)))
+                    data.append(node.fn)
+                key = op = (_KINDS.get(cls) or node.func, *got)
+                if cls is External or (calls and not calls.isdisjoint(got)):
+                    key = len(ops)  # a new key: never shared
+                    calls.add(key)
             k = index.get(key)
             if k is None:
                 k = index[key] = len(ops)
+                ops.append(op)
                 if cls is Const:
-                    consts.append(node.value)
-                    key = ("c", len(consts))
-                ops.append(key)
-            seen[id(node)] = k
-        outs.append(seen[id(e)])
-    return ops, consts, outs
+                    data.append(node.value)
+            if k not in calls:
+                seen[id(node)] = k
+            done.append(k)
+        outs.append(done[0])
+    return ops, data, outs
+
+
+def _pure(exprs, argnames):
+    """:func:`_merge` of expressions that call no External, else None."""
+    merged = _merge(exprs, {v: i for i, v in enumerate(argnames)})
+    if merged is None or any(op[0] == "x" for op in merged[0]):
+        return None
+    return merged
+
+
+def _steps(ops):
+    """The indices of the operations that compute, in order."""
+    return [i for i, op in enumerate(ops) if op[0] not in _LEAVES]
+
+
+class _Lowering:
+    """The lines of one generated function, from :func:`_merge`'s ops.
+
+    :meth:`segment` gives the statements computing some of ``steps``,
+    each after its operands, then the segment's checks.  Argument i is
+    the local ``x{i}``, bound by :meth:`prologue`, and each read of a
+    datum a global of its own, put in ``ns``, so the source depends
+    neither on the constants' values nor on which of them are equal.  A
+    register is reused after its operation's last read in ``steps``,
+    except for the operations in ``keep``.
+
+    A segment's checks are batched: every power and call gave a finite
+    value and, in ``guarded`` mode (a plan's), no denominator and no
+    base of a power with a possibly negative exponent lies within
+    ``tol``.  On scalars a failed check raises ``_Recheck``, and a
+    division by zero or a math error raises by itself.  In ``rows``
+    mode each operand holds one value per row, a failed check ORs into
+    the row mask ``bad``, and so does a zero denominator, since numpy's
+    division does not raise.  Before each External call the pending
+    checks are emitted too, with the denominator of every division
+    whose numerator holds the call, so that no call runs where the
+    walker would have raised.
+    """
+
+    def __init__(self, ops, data, steps, keep, mode, ns):
+        self.ops, self.data, self.steps, self.ns = ops, data, steps, ns
+        self.rows, self.guarded = mode == "rows", mode == "guarded"
+        self.keep = set(keep)
+        self.reads = collections.Counter(j for i in steps
+                                         for j in ops[i][1:])
+        self.name, self.lines, self.free = {}, [], []
+        self.temps = itertools.count()
+        self.args = set()  # the arguments read
+        self.shared = {}  # a plan's values from earlier chunks: index in r
+        self.finite, self.small, self.zero = {}, {}, {}  # pending checks
+
+    def operand(self, j):
+        text = self.name.get(j)
+        if text is None:
+            kind, arg = self.ops[j][:2]
+            if kind == "c":
+                text = f"_k{len(self.ns)}"
+                value = self.data[arg]
+                self.ns[text] = np.float64(value) if self.rows else value
+                return text
+            if kind == "a":
+                self.args.add(arg)
+                text = f"x{arg}"
+            else:
+                text = self._temp()
+                self.lines.append(f"{text} = r[{self.shared[j]}]")
+            self.name[j] = text
+        return text
+
+    def prologue(self):
+        """The lines float()-converting the arguments read, ``a{i}``."""
+        return [f"x{i} = _float(a{i})" for i in sorted(self.args)]
+
+    def segment(self, steps):
+        """The lines computing ``steps``, then their checks."""
+        for i in steps:
+            self._emit(i)
+        self._check()
+        lines, self.lines = self.lines, []
+        return lines
+
+    def _temp(self):
+        return self.free.pop() if self.free else f"t{next(self.temps)}"
+
+    def _release(self, j):
+        text = self.name.get(j)
+        if text and text[0] == "t" and not self.reads[j] \
+                and j not in self.keep and j not in self.finite \
+                and j not in self.small and j not in self.zero:
+            self.free.append(self.name.pop(j))
+
+    def _emit(self, i):
+        op = self.ops[i]
+        kind = op[0]
+        if kind == "x":  # the operations over a call have one reader
+            parent = {j: k for k in self.steps for j in self.ops[k][1:]}
+            child = i
+            while (up := parent.get(child)) is not None:
+                if self.ops[up][:2] == ("/", child):
+                    self.zero[self.ops[up][2]] = self.operand(self.ops[up][2])
+                child = up
+            self._check()
+        xs = [self.name.get(j) or self.operand(j) for j in op[1:]]
+        if kind == "x":
+            text = f"{xs[0]}({', '.join(xs[1:])})"
+        elif kind == "neg":
+            text = "-" + xs[0]
+        elif len(xs) == 1:
+            text = f"_f_{kind}({xs[0]})"
+        elif kind == "^":
+            text = f"_pow({xs[0]}, {xs[1]})"
+            expo = self.ops[op[2]]
+            if self.guarded and not (expo[0] == "c"
+                                     and self.data[expo[1]] >= 0.0):
+                self.small[op[1]] = xs[0]
+        else:
+            text = f"{xs[0]} {kind} {xs[1]}"
+            if kind == "/" and (self.rows or self.guarded):
+                (self.zero if self.rows else self.small)[op[2]] = xs[1]
+        for j in op[1:]:
+            self.reads[j] -= 1
+            if not self.reads[j]:
+                self._release(j)
+        out = self.name[i] = self._temp()
+        self.lines.append(f"{out} = {text}")
+        if kind == "^" or (len(xs) == 1 and kind != "neg"):
+            self.finite[i] = out
+
+    def _check(self):
+        """Emit the pending checks."""
+        conds = [f"_abs({x}) < tol" for x in self.small.values()]
+        conds += [f"{x} == 0.0" for x in self.zero.values()]
+        if self.finite:
+            conds.insert(0, " + ".join(f"({x} - {x})" for x in
+                                       self.finite.values()) + " != 0.0")
+        held = [*self.finite, *self.small, *self.zero]
+        self.finite, self.small, self.zero = {}, {}, {}
+        for j in held:
+            self._release(j)
+        if conds and self.rows:
+            self.lines.append("bad |= " + " | ".join(f"({c})" for c in conds))
+        elif conds:
+            self.lines.append(f"if {' or '.join(conds)}: raise _Recheck")
 
 
 def _plan_sources(ops, consts, outs, n_args, guarded):
-    """Each chunk of a plan (see :class:`_Plan`) as (lines, slots).
+    """Each chunk of a plan (see :class:`_Plan`) as (lines, namespace).
 
-    A chunk is ``_chunk(a, c, r)``: ``a`` holds the ``n_args``
-    arguments, ``c`` the chunk's own data, which are the entries
-    ``slots`` of (singular tolerance, *consts), and ``r`` the values
-    that cross a chunk boundary, which each chunk appends to.  The last
-    chunk returns the list of outputs.
+    A chunk is ``_chunk(a, r)``: ``a`` holds the ``n_args`` arguments
+    and ``r`` the values that cross a chunk boundary, which each chunk
+    appends to.  Its namespace holds its constants; a ``guarded`` chunk
+    also reads ``tol``, which the caller binds there.  The last chunk
+    returns the list of outputs.
     """
+    steps = _steps(ops)
     home = [-1] * len(ops)  # the chunk computing each operation
-    steps = []
-    for i, op in enumerate(ops):
-        if op[0] != "a" and op[0] != "c":
-            home[i] = len(steps) // _PLAN_CHUNK
-            steps.append(i)
+    for n, i in enumerate(steps):
+        home[i] = n // _PLAN_CHUNK
     chunks = [steps[j:j + _PLAN_CHUNK]
               for j in range(0, len(steps), _PLAN_CHUNK)] or [[]]
     last = len(chunks) - 1
@@ -1250,98 +1237,35 @@ def _plan_sources(ops, consts, outs, n_args, guarded):
     shared = {}  # a crossing value's index in r
     sources = []
     for ci, chunk in enumerate(chunks):
-        reads = collections.Counter(j for i in chunk for j in ops[i][1:])
-        keep = crossing if ci < last else crossing.union(outs)
-        body, slots, used = [], [], set()
-        name, free, temps = {}, [], itertools.count()
-        finite, small = [], {}  # the operands of the two checks
-        held = set()  # their indices in ops, kept in their registers
-
-        def operand(j):
-            kind, arg = ops[j][:2]
-            if kind == "a":
-                text = f"x{arg}"
-                used.add(arg)
-            elif kind == "c":
-                text = f"k{len(slots)}"
-                slots.append(arg)
-            else:
-                text = free.pop() if free else f"t{next(temps)}"
-                body.append(f"{text} = r[{shared[j]}]")
-            name[j] = text
-            return text
-
-        for i in chunk:
-            op = ops[i]
-            kind, j = op[0], op[1]
-            x = name.get(j) or operand(j)
-            if len(op) == 3:
-                k = op[2]
-                y = name.get(k) or operand(k)
-                if kind == "^":
-                    text = f"_pow({x}, {y})"
-                    expo = ops[k]
-                    if guarded and not (expo[0] == "c"
-                                        and consts[expo[1] - 1] >= 0.0):
-                        small[j] = x
-                        held.add(j)
-                else:
-                    text = f"{x} {kind} {y}"
-                    if kind == "/" and guarded:
-                        small[k] = y
-                        held.add(k)
-            elif kind == "neg":
-                text = "-" + x
-            else:
-                text = f"_f_{kind}({x})"
-            for j in op[1:]:
-                reads[j] -= 1
-                if not reads[j] and name[j][0] == "t" and j not in keep \
-                        and j not in held:
-                    free.append(name.pop(j))
-            out = name[i] = free.pop() if free else f"t{next(temps)}"
-            body.append(f"{out} = {text}")
-            if text[0] == "_":  # a power or a call
-                finite.append(out)
-                held.add(i)
-        conds = [f"_abs({x}) < tol" for x in small.values()]
-        if finite:
-            conds.insert(0, " + ".join(f"({x} - {x})" for x in finite)
-                         + " != 0.0")
-        if conds:
-            body.append(f"if {' or '.join(conds)}: raise _Recheck")
+        low = _Lowering(ops, consts, chunk,
+                        crossing if ci < last else crossing.union(outs),
+                        "guarded" if guarded else "scalar", dict(_NS))
+        low.shared = shared
+        body = low.segment(chunk)
         if ci < last:
             out = [i for i in chunk if i in crossing]
             shared.update((i, len(shared)) for i in out)
-            body.append("r += (" + "".join(f"{name[i]}, " for i in out) + ")")
+            body.append("r += (" + "".join(f"{low.name[i]}, " for i in out)
+                        + ")")
         else:
-            body.append("return [" + ", ".join([name.get(j) or operand(j)
-                                                for j in outs]) + "]")
-        head = []
-        if used:
-            head.append("".join(f"x{s}, " if s in used else "_, "
-                                for s in range(n_args)) + "= a")
-        data = [f"k{s}, " for s in range(len(slots))]
-        if small:
-            data.insert(0, "tol, ")
-            slots.insert(0, 0)
-        if data:
-            head.append("".join(data) + "= c")
-        sources.append((["def _chunk(a, c, r):", *_indent(head + body, 1)],
-                        slots))
+            ret = ", ".join([low.operand(j) for j in outs])
+            body += [*low.lines, f"return [{ret}]"]
+        if low.args:
+            body.insert(0, "".join(f"x{s}, " if s in low.args else "_, "
+                                   for s in range(n_args)) + "= a")
+        sources.append((["def _chunk(a, r):", *_indent(body, 1)], low.ns))
     return sources
 
 
 def _chain(chunks):
-    """A plan's kernel: one function of the arguments running the chunks,
-    each (function, its data)."""
-    *head, (last, data) = chunks
+    """A plan's kernel: one function of the arguments running the chunks."""
+    *head, last = chunks
 
     def kernel(a):
         r = []
-        for chunk, c in head:
-            chunk(a, c, r)
-        return last(a, data, r)
+        for chunk in head:
+            chunk(a, r)
+        return last(a, r)
     return kernel
 
 

@@ -379,33 +379,37 @@ def hj_residual(sys, form, grid):
 # node root of its anchor table, and kept in a memo.  A root without a
 # table starts from its previous root.  Use one object per thread.
 #
-# Nothing here walks a tree.  A quadrature job makes hundreds of
-# thousands of solves on a few roots, so each root generates, at
-# construction and in one source (expr.compile_newton), the kernels of
-# g and g_p and its Newton iteration as one function.  That function
-# computes what does not read the momentum (the arguments' conversions
-# and every operation on them alone: for the heavy top sin, cos, the
-# powers and the division) once per solve, before its loop; each
-# iteration runs only the operations that read p.  Each _RootPartial
-# compiles the derivatives it reads, g_p first, into one kernel
-# (expr.compile).  Kernels and loop do the tree walker's IEEE operations,
-# checks and errors included, so the results are the walker's.
+# Nothing here walks a tree but to raise a walker's error.  A quadrature
+# job makes hundreds of thousands of solves on a few roots, so each root
+# generates, at construction and in one source (expr.compile_newton),
+# the kernels of g and g_p and its Newton iteration as one function.
+# All three come from the operations expr._merge makes of (g, g_p):
+# merged by structure, with the constants as data, so the roots of one
+# Hamiltonian at different energies share one compiled source.  The Newton
+# function computes what does not read the momentum (the arguments'
+# conversions and every operation on them alone: for the heavy top sin,
+# cos, the powers and the division) once per solve, before its loop;
+# each iteration runs only the operations that read p.  Each
+# _RootPartial compiles the derivatives it reads, g_p first, into one
+# kernel (expr.compile).  Kernels and loop do the tree walker's IEEE
+# operations, and a kernel whose checks fail hands its point to the
+# walker, so the results and the errors are the walker's.
 #
 # A quadrature table solves all its node and midpoint roots at once: the
-# same Newton generated on arrays of rows (expr.compile_newton_rows),
-# compiled by a root's first table build (family roots never build one).
-# The per-node cost of the scalar chain is Newton arithmetic in the
-# interpreter, which numpy does for every row in a few dozen array
-# operations.  The one generated function also returns g_p at each row's
-# root, from the iteration that recorded it, and the node checks read
-# that.  Node starts interpolate a scalar chain over every 32nd
-# node; a row the batch does not accept falls back, in node order, to
-# the chain (_chain: Newton from the previous root, then the bracket).
-# When g and g_p use only + - * /, negation and sqrt a row's root is the
-# scalar loop's bit for bit (g_p of a quotient that reads p holds a
-# power); through numpy's power, sin and cos the node roots of the
-# bundled and benchmark tables are within 2 ulp of the scalar chain's,
-# and 4 ulp is the documented bound.
+# same Newton generated on arrays of rows (expr.compile_newton_rows, the
+# same operations and segments in numpy), compiled by a root's first
+# table build (family roots never build one).  The per-node cost of the
+# scalar chain is Newton arithmetic in the interpreter, which numpy does
+# for every row in a few dozen array operations.  The one generated
+# function also returns g_p at each row's root, from the iteration that
+# recorded it, and the node checks read that.  Node starts interpolate a
+# scalar chain over every 32nd node; a row the batch does not accept
+# falls back, in node order, to the chain (_chain: Newton from the
+# previous root, then the bracket).  When g and g_p use only + - * /,
+# negation and sqrt a row's root is the scalar loop's bit for bit (g_p
+# of a quotient that reads p holds a power); through numpy's power, sin
+# and cos the node roots of the bundled and benchmark tables are within
+# 2 ulp of the scalar chain's, and 4 ulp is the documented bound.
 #
 # A running integral is one Gauss-Legendre rule on [base, y]: each call
 # solves its root at the rule's nodes in path order from the base, so a

@@ -103,7 +103,7 @@ class HamiltonianSystem:
 
     # The compiled plans of the sweeps at rows (q, p, t), built on first
     # use: the vector field's (dh/dp, dh/dq) and dh/dp alone, guarded as
-    # the RK4 flows are, and h.
+    # the RK4 flows are.
     @functools.cached_property
     def _field_plan(self):
         return _Plan((*self._dh_dp, *self._dh_dq), self._names,
@@ -112,10 +112,6 @@ class HamiltonianSystem:
     @functools.cached_property
     def _dh_dp_plan(self):
         return _Plan(self._dh_dp, self._names, FLOW_SINGULAR_TOL, "dh_dp")
-
-    @functools.cached_property
-    def _h_plan(self):
-        return _Plan((self.h,), self._names, 0.0, "h")
 
     @property
     def n(self):
@@ -175,7 +171,7 @@ class Trajectory:
     def energies(self, sys):
         """h at every sample, its time bound to the sample time."""
         rows = np.column_stack([self.qs, self.ps, self.times])
-        return sys._h_plan.rows(rows)[:, 0]
+        return evaluate_rows([sys.h], sys._names, rows)[:, 0]
 
 
 def hamiltonian_vector_field(sys, z, t=None):

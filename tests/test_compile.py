@@ -357,6 +357,29 @@ class TestNewtonLoop:
             assert got is None
             assert [tag for tag in calls] == ["g", "g'", "g", "g'"]
 
+    @pytest.mark.parametrize("text, ext_over, args, p0, want", [
+        # the second iterate, about 5e80, makes p*p*p*p inf and its power
+        # non-finite: g's External, after the power, is not called there
+        ("(p*p*p*p)^0.5-a", None, (0.0, 1e41), 1e-40, ["g", "g'"]),
+        # the walker checks a denominator before it evaluates the
+        # numerator, here the External, so a = 1 calls nothing
+        ("p-2+0*y", "a-1", (0.0, 1.0), 0.5, []),
+    ], ids=["failed-power", "zero-denominator"])
+    def test_no_external_runs_after_a_failed_operation(self, text, ext_over,
+                                                       args, p0, want):
+        for run in ("generated", "reference"):
+            calls = []
+            ext = External(Counter(calls, "g"), (Var("p"),))
+            g = parse(text) + (ext if ext_over is None
+                               else ext / parse(ext_over))
+            if run == "generated":
+                got = loop(g, self.names)(*args, p0, 0.0)
+            else:
+                got = reference_newton(g, differentiate(g, "p"), self.names,
+                                       args, p0, 0.0)
+            assert got is None
+            assert calls == want
+
     def test_wrong_branch_rejection(self):
         g = parse("p^2-a+0*y")
         newton = loop(g, self.names)
@@ -420,10 +443,26 @@ class TestCodeCache:
         assert roots[0]._newton.__code__.co_filename == made[0]
         assert roots[0].solve((1.0, 3.0)) == roots[1].solve((1.0, 3.0))
 
+    def test_roots_differing_in_constants_share_their_code(self,
+                                                           monkeypatch):
+        # two energies of one Hamiltonian: constants are data, so both
+        # roots run one Newton source and one array Newton source
+        made = counted_compiles(monkeypatch)
+        h = parse("0.5*(p^2+1.3*y^2)+0.4*y^4")
+        sols = [solve_reduced_1d(h, "y", "p", energy, (-0.5, 0.5),
+                                 n_nodes=101) for energy in (0.5, 0.7)]
+        assert [re.sub(r"#\d+", "#N", f) for f in made] == [
+            "<newton dW #N>", "<newton-rows dW #N>"]
+        for sol, energy in zip(sols, (0.5, 0.7)):
+            p = sol.root.solve((0.3,))
+            assert p > 0.0 and abs(evaluate(h, {"y": 0.3, "p": p})
+                                   - energy) < 1e-15
+
     def test_the_cap_empties_the_cache(self, monkeypatch):
         monkeypatch.setattr(expr_module, "_CODE_CACHE_CAP", 2)
         made = counted_compiles(monkeypatch)
-        exprs = [parse(text) for text in ("x+1", "x+2", "x+3")]
+        # three shapes: constants are data, so x+1 and x+2 share a source
+        exprs = [parse(text) for text in ("x+1", "x*2", "x-3")]
         for e in exprs:
             compile(e, ["x"])
         assert len(made) == 3 and len(expr_module._CODE_CACHE) == 1

@@ -121,7 +121,7 @@ class TestBitForBit:
         rows = np.column_stack([rng.uniform(0.3, 2.8, 40),
                                 rng.uniform(-3.0, 3.0, (40, 5)),
                                 np.zeros(40)])
-        for plan in (sys_._h_plan, sys_._field_plan, sys_._dh_dp_plan):
+        for plan in (sys_._field_plan, sys_._dh_dp_plan):
             want = evaluate_rows(plan.exprs, plan.argnames, rows,
                                  plan.singular_tol)
             assert plan.rows(rows).tobytes() == want.tobytes()
