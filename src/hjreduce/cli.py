@@ -297,13 +297,23 @@ def load_scenario(path_or_name):
             raise ScenarioError(f"scenario not found: {path_or_name}")
         text = res.read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"not valid JSON: {e}")
     err = _schema_error(doc, SCENARIO_SCHEMA, "$")
     if err is not None:
         raise ScenarioError(err)
     return _integers(doc, SCENARIO_SCHEMA)
+
+
+def _finite(text):
+    """A JSON number as a float, refusing one beyond the double range and
+    the tokens NaN, Infinity and -Infinity, which json.loads accepts
+    although JSON has no such values."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ScenarioError(f"number '{text}' is not finite")
+    return value
 
 
 def _integers(value, schema):
@@ -516,7 +526,7 @@ def read_trajectory(path):
     """Inverse of emit_trajectory; bit-exact for files it wrote."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         lines = [ln for ln in f.read().split("\n") if ln]
-    header = lines[0].split(",")
+    header = lines[0].split(",") if lines else []
     if len(header) < 3 or len(header) % 2 == 0 or header[0] != "t":
         raise ValueError(f"{path}: not a trajectory CSV")
     n = (len(header) - 1) // 2
@@ -986,6 +996,9 @@ def main(argv=None):
         if not 0.0 <= args.tol < np.inf:
             raise ScenarioError(f"--tol: must be finite and non-negative, "
                                 f"got {args.tol}")
+        for flag, value in (("--dt", args.dt), ("--t-end", args.t_end)):
+            if value is not None and not np.isfinite(value):
+                raise ScenarioError(f"{flag}: must be finite, got {value}")
         if args.seed is not None and args.seed < 0:
             raise ScenarioError(f"--seed: must be non-negative, got {args.seed}")
         doc = load_scenario(args.scenario)

@@ -36,16 +36,18 @@ structure, with constants as data, and :class:`_Lowering` writes them
 out as straight-line Python whose batched checks send any point that
 might fail back to the walker, so the code gives the walker's bits and
 raises its errors.  Sources that differ only in their constants are
-compiled once per process.  Its callers are a Hamiltonian system's
-vector field and dh/dp along the RK4 flows and in the reconstruction
-sweeps (the system's plans, :class:`_Plan`), and the implicit roots of
-``hj``: each root generates its kernels and its Newton loop once
-(:func:`compile_newton`, :func:`compile`), and a table build runs the
-same Newton on arrays of rows (:func:`compile_newton_rows`, compiled by
-the first table build of a root), one function that also returns g_p
-at each row's root, which is bit-identical when g and g_p use only
-``+ - * /``, negation and sqrt and may differ in the last bits through
-numpy's power and transcendental functions.  The residual of a
+compiled once per process.  :func:`compile` is the one front end that
+makes a scalar function of an expression tuple, at any
+``singular_tol``: a Hamiltonian system's vector field and dh/dp along
+the RK4 flows and in the reconstruction sweeps, and the derivatives an
+implicit root's partials read.  Each root of ``hj`` generates its
+kernels and its Newton loop once (:func:`compile_newton`, from the same
+kernel sources), and a table build runs the same Newton on arrays of
+rows (:func:`compile_newton_rows`, compiled by the first table build of
+a root), one function that also returns g_p at each row's root, which
+is bit-identical when g and g_p use only ``+ - * /``, negation and
+sqrt and may differ in the last bits through numpy's power and
+transcendental functions.  The residual of a
 quadrature solution's own equation (``hj.QuadratureSolution.residual``,
 which ``solve-hj`` and a cyclic ``verify`` report) is the root's kernel
 g = h - E at each point, not an :func:`evaluate_rows` sweep.
@@ -678,68 +680,117 @@ def _relabel(code, filename):
     return code.replace(co_filename=filename, co_consts=consts)
 
 
+def _prologue(args):
+    """The lines float()-converting the arguments ``a{i}``, i in args."""
+    return [f"x{i} = _float(a{i})" for i in sorted(args)]
+
+
 def _indent(lines, depth):
     return ["    " * depth + text for text in lines or ["pass"]]
 
 
-def compile(exprs, argnames, name="kernel"):
-    """One generated straight-line function evaluating ``exprs``.
+# Operations per generated function: compiling one long source takes
+# memory that grows with its length.
+_CHUNK = 200
 
-    ``f = compile(exprs, argnames)`` gives ``f(*args)``, which returns
-    ``tuple(evaluate(e, dict(zip(argnames, args))) for e in exprs)``
-    bit for bit and type for type; a single Expr gives a single value.
-    A name listed twice in ``argnames`` takes its later argument.
 
-    The kernel runs the operations of :func:`_merge`, the trees merged
-    by structure, on the float()-converted arguments, then checks that
-    every power and call gave a finite value.  A failed check, or a
-    float or math error, evaluates the arguments again with the tree
-    walker, which raises its DomainError on the same node.  A tuple
-    holding an External or a name outside ``argnames`` is always walked,
-    so External calls keep the walker's order and are never merged, and
-    an unbound variable raises UnboundVariableError where the walker
-    reaches it.
+def compile(exprs, argnames, name, singular_tol=0.0):
+    """One generated function evaluating ``exprs``.
 
-    Nothing recurses, so no tree is too deep to compile.  The source
-    holds only generated names: constants, like every other object, are
-    bound in the kernel's namespace, so kernels of one shape share their
-    code.  The code object's file name is
-    ``<kernel NAME #N>``, N counting the generated sources built in this
-    process, so profiles (which key functions by file, line and name)
-    and tracebacks keep every kernel apart; a source compiled before is
-    not compiled again, and its cached code object is relabelled with
-    the new name (:func:`_build`).
+    ``f = compile(exprs, argnames, name, singular_tol)`` gives
+    ``f(*args)``, which returns ``tuple(evaluate(e, dict(zip(argnames,
+    args)), singular_tol) for e in exprs)`` bit for bit and type for
+    type, or raises the walker's error; a single Expr gives a single
+    value.  A name listed twice in ``argnames`` takes its later argument.
+
+    The function runs the operations of :func:`_merge`, the trees merged
+    by structure, on the float()-converted arguments as straight-line
+    code (:class:`_Lowering`), then checks that every power and call
+    gave a finite value and, when ``singular_tol`` is positive, that no
+    denominator and no base of a power with a possibly negative exponent
+    lies within it.  A failed check, or a float or math error, evaluates
+    the arguments again with the tree walker, which raises its
+    DomainError on the same node.  A tuple holding an External or a name
+    outside ``argnames`` is always walked, so External calls keep the
+    walker's order and are never merged, and an unbound variable raises
+    UnboundVariableError where the walker reaches it.
+
+    Up to ``_CHUNK`` operations are one function.  More run in chunk
+    functions of at most ``_CHUNK`` operations, each generated as a
+    source of its own: ``f`` converts the arguments, then calls the
+    chunks in order, each with the arguments it reads and one list that
+    carries the values read by later chunks, all inside ``f``'s one
+    fallback to the walker.  Nothing recurses, so no tree is too deep to
+    compile.  The sources hold only generated names: constants, like
+    every other object, are bound in the function's namespace, so
+    functions of one shape share their code.  Each code object's file
+    name is ``<kernel NAME #N>``, N counting the generated sources built
+    in this process, so profiles (which key functions by file, line and
+    name) and tracebacks keep every function apart; a source compiled
+    before is not compiled again, and its cached code object is
+    relabelled with the new name (:func:`_build`).
     """
+    ns = dict(_NS)
+    for lines in _kernel_sources("_kernel", exprs, argnames, singular_tol, ns):
+        _build(lines, "kernel", name, ns)
+    return ns["_kernel"]
+
+
+def _kernel_sources(fname, exprs, argnames, singular_tol, ns):
+    """The sources of its chunks ``fname_0``, .. (none for one chunk),
+    then of ``fname(a0, ..)``, the function :func:`compile` describes;
+    its walker and its data go into ``ns``, where all of them run."""
     single = isinstance(exprs, Expr)
     exprs = (exprs,) if single else tuple(exprs)
-    ns = dict(_NS)
-    lines = _kernel_source("_kernel", exprs, argnames, ns, single)
-    return _build(lines, "kernel", name, ns)["_kernel"]
-
-
-def _kernel_source(fname, exprs, argnames, ns, single):
-    """Source of ``fname(a0, ..)``, the kernel :func:`compile` describes;
-    its walker and its data go into ``ns``."""
     args = "".join(f"a{i}, " for i in range(len(argnames)))
     walk = f"return {fname}_walk(({args}))"
 
     def walker(args):
         b = dict(zip(argnames, args))
-        out = tuple([e._ev(b, 0.0) for e in exprs])
+        out = tuple([e._ev(b, singular_tol) for e in exprs])
         return out[0] if single else out
 
     ns[f"{fname}_walk"] = walker
     merged = _pure(exprs, argnames)
     if merged is None:
-        return [f"def {fname}({args}):", "    " + walk]
+        return [[f"def {fname}({args}):", "    " + walk]]
     ops, data, outs = merged
-    low = _Lowering(ops, data, _steps(ops), outs, "scalar", ns)
-    body = low.segment(_steps(ops))
-    outs = [low.operand(j) for j in outs]
-    ret = outs[0] if single else "(" + "".join(o + ", " for o in outs) + ")"
-    return [f"def {fname}({args}):", "    try:",
-            *_indent([*low.prologue(), *body, f"return {ret}"], 2),
-            "    except _FAILS:", "        " + walk]
+    steps = _steps(ops)
+    chunks = [steps[j:j + _CHUNK]
+              for j in range(0, len(steps), _CHUNK)] or [[]]
+    last = len(chunks) - 1
+    home = {i: c for c, chunk in enumerate(chunks) for i in chunk}
+    # the values a later chunk reads or returns
+    crossing = {j for i in steps for j in ops[i][1:]
+                if home.get(j, home[i]) < home[i]}
+    crossing.update(j for j in outs if home.get(j, last) < last)
+    shared = {}  # a crossing value's index in the list r
+    read, defs, body = set(), [], ["r = []"]
+    for c, chunk in enumerate(chunks):
+        low = _Lowering(ops, data, chunk, crossing.union(outs),
+                        "guarded" if singular_tol > 0.0 else "scalar", ns)
+        low.shared = shared
+        lines = low.segment(chunk)
+        if c < last:
+            out = [i for i in chunk if i in crossing]
+            shared.update((i, len(shared)) for i in out)
+            lines.append("r += [" + ", ".join(low.name[i] for i in out) + "]")
+        else:
+            rets = [low.operand(j) for j in outs]
+            ret = "(" + "".join(f"{r}, " for r in rets) + ")"
+            lines += [*low.lines, f"return {rets[0] if single else ret}"]
+        read |= low.args
+        if not last:
+            body = lines
+            break
+        params = "".join(f"x{i}, " for i in sorted(low.args))
+        defs.append([f"def {fname}_{c}({params}r):", *_indent(lines, 1)])
+        body.append(("return " if c == last else "")
+                    + f"{fname}_{c}({params}r)")
+    ns["_tol"] = singular_tol
+    return [*defs, [f"def {fname}({args}):", "    try:",
+                    *_indent([*_prologue(read), *body], 2),
+                    "    except _FAILS:", "        " + walk]]
 
 
 def compile_newton(g, g_p, argnames, name, tol, max_iter, slack):
@@ -748,7 +799,8 @@ def compile_newton(g, g_p, argnames, name, tol, max_iter, slack):
     ``argnames`` lists the arguments, then the momentum p; every
     variable of g must be one of them.  Returns ``(g_fn, gp_fn,
     newton)``: g_fn and gp_fn are the kernels :func:`compile` makes of
-    g and g_p, and ``newton(*args, p0, s)`` runs Newton on p from p0:
+    g and g_p (their sources, chunks included, are part of this one),
+    and ``newton(*args, p0, s)`` runs Newton on p from p0:
     at most ``max_iter`` iterations, stopping when g is exactly 0, when
     g or g_p fails (as the walker would raise DomainError), when g_p is
     0, or when the step returns to p or to the previous iterate (a
@@ -771,8 +823,8 @@ def compile_newton(g, g_p, argnames, name, tol, max_iter, slack):
     """
     _refuse_stray(g, g_p, argnames)
     ns = dict(_NS)
-    source = [*_kernel_source("_g", (g,), argnames, ns, True),
-              *_kernel_source("_gp", (g_p,), argnames, ns, True)]
+    source = sum([*_kernel_sources("_g", g, argnames, 0.0, ns),
+                  *_kernel_sources("_gp", g_p, argnames, 0.0, ns)], [])
     low, (head_g, head_gp, in_g, in_gp), gv, gpv = _newton_lowering(
         _merge((g, g_p), {v: i for i, v in enumerate(argnames)}),
         len(argnames) - 1, "scalar", ns)
@@ -780,7 +832,7 @@ def compile_newton(g, g_p, argnames, name, tol, max_iter, slack):
     accept = f"<= {tol!r} and not s * {{}} < {-slack!r}".format
     source += [
         f"def _newton({args}p, s):",
-        *_indent(low.prologue(), 1),
+        *_indent(_prologue(low.args), 1),
         "    p = _float(p)",
         "    try:",
         *_indent(head_g + head_gp, 2),
@@ -872,7 +924,7 @@ def compile_newton_rows(g, g_p, argnames, name, tol, max_iter, slack):
     args = "".join(f"a{i}, " for i in range(len(argnames) - 1))
     source = [
         f"def _newton_rows({args}p, s):",
-        *_indent(low.prologue(), 1),
+        *_indent(_prologue(low.args), 1),
         "    p = _float(p)",
         "    bad = _no_rows(p)",
         *_indent(head_g, 1),
@@ -936,64 +988,6 @@ def _newton_lowering(merged, moving, mode, ns):
     parts = [low.segment([i for i in part if (i <= g_out) is for_g])
              for part in (head, loop) for for_g in (True, False)]
     return low, parts, low.operand(g_out), low.operand(gp_out)
-
-
-# Operations per compiled chunk of a plan: compiling one long function
-# takes memory that grows with its length.
-_PLAN_CHUNK = 200
-
-
-class _Plan:
-    """One compiled evaluation of an expression tuple, for many rows.
-
-    ``plan(args)``, ``args`` a list of floats (one per name of
-    ``argnames``; a name listed twice takes its later one), returns
-    ``[e.evaluate(dict(zip(argnames, args)), singular_tol) for e in
-    exprs]`` bit for bit, or raises the walker's error.
-
-    The operations of :func:`_merge` run as straight-line code, in
-    chunks of at most ``_PLAN_CHUNK`` operations that reuse their
-    registers and pass values on to later chunks through one list.
-    Constants are data (bound in each chunk's namespace), so plans of
-    one shape share their code objects through :func:`_build`'s cache.  After its
-    operations a chunk checks that every power and call gave a finite
-    value and, when ``singular_tol`` is positive, that no denominator
-    and no base of a power with a possibly negative exponent lies within
-    it.  A failed check, or a float or math error, evaluates the row
-    again with the tree walker, which raises its exact DomainError (or
-    returns the same values).  A tuple holding an External or an unbound
-    name is always walked, so External calls keep their order.
-    """
-
-    def __init__(self, exprs, argnames, singular_tol, name):
-        self.exprs = tuple(exprs)
-        self.argnames = tuple(argnames)
-        self.singular_tol = singular_tol
-        self._kernel = None
-        merged = _pure(self.exprs, self.argnames)
-        if merged is not None:
-            self._kernel = _chain([
-                _build(lines, "plan", name, {**ns, "tol": singular_tol})[
-                    "_chunk"] for lines, ns in _plan_sources(
-                        *merged, len(self.argnames), singular_tol > 0.0)])
-
-    def _walk(self, args):
-        b = dict(zip(self.argnames, args))
-        return [e._ev(b, self.singular_tol) for e in self.exprs]
-
-    def __call__(self, args):
-        if self._kernel is None:
-            return self._walk(args)
-        try:
-            return self._kernel(args)
-        except _FAILS:
-            return self._walk(args)
-
-    def rows(self, rows):
-        """The expressions at every row, as :func:`evaluate_rows` gives."""
-        rows = np.asarray(rows, dtype=float)
-        return np.array([self(row) for row in rows.tolist()],
-                        dtype=float).reshape(len(rows), len(self.exprs))
 
 
 _KINDS = {Add: "+", Sub: "-", Mul: "*", Div: "/", Pow: "^", Neg: "neg",
@@ -1090,16 +1084,18 @@ class _Lowering:
 
     :meth:`segment` gives the statements computing some of ``steps``,
     each after its operands, then the segment's checks.  Argument i is
-    the local ``x{i}``, bound by :meth:`prologue`, and each read of a
-    datum a global of its own, put in ``ns``, so the source depends
+    the local ``x{i}``, bound by :func:`_prologue`; an operation that an
+    earlier chunk of :func:`compile` computed is read from the list
+    ``r``, at its index in ``shared``.  Each read of a datum is a
+    global of its own, put in ``ns``, so the source depends
     neither on the constants' values nor on which of them are equal.  A
     register is reused after its operation's last read in ``steps``,
     except for the operations in ``keep``.
 
     A segment's checks are batched: every power and call gave a finite
-    value and, in ``guarded`` mode (a plan's), no denominator and no
-    base of a power with a possibly negative exponent lies within
-    ``tol``.  On scalars a failed check raises ``_Recheck``, and a
+    value and, in ``guarded`` mode, no denominator and no base of a
+    power with a possibly negative exponent lies within the global
+    ``_tol``.  On scalars a failed check raises ``_Recheck``, and a
     division by zero or a math error raises by itself.  In ``rows``
     mode each operand holds one value per row, a failed check ORs into
     the row mask ``bad``, and so does a zero denominator, since numpy's
@@ -1118,7 +1114,7 @@ class _Lowering:
         self.name, self.lines, self.free = {}, [], []
         self.temps = itertools.count()
         self.args = set()  # the arguments read
-        self.shared = {}  # a plan's values from earlier chunks: index in r
+        self.shared = {}  # earlier chunks' values: index in the list r
         self.finite, self.small, self.zero = {}, {}, {}  # pending checks
 
     def operand(self, j):
@@ -1138,10 +1134,6 @@ class _Lowering:
                 self.lines.append(f"{text} = r[{self.shared[j]}]")
             self.name[j] = text
         return text
-
-    def prologue(self):
-        """The lines float()-converting the arguments read, ``a{i}``."""
-        return [f"x{i} = _float(a{i})" for i in sorted(self.args)]
 
     def segment(self, steps):
         """The lines computing ``steps``, then their checks."""
@@ -1200,7 +1192,7 @@ class _Lowering:
 
     def _check(self):
         """Emit the pending checks."""
-        conds = [f"_abs({x}) < tol" for x in self.small.values()]
+        conds = [f"_abs({x}) < _tol" for x in self.small.values()]
         conds += [f"{x} == 0.0" for x in self.zero.values()]
         if self.finite:
             conds.insert(0, " + ".join(f"({x} - {x})" for x in
@@ -1213,60 +1205,6 @@ class _Lowering:
             self.lines.append("bad |= " + " | ".join(f"({c})" for c in conds))
         elif conds:
             self.lines.append(f"if {' or '.join(conds)}: raise _Recheck")
-
-
-def _plan_sources(ops, consts, outs, n_args, guarded):
-    """Each chunk of a plan (see :class:`_Plan`) as (lines, namespace).
-
-    A chunk is ``_chunk(a, r)``: ``a`` holds the ``n_args`` arguments
-    and ``r`` the values that cross a chunk boundary, which each chunk
-    appends to.  Its namespace holds its constants; a ``guarded`` chunk
-    also reads ``tol``, which the caller binds there.  The last chunk
-    returns the list of outputs.
-    """
-    steps = _steps(ops)
-    home = [-1] * len(ops)  # the chunk computing each operation
-    for n, i in enumerate(steps):
-        home[i] = n // _PLAN_CHUNK
-    chunks = [steps[j:j + _PLAN_CHUNK]
-              for j in range(0, len(steps), _PLAN_CHUNK)] or [[]]
-    last = len(chunks) - 1
-    crossing = {j for i in steps for j in ops[i][1:]
-                if -1 < home[j] < home[i]}
-    crossing.update(j for j in outs if -1 < home[j] < last)
-    shared = {}  # a crossing value's index in r
-    sources = []
-    for ci, chunk in enumerate(chunks):
-        low = _Lowering(ops, consts, chunk,
-                        crossing if ci < last else crossing.union(outs),
-                        "guarded" if guarded else "scalar", dict(_NS))
-        low.shared = shared
-        body = low.segment(chunk)
-        if ci < last:
-            out = [i for i in chunk if i in crossing]
-            shared.update((i, len(shared)) for i in out)
-            body.append("r += (" + "".join(f"{low.name[i]}, " for i in out)
-                        + ")")
-        else:
-            ret = ", ".join([low.operand(j) for j in outs])
-            body += [*low.lines, f"return [{ret}]"]
-        if low.args:
-            body.insert(0, "".join(f"x{s}, " if s in low.args else "_, "
-                                   for s in range(n_args)) + "= a")
-        sources.append((["def _chunk(a, r):", *_indent(body, 1)], low.ns))
-    return sources
-
-
-def _chain(chunks):
-    """A plan's kernel: one function of the arguments running the chunks."""
-    *head, last = chunks
-
-    def kernel(a):
-        r = []
-        for chunk in head:
-            chunk(a, r)
-        return last(a, r)
-    return kernel
 
 
 def differentiate(e, var):

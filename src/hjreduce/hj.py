@@ -391,9 +391,11 @@ def hj_residual(sys, form, grid):
 # cos, the powers and the division) once per solve, before its loop;
 # each iteration runs only the operations that read p.  Each
 # _RootPartial compiles the derivatives it reads, g_p first, into one
-# kernel (expr.compile).  Kernels and loop do the tree walker's IEEE
-# operations, and a kernel whose checks fail hands its point to the
-# walker, so the results and the errors are the walker's.
+# kernel with expr.compile, the front end that also gives the flows
+# their vector fields and whose kernel sources compile_newton embeds.
+# Kernels and loop do the tree walker's IEEE operations, and a kernel
+# whose checks fail hands its point to the walker, so the results and
+# the errors are the walker's.
 #
 # A quadrature table solves all its node and midpoint roots at once: the
 # same Newton generated on arrays of rows (expr.compile_newton_rows, the

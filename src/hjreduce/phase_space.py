@@ -16,8 +16,7 @@ import re
 
 import numpy as np
 
-from .expr import (DomainError, Expr, _Plan, differentiate, evaluate_rows,
-                   parse)
+from .expr import DomainError, compile, differentiate, evaluate_rows, parse
 
 __all__ = [
     "HamiltonianSystem", "PhasePoint", "Trajectory",
@@ -101,17 +100,17 @@ class HamiltonianSystem:
     def _dh_dp(self):
         return tuple(differentiate(self.h, v) for v in self.momenta)
 
-    # The compiled plans of the sweeps at rows (q, p, t), built on first
-    # use: the vector field's (dh/dp, dh/dq) and dh/dp alone, guarded as
-    # the RK4 flows are.
+    # The generated functions of (q, p, t) that the RK4 flows and the
+    # reconstruction sweeps call, built on first use: the vector field's
+    # (dh/dp, dh/dq) and dh/dp alone, guarded as the RK4 flows are.
     @functools.cached_property
-    def _field_plan(self):
-        return _Plan((*self._dh_dp, *self._dh_dq), self._names,
-                     FLOW_SINGULAR_TOL, "field")
+    def _field_kernel(self):
+        return compile((*self._dh_dp, *self._dh_dq), self._names, "field",
+                       FLOW_SINGULAR_TOL)
 
     @functools.cached_property
-    def _dh_dp_plan(self):
-        return _Plan(self._dh_dp, self._names, FLOW_SINGULAR_TOL, "dh_dp")
+    def _dh_dp_kernel(self):
+        return compile(self._dh_dp, self._names, "dh_dp", FLOW_SINGULAR_TOL)
 
     @property
     def n(self):
@@ -250,10 +249,10 @@ def flow_reference(sys, z0, t_end, dt):
     singularity raise a DomainError rather than continuing with garbage.
     """
     n = sys.n
-    plan = sys._field_plan
+    kernel = sys._field_kernel
 
     def field(t, y):
-        v = np.array(plan(y.tolist() + [float(t)]))
+        v = np.array(kernel(*y.tolist(), t))
         np.negative(v[n:], out=v[n:])
         return v
 

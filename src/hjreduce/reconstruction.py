@@ -99,8 +99,8 @@ def projected_vector_field(sys, form, q, t=None):
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     p = form.values(q, FLOW_SINGULAR_TOL)
-    return np.array(sys._dh_dp_plan(
-        [*q.tolist(), *p.tolist(), 0.0 if t is None else float(t)]))
+    return np.array(sys._dh_dp_kernel(*q.tolist(), *p.tolist(),
+                                      0.0 if t is None else t))
 
 
 def integrate_projected(sys, form, q0, t_end, dt):
@@ -162,6 +162,13 @@ def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
     def red_field(t, y):
         return projected_vector_field(red_sys, reduced_form, y, t=t)
 
+    def dh_dp(s, rows):
+        """s's dh/dp at every row (q, p, t), as a (len(rows), n) array,
+        whose shape holds for zero rows too (a zero-step path's
+        midpoints)."""
+        return np.array([s._dh_dp_kernel(*row) for row in rows.tolist()],
+                        dtype=float).reshape(len(rows), s.n)
+
     def states(ys, ts):
         """Lifted momenta, reduced velocities and group rates at (ys, ts).
 
@@ -172,10 +179,9 @@ def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
         reduced_ps = evaluate_rows(reduced_form.components,
                                    reduced_form.coords, ys, FLOW_SINGULAR_TOL)
         ps = (chart.y_block.T @ reduced_ps[:, :, None])[..., 0] + shift
-        qdots = sys._dh_dp_plan.rows(np.hstack(
+        qdots = dh_dp(sys, np.hstack(
             [(l_mat @ ys[:, :, None])[..., 0], ps, ts[:, None]]))
-        ydots = red_sys._dh_dp_plan.rows(
-            np.hstack([ys, reduced_ps, ts[:, None]]))
+        ydots = dh_dp(red_sys, np.hstack([ys, reduced_ps, ts[:, None]]))
         drift = qdots - (l_mat @ ydots[:, :, None])[..., 0]
         return ps, ydots, (x_blk @ drift[:, :, None])[..., 0]
 

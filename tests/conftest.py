@@ -1,5 +1,10 @@
+import builtins
 import os
 import sys
+
+import pytest
+
+from hjreduce import expr
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -16,3 +21,20 @@ except ImportError:
 if callable(getattr(_providers, "_get_local_constants", None)):
     _NO_CONSTANTS = _Constants()
     _providers._get_local_constants = lambda: _NO_CONSTANTS
+
+
+@pytest.fixture
+def counted_compiles(monkeypatch):
+    """An empty code cache and the file name of every ``builtins.compile``
+    call from now on, so a test counts its compiles whatever earlier tests
+    compiled."""
+    monkeypatch.setattr(expr, "_CODE_CACHE", {})
+    made = []
+    real = builtins.compile
+
+    def counting(source, filename, *args, **kwargs):
+        made.append(filename)
+        return real(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    return made

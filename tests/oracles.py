@@ -1,7 +1,9 @@
-"""Shared numeric oracles: finite differences, random expressions, ulps.
+"""Shared numeric oracles: finite differences, random expressions, ulps,
+and the tree walker as the reference of generated code.
 
 Everything here is an independent check — no code path under test is
-used to produce an expected value.
+used to produce an expected value, except the walker in
+:func:`assert_walked`, which generated code must reproduce.
 """
 
 import struct
@@ -9,6 +11,32 @@ import struct
 import numpy as np
 
 from hjreduce.expr import Call, Const, Neg, Var, call, substitute
+
+
+def bits(v):
+    """Type and IEEE bit pattern, so NaN and signed zeros compare too."""
+    return type(v), struct.pack("<d", v)
+
+
+def assert_walked(fn, exprs, names, args, singular_tol=0.0):
+    """fn(*args) is the tree walker's values of ``exprs`` bit for bit, or
+    raises the walker's error; returns that error, None if there is none."""
+    def outcome(values):
+        try:
+            return [bits(v) for v in values()], None
+        except Exception as err:  # compared below
+            return None, err
+
+    b = dict(zip(names, args))
+    want, want_err = outcome(lambda: [e.evaluate(b, singular_tol)
+                                      for e in exprs])
+    got, got_err = outcome(lambda: fn(*args))
+    assert got == want
+    assert type(got_err) is type(want_err)
+    assert str(got_err) == str(want_err)
+    assert getattr(got_err, "subexpr", None) is getattr(want_err, "subexpr",
+                                                        None)
+    return want_err
 
 
 def ulp(a, b):

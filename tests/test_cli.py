@@ -104,10 +104,11 @@ class TestTrajectoryCSV:
         assert str(ei.value) == "CSV column 'b' is not finite"
 
     def test_reject_malformed(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            read_trajectory(str(path))
+        for name, text in (("bad.csv", "a,b\n1,2\n"), ("empty.csv", "")):
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(ValueError, match="not a trajectory CSV"):
+                read_trajectory(str(path))
 
 
 class TestExitCodes:
@@ -269,6 +270,43 @@ class TestExitCodes:
         with pytest.raises(DomainError) as ei:
             cli._json_text({"a": 1.0, "b": {"c": np.array([0.5, -np.inf])}})
         assert str(ei.value) == "report field 'b' is not finite"
+
+
+class TestNonFiniteInputs:
+    """NaN and the infinities are refused before any run: one scenario
+    error line, exit 2, no output written."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--dt", "inf"), ("--dt", "nan"), ("--t-end", "inf"),
+        ("--t-end", "nan")])
+    def test_time_flags(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "oscillator", flag, value,
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"scenario error: {flag}: must be finite, got {float(value)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, name, field, token", [
+        ("solve-hj", "calogero", "energy", "NaN"),
+        ("simulate", "oscillator", "dt", "Infinity"),
+        ("simulate", "oscillator", "t_end", "-Infinity"),
+        ("simulate", "oscillator", "dt", "1e400")])
+    def test_scenario_tokens(self, tmp_path, capsys, command, name, field,
+                             token):
+        # json.loads reads the first three, which JSON does not have, and
+        # the last, a JSON number, as an infinity
+        doc = load_scenario(name)
+        text = json.dumps(doc).replace(
+            f'"{field}": {json.dumps(doc[field])}', f'"{field}": {token}')
+        assert token in text
+        path = tmp_path / "scn.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main([command, str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"scenario error: number '{token}' is not finite\n")
+        assert not out.exists()
 
 
 class TestOversizedInputs:
@@ -977,6 +1015,16 @@ class TestPipelineCommands:
         tr = read_trajectory(str(tmp_path / "calogero_reconstructed.csv"))
         assert len(tr) == 1001
         np.testing.assert_allclose(tr.qs[0], [1.0, -1.0], atol=1e-14)
+
+    def test_reconstruct_zero_span(self, tmp_path, capsys):
+        # one sample: the midpoint sweeps run on zero rows
+        assert cli.main(["reconstruct", "calogero", "--t-end", "0",
+                         "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "calogero_reconstruct.json")
+                         .read_text())
+        assert rep["sup_dev_vs_projected"] == 0.0
+        tr = read_trajectory(str(tmp_path / "calogero_reconstructed.csv"))
+        assert len(tr) == 1
 
     def test_simulate(self, tmp_path):
         r = run_cli("simulate", "freeparticle", "--out", str(tmp_path))

@@ -2,10 +2,8 @@
 the generated Newton loops against the Python loop they replaced; the
 array Newton against the scalar loop."""
 
-import builtins
 import math
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -21,59 +19,13 @@ from hjreduce.hj import (ImplicitBranchRoot, quadrature_complete_solution,
                          solve_reduced_1d)
 from hjreduce.phase_space import HamiltonianSystem
 
-from oracles import random_expr, ulp
-
-
-@pytest.fixture
-def empty_code_cache(monkeypatch):
-    """A code cache of its own, so a test counts its compiles whatever
-    earlier tests compiled."""
-    monkeypatch.setattr(expr_module, "_CODE_CACHE", {})
-
-
-def counted_compiles(monkeypatch):
-    """The file name of every ``builtins.compile`` call from now on."""
-    made = []
-    real = builtins.compile
-
-    def counting(source, filename, *args, **kwargs):
-        made.append(filename)
-        return real(source, filename, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "compile", counting)
-    return made
-
-
-def bits(v):
-    """Type and IEEE bit pattern, so NaN and signed zeros compare too."""
-    return type(v), struct.pack("<d", v)
-
-
-def walk(exprs, names, args):
-    """The tree walker's values or its error, as the reference."""
-    b = dict(zip(names, args))
-    try:
-        return [bits(evaluate(e, b)) for e in exprs], None
-    except Exception as err:  # compared with the kernel's below
-        return None, err
-
-
-def run(exprs, names, args):
-    try:
-        return [bits(v) for v in compile(exprs, names)(*args)], None
-    except Exception as err:
-        return None, err
+from oracles import assert_walked, bits, random_expr, ulp
 
 
 def assert_same(exprs, names, args):
-    want, want_err = walk(exprs, names, args)
-    got, got_err = run(exprs, names, args)
-    assert got == want
-    assert type(got_err) is type(want_err)
-    assert str(got_err) == str(want_err)
-    assert getattr(got_err, "subexpr", None) is getattr(want_err, "subexpr",
-                                                        None)
-    return want_err
+    """The kernel of ``exprs`` gives the walker's bits or raises its error;
+    returns that error."""
+    return assert_walked(compile(exprs, names, "t"), exprs, names, args)
 
 
 class TestBitEqualToTheWalker:
@@ -89,8 +41,8 @@ class TestBitEqualToTheWalker:
 
     def test_single_expression_gives_a_single_value(self):
         e = parse("x*y+1")
-        assert compile(e, ["x", "y"])(2.0, 3.0) == 7.0
-        assert compile([e], ["x", "y"])(2.0, 3.0) == (7.0,)
+        assert compile(e, ["x", "y"], "t")(2.0, 3.0) == 7.0
+        assert compile([e], ["x", "y"], "t")(2.0, 3.0) == (7.0,)
 
     def test_argument_types_and_non_finite_constants(self):
         # float() conversion as the walker's, a folded inf constant gives
@@ -108,11 +60,9 @@ class TestBitEqualToTheWalker:
         assert files[0] != files[1]
         assert all(re.fullmatch(r"<kernel pbranch g_p #\d+>", f)
                    for f in files)
-        default = compile(e, ["x", "y"]).__code__.co_filename
-        assert default.startswith("<kernel kernel #")
 
     def test_a_name_listed_twice_takes_the_later_argument(self):
-        assert compile(Var("x"), ["x", "x"])(1.0, 2.0) == 2.0
+        assert compile(Var("x"), ["x", "x"], "t")(1.0, 2.0) == 2.0
         assert_same([Var("x") + 1.0], ["x", "x"], (1.0, 2.0))
 
 
@@ -173,7 +123,7 @@ class TestExternal:
             # f is shared by identity; the division reads g first
             trees.append([f + f * x, (f - 1.0) / (g + 2.0), g])
         want = [evaluate(e, {"x": 1.5, "y": -2.0}) for e in trees[0]]
-        got = compile(trees[1], ["x", "y"])(1.5, -2.0)
+        got = compile(trees[1], ["x", "y"], "t")(1.5, -2.0)
         assert [bits(v) for v in got] == [bits(v) for v in want]
         assert kernel_log == walker_log
         assert [tag for tag, _ in walker_log] == ["f", "f", "g", "f", "g"]
@@ -183,9 +133,9 @@ class TestCompilesWhatTheWalkerCannot:
     def test_a_variable_name_that_is_python_source(self):
         name = "__import__('os').system('exit 1') or x"
         e = Var(name) * 2.0
-        assert compile(e, [name])(1.5) == 3.0
+        assert compile(e, [name], "t")(1.5) == 3.0
         with pytest.raises(UnboundVariableError) as ei:
-            compile(e, ["x"])(1.5)
+            compile(e, ["x"], "t")(1.5)
         assert ei.value.name == name
 
     def test_a_five_thousand_term_sum(self):
@@ -199,7 +149,7 @@ class TestCompilesWhatTheWalkerCannot:
             want = want + coeff * args[i % 3]
         with pytest.raises(RecursionError):
             evaluate(e, dict(zip(names, args)))
-        assert bits(compile(e, names)(*args)) == bits(want)
+        assert bits(compile(e, names, "t")(*args)) == bits(want)
 
 
 class TestAgainstSympy:
@@ -216,7 +166,7 @@ class TestAgainstSympy:
         sym = sympy.sympify(text.replace("^", "**").replace("arctan", "atan"),
                             locals={"x": sx, "y": sy})
         reference = sympy.lambdify((sx, sy), sym, modules="math")
-        kernel = compile(parse(text), ["x", "y"])
+        kernel = compile(parse(text), ["x", "y"], "t")
         rng = np.random.default_rng(3)
         for x, y in rng.uniform(-2.0, 2.0, size=(20, 2)):
             want = reference(float(x), float(y))
@@ -310,7 +260,7 @@ class TestNewtonLoop:
         # sqrt(a) fails for every p: no iteration can evaluate g
         g = parse("p^2-sqrt(a)+y")
         with pytest.raises(DomainError):
-            compile(g, self.names)(0.0, -1.0, 0.5)
+            compile(g, self.names, "t")(0.0, -1.0, 0.5)
         assert loop(g, self.names)(0.0, -1.0, 0.5, 0.0) is None
         assert_loop_matches(g, self.names, (0.0, -1.0), [0.5, 1.0])
 
@@ -320,8 +270,8 @@ class TestNewtonLoop:
         g = parse("y^p-a")
         g_p = differentiate(g, "p")
         with pytest.raises(DomainError, match="log of a non-positive"):
-            compile(g_p, self.names)(0.0, 0.0, 0.7)
-        assert compile(g, self.names)(0.0, 0.0, 0.7) == 0.0
+            compile(g_p, self.names, "t")(0.0, 0.0, 0.7)
+        assert compile(g, self.names, "t")(0.0, 0.0, 0.7) == 0.0
         newton = loop(g, self.names)
         assert newton(0.0, 0.0, 0.7, 1.0) == 0.7       # g is exactly 0
         assert newton(0.0, -1e-13, 0.7, 1.0) == 0.7    # |g| within tol
@@ -406,9 +356,8 @@ class TestNewtonLoop:
             loop(parse("p^2-w"), ("y", "p"))
         assert ei.value.name == "w"
 
-    @pytest.mark.usefixtures("empty_code_cache")
-    def test_one_compile_per_root_in_one_named_file(self, monkeypatch):
-        made = counted_compiles(monkeypatch)
+    def test_one_compile_per_root_in_one_named_file(self, counted_compiles):
+        made = counted_compiles
         root = ImplicitBranchRoot(parse("p^2+y*p-a"), "y", "p",
                                   params=("a",), name="pb")
         assert len(made) == 1
@@ -418,19 +367,24 @@ class TestNewtonLoop:
         assert not hasattr(ImplicitBranchRoot, "_newton")
 
 
-@pytest.mark.usefixtures("empty_code_cache")
 class TestCodeCache:
-    def test_equal_sources_compile_once(self, monkeypatch):
-        made = counted_compiles(monkeypatch)
+    def test_equal_sources_compile_once(self, counted_compiles):
+        made = counted_compiles
         e = parse("x*y+sin(x)")
         one, two = compile(e, ["x", "y"], "one"), compile(e, ["x", "y"], "two")
         assert len(made) == 1
         assert one(0.5, 2.0) == two(0.5, 2.0) == evaluate(e, {"x": 0.5,
                                                              "y": 2.0})
 
-    def test_each_keeps_its_own_file_name(self, monkeypatch):
+    def test_constants_are_data(self, counted_compiles):
+        a = compile(parse("x*2.0+y"), ("x", "y"), "one")
+        b = compile(parse("x*3.0+y"), ("x", "y"), "two")
+        assert len(counted_compiles) == 1
+        assert a(1.0, 1.0) == 3.0 and b(1.0, 1.0) == 4.0
+
+    def test_each_keeps_its_own_file_name(self, counted_compiles):
         # a cache hit relabels the code object and those nested in it
-        made = counted_compiles(monkeypatch)
+        made = counted_compiles
         roots = [ImplicitBranchRoot(parse("p^2+y*p-a"), "y", "p",
                                     params=("a",), name=name)
                  for name in ("pa", "pb")]
@@ -443,11 +397,11 @@ class TestCodeCache:
         assert roots[0]._newton.__code__.co_filename == made[0]
         assert roots[0].solve((1.0, 3.0)) == roots[1].solve((1.0, 3.0))
 
-    def test_roots_differing_in_constants_share_their_code(self,
-                                                           monkeypatch):
+    def test_roots_differing_in_constants_share_their_code(
+            self, counted_compiles):
         # two energies of one Hamiltonian: constants are data, so both
         # roots run one Newton source and one array Newton source
-        made = counted_compiles(monkeypatch)
+        made = counted_compiles
         h = parse("0.5*(p^2+1.3*y^2)+0.4*y^4")
         sols = [solve_reduced_1d(h, "y", "p", energy, (-0.5, 0.5),
                                  n_nodes=101) for energy in (0.5, 0.7)]
@@ -458,17 +412,17 @@ class TestCodeCache:
             assert p > 0.0 and abs(evaluate(h, {"y": 0.3, "p": p})
                                    - energy) < 1e-15
 
-    def test_the_cap_empties_the_cache(self, monkeypatch):
+    def test_the_cap_empties_the_cache(self, monkeypatch, counted_compiles):
         monkeypatch.setattr(expr_module, "_CODE_CACHE_CAP", 2)
-        made = counted_compiles(monkeypatch)
+        made = counted_compiles
         # three shapes: constants are data, so x+1 and x+2 share a source
         exprs = [parse(text) for text in ("x+1", "x*2", "x-3")]
         for e in exprs:
-            compile(e, ["x"])
+            compile(e, ["x"], "t")
         assert len(made) == 3 and len(expr_module._CODE_CACHE) == 1
-        compile(exprs[2], ["x"])
+        compile(exprs[2], ["x"], "t")
         assert len(made) == 3
-        compile(exprs[0], ["x"])
+        compile(exprs[0], ["x"], "t")
         assert len(made) == 4
 
 
@@ -560,7 +514,7 @@ class TestNewtonRows:
         assume("p" in free_vars(e))
         g = e - Var("c")
         g_p = differentiate(g, "p")
-        kernel = compile(g_p, ROW_NAMES)
+        kernel = compile(g_p, ROW_NAMES, "t")
         _, rows = newton_pair(g)
         y, a, c, p0 = shifted_rows(e, seed)
         with np.errstate(all="ignore"):
@@ -621,9 +575,8 @@ class TestNewtonRows:
         assert compile_newton_rows(g, Const(0.0), ("y", "a", "p"), "t",
                                    1e-12, 60, 1e-12) is None
 
-    @pytest.mark.usefixtures("empty_code_cache")
-    def test_compiled_once_by_the_first_table_build(self, monkeypatch):
-        made = counted_compiles(monkeypatch)
+    def test_compiled_once_by_the_first_table_build(self, counted_compiles):
+        made = counted_compiles
         h = parse("p^2+1.234/y^2")
         sol = solve_reduced_1d(h, "y", "p", 2.0, (0.8, 5.0), n_nodes=101)
         assert [re.sub(r"#\d+", "#N", f) for f in made] == [
@@ -633,9 +586,8 @@ class TestNewtonRows:
         sol.root.solve((1.7,))
         assert sol.root._rows is rows and len(made) == 2
 
-    @pytest.mark.usefixtures("empty_code_cache")
-    def test_family_roots_never_compile_rows(self, monkeypatch):
-        made = counted_compiles(monkeypatch)
+    def test_family_roots_never_compile_rows(self, counted_compiles):
+        made = counted_compiles
         sys_ = HamiltonianSystem(parse("0.5*p^2+0.5*q^2"), ["q"])
         gf = quadrature_complete_solution(sys_, (-0.9, 0.9))
         gf.s_q(0)

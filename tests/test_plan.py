@@ -1,11 +1,9 @@
-"""Compiled evaluation plans (``expr._Plan``) against the tree walker:
-the same bits, the same errors, the walker kept where it must be, and
-one compile per chunk source."""
+"""``expr.compile`` with a singular tolerance and past one chunk, against
+the tree walker: the same bits and the same errors on every side of a
+chunk boundary, and one compile per chunk source."""
 
-import builtins
 import math
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -13,39 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hjreduce import expr
-from hjreduce.expr import (FUNCTION_NAMES, Const, DomainError, External,
-                           UnboundVariableError, Var, _Plan, call,
+from hjreduce.expr import (FUNCTION_NAMES, Const, DomainError, Var, call,
+                           compile, compile_newton, differentiate,
                            evaluate_rows, parse)
 from hjreduce.hj import heavy_top_system
 from hjreduce.phase_space import FLOW_SINGULAR_TOL, HamiltonianSystem
 
+from oracles import assert_walked, bits
+
 TOL = FLOW_SINGULAR_TOL
-
-
-def bits(v):
-    """Type and IEEE bit pattern, so NaN and signed zeros compare too."""
-    return type(v), struct.pack("<d", v)
-
-
-def outcome(fn, *args):
-    try:
-        return [bits(v) for v in fn(*args)], None
-    except Exception as err:  # compared below
-        return None, err
-
-
-def assert_walked(plan, row):
-    """plan(row) is the walker's values, or raises the walker's error."""
-    b = dict(zip(plan.argnames, row))
-    want, want_err = outcome(
-        lambda: [e.evaluate(b, plan.singular_tol) for e in plan.exprs])
-    got, got_err = outcome(plan, list(row))
-    assert got == want
-    assert type(got_err) is type(want_err)
-    assert str(got_err) == str(want_err)
-    assert getattr(got_err, "subexpr", None) is getattr(want_err, "subexpr",
-                                                        None)
-    return got_err
 
 
 def many_body(n, seed):
@@ -69,51 +43,51 @@ def spread_rows(n, seed, count=30):
                             rng.uniform(0.0, 1.0, count)])
 
 
-@pytest.fixture
-def counted_compiles(monkeypatch):
-    """An empty code cache and the file names of every compile made."""
-    monkeypatch.setattr(expr, "_CODE_CACHE", {})
-    made = []
-    real = builtins.compile
+def sweep(kernel, rows):
+    """The kernel at every row, as evaluate_rows lays its values out."""
+    return np.array([kernel(*row) for row in rows.tolist()], dtype=float)
 
-    def counting(source, filename, *args, **kwargs):
-        made.append(filename)
-        return real(source, filename, *args, **kwargs)
 
-    monkeypatch.setattr(builtins, "compile", counting)
-    return made
+def field(sys_):
+    return (*sys_._dh_dp, *sys_._dh_dq)
+
+
+def n_ops(exprs, names):
+    """The operations that compute, after merging."""
+    ops = expr._merge(exprs, {v: i for i, v in enumerate(names)})[0]
+    return len(expr._steps(ops))
 
 
 class TestBitForBit:
     @pytest.mark.parametrize("n", [6, 16])
     def test_many_body_fields(self, n):
         sys_ = many_body(n, n)
-        plan = sys_._field_plan
-        assert plan._kernel is not None
+        kernel = sys_._field_kernel
+        assert "_FAILS" in kernel.__code__.co_names  # generated, not walked
         rows = spread_rows(n, 3)
-        want = evaluate_rows(plan.exprs, sys_._names, rows, TOL)
-        assert plan.rows(rows).tobytes() == want.tobytes()
+        want = evaluate_rows(field(sys_), sys_._names, rows, TOL)
+        assert sweep(kernel, rows).tobytes() == want.tobytes()
         want = evaluate_rows(sys_._dh_dp, sys_._names, rows, TOL)
-        assert sys_._dh_dp_plan.rows(rows).tobytes() == want.tobytes()
+        assert sweep(sys_._dh_dp_kernel, rows).tobytes() == want.tobytes()
 
     def test_the_16_body_field_merges_and_chunks(self):
         # the derivative trees' distinct inner nodes merge to fewer
         # operations (q1-q2 in dh/dq1 and in dh/dq2 is one), which
-        # compile in chunks of at most _PLAN_CHUNK
-        plan = many_body(16, 1)._field_plan
-        ops, consts, outs = expr._merge(
-            plan.exprs, {v: i for i, v in enumerate(plan.argnames)})
-        steps = sum(op[0] not in ("a", "c") for op in ops)
-        nodes, stack = {}, list(plan.exprs)
+        # compile in chunks of at most _CHUNK, each its own source,
+        # before the function that calls them
+        sys_ = many_body(16, 1)
+        exprs = field(sys_)
+        steps = n_ops(exprs, sys_._names)
+        nodes, stack = {}, list(exprs)
         while stack:
             node = stack.pop()
             if id(node) not in nodes and not isinstance(node, (Const, Var)):
                 nodes[id(node)] = node
                 stack += node._children()
         assert steps < len(nodes)
-        chunks = expr._plan_sources(ops, consts, outs, len(plan.argnames),
-                                    True)
-        assert len(chunks) == math.ceil(steps / expr._PLAN_CHUNK) > 1
+        sources = expr._kernel_sources("_kernel", exprs, sys_._names, TOL,
+                                       dict(expr._NS))
+        assert len(sources) == math.ceil(steps / expr._CHUNK) + 1 > 2
 
     def test_heavy_top(self):
         sys_ = heavy_top_system(1.3, 0.7, 1.1, 9.81, 0.4)
@@ -121,24 +95,85 @@ class TestBitForBit:
         rows = np.column_stack([rng.uniform(0.3, 2.8, 40),
                                 rng.uniform(-3.0, 3.0, (40, 5)),
                                 np.zeros(40)])
-        for plan in (sys_._field_plan, sys_._dh_dp_plan):
-            want = evaluate_rows(plan.exprs, plan.argnames, rows,
-                                 plan.singular_tol)
-            assert plan.rows(rows).tobytes() == want.tobytes()
+        for exprs, kernel in ((field(sys_), sys_._field_kernel),
+                              (sys_._dh_dp, sys_._dh_dp_kernel)):
+            want = evaluate_rows(exprs, sys_._names, rows, TOL)
+            assert sweep(kernel, rows).tobytes() == want.tobytes()
 
-    def test_zero_rows_and_no_expressions(self):
-        plan = _Plan((parse("x*y"),), ("x", "y"), 0.0, "t")
-        assert plan.rows(np.empty((0, 2))).shape == (0, 1)
-        assert _Plan((), ("x",), 0.0, "t").rows([[1.0]]).shape == (1, 0)
+    def test_no_expressions(self):
+        assert compile((), ("x",), "t", TOL)(1.0) == ()
 
     def test_signed_zero_constants_stay_apart(self):
-        plan = _Plan((expr.Mul(Var("x"), Const(0.0)),
-                      expr.Mul(Var("x"), Const(-0.0))), ("x",), 0.0, "t")
-        assert [bits(v) for v in plan([2.0])] == [bits(0.0), bits(-0.0)]
+        kernel = compile((expr.Mul(Var("x"), Const(0.0)),
+                          expr.Mul(Var("x"), Const(-0.0))), ("x",), "t", TOL)
+        assert [bits(v) for v in kernel(2.0)] == [bits(0.0), bits(-0.0)]
 
     def test_a_repeated_name_takes_its_later_value(self):
-        plan = _Plan((Var("x") + Const(1.0),), ("x", "x"), 0.0, "t")
-        assert plan([1.0, 2.0]) == [3.0]
+        # past one chunk too: the arguments are converted once, before
+        # the chunks run
+        exprs = chained(expr._CHUNK + 1)
+        kernel = compile(exprs, ("x", "y", "x"), "t", TOL)
+        assert kernel(-1.0, 1.0, 4.0)[0] == 2.0
+        assert_walked(kernel, exprs, ("x", "y", "x"), (-1.0, 1.0, 4.0), TOL)
+
+
+def chained(n):
+    """(sqrt(x), y, -0.0, (y+1+..+1)/(x-y)) with n operations.
+
+    The walker evaluates sqrt(x) first and then the denominator x-y, so
+    both are computed in the first chunk; the sum follows, and the
+    quotient, which reads x-y, is the last operation.
+    """
+    x, y = Var("x"), Var("y")
+    total = y
+    for _ in range(n - 3):
+        total = expr.Add(total, Const(1.0))
+    return (call("sqrt", x), y, Const(-0.0), expr.Div(total, x - y))
+
+
+# (x, y) rows: no failure; sqrt fails in the first chunk; the quotient
+# fails in the last one, at both tolerances or only within TOL; both
+# fail, and the walker's order makes sqrt's the error
+CHAIN_ROWS = [(4.0, 1.0), (-1.0, 1.0), (2.0, 2.0), (5e-13, 0.0),
+              (-1.0, -1.0), (-0.0, 3.0)]
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("n", [expr._CHUNK, expr._CHUNK + 1,
+                                   2 * expr._CHUNK + 1])
+    @pytest.mark.parametrize("tol", [0.0, TOL])
+    def test_the_walkers_bits_and_errors(self, n, tol):
+        exprs = chained(n)
+        assert n_ops(exprs, ("x", "y")) == n
+        sources = expr._kernel_sources("_kernel", exprs, ("x", "y"), tol,
+                                       dict(expr._NS))
+        assert len(sources) == (1 if n <= expr._CHUNK
+                                else math.ceil(n / expr._CHUNK) + 1)
+        kernel = compile(exprs, ("x", "y"), "t", tol)
+        errors = [assert_walked(kernel, exprs, ("x", "y"), row, tol)
+                  for row in CHAIN_ROWS]
+        assert [str(e).split(" in ")[0] if e else None for e in errors] == [
+            None, "sqrt of a negative number", "division by zero",
+            "division by zero" if tol else None, "sqrt of a negative number",
+            None]
+        assert [bits(v) for v in kernel(4.0, 1.0)] == [
+            bits(2.0), bits(1.0), bits(-0.0), bits((n - 2.0) / 3.0)]
+
+    def test_a_long_newton_equation(self, counted_compiles):
+        # compile_newton's kernels of g and g_p come from the same
+        # generator, their chunks inside the one Newton source
+        p, y = Var("p"), Var("y")
+        g = p * p - y
+        for _ in range(expr._CHUNK):
+            g = g + Const(1e-3) * y * p
+        g_p = differentiate(g, "p")
+        g_fn, gp_fn, _ = compile_newton(g, g_p, ("y", "p"), "t", 1e-12, 60,
+                                        1e-12)
+        assert len(counted_compiles) == 1
+        assert "_g_1" in g_fn.__globals__ and "_gp_1" in g_fn.__globals__
+        for args in [(2.0, 1.5), (-1.0, 0.5)]:
+            assert_walked(lambda *a: (g_fn(*a), gp_fn(*a)), (g, g_p),
+                          ("y", "p"), args)
 
 
 # (expression, names, row, tolerance, message or None)
@@ -174,9 +209,9 @@ class TestErrors:
                              ids=[f"{c[0]}@{c[2]}-{c[3]}" for c in ERRORS])
     def test_the_walkers_error_or_bits(self, text, names, row, tol,
                                        message):
-        e = parse(text)
-        plan = _Plan((e, Var(names[0])), tuple(names), tol, "t")
-        err = assert_walked(plan, row)
+        exprs = (parse(text), Var(names[0]))
+        err = assert_walked(compile(exprs, tuple(names), "t", tol), exprs,
+                            tuple(names), row, tol)
         if message is None:
             assert err is None
         else:
@@ -184,79 +219,44 @@ class TestErrors:
             assert str(err).startswith(message + " in '")
 
     def test_nan_from_unchecked_arithmetic_is_returned(self):
-        plan = _Plan((parse("x*y-x*y"),), ("x", "y"), 0.0, "t")
-        (v,) = plan([1e200, 1e200])
+        (v,) = compile((parse("x*y-x*y"),), ("x", "y"), "t")(1e200, 1e200)
         assert math.isnan(v)
 
     def test_the_first_failing_expression_is_the_walkers(self):
         # both fail at this row; the walker's list order decides
-        plan = _Plan((parse("sqrt(y)"), parse("log(x)")), ("x", "y"), 0.0,
-                     "t")
-        err = assert_walked(plan, [0.0, -1.0])
+        exprs = (parse("sqrt(y)"), parse("log(x)"))
+        err = assert_walked(compile(exprs, ("x", "y"), "t"), exprs,
+                            ("x", "y"), [0.0, -1.0])
         assert str(err) == "sqrt of a negative number in 'sqrt(y)'"
 
     def test_the_first_failing_row_is_the_walkers(self):
-        plan = _Plan((parse("1/x"),), ("x",), TOL, "t")
+        # a sweep of the kernel raises at the first row the walker's
+        # sweep raises at
+        e = parse("1/x")
+        rows = np.array([[1.0], [1e-13], [0.0]])
         with pytest.raises(DomainError) as got:
-            plan.rows([[1.0], [1e-13], [0.0]])
+            sweep(compile((e,), ("x",), "t", TOL), rows)
         with pytest.raises(DomainError) as want:
-            evaluate_rows(plan.exprs, ("x",), [[1.0], [1e-13], [0.0]], TOL)
+            evaluate_rows((e,), ("x",), rows, TOL)
         assert str(got.value) == str(want.value)
         assert got.value.subexpr is want.value.subexpr
-
-
-class Recorder:
-    def __init__(self, log, tag):
-        self.log, self.tag = log, tag
-
-    def __call__(self, v):
-        self.log.append((self.tag, v))
-        return v
-
-    def partial(self, i):
-        return Recorder(self.log, self.tag + "'")
-
-
-class TestWalkerKept:
-    def test_an_external_keeps_the_walker_and_its_call_order(
-            self, counted_compiles):
-        log = []
-        exprs = (External(Recorder(log, "a"), (Var("x"),)) + Var("y"),
-                 External(Recorder(log, "b"), (Var("y"),)))
-        plan = _Plan(exprs, ("x", "y"), 0.0, "t")
-        assert plan._kernel is None and counted_compiles == []
-        got = plan.rows([[1.0, 2.0], [3.0, 4.0]])
-        assert log == [("a", 1.0), ("b", 2.0), ("a", 3.0), ("b", 4.0)]
-        assert got.tolist() == [[3.0, 2.0], [7.0, 4.0]]
-
-    def test_an_unbound_name_keeps_the_walker(self, counted_compiles):
-        plan = _Plan((parse("x+1"), parse("x*w")), ("x",), 0.0, "t")
-        assert plan._kernel is None and counted_compiles == []
-        with pytest.raises(UnboundVariableError) as ei:
-            plan([2.0])
-        assert ei.value.name == "w"
 
 
 class TestCodeShared:
     def test_equal_shapes_compile_each_chunk_once(self, counted_compiles):
         a, b = many_body(8, 1), many_body(8, 2)
-        plan_a = a._field_plan
+        kernel_a = a._field_kernel
         made = list(counted_compiles)
-        assert len(made) > 1
-        assert all(re.fullmatch(r"<plan field #\d+>", f) for f in made)
-        plan_b = b._field_plan
+        assert len(made) > 2
+        assert all(re.fullmatch(r"<kernel field #\d+>", f) for f in made)
+        kernel_b = b._field_kernel
         assert counted_compiles == made
         row = spread_rows(8, 5, 1)
-        assert plan_a.rows(row).tobytes() != plan_b.rows(row).tobytes()
-        for sys_, plan in ((a, plan_a), (b, plan_b)):
-            want = evaluate_rows(plan.exprs, sys_._names, row, TOL)
-            assert plan.rows(row).tobytes() == want.tobytes()
-
-    def test_constants_are_data(self, counted_compiles):
-        a = _Plan((parse("x*2.0+y"),), ("x", "y"), 0.0, "one")
-        b = _Plan((parse("x*3.0+y"),), ("x", "y"), 0.0, "two")
-        assert len(counted_compiles) == 1
-        assert a([1.0, 1.0]) == [3.0] and b([1.0, 1.0]) == [4.0]
+        assert sweep(kernel_a, row).tobytes() != sweep(kernel_b,
+                                                       row).tobytes()
+        for sys_, kernel in ((a, kernel_a), (b, kernel_b)):
+            want = evaluate_rows(field(sys_), sys_._names, row, TOL)
+            assert sweep(kernel, row).tobytes() == want.tobytes()
 
 
 # The expression grammar, with constants and arguments at the edges of
@@ -283,7 +283,8 @@ class TestGrammar:
            st.sampled_from([0.0, TOL]))
     def test_equal_outputs_or_equal_errors(self, exprs, rows, tol):
         # the nodes are built unfolded, so constant-only operations and
-        # repeated subtrees reach the plan too
-        plan = _Plan(exprs + [exprs[0]], ("x", "y", "z"), tol, "t")
+        # repeated subtrees reach the kernel too
+        exprs = exprs + [exprs[0]]
+        kernel = compile(exprs, ("x", "y", "z"), "t", tol)
         for row in rows:
-            assert_walked(plan, row)
+            assert_walked(kernel, exprs, ("x", "y", "z"), row, tol)
