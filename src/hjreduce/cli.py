@@ -303,7 +303,7 @@ def load_scenario(path_or_name):
     err = _schema_error(doc, SCENARIO_SCHEMA, "$")
     if err is not None:
         raise ScenarioError(err)
-    return _integers(doc, SCENARIO_SCHEMA)
+    return _integers(doc, SCENARIO_SCHEMA, "$")
 
 
 def _finite(text):
@@ -316,20 +316,29 @@ def _finite(text):
     return value
 
 
-def _integers(value, schema):
+def _integers(value, schema, path):
     """A valid ``value`` with each number that ``schema`` types as an
-    integer (2.0 is one in JSON Schema) as a Python int."""
+    integer (2.0 is one in JSON Schema) as a Python int.  An integer
+    literal in a number field that no double holds is a ScenarioError
+    at its JSON ``path``; every other number is kept as written."""
     if "anyOf" in schema:
         schema = next(sub for sub in schema["anyOf"]
                       if _schema_error(value, sub, "$") is None)
     if schema.get("type") == "integer":
         return int(value)
+    if schema.get("type") == "number":
+        try:
+            float(value)
+        except OverflowError:
+            raise ScenarioError(f"{path}: the {len(str(abs(value)))}-digit "
+                                "integer is beyond the double range") from None
     if isinstance(value, dict):
         props = schema.get("properties", {})
-        return {k: _integers(v, props[k]) if k in props else v
+        return {k: _integers(v, props[k], f"{path}.{k}") if k in props else v
                 for k, v in value.items()}
     if isinstance(value, list) and "items" in schema:
-        return [_integers(v, schema["items"]) for v in value]
+        return [_integers(v, schema["items"], f"{path}[{i}]")
+                for i, v in enumerate(value)]
     return value
 
 

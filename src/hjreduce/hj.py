@@ -374,10 +374,12 @@ def hj_residual(sys, form, grid):
 # first and second partials.  Derivatives of a running integral are
 # the integrand (in the path variable) or another running integral (in
 # a parameter).  Every solve is one _chain call (Newton from one start,
-# then the bracket).  After a table build a root is a pure function of
-# its arguments: each argument tuple is solved once, from the nearest
-# node root of its anchor table, and kept in a memo.  A root without a
-# table starts from its previous root.  Use one object per thread.
+# then the bracket: bisection to the root tolerance, whose point the same
+# generated Newton polishes, so a root has one Newton iteration).  After
+# a table build a root is a pure function of its arguments: each argument
+# tuple is solved once, from the nearest node root of its anchor table,
+# and kept in a memo.  A root without a table starts from its previous
+# root.  Use one object per thread.
 #
 # Nothing here walks a tree but to raise a walker's error.  A quadrature
 # job makes hundreds of thousands of solves on a few roots, so each root
@@ -430,11 +432,14 @@ class ImplicitBranchRoot:
     """The momentum branch p(y, c_1, .., c_m) solving g(y, p, c) = 0.
 
     ``branch`` (+1/-1) selects the sign of p searched when no better
-    starting guess is available.  Solves run safeguarded Newton inside a
-    bracket and iterate to a fixed point, so the result is at machine
-    precision whenever the equation allows it.  g may read only the
-    arguments and the momentum; any other variable, the time ``t``
-    included, is a PreconditionError naming it, raised at construction.
+    starting guess is available.  Every solve ends in one Newton
+    iteration, the one generated by expr.compile_newton: from a warm
+    start, or else from the point where bisection inside a sign-change
+    bracket first meets the root tolerance.  It iterates to a fixed
+    point, so the result is at machine precision whenever the equation
+    allows it.  g may read only the arguments and the momentum; any
+    other variable, the time ``t`` included, is a PreconditionError
+    naming it, raised at construction.
     """
 
     def __init__(self, g, y_var, p_var, params=(), branch=1, name="pbranch"):
@@ -507,8 +512,9 @@ class ImplicitBranchRoot:
 
         The one solve primitive: Newton must converge on the branch's
         side of the axis (the branch contract, search from 0 toward
-        branch * inf, does not depend on the start).  It reads and
-        writes no cache.
+        branch * inf, does not depend on the start).  The bracket solve
+        bisects to the root tolerance and hands its point to the same
+        Newton.  It reads and writes no cache.
         """
         p = None if guess is None else self._newton(*args, guess, self._sign)
         return self._bracket_solve(args) if p is None else p
@@ -557,33 +563,16 @@ class ImplicitBranchRoot:
             g_hi = None
         if g_hi is None or g_lo * g_hi > 0.0:
             raise TurningPointError(args)
-        return self._rtsafe(args, lo, hi, g_lo, g_hi)
-
-    def _rtsafe(self, args, a, c, g_a, g_c):
-        """Bisection-safeguarded Newton inside the bracket [a, c]."""
-        x = 0.5 * (a + c)
-        for _ in range(200):
+        # bisect to the root tolerance, then hand off to the generated
+        # Newton; g keeps its sign at lo, so g_lo is read for it alone
+        x = 0.5 * (lo + hi)
+        while x not in (lo, hi):
             gv = self._g(*args, x)
-            if gv == 0.0:
-                return x
-            if g_a * gv < 0.0:
-                c, g_c = x, gv
-            else:
-                a, g_a = x, gv
-            gpv = self._gp(*args, x)
-            x_new = x - gv / gpv if gpv != 0.0 else x
-            if not (min(a, c) < x_new < max(a, c)):
-                x_new = 0.5 * (a + c)
             if abs(gv) <= _ROOT_TOL:
-                polished = self._newton(*args, x_new, 0.0)
-                return polished if polished is not None else x
-            if x_new == x:
-                x_new = 0.5 * (a + c)
-                if x_new == x:
-                    break
-            x = x_new
-        if abs(self._g(*args, x)) <= _ROOT_TOL:
-            return x
+                polished = None if gv == 0.0 else self._newton(*args, x, 0.0)
+                return x if polished is None else polished
+            lo, hi = (x, hi) if (gv < 0.0) == (g_lo < 0.0) else (lo, x)
+            x = 0.5 * (lo + hi)
         raise NewtonDivergenceError(
             f"{self.name}: no convergence to tol {_ROOT_TOL:.1e}")
 

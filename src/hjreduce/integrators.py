@@ -163,8 +163,12 @@ def map_jacobian(gf, z, t=0.0):
     with A = d2S/dq dc,  dc/dq = -A^{-1} S_qq  and  dc/dp = A^{-1};
     the remaining blocks follow from the output formulas of each kind.
     """
+    return _jacobian_at(gf, z, t, _transform(gf, z, t, None)[2])
+
+
+def _jacobian_at(gf, z, t, params):
+    """``map_jacobian`` at z around the solved new variables ``params``."""
     n = gf.n
-    _, _, params = _transform(gf, z, t, None)
     entries = [entry(i, j) for entry in (gf.s_qparam, gf.s_qq, gf.s_paramparam)
                for i in range(n) for j in range(n)]
     a, s_qq, s_cc = gf._at(entries, [(z.q, params, t)], 0.0)[0].reshape(3, n, n)
@@ -191,8 +195,12 @@ def map_jacobian(gf, z, t=0.0):
 
 def symplecticity_check(gf, z, t=0.0):
     """Worst entry of M^T Omega M - Omega for the map's Jacobian at z."""
-    m = map_jacobian(gf, z, t=t)
-    omega = symplectic_matrix(gf.n)
+    return _defect(map_jacobian(gf, z, t=t))
+
+
+def _defect(m):
+    """Worst entry of M^T Omega M - Omega."""
+    omega = symplectic_matrix(len(m) // 2)
     return float(np.max(np.abs(m.T @ omega @ m - omega)))
 
 
@@ -232,16 +240,18 @@ def momentum_preservation_check(gf, action, z0, n_steps, t=0.0, seed=42):
     if gf.kind != "typeII":
         raise ValueError("momentum stepping uses a typeII generating function")
     _check_diagonal_invariance(gf, action, seed=seed)
-    return _momentum_drift(action, _steps(gf, z0, n_steps, t))
+    return _momentum_drift(action, _steps(gf, z0, n_steps, t)[0])
 
 
 def _steps(gf, z0, n_steps, t):
-    """z0 and the n_steps points after it under one ``ImplicitMap``."""
+    """z0 and the n_steps points after it under one ``ImplicitMap``, and
+    the new variables each step solved (``solved[k]`` maps point k)."""
     step = ImplicitMap(gf, t=t)
-    points = [z0]
+    points, solved = [z0], []
     for _ in range(n_steps):
         points.append(step(points[-1]))
-    return points
+        solved.append(step._warm)
+    return points, solved
 
 
 def _momentum_drift(action, points):
@@ -269,10 +279,13 @@ def run_scheme(gf, sys, z0, n_steps, t, action=None):
     ``t`` is the step size (the time argument fed to the generating
     function each step).  Energy drift is |h(z_k) - h(z_0)|; the
     symplecticity defect is the worst Jacobian defect over eight evenly
-    spaced states, a NaN defect skipped; with ``action`` given, the
-    momentum drift array of ``momentum_preservation_check`` is included.
+    spaced states, a NaN defect skipped.  A sampled state that starts a
+    step takes its Jacobian around that step's own solve; the final
+    state is solved again, as ``symplecticity_check`` does.  With
+    ``action`` given, the momentum drift array of
+    ``momentum_preservation_check`` is included.
     """
-    points = _steps(gf, z0, n_steps, t)
+    points, solved = _steps(gf, z0, n_steps, t)
     times = t * np.arange(n_steps + 1)
     qs = np.array([p.q for p in points])
     ps = np.array([p.p for p in points])
@@ -282,8 +295,9 @@ def run_scheme(gf, sys, z0, n_steps, t, action=None):
     idx = np.unique(np.linspace(0, n_steps, min(8, n_steps + 1),
                                 dtype=int))
     # the built-in max from 0.0 skips a NaN defect, as a running > maximum does
-    defect = max([0.0, *(symplecticity_check(gf, points[i], t=t)
-                         for i in idx)])
+    defect = max([0.0, *(
+        _defect(_jacobian_at(gf, points[i], t, solved[i])) if i < n_steps
+        else symplecticity_check(gf, points[i], t=t) for i in idx)])
     return SchemeReport(trajectory=traj, energy_drift=energy_drift,
                         symplecticity_defect=defect,
                         momentum_drift=None if action is None

@@ -308,6 +308,37 @@ class TestNonFiniteInputs:
             f"scenario error: number '{token}' is not finite\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, name, field", [
+        ("solve-hj", "calogero", "energy"), ("simulate", "oscillator", "dt")])
+    def test_integer_literal_beyond_double_range(self, tmp_path, capsys,
+                                                 command, name, field):
+        # json.loads keeps an integer literal as an exact int, which no
+        # double holds; the number field names it at its JSON path
+        doc = load_scenario(name)
+        doc[field] = 10 ** 400
+        out = tmp_path / "out"
+        assert cli.main([command, write_scenario(tmp_path, doc),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"scenario error: $.{field}: the 401-digit integer is "
+            "beyond the double range\n")
+        assert not out.exists()
+
+    def test_integer_literals_keep_their_value(self, tmp_path):
+        # a nested number field is named by its path; an integer field
+        # keeps an exact int beyond the double range, and a number field
+        # an int within it
+        doc = load_scenario("oscillator")
+        doc["z0"]["q"] = [0.5, -10 ** 309]
+        with pytest.raises(ScenarioError, match=r"^\$\.z0\.q\[1\]: the "
+                           "310-digit integer is beyond the double range$"):
+            load_scenario(write_scenario(tmp_path, doc))
+        doc = load_scenario("calogero")
+        doc["seed"], doc["energy"] = 10 ** 400, 3
+        loaded = load_scenario(write_scenario(tmp_path, doc))
+        assert loaded["seed"] == 10 ** 400
+        assert type(loaded["energy"]) is int and loaded["energy"] == 3
+
 
 class TestOversizedInputs:
     """Sizes that no machine can allocate are scenario errors, not bugs.

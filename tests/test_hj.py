@@ -14,7 +14,8 @@ from scipy.integrate import quad
 from hjreduce.expr import (Add, Call, Const, DomainError, Div, External, Mul,
                            Neg, Pow, Sub, Var, call, evaluate_rows, parse)
 from hjreduce.hj import (BranchAmbiguityError, GeneratingFunction,
-                         ImplicitBranchRoot, OneForm, PreconditionError,
+                         ImplicitBranchRoot, NewtonDivergenceError, OneForm,
+                         PreconditionError,
                          RunningIntegral, SolveError, TabulatedAntiderivative,
                          TurningPointError, TwoForm, additive_split_check,
                          check_complete, closedness_residual, cyclic_ansatz,
@@ -206,6 +207,62 @@ class TestImplicitBranchRoot:
         r = ImplicitBranchRoot(g, "y", "p", branch=1)
         with pytest.raises(TurningPointError):
             r.solve((0.0,))
+
+    def test_bracket_bisects_then_hands_off_to_newton(self):
+        # bisection stops where |g| first meets the root tolerance and
+        # starts the generated Newton there, sign 0.0: no branch side
+        root = ImplicitBranchRoot(parse("p^2-2-y"), "y", "p")
+        newton, seen = root._newton, []
+
+        def recorded(*args):
+            seen.append(args)
+            return newton(*args)
+
+        root._newton = recorded
+        p = root.solve((0.0,))
+        ((y, x, sign),) = seen
+        assert (y, sign) == (0.0, 0.0)
+        assert 0.0 < abs(x * x - 2.0) <= 1e-12
+        assert p == newton(0.0, x, 0.0)
+        assert ulp(p, math.sqrt(2.0)) <= 1
+        # a Newton that gives up leaves the bisection point
+        root._newton = lambda *args: None
+        assert root._bracket_solve((0.0,)) == x
+
+    def test_bracket_exact_zero_returns_at_once(self):
+        root = ImplicitBranchRoot(parse("2*p-1"), "y", "p")
+        root._newton = None  # not called: the first midpoint is the root
+        assert root._bracket_solve((0.0,)) == 0.5
+
+    def test_bracket_collapse_is_newton_divergence(self):
+        # g changes sign between two adjacent doubles without a zero:
+        # no double holds p^2 == 2, and |g| there is about 1e15
+        root = ImplicitBranchRoot(parse("1/(p^2-2)"), "y", "p", branch=1)
+        with pytest.raises(NewtonDivergenceError,
+                           match="^pbranch: no convergence to tol 1.0e-12$"):
+            root.solve((0.0,))
+
+    def test_far_end_outside_the_domain_is_a_turning_point(self):
+        # g > 0 on [0, 1]; the far end 2 leaves sqrt's domain first
+        root = ImplicitBranchRoot(parse("sqrt(1-p)+0.5"), "y", "p", branch=1)
+        with pytest.raises(TurningPointError, match="no momentum root"):
+            root.solve((0.0,))
+
+    def test_partial_with_zero_g_p_is_a_turning_point(self):
+        # the root p = 0 of p^2 - y^2 at y = 0: the kernel succeeds and
+        # reads g_p = 0
+        root = ImplicitBranchRoot(parse("p^2-y^2"), "y", "p")
+        with pytest.raises(TurningPointError,
+                           match="implicit derivative at a turning point"):
+            root.partial(0)(0.0)
+
+    def test_partial_domain_error_past_g_p_raises_again(self):
+        # g_y = sqrt(y) + y*(0.5/sqrt(y)) divides by zero at y = 0, where
+        # g_p = 1: not a turning point, so the walker's error stands
+        root = ImplicitBranchRoot(parse("p-1+y*sqrt(y)"), "y", "p")
+        assert root(0.0) == 1.0
+        with pytest.raises(DomainError, match="division by zero"):
+            root.partial(0)(0.0)
 
     def test_anchors_warm_start(self, root):
         ys = np.linspace(-1, 1, 11)

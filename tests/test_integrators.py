@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hjreduce.expr import parse
+from hjreduce import integrators
+from hjreduce.expr import DomainError, parse
 from hjreduce.hj import (GeneratingFunction, NewtonDivergenceError,
                          PreconditionError, SingularJacobianError,
                          quadrature_complete_solution)
@@ -123,6 +124,32 @@ class TestImplicitMap:
             apply_type2(gf, PhasePoint([1.0], [-1.0]), t=0.1)
 
 
+class TestSolveNewton:
+    def test_domain_error_on_a_trial_halves_the_step(self):
+        # 1/x = 0.5 from x = 5: the full step lands on -2.5, outside the
+        # residual's domain, and half of it on 1.25
+        trials = []
+
+        def residual(x):
+            trials.append(float(x[0]))
+            if x[0] <= 0.0:
+                raise DomainError("x must be positive")
+            return 1.0 / x - 0.5
+
+        x = integrators._solve_newton(
+            residual, lambda x: np.array([[-1.0 / x[0] ** 2]]), [5.0])
+        assert trials[:3] == [5.0, -2.5, 1.25]
+        assert x[0] == pytest.approx(2.0, rel=1e-15)
+
+    def test_unreachable_tolerance_is_divergence(self):
+        # x^2 + 1 has no real root, so the residual never reaches 1e-12
+        with pytest.raises(NewtonDivergenceError,
+                           match=r"^newton stalled at residual 1\.\d+e\+00 "
+                                 r"\(tol 1\.0e-12\)$"):
+            integrators._solve_newton(lambda x: x * x + 1.0,
+                                      lambda x: np.diag(2.0 * x), [0.3])
+
+
 class TestMomentumPreservation:
     def test_invariant_scheme_conserves(self, pair_gf):
         action = TranslationAction([[1, 1]])
@@ -204,6 +231,27 @@ class TestRunScheme:
         assert np.max(rep.energy_drift) < 0.05
         assert rep.symplecticity_defect < 1e-12
         assert rep.momentum_drift is None
+
+    def test_sampled_states_reuse_their_steps_solves(self, ho_gf,
+                                                      monkeypatch):
+        # 100 step solves and one more for the final state, where each of
+        # the eight sampled states used to be solved again
+        calls = []
+        transform = integrators._transform
+
+        def counted(gf, z, t, guess, singular_tol=0.0):
+            calls.append(guess is None)
+            return transform(gf, z, t, guess, singular_tol)
+
+        monkeypatch.setattr(integrators, "_transform", counted)
+        s = HamiltonianSystem(parse("0.5*(p^2+q^2)"), ["q"])
+        rep = run_scheme(ho_gf, s, PhasePoint([1.0], [0.0]), 100, 0.1)
+        assert len(calls) == 101 and calls.count(True) == 2
+        monkeypatch.undo()
+        points = [rep.trajectory.point(i)
+                  for i in np.linspace(0, 100, 8, dtype=int)]
+        assert rep.symplecticity_defect == max(
+            symplecticity_check(ho_gf, z, t=0.1) for z in points)
 
     def test_momentum_drift_with_action(self, pair_gf):
         s = HamiltonianSystem(parse(PAIR_H), ["q1", "q2"])
