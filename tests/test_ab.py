@@ -74,9 +74,17 @@ def test_record_collects_workloads_of_one_revision(tmp_path):
     for workload in ("quadrature", "pipeline"):
         ab.record(path, "x", "abc", "cmd", "env", workload, PAIRS, summary)
     doc = json.loads(path.read_text())
-    assert sorted(doc["pairs"]) == sorted(doc["summary"]) == [
-        "pipeline", "quadrature"]
-    assert doc["pairs"]["pipeline"] == PAIRS
+    assert sorted(doc["rounds"]) == ["pipeline", "quadrature"]
+    assert doc["rounds"]["pipeline"] == [
+        {"command": "cmd", "machine": "env", "pairs": PAIRS,
+         "summary": summary}]
     assert (doc["label"], doc["parent_commit"]) == ("x", "abc")
+    # a re-run of a recorded workload is another round; the first stays
+    recheck = ab.summarize(PAIRS[:2], END_TO_END)
+    ab.record(path, "x", "abc", "cmd", "env2", "quadrature", PAIRS[:2],
+              recheck)
+    rounds = json.loads(path.read_text())["rounds"]["quadrature"]
+    assert [(r["machine"], r["pairs"], r["summary"]) for r in rounds] == [
+        ("env", PAIRS, summary), ("env2", PAIRS[:2], recheck)]
     with pytest.raises(ab.ABError, match="holds runs against abc, not def"):
         ab.record(path, "x", "def", "cmd", "env", "many-body", PAIRS, summary)

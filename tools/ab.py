@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of a git revision against the working tree.
 
-    python3 tools/ab.py REV --workload W [--pairs 10] [--seed 1] [--label L]
+    python3 tools/ab.py REV --workload W [--pairs 10] [--label L]
 
 Exports REV with ``git archive`` into a temporary directory (no worktree,
 no network) and runs the benchmark command of ``BENCHMARK.json``,
-``python3 bench/run.py --workload W --seed S --seconds <run_seconds>``,
+``python3 bench/run.py --workload W --seed 1 --seconds <run_seconds>``,
 there (the parent) and in the working tree (the change).  Every run is a
 fresh process; the two sides alternate, odd pairs running the parent
 first.  ``bench/`` is only run, never changed.
@@ -18,11 +18,13 @@ and each side's interquartile range as a fraction of the parent's
 median beside the metric's ``bound``, which is a fraction of the
 parent's value.
 
-With ``--label L`` it also writes ``BENCH_L.json`` at the root of the
-working tree: each pair's metrics and failed-job count per side and
-which side ran first (``pairs``), and the printed numbers (``summary``),
-both keyed by workload.  A record of the same label and revision keeps
-the workloads it already holds, so one label collects every workload.
+With ``--label L`` it also appends a round to ``BENCH_L.json`` at the
+root of the working tree.  ``rounds`` maps each workload to its list of
+rounds, one per run of this command: the command and machine, each
+pair's metrics and failed-job count per side and which side ran first
+(``pairs``), and the printed numbers (``summary``).  One file collects
+every workload and every re-run against one revision; no round is
+replaced.
 """
 
 from __future__ import annotations
@@ -133,16 +135,16 @@ def report_lines(summary):
 
 
 def record(path, label, commit, command, machine, workload, pairs, summary):
-    """Write or extend ``BENCH_<label>.json`` with one workload."""
-    doc = {"label": label, "parent_commit": commit, "command": command,
-           "machine": machine, "pairs": {}, "summary": {}}
+    """Append one round of ``workload`` to ``BENCH_<label>.json``."""
+    doc = {"label": label, "parent_commit": commit, "rounds": {}}
     if path.exists():
         doc = json.loads(path.read_text(encoding="utf-8"))
         if doc.get("parent_commit") != commit:
             raise ABError(f"{path.name} holds runs against "
                           f"{doc.get('parent_commit')}, not {commit}")
-    doc["pairs"][workload] = pairs
-    doc["summary"][workload] = summary
+    doc["rounds"].setdefault(workload, []).append(
+        {"command": command, "machine": machine, "pairs": pairs,
+         "summary": summary})
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")
 
@@ -152,13 +154,12 @@ def main(argv=None):
     ap.add_argument("rev", help="the git revision compared against")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--label", default=None)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    rest = ["--seed", str(args.seed), "--seconds", str(bench["run_seconds"])]
+    rest = ["--seed", "1", "--seconds", str(bench["run_seconds"])]
     argv_run = [*bench["command"], "--workload", args.workload, *rest]
     try:
         with tempfile.TemporaryDirectory() as parent_root:
@@ -175,7 +176,7 @@ def main(argv=None):
 
             pairs = run_pairs(run_side, args.pairs)
         summary = summarize(pairs, bench["end_to_end"])
-        print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs: "
+        print(f"{args.workload}, {args.pairs} pairs: "
               f"{commit[:12]} (parent) against the working tree (change)")
         print("\n".join(report_lines(summary)))
         if args.label is not None:
