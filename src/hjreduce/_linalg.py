@@ -1,4 +1,4 @@
-"""Small dense linear-algebra helpers shared by the chart builders."""
+"""The echelon form and the quotient-chart blocks of a generator matrix."""
 
 from __future__ import annotations
 
@@ -33,34 +33,44 @@ def rref(a):
     return r, pivots
 
 
-def left_null_basis(g):
-    """Rows spanning the left null space of g (n x k), via RREF of g^T.
+def chart_blocks(g):
+    """The quotient chart (Y, X, L) of the columns of g (n x k).
 
-    The basis is the textbook free-variable one, each row normalized so
-    its first nonzero entry is positive.  Returns an (n-rank) x n array.
+    Y, (n-k) x n, is the left null basis read off the reduced echelon
+    form of g^T: the textbook free-variable one, each row normalized so
+    its first nonzero entry is positive.  X = (g^T g)^{-1} g^T, k x n, is
+    the group projection, and L, n x (n-k), the horizontal lift: the
+    first n-k columns of the inverse of the stacked map [Y; X].  These
+    are the only rules by which generators are accepted: ValueError
+    when the Gram matrix g^T g overflows, and "linearly dependent" when
+    the echelon form has fewer than k pivots or either solve is
+    singular.  k = 0 gives Y = L = I and k = n empty Y and L, with no
+    case of their own.
     """
-    g = np.asarray(g, dtype=float)
-    n = g.shape[0]
+    n, k = g.shape
+    try:
+        # the Gram product first: an entry that squares past the double
+        # range would also overflow inside the echelon form
+        with np.errstate(over="raise"):
+            gram = g.T @ g
+    except FloatingPointError:
+        raise ValueError("generators too large: their Gram matrix G^T G "
+                         "overflows") from None
     r, pivots = rref(g.T)
-    free = [c for c in range(n) if c not in pivots]
-    rows = []
-    for f in free:
-        v = np.zeros(n)
-        v[f] = 1.0
-        for i, c in enumerate(pivots):
-            v[c] = -r[i, f]
-        nz = np.nonzero(np.abs(v) > _ZERO_TOL)[0]
-        if nz.size and v[nz[0]] < 0:
-            v = -v
-        rows.append(v)
-    return np.array(rows).reshape(len(rows), n)
-
-
-def group_projection(g):
-    """The pseudo-inverse rows (g^T g)^{-1} g^T, a k x n array."""
-    g = np.asarray(g, dtype=float)
-    k = g.shape[1]
-    if k == 0:
-        return np.zeros((0, g.shape[0]))
-    gram = g.T @ g
-    return np.linalg.solve(gram, g.T)
+    if len(pivots) == k:
+        y_block = np.zeros((n - k, n))
+        for row, f in zip(y_block, (c for c in range(n) if c not in pivots)):
+            row[f] = 1.0
+            for i, c in enumerate(pivots):
+                row[c] = -r[i, f]
+            nz = np.nonzero(np.abs(row) > _ZERO_TOL)[0]
+            if nz.size and row[nz[0]] < 0:
+                row *= -1.0
+        try:
+            x_block = np.linalg.solve(gram, g.T)
+            return y_block, x_block, np.linalg.solve(
+                np.vstack([y_block, x_block]),
+                np.vstack([np.eye(n - k), np.zeros((k, n - k))]))
+        except np.linalg.LinAlgError:
+            pass
+    raise ValueError("generators are linearly dependent")

@@ -83,9 +83,6 @@ __all__ = [
     "linear_combo", "FUNCTION_NAMES",
 ]
 
-# Bindings are plain dicts {variable name: float}.
-Bindings = dict
-
 _NO_VARS = frozenset()
 
 

@@ -564,10 +564,15 @@ class ImplicitBranchRoot:
         if g_hi is None or g_lo * g_hi > 0.0:
             raise TurningPointError(args)
         # bisect to the root tolerance, then hand off to the generated
-        # Newton; g keeps its sign at lo, so g_lo is read for it alone
+        # Newton; g keeps its sign at lo, so g_lo is read for it alone.
+        # A domain error at x is a pole inside the bracket, whose sign
+        # change has no root: the same failure as a collapsed interval
         x = 0.5 * (lo + hi)
         while x not in (lo, hi):
-            gv = self._g(*args, x)
+            try:
+                gv = self._g(*args, x)
+            except DomainError:
+                break
             if abs(gv) <= _ROOT_TOL:
                 polished = None if gv == 0.0 else self._newton(*args, x, 0.0)
                 return x if polished is None else polished

@@ -16,10 +16,9 @@ import numpy as np
 
 from .expr import evaluate_rows
 from .hj import OneForm, hj_residual, pullback
-from .phase_space import (FLOW_SINGULAR_TOL, HamiltonianSystem, PhasePoint,
-                          Trajectory, _rk4)
+from .phase_space import FLOW_SINGULAR_TOL, HamiltonianSystem, Trajectory, _rk4
 from .reduction import reduced_hamiltonian
-from .symmetry import TranslationAction, form_translates
+from .symmetry import form_translates
 
 __all__ = [
     "lift_solution", "lift_report", "ReconstructionReport",
@@ -77,9 +76,8 @@ def lift_report(sys, reduced_form, chart, mu, grid, seed=42):
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     form = lift_solution(reduced_form, chart, mu, sys.coords)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    momenta, devs = form_translates(
-        TranslationAction(chart.generators.T, chart.n), form, grid,
-        np.random.default_rng(seed))
+    momenta, devs = form_translates(chart.action, form, grid,
+                                    np.random.default_rng(seed))
     # fmax skips a NaN row, as a running > maximum does; lift_solution
     # holds mu to k entries
     mom_dev = float(np.fmax.reduce(

@@ -23,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _linalg
 from .expr import Const, DomainError, add, linear_combo, substitute
 from .hj import (PRECONDITION_TOL, SAMPLE_BOX, OneForm, PreconditionError,
                  TwoForm, domain_samples, exterior_derivative,
                  magnetic_lagrangian_residual, pullback)
 from .phase_space import TIME, PhasePoint
-from .symmetry import TranslationAction, form_translates, invariance_report
+from .symmetry import form_translates, invariance_report
 
 __all__ = [
     "QuotientChart", "build_chart", "reduced_hamiltonian",
@@ -51,22 +50,17 @@ class QuotientChart:
     y = Y q are invariants (Y G = 0), x = X q are group coordinates
     (X G = I), and L is the horizontal lift: q = L y + G x with
     Y L = I and X L = 0.  Momenta split as p_y = L^T p, p_x = G^T p,
-    so p_x is exactly the conserved momentum map.
+    so p_x is exactly the conserved momentum map.  The blocks are the
+    ones ``action`` built when it was made (``_linalg.chart_blocks``),
+    and the chart keeps ``action``: every precondition sampled under
+    the chart's translations reads it.
     """
 
-    def __init__(self, y_block, x_block, horizontal, generators,
-                 y_names=None, py_names=None):
-        self.y_block = np.asarray(y_block, dtype=float)
-        self.x_block = np.asarray(x_block, dtype=float)
-        self.horizontal = np.asarray(horizontal, dtype=float)
-        self.generators = np.asarray(generators, dtype=float)
-        n = self.generators.shape[0]
-        k = self.generators.shape[1]
-        m = n - k
-        if self.y_block.shape != (m, n) or self.x_block.shape != (k, n):
-            raise ValueError("block shapes are inconsistent")
-        if self.horizontal.shape != (n, m):
-            raise ValueError("horizontal lift must be n x (n-k)")
+    def __init__(self, action, y_names=None, py_names=None):
+        self.action = action
+        self.y_block, self.x_block, self.horizontal = action.chart_blocks
+        self.generators = action.matrix
+        m = self.m
         defaults = _default_names(m)
         self.y_names = tuple(y_names) if y_names is not None else defaults[0]
         self.py_names = tuple(py_names) if py_names is not None else defaults[1]
@@ -108,24 +102,13 @@ class QuotientChart:
 
 
 def build_chart(action, y_names=None, py_names=None):
-    """Chart for the quotient by a translation action.
+    """The quotient chart of a translation action, with reduced names.
 
-    The invariant block Y is the reduced-echelon left-null basis of the
-    generator matrix (first nonzero entry of each row positive), the
-    group block is X = (G^T G)^{-1} G^T, and the horizontal lift is the
-    corresponding block of the inverse of the stacked map.  The trivial
-    action (k = 0) gives Y = L = I and the full-rank one (k = n) empty
-    Y and L, with no case of their own.
+    The blocks are the action's own, built once when it was made
+    (``TranslationAction``); this names the reduced coordinates and
+    momenta (default ``q``/``p`` for one, else ``y1``.. and ``py1``..).
     """
-    g = np.asarray(action.matrix, dtype=float)
-    n, k = g.shape
-    y_block = _linalg.left_null_basis(g)
-    x_block = _linalg.group_projection(g)
-    horizontal = np.linalg.solve(
-        np.vstack([y_block, x_block]),
-        np.vstack([np.eye(n - k), np.zeros((k, n - k))]))
-    return QuotientChart(y_block, x_block, horizontal, g,
-                         y_names=y_names, py_names=py_names)
+    return QuotientChart(action, y_names=y_names, py_names=py_names)
 
 
 def reduced_hamiltonian(sys, chart, mu, check=True, seed=42):
@@ -143,8 +126,7 @@ def reduced_hamiltonian(sys, chart, mu, check=True, seed=42):
     if sys.n != chart.n:
         raise ValueError("system and chart dimensions differ")
     if check and chart.k:
-        action = TranslationAction(chart.generators.T)
-        rep = invariance_report(action, sys.h, sys.coords, seed=seed)
+        rep = invariance_report(chart.action, sys.h, sys.coords, seed=seed)
         if not rep["ok"]:
             raise PreconditionError(
                 "hamiltonian is not invariant under the action",
@@ -196,11 +178,10 @@ def magnetic_term(chart, alpha_mu, mu, seed=42):
     if mu.size != chart.k:
         raise ValueError(f"mu must have {chart.k} entries")
     rng = np.random.default_rng(seed)
-    action = TranslationAction(chart.generators.T, chart.n)
 
     def translates(rng):
         q = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(1, chart.n))
-        momenta, devs = form_translates(action, alpha_mu, q, rng)
+        momenta, devs = form_translates(chart.action, alpha_mu, q, rng)
         if np.isnan(devs[0]):
             raise DomainError("the form's translate could not be compared")
         return q[0], momenta[0], float(devs[0])
@@ -265,9 +246,8 @@ def project_lagrangian(form, chart, mu, grid, seed=42):
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[1] != chart.n:
         raise ValueError("grid points must have the chart's dimension")
-    momenta, devs = form_translates(
-        TranslationAction(chart.generators.T, chart.n), form, grid,
-        np.random.default_rng(seed))
+    momenta, devs = form_translates(chart.action, form, grid,
+                                    np.random.default_rng(seed))
     mom_devs = np.max(np.abs(momenta - mu), axis=1, initial=0.0)
     off_level = mom_devs > PRECONDITION_TOL
     bad = np.flatnonzero(off_level | (devs > PRECONDITION_TOL))

@@ -37,12 +37,13 @@ class TranslationAction:
     """q -> q + G g for g in R^k.
 
     ``generators`` lists the k direction vectors (length n each); they
-    become the columns of G.  They must be linearly independent as
-    ``reduction.build_chart`` sees them, so that every action has a
-    chart: the reduced echelon form of G^T (``_linalg.rref``) has k
-    pivots, and the Gram matrix G^T G of the group projection is finite
-    and solves.  k = 0 is allowed (trivial action) but then ``n`` must
-    be given.
+    become the columns of G.  The action builds its quotient chart once,
+    here: ``chart_blocks`` holds the blocks (Y, X, L) of
+    ``_linalg.chart_blocks``, which every ``reduction.QuotientChart`` of
+    the action reads, and an action is made only from generators that
+    have them (ValueError otherwise: the Gram matrix G^T G overflows, or
+    the generators are linearly dependent as the chart sees them).
+    k = 0 is allowed (trivial action) but then ``n`` must be given.
     """
 
     def __init__(self, generators, n=None):
@@ -60,8 +61,9 @@ class TranslationAction:
                 raise ValueError(
                     f"generators have length {arr.shape[1]}, expected {n}")
             self.matrix = arr.T.copy()
-            _check_independent(self.matrix)
-        self.matrix.setflags(write=False)
+        self.chart_blocks = _linalg.chart_blocks(self.matrix)
+        for a in (self.matrix, *self.chart_blocks):
+            a.setflags(write=False)
 
     @property
     def n(self):
@@ -81,25 +83,6 @@ class TranslationAction:
 
     def __repr__(self):
         return f"TranslationAction(n={self.n}, k={self.k})"
-
-
-def _check_independent(g):
-    """ValueError unless the columns of g have a quotient chart."""
-    try:
-        # the Gram product first: an entry that squares past the double
-        # range would also overflow inside the echelon form
-        with np.errstate(over="raise"):
-            g.T @ g
-    except FloatingPointError:
-        raise ValueError("generators too large: their Gram matrix G^T G "
-                         "overflows") from None
-    if len(_linalg.rref(g.T)[1]) == g.shape[1]:
-        try:
-            _linalg.group_projection(g)
-            return
-        except np.linalg.LinAlgError:
-            pass
-    raise ValueError("generators are linearly dependent")
 
 
 def cotangent_lift(action, g, z):

@@ -58,14 +58,36 @@ def test_summary_of_canned_runs():
     assert ab.report_lines(summary) == [
         "metric       parent median [q1, q3]             "
         "change median [q1, q3]               ratio   wins "
-        "parent iqr change iqr  bound",
+        "parent iqr change iqr  bound verdict",
         "wall_s       2.1 [2, 2.35]                      "
         "2.05 [1.825, 2.5]                   0.9750    2/4 "
-        "    0.1667     0.3214   0.24",
+        "    0.1667     0.3214   0.24 unresolved",
         "ok_frac      1 [1, 1]                           "
         "1 [0.925, 1]                        1.0000    0/4 "
-        "    0.0000     0.0750   0.01",
+        "    0.0000     0.0750   0.01 unresolved",
     ]
+
+
+@pytest.mark.parametrize("parent, change, ok, verdicts", [
+    # the median 2.6 is 0.6 above 2.0, beyond 0.24 * 2.0
+    ([2.0, 2.0, 2.0, 2.0], [2.6, 2.6, 2.6, 2.6], 1.0, ("worse", "held")),
+    # higher is better: ok_frac 0.9 is 0.1 below 1.0, beyond 0.01
+    ([2.0, 2.0, 2.0, 2.0], [2.0, 2.0, 2.0, 2.0], 0.9, ("held", "worse")),
+    # the parent's interquartile range is 2.0 / 3.2 of its median
+    ([2.0, 2.8, 3.6, 4.4], [2.2, 3.0, 3.4, 4.0], 1.0,
+     ("unresolved", "held")),
+    # as wide, but every change run beats every parent run
+    ([2.0, 2.8, 3.6, 4.4], [1.0, 1.2, 1.4, 1.9], 1.0, ("held", "held")),
+    # within the bound and both spreads at most the bound
+    ([2.0, 2.1, 2.2, 2.3], [2.2, 2.3, 2.4, 2.5], 1.0, ("held", "held")),
+])
+def test_verdict_per_metric(parent, change, ok, verdicts):
+    pairs = [{"parent": run(p), "change": run(c, ok), "first": "parent"}
+             for p, c in zip(parent, change)]
+    summary = ab.summarize(pairs, END_TO_END)
+    assert (summary["wall_s"]["verdict"],
+            summary["ok_frac"]["verdict"]) == verdicts
+    assert ab.report_lines(summary)[1].endswith(" " + verdicts[0])
 
 
 def test_record_collects_workloads_of_one_revision(tmp_path):

@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hjreduce import cli, hj
+from hjreduce import _linalg, cli, hj
 from hjreduce.cli import (SCENARIO_SCHEMA, ScenarioError, emit_trajectory,
                           load_scenario, read_trajectory)
 from hjreduce.expr import DomainError
 from hjreduce.phase_space import Trajectory
+from hjreduce.symmetry import TranslationAction
 
 
 def run_cli(*args, cwd=None):
@@ -864,6 +865,31 @@ class TestReduceCommand:
         from hjreduce.expr import evaluate, parse
         h = parse(doc["hamiltonian"])
         assert evaluate(h, {"q": 2.0, "p": 1.0}) == 1.0 + 0.25
+
+
+class TestOneChartPerRun:
+    """A run builds one action, and that action its one chart."""
+
+    @pytest.mark.parametrize("command, scenario", [
+        ("reduce", "calogero"), ("verify", "calogero"),
+        ("reconstruct", "calogero"), ("verify", "magnetic_synthetic")])
+    def test_one_action_and_one_echelon_form(self, tmp_path, monkeypatch,
+                                             command, scenario):
+        counts = {"actions": 0, "rref": 0}
+        init, rref = TranslationAction.__init__, _linalg.rref
+
+        def counted_init(self, *args, **kwargs):
+            counts["actions"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_rref(a):
+            counts["rref"] += 1
+            return rref(a)
+
+        monkeypatch.setattr(TranslationAction, "__init__", counted_init)
+        monkeypatch.setattr(_linalg, "rref", counted_rref)
+        assert cli.main([command, scenario, "--out", str(tmp_path)]) == 0
+        assert counts == {"actions": 1, "rref": 1}
 
 
 class TestSolveCommand:

@@ -242,6 +242,17 @@ class TestImplicitBranchRoot:
                            match="^pbranch: no convergence to tol 1.0e-12$"):
             root.solve((0.0,))
 
+    def test_pole_in_the_bracket_is_the_collapse_error(self):
+        # 1/(p-1.3) changes sign across a pole that bisection lands on;
+        # 1/(p^2-2) across one that it cannot: the same error for both
+        messages = []
+        for g in ("1/(p-1.3)", "1/(p^2-2)"):
+            root = ImplicitBranchRoot(parse(g), "y", "p", branch=1)
+            with pytest.raises(NewtonDivergenceError) as ei:
+                root.solve((0.0,))
+            messages.append(str(ei.value))
+        assert messages == ["pbranch: no convergence to tol 1.0e-12"] * 2
+
     def test_far_end_outside_the_domain_is_a_turning_point(self):
         # g > 0 on [0, 1]; the far end 2 leaves sqrt's domain first
         root = ImplicitBranchRoot(parse("sqrt(1-p)+0.5"), "y", "p", branch=1)

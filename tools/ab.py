@@ -14,9 +14,15 @@ For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles (``statistics.quantiles``, exclusive method), the
 median of the per-pair ratios change/parent, the pairs the change won
 (better in the metric's ``better`` direction; ties count for neither),
-and each side's interquartile range as a fraction of the parent's
-median beside the metric's ``bound``, which is a fraction of the
-parent's value.
+each side's interquartile range as a fraction of the parent's median
+beside the metric's ``bound``, which is a fraction of the parent's
+value, and a verdict:
+
+- ``worse`` when the change's median is worse than the parent's by
+  more than ``bound`` times the parent's median;
+- else ``unresolved`` when either side's interquartile fraction exceeds
+  ``bound``, unless every change run beats every parent run;
+- else ``held``.
 
 With ``--label L`` it also appends a round to ``BENCH_L.json`` at the
 root of the working tree.  ``rounds`` maps each workload to its list of
@@ -95,7 +101,7 @@ def _quartiles(xs):
 
 
 def summarize(pairs, end_to_end):
-    """Per metric: medians, quartiles, ratio, wins and spreads."""
+    """Per metric: medians, quartiles, ratio, wins, spreads and verdict."""
     summary = {}
     for spec in end_to_end:
         name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
@@ -113,7 +119,15 @@ def summarize(pairs, end_to_end):
         wins = sum(sign * (c - p) < 0
                    for p, c in zip(sides["parent"], sides["change"]))
         row["change_better_in"] = f"{wins}/{len(pairs)}"
-        row["bound"] = spec["bound"]
+        row["bound"] = bound = spec["bound"]
+        if sign * (row["change_median"] - base) > bound * abs(base):
+            row["verdict"] = "worse"
+        elif (max(row["parent_iqr_frac"], row["change_iqr_frac"]) > bound
+              and max(sign * c for c in sides["change"])
+              >= min(sign * p for p in sides["parent"])):
+            row["verdict"] = "unresolved"
+        else:
+            row["verdict"] = "held"
         summary[name] = row
     return summary
 
@@ -122,7 +136,7 @@ def report_lines(summary):
     """The printed table of ``summarize``'s result."""
     lines = [f"{'metric':<12} {'parent median [q1, q3]':<34} "
              f"{'change median [q1, q3]':<34} {'ratio':>7} {'wins':>6} "
-             f"{'parent iqr':>10} {'change iqr':>10} {'bound':>6}"]
+             f"{'parent iqr':>10} {'change iqr':>10} {'bound':>6} verdict"]
     for name, row in summary.items():
         cells = [f"{row[f'{s}_median']:.6g} [{row[f'{s}_quartiles'][0]:.6g}, "
                  f"{row[f'{s}_quartiles'][1]:.6g}]" for s in SIDES]
@@ -130,7 +144,7 @@ def report_lines(summary):
             f"{name:<12} {cells[0]:<34} {cells[1]:<34} "
             f"{row['ratio_median']:>7.4f} {row['change_better_in']:>6} "
             f"{row['parent_iqr_frac']:>10.4f} {row['change_iqr_frac']:>10.4f} "
-            f"{row['bound']:>6g}")
+            f"{row['bound']:>6g} {row['verdict']}")
     return lines
 
 
