@@ -908,11 +908,12 @@ def solve_reduced_1d(h_reduced, y_var, p_var, energy, y_range, branch=1,
 class GeneratingFunction:
     """S(t, q, c) with c the new coordinates: parameters of the family.
 
-    kind "typeI": c are the new positions and the transform reads
-    p = dS/dq, new momentum = -dS/dc.  kind "typeII": c are the new
-    momenta and p = dS/dq, new position = dS/dc; the identity map has
-    S = sum_i q^i c_i.  Second partials are built symbolically once and
-    cached, so Jacobians of the induced implicit maps are exact.
+    kind "typeII": c are the new momenta and p = dS/dq, new position =
+    dS/dc; the identity map has S = sum_i q^i c_i.  kind "typeI": c are
+    the new positions and p = dS/dq, new momentum = -dS/dc, which is the
+    typeII map followed by the canonical rotation (X, Y) -> (Y, -X).
+    Second partials are built symbolically once and cached, so Jacobians
+    of the induced implicit maps are exact.
     """
 
     KINDS = ("typeI", "typeII")
@@ -1261,13 +1262,12 @@ def additive_split_check(s, coords, action, grid, mu=None):
 
     Precondition: the graph of dS sits inside one momentum level, i.e.
     G^T grad S is constant over the grid (within PRECONDITION_TOL,
-    witness reported otherwise).  With the action's chart
-    (``reduction.build_chart``), S_group = sum_a mu_a x^a in the group
-    coordinates x = X q, S_reduced is S restricted to the zero fiber
-    q -> L Y q, and the residual of S = S_reduced + S_group + c is
+    witness reported otherwise).  With the blocks (Y, X, L) of the
+    action's chart (``action.chart_blocks``), S_group = sum_a mu_a x^a in
+    the group coordinates x = X q, S_reduced is S restricted to the zero
+    fiber q -> L Y q, and the residual of S = S_reduced + S_group + c is
     returned.
     """
-    from .reduction import build_chart
     coords = tuple(coords)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[1] != len(coords):
@@ -1289,10 +1289,9 @@ def additive_split_check(s, coords, action, grid, mu=None):
                      "momentum": j_vals[worst].tolist(),
                      "expected": ref.tolist()})
     mu = ref
-    chart = build_chart(action)
-    fiber_zero = chart.horizontal @ chart.y_block
-    s_group = linear_combo(mu, [linear_combo(row, coords)
-                                for row in chart.x_block])
+    y_block, x_block, horizontal = action.chart_blocks
+    fiber_zero = horizontal @ y_block
+    s_group = linear_combo(mu, [linear_combo(row, coords) for row in x_block])
     s_reduced = substitute(s, {v: linear_combo(row, coords)
                                for v, row in zip(coords, fiber_zero)})
     parts = evaluate_rows([s, s_reduced, s_group], coords, grid)

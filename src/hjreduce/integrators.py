@@ -22,7 +22,6 @@ from .hj import (SAMPLE_BOX, NewtonDivergenceError, PreconditionError,
                  SingularJacobianError, SolveError)
 from .phase_space import (FLOW_SINGULAR_TOL, PhasePoint, Trajectory,
                           flow_reference, symplectic_matrix)
-from .reduction import build_chart
 from .symmetry import invariance_report, momentum_map
 
 __all__ = [
@@ -103,10 +102,17 @@ def _transform(gf, z, t, guess, singular_tol=0.0):
 
     c0 = z.p if guess is None else np.atleast_1d(np.asarray(guess, dtype=float))
     c = _solve_newton(residual, jacobian, c0)
-    grad_c = at(s_c, c)
-    if gf.kind == "typeII":
-        return grad_c, c.copy(), c
-    return c.copy(), -grad_c, c
+    return (*_rotated(gf, at(s_c, c), c.copy()), c)
+
+
+def _rotated(gf, x, y):
+    """``gf``'s map read from the type-II frame: (X, Y) or (Y, -X).
+
+    X and Y are the type-II images dS/dc and c, or their Jacobian rows.
+    A typeII map is (X, Y); a typeI map is the canonical rotation
+    (X, Y) -> (Y, -X), which only swaps and negates, so it is exact.
+    """
+    return (x, y) if gf.kind == "typeII" else (y, -x)
 
 
 def _apply(gf, z, t, name, kind):
@@ -160,8 +166,11 @@ def map_jacobian(gf, z, t=0.0):
     """Exact 2n x 2n derivative of the induced map at a phase point.
 
     Implicit differentiation of dS/dq(t, q, c) = p around the solved c:
-    with A = d2S/dq dc,  dc/dq = -A^{-1} S_qq  and  dc/dp = A^{-1};
-    the remaining blocks follow from the output formulas of each kind.
+    with A = d2S/dq dc,  dc/dq = -A^{-1} S_qq  and  dc/dp = A^{-1}, the
+    type-II map (dS/dc, c) has the rows [A^T + S_cc dc/dq, S_cc A^{-1}]
+    and [dc/dq, A^{-1}].  A typeI map is that map followed by the
+    rotation (X, Y) -> (Y, -X): the row blocks swap and the new lower
+    one is negated.
     """
     return _jacobian_at(gf, z, t, _transform(gf, z, t, None)[2])
 
@@ -178,19 +187,8 @@ def _jacobian_at(gf, z, t, params):
         raise SingularJacobianError(
             f"mixed-partial matrix is singular at this point: {e}")
     dc_dq = -a_inv @ s_qq
-    dc_dp = a_inv
-    m = np.empty((2 * n, 2 * n))
-    if gf.kind == "typeII":
-        m[:n, :n] = a.T + s_cc @ dc_dq
-        m[:n, n:] = s_cc @ dc_dp
-        m[n:, :n] = dc_dq
-        m[n:, n:] = dc_dp
-    else:
-        m[:n, :n] = dc_dq
-        m[:n, n:] = dc_dp
-        m[n:, :n] = -(a.T + s_cc @ dc_dq)
-        m[n:, n:] = -s_cc @ dc_dp
-    return m
+    x_rows = np.hstack([a.T + s_cc @ dc_dq, s_cc @ a_inv])
+    return np.vstack(_rotated(gf, x_rows, np.hstack([dc_dq, a_inv])))
 
 
 def symplecticity_check(gf, z, t=0.0):
@@ -214,7 +212,7 @@ def _check_diagonal_invariance(gf, action, seed=42):
     S - x . G^T c under q -> q + G g alone: one ``invariance_report``
     call, whose witness a failure carries.
     """
-    x_block = build_chart(action).x_block
+    x_block = action.chart_blocks[1]
     pairing = linear_combo(np.ones(action.k), [
         mul(linear_combo(x_row, gf.q_vars), linear_combo(g_col, gf.params))
         for x_row, g_col in zip(x_block, action.matrix.T)])

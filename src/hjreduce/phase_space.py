@@ -16,7 +16,8 @@ import re
 
 import numpy as np
 
-from .expr import DomainError, compile, differentiate, evaluate_rows, parse
+from .expr import (DomainError, UnboundVariableError, compile, differentiate,
+                   evaluate_rows, parse)
 
 __all__ = [
     "HamiltonianSystem", "PhasePoint", "Trajectory",
@@ -116,18 +117,12 @@ class HamiltonianSystem:
     def n(self):
         return len(self.coords)
 
-    def _values(self, exprs, q, p, t, singular_tol):
-        """The expressions at one point (q, p arrays), t bound unless None."""
-        row = [*q.tolist(), *p.tolist()]
-        if t is not None:
-            row.append(t)
-        return evaluate_rows(exprs, self._names[:len(row)], [row],
-                             singular_tol)[0]
-
     def energy(self, z, t=None):
         """h at z; t, or else the time stamp of z, is bound when set."""
-        return float(self._values([self.h], z.q, z.p,
-                                  z.t if t is None else t, 0.0)[0])
+        t = z.t if t is None else t
+        row = [*z.q.tolist(), *z.p.tolist(), *(() if t is None else (t,))]
+        names = self._names[:len(row)]
+        return float(evaluate_rows([self.h], names, [row])[0, 0])
 
     def __repr__(self):
         return f"HamiltonianSystem({self.h}, coords={list(self.coords)})"
@@ -176,13 +171,29 @@ class Trajectory:
 def hamiltonian_vector_field(sys, z, t=None):
     """Canonical vector field (dh/dp, -dh/dq) at z, as a flat 2n array.
 
-    Raises DomainError within ``FLOW_SINGULAR_TOL`` of a singularity.
+    t, or else the time stamp of z, is the time; a field that reads t
+    with neither raises UnboundVariableError.  Raises DomainError within
+    ``FLOW_SINGULAR_TOL`` of a singularity.
     """
-    v = sys._values([*sys._dh_dp, *sys._dh_dq], z.q, z.p,
-                    z.t if t is None else t, FLOW_SINGULAR_TOL)
-    pdot = v[sys.n:]
-    np.negative(pdot, out=pdot)
-    return v
+    t = z.t if t is None else t
+    if t is None:
+        if any(TIME in e.free_vars() for e in (*sys._dh_dp, *sys._dh_dq)):
+            raise UnboundVariableError(TIME)
+        t = 0.0
+    return _canonical_field(sys)(t, z.flat())
+
+
+def _canonical_field(sys):
+    """The function (t, y) -> (dh/dp, -dh/dq) at time t and the flat
+    state y = (q, p), through the system's generated field."""
+    n, kernel = sys.n, sys._field_kernel
+
+    def field(t, y):
+        v = np.array(kernel(*y.tolist(), t))
+        np.negative(v[n:], out=v[n:])
+        return v
+
+    return field
 
 
 def symplectic_pairing(u, v):
@@ -249,13 +260,6 @@ def flow_reference(sys, z0, t_end, dt):
     singularity raise a DomainError rather than continuing with garbage.
     """
     n = sys.n
-    kernel = sys._field_kernel
-
-    def field(t, y):
-        v = np.array(kernel(*y.tolist(), t))
-        np.negative(v[n:], out=v[n:])
-        return v
-
     t0 = 0.0 if z0.t is None else z0.t
-    times, ys = _rk4(field, z0.flat(), t0, t0 + t_end, dt)
+    times, ys = _rk4(_canonical_field(sys), z0.flat(), t0, t0 + t_end, dt)
     return Trajectory(times, ys[:, :n], ys[:, n:])

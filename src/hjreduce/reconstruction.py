@@ -151,6 +151,8 @@ def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
     if y0.size != chart.m:
         raise ValueError(f"y0 must have {chart.m} entries")
     g0 = np.zeros(chart.k) if g0 is None else np.atleast_1d(np.asarray(g0, float))
+    if g0.size != chart.k:
+        raise ValueError(f"g0 must have {chart.k} entries")
     h_red = reduced_hamiltonian(sys, chart, mu, check=False)
     red_sys = HamiltonianSystem(h_red, chart.y_names, chart.py_names)
     l_mat = chart.horizontal

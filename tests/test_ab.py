@@ -110,3 +110,50 @@ def test_record_collects_workloads_of_one_revision(tmp_path):
         ("env", PAIRS, summary), ("env2", PAIRS[:2], recheck)]
     with pytest.raises(ab.ABError, match="holds runs against abc, not def"):
         ab.record(path, "x", "def", "cmd", "env", "many-body", PAIRS, summary)
+
+
+def test_every_workload_in_one_command(tmp_path, monkeypatch, capsys):
+    """Without --workload each workload of BENCHMARK.json runs its pairs in
+    the listed order against one export; --workload narrows the run."""
+    bench = {"command": ["python3", "bench/run.py"], "run_seconds": 3,
+             "workloads": [{"name": w} for w in ("quadrature", "pipeline",
+                                                  "many-body")],
+             "end_to_end": END_TO_END}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    exports, calls = [], []
+
+    def export(rev, dest):
+        exports.append(rev)
+        return "f" * 40
+
+    def run_once(root, argv):
+        side = "change" if root == tmp_path else "parent"
+        workload = argv[argv.index("--workload") + 1]
+        calls.append((workload, side))
+        wall = len(calls) + (0.5 if side == "change" else 0.0)
+        return {"wall_s": wall, "ok_frac": 1.0}, 0, f"env: {workload}"
+
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    monkeypatch.setattr(ab, "export", export)
+    monkeypatch.setattr(ab, "run_once", run_once)
+    assert ab.main(["HEAD", "--pairs", "2", "--label", "all"]) == 0
+    assert exports == ["HEAD"]
+    assert calls == [(w, side) for w in ("quadrature", "pipeline", "many-body")
+                     for side in ("parent", "change", "change", "parent")]
+    out = capsys.readouterr().out.splitlines()
+    heads = [line for line in out if " pairs: " in line]
+    assert heads == [f"{w}, 2 pairs: ffffffffffff (parent) against the "
+                     "working tree (change)"
+                     for w in ("quadrature", "pipeline", "many-body")]
+    doc = json.loads((tmp_path / "BENCH_all.json").read_text())
+    assert list(doc["rounds"]) == ["many-body", "pipeline", "quadrature"]
+    for w, rounds in doc["rounds"].items():
+        assert len(rounds) == 1 and rounds[0]["machine"] == f"env: {w}"
+        assert [p["first"] for p in rounds[0]["pairs"]] == ["parent",
+                                                            "change"]
+    many_body = doc["rounds"]["many-body"][0]["pairs"]
+    assert [(p["parent"]["wall_s"], p["change"]["wall_s"])
+            for p in many_body] == [(9.0, 10.5), (12.0, 11.5)]
+    calls.clear()
+    assert ab.main(["HEAD", "--pairs", "1", "--workload", "pipeline"]) == 0
+    assert calls == [("pipeline", "parent"), ("pipeline", "change")]

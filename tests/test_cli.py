@@ -637,6 +637,10 @@ class TestScenarioErrors:
                  edited("oscillator", solve={"range": [-3, 3]},
                         reconstruct={"y0": [0]}),
                  "reconstruction needs an 'action' section"),
+        # checked beside y0, before the reduced flow runs
+        document("reconstruct", "g0-length",
+                 edited("calogero", reconstruct__g0=[0, 1, 2]),
+                 "g0 must have 1 entries"),
     ])
     def test_message(self, tmp_path, capsys, command, scenario, message):
         if isinstance(scenario, dict):
@@ -696,6 +700,20 @@ class TestIntegralFloats:
                                           [6.0, 5.0]))
         assert [type(c) for c in doc["verify"]["grid"]["counts"]] == [int, int]
         assert type(doc["solve"]["range"][0]) is float
+
+
+class TestTypeIScheme:
+    def test_integrate_with_a_type1_function(self, tmp_path, capsys):
+        """The oscillator's scheme function read as typeI: each step is
+        the rotation (q, p) -> (c, -dS/dc) of the solved c."""
+        out = tmp_path / "out"
+        doc = edited("oscillator", integrator__kind="typeI")
+        assert cli.main(["integrate", write_scenario(tmp_path, doc),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "oscillator_scheme.csv").read_text().splitlines()
+        assert rows[:3] == ["t,q1,p1", "0,0,1",
+                            "0.10000000000000001,1,-0.10000000000000001"]
 
 
 class TestTimeVariable:

@@ -58,6 +58,64 @@ class TestApplyType1:
         assert out.p[0] == pytest.approx(0.1, abs=1e-12)
 
 
+def type1_by_blocks(gf, z, t):
+    """A typeI map at z written out per block: the solved c, the image
+    (c, -dS/dc) and the Jacobian [[dc/dq, A^-1], [-(A^T + S_cc dc/dq),
+    -S_cc A^-1]], with (A, S_qq, S_cc) at c."""
+    n = gf.n
+
+    def at(entries, c):
+        return gf._at(entries, [(z.q, c, t)], 0.0)[0]
+
+    s_q = [gf.s_q(i) for i in range(n)]
+    mixed = [gf.s_qparam(i, j) for i in range(n) for j in range(n)]
+    c = integrators._solve_newton(lambda c: at(s_q, c) - z.p,
+                                  lambda c: at(mixed, c).reshape(n, n), z.p)
+    image = (c.copy(), -at([gf.s_param(i) for i in range(n)], c))
+    a, s_qq, s_cc = at([entry(i, j) for entry in (
+        gf.s_qparam, gf.s_qq, gf.s_paramparam) for i in range(n)
+        for j in range(n)], c).reshape(3, n, n)
+    a_inv = np.linalg.inv(a)
+    dc_dq = -a_inv @ s_qq
+    m = np.empty((2 * n, 2 * n))
+    m[:n, :n] = dc_dq
+    m[:n, n:] = a_inv
+    m[n:, :n] = -(a.T + s_cc @ dc_dq)
+    m[n:, n:] = -s_cc @ a_inv
+    return c, image, m, (s_qq, s_cc)
+
+
+class TestTypeIRotation:
+    """A typeI map is the typeII frame rotated by (X, Y) -> (Y, -X): its
+    image and Jacobian equal the per-block typeI formulas exactly (an
+    exact zero may differ in sign, which ``np.array_equal`` ignores)."""
+
+    CASES = [
+        ("q*a1-t*a1^2/2", ("q",), ("a1",), [2.0], [3.0], 0.7),
+        ("q1*a1+q2*a2+0.3*q1*a2-t*(0.5*(a1^2+a2^2)+0.2*a1*a2"
+         "+0.25*q1^2*q2+0.1*q2^2*a1)",
+         ("q1", "q2"), ("a1", "a2"), [0.4, -0.7], [0.9, 0.3], 0.35),
+    ]
+
+    @pytest.mark.parametrize("s, q_vars, params, q, p, t", CASES,
+                             ids=["free-particle", "coupled"])
+    def test_image_step_and_jacobian(self, s, q_vars, params, q, p, t):
+        gf = GeneratingFunction("typeI", parse(s), q_vars, params)
+        z = PhasePoint(q, p)
+        c, (q_new, p_new), m, (s_qq, s_cc) = type1_by_blocks(gf, z, t)
+        assert np.any(s_cc != 0.0)
+        if len(q) == 2:
+            assert np.any(s_qq != 0.0)
+        out = apply_type1(gf, z, t=t)
+        assert np.array_equal(out.q, q_new) and np.array_equal(out.p, p_new)
+        step = ImplicitMap(gf, t=t)
+        out = step(z)
+        assert np.array_equal(out.q, q_new) and np.array_equal(out.p, p_new)
+        assert np.array_equal(step._warm, c)
+        assert np.array_equal(map_jacobian(gf, z, t=t), m)
+        assert symplecticity_check(gf, z, t=t) < 1e-14
+
+
 class TestMapJacobian:
     def test_ho_frozen_matrix(self, ho_gf):
         m = map_jacobian(ho_gf, PhasePoint([1.0], [0.0]), t=0.1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from hjreduce.expr import DomainError, parse
+from hjreduce.expr import DomainError, UnboundVariableError, parse
 from hjreduce.phase_space import (HamiltonianSystem, PhasePoint, Trajectory,
                                   flow_reference, hamiltonian_vector_field,
                                   symplectic_matrix, symplectic_pairing)
@@ -63,6 +63,33 @@ class TestSingularGuards:
     def test_flow_step_guards_near_singularity(self):
         with pytest.raises(DomainError):
             flow_reference(self.SYSTEM, self.NEAR, 1e-3, 1e-3)
+
+
+class TestVectorFieldTime:
+    """t, else z's time stamp, is the field's time; a field that reads t
+    with neither is unbound."""
+
+    SYSTEM = HamiltonianSystem("0.5*p^2+t*q^2", ["q"])
+
+    def test_time_stamp_is_bound_when_t_is_not_given(self):
+        field = hamiltonian_vector_field(self.SYSTEM,
+                                         PhasePoint([0.7], [-0.3], t=0.4))
+        assert field.tolist() == hamiltonian_vector_field(
+            self.SYSTEM, PhasePoint([0.7], [-0.3]), t=0.4).tolist()
+        assert field.tolist() == hamiltonian_vector_field(
+            self.SYSTEM, PhasePoint([0.7], [-0.3], t=9.0), t=0.4).tolist()
+        np.testing.assert_allclose(field, [-0.3, -0.56], rtol=1e-15)
+
+    def test_field_reading_t_without_a_time_is_unbound(self):
+        with pytest.raises(UnboundVariableError, match="'t'") as ei:
+            hamiltonian_vector_field(self.SYSTEM, PhasePoint([0.7], [-0.3]))
+        assert ei.value.name == "t"
+
+    def test_field_not_reading_t_needs_no_time(self):
+        s = HamiltonianSystem("0.5*p^2+q^2+t", ["q"])
+        assert s.time_dependent
+        field = hamiltonian_vector_field(s, PhasePoint([0.7], [-0.3]))
+        assert field.tolist() == [-0.3, -1.4]
 
 
 class TestVectorField:

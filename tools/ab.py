@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of a git revision against the working tree.
 
-    python3 tools/ab.py REV --workload W [--pairs 10] [--label L]
+    python3 tools/ab.py REV [--workload W] [--pairs 10] [--label L]
 
 Exports REV with ``git archive`` into a temporary directory (no worktree,
 no network) and runs the benchmark command of ``BENCHMARK.json``,
 ``python3 bench/run.py --workload W --seed 1 --seconds <run_seconds>``,
 there (the parent) and in the working tree (the change).  Every run is a
 fresh process; the two sides alternate, odd pairs running the parent
-first.  ``bench/`` is only run, never changed.
+first.  Without ``--workload`` each workload of ``BENCHMARK.json`` takes
+its turn, in the listed order, against the one export; each gets its own
+pairs, printed summary and recorded round.  ``bench/`` is only run,
+never changed.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles (``statistics.quantiles``, exclusive method), the
@@ -93,6 +96,20 @@ def run_pairs(run_side, n):
     return pairs
 
 
+def run_workload(roots, argv_run, n):
+    """``n`` pairs of ``argv_run`` in ``roots``: (pairs, env lines seen)."""
+    envs = set()
+
+    def run_side(side):
+        metrics, failed, env = run_once(roots[side], argv_run)
+        envs.add(env)
+        print(f"{side}: " + ", ".join(
+            f"{k}={v:.6g}" for k, v in metrics.items()), flush=True)
+        return {**metrics, "failed": failed}
+
+    return run_pairs(run_side, n), envs
+
+
 def _quartiles(xs):
     if len(xs) < 2:
         return xs[0], xs[0]
@@ -166,39 +183,37 @@ def record(path, label, commit, command, machine, workload, pairs, summary):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="the git revision compared against")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", default=None,
+                    help="only this workload (default: each in turn)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--label", default=None)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = ([args.workload] if args.workload is not None
+                 else [w["name"] for w in bench["workloads"]])
     rest = ["--seed", "1", "--seconds", str(bench["run_seconds"])]
-    argv_run = [*bench["command"], "--workload", args.workload, *rest]
+    command = (" ".join([*bench["command"], "--workload <workload>", *rest])
+               + ", parent and change alternating, odd pairs parent first, "
+               "each a fresh process")
     try:
         with tempfile.TemporaryDirectory() as parent_root:
             commit = export(args.rev, parent_root)
             roots = {"parent": parent_root, "change": ROOT}
-            envs = set()
-
-            def run_side(side):
-                metrics, failed, env = run_once(roots[side], argv_run)
-                envs.add(env)
-                print(f"{side}: " + ", ".join(
-                    f"{k}={v:.6g}" for k, v in metrics.items()), flush=True)
-                return {**metrics, "failed": failed}
-
-            pairs = run_pairs(run_side, args.pairs)
-        summary = summarize(pairs, bench["end_to_end"])
-        print(f"{args.workload}, {args.pairs} pairs: "
-              f"{commit[:12]} (parent) against the working tree (change)")
-        print("\n".join(report_lines(summary)))
-        if args.label is not None:
-            record(ROOT / f"BENCH_{args.label}.json", args.label, commit,
-                   " ".join([*bench["command"], "--workload <workload>", *rest])
-                   + ", parent and change alternating, odd pairs parent "
-                   "first, each a fresh process",
-                   "; ".join(sorted(envs)), args.workload, pairs, summary)
+            for workload in workloads:
+                pairs, envs = run_workload(
+                    roots, [*bench["command"], "--workload", workload, *rest],
+                    args.pairs)
+                summary = summarize(pairs, bench["end_to_end"])
+                print(f"{workload}, {args.pairs} pairs: "
+                      f"{commit[:12]} (parent) against the working tree "
+                      "(change)")
+                print("\n".join(report_lines(summary)), flush=True)
+                if args.label is not None:
+                    record(ROOT / f"BENCH_{args.label}.json", args.label,
+                           commit, command, "; ".join(sorted(envs)),
+                           workload, pairs, summary)
     except ABError as e:
         print(f"ab: {e}", file=sys.stderr)
         return 2
