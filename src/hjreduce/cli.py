@@ -677,11 +677,12 @@ def _quadrature_family(doc, sys_):
 
 def cmd_reduce(doc, args, sys_, action, mu):
     chart, h_red = _reduced_problem(doc, sys_, action, mu, args)
+    h_text = str(h_red)
     out = {
         "name": doc["name"] + "_reduced",
         "coords": list(chart.y_names),
         "momenta": list(chart.py_names),
-        "hamiltonian": str(h_red),
+        "hamiltonian": h_text,
         "mu": mu.tolist(),
         "seed": _seed(doc, args),
         "chart": {
@@ -696,7 +697,7 @@ def cmd_reduce(doc, args, sys_, action, mu):
     if "solve" in doc and "cyclic" not in doc["solve"]:
         out["solve"] = doc["solve"]
     return ("reduced.json", out,
-            f"reduce: {', '.join(chart.y_names)} | h = {h_red}", None, None)
+            f"reduce: {', '.join(chart.y_names)} | h = {h_text}", None, None)
 
 
 def cmd_solve_hj(doc, args, sys_, action, mu):

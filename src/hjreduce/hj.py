@@ -912,8 +912,13 @@ class GeneratingFunction:
     dS/dc; the identity map has S = sum_i q^i c_i.  kind "typeI": c are
     the new positions and p = dS/dq, new momentum = -dS/dc, which is the
     typeII map followed by the canonical rotation (X, Y) -> (Y, -X).
-    Second partials are built symbolically once and cached, so Jacobians
-    of the induced implicit maps are exact.
+
+    S's partials are built symbolically on first use and kept as fixed
+    tuples, so Jacobians of the induced implicit maps are exact: ``s_t``
+    (one expression), ``s_q`` and ``s_c`` (one per coordinate, one per
+    parameter), and the second partials ``s_qc``, ``s_qq`` and ``s_cc``
+    row-major: entry i*n + j is d s_q[i]/dc_j, d s_q[i]/dq_j and
+    d s_c[i]/dc_j.
     """
 
     KINDS = ("typeI", "typeII")
@@ -938,42 +943,39 @@ class GeneratingFunction:
                 f"declared variables absent from S: {sorted(missing)} "
                 "(list them in absent_ok if intended)")
         self._names = (*self.q_vars, *self.params, TIME)
-        self._cache = {}
 
     @property
     def n(self):
         return len(self.q_vars)
 
-    def _d(self, key, base, var):
-        full = (key, var)
-        if full not in self._cache:
-            self._cache[full] = differentiate(base, var)
-        return self._cache[full]
-
+    @functools.cached_property
     def s_t(self):
-        return self._d("s", self.s, TIME)
+        return differentiate(self.s, TIME)
 
-    def s_q(self, i):
-        return self._d("s", self.s, self.q_vars[i])
+    @functools.cached_property
+    def s_q(self):
+        return tuple(differentiate(self.s, v) for v in self.q_vars)
 
-    def s_param(self, i):
-        return self._d("s", self.s, self.params[i])
+    @functools.cached_property
+    def s_c(self):
+        return tuple(differentiate(self.s, v) for v in self.params)
 
-    def s_qq(self, i, j):
-        return self._d(("q", i), self.s_q(i), self.q_vars[j])
+    @functools.cached_property
+    def s_qc(self):
+        return tuple(differentiate(d, v) for d in self.s_q for v in self.params)
 
-    def s_qparam(self, i, j):
-        """Mixed second partial d2 S / dq_i dparam_j."""
-        return self._d(("q", i), self.s_q(i), self.params[j])
+    @functools.cached_property
+    def s_qq(self):
+        return tuple(differentiate(d, v) for d in self.s_q for v in self.q_vars)
 
-    def s_paramparam(self, i, j):
-        return self._d(("c", i), self.s_param(i), self.params[j])
+    @functools.cached_property
+    def s_cc(self):
+        return tuple(differentiate(d, v) for d in self.s_c for v in self.params)
 
-    def _at(self, exprs, points, singular_tol):
-        """The expressions at each (q, c, t) point (q, c arrays), one row each."""
+    def _at(self, exprs, q, c, t, singular_tol):
+        """The expressions at the point (q, c, t), q and c arrays."""
         return evaluate_rows(exprs, self._names,
-                             [[*q.tolist(), *c.tolist(), t]
-                              for q, c, t in points], singular_tol)
+                             [[*q.tolist(), *c.tolist(), t]], singular_tol)[0]
 
     def __repr__(self):
         return f"GeneratingFunction({self.kind}, {self.s})"
@@ -1010,8 +1012,7 @@ def _point_rows(gf, sys, points):
 
 def _deviation_arrays(gf, sys, names, rows):
     """|dS/dt + h(q, dS/dq)| sample by sample over ``_point_rows``."""
-    s_q = [gf.s_q(i) for i in range(gf.n)]
-    grad_t = evaluate_rows([*s_q, gf.s_t()], names, rows)
+    grad_t = evaluate_rows([*gf.s_q, gf.s_t], names, rows)
     h_vals = evaluate_rows([sys.h], names + sys.momenta,
                            np.hstack([rows, grad_t[:, :-1]]))[:, 0]
     return np.abs(grad_t[:, -1] + h_vals)
@@ -1045,8 +1046,7 @@ def check_complete(gf, sys, points, tol=1e-8):
     names, rows = _point_rows(gf, sys, points)
     devs = _deviation_arrays(gf, sys, names, rows)
     n = gf.n
-    mixed = [gf.s_qparam(i, j) for i in range(n) for j in range(n)]
-    mats = evaluate_rows(mixed, names, rows).reshape(-1, n, n)
+    mats = evaluate_rows(gf.s_qc, names, rows).reshape(-1, n, n)
     # one batched det, each matrix's bits as its own det call; fmin skips
     # NaN determinants, as a running "if d < min_det" does
     min_det = np.fmin.reduce(np.abs(np.linalg.det(mats)), initial=math.inf)

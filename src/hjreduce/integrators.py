@@ -83,26 +83,29 @@ def _solve_newton(residual, jacobian, x0):
 
 
 def _transform(gf, z, t, guess, singular_tol=0.0):
-    """Solve dS/dq = p for the new variables; return (q', p', solved)."""
+    """Solve dS/dq = p for the new variables; return (q', p', solved).
+
+    The Newton's residual is ``gf.s_q`` minus p and its Jacobian
+    ``gf.s_qc`` read row-major as the n x n matrix d2S/dq dc; the
+    type-II image is (``gf.s_c``, c) at the solved c.
+    """
     n = gf.n
     if z.n != n:
         raise ValueError("point dimension does not match the generating function")
-    s_q = [gf.s_q(i) for i in range(n)]
-    s_c = [gf.s_param(i) for i in range(n)]
-    jac_e = [gf.s_qparam(i, j) for i in range(n) for j in range(n)]
-
-    def at(exprs, c):
-        return gf._at(exprs, [(z.q, c, t)], singular_tol)[0]
+    if len(gf.params) != n:
+        raise ValueError("the generating function must have one parameter "
+                         "per coordinate")
+    s_q, s_c, s_qc = gf.s_q, gf.s_c, gf.s_qc
 
     def residual(c):
-        return at(s_q, c) - z.p
+        return gf._at(s_q, z.q, c, t, singular_tol) - z.p
 
     def jacobian(c):
-        return at(jac_e, c).reshape(n, n)
+        return gf._at(s_qc, z.q, c, t, singular_tol).reshape(n, n)
 
     c0 = z.p if guess is None else np.atleast_1d(np.asarray(guess, dtype=float))
     c = _solve_newton(residual, jacobian, c0)
-    return (*_rotated(gf, at(s_c, c), c.copy()), c)
+    return (*_rotated(gf, gf._at(s_c, z.q, c, t, singular_tol), c.copy()), c)
 
 
 def _rotated(gf, x, y):
@@ -176,11 +179,14 @@ def map_jacobian(gf, z, t=0.0):
 
 
 def _jacobian_at(gf, z, t, params):
-    """``map_jacobian`` at z around the solved new variables ``params``."""
+    """``map_jacobian`` at z around the solved new variables ``params``.
+
+    A, S_qq and S_cc are ``(*gf.s_qc, *gf.s_qq, *gf.s_cc)`` at one point,
+    each row-major n x n.
+    """
     n = gf.n
-    entries = [entry(i, j) for entry in (gf.s_qparam, gf.s_qq, gf.s_paramparam)
-               for i in range(n) for j in range(n)]
-    a, s_qq, s_cc = gf._at(entries, [(z.q, params, t)], 0.0)[0].reshape(3, n, n)
+    a, s_qq, s_cc = gf._at((*gf.s_qc, *gf.s_qq, *gf.s_cc), z.q, params, t,
+                           0.0).reshape(3, n, n)
     try:
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as e:

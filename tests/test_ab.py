@@ -157,3 +157,41 @@ def test_every_workload_in_one_command(tmp_path, monkeypatch, capsys):
     calls.clear()
     assert ab.main(["HEAD", "--pairs", "1", "--workload", "pipeline"]) == 0
     assert calls == [("pipeline", "parent"), ("pipeline", "change")]
+
+
+def tree(root, files):
+    """``files`` (relative path: bytes) written under ``root/src``."""
+    for rel, data in files.items():
+        path = root / "src" / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return root
+
+
+def test_src_hash_names_the_tree(tmp_path):
+    files = {"pkg/a.py": b"x = 1\n", "pkg/b.json": b"{}"}
+    one = ab.src_hash(tree(tmp_path / "one", files))
+    assert ab.src_hash(tree(tmp_path / "same", files)) == one
+    assert ab.src_hash(tree(tmp_path / "bytes",
+                            {**files, "pkg/a.py": b"x = 2\n"})) != one
+    renamed = {"pkg/c.py": files["pkg/a.py"], "pkg/b.json": files["pkg/b.json"]}
+    assert ab.src_hash(tree(tmp_path / "renamed", renamed)) != one
+    # compiled caches are not part of the tree
+    tree(tmp_path / "same", {"pkg/__pycache__/a.cpython-311.pyc": b"\0"})
+    assert ab.src_hash(tmp_path / "same") == one
+
+
+def test_each_round_records_the_measured_tree(tmp_path, monkeypatch, capsys):
+    bench = {"command": ["python3", "bench/run.py"], "run_seconds": 3,
+             "workloads": [{"name": "pipeline"}], "end_to_end": END_TO_END}
+    (tree(tmp_path, {"pkg/a.py": b"x = 1\n"}) / "BENCHMARK.json").write_text(
+        json.dumps(bench))
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    monkeypatch.setattr(ab, "export", lambda rev, dest: "f" * 40)
+    monkeypatch.setattr(ab, "run_once", lambda root, argv: (
+        {"wall_s": 2.0, "ok_frac": 1.0}, 0, "env: x"))
+    assert ab.main(["HEAD", "--pairs", "1", "--label", "src"]) == 0
+    digest = ab.src_hash(tmp_path)
+    assert f"change src/ sha256 {digest}" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "BENCH_src.json").read_text())
+    assert doc["rounds"]["pipeline"][0]["change_src"] == digest

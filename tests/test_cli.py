@@ -641,6 +641,18 @@ class TestScenarioErrors:
         document("reconstruct", "g0-length",
                  edited("calogero", reconstruct__g0=[0, 1, 2]),
                  "g0 must have 1 entries"),
+        # a map needs one new variable per coordinate
+        document("integrate", "one-param",
+                 edited("calogero", integrator__params=["b1"],
+                        integrator__s="q1*b1+q2*b1"),
+                 "the generating function must have one parameter per "
+                 "coordinate"),
+        document("integrate", "three-params",
+                 edited("calogero", integrator__params=["b1", "b2", "b3"],
+                        integrator__s="q1*b1+q2*b2+t*(0.5*(b1^2+b2^2+b3^2)"
+                                      "+1/(q1-q2)^2)"),
+                 "the generating function must have one parameter per "
+                 "coordinate"),
     ])
     def test_message(self, tmp_path, capsys, command, scenario, message):
         if isinstance(scenario, dict):

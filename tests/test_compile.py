@@ -590,5 +590,5 @@ class TestNewtonRows:
         made = counted_compiles
         sys_ = HamiltonianSystem(parse("0.5*p^2+0.5*q^2"), ["q"])
         gf = quadrature_complete_solution(sys_, (-0.9, 0.9))
-        gf.s_q(0)
+        gf.s_q
         assert not any(f.startswith("<newton-rows") for f in made)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hjreduce.expr import (Add, Call, Const, DomainError, Div, External, Mul,
-                           Neg, Pow, Sub, Var, call, evaluate_rows, parse)
+                           Neg, Pow, Sub, Var, call, differentiate,
+                           evaluate_rows, parse)
 from hjreduce.hj import (BranchAmbiguityError, GeneratingFunction,
                          ImplicitBranchRoot, NewtonDivergenceError, OneForm,
                          PreconditionError,
@@ -856,9 +857,28 @@ class TestGeneratingFunction:
 
     def test_partial_caching(self):
         gf = GeneratingFunction("typeII", parse("q*b+t*b^2"), ("q",), ("b",))
-        assert gf.s_q(0) is gf.s_q(0)
-        assert gf.s_qparam(0, 0).evaluate({"q": 1, "b": 1, "t": 0}) == 1.0
-        assert gf.s_t().evaluate({"q": 0, "b": 3, "t": 0}) == 9.0
+        assert gf.s_q is gf.s_q
+        assert gf.s_qc[0].evaluate({"q": 1, "b": 1, "t": 0}) == 1.0
+        assert gf.s_t.evaluate({"q": 0, "b": 3, "t": 0}) == 9.0
+
+    def test_second_partials_are_row_major(self):
+        # entry i*n + j of s_qc, s_qq and s_cc is d s_q[i]/dc_j,
+        # d s_q[i]/dq_j and d s_c[i]/dc_j, bit for bit; s_qc is not
+        # symmetric here, so a transposed layout shows
+        q, c = ("q1", "q2"), ("a1", "a2")
+        s = parse("q1*a1+q2*a2+0.3*q1*a2-t*(0.5*(a1^2+a2^2)+0.2*a1*a2"
+                  "+0.25*q1^2*q2+0.1*q2^2*a1)")
+        gf = GeneratingFunction("typeI", s, q, c)
+        names = (*q, *c, "t")
+        rows = np.random.default_rng(11).uniform(-1.0, 1.0, (20, 5))
+        for got, rows_of, cols in ((gf.s_qc, q, c), (gf.s_qq, q, q),
+                                   (gf.s_cc, c, c)):
+            want = [differentiate(differentiate(s, a), b)
+                    for a in rows_of for b in cols]
+            values = evaluate_rows(got, names, rows)
+            assert np.any(values != 0.0)
+            assert values.tobytes() == evaluate_rows(want, names,
+                                                     rows).tobytes()
 
 
 class TestTimeExtension:
@@ -922,9 +942,8 @@ class TestCheckComplete:
         pts = {k: rng.uniform(-1.0, 1.0, 25) for k in ("q1", "q2", "a1", "a2")}
         rep = check_complete(gf, s, pts)
         names = ("q1", "q2", "a1", "a2")
-        mixed = [gf.s_qparam(i, j) for i in range(2) for j in range(2)]
         rows = np.column_stack([pts[k] for k in names])
-        mats = evaluate_rows(mixed, names, rows).reshape(-1, 2, 2)
+        mats = evaluate_rows(gf.s_qc, names, rows).reshape(-1, 2, 2)
         assert rep.min_abs_det == min(abs(float(np.linalg.det(m)))
                                       for m in mats)
 

@@ -65,16 +65,12 @@ def type1_by_blocks(gf, z, t):
     n = gf.n
 
     def at(entries, c):
-        return gf._at(entries, [(z.q, c, t)], 0.0)[0]
+        return gf._at(entries, z.q, c, t, 0.0)
 
-    s_q = [gf.s_q(i) for i in range(n)]
-    mixed = [gf.s_qparam(i, j) for i in range(n) for j in range(n)]
-    c = integrators._solve_newton(lambda c: at(s_q, c) - z.p,
-                                  lambda c: at(mixed, c).reshape(n, n), z.p)
-    image = (c.copy(), -at([gf.s_param(i) for i in range(n)], c))
-    a, s_qq, s_cc = at([entry(i, j) for entry in (
-        gf.s_qparam, gf.s_qq, gf.s_paramparam) for i in range(n)
-        for j in range(n)], c).reshape(3, n, n)
+    c = integrators._solve_newton(lambda c: at(gf.s_q, c) - z.p,
+                                  lambda c: at(gf.s_qc, c).reshape(n, n), z.p)
+    image = (c.copy(), -at(gf.s_c, c))
+    a, s_qq, s_cc = at((*gf.s_qc, *gf.s_qq, *gf.s_cc), c).reshape(3, n, n)
     a_inv = np.linalg.inv(a)
     dc_dq = -a_inv @ s_qq
     m = np.empty((2 * n, 2 * n))
@@ -114,6 +110,32 @@ class TestTypeIRotation:
         assert np.array_equal(step._warm, c)
         assert np.array_equal(map_jacobian(gf, z, t=t), m)
         assert symplecticity_check(gf, z, t=t) < 1e-14
+
+
+class TestCachedPartials:
+    def test_maps_evaluate_the_cached_tuples(self, monkeypatch):
+        # the Newton reads gf.s_q and gf.s_qc, the image gf.s_c, and the
+        # Jacobian their entries, never a list rebuilt per call
+        gf = GeneratingFunction("typeII", parse(PAIR_S), ("q1", "q2"),
+                                ("b1", "b2"))
+        seen = []
+        at = gf._at
+
+        def recording(exprs, *point):
+            seen.append(exprs)
+            return at(exprs, *point)
+
+        monkeypatch.setattr(gf, "_at", recording)
+        step = ImplicitMap(gf, t=0.01)
+        z = step(step(PhasePoint([1.0, -1.0], [1.0, 0.0])))
+        steps = len(seen)
+        map_jacobian(gf, z, t=0.01)
+        cached = (gf.s_q, gf.s_qc, gf.s_c)
+        assert all(any(e is c for c in cached) for e in seen[:-1])
+        assert all(any(e is c for e in seen[:steps]) for c in cached)
+        jac = (*gf.s_qc, *gf.s_qq, *gf.s_cc)
+        assert len(seen[-1]) == len(jac)
+        assert all(a is b for a, b in zip(seen[-1], jac))
 
 
 class TestMapJacobian:

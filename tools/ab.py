@@ -31,14 +31,17 @@ With ``--label L`` it also appends a round to ``BENCH_L.json`` at the
 root of the working tree.  ``rounds`` maps each workload to its list of
 rounds, one per run of this command: the command and machine, each
 pair's metrics and failed-job count per side and which side ran first
-(``pairs``), and the printed numbers (``summary``).  One file collects
-every workload and every re-run against one revision; no round is
-replaced.
+(``pairs``), the printed numbers (``summary``) and ``change_src``, a
+sha256 over the sorted relative paths and bytes of the working tree's
+``src/`` (``__pycache__`` left out), which is also printed, so a round
+names the tree it measured.  One file collects every workload and every
+re-run against one revision; no round is replaced.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import statistics
@@ -70,6 +73,18 @@ def export(rev, dest):
     with tarfile.open(fileobj=io.BytesIO(_git("archive", commit))) as tar:
         tar.extractall(dest)
     return commit
+
+
+def src_hash(root):
+    """sha256 over the sorted relative paths and bytes of ``root/src``."""
+    digest = hashlib.sha256()
+    src = root / "src"
+    for path in sorted(p for p in src.rglob("*")
+                       if p.is_file() and "__pycache__" not in p.parts):
+        for part in (path.relative_to(src).as_posix().encode(),
+                     path.read_bytes()):
+            digest.update(len(part).to_bytes(8, "big") + part)
+    return digest.hexdigest()
 
 
 def run_once(root, argv):
@@ -165,7 +180,8 @@ def report_lines(summary):
     return lines
 
 
-def record(path, label, commit, command, machine, workload, pairs, summary):
+def record(path, label, commit, command, machine, workload, pairs, summary,
+           change_src=None):
     """Append one round of ``workload`` to ``BENCH_<label>.json``."""
     doc = {"label": label, "parent_commit": commit, "rounds": {}}
     if path.exists():
@@ -173,9 +189,11 @@ def record(path, label, commit, command, machine, workload, pairs, summary):
         if doc.get("parent_commit") != commit:
             raise ABError(f"{path.name} holds runs against "
                           f"{doc.get('parent_commit')}, not {commit}")
-    doc["rounds"].setdefault(workload, []).append(
-        {"command": command, "machine": machine, "pairs": pairs,
-         "summary": summary})
+    round_ = {"command": command, "machine": machine, "pairs": pairs,
+              "summary": summary}
+    if change_src is not None:
+        round_["change_src"] = change_src
+    doc["rounds"].setdefault(workload, []).append(round_)
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")
 
@@ -202,6 +220,7 @@ def main(argv=None):
             commit = export(args.rev, parent_root)
             roots = {"parent": parent_root, "change": ROOT}
             for workload in workloads:
+                change_src = src_hash(ROOT)
                 pairs, envs = run_workload(
                     roots, [*bench["command"], "--workload", workload, *rest],
                     args.pairs)
@@ -209,11 +228,12 @@ def main(argv=None):
                 print(f"{workload}, {args.pairs} pairs: "
                       f"{commit[:12]} (parent) against the working tree "
                       "(change)")
+                print(f"change src/ sha256 {change_src}")
                 print("\n".join(report_lines(summary)), flush=True)
                 if args.label is not None:
                     record(ROOT / f"BENCH_{args.label}.json", args.label,
                            commit, command, "; ".join(sorted(envs)),
-                           workload, pairs, summary)
+                           workload, pairs, summary, change_src)
     except ABError as e:
         print(f"ab: {e}", file=sys.stderr)
         return 2
