@@ -38,8 +38,8 @@ might fail back to the walker, so the code gives the walker's bits and
 raises its errors.  Sources that differ only in their constants are
 compiled once per process.  :func:`compile` is the one front end that
 makes a scalar function of an expression tuple, at any
-``singular_tol``: a Hamiltonian system's vector field and dh/dp along
-the RK4 flows and in the reconstruction sweeps, and the derivatives an
+``singular_tol``: a Hamiltonian system's vector field and dh/dp and a
+reconstruction's field along the RK4 flows, and the derivatives an
 implicit root's partials read.  Each root of ``hj`` generates its
 kernels and its Newton loop once (:func:`compile_newton`, from the same
 kernel sources), and a table build runs the same Newton on arrays of

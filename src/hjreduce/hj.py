@@ -1127,16 +1127,17 @@ def cyclic_ansatz(sys, cyclic_vars, betas, seed=42):
     their action has the unit vectors along them as generators, its
     chart (``reduction.build_chart``) keeps the remaining coordinates as
     the quotient coordinates with the ``dV_d<name>`` slots as their
-    momenta, and ``equation`` is ``reduction.reduced_hamiltonian`` at the
-    level mu = ``betas``.  Its precondition, that h is invariant under
-    these translations, is sampled by ``symmetry.invariance_report``, as
+    momenta, and ``equation`` is h under the chart's substitution at the
+    level mu = ``betas``, the expression ``reduction.reduced_hamiltonian``
+    gives.  Its precondition, that h is invariant under these
+    translations, is sampled by ``symmetry.invariance_report`` once, as
     the reduced hamiltonian's own check would (PreconditionError naming
     the cyclic variables, with the report's witness).  ``cyclic_vars``
     are names or coordinate indices, each listed once; ``betas`` are
     numbers, one per cyclic variable.
     """
-    from .reduction import build_chart, reduced_hamiltonian
-    from .symmetry import TranslationAction, invariance_report
+    from .reduction import _on_level, build_chart
+    from .symmetry import TranslationAction, _require_invariant
     cyclic_vars = tuple(sys.coords[v] if isinstance(v, int) else v
                         for v in cyclic_vars)
     for v in cyclic_vars:
@@ -1152,15 +1153,12 @@ def cyclic_ansatz(sys, cyclic_vars, betas, seed=42):
     slots = tuple(f"dV_d{v}" for v in remaining)
     action = TranslationAction([[float(c == v) for c in sys.coords]
                                 for v in cyclic_vars], n=sys.n)
-    rep = invariance_report(action, sys.h, sys.coords, seed=seed)
-    if not rep["ok"]:
-        raise PreconditionError(
-            f"the hamiltonian is not cyclic in {list(cyclic_vars)}",
-            witness=rep["witness"])
+    _require_invariant(action, sys.h, sys.coords, seed,
+                       f"the hamiltonian is not cyclic in {list(cyclic_vars)}")
     chart = build_chart(action, y_names=remaining, py_names=slots)
     return CyclicAnsatz(cyclic_vars, remaining, slots,
                         tuple(Const(b) for b in betas),
-                        reduced_hamiltonian(sys, chart, betas, check=False),
+                        substitute(sys.h, _on_level(sys, chart, betas)),
                         linear_combo(betas, cyclic_vars), chart)
 
 

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import DomainError, linear_combo, mul, sub
-from .hj import (SAMPLE_BOX, NewtonDivergenceError, PreconditionError,
-                 SingularJacobianError, SolveError)
+from .hj import (SAMPLE_BOX, NewtonDivergenceError, SingularJacobianError,
+                 SolveError)
 from .phase_space import (FLOW_SINGULAR_TOL, PhasePoint, Trajectory,
                           flow_reference, symplectic_matrix)
-from .symmetry import invariance_report, momentum_map
+from .symmetry import _require_invariant, momentum_map
 
 __all__ = [
     "apply_type1", "apply_type2", "ImplicitMap", "map_jacobian",
@@ -222,12 +222,10 @@ def _check_diagonal_invariance(gf, action, seed=42):
     pairing = linear_combo(np.ones(action.k), [
         mul(linear_combo(x_row, gf.q_vars), linear_combo(g_col, gf.params))
         for x_row, g_col in zip(x_block, action.matrix.T)])
-    rep = invariance_report(action, sub(gf.s, pairing), gf.q_vars, seed=seed)
-    if not rep["ok"]:
-        raise PreconditionError(
-            "generating function is not invariant under the diagonal "
-            "action, so momentum conservation is not guaranteed",
-            witness=rep["witness"])
+    _require_invariant(
+        action, sub(gf.s, pairing), gf.q_vars, seed,
+        "generating function is not invariant under the diagonal action, "
+        "so momentum conservation is not guaranteed")
 
 
 def momentum_preservation_check(gf, action, z0, n_steps, t=0.0, seed=42):
@@ -362,10 +360,8 @@ def flow_lagrangian_momentum_check(sys, action, n_samples=20, t=1.0, dt=1e-3,
     reference scheme preserves linear momenta to rounding, so the result
     should sit near machine precision.
     """
-    rep = invariance_report(action, sys.h, sys.coords, seed=seed)
-    if not rep["ok"]:
-        raise PreconditionError("hamiltonian is not invariant under the action",
-                                witness=rep["witness"])
+    _require_invariant(action, sys.h, sys.coords, seed,
+                       "hamiltonian is not invariant under the action")
     n = sys.n
     if box is None:
         box = [(-SAMPLE_BOX, SAMPLE_BOX)] * (2 * n)

@@ -101,9 +101,9 @@ class HamiltonianSystem:
     def _dh_dp(self):
         return tuple(differentiate(self.h, v) for v in self.momenta)
 
-    # The generated functions of (q, p, t) that the RK4 flows and the
-    # reconstruction sweeps call, built on first use: the vector field's
-    # (dh/dp, dh/dq) and dh/dp alone, guarded as the RK4 flows are.
+    # The generated functions of (q, p, t) that the RK4 flows call, built
+    # on first use: the vector field's (dh/dp, dh/dq) and the projected
+    # flow's dh/dp alone, guarded as the RK4 flows are.
     @functools.cached_property
     def _field_kernel(self):
         return compile((*self._dh_dp, *self._dh_dq), self._names, "field",
@@ -175,12 +175,19 @@ def hamiltonian_vector_field(sys, z, t=None):
     with neither raises UnboundVariableError.  Raises DomainError within
     ``FLOW_SINGULAR_TOL`` of a singularity.
     """
-    t = z.t if t is None else t
-    if t is None:
-        if any(TIME in e.free_vars() for e in (*sys._dh_dp, *sys._dh_dq)):
-            raise UnboundVariableError(TIME)
-        t = 0.0
+    t = _time((*sys._dh_dp, *sys._dh_dq), z.t if t is None else t)
     return _canonical_field(sys)(t, z.flat())
+
+
+def _time(exprs, t):
+    """The time at which a field of ``exprs`` is evaluated: t, or 0.0
+    when t is None and no expression reads it (UnboundVariableError
+    when one does)."""
+    if t is not None:
+        return t
+    if any(TIME in e.free_vars() for e in exprs):
+        raise UnboundVariableError(TIME)
+    return 0.0
 
 
 def _canonical_field(sys):

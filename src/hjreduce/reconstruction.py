@@ -3,9 +3,10 @@
 A solution form on the quotient lifts to an invariant form on the full
 configuration space sitting on the chosen momentum level; trajectories
 of the full system project to trajectories of the reduced one, and the
-group offset lost in projection is recovered by a quadrature along the
-reduced path.  Both directions are provided, plus the projected
-first-order dynamics q' = dh/dp(q, form(q)) used to cross-check them.
+group offset lost in projection is integrated beside the reduced path
+by the reconstruction equation.  Both directions are provided, plus the
+projected first-order dynamics q' = dh/dp(q, form(q)) used to
+cross-check them.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import evaluate_rows
+from .expr import compile, evaluate_rows, linear_combo, substitute
 from .hj import OneForm, hj_residual, pullback
-from .phase_space import FLOW_SINGULAR_TOL, HamiltonianSystem, Trajectory, _rk4
-from .reduction import reduced_hamiltonian
+from .phase_space import (FLOW_SINGULAR_TOL, HamiltonianSystem, Trajectory,
+                          _rk4, _time)
+from .reduction import _on_level
 from .symmetry import form_translates
 
 __all__ = [
@@ -93,12 +95,15 @@ def lift_report(sys, reduced_form, chart, mu, grid, seed=42):
 def projected_vector_field(sys, form, q, t=None):
     """q' = dh/dp evaluated on the graph of the form (first-order flow).
 
-    Raises DomainError within ``FLOW_SINGULAR_TOL`` of a singularity.
+    A dh/dp that reads t needs a time: with ``t`` None it raises
+    UnboundVariableError, as ``hamiltonian_vector_field`` does, and one
+    that does not read t ignores the missing time.  Raises DomainError
+    within ``FLOW_SINGULAR_TOL`` of a singularity.
     """
+    t = _time(sys._dh_dp, t)
     q = np.atleast_1d(np.asarray(q, dtype=float))
     p = form.values(q, FLOW_SINGULAR_TOL)
-    return np.array(sys._dh_dp_kernel(*q.tolist(), *p.tolist(),
-                                      0.0 if t is None else t))
+    return np.array(sys._dh_dp_kernel(*q.tolist(), *p.tolist(), t))
 
 
 def integrate_projected(sys, form, q0, t_end, dt):
@@ -120,28 +125,27 @@ def integrate_projected(sys, form, q0, t_end, dt):
 
 def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
                            g0=None):
-    """Full trajectory from the reduced flow plus a group quadrature.
+    """Full trajectory from the reduced flow and the reconstruction equation.
 
-    The reduced first-order flow y' = dh_red/dp_y(y, form(y)) is
-    integrated with RK4; its horizontal image d(s) = L y(s) differs
-    from the true configuration path by a group offset g(s) recovered
-    from
+    The configuration is q = L y + G g: y on the quotient, g the group
+    offset lost in projection.  Since X G = I and X L = 0, the offset
+    obeys the reconstruction equation
 
-        g'(s) = X ( dh/dp(d(s), p(s)) - d'(s) ),   p(s) the lifted
-        momenta on the level mu,
+        g' = X dh/dp(L y, Y^T p_y + X^T mu, t),   p_y = form(y),
 
-    accumulated per step by Simpson's rule with the midpoint state
-    taken from the cubic Hermite interpolant of the reduced path.
-    Momenta along the result come from the lifted form, so the output
-    sits exactly on the momentum level.
+    beside the reduced first-order flow y' = dh_red/dp_y(y, p_y, t).
+    Both right-hand sides are expressions in (y, p_y, t), made by the
+    chart substitution that gives the reduced hamiltonian, and one
+    generated function evaluates them; the state (y, g) is integrated
+    with the one RK4 of the flows.  Momenta along the result come from
+    the lifted form, so the output sits exactly on the momentum level.
 
-    The samples and then the Hermite midpoints are each evaluated in
-    three sweeps over the points (the reduced form, the full dh/dp at
-    the lifted points, the reduced dh/dp), so N steps make 6N + 1 root
-    solve calls: the RK4 stages', then the samples', then the
-    midpoints', in path order.  Each sample is also its step's first RK4
-    stage, so they cover 5N + 1 distinct points.  When several points fail, the first failure of the
-    first failing sweep is the one raised.
+    Every RK4 stage solves the reduced form once, and the sample momenta
+    are one sweep of it, so N steps make 5N + 1 root solve calls: the
+    RK4 stages', then the samples', in path order.  Each sample but the
+    last is also its step's first RK4 stage, so they cover 4N + 1
+    distinct points.  The first failing RK4 stage raises its error;
+    after a whole RK4, the first failing sample does.
 
     ``g0`` sets the initial group coordinates (default zero: the path
     starts on the horizontal slice).
@@ -153,45 +157,27 @@ def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
     g0 = np.zeros(chart.k) if g0 is None else np.atleast_1d(np.asarray(g0, float))
     if g0.size != chart.k:
         raise ValueError(f"g0 must have {chart.k} entries")
-    h_red = reduced_hamiltonian(sys, chart, mu, check=False)
-    red_sys = HamiltonianSystem(h_red, chart.y_names, chart.py_names)
-    l_mat = chart.horizontal
-    x_blk = chart.x_block
-    shift = x_blk.T @ mu
+    on_level = _on_level(sys, chart, mu)
+    red_sys = HamiltonianSystem(substitute(sys.h, on_level), chart.y_names,
+                                chart.py_names)
+    dh_dp = [substitute(e, on_level) for e in sys._dh_dp]
+    kernel = compile(
+        (*red_sys._dh_dp, *(linear_combo(row, dh_dp) for row in chart.x_block)),
+        red_sys._names, "reconstruct", FLOW_SINGULAR_TOL)
+    m = chart.m
 
-    def red_field(t, y):
-        return projected_vector_field(red_sys, reduced_form, y, t=t)
+    def field(t, state):
+        y = state[:m]
+        p_y = reduced_form.values(y, FLOW_SINGULAR_TOL)
+        return np.array(kernel(*y.tolist(), *p_y.tolist(), t))
 
-    def dh_dp(s, rows):
-        """s's dh/dp at every row (q, p, t), as a (len(rows), n) array,
-        whose shape holds for zero rows too (a zero-step path's
-        midpoints)."""
-        return np.array([s._dh_dp_kernel(*row) for row in rows.tolist()],
-                        dtype=float).reshape(len(rows), s.n)
-
-    def states(ys, ts):
-        """Lifted momenta, reduced velocities and group rates at (ys, ts).
-
-        Three sweeps: the reduced form, the full dh/dp at the lifted
-        points, the reduced dh/dp.  Each (M @ a[:, :, None])[..., 0] is
-        one product M @ a[i] per point, rounded as that point's own.
-        """
-        reduced_ps = evaluate_rows(reduced_form.components,
-                                   reduced_form.coords, ys, FLOW_SINGULAR_TOL)
-        ps = (chart.y_block.T @ reduced_ps[:, :, None])[..., 0] + shift
-        qdots = dh_dp(sys, np.hstack(
-            [(l_mat @ ys[:, :, None])[..., 0], ps, ts[:, None]]))
-        ydots = dh_dp(red_sys, np.hstack([ys, reduced_ps, ts[:, None]]))
-        drift = qdots - (l_mat @ ydots[:, :, None])[..., 0]
-        return ps, ydots, (x_blk @ drift[:, :, None])[..., 0]
-
-    times, ys = _rk4(red_field, y0, 0.0, float(t_end), dt)
-    ps, fields, rates = states(ys, times)
-    h = np.diff(times)[:, None]
-    y_mids = 0.5 * (ys[:-1] + ys[1:]) + (h / 8.0) * (fields[:-1] - fields[1:])
-    r_mids = states(y_mids, times[:-1] + 0.5 * h[:, 0])[2]
-    # the Simpson increments, summed from g0 in step order
-    gs = np.cumsum(np.vstack(
-        [g0, (h / 6.0) * (rates[:-1] + 4.0 * r_mids + rates[1:])]), axis=0)
-    qs = ys @ l_mat.T + gs @ chart.generators.T
+    times, states = _rk4(field, np.concatenate([y0, g0]), 0.0, float(t_end),
+                         dt)
+    ys, gs = states[:, :m], states[:, m:]
+    reduced_ps = evaluate_rows(reduced_form.components, reduced_form.coords,
+                               ys, FLOW_SINGULAR_TOL)
+    # one product Y^T a[i] per sample, rounded as that sample's own
+    ps = (chart.y_block.T @ reduced_ps[:, :, None])[..., 0] \
+        + chart.x_block.T @ mu
+    qs = ys @ chart.horizontal.T + gs @ chart.generators.T
     return Trajectory(times, qs, ps)

@@ -27,8 +27,8 @@ from .expr import Const, DomainError, add, linear_combo, substitute
 from .hj import (PRECONDITION_TOL, SAMPLE_BOX, OneForm, PreconditionError,
                  TwoForm, domain_samples, exterior_derivative,
                  magnetic_lagrangian_residual, pullback)
-from .phase_space import TIME, PhasePoint
-from .symmetry import form_translates, invariance_report
+from .phase_space import PhasePoint
+from .symmetry import _require_invariant, form_translates
 
 __all__ = [
     "QuotientChart", "build_chart", "reduced_hamiltonian",
@@ -111,38 +111,37 @@ def build_chart(action, y_names=None, py_names=None):
     return QuotientChart(action, y_names=y_names, py_names=py_names)
 
 
-def reduced_hamiltonian(sys, chart, mu, check=True, seed=42):
-    """Descend an invariant hamiltonian to the quotient at level mu.
-
-    Substitutes q = L y (the horizontal slice) and p = Y^T p_y + X^T mu
-    symbolically; the result is an expression in the reduced names only.
-    With ``check`` on, invariance of h under the chart's translations is
-    sampled first (``invariance_report``) and a violation raises
-    PreconditionError with the witness point.
-    """
+def _on_level(sys, chart, mu):
+    """The chart substitution at level mu, as an ``expr.substitute``
+    mapping: q -> L y (the horizontal slice) and p -> Y^T p_y + X^T mu,
+    in the chart's reduced names.  ValueError when mu or the system
+    does not fit the chart."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if mu.size != chart.k:
         raise ValueError(f"mu must have {chart.k} entries")
     if sys.n != chart.n:
         raise ValueError("system and chart dimensions differ")
-    if check and chart.k:
-        rep = invariance_report(chart.action, sys.h, sys.coords, seed=seed)
-        if not rep["ok"]:
-            raise PreconditionError(
-                "hamiltonian is not invariant under the action",
-                witness=rep["witness"])
     mapping = {v: linear_combo(row, chart.y_names)
                for v, row in zip(sys.coords, chart.horizontal)}
     shift = chart.x_block.T @ mu
     mapping.update({v: add(linear_combo(col, chart.py_names), Const(s))
                     for v, col, s in zip(sys.momenta, chart.y_block.T, shift)})
-    h_red = substitute(sys.h, mapping)
-    allowed = set(chart.y_names) | set(chart.py_names) | {TIME}
-    stray = h_red.free_vars() - allowed
-    if stray:
-        raise PreconditionError(
-            f"reduced hamiltonian still depends on {sorted(stray)}")
-    return h_red
+    return mapping
+
+
+def reduced_hamiltonian(sys, chart, mu, seed=42):
+    """Descend an invariant hamiltonian to the quotient at level mu.
+
+    Substitutes q = L y (the horizontal slice) and p = Y^T p_y + X^T mu
+    symbolically; the result is an expression in the reduced names (and
+    t) only.  Invariance of h under the chart's translations is sampled
+    first (``invariance_report``), and a violation raises
+    PreconditionError with the witness point.
+    """
+    mapping = _on_level(sys, chart, mu)
+    _require_invariant(chart.action, sys.h, sys.coords, seed,
+                       "hamiltonian is not invariant under the action")
+    return substitute(sys.h, mapping)
 
 
 # ---------------------------------------------------------------------------

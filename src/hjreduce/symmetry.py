@@ -8,8 +8,10 @@ linear momentum map J(q, p) = G^T p for any invariant hamiltonian.
 Invariance of functions and 1-forms is checked by seeded sampling:
 translate the configuration variables by random group elements and
 compare.  Every sampled check of a scalar function is a call of
-``invariance_report``; every check of a 1-form (its momenta on a level
-and its values under translation) is a call of ``form_translates``.
+``invariance_report``, and every such precondition raises its
+PreconditionError through ``_require_invariant``; every check of a
+1-form (its momenta on a level and its values under translation) is a
+call of ``form_translates``.
 ``check_invariance_lemma`` tests, on a concrete closed form, the
 equivalence between invariance of the form and constancy of the
 momentum map along its graph.
@@ -146,6 +148,14 @@ def invariance_report(action, f, coords, seed=42):
     max_dev, witness = max([(0.0, None), *results], key=lambda r: r[0])
     return {"ok": max_dev <= PRECONDITION_TOL, "max_rel_dev": float(max_dev),
             "witness": witness if max_dev > PRECONDITION_TOL else None}
+
+
+def _require_invariant(action, f, coords, seed, message):
+    """``invariance_report`` of f, raising PreconditionError(message)
+    with the report's witness when f is not invariant."""
+    rep = invariance_report(action, f, coords, seed=seed)
+    if not rep["ok"]:
+        raise PreconditionError(message, witness=rep["witness"])
 
 
 def form_translates(action, form, grid, rng):

@@ -1,7 +1,9 @@
 """``tools/ab.py``'s pairing, summary and record on canned runs."""
 
 import json
+import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -157,6 +159,23 @@ def test_every_workload_in_one_command(tmp_path, monkeypatch, capsys):
     calls.clear()
     assert ab.main(["HEAD", "--pairs", "1", "--workload", "pipeline"]) == 0
     assert calls == [("pipeline", "parent"), ("pipeline", "change")]
+
+
+@pytest.mark.skipif(not (ab.ROOT / ".git").exists(),
+                    reason="needs a git checkout to export from")
+def test_export_writes_the_committed_files(tmp_path):
+    # a real archive of this checkout's HEAD, extracted without the
+    # warning that an unfiltered extraction gives on Python 3.12+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        commit = ab.export("HEAD", tmp_path)
+    path = "tools/ab.py"
+    committed = subprocess.run(["git", "show", f"HEAD:{path}"], cwd=ab.ROOT,
+                               capture_output=True, check=True).stdout
+    assert (tmp_path / path).read_bytes() == committed
+    assert commit == subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=ab.ROOT, capture_output=True,
+        text=True, check=True).stdout.strip()
 
 
 def tree(root, files):

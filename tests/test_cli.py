@@ -1160,7 +1160,7 @@ class TestTableRootSolves:
 
     @pytest.mark.parametrize("command, scenario, solves, runs", [
         ("verify", "calogero", 20017, 152),
-        ("reconstruct", "calogero", 18024, 6015),
+        ("reconstruct", "calogero", 17024, 5015),
         ("verify", "heavytop", 217, 215)])
     def test_bundled_counts(self, tmp_path, capsys, monkeypatch, command,
                             scenario, solves, runs):

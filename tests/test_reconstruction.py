@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from hjreduce.cli import build_system, load_scenario
-from hjreduce.expr import parse
-from hjreduce.hj import ImplicitBranchRoot, mesh_grid, solve_reduced_1d
+from hjreduce.expr import UnboundVariableError, parse
+from hjreduce.hj import (ImplicitBranchRoot, OneForm, mesh_grid,
+                         solve_reduced_1d)
 from hjreduce.phase_space import HamiltonianSystem, PhasePoint, flow_reference
 from hjreduce.reconstruction import (integrate_projected, lift_report,
-                                     lift_solution, reconstruct_trajectory)
+                                     lift_solution, projected_vector_field,
+                                     reconstruct_trajectory)
 from hjreduce.reduction import build_chart, reduced_hamiltonian
 from hjreduce.symmetry import TranslationAction, momentum_map
 
@@ -93,6 +95,26 @@ class TestLiftReport:
         assert len(runs) == len(set(runs)) == 135
 
 
+class TestProjectedTimeRule:
+    """A dh/dp that reads t needs a time; one that does not ignores a
+    missing one, as ``hamiltonian_vector_field`` does."""
+
+    FORM = OneForm(("q",), components=["2"])
+
+    def test_field_reading_t_without_a_time_is_unbound(self):
+        sys_ = HamiltonianSystem("0.5*p^2*(1+t)+q", ["q"])
+        with pytest.raises(UnboundVariableError, match="'t'") as ei:
+            projected_vector_field(sys_, self.FORM, [0.5])
+        assert ei.value.name == "t"
+        assert projected_vector_field(sys_, self.FORM, [0.5],
+                                      t=0.5).tolist() == [3.0]
+
+    def test_field_not_reading_t_needs_no_time(self):
+        sys_ = HamiltonianSystem("0.5*p^2+t*q", ["q"])
+        assert projected_vector_field(sys_, self.FORM, [0.5]).tolist() \
+            == [2.0]
+
+
 class TestIntegrateProjected:
     def test_matches_full_flow_from_graph(self, pair_setup):
         sys_, action, chart, mu, sol = pair_setup
@@ -138,8 +160,8 @@ class TestReconstructTrajectory:
         assert np.max(np.abs(traj.qs - ref.qs)) < 1e-8
         assert np.max(np.abs(traj.ps - ref.ps)) < 1e-8
 
-    def test_six_root_solves_per_step(self, pair_setup, monkeypatch):
-        # four RK4 stages, then one state per sample and per midpoint
+    def test_five_root_solves_per_step(self, pair_setup, monkeypatch):
+        # four RK4 stages, then one momentum per sample
         sys_, action, chart, mu, sol = pair_setup
         calls = []
         solve = ImplicitBranchRoot.solve
@@ -153,17 +175,17 @@ class TestReconstructTrajectory:
                                       0.2, 1e-2)
         n_steps = len(traj.times) - 1
         assert n_steps == 20
-        assert calls == [sol.root] * (6 * n_steps + 1)
+        assert calls == [sol.root] * (5 * n_steps + 1)
 
     def test_one_newton_run_per_distinct_sample(self, pair_setup):
-        # each sample y_i is solved as an RK4 stage and again as a state:
-        # 6N + 1 solve calls over 5N + 1 distinct points
+        # each sample y_i but the last is solved as an RK4 stage and again
+        # for its momentum: 5N + 1 solve calls over 4N + 1 distinct points
         sys_, action, chart, mu, _ = pair_setup
         sol = fresh_solution(sys_, chart, mu)
         runs = count_newton_runs(sol.root)
         reconstruct_trajectory(sys_, sol, chart, mu, np.array([2.0]), 0.2,
                                1e-2)
-        assert len(runs) == len(set(runs)) == 5 * 20 + 1
+        assert len(runs) == len(set(runs)) == 4 * 20 + 1
 
     def test_g0_offset_translates(self, pair_setup):
         sys_, action, chart, mu, sol = pair_setup
@@ -173,6 +195,26 @@ class TestReconstructTrajectory:
                                     0.2, 1e-2, g0=np.array([3.0]))
         np.testing.assert_allclose(t1.qs, t0.qs + 3.0, atol=1e-12)
         np.testing.assert_allclose(t1.ps, t0.ps, atol=1e-14)
+
+    def test_varying_group_drift_matches_full_flow(self):
+        # unequal masses: the offset's rate X dh/dp varies along the
+        # reduced path; the canonical flow from the same lifted start is
+        # an independent oracle
+        sys_ = HamiltonianSystem(parse("0.5*p1^2+p2^2/6+1/(q1-q2)^2"),
+                                 ["q1", "q2"])
+        chart = build_chart(TranslationAction([[1, 1]]))
+        mu = np.array([0.7])
+        sol = solve_reduced_1d(reduced_hamiltonian(sys_, chart, mu),
+                               chart.y_names[0], chart.py_names[0], 2.0,
+                               (0.8, 6.0))
+        traj = reconstruct_trajectory(sys_, sol, chart, mu, np.array([2.0]),
+                                      1.0, 1e-3, g0=np.array([0.3]))
+        ref = flow_reference(sys_, traj.point(0), 1.0, 1e-3)
+        assert np.max(np.abs(traj.qs - ref.qs)) < 1e-12
+        assert np.max(np.abs(traj.ps - ref.ps)) < 1e-12
+        g = traj.qs @ chart.x_block.T
+        assert g[0, 0] == pytest.approx(0.3, abs=1e-15)
+        assert abs(g[-1, 0] - g[0, 0]) > 0.7
 
     def test_group_quadrature_linear_oracle(self):
         # translation along x with nonzero momentum level: the fiber

@@ -71,7 +71,9 @@ def export(rev, dest):
     """The committed files of ``rev`` under ``dest``; its full hash."""
     commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
     with tarfile.open(fileobj=io.BytesIO(_git("archive", commit))) as tar:
-        tar.extractall(dest)
+        # the "data" filter refuses absolute paths, links out of dest and
+        # special files, as Python 3.14 does by default
+        tar.extractall(dest, filter="data")
     return commit
 
 
