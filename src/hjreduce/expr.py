@@ -35,14 +35,19 @@ The exceptions run generated code, all of it from one generator:
 structure, with constants as data, and :class:`_Lowering` writes them
 out as straight-line Python whose batched checks send any point that
 might fail back to the walker, so the code gives the walker's bits and
-raises its errors.  Sources that differ only in their constants are
-compiled once per process.  :func:`compile` is the one front end that
-makes a scalar function of an expression tuple, at any
-``singular_tol``: a Hamiltonian system's vector field and dh/dp and a
-reconstruction's field along the RK4 flows, and the derivatives an
-implicit root's partials read.  Each root of ``hj`` generates its
-kernels and its Newton loop once (:func:`compile_newton`, from the same
-kernel sources), and a table build runs the same Newton on arrays of
+raises its errors.  External calls are operations too, in the
+walker's order, and a fallback replays the results they gave instead
+of calling them again.  Code is kept by shape, so functions that differ
+only in their constants are lowered and compiled once per process.
+:func:`compile` is the one front end that makes a scalar function of
+an expression tuple, at any ``singular_tol``: a Hamiltonian system's
+vector field and dh/dp and a reconstruction's field along the RK4
+flows, the derivatives an implicit root's partials read, the
+completeness check's tuples over its rows (``hj.check_complete``), and
+a generating function's tuples when its S calls an External.  Each
+root of ``hj`` generates its kernels and its Newton loop once
+(:func:`compile_newton`, from the same kernel sources, all of one
+merge of g and g_p), and a table build runs the same Newton on arrays of
 rows (:func:`compile_newton_rows`, compiled by the first table build of
 a root), one function that also returns g_p at each row's root, which
 is bit-identical when g and g_p use only ``+ - * /``, negation and
@@ -63,7 +68,9 @@ from __future__ import annotations
 
 import builtins
 import collections
+import functools
 import itertools
+import marshal
 import math
 import re
 import struct
@@ -84,6 +91,10 @@ __all__ = [
 ]
 
 _NO_VARS = frozenset()
+# The bindings key of the results a failed generated function received
+# from its External calls, last first; the walker replays them in place
+# of the calls (:func:`compile`).  No variable name equals it.
+_REPLAY = object()
 
 
 class ExprError(Exception):
@@ -462,7 +473,8 @@ class External(Expr):
         object.__setattr__(self, "_vars", None)
 
     def _ev(self, b, tol):
-        return self.fn(*[a._ev(b, tol) for a in self.args])
+        args = [a._ev(b, tol) for a in self.args]
+        return b[_REPLAY].pop() if b.get(_REPLAY) else self.fn(*args)
 
     def _children(self):
         return self.args
@@ -644,29 +656,49 @@ _ROWS_NS = {
     **{f"_f_{name}": getattr(np, name) for name in _FUNCTIONS},
 }
 _KERNEL_IDS = itertools.count(1)
-# Code objects by source text, for every generated source; emptied when
-# it holds this many.
+# Code by shape (:func:`_generate`): each key maps to the code objects of
+# its sources and the datum slot of each ``_kN`` global they read.
+# Emptied when it holds this many.
 _CODE_CACHE_CAP = 256
 _CODE_CACHE = {}
 
 
-def _build(lines, kind, name, ns):
-    """Run the source ``lines`` in ``ns`` as file ``<KIND NAME #N>``.
+def _generate(ns, kind, name, extra, merged, mode, lower):
+    """Run the code of :func:`_merge`'s ``merged`` in ``ns``, as files
+    ``<KIND NAME #N>``.
 
-    A source compiled before in this process is not compiled again: its
-    cached code object is relabelled with the new file name.
+    The code is cached under a key of what the lowering reads: the
+    operations and outputs, with data as slots, the ``mode``, in
+    ``guarded`` mode the sign of each constant exponent, and ``extra``
+    (the rest of what the source depends on).  So the key holds no
+    datum's value and not which data are equal, and functions that
+    differ only in their constants share it, unless two constants equal
+    in one of them share an operation.  ``lower(binds)`` gives the
+    sources' lines and appends, for each ``_kN`` global they read, its
+    datum's index.  It runs only on a miss: a hit relabels the cached
+    code objects and binds each global to its datum, with no lowering
+    and no ``builtins.compile``.  The cache holds code and indices,
+    never a namespace, whose data and walkers hold roots and tables.
     """
-    filename = f"<{kind} {name} #{next(_KERNEL_IDS)}>"
-    source = "\n".join(lines)
-    code = _CODE_CACHE.get(source)
-    if code is None:
+    ops, data, outs = merged or ((), (), ())
+    signs = [data[~op[2]] >= 0.0 for op in ops
+             if op[0] == "^" and op[2] < 0] * (mode == "guarded")
+    # version 2 writes values alone, never references to objects
+    key = (kind, extra, mode, merged and marshal.dumps((ops, outs, signs), 2))
+    hit = key in _CODE_CACHE
+    files = (f"<{kind} {name} #{n}>" for n in _KERNEL_IDS)
+    if not hit:
         if len(_CODE_CACHE) >= _CODE_CACHE_CAP:
             _CODE_CACHE.clear()
-        code = _CODE_CACHE[source] = builtins.compile(source, filename,
-                                                      "exec")
-    else:
-        code = _relabel(code, filename)
-    exec(code, ns)
+        binds = []
+        _CODE_CACHE[key] = [builtins.compile("\n".join(lines), next(files),
+                                             "exec")
+                            for lines in lower(binds)], binds
+    codes, binds = _CODE_CACHE[key]
+    for i, j in enumerate(binds):
+        ns[f"_k{i}"] = np.float64(data[j]) if mode == "rows" else data[j]
+    for code in codes:
+        exec(_relabel(code, next(files)) if hit else code, ns)
     return ns
 
 
@@ -684,6 +716,25 @@ def _prologue(args):
 
 def _indent(lines, depth):
     return ["    " * depth + text for text in lines or ["pass"]]
+
+
+def _bind_walker(ns, fname, exprs, argnames, singular_tol):
+    """Put ``fname_walk(args, got)`` in ``ns``: the tree walker at
+    ``args``, replaying ``got``, the results a failed kernel received
+    from its External calls, in order, in place of those calls.
+
+    Returns whether ``exprs`` is a single Expr, and the expressions."""
+    single = isinstance(exprs, Expr)
+    exprs = (exprs,) if single else tuple(exprs)
+
+    def walker(args, got):
+        b = dict(zip(argnames, args))
+        b[_REPLAY] = got[::-1]
+        out = tuple([e._ev(b, singular_tol) for e in exprs])
+        return out[0] if single else out
+
+    ns[f"{fname}_walk"] = walker
+    return single, exprs
 
 
 # Operations per generated function: compiling one long source takes
@@ -707,10 +758,16 @@ def compile(exprs, argnames, name, singular_tol=0.0):
     denominator and no base of a power with a possibly negative exponent
     lies within it.  A failed check, or a float or math error, evaluates
     the arguments again with the tree walker, which raises its
-    DomainError on the same node.  A tuple holding an External or a name
-    outside ``argnames`` is always walked, so External calls keep the
-    walker's order and are never merged, and an unbound variable raises
+    DomainError on the same node.  A tuple holding a name outside
+    ``argnames`` is always walked, so an unbound variable raises
     UnboundVariableError where the walker reaches it.
+
+    External calls are operations like the others, never merged, in the
+    walker's order, and the pending checks run before each of them, so
+    the function calls an External only where the walker would.  An
+    External's own error is raised as it is.  A fallback after some
+    calls does not call them again: the walker replays, in order, the
+    results they gave, and calls only the Externals past them.
 
     Up to ``_CHUNK`` operations are one function.  More run in chunk
     functions of at most ``_CHUNK`` operations, each generated as a
@@ -720,39 +777,41 @@ def compile(exprs, argnames, name, singular_tol=0.0):
     fallback to the walker.  Nothing recurses, so no tree is too deep to
     compile.  The sources hold only generated names: constants, like
     every other object, are bound in the function's namespace, so
-    functions of one shape share their code.  Each code object's file
-    name is ``<kernel NAME #N>``, N counting the generated sources built
-    in this process, so profiles (which key functions by file, line and
-    name) and tracebacks keep every function apart; a source compiled
-    before is not compiled again, and its cached code object is
-    relabelled with the new name (:func:`_build`).
+    functions of one shape share their code (:func:`_generate`), and a
+    shape built before in this process is neither lowered nor compiled
+    again.  Each code object's file name is ``<kernel NAME #N>``, N
+    counting the generated sources built in this process, so profiles
+    (which key functions by file, line and name) and tracebacks keep
+    every function apart.
     """
-    ns = dict(_NS)
-    for lines in _kernel_sources("_kernel", exprs, argnames, singular_tol, ns):
-        _build(lines, "kernel", name, ns)
-    return ns["_kernel"]
+    ns = dict(_NS, _tol=singular_tol)
+    single, exprs = _bind_walker(ns, "_kernel", exprs, argnames,
+                                 singular_tol)
+    mode = "guarded" if singular_tol > 0.0 else "scalar"
+    merged = _merge(exprs, {v: i for i, v in enumerate(argnames)})
+    lower = functools.partial(_kernel_sources, "_kernel", single,
+                              len(argnames), merged, mode)
+    return _generate(ns, "kernel", name, (single, len(argnames)), merged,
+                     mode, lower)["_kernel"]
 
 
-def _kernel_sources(fname, exprs, argnames, singular_tol, ns):
+def _kernel_sources(fname, single, nargs, merged, mode, binds):
     """The sources of its chunks ``fname_0``, .. (none for one chunk),
-    then of ``fname(a0, ..)``, the function :func:`compile` describes;
-    its walker and its data go into ``ns``, where all of them run."""
-    single = isinstance(exprs, Expr)
-    exprs = (exprs,) if single else tuple(exprs)
-    args = "".join(f"a{i}, " for i in range(len(argnames)))
-    walk = f"return {fname}_walk(({args}))"
-
-    def walker(args):
-        b = dict(zip(argnames, args))
-        out = tuple([e._ev(b, singular_tol) for e in exprs])
-        return out[0] if single else out
-
-    ns[f"{fname}_walk"] = walker
-    merged = _pure(exprs, argnames)
+    then of ``fname(a0, ..)``, the function :func:`compile` describes,
+    from ``merged`` (:func:`_merge`; None walks every call): the
+    operations its outputs read, in order."""
+    args = "".join(f"a{i}, " for i in range(nargs))
     if merged is None:
-        return [[f"def {fname}({args}):", "    " + walk]]
+        return [[f"def {fname}({args}):",
+                 f"    return {fname}_walk(({args}), ())"]]
     ops, data, outs = merged
-    steps = _steps(ops)
+    need = set(outs)  # the operations the outputs read
+    for i in range(max(outs, default=-1), -1, -1):
+        if i in need and ops[i][0] != "a":
+            need.update(ops[i][1:])
+    steps = [i for i in _steps(ops) if i in need]
+    calls = any(ops[i][0] == "x" for i in steps)
+    carry = "r, got" if calls else "r"
     chunks = [steps[j:j + _CHUNK]
               for j in range(0, len(steps), _CHUNK)] or [[]]
     last = len(chunks) - 1
@@ -764,8 +823,8 @@ def _kernel_sources(fname, exprs, argnames, singular_tol, ns):
     shared = {}  # a crossing value's index in the list r
     read, defs, body = set(), [], ["r = []"]
     for c, chunk in enumerate(chunks):
-        low = _Lowering(ops, data, chunk, crossing.union(outs),
-                        "guarded" if singular_tol > 0.0 else "scalar", ns)
+        low = _Lowering(ops, data, chunk, crossing.union(outs), mode, binds,
+                        calls)
         low.shared = shared
         lines = low.segment(chunk)
         if c < last:
@@ -781,13 +840,16 @@ def _kernel_sources(fname, exprs, argnames, singular_tol, ns):
             body = lines
             break
         params = "".join(f"x{i}, " for i in sorted(low.args))
-        defs.append([f"def {fname}_{c}({params}r):", *_indent(lines, 1)])
+        defs.append([f"def {fname}_{c}({params}{carry}):", *_indent(lines, 1)])
         body.append(("return " if c == last else "")
-                    + f"{fname}_{c}({params}r)")
-    ns["_tol"] = singular_tol
-    return [*defs, [f"def {fname}({args}):", "    try:",
-                    *_indent([*_prologue(read), *body], 2),
-                    "    except _FAILS:", "        " + walk]]
+                    + f"{fname}_{c}({params}{carry})")
+    # a None last in got is a call that raised: its error is the walker's
+    return [*defs, [f"def {fname}({args}):", *(["    got = []"] * calls),
+                    "    try:", *_indent([*_prologue(read), *body], 2),
+                    "    except _FAILS:",
+                    *(["        if got and got[-1] is None: raise"] * calls),
+                    f"        return {fname}_walk(({args}), "
+                    f"{'got' if calls else '()'})"]]
 
 
 def compile_newton(g, g_p, argnames, name, tol, max_iter, slack):
@@ -795,9 +857,11 @@ def compile_newton(g, g_p, argnames, name, tol, max_iter, slack):
 
     ``argnames`` lists the arguments, then the momentum p; every
     variable of g must be one of them.  Returns ``(g_fn, gp_fn,
-    newton)``: g_fn and gp_fn are the kernels :func:`compile` makes of
-    g and g_p (their sources, chunks included, are part of this one),
-    and ``newton(*args, p0, s)`` runs Newton on p from p0:
+    newton)``: g_fn and gp_fn are kernels of g and g_p as :func:`compile`
+    describes them, each running the operations it reads of the one
+    merge of (g, g_p) that the loop runs (their sources, chunks
+    included, are part of this one), and ``newton(*args, p0, s)`` runs
+    Newton on p from p0:
     at most ``max_iter`` iterations, stopping when g is exactly 0, when
     g or g_p fails (as the walker would raise DomainError), when g_p is
     0, or when the step returns to p or to the previous iterate (a
@@ -816,57 +880,68 @@ def compile_newton(g, g_p, argnames, name, tol, max_iter, slack):
     then the g_p part; External calls are never merged and run in the
     walker's order, and none runs after a failed operation.  Constants
     are data, so roots whose equations differ only in constants share
-    the code.  The file name is ``<newton NAME #N>``.
+    the code (:func:`_generate`).  The file name is ``<newton NAME #N>``.
     """
     _refuse_stray(g, g_p, argnames)
-    ns = dict(_NS)
-    source = sum([*_kernel_sources("_g", g, argnames, 0.0, ns),
-                  *_kernel_sources("_gp", g_p, argnames, 0.0, ns)], [])
-    low, (head_g, head_gp, in_g, in_gp), gv, gpv = _newton_lowering(
-        _merge((g, g_p), {v: i for i, v in enumerate(argnames)}),
-        len(argnames) - 1, "scalar", ns)
+    ns = dict(_NS, _tol=0.0)
+    merged = _merge((g, g_p), {v: i for i, v in enumerate(argnames)})
+    for fname, e in (("_g", g), ("_gp", g_p)):
+        _bind_walker(ns, fname, e, argnames, 0.0)
     args = "".join(f"a{i}, " for i in range(len(argnames) - 1))
     accept = f"<= {tol!r} and not s * {{}} < {-slack!r}".format
-    source += [
-        f"def _newton({args}p, s):",
-        *_indent(_prologue(low.args), 1),
-        "    p = _float(p)",
-        "    try:",
-        *_indent(head_g + head_gp, 2),
-        "    except _FAILS:",
-        f"        try: gv = _g({args}p)",
-        "        except _DE: return None",
-        f"        return p if _abs(gv) {accept('p')} else None",
-        "    best_p = None",
-        "    best_g = _inf",
-        "    prev = None",
-        f"    for _ in _range({int(max_iter)}):",
-        "        try:",
-        *_indent(in_g, 3),
-        "        except _FAILS:",
-        "            break",
-        f"        ag = _abs({gv})",
-        "        if ag < best_g:",
-        "            best_p = p",
-        "            best_g = ag",
-        f"        if {gv} == 0.0:",
-        "            break",
-        "        try:",
-        *_indent(in_gp, 3),
-        "        except _FAILS:",
-        "            break",
-        f"        if {gpv} == 0.0:",
-        "            break",
-        f"        p_new = p - {gv} / {gpv}",
-        "        if p_new == p or p_new == prev:",
-        "            break",
-        "        prev = p",
-        "        p = p_new",
-        f"    if best_g {accept('best_p')}:",
-        "        return best_p",
-        "    return None",
-    ]
-    ns = _build(source, "newton", name, ns)
+
+    def lower(binds):
+        ops, data, outs = merged
+        source = [line for fname, out in zip(("_g", "_gp"), outs)
+                  for lines in _kernel_sources(fname, True, len(argnames),
+                                               (ops, data, [out]), "scalar",
+                                               binds)
+                  for line in lines]
+        low, (head_g, head_gp, in_g, in_gp), gv, gpv = _newton_lowering(
+            merged, len(argnames) - 1, "scalar", binds)
+        return [source + [
+            f"def _newton({args}p, s):",
+            *_indent(_prologue(low.args), 1),
+            "    p = _float(p)",
+            "    try:",
+            *_indent(head_g + head_gp, 2),
+            "    except _FAILS:",
+            f"        try: gv = _g({args}p)",
+            "        except _DE: return None",
+            f"        return p if _abs(gv) {accept('p')} else None",
+            "    best_p = None",
+            "    best_g = _inf",
+            "    prev = None",
+            f"    for _ in _range({int(max_iter)}):",
+            "        try:",
+            *_indent(in_g, 3),
+            "        except _FAILS:",
+            "            break",
+            f"        ag = _abs({gv})",
+            "        if ag < best_g:",
+            "            best_p = p",
+            "            best_g = ag",
+            f"        if {gv} == 0.0:",
+            "            break",
+            "        try:",
+            *_indent(in_gp, 3),
+            "        except _FAILS:",
+            "            break",
+            f"        if {gpv} == 0.0:",
+            "            break",
+            f"        p_new = p - {gv} / {gpv}",
+            "        if p_new == p or p_new == prev:",
+            "            break",
+            "        prev = p",
+            "        p = p_new",
+            f"    if best_g {accept('best_p')}:",
+            "        return best_p",
+            "    return None",
+        ]]
+
+    ns = _generate(ns, "newton", name,
+                   (len(argnames), accept("p"), int(max_iter)), merged,
+                   "scalar", lower)
     return ns["_g"], ns["_gp"], ns["_newton"]
 
 
@@ -912,55 +987,60 @@ def compile_newton_rows(g, g_p, argnames, name, tol, max_iter, slack):
     _refuse_stray(g, g_p, argnames)
     if argnames[-1] not in free_vars(g):
         return None
-    merged = _pure((g, g_p), argnames)
-    if merged is None:
+    merged = _merge((g, g_p), {v: i for i, v in enumerate(argnames)})
+    if any(op[0] == "x" for op in merged[0]):
         return None
-    ns = dict(_ROWS_NS)
-    low, (head_g, head_gp, in_g, in_gp), gv, gpv = _newton_lowering(
-        merged, len(argnames) - 1, "rows", ns)
     args = "".join(f"a{i}, " for i in range(len(argnames) - 1))
-    source = [
-        f"def _newton_rows({args}p, s):",
-        *_indent(_prologue(low.args), 1),
-        "    p = _float(p)",
-        "    bad = _no_rows(p)",
-        *_indent(head_g, 1),
-        "    bad_g = bad",
-        "    bad = bad_g.copy()",
-        *_indent(head_gp, 1),
-        "    bad_gp = bad",
-        "    best_p = _full(p.shape, _nan)",
-        "    best_g = _full(p.shape, _inf)",
-        "    best_gp = best_p",
-        "    gp_bad = ~_no_rows(p)",
-        "    live = ~_no_rows(p)",
-        "    prev = best_p",
-        f"    for _ in _range({int(max_iter)}):",
-        "        bad = bad_g.copy()",
-        *_indent(in_g, 2),
-        "        live &= ~bad",
-        f"        ag = _abs({gv})",
-        "        better = live & (ag < best_g)",
-        "        best_p = _where(better, p, best_p)",
-        "        best_g = _where(better, ag, best_g)",
-        f"        live &= {gv} != 0.0",
-        "        bad = bad_gp.copy()",
-        *_indent(in_gp, 2),
-        f"        best_gp = _where(better, {gpv}, best_gp)",
-        "        gp_bad = _where(better, bad, gp_bad)",
-        f"        p_new = p - {gv} / {gpv}",
-        f"        live &= ~bad & ({gpv} != 0.0) & (p_new != p) & (p_new != prev)",
-        "        if not _count(live):",
-        "            break",
-        "        prev = p",
-        "        p = p_new",
-        f"    ok = (best_g <= {tol!r}) & ~(s * best_p < {-slack!r})",
-        "    return best_p, ok, best_gp, gp_bad",
-    ]
-    return _build(source, "newton-rows", name, ns)["_newton_rows"]
+    accept = f"(best_g <= {tol!r}) & ~(s * best_p < {-slack!r})"
+
+    def lower(binds):
+        low, (head_g, head_gp, in_g, in_gp), gv, gpv = _newton_lowering(
+            merged, len(argnames) - 1, "rows", binds)
+        return [[
+            f"def _newton_rows({args}p, s):",
+            *_indent(_prologue(low.args), 1),
+            "    p = _float(p)",
+            "    bad = _no_rows(p)",
+            *_indent(head_g, 1),
+            "    bad_g = bad",
+            "    bad = bad_g.copy()",
+            *_indent(head_gp, 1),
+            "    bad_gp = bad",
+            "    best_p = _full(p.shape, _nan)",
+            "    best_g = _full(p.shape, _inf)",
+            "    best_gp = best_p",
+            "    gp_bad = ~_no_rows(p)",
+            "    live = ~_no_rows(p)",
+            "    prev = best_p",
+            f"    for _ in _range({int(max_iter)}):",
+            "        bad = bad_g.copy()",
+            *_indent(in_g, 2),
+            "        live &= ~bad",
+            f"        ag = _abs({gv})",
+            "        better = live & (ag < best_g)",
+            "        best_p = _where(better, p, best_p)",
+            "        best_g = _where(better, ag, best_g)",
+            f"        live &= {gv} != 0.0",
+            "        bad = bad_gp.copy()",
+            *_indent(in_gp, 2),
+            f"        best_gp = _where(better, {gpv}, best_gp)",
+            "        gp_bad = _where(better, bad, gp_bad)",
+            f"        p_new = p - {gv} / {gpv}",
+            f"        live &= ~bad & ({gpv} != 0.0) & (p_new != p) & (p_new != prev)",
+            "        if not _count(live):",
+            "            break",
+            "        prev = p",
+            "        p = p_new",
+            f"    ok = {accept}",
+            "    return best_p, ok, best_gp, gp_bad",
+        ]]
+
+    return _generate(dict(_ROWS_NS), "newton-rows", name,
+                     (len(argnames), accept, int(max_iter)), merged, "rows",
+                     lower)["_newton_rows"]
 
 
-def _newton_lowering(merged, moving, mode, ns):
+def _newton_lowering(merged, moving, mode, binds):
     """The ``mode`` lowering of a Newton loop on g in argument ``moving``,
     from :func:`_merge` of (g, g_p).
 
@@ -975,10 +1055,11 @@ def _newton_lowering(merged, moving, mode, ns):
     varies = []
     for op in ops:
         varies.append(op == moving or op[0] == "x" or (
-            op[0] not in _LEAVES and any(varies[j] for j in op[1:])))
+            op[0] != "a" and any(varies[j] for j in op[1:] if j >= 0)))
     steps = _steps(ops)
     head = [i for i in steps if not varies[i]]
-    low = _Lowering(ops, data, steps, [*head, g_out, gp_out], mode, ns)
+    low = _Lowering(ops, data, steps, [*head, g_out, gp_out], mode, binds,
+                    False)
     if moving in ops:
         low.name[ops.index(moving)] = "p"
     loop = [i for i in steps if varies[i]]
@@ -988,8 +1069,7 @@ def _newton_lowering(merged, moving, mode, ns):
 
 
 _KINDS = {Add: "+", Sub: "-", Mul: "*", Div: "/", Pow: "^", Neg: "neg",
-          External: "x"}
-_LEAVES = ("a", "c")
+          External: "x", Var: "a"}
 
 
 def _merge(exprs, slot):
@@ -997,21 +1077,32 @@ def _merge(exprs, slot):
 
     Returns ``(ops, data, outs)``.  ``ops`` lists each operation after
     its operands, in the order the walker first evaluates it:
-    ``("a", i)`` reads argument i, ``("c", j)`` the datum ``data[j]`` (a
-    constant, or an External's function), and ``(kind, *operand
-    indices)`` computes, kind being ``+ - * / ^``, "neg", a function
-    name or "x", an External call whose first operand is its function.
-    Two nodes share an operation when their types, function names and
-    operands are equal; a constant's key is its bit pattern, so 0.0 and
-    -0.0 stay apart.  An External call, and every operation over one, is
-    never shared: each runs where the walker runs it.  ``outs`` is each
-    expression's index in ``ops``.  None when an expression reads a name
-    outside ``slot``.
+    ``("a", i)`` reads argument i, and ``(kind, *operands)`` computes,
+    kind being ``+ - * / ^``, "neg", a function name or "x", an External
+    call whose first operand is its function.  An operand ``j >= 0`` is
+    the value of ``ops[j]``; ``~j`` reads ``data[j]``, a constant or an
+    External's function, and each read is a datum of its own, j counting
+    the reads in order.  So which constants are equal shows only in the
+    sharing of the operations that read them: two nodes share an
+    operation when their types, function names and operands are equal,
+    a constant's key being its bit pattern (0.0 and -0.0 stay apart).
+    An External call, and every operation over one, is never shared:
+    each runs where the walker runs it.  ``outs`` is each expression's
+    operand.  None when an expression reads a name outside ``slot``.
     """
     ops, data, outs = [], [], []
     index = {}  # key of a shared operation -> its index in ops
-    seen = {}  # id(node) -> index in ops, for the nodes over no External
+    seen = {}  # id(node) -> its index in ops or ~constant, over no External
+    consts, values = {}, []  # a constant's bits -> ~its index in values
     calls = set()  # the indices of the operations over an External
+
+    def read(got):  # each ~i in got: a datum of its own, values[i]
+        for at, j in enumerate(got):
+            if j < 0:
+                got[at] = ~len(data)
+                data.append(values[~j])
+        return got
+
     for e in exprs:
         done, stack = [], [e]
         while stack:
@@ -1028,11 +1119,13 @@ def _merge(exprs, slot):
                 done.append(seen[id(node)])
                 continue
             elif cls is Const:
-                key, op = struct.pack("<d", node.value), ("c", len(data))
+                k = consts.setdefault(struct.pack("<d", node.value),
+                                      ~len(values))
+                values.append(node.value)
             elif cls is Var:
                 if node.name not in slot:
                     return None
-                key = op = ("a", slot[node.name])
+                got = [slot[node.name]]
             else:
                 kids = node._children()
                 got = list(map(seen.get, map(id, kids)))
@@ -1041,39 +1134,29 @@ def _merge(exprs, slot):
                     # the walker evaluates a denominator first
                     stack += kids if cls is Div else kids[::-1]
                     continue
-            if cls is not Const and cls is not Var:
-                if cls is External:
-                    got.insert(0, len(ops))
-                    ops.append(("c", len(data)))
-                    data.append(node.fn)
-                key = op = (_KINDS.get(cls) or node.func, *got)
-                if cls is External or (calls and not calls.isdisjoint(got)):
-                    key = len(ops)  # a new key: never shared
-                    calls.add(key)
-            k = index.get(key)
+            if cls is External:
+                got.insert(0, ~len(values))
+                values.append(node.fn)
+            if cls is not Const:
+                key = (_KINDS.get(cls) or node.func, *got)
+                new = cls is External or (
+                    cls is not Var and calls and not calls.isdisjoint(got))
+                k = None if new else index.get(key)
             if k is None:
                 k = index[key] = len(ops)
-                ops.append(op)
-                if cls is Const:
-                    data.append(node.value)
+                ops.append(key if min(got) >= 0 else (key[0], *read(got)))
+                if new:  # never shared; a later equal key is new too
+                    calls.add(k)
             if k not in calls:
                 seen[id(node)] = k
             done.append(k)
-        outs.append(done[0])
+        outs += read(done)
     return ops, data, outs
-
-
-def _pure(exprs, argnames):
-    """:func:`_merge` of expressions that call no External, else None."""
-    merged = _merge(exprs, {v: i for i, v in enumerate(argnames)})
-    if merged is None or any(op[0] == "x" for op in merged[0]):
-        return None
-    return merged
 
 
 def _steps(ops):
     """The indices of the operations that compute, in order."""
-    return [i for i, op in enumerate(ops) if op[0] not in _LEAVES]
+    return [i for i, op in enumerate(ops) if op[0] != "a"]
 
 
 class _Lowering:
@@ -1083,11 +1166,12 @@ class _Lowering:
     each after its operands, then the segment's checks.  Argument i is
     the local ``x{i}``, bound by :func:`_prologue`; an operation that an
     earlier chunk of :func:`compile` computed is read from the list
-    ``r``, at its index in ``shared``.  Each read of a datum is a
-    global of its own, put in ``ns``, so the source depends
-    neither on the constants' values nor on which of them are equal.  A
-    register is reused after its operation's last read in ``steps``,
-    except for the operations in ``keep``.
+    ``r``, at its index in ``shared``.  Each read of a datum is a global
+    ``_kN`` of its own, N its index in ``binds``, which holds the
+    datum's slot, so the source depends neither on the constants'
+    values nor on which of them are equal.  A register is reused after
+    its operation's last read in ``steps``, except for the operations in
+    ``keep``.
 
     A segment's checks are batched: every power and call gave a finite
     value and, in ``guarded`` mode, no denominator and no base of a
@@ -1099,11 +1183,13 @@ class _Lowering:
     division does not raise.  Before each External call the pending
     checks are emitted too, with the denominator of every division
     whose numerator holds the call, so that no call runs where the
-    walker would have raised.
+    walker would have raised.  With ``record``, each call appends its
+    result to the list ``got``, after a None that marks it running.
     """
 
-    def __init__(self, ops, data, steps, keep, mode, ns):
-        self.ops, self.data, self.steps, self.ns = ops, data, steps, ns
+    def __init__(self, ops, data, steps, keep, mode, binds, record):
+        self.ops, self.data, self.steps = ops, data, steps
+        self.binds, self.record = binds, record
         self.rows, self.guarded = mode == "rows", mode == "guarded"
         self.keep = set(keep)
         self.reads = collections.Counter(j for i in steps
@@ -1113,16 +1199,15 @@ class _Lowering:
         self.args = set()  # the arguments read
         self.shared = {}  # earlier chunks' values: index in the list r
         self.finite, self.small, self.zero = {}, {}, {}  # pending checks
+        self.parent = {}  # an operation's reader, made at a first call
 
     def operand(self, j):
         text = self.name.get(j)
         if text is None:
+            if j < 0:
+                self.binds.append(~j)
+                return f"_k{len(self.binds) - 1}"
             kind, arg = self.ops[j][:2]
-            if kind == "c":
-                text = f"_k{len(self.ns)}"
-                value = self.data[arg]
-                self.ns[text] = np.float64(value) if self.rows else value
-                return text
             if kind == "a":
                 self.args.add(arg)
                 text = f"x{arg}"
@@ -1154,11 +1239,13 @@ class _Lowering:
         op = self.ops[i]
         kind = op[0]
         if kind == "x":  # the operations over a call have one reader
-            parent = {j: k for k in self.steps for j in self.ops[k][1:]}
+            self.parent = self.parent or {j: k for k, o in enumerate(self.ops)
+                                          if o[0] != "a" for j in o[1:]}
+            held = self.small if self.guarded else self.zero
             child = i
-            while (up := parent.get(child)) is not None:
+            while (up := self.parent.get(child)) is not None:
                 if self.ops[up][:2] == ("/", child):
-                    self.zero[self.ops[up][2]] = self.operand(self.ops[up][2])
+                    held[self.ops[up][2]] = self.operand(self.ops[up][2])
                 child = up
             self._check()
         xs = [self.name.get(j) or self.operand(j) for j in op[1:]]
@@ -1170,9 +1257,7 @@ class _Lowering:
             text = f"_f_{kind}({xs[0]})"
         elif kind == "^":
             text = f"_pow({xs[0]}, {xs[1]})"
-            expo = self.ops[op[2]]
-            if self.guarded and not (expo[0] == "c"
-                                     and self.data[expo[1]] >= 0.0):
+            if self.guarded and not (op[2] < 0 and self.data[~op[2]] >= 0.0):
                 self.small[op[1]] = xs[0]
         else:
             text = f"{xs[0]} {kind} {xs[1]}"
@@ -1183,7 +1268,8 @@ class _Lowering:
             if not self.reads[j]:
                 self._release(j)
         out = self.name[i] = self._temp()
-        self.lines.append(f"{out} = {text}")
+        record = "got.append(None); got[-1] = " * (kind == "x" and self.record)
+        self.lines.append(f"{record}{out} = {text}")
         if kind == "^" or (len(xs) == 1 and kind != "neg"):
             self.finite[i] = out
 

@@ -480,8 +480,8 @@ class ImplicitBranchRoot:
         """Install a solved table: a later solve at arguments not seen
         since starts Newton from the nearest node root, once."""
         order = np.argsort(ys)
-        self._anchors = (array("d", np.asarray(ys, dtype=float)[order]),
-                         array("d", np.asarray(ps, dtype=float)[order]))
+        self._anchors = tuple(array("d", np.asarray(a, float)[order].tobytes())
+                              for a in (ys, ps))
         self._memo.clear()
 
     def solve(self, args):
@@ -972,10 +972,24 @@ class GeneratingFunction:
     def s_cc(self):
         return tuple(differentiate(d, v) for d in self.s_c for v in self.params)
 
+    @functools.cached_property
+    def _kernels(self):
+        """The compiled tuples by tuple and tolerance when S calls an
+        External, else None: pure tuples are walked, since the largest
+        (a many-body Jacobian's) cost more to build than to walk."""
+        return {} if _calls_external(self.s) else None
+
     def _at(self, exprs, q, c, t, singular_tol):
-        """The expressions at the point (q, c, t), q and c arrays."""
-        return evaluate_rows(exprs, self._names,
-                             [[*q.tolist(), *c.tolist(), t]], singular_tol)[0]
+        """The expressions at the point (q, c, t), q and c arrays: one
+        kernel per tuple and tolerance when S calls an External."""
+        row = [*q.tolist(), *c.tolist(), t]
+        kernels = self._kernels
+        if kernels is None:
+            return evaluate_rows(exprs, self._names, [row], singular_tol)[0]
+        if (exprs, singular_tol) not in kernels:
+            kernels[exprs, singular_tol] = compile(exprs, self._names, "S",
+                                                   singular_tol)
+        return np.array(kernels[exprs, singular_tol](*row), dtype=float)
 
     def __repr__(self):
         return f"GeneratingFunction({self.kind}, {self.s})"
@@ -1010,11 +1024,24 @@ def _point_rows(gf, sys, points):
     return tuple(cols), np.column_stack(list(cols.values()))
 
 
+def _calls_external(e):
+    """Whether the tree ``e`` holds an External node (recursing as the
+    walker does)."""
+    return isinstance(e, External) or any(
+        map(_calls_external, getattr(e, "_children", tuple)()))
+
+
+def _kernel_rows(exprs, names, rows, name):
+    """``evaluate_rows(exprs, names, rows)``, as one kernel row by row."""
+    kernel = compile(exprs, names, name)
+    return np.array([kernel(*row) for row in rows.tolist()], dtype=float)
+
+
 def _deviation_arrays(gf, sys, names, rows):
     """|dS/dt + h(q, dS/dq)| sample by sample over ``_point_rows``."""
-    grad_t = evaluate_rows([*gf.s_q, gf.s_t], names, rows)
-    h_vals = evaluate_rows([sys.h], names + sys.momenta,
-                           np.hstack([rows, grad_t[:, :-1]]))[:, 0]
+    grad_t = _kernel_rows([*gf.s_q, gf.s_t], names, rows, "S_q,S_t")
+    h_vals = _kernel_rows([sys.h], names + sys.momenta,
+                          np.hstack([rows, grad_t[:, :-1]]), "h")[:, 0]
     return np.abs(grad_t[:, -1] + h_vals)
 
 
@@ -1046,7 +1073,7 @@ def check_complete(gf, sys, points, tol=1e-8):
     names, rows = _point_rows(gf, sys, points)
     devs = _deviation_arrays(gf, sys, names, rows)
     n = gf.n
-    mats = evaluate_rows(gf.s_qc, names, rows).reshape(-1, n, n)
+    mats = _kernel_rows(gf.s_qc, names, rows, "S_qc").reshape(-1, n, n)
     # one batched det, each matrix's bits as its own det call; fmin skips
     # NaN determinants, as a running "if d < min_det" does
     min_det = np.fmin.reduce(np.abs(np.linalg.det(mats)), initial=math.inf)

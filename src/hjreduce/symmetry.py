@@ -131,7 +131,8 @@ def invariance_report(action, f, coords, seed=42):
     rng = np.random.default_rng(seed)
 
     def measure(rng):
-        b = {nm: rng.uniform(-SAMPLE_BOX, SAMPLE_BOX) for nm in names}
+        b = dict(zip(names, rng.uniform(-SAMPLE_BOX, SAMPLE_BOX,
+                                        len(names)).tolist()))
         g = rng.uniform(-1.0, 1.0, size=action.k)
         moved = dict(zip(coords, action.translate(
             [b.get(c, 0.0) for c in coords], g)))

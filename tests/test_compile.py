@@ -129,6 +129,114 @@ class TestExternal:
         assert [tag for tag, _ in walker_log] == ["f", "f", "g", "f", "g"]
 
 
+class Logged:
+    """An External function that logs its calls.  Its value counts the
+    calls logged so far, so a repeated call would change it; a negative
+    first argument raises DomainError."""
+
+    name = "logged"
+
+    def __init__(self, log, tag):
+        self.log, self.tag = log, tag
+
+    def __call__(self, *args):
+        self.log.append((self.tag, args))
+        if args[0] < 0.0:
+            raise DomainError(f"{self.tag} refuses {args[0]}")
+        return args[0] + len(self.log)
+
+
+def walker_and_kernel(build, names, args, tol=0.0):
+    """(values' bits, error text, call log) of the walker and then of the
+    kernel, each on the trees ``build(log)`` makes with a log of its own."""
+    outcomes = []
+    for kernel in (False, True):
+        log = []
+        exprs = build(log)
+        fn = compile(exprs, names, "t", tol) if kernel else (
+            lambda *a: [e.evaluate(dict(zip(names, a)), tol) for e in exprs])
+        # generated code that keeps its calls' results, not a walk
+        assert not kernel or "got" in fn.__code__.co_varnames
+        try:
+            outcomes.append(([bits(v) for v in fn(*args)], None, log))
+        except DomainError as err:
+            outcomes.append((None, str(err), log))
+    return outcomes
+
+
+class TestExternalCallsInKernels:
+    # each row of the kernel makes the walker's calls, in its order, and
+    # no call twice: a failure after a call replays the results received
+    x, y = Var("x"), Var("y")
+
+    def calls(self, log, *tags):
+        return [External(Logged(log, tag), (arg,)) for tag, arg in tags]
+
+    def test_a_row_that_passes(self):
+        def build(log):
+            f, g = self.calls(log, ("f", self.x), ("g", self.y))
+            return [f * self.y, call("sqrt", g) + f, g]
+        walked, kernel = walker_and_kernel(build, ("x", "y"), (1.5, 2.0))
+        assert kernel == walked and walked[1] is None
+        # a node read twice is called twice, as the walker calls it
+        assert [tag for tag, _ in walked[2]] == ["f", "g", "f", "g"]
+
+    def test_a_row_failing_after_its_calls(self):
+        def build(log):
+            f, g = self.calls(log, ("f", self.x), ("g", self.y))
+            return [f * self.y, call("sqrt", g - 100.0), g]
+        walked, kernel = walker_and_kernel(build, ("x", "y"), (1.5, 2.0))
+        assert kernel == walked
+        assert walked[1].startswith("sqrt of a negative number")
+        assert [tag for tag, _ in walked[2]] == ["f", "g"]
+
+    def test_a_failed_check_the_walker_passes(self):
+        # within tol of zero, a base under a variable exponent fails the
+        # kernel's check; the walker raises only for a negative exponent,
+        # replays f and calls g itself
+        def build(log):
+            f, g = self.calls(log, ("f", self.x), ("g", self.y))
+            return [f, self.x ** self.y, g]
+        walked, kernel = walker_and_kernel(build, ("x", "y"), (1e-9, 2.0),
+                                           1e-6)
+        assert kernel == walked and walked[1] is None
+        assert [tag for tag, _ in walked[2]] == ["f", "g"]
+
+    def test_an_externals_error_is_raised_from_its_one_call(self):
+        def build(log):
+            f, g, h = self.calls(log, ("f", self.x), ("g", self.y),
+                                 ("h", self.x))
+            return [f, g * f, h]
+        walked, kernel = walker_and_kernel(build, ("x", "y"), (1.5, -2.0))
+        assert kernel == walked and walked[1] == "g refuses -2.0"
+        assert [tag for tag, _ in walked[2]] == ["f", "g"]
+
+    def test_no_call_where_the_walker_raises_first(self):
+        # the walker evaluates a denominator first: within tol of zero,
+        # the call in the numerator never runs
+        def build(log):
+            f, = self.calls(log, ("f", self.x))
+            return [self.x, f / (self.y - 1.0)]
+        for tol in (0.0, 1e-6):
+            walked, kernel = walker_and_kernel(build, ("x", "y"),
+                                               (1.5, 1.0 + 1e-9 * (tol > 0)),
+                                               tol)
+            assert kernel == walked and walked[2] == []
+            assert walked[1].startswith("division by zero")
+
+    def test_past_one_chunk(self):
+        def build(log):
+            long = self.x
+            for _ in range(expr_module._CHUNK + 50):
+                long = long + Const(1.0)
+            f, g = self.calls(log, ("f", long), ("g", self.y))
+            return [long, f, call("log", g - long)]
+        for args in [(0.5, 500.0), (0.5, 2.0)]:
+            walked, kernel = walker_and_kernel(build, ("x", "y"), args)
+            assert kernel == walked
+            assert [tag for tag, _ in walked[2]] == ["f", "g"]
+
+
 class TestCompilesWhatTheWalkerCannot:
     def test_a_variable_name_that_is_python_source(self):
         name = "__import__('os').system('exit 1') or x"

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -352,6 +353,16 @@ class TestTableRootMemo:
         root.set_anchors(self.ANCHORS, [TestImplicitBranchRoot.closed(y, 1.0)
                                         for y in self.ANCHORS])
         assert root._memo == {}
+
+    def test_anchors_are_the_sorted_inputs(self):
+        ys = np.array([0.5, -1.0, 0.25, 1e-300, -0.0])
+        ps = np.array([2.0, -3.5, 0.1, 7.0, 1.5])
+        root = ImplicitBranchRoot(parse(self.G), "y", "p", params=("a",))
+        root.set_anchors(ys.tolist(), ps)
+        order = np.argsort(ys)
+        for got, want in zip(root._anchors, (ys[order], ps[order])):
+            assert got.typecode == "d"
+            assert got.tobytes() == want.tobytes()
 
     def test_one_newton_run_per_distinct_argument(self, monkeypatch):
         # one _chain call per solve, with one start: the nearest anchor
@@ -879,6 +890,56 @@ class TestGeneratingFunction:
             assert np.any(values != 0.0)
             assert values.tobytes() == evaluate_rows(want, names,
                                                      rows).tobytes()
+
+
+class TestFamilyKernels:
+    """A family's tuples run as kernels: twin families, one through the
+    kernels and one through the walker, solve the same sequence of roots
+    from the same warm starts, so their values agree bit for bit."""
+
+    @staticmethod
+    def twins():
+        sys_ = heavy_top_system(1.3, 0.7, 1.1, 9.81, 0.4)
+        ans = cyclic_ansatz(sys_, ["phi", "psi"], [0.3, 0.2])
+        return [cyclic_complete_solution(sys_, ans, (0.6, 2.5))
+                for _ in range(2)]
+
+    def test_a_maps_tuples_compile_once_per_guard(self):
+        kernel_gf, walker_gf = self.twins()
+        rows = [(np.array([t, 0.4, -0.2]), np.array([40.0, 0.3, 0.2]), 0.1)
+                for t in (0.9, 1.4, 2.1)]
+        for exprs in ("s_q", "s_qc", "s_c"):
+            for tol in (0.0, 1e-12):
+                for q, c, t in rows:
+                    got = kernel_gf._at(getattr(kernel_gf, exprs), q, c, t,
+                                        tol)
+                    want = evaluate_rows(getattr(walker_gf, exprs),
+                                         walker_gf._names,
+                                         [[*q, *c, t]], tol)[0]
+                    assert got.tobytes() == want.tobytes()
+        kernels = kernel_gf._kernels.values()
+        assert len(kernels) == 6
+        assert all(re.fullmatch(r"<kernel S #\d+>", k.__code__.co_filename)
+                   for k in kernels)
+
+    def test_a_pure_s_walks(self):
+        gf = GeneratingFunction("typeII", parse("q*b+t*b^2"), ("q",), ("b",))
+        assert gf._at(gf.s_q, np.array([1.0]), np.array([2.0]), 0.5,
+                      0.0).tolist() == [2.0]
+        assert gf._kernels is None
+
+    def test_completeness_rows_are_the_walkers(self):
+        kernel_gf, walker_gf = self.twins()
+        names = (*kernel_gf._names,)
+        rng = np.random.default_rng(4)
+        rows = np.column_stack([rng.uniform(0.7, 2.4, 30),
+                                rng.uniform(-2.0, 2.0, (30, 2)),
+                                np.full((30, 3), [40.0, 0.3, 0.2]),
+                                rng.uniform(0.0, 1.0, 30)])
+        for got, want in ((kernel_gf.s_q, walker_gf.s_q),
+                          (kernel_gf.s_qc, walker_gf.s_qc)):
+            assert hj._kernel_rows(got, names, rows, "t").tobytes() == \
+                evaluate_rows(want, names, rows).tobytes()
 
 
 class TestTimeExtension:

@@ -138,6 +138,22 @@ class TestInvarianceReport:
         assert r1["max_rel_dev"] == r2["max_rel_dev"]
 
 
+def test_a_failing_reports_witness_is_pinned():
+    # one draw of every free variable per sample, in sorted name order
+    a = TranslationAction([[1, 1, 0]])
+    rep = invariance_report(a, "q1+q2+q3*w-v^2", ["q1", "q2", "q3"], seed=11)
+    assert rep == {
+        "ok": False, "max_rel_dev": 1.5184169636648428,
+        "witness": {"point": {"q1": 0.2202748565537136,
+                              "q2": 1.2584143996712238,
+                              "q3": 0.822182094875878,
+                              "v": 1.2126087813168187,
+                              "w": -0.015603521375341156},
+                    "shift": [0.7626702722254766],
+                    "values": (-0.0045597361935414416, 1.5207808082574112)}}
+    assert all(type(v) is float for v in rep["witness"]["point"].values())
+
+
 class TestInvarianceLemma:
     """Momentum constant on a closed form's graph iff the form is invariant."""
 
