@@ -31,10 +31,10 @@ seed is a parameter.
 
 Quadrature-built solutions have no closed form.  They are represented
 by numeric function objects (root solves and running integrals) that
-know their own exact partial derivatives via implicit differentiation,
-embedded into expression trees through :class:`hjreduce.expr.External`,
-so all residual checks run through the same symbolic machinery as
-closed-form inputs.
+know their own exact partial derivatives, of every order, from one
+implicit-differentiation rule.  They are embedded into expression trees
+through :class:`hjreduce.expr.External`, so all residual checks run
+through the same symbolic machinery as closed-form inputs.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import (Const, DomainError, Expr, External, Var, add, compile,
-                   compile_newton, compile_newton_rows, differentiate,
-                   evaluate_rows, linear_combo, mul, parse, sub, substitute)
+from .expr import (Const, Div, DomainError, Expr, External, Neg, Var, add,
+                   compile, compile_newton, compile_newton_rows,
+                   differentiate, evaluate_rows, linear_combo, mul, parse,
+                   sub, substitute)
 from .phase_space import TIME, HamiltonianSystem
 
 __all__ = [
@@ -370,16 +371,19 @@ def hj_residual(sys, form, grid):
 # These numeric function objects satisfy the `External` protocol: they
 # are callable on floats and expose partial(i).  Derivatives of a root
 # come from implicit differentiation of the defining equation and are
-# exact up to the root tolerance; one class, _RootPartial, gives the
-# first and second partials.  Derivatives of a running integral are
-# the integrand (in the path variable) or another running integral (in
-# a parameter).  Every solve is one _chain call (Newton from one start,
-# then the bracket: bisection to the root tolerance, whose point the same
-# generated Newton polishes, so a root has one Newton iteration).  After
-# a table build a root is a pure function of its arguments: each argument
-# tuple is solved once, from the nearest node root of its anchor table,
-# and kept in a memo.  A root without a table starts from its previous
-# root.  Use one object per thread.
+# exact up to the root tolerance.  One rule, _implicit_partial, gives
+# the partials of every order: a _RootPartial holds an expression
+# f(args, p), and its partial along w is f_w + f_p p_w with
+# p_w = -(g_w / g_p), the same rule applied to f = p.  Derivatives of a
+# running integral are the integrand (in the path variable) or another
+# running integral (in a parameter).  Every solve is one _chain call
+# (Newton from one start, then the bracket: bisection to the root
+# tolerance, whose point the same generated Newton polishes, so a root
+# has one Newton iteration).  After a table build a root is a pure
+# function of its arguments: each argument tuple is solved once, from the
+# nearest node root of its anchor table, and kept in a memo.  A root
+# without a table starts from its previous root.  Use one object per
+# thread.
 #
 # Nothing here walks a tree but to raise a walker's error.  A quadrature
 # job makes hundreds of thousands of solves on a few roots, so each root
@@ -392,9 +396,9 @@ def hj_residual(sys, form, grid):
 # conversions and every operation on them alone: for the heavy top sin,
 # cos, the powers and the division) once per solve, before its loop;
 # each iteration runs only the operations that read p.  Each
-# _RootPartial compiles the derivatives it reads, g_p first, into one
-# kernel with expr.compile, the front end that also gives the flows
-# their vector fields and whose kernel sources compile_newton embeds.
+# _RootPartial compiles its f alone into one kernel with expr.compile,
+# the front end that also gives the flows their vector fields and whose
+# kernel sources compile_newton embeds.
 # Kernels and loop do the tree walker's IEEE operations, and a kernel
 # whose checks fail hands its point to the walker, so the results and
 # the errors are the walker's.
@@ -472,9 +476,7 @@ class ImplicitBranchRoot:
         return self.solve(args)
 
     def partial(self, i):
-        if i not in self._partials:
-            self._partials[i] = _RootPartial(self, (self.arg_vars[i],))
-        return self._partials[i]
+        return _implicit_partial(self, Var(self.p_var), (), self._partials, i)
 
     def set_anchors(self, ys, ps):
         """Install a solved table: a later solve at arguments not seen
@@ -585,65 +587,58 @@ class ImplicitBranchRoot:
 _TURNING = "implicit derivative at a turning point"
 
 
-class _RootPartial:
-    """First or second partial of an implicit root, by implicit differentiation.
+def _implicit_partial(root, f, wrt, made, i):
+    """The partial of f(args, p(args)) in argument i of ``root``, kept in
+    ``made``.
 
-    With g(y, p(u, w), ...) = 0 and g_p = dg/dp, the partials are
-      p_u = -g_u / g_p
-      p_uw = -(g_uw + g_up p_w + g_pw p_u + g_pp p_u p_w) / g_p
-    ``wrt`` names the one or two variables differentiated by, in order.
+    One rule gives every order: along w the partial is
+    f_w + f_p * p_w, with p_w = -(g_w / g_p), which is the same rule
+    applied to f = p.  The unfolded Neg(Div(...)) keeps a first
+    partial's bits, zero signs included: -(a/b) is (-a)/b in IEEE
+    arithmetic.
+    """
+    if i not in made:
+        w, p = root.arg_vars[i], root.p_var
+        p_w = Neg(Div(differentiate(root.g, w), root.g_p))
+        f_w = add(differentiate(f, w), mul(differentiate(f, p), p_w))
+        made[i] = _RootPartial(root, f_w, wrt + (w,))
+    return made[i]
+
+
+class _RootPartial:
+    """A partial of an implicit root, by implicit differentiation.
+
+    ``f`` is the partial as an expression of the arguments and the
+    momentum (see _implicit_partial), evaluated at the root by one
+    compiled kernel; ``wrt`` names the variables differentiated by, in
+    order.  f divides by g_p and the walker evaluates a denominator
+    first, so a zero g_p is reported as a turning point.
     """
 
-    def __init__(self, root, wrt):
+    def __init__(self, root, f, wrt):
         self.root = root
+        self.f = f
         self.wrt = wrt
         self.arity = root.arity
         self.name = root.name + "".join(f"_d{v}" for v in wrt)
-        g, p = root.g, root.p_var
-        g_u = differentiate(g, wrt[0])
-        exprs = [g_u]
-        if len(wrt) == 2:
-            # g_w, g_uw, g_up, g_pw, g_pp: what a second partial reads
-            w = wrt[1]
-            exprs += [differentiate(g, w), differentiate(g_u, w),
-                      differentiate(g_u, p), differentiate(root.g_p, w),
-                      differentiate(root.g_p, p)]
-        self._second = len(wrt) == 2
-        # g_p first: its checks come before the other derivatives'
-        self._kernel = compile([root.g_p, *exprs], root.arg_vars + (p,),
-                               self.name)
+        self._kernel = compile(f, root.arg_vars + (root.p_var,), self.name)
         self._partials = {}
 
     def __call__(self, *args):
         root = self.root
         p = root.solve(args)
         try:
-            vals = self._kernel(*args, p)
+            return self._kernel(*args, p)
         except DomainError:
-            # a turning point outranks a failure past g_p; a failure in
-            # g_p itself raises again here
+            # a turning point outranks a failure elsewhere in f; a failure
+            # in g_p itself raises again here
             if root._gp(*args, p) == 0.0:
                 raise TurningPointError(args, _TURNING) from None
             raise
-        g_p = vals[0]
-        if g_p == 0.0:
-            raise TurningPointError(args, _TURNING)
-        p_u = -vals[1] / g_p
-        if not self._second:
-            return p_u
-        g_w, g_uw, g_up, g_pw, g_pp = vals[2:]
-        p_w = -g_w / g_p
-        num = g_uw + g_up * p_w + g_pw * p_u + g_pp * p_u * p_w
-        return -num / g_p
 
     def partial(self, i):
-        if self._second:
-            raise NotImplementedError(
-                "third-order implicit derivatives are not supported")
-        if i not in self._partials:
-            self._partials[i] = _RootPartial(
-                self.root, (self.wrt[0], self.root.arg_vars[i]))
-        return self._partials[i]
+        return _implicit_partial(self.root, self.f, self.wrt, self._partials,
+                                 i)
 
 
 class TabulatedAntiderivative:

@@ -13,13 +13,14 @@ drift |J(z) - J(z0)| is measured with ``symmetry.momentum_map``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expr import DomainError, linear_combo, mul, sub
 from .hj import (SAMPLE_BOX, NewtonDivergenceError, SingularJacobianError,
-                 SolveError)
+                 SolveError, domain_samples)
 from .phase_space import (FLOW_SINGULAR_TOL, PhasePoint, Trajectory,
                           flow_reference, symplectic_matrix)
 from .symmetry import _require_invariant, momentum_map
@@ -356,22 +357,25 @@ def flow_lagrangian_momentum_check(sys, action, n_samples=20, t=1.0, dt=1e-3,
     invariant under the action.  Random initial points are drawn from
     ``box`` (a list of (lo, hi) pairs over the flat (q, p) layout,
     default +-SAMPLE_BOX each), integrated to time ``t``, and the worst
-    |J(z(t)) - J(z(0))| (``symmetry.momentum_map``) is returned.  The
-    reference scheme preserves linear momenta to rounding, so the result
-    should sit near machine precision.
+    |J(z(t)) - J(z(0))| (``symmetry.momentum_map``) is returned.  A draw
+    whose flow raises DomainError or SolveError is drawn again
+    (``hj.domain_samples``); fewer than ``n_samples`` flows in
+    50 * ``n_samples`` draws is a PreconditionError.  The reference
+    scheme preserves linear momenta to rounding, so the result should
+    sit near machine precision.
     """
     _require_invariant(action, sys.h, sys.coords, seed,
                        "hamiltonian is not invariant under the action")
     n = sys.n
     if box is None:
         box = [(-SAMPLE_BOX, SAMPLE_BOX)] * (2 * n)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
+
+    def drift(rng):
         flat = np.array([rng.uniform(lo, hi) for lo, hi in box])
         z0 = PhasePoint(flat[:n], flat[n:])
         traj = flow_reference(sys, z0, t, dt)
-        d = float(_momentum_drift(action, [z0, traj.point(-1)])[1])
-        if d > worst:
-            worst = d
-    return worst
+        return float(_momentum_drift(action, [z0, traj.point(-1)])[1])
+
+    return max([0.0, *domain_samples(
+        itertools.repeat(np.random.default_rng(seed)), drift, n_samples,
+        shortfall="could not sample the flow's domain")])

@@ -6,8 +6,8 @@ import pytest
 
 from hjreduce import expr as expr_module
 from hjreduce.cli import load_scenario
-from hjreduce.expr import (Add, Call, Const, Div, DomainError, Expr, External,
-                           Mul, Neg, ParseError, Pow, Sub,
+from hjreduce.expr import (FUNCTION_NAMES, Add, Call, Const, Div, DomainError,
+                           Expr, External, Mul, Neg, ParseError, Pow, Sub,
                            UnboundVariableError, UnknownFunctionError, Var,
                            call, differentiate, evaluate, free_vars, parse,
                            substitute)
@@ -156,6 +156,21 @@ class TestDifferentiate:
         for x in (0.0, 0.3, 1.1, -0.7):
             assert evaluate(d, {"x": x}) == pytest.approx(math.cos(2 * x),
                                                           abs=1e-14)
+
+    @pytest.mark.parametrize("func", sorted(FUNCTION_NAMES))
+    def test_each_function_rule_vs_sympy(self, func):
+        # the argument stays in (0.5, 1.4): inside every function's
+        # domain, short of tan's pole, with a chain factor 2x
+        sympy = pytest.importorskip("sympy")
+        sx = sympy.Symbol("x")
+        text = f"{func}(0.5+x^2)"
+        sym = sympy.sympify(text.replace("^", "**").replace("arctan", "atan"),
+                            locals={"x": sx})
+        want = sympy.lambdify(sx, sympy.diff(sym, sx), "math")
+        d = differentiate(parse(text), "x")
+        for x in np.linspace(-0.9, 0.9, 7):
+            assert evaluate(d, {"x": float(x)}) == pytest.approx(
+                want(float(x)), rel=1e-13, abs=1e-15)
 
     def test_constant_and_foreign_var(self):
         assert evaluate(differentiate(parse("y*3"), "x"), {"y": 5}) == 0

@@ -196,9 +196,19 @@ class TestImplicitBranchRoot:
         num = fd_derivative(lambda a: root.partial(0)(0.4, a), 1.3)
         assert got == pytest.approx(num, abs=1e-7)
 
-    def test_third_partials_not_implemented(self, root):
-        with pytest.raises(NotImplementedError):
-            root.partial(0).partial(0).partial(0)
+    def test_third_partials_vs_fd_and_sympy(self, root):
+        sympy = pytest.importorskip("sympy")
+        sy, sa = sympy.symbols("y a")
+        closed = (-sy + sympy.sqrt(sy * sy + 4 * sa)) / 2
+        for path, wrt in (((0, 0, 0), (sy, sy, sy)),
+                          ((0, 1, 0), (sy, sa, sy))):
+            second = root.partial(path[0]).partial(path[1])
+            third = second.partial(path[2])
+            want = sympy.lambdify((sy, sa), sympy.diff(closed, *wrt), "math")
+            for y, a in ((0.4, 1.3), (-1.1, 0.7)):
+                num = fd_derivative(lambda x: second(x, a), y)
+                assert third(y, a) == pytest.approx(num, abs=1e-6)
+                assert third(y, a) == pytest.approx(want(y, a), rel=1e-12)
 
     def test_stray_variable_is_a_precondition(self):
         with pytest.raises(PreconditionError, match="reads 'a', 't'"):

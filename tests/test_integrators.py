@@ -378,6 +378,33 @@ class TestFlowMomentumCheck:
             box=[(0.5, 1.0), (-1.0, -0.5), (-1, 1), (-1, 1)])
         assert dev < 1e-10
 
+    def test_colliding_draws_are_drawn_again(self):
+        # an attractive pair collides within t = 0.5 from some draws of
+        # the default box: those draws are skipped, not raised
+        s = HamiltonianSystem(parse("0.5*(p1^2+p2^2)-1/(q1-q2)^2"),
+                              ["q1", "q2"])
+        action = TranslationAction([[1, 1]])
+        for seed in range(4):
+            assert flow_lagrangian_momentum_check(
+                s, action, n_samples=20, t=0.5, seed=seed) < 1e-10
+
+    def test_no_flowing_draw_is_a_shortfall(self):
+        s = HamiltonianSystem(parse(PAIR_H), ["q1", "q2"])
+        with pytest.raises(PreconditionError,
+                           match="could not sample the flow's domain"):
+            flow_lagrangian_momentum_check(
+                s, TranslationAction([[1, 1]]), n_samples=3, t=0.1,
+                box=[(0.5, 0.5), (0.5, 0.5), (-1, 1), (-1, 1)])
+
+    def test_default_box(self):
+        s = HamiltonianSystem(parse("0.5*(p1^2+p2^2)+0.5*(q1-q2)^2"),
+                              ["q1", "q2"])
+        action = TranslationAction([[1, 1]])
+        dev = flow_lagrangian_momentum_check(s, action, n_samples=5, t=0.5)
+        assert dev < 1e-12
+        assert dev == flow_lagrangian_momentum_check(
+            s, action, n_samples=5, t=0.5, box=[(-2.0, 2.0)] * 4)
+
     def test_non_invariant_rejected(self):
         s = HamiltonianSystem(parse("0.5*(p1^2+p2^2)+q1^2"), ["q1", "q2"])
         action = TranslationAction([[1, 1]])
