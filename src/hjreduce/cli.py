@@ -721,16 +721,28 @@ def cmd_solve_hj(doc, args, sys_, action, mu):
              [table.ys, table.values, table.derivs]))
 
 
+def _magnetic_form(mg, field, coords, what):
+    """The 1-form ``$.magnetic.<field>`` on ``coords``: one component
+    per coordinate (a ``what``), each reading no other name, not even
+    the time."""
+    where = f"$.magnetic.{field}"
+    comps = [_parse_field(c, where) for c in mg[field]]
+    if len(comps) != len(coords):
+        raise ScenarioError(f"{where}: one component per {what}")
+    for i, c in enumerate(comps):
+        extra = c.free_vars() - set(coords)
+        if extra:
+            raise ScenarioError(f"{where}[{i}]: uses undeclared variables: "
+                                f"{sorted(extra)}")
+    return OneForm(coords, components=comps)
+
+
 def _verify_magnetic(doc, sys_, action, mu, args):
     if action is None:
         raise ScenarioError("magnetic verification needs an 'action'")
     mg = doc["magnetic"]
     chart = build_chart(action)
-    comps = [_parse_field(c, "$.magnetic.alpha_mu") for c in mg["alpha_mu"]]
-    if len(comps) != sys_.n:
-        raise ScenarioError("$.magnetic.alpha_mu: one component per "
-                            "coordinate")
-    alpha = OneForm(sys_.coords, components=comps)
+    alpha = _magnetic_form(mg, "alpha_mu", sys_.coords, "coordinate")
     term = magnetic_term(chart, alpha, mu, seed=_seed(doc, args))
     report = {
         "beta": {f"d{chart.y_names[i]}^d{chart.y_names[j]}":
@@ -743,12 +755,8 @@ def _verify_magnetic(doc, sys_, action, mu, args):
     }
     ok = term.pullback_residual <= args.tol
     if "gamma_tilde" in mg:
-        g_comps = [_parse_field(c, "$.magnetic.gamma_tilde")
-                   for c in mg["gamma_tilde"]]
-        if len(g_comps) != chart.m:
-            raise ScenarioError("$.magnetic.gamma_tilde: one component per "
-                                "reduced coordinate")
-        gamma = OneForm(chart.y_names, components=g_comps)
+        gamma = _magnetic_form(mg, "gamma_tilde", chart.y_names,
+                               "reduced coordinate")
         gspec = mg.get("grid", {"bounds": [[-2.0, 2.0]] * chart.m})
         if len(gspec["bounds"]) != chart.m:
             raise ScenarioError(

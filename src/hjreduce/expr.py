@@ -383,14 +383,21 @@ class Neg(Expr):
         return f"({s})" if ctx > 3 else s
 
 
+# Each function once: its value on floats and its derivative rule, the
+# outer factor f'(u) of the Call node c = f(u), which ``Call._diff``
+# multiplies by u'.  The parser, ``Call``, the generated code and
+# ``FUNCTION_NAMES`` all read this table.
 _FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "arctan": math.atan,
-    "sqrt": math.sqrt,
-    "exp": math.exp,
-    "log": math.log,
+    "sin": (math.sin, lambda c: call("cos", c.arg)),
+    "cos": (math.cos, lambda c: neg(call("sin", c.arg))),
+    "tan": (math.tan,
+            lambda c: div(Const(1.0), power(call("cos", c.arg), Const(2.0)))),
+    "arctan": (math.atan, lambda c: div(Const(1.0),
+                                        add(Const(1.0),
+                                            power(c.arg, Const(2.0))))),
+    "sqrt": (math.sqrt, lambda c: div(Const(0.5), call("sqrt", c.arg))),
+    "exp": (math.exp, lambda c: c),
+    "log": (math.log, lambda c: div(Const(1.0), c.arg)),
 }
 
 FUNCTION_NAMES = frozenset(_FUNCTIONS)
@@ -413,7 +420,7 @@ class Call(Expr):
         if self.func == "log" and x <= 0.0:
             raise DomainError("log of a non-positive number", self)
         try:
-            out = _FUNCTIONS[self.func](x)
+            out = _FUNCTIONS[self.func][0](x)
         except ValueError:
             raise DomainError(f"{self.func} domain error", self) from None
         except OverflowError:
@@ -426,24 +433,8 @@ class Call(Expr):
         return (self.arg,)
 
     def _diff(self, var):
-        u = self.arg
-        du = differentiate(u, var)
-        f = self.func
-        if f == "sin":
-            outer = call("cos", u)
-        elif f == "cos":
-            outer = neg(call("sin", u))
-        elif f == "tan":
-            outer = div(Const(1.0), power(call("cos", u), Const(2.0)))
-        elif f == "arctan":
-            outer = div(Const(1.0), add(Const(1.0), power(u, Const(2.0))))
-        elif f == "sqrt":
-            outer = div(Const(0.5), call("sqrt", u))
-        elif f == "exp":
-            outer = self
-        else:  # log
-            outer = div(Const(1.0), u)
-        return mul(outer, du)
+        du = differentiate(self.arg, var)
+        return mul(_FUNCTIONS[self.func][1](self), du)
 
     def _sub(self, mapping):
         return call(self.func, self.arg._sub(mapping))
@@ -582,8 +573,6 @@ def neg(a):
 
 
 def call(func, arg):
-    if func not in _FUNCTIONS:
-        raise ValueError(f"unknown function '{func}'")
     return Call(func, arg)
 
 
@@ -642,7 +631,7 @@ _NS = {
     "__builtins__": {}, "_float": float, "_pow": math.pow, "_abs": abs,
     "_range": range, "_inf": math.inf, "_DE": DomainError,
     "_Recheck": _Recheck, "_FAILS": _FAILS,
-    **{f"_f_{name}": fn for name, fn in _FUNCTIONS.items()},
+    **{f"_f_{name}": fn for name, (fn, _) in _FUNCTIONS.items()},
 }
 _ROWS_NS = {
     "__builtins__": {},
@@ -654,8 +643,7 @@ _ROWS_NS = {
 }
 _KERNEL_IDS = itertools.count(1)
 # Code by shape (:func:`_generate`): each key maps to the code objects of
-# its sources and the datum slot of each ``_kN`` global they read.
-# Emptied when it holds this many.
+# its sources.  Emptied when it holds this many.
 _CODE_CACHE_CAP = 256
 _CODE_CACHE = {}
 
@@ -664,37 +652,32 @@ def _generate(ns, kind, name, extra, merged, mode, lower):
     """Run the code of :func:`_merge`'s ``merged`` in ``ns``, as files
     ``<KIND NAME #N>``.
 
-    The code is cached under a key of what the lowering reads: the
-    operations and outputs, with data as slots, the ``mode``, in
-    ``guarded`` mode the sign of each constant exponent, and ``extra``
-    (the rest of what the source depends on).  So the key holds no
-    datum's value and not which data are equal, and functions that
-    differ only in their constants share it, unless two constants equal
-    in one of them share an operation.  ``lower(binds)`` gives the
-    sources' lines and appends, for each ``_kN`` global they read, its
-    datum's index.  It runs only on a miss: a hit relabels the cached
-    code objects and binds each global to its datum, with no lowering
-    and no ``builtins.compile``.  The cache holds code and indices,
+    The sources are a function of the operations and outputs alone,
+    which hold data as slots (``_k{j}`` reads ``data[j]``), of the
+    ``mode`` and of ``extra`` (the rest of what the source depends on),
+    and the code is cached under a key of exactly these.  So the key
+    holds no datum's value and not which data are equal, and functions
+    that differ only in their constants share it, unless two constants
+    equal in one of them share an operation, or a constant exponent's
+    sign differs (:func:`_merge`'s kind ``^+``).  ``lower()`` gives the
+    sources' lines and runs only on a miss: a hit relabels the cached
+    code objects and binds each ``_k{j}`` to ``data[j]``, with no
+    lowering and no ``builtins.compile``.  The cache holds code alone,
     never a namespace, whose data and walkers hold roots and tables.
     """
     ops, data, outs = merged or ((), (), ())
-    signs = [data[~op[2]] >= 0.0 for op in ops
-             if op[0] == "^" and op[2] < 0] * (mode == "guarded")
     # version 2 writes values alone, never references to objects
-    key = (kind, extra, mode, merged and marshal.dumps((ops, outs, signs), 2))
+    key = (kind, extra, mode, merged and marshal.dumps((ops, outs), 2))
     hit = key in _CODE_CACHE
     files = (f"<{kind} {name} #{n}>" for n in _KERNEL_IDS)
     if not hit:
         if len(_CODE_CACHE) >= _CODE_CACHE_CAP:
             _CODE_CACHE.clear()
-        binds = []
         _CODE_CACHE[key] = [builtins.compile("\n".join(lines), next(files),
-                                             "exec")
-                            for lines in lower(binds)], binds
-    codes, binds = _CODE_CACHE[key]
-    for i, j in enumerate(binds):
-        ns[f"_k{i}"] = np.float64(data[j]) if mode == "rows" else data[j]
-    for code in codes:
+                                             "exec") for lines in lower()]
+    for j, datum in enumerate(data):
+        ns[f"_k{j}"] = np.float64(datum) if mode == "rows" else datum
+    for code in _CODE_CACHE[key]:
         exec(_relabel(code, next(files)) if hit else code, ns)
     return ns
 
@@ -792,7 +775,7 @@ def compile(exprs, argnames, name, singular_tol=0.0):
                      mode, lower)["_kernel"]
 
 
-def _kernel_sources(fname, single, nargs, merged, mode, binds):
+def _kernel_sources(fname, single, nargs, merged, mode):
     """The sources of its chunks ``fname_0``, .. (none for one chunk),
     then of ``fname(a0, ..)``, the function :func:`compile` describes,
     from ``merged`` (:func:`_merge`; None walks every call): the
@@ -801,7 +784,7 @@ def _kernel_sources(fname, single, nargs, merged, mode, binds):
     if merged is None:
         return [[f"def {fname}({args}):",
                  f"    return {fname}_walk(({args}), ())"]]
-    ops, data, outs = merged
+    ops, _, outs = merged
     need = set(outs)  # the operations the outputs read
     for i in range(max(outs, default=-1), -1, -1):
         if i in need and ops[i][0] != "a":
@@ -820,8 +803,7 @@ def _kernel_sources(fname, single, nargs, merged, mode, binds):
     shared = {}  # a crossing value's index in the list r
     read, defs, body = set(), [], ["r = []"]
     for c, chunk in enumerate(chunks):
-        low = _Lowering(ops, data, chunk, crossing.union(outs), mode, binds,
-                        calls)
+        low = _Lowering(ops, chunk, crossing.union(outs), mode, calls)
         low.shared = shared
         lines = low.segment(chunk)
         if c < last:
@@ -887,15 +869,14 @@ def compile_newton(g, g_p, argnames, name, tol, max_iter, slack):
     args = "".join(f"a{i}, " for i in range(len(argnames) - 1))
     accept = f"<= {tol!r} and not s * {{}} < {-slack!r}".format
 
-    def lower(binds):
+    def lower():
         ops, data, outs = merged
         source = [line for fname, out in zip(("_g", "_gp"), outs)
                   for lines in _kernel_sources(fname, True, len(argnames),
-                                               (ops, data, [out]), "scalar",
-                                               binds)
+                                               (ops, data, [out]), "scalar")
                   for line in lines]
         low, (head_g, head_gp, in_g, in_gp), gv, gpv = _newton_lowering(
-            merged, len(argnames) - 1, "scalar", binds)
+            merged, len(argnames) - 1, "scalar")
         return [source + [
             f"def _newton({args}p, s):",
             *_indent(_prologue(low.args), 1),
@@ -990,9 +971,9 @@ def compile_newton_rows(g, g_p, argnames, name, tol, max_iter, slack):
     args = "".join(f"a{i}, " for i in range(len(argnames) - 1))
     accept = f"(best_g <= {tol!r}) & ~(s * best_p < {-slack!r})"
 
-    def lower(binds):
+    def lower():
         low, (head_g, head_gp, in_g, in_gp), gv, gpv = _newton_lowering(
-            merged, len(argnames) - 1, "rows", binds)
+            merged, len(argnames) - 1, "rows")
         return [[
             f"def _newton_rows({args}p, s):",
             *_indent(_prologue(low.args), 1),
@@ -1037,7 +1018,7 @@ def compile_newton_rows(g, g_p, argnames, name, tol, max_iter, slack):
                      lower)["_newton_rows"]
 
 
-def _newton_lowering(merged, moving, mode, binds):
+def _newton_lowering(merged, moving, mode):
     """The ``mode`` lowering of a Newton loop on g in argument ``moving``,
     from :func:`_merge` of (g, g_p).
 
@@ -1047,7 +1028,7 @@ def _newton_lowering(merged, moving, mode, binds):
     nor an External.  :func:`_merge` lists g's operations first, so g
     reads those up to its own.
     """
-    ops, data, (g_out, gp_out) = merged
+    ops, _, (g_out, gp_out) = merged
     moving = ("a", moving)
     varies = []
     for op in ops:
@@ -1055,8 +1036,7 @@ def _newton_lowering(merged, moving, mode, binds):
             op[0] != "a" and any(varies[j] for j in op[1:] if j >= 0)))
     steps = _steps(ops)
     head = [i for i in steps if not varies[i]]
-    low = _Lowering(ops, data, steps, [*head, g_out, gp_out], mode, binds,
-                    False)
+    low = _Lowering(ops, steps, [*head, g_out, gp_out], mode, False)
     if moving in ops:
         low.name[ops.index(moving)] = "p"
     loop = [i for i in steps if varies[i]]
@@ -1075,14 +1055,18 @@ def _merge(exprs, slot):
     Returns ``(ops, data, outs)``.  ``ops`` lists each operation after
     its operands, in the order the walker first evaluates it:
     ``("a", i)`` reads argument i, and ``(kind, *operands)`` computes,
-    kind being ``+ - * / ^``, "neg", a function name or "x", an External
-    call whose first operand is its function.  An operand ``j >= 0`` is
-    the value of ``ops[j]``; ``~j`` reads ``data[j]``, a constant or an
-    External's function, and each read is a datum of its own, j counting
-    the reads in order.  So which constants are equal shows only in the
-    sharing of the operations that read them: two nodes share an
-    operation when their types, function names and operands are equal,
-    a constant's key being its bit pattern (0.0 and -0.0 stay apart).
+    kind being ``+ - * / ^``, "^+" (a power whose exponent is a
+    constant that is not negative, so its base is never guarded),
+    "neg", a function name or "x", an External call whose first
+    operand is its function.  An operand ``j >= 0`` is the value of
+    ``ops[j]``; ``~j`` reads ``data[j]``, a constant or an External's
+    function, and each read is a datum of its own, j counting the reads
+    in order.  So the operations say all that a generated source reads,
+    and the data only the values it computes with, and which constants
+    are equal shows only in the sharing of the operations that read
+    them: two nodes share an operation when their types, function names
+    and operands are equal, a constant's key being its bit pattern (0.0
+    and -0.0 stay apart).
     An External call, and every operation over one, is never shared:
     each runs where the walker runs it.  ``outs`` is each expression's
     operand.  None when an expression reads a name outside ``slot``.
@@ -1135,7 +1119,8 @@ def _merge(exprs, slot):
                 got.insert(0, ~len(values))
                 values.append(node.fn)
             if cls is not Const:
-                key = (_KINDS.get(cls) or node.func, *got)
+                plus = cls is Pow and got[1] < 0 <= values[~got[1]]
+                key = ("^+" if plus else _KINDS.get(cls) or node.func, *got)
                 new = cls is External or (
                     cls is not Var and calls and not calls.isdisjoint(got))
                 k = None if new else index.get(key)
@@ -1163,18 +1148,18 @@ class _Lowering:
     each after its operands, then the segment's checks.  Argument i is
     the local ``x{i}``, bound by :func:`_prologue`; an operation that an
     earlier chunk of :func:`compile` computed is read from the list
-    ``r``, at its index in ``shared``.  Each read of a datum is a global
-    ``_kN`` of its own, N its index in ``binds``, which holds the
-    datum's slot, so the source depends neither on the constants'
-    values nor on which of them are equal.  A register is reused after
-    its operation's last read in ``steps``, except for the operations in
-    ``keep``.
+    ``r``, at its index in ``shared``.  Datum j is the global ``_k{j}``,
+    and :func:`_merge` gives each read a datum of its own, so the source
+    is a function of the operations alone: it depends neither on the
+    constants' values nor on which of them are equal.  A register is
+    reused after its operation's last read in ``steps``, except for the
+    operations in ``keep``.
 
     A segment's checks are batched: every power and call gave a finite
     value and, in ``guarded`` mode, no denominator and no base of a
-    power with a possibly negative exponent lies within the global
-    ``_tol``.  On scalars a failed check raises ``_Recheck``, and a
-    division by zero or a math error raises by itself.  In ``rows``
+    power of kind ``^`` (an exponent that may be negative) lies within
+    the global ``_tol``.  On scalars a failed check raises ``_Recheck``,
+    and a division by zero or a math error raises by itself.  In ``rows``
     mode each operand holds one value per row, a failed check ORs into
     the row mask ``bad``, and so does a zero denominator, since numpy's
     division does not raise.  Before each External call the pending
@@ -1184,9 +1169,8 @@ class _Lowering:
     result to the list ``got``, after a None that marks it running.
     """
 
-    def __init__(self, ops, data, steps, keep, mode, binds, record):
-        self.ops, self.data, self.steps = ops, data, steps
-        self.binds, self.record = binds, record
+    def __init__(self, ops, steps, keep, mode, record):
+        self.ops, self.steps, self.record = ops, steps, record
         self.rows, self.guarded = mode == "rows", mode == "guarded"
         self.keep = set(keep)
         self.reads = collections.Counter(j for i in steps
@@ -1202,8 +1186,7 @@ class _Lowering:
         text = self.name.get(j)
         if text is None:
             if j < 0:
-                self.binds.append(~j)
-                return f"_k{len(self.binds) - 1}"
+                return f"_k{~j}"
             kind, arg = self.ops[j][:2]
             if kind == "a":
                 self.args.add(arg)
@@ -1252,9 +1235,9 @@ class _Lowering:
             text = "-" + xs[0]
         elif len(xs) == 1:
             text = f"_f_{kind}({xs[0]})"
-        elif kind == "^":
+        elif kind[0] == "^":
             text = f"_pow({xs[0]}, {xs[1]})"
-            if self.guarded and not (op[2] < 0 and self.data[~op[2]] >= 0.0):
+            if self.guarded and kind == "^":
                 self.small[op[1]] = xs[0]
         else:
             text = f"{xs[0]} {kind} {xs[1]}"
@@ -1267,7 +1250,7 @@ class _Lowering:
         out = self.name[i] = self._temp()
         record = "got.append(None); got[-1] = " * (kind == "x" and self.record)
         self.lines.append(f"{record}{out} = {text}")
-        if kind == "^" or (len(xs) == 1 and kind != "neg"):
+        if kind[0] == "^" or (len(xs) == 1 and kind != "neg"):
             self.finite[i] = out
 
     def _check(self):

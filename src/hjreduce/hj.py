@@ -1158,7 +1158,7 @@ def cyclic_ansatz(sys, cyclic_vars, betas, seed=42):
     are names or coordinate indices, each listed once; ``betas`` are
     numbers, one per cyclic variable.
     """
-    from .reduction import _on_level, build_chart
+    from .reduction import build_chart
     from .symmetry import TranslationAction, _require_invariant
     cyclic_vars = tuple(sys.coords[v] if isinstance(v, int) else v
                         for v in cyclic_vars)
@@ -1180,7 +1180,7 @@ def cyclic_ansatz(sys, cyclic_vars, betas, seed=42):
     chart = build_chart(action, y_names=remaining, py_names=slots)
     return CyclicAnsatz(cyclic_vars, remaining, slots,
                         tuple(Const(b) for b in betas),
-                        substitute(sys.h, _on_level(sys, chart, betas)),
+                        substitute(sys.h, chart.on_level(sys, betas)),
                         linear_combo(betas, cyclic_vars), chart)
 
 

@@ -19,7 +19,6 @@ from .expr import compile, evaluate_rows, linear_combo, substitute
 from .hj import OneForm, hj_residual, pullback
 from .phase_space import (FLOW_SINGULAR_TOL, HamiltonianSystem, Trajectory,
                           _rk4, _time)
-from .reduction import _on_level
 from .symmetry import form_translates
 
 __all__ = [
@@ -41,11 +40,9 @@ def lift_solution(reduced_form, chart, mu, coords):
     coords = tuple(coords)
     if len(coords) != chart.n:
         raise ValueError(f"need {chart.n} coordinate names")
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if mu.size != chart.k:
-        raise ValueError(f"mu must have {chart.k} entries")
     components = pullback(reduced_form.components, chart.y_names,
-                          chart.y_block, coords, shift=chart.x_block.T @ mu)
+                          chart.y_block, coords,
+                          shift=chart.x_block.T @ chart.level(mu))
     return OneForm(coords, components=components)
 
 
@@ -75,13 +72,12 @@ def lift_report(sys, reduced_form, chart, mu, grid, seed=42):
     DomainError of the form on the grid itself propagates, the first
     failing point's.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
     form = lift_solution(reduced_form, chart, mu, sys.coords)
+    mu = chart.level(mu)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     momenta, devs = form_translates(chart.action, form, grid,
                                     np.random.default_rng(seed))
-    # fmax skips a NaN row, as a running > maximum does; lift_solution
-    # holds mu to k entries
+    # fmax skips a NaN row, as a running > maximum does
     mom_dev = float(np.fmax.reduce(
         np.max(np.abs(momenta - mu), axis=1, initial=0.0), initial=0.0))
     inv_dev = float(np.fmax.reduce(devs, initial=0.0))
@@ -150,14 +146,13 @@ def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
     ``g0`` sets the initial group coordinates (default zero: the path
     starts on the horizontal slice).
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if y0.size != chart.m:
         raise ValueError(f"y0 must have {chart.m} entries")
     g0 = np.zeros(chart.k) if g0 is None else np.atleast_1d(np.asarray(g0, float))
     if g0.size != chart.k:
         raise ValueError(f"g0 must have {chart.k} entries")
-    on_level = _on_level(sys, chart, mu)
+    on_level = chart.on_level(sys, mu)
     red_sys = HamiltonianSystem(substitute(sys.h, on_level), chart.y_names,
                                 chart.py_names)
     dh_dp = [substitute(e, on_level) for e in sys._dh_dp]
@@ -178,6 +173,6 @@ def reconstruct_trajectory(sys, reduced_form, chart, mu, y0, t_end, dt,
                                ys, FLOW_SINGULAR_TOL)
     # one product Y^T a[i] per sample, rounded as that sample's own
     ps = (chart.y_block.T @ reduced_ps[:, :, None])[..., 0] \
-        + chart.x_block.T @ mu
+        + chart.x_block.T @ chart.level(mu)
     qs = ys @ chart.horizontal.T + gs @ chart.generators.T
     return Trajectory(times, qs, ps)

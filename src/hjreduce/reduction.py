@@ -54,6 +54,12 @@ class QuotientChart:
     ones ``action`` built when it was made (``_linalg.chart_blocks``),
     and the chart keeps ``action``: every precondition sampled under
     the chart's translations reads it.
+
+    The chart also owns the momentum level: :meth:`level` checks and
+    normalizes mu, :meth:`on_level` is the substitution onto the level
+    over the horizontal slice, and :meth:`slice_form` pulls a 1-form
+    back to that slice.  Reduction, lifts and reconstruction all go
+    through these three.
     """
 
     def __init__(self, action, y_names=None, py_names=None):
@@ -97,6 +103,33 @@ class QuotientChart:
         p = self.y_block.T @ p_y + self.x_block.T @ p_x
         return PhasePoint(q, p)
 
+    def level(self, mu):
+        """mu as a float array; ValueError unless it has k entries."""
+        mu = np.atleast_1d(np.asarray(mu, dtype=float))
+        if mu.size != self.k:
+            raise ValueError(f"mu must have {self.k} entries")
+        return mu
+
+    def on_level(self, sys, mu):
+        """The substitution at level mu, as an ``expr.substitute``
+        mapping: q -> L y (the horizontal slice) and p -> Y^T p_y +
+        X^T mu, in the chart's reduced names.  ValueError when mu or the
+        system does not fit the chart."""
+        shifted = zip(self.y_block.T, self.x_block.T @ self.level(mu))
+        if sys.n != self.n:
+            raise ValueError("system and chart dimensions differ")
+        mapping = {v: linear_combo(row, self.y_names)
+                   for v, row in zip(sys.coords, self.horizontal)}
+        mapping.update({v: add(linear_combo(col, self.py_names), Const(s))
+                        for v, (col, s) in zip(sys.momenta, shifted)})
+        return mapping
+
+    def slice_form(self, form):
+        """The pullback of a full-space 1-form to the horizontal slice
+        q = L y, a 1-form in the reduced coordinate names."""
+        return OneForm(self.y_names, components=pullback(
+            form.components, form.coords, self.horizontal, self.y_names))
+
     def __repr__(self):
         return f"QuotientChart(n={self.n}, k={self.k})"
 
@@ -111,24 +144,6 @@ def build_chart(action, y_names=None, py_names=None):
     return QuotientChart(action, y_names=y_names, py_names=py_names)
 
 
-def _on_level(sys, chart, mu):
-    """The chart substitution at level mu, as an ``expr.substitute``
-    mapping: q -> L y (the horizontal slice) and p -> Y^T p_y + X^T mu,
-    in the chart's reduced names.  ValueError when mu or the system
-    does not fit the chart."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if mu.size != chart.k:
-        raise ValueError(f"mu must have {chart.k} entries")
-    if sys.n != chart.n:
-        raise ValueError("system and chart dimensions differ")
-    mapping = {v: linear_combo(row, chart.y_names)
-               for v, row in zip(sys.coords, chart.horizontal)}
-    shift = chart.x_block.T @ mu
-    mapping.update({v: add(linear_combo(col, chart.py_names), Const(s))
-                    for v, col, s in zip(sys.momenta, chart.y_block.T, shift)})
-    return mapping
-
-
 def reduced_hamiltonian(sys, chart, mu, seed=42):
     """Descend an invariant hamiltonian to the quotient at level mu.
 
@@ -138,7 +153,7 @@ def reduced_hamiltonian(sys, chart, mu, seed=42):
     first (``invariance_report``), and a violation raises
     PreconditionError with the witness point.
     """
-    mapping = _on_level(sys, chart, mu)
+    mapping = chart.on_level(sys, mu)
     _require_invariant(chart.action, sys.h, sys.coords, seed,
                        "hamiltonian is not invariant under the action")
     return substitute(sys.h, mapping)
@@ -171,11 +186,9 @@ def magnetic_term(chart, alpha_mu, mu, seed=42):
     form) is spot-checked at 20 more points and its worst deviation
     reported.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if len(alpha_mu.coords) != chart.n:
         raise ValueError("form and chart dimensions differ")
-    if mu.size != chart.k:
-        raise ValueError(f"mu must have {chart.k} entries")
+    mu = chart.level(mu)
     rng = np.random.default_rng(seed)
 
     def translates(rng):
@@ -200,10 +213,7 @@ def magnetic_term(chart, alpha_mu, mu, seed=42):
             raise PreconditionError(
                 "form does not realize the momentum level mu",
                 witness={"point": q.tolist(), "momentum": jv.tolist()})
-    reduced = pullback(alpha_mu.components, alpha_mu.coords, chart.horizontal,
-                       chart.y_names)
-    tilde = OneForm(chart.y_names, components=reduced)
-    beta = exterior_derivative(tilde)
+    beta = exterior_derivative(chart.slice_form(alpha_mu))
     d_full = exterior_derivative(alpha_mu)
     y_blk = chart.y_block
 
@@ -239,9 +249,7 @@ def project_lagrangian(form, chart, mu, grid, seed=42):
     generator (ValueError otherwise).  Returns the reduced form and a
     report with the measured deviations.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if mu.size != chart.k:
-        raise ValueError(f"mu must have {chart.k} entries")
+    mu = chart.level(mu)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[1] != chart.n:
         raise ValueError("grid points must have the chart's dimension")
@@ -261,7 +269,5 @@ def project_lagrangian(form, chart, mu, grid, seed=42):
     # fmax skips a NaN deviation, as a running > maximum does
     mom_dev = float(np.fmax.reduce(mom_devs, initial=0.0))
     inv_dev = float(np.fmax.reduce(devs, initial=0.0))
-    reduced = pullback(form.components, form.coords, chart.horizontal,
-                       chart.y_names)
-    tilde = OneForm(chart.y_names, components=reduced)
-    return tilde, {"momentum_dev": mom_dev, "invariance_dev": inv_dev}
+    return chart.slice_form(form), {"momentum_dev": mom_dev,
+                                    "invariance_dev": inv_dev}

@@ -615,6 +615,26 @@ class TestScenarioErrors:
                  edited("magnetic_synthetic", magnetic__gamma_tilde=["2*y1"]),
                  "$.magnetic.gamma_tilde: one component per reduced "
                  "coordinate"),
+        # a magnetic form reads only its own coordinates, not the time;
+        # d(gamma_tilde) would drop an undeclared w and pass
+        document("verify", "alpha-mu-name",
+                 edited("magnetic_synthetic",
+                        magnetic__alpha_mu=["0", "y1+w", "1.5"]),
+                 "$.magnetic.alpha_mu[1]: uses undeclared variables: ['w']"),
+        document("verify", "alpha-mu-time",
+                 edited("magnetic_synthetic",
+                        magnetic__alpha_mu=["t*y1", "y1", "1.5"]),
+                 "$.magnetic.alpha_mu[0]: uses undeclared variables: ['t']"),
+        document("verify", "gamma-tilde-name",
+                 edited("magnetic_synthetic",
+                        magnetic__gamma_tilde=["2*y1+w", "-y1+2*y2"]),
+                 "$.magnetic.gamma_tilde[0]: uses undeclared variables: "
+                 "['w']"),
+        document("verify", "gamma-tilde-group",
+                 edited("magnetic_synthetic",
+                        magnetic__gamma_tilde=["2*y1", "x-y1+2*y2"]),
+                 "$.magnetic.gamma_tilde[1]: uses undeclared variables: "
+                 "['x']"),
         document("verify", "scenario20", edited("calogero", drop=["verify"]),
                  "this scenario has no verify.grid section"),
         ("verify", "freeparticle",

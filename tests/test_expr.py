@@ -80,6 +80,10 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("1 2")
 
+    def test_unclosed_function_argument(self):
+        with pytest.raises(ParseError, match=r"expected '\)' \(offset 5\)"):
+            parse("sin(x")
+
     def test_non_finite_literal_rejected(self):
         # 1e400 reads as inf, and inf*0 would evaluate to NaN
         with pytest.raises(ParseError) as ei:
@@ -304,3 +308,18 @@ class TestSmartConstructors:
     def test_call_node(self):
         with pytest.raises(ValueError):
             Call("zeta", Const(1.0))
+
+    @pytest.mark.parametrize("make, text, value", [
+        (lambda x: 2 + x, "2.0+x", 2.5), (lambda x: 2 - x, "2.0-x", 1.5),
+        (lambda x: 2 * x, "2.0*x", 1.0), (lambda x: 2 / x, "2.0/x", 4.0)])
+    def test_reflected_operators(self, make, text, value):
+        e = make(Var("x"))
+        assert str(e) == text and evaluate(e, {"x": 0.5}) == value
+
+    def test_only_numbers_convert(self):
+        with pytest.raises(TypeError, match="cannot convert str to Expr"):
+            Var("x") + "y"
+
+    def test_zeroth_power_folds_to_one(self):
+        e = Var("x") ** 0
+        assert isinstance(e, Const) and e.value == 1.0

@@ -640,6 +640,17 @@ class TestSolveReduced1D:
         with pytest.raises(BranchAmbiguityError):
             solve_reduced_1d(h, "y", "p", 1.0, (1.0, 2.0), n_nodes=51)
 
+    def test_monotonicity_skips_a_point_where_g_p_raises(self):
+        # the exponent reads p, so g_p holds log(p-0.5): it raises below
+        # p = 0.5, where g itself is defined, and so at a quarter of the
+        # root (about 1.43) at y = -1
+        h = parse("0.5*p^2+(p-0.5)^(2+1e-300*p)+0.1*y^2")
+        sol = solve_reduced_1d(h, "y", "p", 2.0, (-1.0, 1.0), n_nodes=101)
+        p = sol.root.solve((-1.0,))
+        assert 1.5 * p * p - p + 0.35 == pytest.approx(2.0, abs=1e-14)
+        with pytest.raises(DomainError, match="log of a non-positive"):
+            sol.root._gp(-1.0, 0.25 * p)
+
     def test_bad_range(self, reduced_pair):
         with pytest.raises(ValueError):
             solve_reduced_1d(reduced_pair.h, "q", "p", 2.0, (5.0, 0.8))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hjreduce import reduction
 from hjreduce.expr import Const, Var, call, evaluate, free_vars, parse
 from hjreduce.hj import OneForm, PreconditionError, mesh_grid, random_grid
 from hjreduce.phase_space import HamiltonianSystem, PhasePoint
@@ -9,7 +10,7 @@ from hjreduce.reduction import (QuotientChart, TwoForm, build_chart,
                                 magnetic_lagrangian_residual, magnetic_term,
                                 momentum_shift, project_lagrangian,
                                 reduced_hamiltonian)
-from hjreduce.symmetry import TranslationAction
+from hjreduce.symmetry import TranslationAction, form_translates
 from oracles import fd_gradient
 
 PAIR_H = "0.5*(p1^2+p2^2)+1/(q1-q2)^2"
@@ -96,6 +97,31 @@ class TestChartSplitAssemble:
         z = c.assemble([2.0], [0.5])
         np.testing.assert_allclose(z.q, [1.0, -1.0])
         np.testing.assert_allclose(z.p, [0.5, -0.5])
+
+
+class TestMomentumLevel:
+    def test_level_is_a_float_array_of_k_entries(self, diag_action):
+        c = build_chart(diag_action)
+        mu = c.level(2)
+        assert mu.dtype == float and mu.tolist() == [2.0]
+        with pytest.raises(ValueError, match="mu must have 1 entries"):
+            c.level([1.0, 2.0])
+
+    def test_on_level_is_the_slice_at_the_level(self, diag_action):
+        # q = L y, p = Y^T p_y + X^T mu with X^T mu = (0.45, 0.45)
+        c = build_chart(diag_action)
+        sys_ = HamiltonianSystem(PAIR_H, ("q1", "q2"), ("p1", "p2"))
+        mapping = c.on_level(sys_, [0.9])
+        assert {v: str(e) for v, e in mapping.items()} == {
+            "q1": "0.5*q", "q2": "-0.5*q", "p1": "p+0.45", "p2": "-p+0.45"}
+
+    def test_slice_form_pulls_back_to_the_slice(self, diag_action):
+        # L^T (q1, q2) at q = L y is 0.5 y - 0.5 (-0.5 y) = 0.5 y
+        c = build_chart(diag_action)
+        tilde = c.slice_form(OneForm(("q1", "q2"),
+                                     components=(Var("q1"), Var("q2"))))
+        assert tilde.coords == ("q",)
+        assert tilde.values(np.array([2.0])).tolist() == [1.0]
 
 
 class TestReducedHamiltonian:
@@ -203,6 +229,26 @@ class TestMagneticTerm:
                         components=(Const(0.0), Var("y1"), Const(1.5)))
         with pytest.raises(PreconditionError):
             magnetic_term(fiber_chart, alpha, np.array([0.4]))
+
+    def test_translate_off_the_domain_is_redrawn(self, fiber_chart,
+                                                 monkeypatch):
+        # sqrt(x) is defined at x >= 0 but not at every translate of x
+        alpha = OneForm(("y1", "y2", "x"),
+                        components=(Const(0.0), parse("y1+sqrt(x)-sqrt(x)"),
+                                    Const(1.5)))
+        devs = []
+
+        def recording(*args):
+            momenta, found = form_translates(*args)
+            devs.extend(found.tolist())
+            return momenta, found
+
+        monkeypatch.setattr(reduction, "form_translates", recording)
+        term = magnetic_term(fiber_chart, alpha, np.array([1.5]))
+        assert any(np.isnan(devs))
+        assert sum(not np.isnan(d) for d in devs) >= 50
+        assert term.beta.entry(0, 1).value == 1.0
+        assert term.invariance_dev <= 1e-15
 
     def test_non_invariant_alpha_rejected(self, fiber_chart):
         alpha = OneForm(("y1", "y2", "x"),

@@ -8,6 +8,7 @@ that an earlier module compiled.
 
 import gc
 import re
+import types
 import weakref
 
 import pytest
@@ -102,6 +103,35 @@ class TestHits:
         del fn, kernel
         gc.collect()
         assert freed() is None
+
+
+class TestSourceFromOperations:
+    """A generated source is a function of ``_merge``'s operations alone,
+    so a cache entry is its code objects and nothing more."""
+
+    def test_every_entry_is_a_list_of_code_objects(self, counted_compiles):
+        g, g_p = parse("0.5*p^2+y^2-1"), parse("p")
+        compile(parse("2*x+sin(x)^-2"), ("x",), "k", 1e-9)
+        expr_module.compile_newton(g, g_p, ("y", "p"), "n", 1e-12, 20, 0.0)
+        expr_module.compile_newton_rows(g, g_p, ("y", "p"), "r", 1e-12, 20,
+                                        0.0)
+        assert len(expr_module._CODE_CACHE) == 3
+        for entry in expr_module._CODE_CACHE.values():
+            assert type(entry) is list and entry
+            assert all(isinstance(c, types.CodeType) for c in entry)
+
+    def test_each_datum_is_the_global_named_after_it(self):
+        e = parse("2*x+3*x^0.5")
+        data = expr_module._merge((e,), {"x": 0})[1]
+        kernel = compile(e, ("x",), "k")
+        assert sorted(data) == [0.5, 2.0, 3.0]
+        assert [kernel.__globals__[f"_k{j}"] for j in range(3)] == data
+
+    def test_a_constant_exponent_that_is_not_negative_is_its_own_kind(self):
+        exprs = [parse(t) for t in ("x^2", "x^-2", "x^y", "x^0.5")]
+        ops = expr_module._merge(exprs, {"x": 0, "y": 1})[0]
+        assert [op[0] for op in ops if op[0] != "a"] == ["^+", "^", "^",
+                                                         "^+"]
 
 
 def test_cold_and_warm_runs_write_the_same_bytes(tmp_path, capsys,
